@@ -11,7 +11,10 @@
      tables (Gc live-word delta across the compile);
    - incremental convergence: single-delta p99 versus a from-scratch
      recompile of the same final portfolio, validated by canonical
-     fingerprint against the oracle. *)
+     fingerprint against the oracle;
+   - minor words allocated per delta — deterministic, so a delta path
+     that scans the whole population (O(sites) rather than O(affected
+     VPN)) shows up without a timing gate. *)
 
 module P = Mvpn_provision
 module T = Mvpn_telemetry
@@ -115,6 +118,7 @@ let run () =
      fingerprint referee. *)
   let ops = P.Portfolio.churn big.portfolio ~seed:(seed + 1) ~ops:churn_ops in
   let touched = ref 0 in
+  let w0 = Gc.minor_words () in
   let samples =
     Array.of_list
       (List.map
@@ -124,6 +128,7 @@ let run () =
             Unix.gettimeofday () -. t0)
          ops)
   in
+  let words_per_delta = (Gc.minor_words () -. w0) /. float_of_int churn_ops in
   Array.sort compare samples;
   let p99_ms = 1e3 *. percentile samples 0.99 in
   let final = P.Portfolio.apply_all big.portfolio ops in
@@ -138,6 +143,7 @@ let run () =
     big.n churn_ops;
   Printf.printf "  delta p50 / p99      %.4f / %.4f ms\n"
     (1e3 *. percentile samples 0.50) p99_ms;
+  Printf.printf "  minor words/delta    %.0f\n" words_per_delta;
   Printf.printf "  mean VRFs touched    %.1f\n"
     (float_of_int !touched /. float_of_int churn_ops);
   Printf.printf "  full recompile       %.1f ms\n" full_ms;
@@ -157,5 +163,6 @@ let run () =
   g "e19.converge.p99_ms" p99_ms;
   g "e19.converge.full_ms" full_ms;
   g "e19.converge.speedup" speedup;
+  g "e19.converge.words_per_delta" words_per_delta;
   g "e19.delta.touched_mean"
     (float_of_int !touched /. float_of_int churn_ops)

@@ -1,49 +1,70 @@
 type mechanism = Directory | Flooded
 
+(* Members are kept per VPN, newest first, so every op that concerns one
+   VPN — leave, members, discover — walks only that VPN's list, never
+   the whole population (E19: 10k VPNs, 100k+ sites). *)
+type vpn = {
+  mutable rev_members : Site.t list;  (* reverse join order *)
+  mutable size : int;
+}
+
 type t = {
   mechanism : mechanism;
   pe_count : int;
-  mutable sites : Site.t list;  (* reverse join order *)
   by_id : (int, Site.t) Hashtbl.t;
-  vpn_sizes : (int, int) Hashtbl.t;  (* vpn -> live member count *)
+  vpns : (int, vpn) Hashtbl.t;  (* vpn id -> its live members *)
   pe_sizes : (int, int) Hashtbl.t;  (* pe -> attached member count *)
   mutable messages : int;
 }
 
 let create ?(mechanism = Directory) ~pe_count () =
-  { mechanism; pe_count; sites = []; by_id = Hashtbl.create 64;
-    vpn_sizes = Hashtbl.create 16; pe_sizes = Hashtbl.create 16;
+  { mechanism; pe_count; by_id = Hashtbl.create 64;
+    vpns = Hashtbl.create 16; pe_sizes = Hashtbl.create 16;
     messages = 0 }
 
-let size tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k)
+let pe_attachment_count t ~pe =
+  Option.value ~default:0 (Hashtbl.find_opt t.pe_sizes pe)
 
-let bump tbl k d =
-  let n = size tbl k + d in
-  if n <= 0 then Hashtbl.remove tbl k else Hashtbl.replace tbl k n
+let bump_pe t pe d =
+  let n = pe_attachment_count t ~pe + d in
+  if n <= 0 then Hashtbl.remove t.pe_sizes pe
+  else Hashtbl.replace t.pe_sizes pe n
 
 let members t ~vpn =
-  List.rev (List.filter (fun (s : Site.t) -> s.Site.vpn = vpn) t.sites)
+  match Hashtbl.find_opt t.vpns vpn with
+  | Some v -> List.rev v.rev_members
+  | None -> []
+
+(* Cost of telling the others about one join or leave, given how many
+   members remain to be told. *)
+let notify_cost t ~others =
+  match t.mechanism with
+  | Directory ->
+    (* Register with (or deregister from) the server, then notify each
+       remaining member of the same VPN. *)
+    1 + others
+  | Flooded ->
+    (* Advertised to every PE in the provider network. *)
+    t.pe_count
 
 (* The join itself is O(1): dup check, notification cost and the per-PE
-   attachment count all come from the index tables, never from a walk
-   of the member list — mass provisioning (100k+ sites, E19) joins in
-   linear total time. *)
+   attachment count all come from the index tables — mass provisioning
+   joins in linear total time. *)
 let join_one t (site : Site.t) =
-  let cost =
-    match t.mechanism with
-    | Directory ->
-      (* Register with the server, then notify each existing member of
-         the same VPN. *)
-      1 + size t.vpn_sizes site.Site.vpn
-    | Flooded ->
-      (* Advertised to every PE in the provider network. *)
-      t.pe_count
+  let vpn = site.Site.vpn in
+  let v =
+    match Hashtbl.find_opt t.vpns vpn with
+    | Some v -> v
+    | None ->
+      let v = { rev_members = []; size = 0 } in
+      Hashtbl.replace t.vpns vpn v;
+      v
   in
-  t.messages <- t.messages + cost;
-  t.sites <- site :: t.sites;
+  t.messages <- t.messages + notify_cost t ~others:v.size;
+  v.rev_members <- site :: v.rev_members;
+  v.size <- v.size + 1;
   Hashtbl.replace t.by_id site.Site.id site;
-  bump t.vpn_sizes site.Site.vpn 1;
-  bump t.pe_sizes site.Site.pe_node 1
+  bump_pe t site.Site.pe_node 1
 
 let reject_member t (site : Site.t) =
   if Hashtbl.mem t.by_id site.Site.id then
@@ -74,16 +95,15 @@ let leave t ~site_id =
   match Hashtbl.find_opt t.by_id site_id with
   | None -> false
   | Some site ->
-    t.sites <- List.filter (fun (s : Site.t) -> s.Site.id <> site_id) t.sites;
+    let vpn = site.Site.vpn in
+    let v = Hashtbl.find t.vpns vpn in
+    v.rev_members <-
+      List.filter (fun (s : Site.t) -> s.Site.id <> site_id) v.rev_members;
+    v.size <- v.size - 1;
+    if v.size = 0 then Hashtbl.remove t.vpns vpn;
     Hashtbl.remove t.by_id site_id;
-    bump t.vpn_sizes site.Site.vpn (-1);
-    bump t.pe_sizes site.Site.pe_node (-1);
-    let cost =
-      match t.mechanism with
-      | Directory -> 1 + size t.vpn_sizes site.Site.vpn
-      | Flooded -> t.pe_count
-    in
-    t.messages <- t.messages + cost;
+    bump_pe t site.Site.pe_node (-1);
+    t.messages <- t.messages + notify_cost t ~others:v.size;
     true
 
 let discover t ~asking =
@@ -93,11 +113,8 @@ let discover t ~asking =
     (members t ~vpn:asking.Site.vpn)
 
 let vpn_ids t =
-  List.sort Int.compare
-    (Hashtbl.fold (fun vpn _ acc -> vpn :: acc) t.vpn_sizes [])
+  List.sort Int.compare (Hashtbl.fold (fun vpn _ acc -> vpn :: acc) t.vpns [])
 
 let site_count t = Hashtbl.length t.by_id
 
 let messages t = t.messages
-
-let pe_attachment_count t ~pe = size t.pe_sizes pe

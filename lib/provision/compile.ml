@@ -44,10 +44,13 @@ let arr_remove (a : int array) x =
 (* A group is one shared immutable route table: all VRFs with the same
    import signature (same VPN, same role-derived RT imports) reference
    the same sorted id array. Arrays are replaced, never mutated, so a
-   reader can hold a snapshot across updates. *)
+   reader can hold a snapshot across updates. The member VRFs also share
+   one export list, so the group's locals are exactly the routes
+   carrying [g_export]. *)
 type group = {
   g_key : int;
   g_import : Mpbgp.rt list;
+  g_export : Mpbgp.rt list;
   mutable g_pes : int list;  (* member VRF PEs, sorted *)
   mutable g_routes : int array;  (* interned route ids, sorted *)
 }
@@ -57,7 +60,6 @@ type vrf = {
   v_vpn : int;
   v_role : Service.role;
   v_rd : Mpbgp.rd;
-  v_export : Mpbgp.rt list;
   v_group : group;
   mutable v_locals : int list;  (* global site ids, sorted *)
 }
@@ -77,7 +79,8 @@ type t = {
   customers : (int, cust) Hashtbl.t;
   vrfs : (int, vrf) Hashtbl.t;  (* vrf_key -> vrf *)
   groups : (int, group) Hashtbl.t;  (* group_key -> group *)
-  rt_groups : (int, int list) Hashtbl.t;  (* rt_value -> importing groups *)
+  importers : (int, int list) Hashtbl.t;  (* rt_value -> importing groups *)
+  exporters : (int, int list) Hashtbl.t;  (* rt_value -> exporting groups *)
   site_route : (int, int) Hashtbl.t;  (* gsid -> interned route id *)
   site_info : (int, Site.t * Service.role) Hashtbl.t;
   lsps : (int, int) Hashtbl.t;  (* (ingress lsl 8) lor egress -> refcount *)
@@ -87,7 +90,9 @@ let role_bit = function Service.Hub -> 1 | Service.Spoke -> 0
 
 let group_key vpn role = (vpn lsl 1) lor role_bit role
 
-let vrf_key pe vpn role = (group_key vpn role lsl 8) lor pe
+let member_key gk pe = (gk lsl 8) lor pe
+
+let vrf_key pe vpn role = member_key (group_key vpn role) pe
 
 let lsp_key ~ingress ~egress = (ingress lsl 8) lor egress
 
@@ -119,24 +124,60 @@ let lsp_decr t ~ingress ~egress =
   | Some 1 -> Hashtbl.remove t.lsps k
   | Some n -> Hashtbl.replace t.lsps k (n - 1)
 
-let groups_importing t (rt : Mpbgp.rt) =
-  Option.value ~default:[] (Hashtbl.find_opt t.rt_groups rt.Mpbgp.rt_value)
+let groups_of tbl (rt : Mpbgp.rt) =
+  Option.value ~default:[] (Hashtbl.find_opt tbl rt.Mpbgp.rt_value)
 
-let ensure_group t (c : cust) role =
+let link tbl k rts =
+  List.iter
+    (fun (rt : Mpbgp.rt) ->
+       Hashtbl.replace tbl rt.Mpbgp.rt_value (k :: groups_of tbl rt))
+    rts
+
+let unlink tbl k rts =
+  List.iter
+    (fun (rt : Mpbgp.rt) ->
+       match rm_sorted k (groups_of tbl rt) with
+       | [] -> Hashtbl.remove tbl rt.Mpbgp.rt_value
+       | rest -> Hashtbl.replace tbl rt.Mpbgp.rt_value rest)
+    rts
+
+(* A group's table from scratch: the locals of every VRF in a group that
+   exports one of its import RTs, sorted — O(routes carrying those RTs),
+   found through the exporting groups rather than a per-route index. *)
+let routes_importing t (imports : Mpbgp.rt list) =
+  let ids = ref [] in
+  List.iter
+    (fun rt ->
+       List.iter
+         (fun gk ->
+            List.iter
+              (fun pe ->
+                 let v = Hashtbl.find t.vrfs (member_key gk pe) in
+                 List.iter
+                   (fun gsid -> ids := Hashtbl.find t.site_route gsid :: !ids)
+                   v.v_locals)
+              (Hashtbl.find t.groups gk).g_pes)
+         (groups_of t.exporters rt))
+    imports;
+  Array.of_list (List.sort_uniq Int.compare !ids)
+
+(* [fill] starts a new group with the routes already exported toward
+   it — the incremental path, where a group can be (re)created long
+   after its routes; the bulk compile fills every group after its one
+   propagation round instead. *)
+let ensure_group t (c : cust) role ~fill =
   let k = group_key c.c_id role in
   match Hashtbl.find_opt t.groups k with
   | Some g -> g
   | None ->
-    let imports =
-      Service.import_rts t.pool ~topology:c.c_topology ~customer:c.c_id ~role
-    in
-    let g = { g_key = k; g_import = imports; g_pes = []; g_routes = [||] } in
+    let rts f = f t.pool ~topology:c.c_topology ~customer:c.c_id ~role in
+    let g_import = rts Service.import_rts in
+    let g_export = rts Service.export_rts in
+    let g_routes = if fill then routes_importing t g_import else [||] in
+    let g = { g_key = k; g_import; g_export; g_pes = []; g_routes } in
     Hashtbl.replace t.groups k g;
-    List.iter
-      (fun (rt : Mpbgp.rt) ->
-         Hashtbl.replace t.rt_groups rt.Mpbgp.rt_value
-           (k :: groups_importing t rt))
-      imports;
+    link t.importers k g_import;
+    link t.exporters k g_export;
     g
 
 (* [wire] arms the LSP refcounts for the routes already in the group —
@@ -147,14 +188,11 @@ let ensure_vrf t (c : cust) role pe ~wire =
   match Hashtbl.find_opt t.vrfs k with
   | Some v -> v
   | None ->
-    let g = ensure_group t c role in
+    let g = ensure_group t c role ~fill:wire in
     g.g_pes <- ins_sorted pe g.g_pes;
     let v =
       { v_pe = pe; v_vpn = c.c_id; v_role = role;
         v_rd = Service.Pool.rd t.pool ~customer:c.c_id;
-        v_export =
-          Service.export_rts t.pool ~topology:c.c_topology ~customer:c.c_id
-            ~role;
         v_group = g; v_locals = [] }
     in
     Hashtbl.replace t.vrfs k v;
@@ -186,8 +224,8 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
   let id =
     Mpbgp.export t.bgp
       { Mpbgp.rd = v.v_rd; prefix; next_hop_pe = spec.Service.pe;
-        vpn_label = Service.vpn_label_of_site gsid; export_rts = v.v_export;
-        site = gsid }
+        vpn_label = Service.vpn_label_of_site gsid;
+        export_rts = v.v_group.g_export; site = gsid }
   in
   v.v_locals <- ins_sorted gsid v.v_locals;
   Hashtbl.replace t.site_route gsid id;
@@ -203,7 +241,8 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
       customers = Hashtbl.create 256;
       vrfs = Hashtbl.create 1024;
       groups = Hashtbl.create 512;
-      rt_groups = Hashtbl.create 512;
+      importers = Hashtbl.create 512;
+      exporters = Hashtbl.create 512;
       site_route = Hashtbl.create 1024;
       site_info = Hashtbl.create 1024;
       lsps = Hashtbl.create 256 }
@@ -233,24 +272,10 @@ let compile ?mode (p : Portfolio.t) =
     p.Portfolio.customers;
   Membership.join_all t.membership (List.rev !sites);
   ignore (Mpbgp.run t.bgp);
-  (* Fill the shared group tables in one pass over the interned store:
-     a route lands in every group importing one of its export RTs. *)
-  let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-  Mpbgp.iter_exported t.bgp (fun id (r : Mpbgp.vpnv4_route) ->
-      List.iter
-        (fun rt ->
-           List.iter
-             (fun gk ->
-                match Hashtbl.find_opt buckets gk with
-                | Some l -> l := id :: !l
-                | None -> Hashtbl.replace buckets gk (ref [id]))
-             (groups_importing t rt))
-        r.Mpbgp.export_rts);
-  Hashtbl.iter
-    (fun gk l ->
-       let g = Hashtbl.find t.groups gk in
-       g.g_routes <- Array.of_list (List.sort_uniq Int.compare !l))
-    buckets;
+  (* Fill the shared group tables: a route lands in every group
+     importing one of its export RTs. *)
+  Hashtbl.iter (fun _ g -> g.g_routes <- routes_importing t g.g_import)
+    t.groups;
   (* Transport LSPs: one refcount per (member VRF, remote route). *)
   Hashtbl.iter
     (fun _ g ->
@@ -292,7 +317,7 @@ let provision_site t ~customer ~sid ~pe =
                      lsp_incr t ~ingress:pe' ~egress:r.Mpbgp.next_hop_pe)
                 g.g_pes
             end)
-         (groups_importing t rt))
+         (groups_of t.importers rt))
     r.Mpbgp.export_rts;
   !touched
 
@@ -329,7 +354,7 @@ let decommission_site t ~customer ~sid =
                      lsp_decr t ~ingress:pe' ~egress:r.Mpbgp.next_hop_pe)
                 g.g_pes
             end)
-         (groups_importing t rt))
+         (groups_of t.importers rt))
     r.Mpbgp.export_rts;
   (* Shrink the VRF; tear it down when its last local site leaves, and
      the group when its last member VRF goes — a from-scratch compile
@@ -349,12 +374,8 @@ let decommission_site t ~customer ~sid =
     Hashtbl.remove t.vrfs vk;
     if g.g_pes = [] then begin
       Hashtbl.remove t.groups g.g_key;
-      List.iter
-        (fun (rt : Mpbgp.rt) ->
-           match rm_sorted g.g_key (groups_importing t rt) with
-           | [] -> Hashtbl.remove t.rt_groups rt.Mpbgp.rt_value
-           | rest -> Hashtbl.replace t.rt_groups rt.Mpbgp.rt_value rest)
-        g.g_import
+      unlink t.importers g.g_key g.g_import;
+      unlink t.exporters g.g_key g.g_export
     end
   end;
   Hashtbl.remove t.site_route gsid;
@@ -499,7 +520,7 @@ let fingerprint (t : t) =
          (Service.role_name v.v_role)
          v.v_pe
          (Mpbgp.rd_to_string v.v_rd)
-         (rt_values v.v_export)
+         (rt_values v.v_group.g_export)
          (rt_values v.v_group.g_import)
          (String.concat "," (List.map string_of_int v.v_locals));
        Array.iter

@@ -2,6 +2,9 @@ module T = Mvpn_telemetry
 module Membership = Mvpn_core.Membership
 module Mpbgp = Mvpn_routing.Mpbgp
 
+let m_ops = T.Registry.counter "provision.delta.ops"
+let m_touched = T.Registry.counter "provision.delta.touched_vrfs"
+
 type stats = { ops : int; touched_vrfs : int; messages : int }
 
 let apply t op =
@@ -14,8 +17,8 @@ let apply t op =
     | Portfolio.Change_tier { customer; tier } ->
       Compile.retier t ~customer ~tier
   in
-  T.Counter.incr (T.Registry.counter "provision.delta.ops");
-  T.Counter.add (T.Registry.counter "provision.delta.touched_vrfs") touched;
+  T.Counter.incr m_ops;
+  T.Counter.add m_touched touched;
   touched
 
 let control_messages t =

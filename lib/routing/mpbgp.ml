@@ -33,13 +33,38 @@ let key_of (r : vpnv4_route) : key =
    holds it — the owner's exports, every remote PE's Adj-RIB-In, any
    VRF route group built on top — keeps only its integer id. At 100k+
    routes times a dozen importing PEs this is the difference between a
-   dozen copies of every announcement and one. *)
+   dozen copies of every announcement and one.
+
+   Ids are dense, so an Adj-RIB-In is a byte per id (1 = held) rather
+   than a hash table: a delivery is a byte store. A site's exported keys
+   are indexed by site id, so withdrawing a site touches only its own
+   routes, never the PE's whole export table. *)
 
 type pe_state = {
   pe : int;
   exported : (key, int) Hashtbl.t;  (* logical announcement -> route id *)
-  received : (int, unit) Hashtbl.t;  (* interned ids, store shared *)
+  by_site : (int, key) Hashtbl.t;  (* site -> each key it exported *)
+  mutable received : Bytes.t;  (* Adj-RIB-In bitmap over interned ids *)
 }
+
+let holds s id =
+  id < Bytes.length s.received && Bytes.get s.received id = '\001'
+
+let set_held s id held =
+  Bytes.set s.received id (if held then '\001' else '\000')
+
+(* [by_site] holds one binding per exported key ([Hashtbl.add]), so
+   indexing a new export costs one hash. *)
+let unbind_site s site =
+  let ks = Hashtbl.find_all s.by_site site in
+  List.iter (fun _ -> Hashtbl.remove s.by_site site) ks;
+  ks
+
+let reindex_site s k ~from ~into =
+  List.iter
+    (fun k' -> if k' <> k then Hashtbl.add s.by_site from k')
+    (List.rev (unbind_site s from));
+  Hashtbl.add s.by_site into k
 
 (* What a dirty route needs at the next {!run}: [New] has never been
    propagated (deliver everywhere, count per table that gains it),
@@ -69,7 +94,10 @@ let find_pe t pe = Hashtbl.find_opt t.by_pe pe
 let add_pe t pe =
   if find_pe t pe <> None then
     invalid_arg (Printf.sprintf "Mpbgp.add_pe: duplicate PE %d" pe);
-  let s = { pe; exported = Hashtbl.create 32; received = Hashtbl.create 64 } in
+  let s =
+    { pe; exported = Hashtbl.create 32; by_site = Hashtbl.create 32;
+      received = Bytes.empty }
+  in
   t.pes <- t.pes @ [s];
   Hashtbl.replace t.by_pe pe s;
   t.fresh <- pe :: t.fresh
@@ -112,6 +140,8 @@ let export t route =
        let noisy =
          match old with
          | Some o ->
+           if o.site <> route.site then
+             reindex_site s k ~from:o.site ~into:route.site;
            o.vpn_label <> route.vpn_label || o.export_rts <> route.export_rts
          | None -> true
        in
@@ -121,24 +151,19 @@ let export t route =
        id)
   | None ->
     let id = alloc t route in
-    Hashtbl.replace s.exported k id;
-    Hashtbl.replace t.pending id New;
+    Hashtbl.add s.exported k id;
+    Hashtbl.add s.by_site route.site k;
+    Hashtbl.add t.pending id New;
     id
 
 let export_route t route = ignore (export t route)
 
 let withdraw_site t ~pe ~site =
   let s = get_pe t pe in
-  let victims =
-    Hashtbl.fold
-      (fun k id acc ->
-         match t.store.(id) with
-         | Some r when r.site = site -> (k, id) :: acc
-         | _ -> acc)
-      s.exported []
-  in
+  let victims = unbind_site s site in
   List.iter
-    (fun (k, id) ->
+    (fun k ->
+       let id = Hashtbl.find s.exported k in
        Hashtbl.remove s.exported k;
        match Hashtbl.find_opt t.pending id with
        | Some New ->
@@ -164,11 +189,22 @@ let targets t src f =
 
 let run t =
   let sent = ref 0 in
+  (* Every Adj-RIB-In spans the whole store before any delivery. *)
+  let cap = Array.length t.store in
+  List.iter
+    (fun d ->
+       let n = Bytes.length d.received in
+       if n < cap then begin
+         let b = Bytes.make cap '\000' in
+         Bytes.blit d.received 0 b 0 n;
+         d.received <- b
+       end)
+    t.pes;
   let deliver ~changed dst id =
-    if Hashtbl.mem dst.received id then begin
+    if holds dst id then begin
       if changed then incr sent
     end else begin
-      Hashtbl.replace dst.received id ();
+      set_held dst id true;
       incr sent
     end
   in
@@ -197,8 +233,8 @@ let run t =
        | Retract ->
          List.iter
            (fun d ->
-              if Hashtbl.mem d.received id then begin
-                Hashtbl.remove d.received id;
+              if holds d id then begin
+                set_held d id false;
                 incr sent
               end)
            t.pes;
@@ -225,6 +261,16 @@ let iter_exported t f =
          s.exported)
     t.pes
 
+(* Fold over a PE's Adj-RIB-In in descending id order, so a consing
+   [f] yields ascending (export) order. *)
+let fold_received t s f acc =
+  let acc = ref acc in
+  for id = min (Bytes.length s.received) t.next_id - 1 downto 0 do
+    if Bytes.get s.received id = '\001' then
+      match t.store.(id) with Some r -> acc := f id r !acc | None -> ()
+  done;
+  !acc
+
 let routes_at t pe =
   let s = get_pe t pe in
   let own =
@@ -233,31 +279,22 @@ let routes_at t pe =
          match t.store.(id) with Some r -> r :: acc | None -> acc)
       s.exported []
   in
-  Hashtbl.fold
-    (fun id () acc ->
-       match t.store.(id) with Some r -> r :: acc | None -> acc)
-    s.received own
+  fold_received t s (fun _ r acc -> r :: acc) own
 
 let rts_intersect a b =
   List.exists (fun x -> List.exists (rt_equal x) b) a
 
 let import t ~pe ~import_rts =
-  let s = get_pe t pe in
-  Hashtbl.fold
-    (fun id () acc ->
-       match t.store.(id) with
-       | Some r when rts_intersect r.export_rts import_rts -> r :: acc
-       | _ -> acc)
-    s.received []
+  fold_received t (get_pe t pe)
+    (fun _ r acc ->
+       if rts_intersect r.export_rts import_rts then r :: acc else acc)
+    []
 
 let import_ids t ~pe ~import_rts =
-  let s = get_pe t pe in
-  Hashtbl.fold
-    (fun id () acc ->
-       match t.store.(id) with
-       | Some r when rts_intersect r.export_rts import_rts -> id :: acc
-       | _ -> acc)
-    s.received []
+  fold_received t (get_pe t pe)
+    (fun id r acc ->
+       if rts_intersect r.export_rts import_rts then id :: acc else acc)
+    []
 
 let total_routes t =
   List.fold_left (fun acc s -> acc + Hashtbl.length s.exported) 0 t.pes

@@ -85,6 +85,134 @@ let test_membership_join_all_message_parity () =
   Alcotest.(check int) "nothing joined" 0 (Membership.site_count m);
   Alcotest.(check int) "nothing billed" 0 (Membership.messages m)
 
+(* Model check: random joins, batch joins (some rejected for a
+   duplicate), leaves and discoveries across several VPNs, against a
+   naive global list in join order. *)
+type membership_op =
+  | M_join of (int * int)  (* vpn, pe *)
+  | M_join_all of (int * int) list
+  | M_rejoin of int  (* batch of one fresh site plus this id *)
+  | M_leave of int
+  | M_discover of int
+
+let membership_op_gen =
+  let open QCheck.Gen in
+  let vp = pair (int_range 0 3) (int_range 0 3) in
+  frequency
+    [ (4, map (fun x -> M_join x) vp);
+      (2, map (fun l -> M_join_all l) (list_size (int_range 0 4) vp));
+      (1, map (fun i -> M_rejoin i) (int_range 0 30));
+      (3, map (fun i -> M_leave i) (int_range 0 30));
+      (2, map (fun i -> M_discover i) (int_range 0 30)) ]
+
+let membership_op_print = function
+  | M_join (v, p) -> Printf.sprintf "join(%d,%d)" v p
+  | M_join_all l ->
+    Printf.sprintf "join_all[%s]"
+      (String.concat ";"
+         (List.map (fun (v, p) -> Printf.sprintf "%d,%d" v p) l))
+  | M_rejoin i -> Printf.sprintf "rejoin(%d)" i
+  | M_leave i -> Printf.sprintf "leave(%d)" i
+  | M_discover i -> Printf.sprintf "discover(%d)" i
+
+let membership_model_property =
+  QCheck.Test.make ~name:"membership indexes agree with a naive model"
+    ~count:200
+    QCheck.(
+      pair bool
+        (make ~shrink:Shrink.list
+           ~print:(fun l -> String.concat " " (List.map membership_op_print l))
+           Gen.(list_size (int_range 0 40) membership_op_gen)))
+    (fun (flooded, ops) ->
+       let pe_count = 4 in
+       let mechanism =
+         if flooded then Membership.Flooded else Membership.Directory
+       in
+       let m = Membership.create ~mechanism ~pe_count () in
+       (* The model: live sites in join order, and the message bill. *)
+       let model = ref [] and msgs = ref 0 and next = ref 0 in
+       let same_vpn vpn = List.filter (fun (s : Site.t) -> s.Site.vpn = vpn) in
+       let cost others =
+         if flooded then pe_count else 1 + List.length others
+       in
+       let fresh (vpn, pe) =
+         let id = !next in
+         incr next;
+         mk_site ~id ~vpn ~prefix:"10.0.0.0/16" ~ce:id ~pe
+       in
+       let model_join (s : Site.t) =
+         msgs := !msgs + cost (same_vpn s.Site.vpn !model);
+         model := !model @ [ s ]
+       in
+       let find id =
+         List.find_opt (fun (s : Site.t) -> s.Site.id = id) !model
+       in
+       let ids = List.map (fun (s : Site.t) -> s.Site.id) in
+       let agree () =
+         List.for_all
+           (fun vpn ->
+              ids (Membership.members m ~vpn) = ids (same_vpn vpn !model))
+           [ 0; 1; 2; 3 ]
+         && Membership.site_count m = List.length !model
+         && Membership.messages m = !msgs
+         && Membership.vpn_ids m
+            = List.sort_uniq Int.compare
+                (List.map (fun (s : Site.t) -> s.Site.vpn) !model)
+         && List.for_all
+              (fun pe ->
+                 Membership.pe_attachment_count m ~pe
+                 = List.length
+                     (List.filter
+                        (fun (s : Site.t) -> s.Site.pe_node = pe)
+                        !model))
+              [ 0; 1; 2; 3 ]
+       in
+       List.for_all
+         (fun op ->
+            let ok =
+              match op with
+              | M_join vp ->
+                let s = fresh vp in
+                Membership.join m s;
+                model_join s;
+                true
+              | M_join_all vps ->
+                let batch = List.map fresh vps in
+                Membership.join_all m batch;
+                List.iter model_join batch;
+                true
+              | M_rejoin id ->
+                (match find id with
+                 | None -> true
+                 | Some dup ->
+                   (* Rejected atomically: nothing joins, nothing billed. *)
+                   (try
+                      Membership.join_all m [ fresh (0, 0); dup ];
+                      false
+                    with Invalid_argument _ -> true))
+              | M_leave id ->
+                let expected = find id in
+                let got = Membership.leave m ~site_id:id in
+                (match expected with
+                 | None -> not got
+                 | Some s ->
+                   model :=
+                     List.filter (fun (x : Site.t) -> x.Site.id <> id) !model;
+                   msgs := !msgs + cost (same_vpn s.Site.vpn !model);
+                   got)
+              | M_discover id ->
+                (match find id with
+                 | None -> true
+                 | Some s ->
+                   let seen = Membership.discover m ~asking:s in
+                   incr msgs;
+                   ids seen
+                   = List.filter (fun i -> i <> id)
+                       (ids (same_vpn s.Site.vpn !model)))
+            in
+            ok && agree ())
+         ops)
+
 (* --- Vrf ------------------------------------------------------------------ *)
 
 let test_vrf_overlapping_isolation () =
@@ -1814,7 +1942,8 @@ let () =
          Alcotest.test_case "mechanism costs" `Quick
            test_membership_mechanism_costs;
          Alcotest.test_case "join_all message parity" `Quick
-           test_membership_join_all_message_parity ]);
+           test_membership_join_all_message_parity;
+         QCheck_alcotest.to_alcotest membership_model_property ]);
       ("vrf",
        [ Alcotest.test_case "overlapping isolation" `Quick
            test_vrf_overlapping_isolation ]);

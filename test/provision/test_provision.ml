@@ -169,19 +169,31 @@ let test_delta_converges_under_route_reflector () =
   Alcotest.(check bool) "RR mode converges too" true
     (Delta.validate t (Delta.oracle ~mode p ops))
 
+(* Churn a small uniform portfolio and compare against the oracle;
+   triples are (customers, ops, seed). *)
+let converges (customers, ops, seed) =
+  let p =
+    Portfolio.generate ~dist:Portfolio.Uniform ~pe_count:4 ~seed ~customers ()
+  in
+  let t = Compile.compile p in
+  let ops = Portfolio.churn p ~seed:(seed + 1000) ~ops in
+  ignore (Delta.apply_all t ops);
+  Delta.validate t (Delta.oracle p ops)
+
+(* A delta that creates a route group — a role's first VRF after its
+   last site left, or the first spoke or hub ever — must bring in every
+   route already exported with the group's import RTs, and arm the LSPs
+   toward them. At (1, 5, 97) the only spoke leaves, then spokes come
+   back at pe0 and pe2 and must see the hub route again. *)
+let test_recreated_group_converges triple () =
+  Alcotest.(check bool) "incremental state equals the oracle" true
+    (converges triple)
+
 let prop_random_interleavings_converge =
   QCheck.Test.make ~name:"random delta interleavings converge to the oracle"
     ~count:40
     QCheck.(triple (int_range 1 8) (int_range 0 25) small_int)
-    (fun (customers, ops, seed) ->
-       let p =
-         Portfolio.generate ~dist:Portfolio.Uniform ~pe_count:4 ~seed
-           ~customers ()
-       in
-       let t = Compile.compile p in
-       let ops = Portfolio.churn p ~seed:(seed + 1000) ~ops in
-       ignore (Delta.apply_all t ops);
-       Delta.validate t (Delta.oracle p ops))
+    converges
 
 (* --- state accounting ----------------------------------------------------- *)
 
@@ -247,4 +259,8 @@ let () =
            test_delta_converges_to_oracle;
          Alcotest.test_case "converges under RR" `Quick
            test_delta_converges_under_route_reflector;
+         Alcotest.test_case "recreated group converges (1,5,97)" `Quick
+           (test_recreated_group_converges (1, 5, 97));
+         Alcotest.test_case "recreated group converges (4,8,9)" `Quick
+           (test_recreated_group_converges (4, 8, 9));
          qt prop_random_interleavings_converge ]) ]

@@ -493,6 +493,161 @@ let test_mpbgp_run_idempotent () =
   Alcotest.(check bool) "work on first run" true (first > 0);
   Alcotest.(check int) "second run is a no-op" 0 (Mpbgp.run m)
 
+(* Model check: random exports (including in-place updates of a key
+   whose site changes), site withdrawals, late PEs and propagation
+   rounds, against a brute-force model. The model holds each live
+   announcement under its (RD, prefix, PE) key and each PE's
+   Adj-RIB-In as the announcements delivered at the last round. A round
+   costs one UPDATE per announcement a PE gains or loses, plus one per
+   holder of an announcement whose label or RTs changed in place. *)
+type mpbgp_op =
+  | B_export of int * int * int * int * int * int
+      (* pe, rd, prefix, site, label, rt mask *)
+  | B_withdraw of int * int  (* pe, site *)
+  | B_add_pe
+  | B_run
+
+let mpbgp_op_gen =
+  let open QCheck.Gen in
+  let small = int_range 0 2 in
+  frequency
+    [ (6,
+       map
+         (fun ((pe, rd, p), (site, label, mask)) ->
+            B_export (pe, rd, p, site, label, mask))
+         (pair (triple small small small)
+            (triple small small (int_range 1 3))));
+      (2, map2 (fun pe site -> B_withdraw (pe, site)) small small);
+      (1, return B_add_pe);
+      (3, return B_run) ]
+
+let mpbgp_op_print = function
+  | B_export (pe, r, p, s, l, m) ->
+    Printf.sprintf "export(pe%d,rd%d,p%d,s%d,l%d,m%d)" pe r p s l m
+  | B_withdraw (pe, s) -> Printf.sprintf "withdraw(pe%d,s%d)" pe s
+  | B_add_pe -> "add_pe"
+  | B_run -> "run"
+
+type ann = {
+  mutable route : Mpbgp.vpnv4_route;
+  mutable noisy : bool;  (* label/RT change since the last round *)
+}
+
+let mpbgp_model_property =
+  QCheck.Test.make ~name:"mpbgp indexes agree with a brute-force model"
+    ~count:200
+    QCheck.(
+      pair bool
+        (make ~shrink:Shrink.list
+           ~print:(fun l -> String.concat " " (List.map mpbgp_op_print l))
+           Gen.(list_size (int_range 0 40) mpbgp_op_gen)))
+    (fun (rr, ops) ->
+       let m =
+         Mpbgp.create
+           ~mode:(if rr then Mpbgp.Route_reflector 0 else Mpbgp.Full_mesh) ()
+       in
+       let pes = ref [ 0; 1 ] in
+       List.iter (Mpbgp.add_pe m) !pes;
+       let live : (int * int * int, ann) Hashtbl.t = Hashtbl.create 16 in
+       let held : (int, ann list) Hashtbl.t = Hashtbl.create 8 in
+       let msgs = ref 0 in
+       let holds pe = Option.value ~default:[] (Hashtbl.find_opt held pe) in
+       let rts_of mask =
+         List.filter_map
+           (fun v -> if mask land v <> 0 then Some (rt v) else None)
+           [ 1; 2 ]
+       in
+       let nth_pe i = List.nth !pes (i mod List.length !pes) in
+       let model_run () =
+         let all = Hashtbl.fold (fun _ a acc -> a :: acc) live [] in
+         List.iter
+           (fun pe ->
+              let before = holds pe in
+              let after =
+                List.filter (fun a -> a.route.Mpbgp.next_hop_pe <> pe) all
+              in
+              List.iter
+                (fun a ->
+                   if not (List.memq a before) then incr msgs
+                   else if a.noisy then incr msgs)
+                after;
+              List.iter
+                (fun a -> if not (List.memq a after) then incr msgs)
+                before;
+              Hashtbl.replace held pe after)
+           !pes;
+         List.iter (fun a -> a.noisy <- false) all
+       in
+       let by_content = List.sort compare in
+       let agree () =
+         Mpbgp.total_routes m = Hashtbl.length live
+         && Mpbgp.messages_sent m = !msgs
+         && List.for_all
+              (fun pe ->
+                 List.for_all
+                   (fun import_rts ->
+                      let want =
+                        List.filter_map
+                          (fun a ->
+                             if
+                               List.exists
+                                 (fun x -> List.mem x import_rts)
+                                 a.route.Mpbgp.export_rts
+                             then Some a.route
+                             else None)
+                          (holds pe)
+                      in
+                      by_content (Mpbgp.import m ~pe ~import_rts)
+                      = by_content want)
+                   [ [ rt 1 ]; [ rt 2 ]; [ rt 1; rt 2 ] ])
+              !pes
+       in
+       List.for_all
+         (fun op ->
+            let ok =
+              match op with
+              | B_export (pe, r, p, site, label, mask) ->
+                let pe = nth_pe pe in
+                let route =
+                  vpn_route ~site ~rd:(rd r) ~pe ~label ~rts:(rts_of mask)
+                    (Printf.sprintf "10.%d.0.0/16" p)
+                in
+                Mpbgp.export_route m route;
+                (match Hashtbl.find_opt live (r, p, pe) with
+                 | Some a ->
+                   if a.route.Mpbgp.vpn_label <> label
+                   || a.route.Mpbgp.export_rts <> route.Mpbgp.export_rts
+                   then a.noisy <- true;
+                   a.route <- route
+                 | None ->
+                   Hashtbl.replace live (r, p, pe) { route; noisy = false });
+                true
+              | B_withdraw (pe, site) ->
+                let pe = nth_pe pe in
+                let victims =
+                  Hashtbl.fold
+                    (fun k a acc ->
+                       let _, _, pe' = k in
+                       if pe' = pe && a.route.Mpbgp.site = site then k :: acc
+                       else acc)
+                    live []
+                in
+                List.iter (Hashtbl.remove live) victims;
+                Mpbgp.withdraw_site m ~pe ~site = List.length victims
+              | B_add_pe ->
+                let pe = List.length !pes in
+                Mpbgp.add_pe m pe;
+                pes := !pes @ [ pe ];
+                true
+              | B_run ->
+                model_run ();
+                let before = Mpbgp.messages_sent m in
+                let sent = Mpbgp.run m in
+                sent = Mpbgp.messages_sent m - before
+            in
+            ok && agree ())
+         ops)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -547,4 +702,5 @@ let () =
          Alcotest.test_case "route reflector" `Quick
            test_mpbgp_rr_delivers_everywhere;
          Alcotest.test_case "run idempotent" `Quick
-           test_mpbgp_run_idempotent ]) ]
+           test_mpbgp_run_idempotent;
+         qt mpbgp_model_property ]) ]

@@ -332,7 +332,8 @@ dune exec bench/main.exe -- --only E19 > /dev/null
 ./_build/default/tools/json_lint.exe --require-schema < BENCH_telemetry.json
 for g in e19.sites e19.routes e19.vrfs e19.state.routes_per_pe \
          e19.state.growth e19.mem.bytes_per_route e19.converge.p99_ms \
-         e19.converge.full_ms e19.converge.speedup; do
+         e19.converge.full_ms e19.converge.speedup \
+         e19.converge.words_per_delta; do
   grep -q "\"$g\"" BENCH_telemetry.json || {
     echo "missing provisioning gauge $g in BENCH_telemetry.json" >&2
     exit 1
@@ -347,14 +348,26 @@ awk -v r="$e19_routes" 'BEGIN { exit !(r+0 >= 100000) }' || {
   exit 1
 }
 
-echo "== incremental convergence gate (e19.converge.speedup >= 10)"
-# A single delta at 10k VPNs must converge at least 10x faster (p99)
+echo "== incremental convergence gate (e19.converge.speedup >= 100)"
+# A single delta at 10k VPNs must converge at least 100x faster (p99)
 # than a from-scratch recompile of the same portfolio; measured
-# headroom is ~50x, gated at 10x to absorb scheduling noise.
+# headroom is ~5e4x, gated at 100x to absorb scheduling noise.
 e19_speedup=$(grep -o '"e19\.converge\.speedup":[0-9.eE+-]*' \
   BENCH_telemetry.json | cut -d: -f2)
-awk -v s="$e19_speedup" 'BEGIN { exit !(s+0 >= 10) }' || {
-  echo "incremental convergence too slow: ${e19_speedup}x < 10x" >&2
+awk -v s="$e19_speedup" 'BEGIN { exit !(s+0 >= 100) }' || {
+  echo "incremental convergence too slow: ${e19_speedup}x < 100x" >&2
+  exit 1
+}
+
+echo "== delta allocation gate (e19.converge.words_per_delta <= 5000)"
+# Deterministic stand-in for "a delta costs O(affected VPN)": ~240
+# minor words per delta over E19's churn. A delta that copies the whole
+# 110k-site member list on a removal allocates ~1e5. A scan that does
+# not allocate (a fold over a PE's exports) shows only in time.
+e19_words=$(grep -o '"e19\.converge\.words_per_delta":[0-9.eE+-]*' \
+  BENCH_telemetry.json | cut -d: -f2)
+awk -v w="$e19_words" 'BEGIN { exit !(w+0 <= 5000) }' || {
+  echo "deltas allocate too much: ${e19_words} words > 5000" >&2
   exit 1
 }
 
