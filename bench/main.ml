@@ -69,7 +69,8 @@ let run_one id =
 let emit_telemetry () =
   let path = "BENCH_telemetry.json" in
   let oc = open_out path in
-  output_string oc (Mvpn_telemetry.Registry.to_json ());
+  output_string oc
+    (Mvpn_telemetry.Json.to_string (Mvpn_telemetry.Registry.to_json ()));
   output_char oc '\n';
   close_out oc;
   Printf.printf "\ntelemetry: %d metrics written to %s\n"

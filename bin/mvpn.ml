@@ -35,6 +35,18 @@ module Engine = Mvpn_sim.Engine
 module Topology = Mvpn_sim.Topology
 module Sla = Mvpn_qos.Sla
 module Telemetry = Mvpn_telemetry
+module Json = Mvpn_telemetry.Json
+
+let print_json v = print_string (Json.to_string v)
+
+(* Per service class sent/received, as [par] and [soak] print it. *)
+let classes_json classes =
+  Json.(
+    Obj
+      (List.map
+         (fun (label, sent, received) ->
+            (label, Obj [ ("sent", Int sent); ("received", Int received) ]))
+         classes))
 
 (* --- shared arguments -------------------------------------------------- *)
 
@@ -230,8 +242,7 @@ let stats_cmd =
     Scenario.run sc ~duration:(duration +. 5.0);
     Telemetry.Control.disable ();
     if json then
-      print_string
-        (Telemetry.Registry.to_json ~trace_events ~event_entries ())
+      print_json (Telemetry.Registry.to_json ~trace_events ~event_entries ())
     else begin
       print_reports sc;
       Printf.printf "\n";
@@ -308,20 +319,17 @@ let slo_cmd =
     Telemetry.Control.disable ();
     let ok = Telemetry.Slo.in_budget slo in
     let events = Telemetry.Registry.events () in
-    if json then begin
-      let spans =
-        match Network.span_sampler net with
-        | Some s -> Telemetry.Span.sampler_to_json s
-        | None -> "[]"
-      in
-      Printf.printf
-        "{\"schema\":%d,\"now\":%.9g,\"in_budget\":%b,\"objectives\":%s,\
-         \"events\":%s,\"spans\":%s}"
-        Telemetry.Registry.schema_version
-        (Engine.now engine) ok (Telemetry.Slo.to_json slo)
-        (Telemetry.Event_log.json_entries events)
-        spans
-    end
+    if json then
+      print_json
+        Json.(
+          envelope
+            [ ("now", Float (Engine.now engine)); ("in_budget", Bool ok);
+              ("objectives", Telemetry.Slo.to_json slo);
+              ("events", Telemetry.Event_log.json_entries events);
+              ("spans",
+               match Network.span_sampler net with
+               | Some s -> Telemetry.Span.sampler_to_json s
+               | None -> List []) ])
     else begin
       Printf.printf "SLA conformance after %.1fs (per vpn/band):\n"
         (Engine.now engine);
@@ -383,7 +391,7 @@ let chaos_cmd =
     in
     Mvpn_resilience.Harness.run h;
     Telemetry.Control.disable ();
-    if json then print_string (Mvpn_resilience.Harness.summary_json h)
+    if json then print_json (Mvpn_resilience.Harness.summary_json h)
     else begin
       Mvpn_resilience.Harness.pp_summary Format.std_formatter h;
       Format.pp_print_flush Format.std_formatter ()
@@ -436,34 +444,25 @@ let par_cmd =
     in
     Telemetry.Control.disable ();
     let open Mvpn_par.Runner in
-    if json then begin
-      let b = Buffer.create 8192 in
-      Printf.bprintf b
-        "{\"schema\":%d,\"shards\":%d,\"sizes\":[%s],\"cut_links\":%d,\
-         \"lookahead\":%b,"
-        Telemetry.Registry.schema_version o.shards
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int o.sizes)))
-        o.cut_links o.lookahead;
-      Printf.bprintf b
-        "\"delivered\":%d,\"dropped\":%d,\"events\":%d,\"scheduled\":%d,\
-         \"exchanged\":%d,\"leftover\":%d,\"overflow\":%d,"
-        o.delivered o.dropped o.events o.scheduled o.exchanged o.leftover
-        o.overflow;
-      Printf.bprintf b "\"classes\":{%s},"
-        (String.concat ","
-           (List.map
-              (fun (l, s, r) ->
-                 Printf.sprintf "\"%s\":{\"sent\":%d,\"received\":%d}" l s r)
-              o.classes));
-      Printf.bprintf b
-        "\"slo\":{\"in_budget\":%b,\"violations\":%d,\"objectives\":%s},"
-        (Telemetry.Slo.in_budget o.slo)
-        (Telemetry.Slo.violation_count o.slo)
-        (Telemetry.Slo.to_json o.slo);
-      Printf.bprintf b "\"registry\":%s}" o.registry_json;
-      print_string (Buffer.contents b)
-    end
+    if json then
+      print_json
+        Json.(
+          envelope
+            [ ("shards", Int o.shards);
+              ("sizes",
+               List (Array.to_list (Array.map (fun n -> Int n) o.sizes)));
+              ("cut_links", Int o.cut_links); ("lookahead", Bool o.lookahead);
+              ("delivered", Int o.delivered); ("dropped", Int o.dropped);
+              ("events", Int o.events); ("scheduled", Int o.scheduled);
+              ("exchanged", Int o.exchanged); ("leftover", Int o.leftover);
+              ("overflow", Int o.overflow);
+              ("classes", classes_json o.classes);
+              ("slo",
+               Obj
+                 [ ("in_budget", Bool (Telemetry.Slo.in_budget o.slo));
+                   ("violations", Int (Telemetry.Slo.violation_count o.slo));
+                   ("objectives", Telemetry.Slo.to_json o.slo) ]);
+              ("registry", o.registry_json) ])
     else begin
       Printf.printf
         "partitioned run: %d shard(s), %d cut link(s), %s sync\n"
@@ -529,9 +528,6 @@ let par_cmd =
 (* --- timeline ----------------------------------------------------------- *)
 
 let timeline_cmd =
-  let jf v =
-    if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-  in
   let run pops vpns sites_per_vpn policy load duration use_te seed shards
       interval json csv =
     Telemetry.Registry.reset ();
@@ -561,68 +557,39 @@ let timeline_cmd =
            | _ -> None)
         (Telemetry.Registry.names ())
     in
-    (* Burn-rate series derived from the merged good/bad tallies: the
-       ratio itself is not summable across shards, so it is computed
-       here, after the merge, from sums that are. *)
-    let burn_of vpn band good bad =
-      let target = Sampler.slo_target ~band in
-      let budget = 1.0 -. target in
-      let n = min (Array.length good) (Array.length bad) in
-      let out = Array.make n (0.0, 0.0) in
-      for i = 0 to n - 1 do
-        let tg, g = good.(i) and _, b = bad.(i) in
-        let total = g +. b in
-        let burn =
-          if total > 0.0 && budget > 0.0 then b /. total /. budget else 0.0
-        in
-        out.(i) <- (tg, burn)
-      done;
-      (Printf.sprintf "ts.slo.v%d.b%d.burn" vpn band, 0, out)
-    in
-    let derived =
-      List.filter_map
-        (fun (name, _, good) ->
-           match Scanf.sscanf_opt name "ts.slo.v%d.b%d.good"
-                   (fun v b -> (v, b)) with
-           | Some (vpn, band) ->
-             (match Telemetry.Registry.find_series
-                      (Printf.sprintf "ts.slo.v%d.b%d.bad" vpn band) with
-              | Some s ->
-                Some (burn_of vpn band good (Telemetry.Timeseries.samples s))
-              | None -> None)
-           | None -> None)
-        sim_series
-    in
     let all =
       List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-        (sim_series @ derived)
+        (sim_series
+         @ List.map (fun (name, samples) -> (name, 0, samples))
+             (Sampler.burn_series ()))
     in
-    if json then begin
-      let b = Buffer.create 65536 in
-      Printf.bprintf b "{\"schema\":%d,\"interval\":%s,\"horizon\":%s,\
-                        \"seed\":%d,\"series\":{"
-        Telemetry.Registry.schema_version (jf interval) (jf o.Mvpn_par.Runner.horizon)
-        seed;
-      List.iteri
-        (fun i (name, level, samples) ->
-           if i > 0 then Buffer.add_char b ',';
-           Printf.bprintf b "\"%s\":{\"level\":%d,\"samples\":[" name level;
-           Array.iteri
-             (fun j (t, v) ->
-                if j > 0 then Buffer.add_char b ',';
-                Printf.bprintf b "[%s,%s]" (jf t) (jf v))
-             samples;
-           Buffer.add_string b "]}")
-        all;
-      Buffer.add_string b "}}";
-      print_string (Buffer.contents b)
-    end
+    if json then
+      print_json
+        Json.(
+          let pair (t, v) = List [ Float t; Float v ] in
+          envelope
+            [ ("interval", Float interval);
+              ("horizon", Float o.Mvpn_par.Runner.horizon);
+              ("seed", Int seed);
+              ("series",
+               Obj
+                 (List.map
+                    (fun (name, level, samples) ->
+                       ( name,
+                         Obj
+                           [ ("level", Int level);
+                             ("samples",
+                              List (Array.to_list (Array.map pair samples))) ]
+                       ))
+                    all)) ])
     else if csv then begin
+      (* Values render exactly as in the JSON export. *)
+      let num v = Json.to_string (Json.Float v) in
       print_string "time,series,value\n";
       List.iter
         (fun (name, _, samples) ->
            Array.iter
-             (fun (t, v) -> Printf.printf "%s,%s,%s\n" (jf t) name (jf v))
+             (fun (t, v) -> Printf.printf "%s,%s,%s\n" (num t) name (num v))
              samples)
         all
     end
@@ -700,7 +667,6 @@ let pos_float_conv =
   Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
 
 let soak_cmd =
-  let jf v = if Float.is_finite v then Printf.sprintf "%.9g" v else "0" in
   let run pops vpns sites_per_vpn load seed shards hours chaos
       audit_interval snapshot_interval segments fail_fast json =
     Telemetry.Registry.reset ();
@@ -799,35 +765,31 @@ let soak_cmd =
     if json then begin
       (* Only shard-invariant material: equal seeds must give these
          exact bytes at every --shards K. *)
-      let b = Buffer.create 8192 in
-      Printf.bprintf b
-        "{\"schema\":%d,\"hours\":%s,\"duration\":%s,\"seed\":%d,\
-         \"load\":%s,\"segments\":%d,"
-        Telemetry.Registry.schema_version (jf hours) (jf duration) seed
-        (jf load) segments;
-      (match (chaos, chaos_plan) with
-       | Some cseed, Some plan ->
-         Printf.bprintf b "\"chaos\":{\"seed\":%d,\"plan\":%s},"
-           cseed (Mvpn_resilience.Chaos.plan_json plan)
-       | _ -> Buffer.add_string b "\"chaos\":null,");
-      Printf.bprintf b "\"delivered\":%d,\"dropped\":%d," o.delivered
-        o.dropped;
-      Printf.bprintf b "\"classes\":{%s},"
-        (String.concat ","
-           (List.map
-              (fun (l, s, r) ->
-                 Printf.sprintf "\"%s\":{\"sent\":%d,\"received\":%d}" l s
-                   r)
-              o.classes));
-      Printf.bprintf b
-        "\"slo\":{\"in_budget\":%b,\"violations\":%d},"
-        (Telemetry.Slo.in_budget o.slo)
-        (Telemetry.Slo.violation_count o.slo);
-      Printf.bprintf b
-        "\"audit\":{\"interval\":%s,\"ticks\":%d,\"violations\":%d},"
-        (jf audit_interval) audit_ticks audit_violations;
-      Printf.bprintf b "\"snapshots\":%d}" snapshots;
-      print_string (Buffer.contents b)
+      print_json
+        Json.(
+          envelope
+            [ ("hours", Float hours); ("duration", Float duration);
+              ("seed", Int seed); ("load", Float load);
+              ("segments", Int segments);
+              ("chaos",
+               match (chaos, chaos_plan) with
+               | Some cseed, Some plan ->
+                 Obj
+                   [ ("seed", Int cseed);
+                     ("plan", Mvpn_resilience.Chaos.plan_json plan) ]
+               | _ -> Null);
+              ("delivered", Int o.delivered); ("dropped", Int o.dropped);
+              ("classes", classes_json o.classes);
+              ("slo",
+               Obj
+                 [ ("in_budget", Bool (Telemetry.Slo.in_budget o.slo));
+                   ("violations", Int (Telemetry.Slo.violation_count o.slo)) ]);
+              ("audit",
+               Obj
+                 [ ("interval", Float audit_interval);
+                   ("ticks", Int audit_ticks);
+                   ("violations", Int audit_violations) ]);
+              ("snapshots", Int snapshots) ])
     end
     else begin
       Printf.printf
@@ -1041,48 +1003,49 @@ let provision_cmd =
     let m = P.Compile.metrics t in
     let per_pe = P.Compile.per_pe t in
     let fp = P.Compile.fingerprint t in
-    if json then begin
-      let b = Buffer.create 4096 in
-      Printf.bprintf b
-        "{\"schema\":%d,\"seed\":%d,\"pe_count\":%d,\"mode\":\"%s\",\
-         \"dist\":\"%s\","
-        Telemetry.Registry.schema_version seed pops
-        (if rr then "route-reflector" else "full-mesh")
-        (P.Portfolio.dist_name dist);
-      Printf.bprintf b
-        "\"portfolio\":{\"customers\":%d,\"sites\":%d,\
-         \"overlay_circuits\":%d},"
-        customers (P.Portfolio.site_count p) (P.Portfolio.overlay_circuits p);
-      Printf.bprintf b
-        "\"state\":{\"customers\":%d,\"sites\":%d,\"vrfs\":%d,\
-         \"groups\":%d,\"routes\":%d,\"table_entries\":%d,\
-         \"shared_entries\":%d,\"lsps\":%d,\"control_messages\":%d,\
-         \"rds\":%d,\"rts\":%d,\"bands\":[%s]},"
-        m.P.Compile.customers m.P.Compile.sites m.P.Compile.vrfs
-        m.P.Compile.groups m.P.Compile.routes m.P.Compile.table_entries
-        m.P.Compile.shared_entries m.P.Compile.lsps
-        m.P.Compile.control_messages m.P.Compile.rds m.P.Compile.rts
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int m.P.Compile.bands)));
-      Printf.bprintf b "\"per_pe\":[%s],"
-        (String.concat ","
-           (Array.to_list
-              (Array.mapi
-                 (fun pe (sites, entries) ->
-                    Printf.sprintf
-                      "{\"pe\":%d,\"sites\":%d,\"entries\":%d}" pe sites
-                      entries)
-                 per_pe)));
-      (match churn_result with
-       | None -> Buffer.add_string b "\"churn\":null,"
-       | Some (st, ok) ->
-         Printf.bprintf b
-           "\"churn\":{\"ops\":%d,\"touched_vrfs\":%d,\"messages\":%d,\
-            \"oracle_match\":%b},"
-           st.P.Delta.ops st.P.Delta.touched_vrfs st.P.Delta.messages ok);
-      Printf.bprintf b "\"fingerprint\":\"%s\"}" fp;
-      print_string (Buffer.contents b)
-    end
+    if json then
+      print_json
+        Json.(
+          let i n = Int n in
+          envelope
+            [ ("seed", i seed); ("pe_count", i pops);
+              ("mode", String (if rr then "route-reflector" else "full-mesh"));
+              ("dist", String (P.Portfolio.dist_name dist));
+              ("portfolio",
+               Obj
+                 [ ("customers", i customers);
+                   ("sites", i (P.Portfolio.site_count p));
+                   ("overlay_circuits", i (P.Portfolio.overlay_circuits p)) ]);
+              ("state",
+               Obj
+                 [ ("customers", i m.customers); ("sites", i m.sites);
+                   ("vrfs", i m.vrfs); ("groups", i m.groups);
+                   ("routes", i m.routes);
+                   ("table_entries", i m.table_entries);
+                   ("shared_entries", i m.shared_entries);
+                   ("lsps", i m.lsps);
+                   ("control_messages", i m.control_messages);
+                   ("rds", i m.rds); ("rts", i m.rts);
+                   ("bands", List (Array.to_list (Array.map i m.bands))) ]);
+              ("per_pe",
+               List
+                 (Array.to_list
+                    (Array.mapi
+                       (fun pe (sites, entries) ->
+                          Obj
+                            [ ("pe", i pe); ("sites", i sites);
+                              ("entries", i entries) ])
+                       per_pe)));
+              ("churn",
+               match churn_result with
+               | None -> Null
+               | Some (st, ok) ->
+                 Obj
+                   [ ("ops", i st.P.Delta.ops);
+                     ("touched_vrfs", i st.P.Delta.touched_vrfs);
+                     ("messages", i st.P.Delta.messages);
+                     ("oracle_match", Bool ok) ]);
+              ("fingerprint", String fp) ])
     else begin
       Printf.printf
         "provisioned %d customers (%d sites, %s site distribution) on %d \

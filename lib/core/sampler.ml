@@ -68,6 +68,36 @@ let bad_series ~vpn ~band =
 
 let slo_target ~band = (Qos_mapping.default_objective band).T.Slo.target
 
+let burn ~target ~good ~bad =
+  let budget = 1.0 -. target in
+  Array.init (min (Array.length good) (Array.length bad)) (fun i ->
+      let time, g = good.(i) and _, b = bad.(i) in
+      let total = g +. b in
+      (time, if total > 0.0 && budget > 0.0 then b /. total /. budget else 0.0))
+
+let burn_series () =
+  List.filter_map
+    (fun name ->
+       match
+         Scanf.sscanf_opt name "ts.slo.v%d.b%d.good" (fun v b -> (v, b))
+       with
+       | None -> None
+       | Some (vpn, band) ->
+         (match
+            ( T.Registry.find_series name,
+              T.Registry.find_series
+                (Printf.sprintf "ts.slo.v%d.b%d.bad" vpn band) )
+          with
+          | Some good, Some bad when T.Timeseries.scope good = T.Timeseries.Sim
+            ->
+            Some
+              ( Printf.sprintf "ts.slo.v%d.b%d.burn" vpn band,
+                burn ~target:(slo_target ~band)
+                  ~good:(T.Timeseries.samples good)
+                  ~bad:(T.Timeseries.samples bad) )
+          | _ -> None))
+    (T.Registry.names ())
+
 let observe_fate t ~time:_ ~vpn ~band ~dropped ~latency =
   if vpn < Array.length t.vpn_present && t.vpn_present.(vpn)
   && band < Qos_mapping.band_count then begin

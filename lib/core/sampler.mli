@@ -43,7 +43,17 @@ val stop : t -> unit
 
 val interval : t -> float
 
-val slo_target : band:int -> float
-(** The stock objective's good-fraction target for [band] — what a
-    timeline exporter needs to derive burn rate from merged good/bad
-    sums. *)
+val burn :
+  target:float ->
+  good:(float * float) array ->
+  bad:(float * float) array ->
+  (float * float) array
+(** Burn rate per sample, pairing [good] and [bad] by index (the shorter
+    length wins): the bad fraction over the error budget [1 - target].
+    0 where a sample saw no traffic or the target leaves no budget. *)
+
+val burn_series : unit -> (string * (float * float) array) list
+(** [ts.slo.v<v>.b<b>.burn] for every registered sim-scope good/bad
+    pair, in name order, derived from the registry's series after any
+    shard merge: the ratio is not summable across shards, the good/bad
+    deltas it is computed from are. *)

@@ -52,7 +52,7 @@ type outcome = {
   overflow : int;
   classes : (string * int * int) list;
   slo : Slo.t;
-  registry_json : string;
+  registry_json : Mvpn_telemetry.Json.t;
   horizon : float;
 }
 

@@ -80,7 +80,7 @@ type outcome = {
   classes : (string * int * int) list;
       (** per service class: label, sent, received *)
   slo : Mvpn_telemetry.Slo.t;  (** replayed conformance engine *)
-  registry_json : string;
+  registry_json : Mvpn_telemetry.Json.t;
       (** merged registry snapshot, captured {e before} the SLO replay
           so the counters object matches a sequential [mvpn stats] run
           byte for byte *)

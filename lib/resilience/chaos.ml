@@ -5,6 +5,7 @@ module Plane = Mvpn_mpls.Plane
 module Port = Mvpn_qos.Port
 module Network = Mvpn_core.Network
 module Telemetry = Mvpn_telemetry
+module Json = Mvpn_telemetry.Json
 
 let m_faults = Telemetry.Registry.counter "resilience.chaos.faults"
 
@@ -47,42 +48,29 @@ let pp_fault ppf = function
   | Session_drop { node; at } ->
     Format.fprintf ppf "@ %.3fs session_drop %d" at node
 
+(* Plan floats print [Exact]: the shortest decimal that parses back to
+   the same double, so plan -> JSON -> plan is the identity and a parsed
+   plan replays byte-identically. *)
 let fault_json f =
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
-    ^ "}"
-  in
-  (* Lossless float rendering: shortest decimal that parses back to
-     the same double, so plan -> JSON -> plan is the identity and a
-     parsed plan replays byte-identically. *)
-  let fl x =
-    let s = Printf.sprintf "%.12g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
-  in
-  match f with
-  | Link_flap { a; b; at; hold } ->
-    obj
-      [ ("kind", {|"link_flap"|}); ("at", fl at); ("a", string_of_int a);
-        ("b", string_of_int b); ("hold", fl hold) ]
-  | Node_down { node; at; hold } ->
-    obj
-      [ ("kind", {|"node_down"|}); ("at", fl at);
-        ("node", string_of_int node); ("hold", fl hold) ]
-  | Loss_burst { a; b; at; duration; loss } ->
-    obj
-      [ ("kind", {|"loss_burst"|}); ("at", fl at); ("a", string_of_int a);
-        ("b", string_of_int b); ("duration", fl duration); ("loss", fl loss) ]
-  | Corrupt_burst { a; b; at; duration; corrupt } ->
-    obj
-      [ ("kind", {|"corrupt_burst"|}); ("at", fl at); ("a", string_of_int a);
-        ("b", string_of_int b); ("duration", fl duration);
-        ("corrupt", fl corrupt) ]
-  | Session_drop { node; at } ->
-    obj
-      [ ("kind", {|"session_drop"|}); ("at", fl at);
-        ("node", string_of_int node) ]
+  Json.(
+    let obj kind fields = Obj (("kind", String kind) :: fields) in
+    match f with
+    | Link_flap { a; b; at; hold } ->
+      obj "link_flap"
+        [ ("at", Exact at); ("a", Int a); ("b", Int b); ("hold", Exact hold) ]
+    | Node_down { node; at; hold } ->
+      obj "node_down"
+        [ ("at", Exact at); ("node", Int node); ("hold", Exact hold) ]
+    | Loss_burst { a; b; at; duration; loss } ->
+      obj "loss_burst"
+        [ ("at", Exact at); ("a", Int a); ("b", Int b);
+          ("duration", Exact duration); ("loss", Exact loss) ]
+    | Corrupt_burst { a; b; at; duration; corrupt } ->
+      obj "corrupt_burst"
+        [ ("at", Exact at); ("a", Int a); ("b", Int b);
+          ("duration", Exact duration); ("corrupt", Exact corrupt) ]
+    | Session_drop { node; at } ->
+      obj "session_drop" [ ("at", Exact at); ("node", Int node) ])
 
 (* Pareto hold times (shape 1.5, scale 50 ms): most faults are blips,
    a few hold long enough to force full reconvergence — the tail is
@@ -130,158 +118,52 @@ let random_plan ?(events = 12) ?(nodes = []) ~rng ~links ~duration () =
     (fun f g -> compare (fault_time f, f) (fault_time g, g))
     !faults
 
-let plan_json plan =
-  "[" ^ String.concat "," (List.map fault_json plan) ^ "]"
+let plan_json plan = Json.List (List.map fault_json plan)
 
-(* A minimal parser for exactly the shape [plan_json] emits — an array
-   of flat objects whose values are numbers or strings. Floats are
-   printed losslessly above, so [plan_of_json (plan_json p) = p] and a
-   parsed plan replays byte-identically. *)
 let plan_of_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let error msg =
-    failwith (Printf.sprintf "Chaos.plan_of_json: %s at offset %d" msg !pos)
+  let error msg = failwith ("Chaos.plan_of_json: " ^ msg) in
+  let fault_of idx = function
+    | Json.Obj fields ->
+      let field k what conv =
+        match Option.bind (List.assoc_opt k fields) conv with
+        | Some v -> v
+        | None ->
+          error (Printf.sprintf "fault %d: missing %s field %S" idx what k)
+      in
+      let int k =
+        field k "integer" (function Json.Int n -> Some n | _ -> None)
+      in
+      let num k =
+        field k "numeric" (function
+          | Json.Int n -> Some (float_of_int n)
+          | Json.Float v -> Some v
+          | _ -> None)
+      in
+      let kind =
+        field "kind" "string" (function Json.String k -> Some k | _ -> None)
+      in
+      (match kind with
+       | "link_flap" ->
+         Link_flap
+           { a = int "a"; b = int "b"; at = num "at"; hold = num "hold" }
+       | "node_down" ->
+         Node_down { node = int "node"; at = num "at"; hold = num "hold" }
+       | "loss_burst" ->
+         Loss_burst
+           { a = int "a"; b = int "b"; at = num "at";
+             duration = num "duration"; loss = num "loss" }
+       | "corrupt_burst" ->
+         Corrupt_burst
+           { a = int "a"; b = int "b"; at = num "at";
+             duration = num "duration"; corrupt = num "corrupt" }
+       | "session_drop" -> Session_drop { node = int "node"; at = num "at" }
+       | k -> error (Printf.sprintf "fault %d: unknown fault kind %S" idx k))
+    | _ -> error (Printf.sprintf "fault %d: expected an object" idx)
   in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let peek () =
-    skip_ws ();
-    if !pos < n then Some s.[!pos] else None
-  in
-  let expect c =
-    if peek () = Some c then incr pos
-    else error (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          incr pos;
-          if !pos >= n then error "truncated escape";
-          (match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | 'n' -> Buffer.add_char b '\n'
-           | c -> error (Printf.sprintf "unsupported escape '\\%c'" c));
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_scalar () =
-    match peek () with
-    | Some '"' -> `S (parse_string ())
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then error "expected a value";
-      `N (String.sub s start (!pos - start))
-  in
-  let parse_obj () =
-    expect '{';
-    let fields = ref [] in
-    (match peek () with
-     | Some '}' -> incr pos
-     | _ ->
-       let rec go () =
-         let k = parse_string () in
-         expect ':';
-         fields := (k, parse_scalar ()) :: !fields;
-         match peek () with
-         | Some ',' ->
-           incr pos;
-           go ()
-         | Some '}' -> incr pos
-         | _ -> error "expected ',' or '}'"
-       in
-       go ());
-    List.rev !fields
-  in
-  let str fields k =
-    match List.assoc_opt k fields with
-    | Some (`S v) -> v
-    | _ -> error (Printf.sprintf "missing string field %S" k)
-  in
-  let num fields k =
-    match List.assoc_opt k fields with
-    | Some (`N v) ->
-      (try float_of_string v
-       with Failure _ -> error (Printf.sprintf "bad number in %S" k))
-    | _ -> error (Printf.sprintf "missing numeric field %S" k)
-  in
-  let int_field fields k =
-    match List.assoc_opt k fields with
-    | Some (`N v) ->
-      (try int_of_string v
-       with Failure _ -> error (Printf.sprintf "bad integer in %S" k))
-    | _ -> error (Printf.sprintf "missing integer field %S" k)
-  in
-  let fault_of fields =
-    match str fields "kind" with
-    | "link_flap" ->
-      Link_flap
-        { a = int_field fields "a"; b = int_field fields "b";
-          at = num fields "at"; hold = num fields "hold" }
-    | "node_down" ->
-      Node_down
-        { node = int_field fields "node"; at = num fields "at";
-          hold = num fields "hold" }
-    | "loss_burst" ->
-      Loss_burst
-        { a = int_field fields "a"; b = int_field fields "b";
-          at = num fields "at"; duration = num fields "duration";
-          loss = num fields "loss" }
-    | "corrupt_burst" ->
-      Corrupt_burst
-        { a = int_field fields "a"; b = int_field fields "b";
-          at = num fields "at"; duration = num fields "duration";
-          corrupt = num fields "corrupt" }
-    | "session_drop" ->
-      Session_drop { node = int_field fields "node"; at = num fields "at" }
-    | k -> error (Printf.sprintf "unknown fault kind %S" k)
-  in
-  expect '[';
-  let faults = ref [] in
-  (match peek () with
-   | Some ']' -> incr pos
-   | _ ->
-     let rec go () =
-       faults := fault_of (parse_obj ()) :: !faults;
-       match peek () with
-       | Some ',' ->
-         incr pos;
-         go ()
-       | Some ']' -> incr pos
-       | _ -> error "expected ',' or ']'"
-     in
-     go ());
-  skip_ws ();
-  if !pos <> n then error "trailing input";
-  List.rev !faults
+  match Json.of_string s with
+  | Error (offset, msg) -> error (Printf.sprintf "%s at offset %d" msg offset)
+  | Ok (Json.List faults) -> List.mapi fault_of faults
+  | Ok _ -> error "expected an array of faults"
 
 (* Topology-only storms for sharded soaks: link flaps, session drops
    and node outages replicate byte-identically across shard replicas,

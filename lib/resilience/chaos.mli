@@ -81,16 +81,18 @@ val fault_time : fault -> float
 
 val pp_fault : Format.formatter -> fault -> unit
 
-val fault_json : fault -> string
+val fault_json : fault -> Mvpn_telemetry.Json.t
 (** One JSON object per fault, stable field order, floats rendered
-    losslessly (shortest round-tripping decimal) — the replayable
-    scenario record [mvpn chaos --json] prints. *)
+    losslessly ({!Mvpn_telemetry.Json.Exact}) — the replayable scenario
+    record [mvpn chaos --json] prints. *)
 
-val plan_json : plan -> string
+val plan_json : plan -> Mvpn_telemetry.Json.t
 (** The whole plan as a JSON array of {!fault_json} objects. *)
 
 val plan_of_json : string -> plan
-(** Parse exactly the shape {!plan_json} emits, structurally inverse:
-    [plan_of_json (plan_json p) = p], so a plan exported by one run can
-    be replayed byte-identically by another.
-    @raise Failure on malformed input. *)
+(** Decode the shape {!plan_json} emits, structurally inverse:
+    [plan_of_json (Json.to_string (plan_json p)) = p], so a plan exported
+    by one run can be replayed byte-identically by another. Fields
+    beyond those a fault kind needs are ignored.
+    @raise Failure ["Chaos.plan_of_json: …"] naming the byte offset of a
+    syntax error, or the fault index and field that failed to decode. *)

@@ -9,6 +9,7 @@ module Site = Mvpn_core.Site
 module Qos_mapping = Mvpn_core.Qos_mapping
 module Port = Mvpn_qos.Port
 module Telemetry = Mvpn_telemetry
+module Json = Mvpn_telemetry.Json
 
 type t = {
   sc : Scenario.t;
@@ -144,52 +145,31 @@ let event_kinds =
     "resignal" ]
 
 let summary_json t =
-  let b = Buffer.create 4096 in
-  let net = Scenario.network t.sc in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":%d,\"seed\":%d,\"duration\":%.6f,\"frr\":%b,"
-       Telemetry.Registry.schema_version t.seed
-       t.duration (t.frr <> None));
-  Buffer.add_string b
-    (Printf.sprintf "\"fallback\":%b," (Mpls_vpn.ip_fallback t.vpn));
-  Buffer.add_string b "\"plan\":[";
-  Buffer.add_string b
-    (String.concat "," (List.map Chaos.fault_json t.plan));
-  Buffer.add_string b "],";
-  Buffer.add_string b
-    (Printf.sprintf "\"delivered\":%d,"
-       (Telemetry.Registry.counter_value "net.delivered"));
+  let counts f keys = Json.(Obj (List.map (fun k -> (k, Int (f k))) keys)) in
   let p = port_totals t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"port\":{\"offered\":%d,\"queue_drops\":%d,\
-        \"link_down_drops\":%d,\"fault_drops\":%d},"
-       p.port_offered p.port_queue p.port_link_down p.port_fault);
-  Buffer.add_string b "\"drops\":{";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun (reason, n) -> Printf.sprintf "%S:%d" reason n)
-          (Network.drop_counts net)));
-  Buffer.add_string b "},\"counters\":{";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun name ->
-             Printf.sprintf "%S:%d" name
-               (Telemetry.Registry.counter_value name))
-          resilience_counters));
-  Buffer.add_string b "},\"events\":{";
   let events = Telemetry.Registry.events () in
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun kind ->
-             Printf.sprintf "%S:%d" kind
-               (Telemetry.Event_log.count_kind events kind))
-          event_kinds));
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  Json.(
+    envelope
+      [ ("seed", Int t.seed); ("duration", Float t.duration);
+        ("frr", Bool (t.frr <> None));
+        ("fallback", Bool (Mpls_vpn.ip_fallback t.vpn));
+        ("plan", Chaos.plan_json t.plan);
+        ("delivered", Int (Telemetry.Registry.counter_value "net.delivered"));
+        ("port",
+         Obj
+           [ ("offered", Int p.port_offered);
+             ("queue_drops", Int p.port_queue);
+             ("link_down_drops", Int p.port_link_down);
+             ("fault_drops", Int p.port_fault) ]);
+        ("drops",
+         Obj
+           (List.map
+              (fun (reason, n) -> (reason, Int n))
+              (Network.drop_counts (Scenario.network t.sc))));
+        ("counters",
+         counts Telemetry.Registry.counter_value resilience_counters);
+        ("events", counts (Telemetry.Event_log.count_kind events) event_kinds)
+      ])
 
 let pp_summary ppf t =
   let p = port_totals t in

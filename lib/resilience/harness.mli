@@ -66,10 +66,10 @@ type port_totals = {
 val port_totals : t -> port_totals
 (** Terminal port fates summed over every link. *)
 
-val summary_json : t -> string
-(** Single-line JSON: seed, the full fault plan, delivered count, the
-    per-reason drop table, port fates, every [resilience.*] counter and
-    typed-event counts. Deterministic — same seed, same bytes. *)
+val summary_json : t -> Mvpn_telemetry.Json.t
+(** One JSON envelope: seed, run duration, the full fault plan, delivered
+    count, the per-reason drop table, port fates, every [resilience.*]
+    counter and typed-event counts. Deterministic — same seed, same bytes. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Human-readable rendering of the same facts. *)

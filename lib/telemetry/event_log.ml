@@ -114,63 +114,45 @@ let clear t =
 
 (* --- export ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-
 let entry_to_json e =
-  let detail =
-    match e.event with
-    | Slo_violation { vpn; band; dimension; value; bound }
-    | Slo_recovered { vpn; band; dimension; value; bound } ->
-      Printf.sprintf
-        "\"vpn\":%d,\"band\":%d,\"dimension\":\"%s\",\"value\":%s,\"bound\":%s"
-        vpn band (json_escape dimension) (json_float value) (json_float bound)
-    | Alert_fire { vpn; band; burn_fast; burn_slow } ->
-      Printf.sprintf
-        "\"vpn\":%d,\"band\":%d,\"burn_fast\":%s,\"burn_slow\":%s" vpn band
-        (json_float burn_fast) (json_float burn_slow)
-    | Alert_clear { vpn; band; burn_fast } ->
-      Printf.sprintf "\"vpn\":%d,\"band\":%d,\"burn_fast\":%s" vpn band
-        (json_float burn_fast)
-    | Link_down { src; dst } | Link_up { src; dst }
-    | Frr_switchover { src; dst } | Flap_released { src; dst } ->
-      Printf.sprintf "\"src\":%d,\"dst\":%d" src dst
-    | Recompile { node } -> Printf.sprintf "\"node\":%d" node
-    | Fault_injected { fault; a; b; param } ->
-      Printf.sprintf "\"fault\":\"%s\",\"a\":%d,\"b\":%d,\"param\":%s"
-        (json_escape fault) a b (json_float param)
-    | Fallback_engaged { ingress; egress } | Lsp_restored { ingress; egress } ->
-      Printf.sprintf "\"ingress\":%d,\"egress\":%d" ingress egress
-    | Flap_damped { src; dst; flaps } ->
-      Printf.sprintf "\"src\":%d,\"dst\":%d,\"flaps\":%d" src dst flaps
-    | Resignal { attempt; restored; still_down } ->
-      Printf.sprintf "\"attempt\":%d,\"restored\":%d,\"still_down\":%d"
-        attempt restored still_down
-    | Invariant_violated { invariant; detail } ->
-      Printf.sprintf "\"invariant\":\"%s\",\"detail\":\"%s\""
-        (json_escape invariant) (json_escape detail)
-    | Note text -> Printf.sprintf "\"text\":\"%s\"" (json_escape text)
-  in
-  Printf.sprintf "{\"seq\":%d,\"time\":%s,\"kind\":\"%s\",%s}" e.seq
-    (json_float e.time) (kind e.event) detail
+  Json.(
+    let detail =
+      match e.event with
+      | Slo_violation { vpn; band; dimension; value; bound }
+      | Slo_recovered { vpn; band; dimension; value; bound } ->
+        [ ("vpn", Int vpn); ("band", Int band); ("dimension", String dimension);
+          ("value", Float value); ("bound", Float bound) ]
+      | Alert_fire { vpn; band; burn_fast; burn_slow } ->
+        [ ("vpn", Int vpn); ("band", Int band); ("burn_fast", Float burn_fast);
+          ("burn_slow", Float burn_slow) ]
+      | Alert_clear { vpn; band; burn_fast } ->
+        [ ("vpn", Int vpn); ("band", Int band); ("burn_fast", Float burn_fast) ]
+      | Link_down { src; dst } | Link_up { src; dst }
+      | Frr_switchover { src; dst } | Flap_released { src; dst } ->
+        [ ("src", Int src); ("dst", Int dst) ]
+      | Recompile { node } -> [ ("node", Int node) ]
+      | Fault_injected { fault; a; b; param } ->
+        [ ("fault", String fault); ("a", Int a); ("b", Int b);
+          ("param", Float param) ]
+      | Fallback_engaged { ingress; egress } | Lsp_restored { ingress; egress }
+        ->
+        [ ("ingress", Int ingress); ("egress", Int egress) ]
+      | Flap_damped { src; dst; flaps } ->
+        [ ("src", Int src); ("dst", Int dst); ("flaps", Int flaps) ]
+      | Resignal { attempt; restored; still_down } ->
+        [ ("attempt", Int attempt); ("restored", Int restored);
+          ("still_down", Int still_down) ]
+      | Invariant_violated { invariant; detail } ->
+        [ ("invariant", String invariant); ("detail", String detail) ]
+      | Note text -> [ ("text", String text) ]
+    in
+    Obj
+      (("seq", Int e.seq) :: ("time", Float e.time)
+       :: ("kind", String (kind e.event)) :: detail))
 
 let json_entries ?limit t =
   let es = match limit with Some n -> recent t n | None -> entries t in
-  "[" ^ String.concat "," (List.map entry_to_json es) ^ "]"
+  Json.List (List.map entry_to_json es)
 
 let pp_event ppf = function
   | Slo_violation { vpn; band; dimension; value; bound } ->

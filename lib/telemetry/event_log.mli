@@ -99,9 +99,11 @@ val count_kind : t -> string -> int
 
 val clear : t -> unit
 
-val entry_to_json : entry -> string
+val entry_to_json : entry -> Json.t
+(** [{"seq":…,"time":…,"kind":…}] followed by the event's own
+    fields. *)
 
-val json_entries : ?limit:int -> t -> string
+val json_entries : ?limit:int -> t -> Json.t
 (** JSON array of live entries (last [limit] when given). *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -4,13 +4,6 @@ type metric =
   | Histogram of Histogram.t
   | Series of Timeseries.t
 
-(* Version of the JSON export layout: bumped whenever the shape of
-   [to_json] (or the CLI envelopes built around it) changes
-   incompatibly. Exported at the top level of every JSON object so
-   downstream consumers can detect format drift; tools/json_lint
-   enforces its presence. *)
-let schema_version = 1
-
 (* One process-wide registry: instrumented modules create their metrics
    at load time and hold direct references, so the table only ever
    grows. [reset] zeroes values without dropping registrations.
@@ -190,90 +183,44 @@ let snapshot_counter snap name =
 let sorted_metrics pick =
   List.filter_map (fun n -> Option.map (fun m -> (n, m)) (pick n)) (names ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-
-let buf_object b entries render =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b (Printf.sprintf "\"%s\":" (json_escape name));
-       render b v)
-    entries;
-  Buffer.add_char b '}'
-
-let buf_series b s =
-  Buffer.add_string b
-    (Printf.sprintf "{\"scope\":\"%s\",\"level\":%d,\"samples\":["
-       (match Timeseries.scope s with
-        | Timeseries.Sim -> "sim"
-        | Timeseries.Host -> "host")
-       (Timeseries.level s));
-  let first = ref true in
-  Timeseries.iter s (fun time v ->
-      if !first then first := false else Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "[%s,%s]" (json_float time) (json_float v)));
-  Buffer.add_string b "]}"
-
 let to_json ?(trace_events = 64) ?(event_entries = 256) () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":%d,\"counters\":" schema_version);
-  buf_object b
-    (sorted_metrics find_counter)
-    (fun b c -> Buffer.add_string b (string_of_int (Counter.value c)));
-  Buffer.add_string b ",\"gauges\":";
-  buf_object b
-    (sorted_metrics find_gauge)
-    (fun b g -> Buffer.add_string b (json_float (Gauge.value g)));
-  Buffer.add_string b ",\"histograms\":";
-  buf_object b
-    (sorted_metrics find_histogram)
-    (fun b h ->
-       Buffer.add_string b
-         (Printf.sprintf
-            "{\"count\":%d,\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\
-             \"max\":%s}"
-            (Histogram.count h)
-            (json_float (Histogram.mean h))
-            (json_float (Histogram.p50 h))
-            (json_float (Histogram.p90 h))
-            (json_float (Histogram.p99 h))
-            (json_float (Histogram.max_value h))));
-  Buffer.add_string b ",\"series\":";
-  buf_object b (sorted_metrics find_series) buf_series;
-  Buffer.add_string b ",\"trace\":[";
-  List.iteri
-    (fun i (e : Hop_trace.event) ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (Printf.sprintf
-            "{\"uid\":%d,\"time\":%s,\"node\":%d,\"event\":\"%s\"}"
-            e.Hop_trace.uid
-            (json_float e.Hop_trace.time)
-            e.Hop_trace.node
-            (json_escape e.Hop_trace.label)))
-    (Hop_trace.recent (trace ()) trace_events);
-  Buffer.add_string b "],\"events\":";
-  Buffer.add_string b (Event_log.json_entries ~limit:event_entries (events ()));
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.(
+    let section pick render =
+      Obj (List.map (fun (n, m) -> (n, render m)) (sorted_metrics pick))
+    in
+    let series s =
+      let pair (time, v) = List [ Float time; Float v ] in
+      Obj
+        [ ("scope",
+           String
+             (match Timeseries.scope s with
+              | Timeseries.Sim -> "sim"
+              | Timeseries.Host -> "host"));
+          ("level", Int (Timeseries.level s));
+          ("samples",
+           List (Array.to_list (Array.map pair (Timeseries.samples s)))) ]
+    in
+    let hop (e : Hop_trace.event) =
+      Obj
+        [ ("uid", Int e.uid); ("time", Float e.time); ("node", Int e.node);
+          ("event", String e.label) ]
+    in
+    envelope
+      [ ("counters", section find_counter (fun c -> Int (Counter.value c)));
+        ("gauges", section find_gauge (fun g -> Float (Gauge.value g)));
+        ("histograms",
+         section find_histogram (fun h ->
+             Obj
+               [ ("count", Int (Histogram.count h));
+                 ("mean", Float (Histogram.mean h));
+                 ("p50", Float (Histogram.p50 h));
+                 ("p90", Float (Histogram.p90 h));
+                 ("p99", Float (Histogram.p99 h));
+                 ("max", Float (Histogram.max_value h)) ]));
+        ("series", section find_series series);
+        ("trace",
+         List (List.map hop (Hop_trace.recent (trace ()) trace_events)));
+        ("events", Event_log.json_entries ~limit:event_entries (events ())) ])
 
 let pp ?(trace_events = 0) ppf () =
   let counters = sorted_metrics find_counter in

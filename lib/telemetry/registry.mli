@@ -19,12 +19,6 @@ type metric =
   | Histogram of Histogram.t
   | Series of Timeseries.t
 
-val schema_version : int
-(** Version of the JSON export layout, emitted as a top-level
-    ["schema"] member by {!to_json} (and by the CLI JSON envelopes
-    built around it). Bumped on incompatible shape changes so
-    downstream consumers can detect format drift. *)
-
 val counter : string -> Counter.t
 (** Get or create. @raise Invalid_argument if the name is registered
     with a different metric kind. *)
@@ -90,8 +84,8 @@ val absorb : snapshot -> unit
 val snapshot_counter : snapshot -> string -> int
 (** The counter value captured in the snapshot; 0 when absent. *)
 
-val to_json : ?trace_events:int -> ?event_entries:int -> unit -> string
-(** One JSON object: [{"schema":1,"counters":{...},"gauges":{...},
+val to_json : ?trace_events:int -> ?event_entries:int -> unit -> Json.t
+(** One {!Json.envelope}: [{"schema":1,"counters":{...},"gauges":{...},
     "histograms":{...},"series":{...},"trace":[...],"events":[...]}].
     Each series renders as [{"scope":"sim"|"host","level":L,
     "samples":[[time,value],...]}]. [trace_events] bounds the trace

@@ -394,26 +394,22 @@ let in_budget t =
 let violation_count t =
   Event_log.count_kind t.events "slo_violation"
 
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-
 let report_to_json r =
-  Printf.sprintf
-    "{\"vpn\":%d,\"band\":%d,\"target\":%s,\"total\":%d,\"bad\":%d,\
-     \"drops\":%d,\"budget_allowed\":%s,\"budget_spent\":%s,\
-     \"budget_remaining\":%s,\"latency_p99\":%s,\"loss_ratio\":%s,\
-     \"availability\":%s,\"burn_fast\":%s,\"burn_slow\":%s,\
-     \"violations\":[%s],\"alerting\":%b,\"in_budget\":%b}"
-    r.vpn r.band (json_float r.target) r.total r.bad r.drops
-    (json_float r.budget_allowed) (json_float r.budget_spent)
-    (json_float r.budget_remaining) (json_float r.latency_p99)
-    (json_float r.loss_ratio) (json_float r.availability)
-    (json_float r.burn_fast) (json_float r.burn_slow)
-    (String.concat "," (List.map (Printf.sprintf "\"%s\"") r.violations))
-    r.alerting r.in_budget
+  Json.(
+    Obj
+      [ ("vpn", Int r.vpn); ("band", Int r.band); ("target", Float r.target);
+        ("total", Int r.total); ("bad", Int r.bad); ("drops", Int r.drops);
+        ("budget_allowed", Float r.budget_allowed);
+        ("budget_spent", Float r.budget_spent);
+        ("budget_remaining", Float r.budget_remaining);
+        ("latency_p99", Float r.latency_p99);
+        ("loss_ratio", Float r.loss_ratio);
+        ("availability", Float r.availability);
+        ("burn_fast", Float r.burn_fast); ("burn_slow", Float r.burn_slow);
+        ("violations", List (List.map (fun d -> String d) r.violations));
+        ("alerting", Bool r.alerting); ("in_budget", Bool r.in_budget) ])
 
-let to_json t =
-  "[" ^ String.concat "," (List.map report_to_json (reports t)) ^ "]"
+let to_json t = Json.List (List.map report_to_json (reports t))
 
 let publish_gauges ?(prefix = "slo") t =
   List.iter

@@ -95,9 +95,9 @@ val in_budget : t -> bool
 val violation_count : t -> int
 (** [slo_violation] entries still live in the engine's event log. *)
 
-val report_to_json : report -> string
+val report_to_json : report -> Json.t
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** JSON array of reports. *)
 
 val publish_gauges : ?prefix:string -> t -> unit

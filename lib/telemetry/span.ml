@@ -189,33 +189,28 @@ let clear s =
 
 (* --- export ------------------------------------------------------------ *)
 
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-
 let outcome_name = function
   | Delivered -> "delivered"
   | Dropped reason -> "dropped:" ^ reason
   | In_flight -> "in_flight"
 
 let segment_to_json (s : segment) =
-  Printf.sprintf
-    "{\"node\":%d,\"next_node\":%d,\"kind\":\"%s\",\"start\":%s,\"dwell\":%s}"
-    s.node s.next_node (kind_name s.kind) (json_float s.start_time)
-    (json_float s.dwell)
+  Json.(
+    Obj
+      [ ("node", Int s.node); ("next_node", Int s.next_node);
+        ("kind", String (kind_name s.kind)); ("start", Float s.start_time);
+        ("dwell", Float s.dwell) ])
 
 let to_json t =
-  Printf.sprintf
-    "{\"uid\":%d,\"vpn\":%d,\"band\":%d,\"start\":%s,\"end\":%s,\
-     \"outcome\":\"%s\",\"segments\":[%s]}"
-    t.uid t.vpn t.band (json_float t.start_time) (json_float t.end_time)
-    (outcome_name t.outcome)
-    (String.concat "," (List.map segment_to_json t.segments))
+  Json.(
+    Obj
+      [ ("uid", Int t.uid); ("vpn", Int t.vpn); ("band", Int t.band);
+        ("start", Float t.start_time); ("end", Float t.end_time);
+        ("outcome", String (outcome_name t.outcome));
+        ("segments", List (List.map segment_to_json t.segments)) ])
 
 let sampler_to_json s =
-  "["
-  ^ String.concat ","
-      (List.map to_json (delivered_spans s @ dropped_spans s))
-  ^ "]"
+  Json.List (List.map to_json (delivered_spans s @ dropped_spans s))
 
 let pp_segment ppf (s : segment) =
   Format.fprintf ppf "%s@%d%s %.6fs (%s->%s)" (kind_name s.kind) s.node

@@ -89,9 +89,9 @@ val kept : sampler -> int
 
 val clear : sampler -> unit
 
-val to_json : t -> string
+val to_json : t -> Json.t
 
-val sampler_to_json : sampler -> string
+val sampler_to_json : sampler -> Json.t
 (** JSON array: retained delivery spans then drop spans. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1872,6 +1872,21 @@ let test_sampler_interval_validation () =
   (* the boundary cases that must keep working *)
   ignore (Sampler.start ~interval:0.25 ~until:0.0 sc)
 
+(* Timeline burn rate: bad fraction over the error budget, 0 where a
+   sample saw no traffic or the target leaves no budget; good/bad pair
+   by index and the shorter series wins. *)
+let test_sampler_burn () =
+  let good = [| (1.0, 90.0); (2.0, 0.0); (3.0, 5.0) |]
+  and bad = [| (1.0, 10.0); (2.0, 0.0); (3.0, 5.0); (4.0, 1.0) |] in
+  let burn target = Sampler.burn ~target ~good ~bad in
+  let samples = Alcotest.(array (pair (float 1e-9) (float 1e-9))) in
+  Alcotest.check samples "budget 1%"
+    [| (1.0, 10.0); (2.0, 0.0); (3.0, 50.0) |]
+    (burn 0.99);
+  Alcotest.check samples "zero budget"
+    [| (1.0, 0.0); (2.0, 0.0); (3.0, 0.0) |]
+    (burn 1.0)
+
 let test_diurnal_workload_validation () =
   let sc =
     Scenario.build ~pops:6 ~vpns:1 ~sites_per_vpn:2 ~seed:1
@@ -2074,6 +2089,7 @@ let () =
            (wrap_telemetry test_bounded_residency);
          Alcotest.test_case "sampler validates intervals" `Quick
            test_sampler_interval_validation;
+         Alcotest.test_case "sampler burn rate" `Quick test_sampler_burn;
          Alcotest.test_case "diurnal workload validates" `Quick
            test_diurnal_workload_validation;
          Alcotest.test_case "diurnal envelope modulates load" `Quick

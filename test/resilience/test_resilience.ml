@@ -253,7 +253,7 @@ let chaos_fates seed =
   in
   Harness.run h;
   let net = Scenario.network (Harness.scenario h) in
-  ( String.concat "," (List.map Chaos.fault_json (Harness.plan h)),
+  ( T.Json.to_string (Chaos.plan_json (Harness.plan h)),
     cv "net.delivered" - d0,
     Harness.port_totals h,
     Network.drop_counts net )
@@ -353,11 +353,85 @@ let fault_gen =
         (pair node node) t (pair t frac);
       map2 (fun node at -> Chaos.Session_drop { node; at }) node t ]
 
+let plan_string plan = T.Json.to_string (Chaos.plan_json plan)
+
 let plan_roundtrip_property =
   QCheck.Test.make ~count:200 ~name:"chaos: plan -> json -> plan is identity"
-    (QCheck.make ~print:Chaos.plan_json
+    (QCheck.make ~print:plan_string
        QCheck.Gen.(list_size (int_range 0 10) fault_gen))
-    (fun plan -> Chaos.plan_of_json (Chaos.plan_json plan) = plan)
+    (fun plan -> Chaos.plan_of_json (plan_string plan) = plan)
+
+(* Chaos plans arrive from outside (a saved [mvpn chaos --json] plan), so
+   the decoder is fuzzed: byte flips, truncations, and faults with a
+   field dropped, renamed or retyped. Each input must decode to a plan
+   or raise the documented [Failure], never anything else. *)
+let mutated_plan_gen =
+  let open QCheck.Gen in
+  let edit_field plan fi ki op =
+    let fault i = function
+      | T.Json.Obj fields when i = fi ->
+        let k = ki mod List.length fields in
+        T.Json.Obj
+          (List.concat
+             (List.mapi
+                (fun j (key, v) ->
+                   if j <> k then [ (key, v) ]
+                   else
+                     match op with
+                     | `Drop -> []
+                     | `Rename -> [ (key ^ "_", v) ]
+                     | `Retype -> [ (key, T.Json.String "x") ])
+                fields))
+      | f -> f
+    in
+    match Chaos.plan_json plan with
+    | T.Json.List faults ->
+      T.Json.to_string (T.Json.List (List.mapi fault faults))
+    | _ -> assert false
+  in
+  list_size (int_range 1 6) fault_gen >>= fun plan ->
+  let text = plan_string plan in
+  let n = String.length text in
+  oneof
+    [ map2
+        (fun i c -> String.mapi (fun j d -> if j = i then c else d) text)
+        (int_bound (n - 1)) char;
+      map (fun k -> String.sub text 0 k) (int_bound n);
+      map3 (edit_field plan)
+        (int_bound (List.length plan - 1))
+        (int_bound 5)
+        (oneofl [ `Drop; `Rename; `Retype ]) ]
+
+let plan_fuzz_property =
+  QCheck.Test.make ~count:1000
+    ~name:"chaos: mutated plan json decodes or fails cleanly"
+    (QCheck.make ~print:String.escaped mutated_plan_gen)
+    (fun text ->
+       match Chaos.plan_of_json text with
+       | _ -> true
+       | exception Failure msg ->
+         String.starts_with ~prefix:"Chaos.plan_of_json: " msg)
+
+(* Exact bytes per fault kind. 0.1 +. 0.2 and 1/3 have no 12-digit
+   form that reads back as the same double, so they take the %.17g
+   fallback; the rest print short. *)
+let test_fault_json_bytes () =
+  List.iter
+    (fun (f, want) ->
+       Alcotest.(check string) want want
+         (T.Json.to_string (Chaos.fault_json f)))
+    [ (Chaos.Link_flap { a = 1; b = 2; at = 0.5; hold = 0.1 +. 0.2 },
+       {|{"kind":"link_flap","at":0.5,"a":1,"b":2,"hold":0.30000000000000004}|});
+      (Chaos.Node_down { node = 3; at = 1.25; hold = 2.0 },
+       {|{"kind":"node_down","at":1.25,"node":3,"hold":2}|});
+      (Chaos.Loss_burst
+         { a = 4; b = 5; at = 0.1; duration = 0.0625; loss = 0.15 },
+       {|{"kind":"loss_burst","at":0.1,"a":4,"b":5,"duration":0.0625,"loss":0.15}|});
+      (Chaos.Corrupt_burst
+         { a = 5; b = 4; at = 3.0; duration = 1e-3; corrupt = 1.0 /. 3.0 },
+       {|{"kind":"corrupt_burst","at":3,"a":5,"b":4,"duration":0.001,"corrupt":0.33333333333333331}|});
+      (Chaos.Session_drop { node = 7; at = 9.75 },
+       {|{"kind":"session_drop","at":9.75,"node":7}|}) ]
 
 (* A plan that went through JSON drives the exact same storm: arm the
    harness on identical scenarios with the original and the re-parsed
@@ -381,10 +455,10 @@ let test_plan_replay_identity () =
     Scenario.add_mixed_workload ~load:0.5 sc
       ~pairs:(Scenario.default_pairs sc) ~duration:8.0;
     Harness.run h;
-    (Harness.plan h, Harness.summary_json h)
+    (Harness.plan h, T.Json.to_string (Harness.summary_json h))
   in
   let plan, s1 = run None in
-  let parsed = Chaos.plan_of_json (Chaos.plan_json plan) in
+  let parsed = Chaos.plan_of_json (plan_string plan) in
   Alcotest.(check bool) "parsed plan equals the drawn plan" true
     (parsed = plan);
   let _, s2 = run (Some parsed) in
@@ -500,6 +574,8 @@ let () =
          qt superset_property ]);
       ("plan-json",
        [ qt plan_roundtrip_property;
+         qt plan_fuzz_property;
+         Alcotest.test_case "fault json bytes" `Quick test_fault_json_bytes;
          Alcotest.test_case "parsed plan replays byte-identically" `Quick
            (with_telemetry test_plan_replay_identity) ]);
       ("audit",

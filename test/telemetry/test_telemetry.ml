@@ -169,7 +169,7 @@ let test_registry_json () =
       Counter.add c 3;
       Histogram.observe h 2.0;
       Hop_trace.record (Registry.trace ()) ~uid:7 ~time:1.5 ~node:4 "tx");
-  let json = Registry.to_json () in
+  let json = Json.to_string (Registry.to_json ()) in
   Alcotest.(check bool) "counter serialized" true
     (contains ~needle:"\"z.count\":3" json);
   Alcotest.(check bool) "histogram serialized" true
@@ -309,7 +309,7 @@ let test_event_log_kinds_and_clock () =
      Alcotest.(check string) "kind tag" "slo_violation"
        (Event_log.kind e.Event_log.event)
    | [] -> Alcotest.fail "entries expected");
-  let json = Event_log.json_entries l in
+  let json = Json.to_string (Event_log.json_entries l) in
   Alcotest.(check bool) "json has kinds" true
     (contains ~needle:"\"kind\":\"link_down\"" json
      && contains ~needle:"\"kind\":\"recompile\"" json)
@@ -392,9 +392,10 @@ let test_span_sampler () =
     (List.map (fun (sp : Span.t) -> sp.Span.uid) (Span.dropped_spans s));
   Alcotest.(check int) "offered" 4 (Span.offered s);
   Alcotest.(check int) "kept" 3 (Span.kept s);
-  Alcotest.(check bool) "json is an array" true
-    (String.length (Span.sampler_to_json s) > 2
-     && (Span.sampler_to_json s).[0] = '[');
+  Alcotest.(check bool) "json is a non-empty array" true
+    (match Span.sampler_to_json s with
+     | Json.List (_ :: _) -> true
+     | _ -> false);
   Span.clear s;
   Alcotest.(check int) "cleared" 0 (Span.kept s)
 
@@ -487,7 +488,7 @@ let test_slo_gated_and_json () =
   Control.with_enabled (fun () ->
       Slo.observe_delivery t ~vpn:2 ~band:1 ~time:0.5 ~latency:0.001;
       Slo.advance t ~time:5.0);
-  let json = Slo.to_json t in
+  let json = Json.to_string (Slo.to_json t) in
   Alcotest.(check bool) "json carries the key" true
     (contains ~needle:"\"vpn\":2" json && contains ~needle:"\"band\":1" json);
   Control.with_enabled (fun () -> Slo.publish_gauges ~prefix:"t.slo" t);
@@ -644,6 +645,94 @@ let test_series_absorb_two_domains () =
   Alcotest.(check (float 1e-9)) "disjoint time kept as-is" 1.0 (at 7.0);
   Alcotest.(check (float 1e-9)) "equal times merge by sum" 3.0 (at 102.0)
 
+(* --- Exact JSON bytes ------------------------------------------------- *)
+
+(* Every dump is diffed byte-for-byte across commits and shard counts,
+   so the exporters' exact output is pinned here, not just sampled with
+   [contains]. *)
+
+let pin_events =
+  let open Event_log in
+  [ Slo_violation
+      { vpn = 1; band = 0; dimension = "loss"; value = 0.5; bound = 0.01 };
+    Slo_recovered
+      { vpn = 2; band = 3; dimension = "latency"; value = 0.0123456789123;
+        bound = 0.05 };
+    Alert_fire { vpn = 1; band = 1; burn_fast = 14.4; burn_slow = Float.nan };
+    Alert_clear { vpn = 1; band = 1; burn_fast = Float.infinity };
+    Link_down { src = 0; dst = 1 };
+    Link_up { src = 1; dst = 0 };
+    Recompile { node = 3 };
+    Fault_injected { fault = "loss_burst"; a = 2; b = 5; param = 0.25 };
+    Frr_switchover { src = 4; dst = 5 };
+    Fallback_engaged { ingress = 6; egress = 7 };
+    Lsp_restored { ingress = 7; egress = 6 };
+    Flap_damped { src = 1; dst = 2; flaps = 3 };
+    Flap_released { src = 1; dst = 2 };
+    Resignal { attempt = 2; restored = 1; still_down = 0 };
+    Invariant_violated
+      { invariant = "conservation"; detail = "a \"b\" \\ c\nd\te" };
+    Note "say \"hi\"\\\n" ]
+
+let test_event_log_json_bytes () =
+  let expected =
+    [ {|{"seq":0,"time":1e-07,"kind":"slo_violation","vpn":1,"band":0,"dimension":"loss","value":0.5,"bound":0.01}|};
+      {|{"seq":1,"time":0.2500001,"kind":"slo_recovered","vpn":2,"band":3,"dimension":"latency","value":0.0123456789,"bound":0.05}|};
+      {|{"seq":2,"time":0.5000001,"kind":"alert_fire","vpn":1,"band":1,"burn_fast":14.4,"burn_slow":0}|};
+      {|{"seq":3,"time":0.7500001,"kind":"alert_clear","vpn":1,"band":1,"burn_fast":0}|};
+      {|{"seq":4,"time":1.0000001,"kind":"link_down","src":0,"dst":1}|};
+      {|{"seq":5,"time":1.2500001,"kind":"link_up","src":1,"dst":0}|};
+      {|{"seq":6,"time":1.5000001,"kind":"recompile","node":3}|};
+      {|{"seq":7,"time":1.7500001,"kind":"fault_injected","fault":"loss_burst","a":2,"b":5,"param":0.25}|};
+      {|{"seq":8,"time":2.0000001,"kind":"frr_switchover","src":4,"dst":5}|};
+      {|{"seq":9,"time":2.2500001,"kind":"fallback_engaged","ingress":6,"egress":7}|};
+      {|{"seq":10,"time":2.5000001,"kind":"lsp_restored","ingress":7,"egress":6}|};
+      {|{"seq":11,"time":2.7500001,"kind":"flap_damped","src":1,"dst":2,"flaps":3}|};
+      {|{"seq":12,"time":3.0000001,"kind":"flap_released","src":1,"dst":2}|};
+      {|{"seq":13,"time":3.2500001,"kind":"resignal","attempt":2,"restored":1,"still_down":0}|};
+      {|{"seq":14,"time":3.5000001,"kind":"invariant_violated","invariant":"conservation","detail":"a \"b\" \\ c\nd\u0009e"}|};
+      {|{"seq":15,"time":3.7500001,"kind":"note","text":"say \"hi\"\\\n"}|} ]
+  in
+  List.iteri
+    (fun i (ev, want) ->
+       let e =
+         { Event_log.seq = i; time = 1e-7 +. (float_of_int i *. 0.25);
+           event = ev }
+       in
+       Alcotest.(check string) (Event_log.kind ev) want
+         (Json.to_string (Event_log.entry_to_json e)))
+    (List.combine pin_events expected)
+
+let test_slo_report_json_bytes () =
+  let r =
+    { Slo.vpn = 3; band = 1; target = 0.999; total = 1000; bad = 2;
+      drops = 1; budget_allowed = 1.0000000000000009; budget_spent = 2.0;
+      budget_remaining = 0.0; latency_p99 = 0.0125; loss_ratio = 0.001;
+      availability = Float.nan; burn_fast = 2.5; burn_slow = 1.25;
+      violations = ["loss"; "latency"]; alerting = true; in_budget = false }
+  in
+  Alcotest.(check string) "report"
+    {|{"vpn":3,"band":1,"target":0.999,"total":1000,"bad":2,"drops":1,"budget_allowed":1,"budget_spent":2,"budget_remaining":0,"latency_p99":0.0125,"loss_ratio":0.001,"availability":0,"burn_fast":2.5,"burn_slow":1.25,"violations":["loss","latency"],"alerting":true,"in_budget":false}|}
+    (Json.to_string (Slo.report_to_json r))
+
+let test_span_json_bytes () =
+  let seg node next_node kind start_time dwell =
+    { Span.node; next_node; kind; start_time; dwell; from_label = "rx";
+      to_label = "tx" }
+  in
+  let sp =
+    { Span.uid = 7; vpn = 1; band = 0; start_time = 0.0; end_time = 0.008;
+      outcome = Span.Dropped "ttl";
+      segments =
+        [ seg 0 0 Span.Processing 0.0 0.001;
+          seg 0 0 Span.Queueing 0.001 0.002;
+          seg 0 1 Span.Transmission 0.003 0.004;
+          seg 1 1 Span.Other 0.007 0.001 ] }
+  in
+  Alcotest.(check string) "span"
+    {|{"uid":7,"vpn":1,"band":0,"start":0,"end":0.008,"outcome":"dropped:ttl","segments":[{"node":0,"next_node":0,"kind":"processing","start":0,"dwell":0.001},{"node":0,"next_node":0,"kind":"queueing","start":0.001,"dwell":0.002},{"node":0,"next_node":1,"kind":"transmission","start":0.003,"dwell":0.004},{"node":1,"next_node":1,"kind":"other","start":0.007,"dwell":0.001}]}|}
+    (Json.to_string (Span.to_json sp))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick (wrap f) in
   Alcotest.run "telemetry"
@@ -689,4 +778,8 @@ let () =
        [ tc "spec validation" test_slo_spec_validation;
          tc "good traffic in budget" test_slo_good_traffic_stays_in_budget;
          tc "violation recovery alert" test_slo_violation_recovery_and_alert;
-         tc "gated and json" test_slo_gated_and_json ]) ]
+         tc "gated and json" test_slo_gated_and_json ]);
+      ("json-bytes",
+       [ tc "event log entries" test_event_log_json_bytes;
+         tc "slo report" test_slo_report_json_bytes;
+         tc "span" test_span_json_bytes ]) ]

@@ -1,35 +1,31 @@
-(* Dependency-free JSON well-formedness check for CI: reads stdin,
-   exits 0 if the input is exactly one valid JSON value (plus trailing
-   whitespace), exits 1 with a position-tagged message otherwise.
+(* JSON well-formedness check for CI: reads stdin, exits 0 if the input
+   is exactly one valid JSON value (plus surrounding whitespace), exits
+   1 with a "json_lint: LINE:COL: message" diagnostic otherwise. The
+   grammar is the strict RFC 8259 parser every dump is read back with
+   (Mvpn_telemetry.Json), so non-finite numbers are rejected too.
 
    With --require-schema the input must additionally be an object whose
-   first member is a numeric "schema" version — the contract every
-   machine-readable mvpn dump (stats/slo/chaos/par/timeline, and the
-   registry snapshots inside them) now carries, so downstream consumers
-   can dispatch on format before parsing the rest.
+   first member is a non-negative numeric "schema" version — the
+   contract every machine-readable mvpn dump (stats/slo/chaos/par/
+   timeline/soak/provision, and the registry snapshots inside them)
+   carries, so downstream consumers can dispatch on format before
+   parsing the rest.
 
    Used by tools/check.sh on `mvpn * --json` output and on
    BENCH_telemetry.json — a malformed dump should fail the gate, not
    whatever downstream tool reads the file next. *)
 
+module Json = Mvpn_telemetry.Json
+
 let require_schema = Array.exists (( = ) "--require-schema") Sys.argv
 
-let buf =
-  let b = Buffer.create 65536 in
-  (try
-     while true do
-       Buffer.add_channel b stdin 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents b
+let input = In_channel.input_all stdin
 
-let pos = ref 0
-
-let fail msg =
-  (* Report 1-based line:column of the current position. *)
+let fail offset msg =
+  (* 1-based line:column of the byte offset. *)
   let line = ref 1 and col = ref 1 in
-  for i = 0 to min !pos (String.length buf) - 1 do
-    if buf.[i] = '\n' then begin
+  for i = 0 to min offset (String.length input) - 1 do
+    if input.[i] = '\n' then begin
       incr line;
       col := 1
     end
@@ -38,159 +34,16 @@ let fail msg =
   Printf.eprintf "json_lint: %d:%d: %s\n" !line !col msg;
   exit 1
 
-let peek () = if !pos < String.length buf then Some buf.[!pos] else None
-
-let advance () = incr pos
-
-let skip_ws () =
-  while
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      true
-    | _ -> false
-  do
-    ()
-  done
-
-let expect c =
-  match peek () with
-  | Some d when d = c -> advance ()
-  | Some d -> fail (Printf.sprintf "expected %c, found %c" c d)
-  | None -> fail (Printf.sprintf "expected %c, found end of input" c)
-
-let literal word =
-  let n = String.length word in
-  if !pos + n <= String.length buf && String.sub buf !pos n = word then
-    pos := !pos + n
-  else fail (Printf.sprintf "invalid literal (expected %s)" word)
-
-let parse_string () =
-  expect '"';
-  let rec go () =
-    match peek () with
-    | None -> fail "unterminated string"
-    | Some '"' -> advance ()
-    | Some '\\' ->
-      advance ();
-      (match peek () with
-       | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-         advance ();
-         go ()
-       | Some 'u' ->
-         advance ();
-         for _ = 1 to 4 do
-           match peek () with
-           | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-           | _ -> fail "invalid \\u escape"
-         done;
-         go ()
-       | _ -> fail "invalid escape")
-    | Some c when Char.code c < 0x20 -> fail "control character in string"
-    | Some _ ->
-      advance ();
-      go ()
-  in
-  go ()
-
-let parse_number () =
-  let digits () =
-    match peek () with
-    | Some '0' .. '9' ->
-      while match peek () with Some '0' .. '9' -> true | _ -> false do
-        advance ()
-      done
-    | _ -> fail "expected digit"
-  in
-  if peek () = Some '-' then advance ();
-  (match peek () with
-   | Some '0' -> advance ()
-   | Some '1' .. '9' -> digits ()
-   | _ -> fail "malformed number");
-  if peek () = Some '.' then begin
-    advance ();
-    digits ()
-  end;
-  (match peek () with
-   | Some ('e' | 'E') ->
-     advance ();
-     (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-     digits ()
-   | _ -> ())
-
-let rec parse_value () =
-  skip_ws ();
-  match peek () with
-  | Some '"' -> parse_string ()
-  | Some '{' -> parse_object ()
-  | Some '[' -> parse_array ()
-  | Some 't' -> literal "true"
-  | Some 'f' -> literal "false"
-  | Some 'n' -> literal "null"
-  | Some ('-' | '0' .. '9') -> parse_number ()
-  | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-  | None -> fail "empty input"
-
-and parse_object () =
-  expect '{';
-  skip_ws ();
-  if peek () = Some '}' then advance ()
-  else begin
-    let rec members () =
-      skip_ws ();
-      parse_string ();
-      skip_ws ();
-      expect ':';
-      parse_value ();
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        advance ();
-        members ()
-      | Some '}' -> advance ()
-      | _ -> fail "expected , or } in object"
-    in
-    members ()
-  end
-
-and parse_array () =
-  expect '[';
-  skip_ws ();
-  if peek () = Some ']' then advance ()
-  else begin
-    let rec elements () =
-      parse_value ();
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        advance ();
-        elements ()
-      | Some ']' -> advance ()
-      | _ -> fail "expected , or ] in array"
-    in
-    elements ()
-  end
-
 let () =
-  parse_value ();
-  skip_ws ();
-  if !pos <> String.length buf then fail "trailing garbage after JSON value";
-  if require_schema then begin
-    (* Every versioned dump leads with its schema member, so a prefix
-       check is exact, not heuristic. *)
-    pos := 0;
-    skip_ws ();
-    (match peek () with
-     | Some '{' -> advance ()
-     | _ -> fail "--require-schema: top-level value is not an object");
-    skip_ws ();
-    if
-      !pos + 9 > String.length buf
-      || String.sub buf !pos 9 <> "\"schema\":"
-    then fail "--require-schema: first member is not \"schema\"";
-    pos := !pos + 9;
-    skip_ws ();
-    (match peek () with
-     | Some '0' .. '9' -> ()
-     | _ -> fail "--require-schema: \"schema\" is not a number")
-  end
+  match Json.of_string input with
+  | Error (offset, msg) -> fail offset msg
+  | Ok v when require_schema -> (
+    match v with
+    | Json.Obj (("schema", Json.Int n) :: _) when n >= 0 -> ()
+    | Json.Obj (("schema", Json.Float x) :: _) when not (Float.sign_bit x) ->
+      ()
+    | Json.Obj (("schema", _) :: _) ->
+      fail 0 "--require-schema: \"schema\" is not a number"
+    | Json.Obj _ -> fail 0 "--require-schema: first member is not \"schema\""
+    | _ -> fail 0 "--require-schema: top-level value is not an object")
+  | Ok _ -> ()
