@@ -15,6 +15,16 @@ module Rsvp_te = Mvpn_mpls.Rsvp_te
 
 let provider_asn = 65000
 
+(* Node-id keyed table for the per-packet CE -> VRF lookup: node ids
+   are small non-negative ints, so the identity is a perfect hash and
+   neither the hash nor the key compare leaves OCaml code. *)
+module Node_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash n = n land max_int
+  end)
+
 let m_fallback_packets =
   Mvpn_telemetry.Registry.counter "resilience.fallback.packets"
 let m_fallback_engaged =
@@ -32,7 +42,7 @@ type t = {
   te : Rsvp_te.t option;
   te_bandwidth : float;
   vrf_table : (int * int, Vrf.t) Hashtbl.t;  (* (pe node, vpn) -> vrf *)
-  ce_vrf : (int, Vrf.t) Hashtbl.t;  (* ce node -> its vrf *)
+  ce_vrf : Vrf.t Node_tbl.t;  (* ce node -> its vrf *)
   site_state : (int, Site.t * int) Hashtbl.t;  (* site id -> site, label *)
   (* PE-pair tables consulted once per forwarded VPN packet: keyed by
      the packed pair [pe_key] (node ids fit 20 bits) so the per-packet
@@ -421,11 +431,11 @@ let install_pe_interceptor t pe =
       else
         match from with
         | Some prev when not (Packet.labelled packet) ->
-          (match Hashtbl.find_opt t.ce_vrf prev with
-           | Some v when Vrf.pe v = pe ->
+          (match Node_tbl.find t.ce_vrf prev with
+           | v when Vrf.pe v = pe ->
              pe_ingress t pe v ~from packet;
              Dataplane.Consumed
-           | Some _ | None -> Dataplane.Continue)
+           | _ | (exception Not_found) -> Dataplane.Continue)
         | Some _ | None -> Dataplane.Continue)
 
 (* --- deployment --------------------------------------------------------- *)
@@ -481,7 +491,7 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
   let te = if use_te then Some (Rsvp_te.create topo (Network.plane net)) else None in
   let t =
     { net; backbone; membership; ospf; ldp; mpbgp; te; te_bandwidth;
-      vrf_table = Hashtbl.create 16; ce_vrf = Hashtbl.create 16;
+      vrf_table = Hashtbl.create 16; ce_vrf = Node_tbl.create 16;
       site_state = Hashtbl.create 16; pe_tunnels = Hashtbl.create 16;
       pe_next_hop = Hashtbl.create 64;
       external_labels = Hashtbl.create 16; map_dscp_to_exp; domain;
@@ -495,7 +505,7 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
     (fun site ->
        Membership.join membership site;
        provision_site t site;
-       Hashtbl.replace t.ce_vrf site.Site.ce_node (ensure_vrf t site))
+       Node_tbl.replace t.ce_vrf site.Site.ce_node (ensure_vrf t site))
     sites;
   ignore (Mpbgp.run mpbgp);
   reimport_all t;
@@ -506,7 +516,7 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
 let add_site t site =
   Membership.join t.membership site;
   provision_site t site;
-  Hashtbl.replace t.ce_vrf site.Site.ce_node (ensure_vrf t site);
+  Node_tbl.replace t.ce_vrf site.Site.ce_node (ensure_vrf t site);
   ignore (Mpbgp.run t.mpbgp);
   reimport_all t;
   signal_te_mesh t
@@ -526,7 +536,7 @@ let attach_vrf_neighbor t ~pe ~vpn ~neighbor =
       Hashtbl.replace t.vrf_table key v;
       v
   in
-  Hashtbl.replace t.ce_vrf neighbor v;
+  Node_tbl.replace t.ce_vrf neighbor v;
   install_pe_interceptor t pe
 
 let add_external_route t ~pe ~vpn ~prefix ~via ~site_id =
@@ -566,7 +576,7 @@ let remove_site t ~site_id =
          ~in_label:label);
     ignore (Mpbgp.withdraw_site t.mpbgp ~pe:site.Site.pe_node ~site:site_id);
     Hashtbl.remove t.site_state site_id;
-    Hashtbl.remove t.ce_vrf site.Site.ce_node;
+    Node_tbl.remove t.ce_vrf site.Site.ce_node;
     ignore (Mpbgp.run t.mpbgp);
     reimport_all t;
     t.touches <- t.touches + 1;

@@ -15,6 +15,15 @@ let m_delivered = Telemetry.Registry.counter "net.delivered"
 let m_frr_switched = Telemetry.Registry.counter "resilience.frr.switched"
 let m_frr_unprotected = Telemetry.Registry.counter "resilience.frr.unprotected"
 
+(* Hop-trace label codes of the per-hop events, interned once. *)
+let l_rx = Telemetry.Hop_trace.intern "rx"
+let l_tx = Telemetry.Hop_trace.intern "tx"
+let l_txstart = Telemetry.Hop_trace.intern "txstart"
+let l_deliver = Telemetry.Hop_trace.intern "deliver"
+let l_frr = Telemetry.Hop_trace.intern "frr"
+
+module Str_tbl = Hashtbl.Make (String)
+
 (* Per-class sojourn histograms, created on first delivery of each
    codepoint ("net.sojourn.EF", "net.sojourn.AF31", "net.sojourn.BE").
    The dscp→handle memo is process-wide and lazily grown from whichever
@@ -127,6 +136,9 @@ type t = {
      the domain-local ring in the record is safe. *)
   sojourn_cache : Telemetry.Histogram.t option array;
   mutable trace_ring : Telemetry.Hop_trace.t option;
+  (* reason -> code of its "drop:<reason>" hop label, memoized per
+     network so a traced drop skips the global intern table's mutex. *)
+  drop_labels : int Str_tbl.t;
   mutable tracer : (trace_event -> unit) option;
   mutable slo : Telemetry.Slo.t option;
   mutable span_sampler : Telemetry.Span.sampler option;
@@ -144,20 +156,19 @@ let trace_ring t =
     t.trace_ring <- Some r;
     r
 
-let record_hop t ~node ?packet label =
+(* Record a hop with an interned label code (see the [l_*] codes). *)
+let record_hop_p t ~node (p : Packet.t) code =
   if !Telemetry.Control.enabled then
-    match packet with
-    | Some (p : Packet.t) ->
-      Telemetry.Hop_trace.record (trace_ring t)
-        ~uid:p.Packet.uid ~time:(Engine.now t.engine) ~node label
-    | None -> ()
+    Telemetry.Hop_trace.record_code (trace_ring t)
+      ~uid:p.Packet.uid ~time:(Engine.now t.engine) ~node code
 
-(* Non-optional twin of [record_hop] for the per-hop fast path: the
-   caller always has a packet, so no [Some] box rides along. *)
-let record_hop_p t ~node (p : Packet.t) label =
-  if !Telemetry.Control.enabled then
-    Telemetry.Hop_trace.record (trace_ring t)
-      ~uid:p.Packet.uid ~time:(Engine.now t.engine) ~node label
+let drop_label t reason =
+  match Str_tbl.find t.drop_labels reason with
+  | code -> code
+  | exception Not_found ->
+    let code = Telemetry.Hop_trace.intern ("drop:" ^ reason) in
+    Str_tbl.add t.drop_labels reason code;
+    code
 
 (* Flush every coalesced counter. Accumulation only happens while
    telemetry is enabled, so the flush writes are forced on — the switch
@@ -317,10 +328,11 @@ let drop ?(node = -1) ?packet t reason =
       Telemetry.Counter.set m_drops t.total_drops
     end
   end;
-  record_hop t ~node ?packet ("drop:" ^ reason);
   (if !Telemetry.Control.enabled then
      match packet with
-     | Some p -> observe_fate t p ~dropped:true
+     | Some p ->
+       record_hop_p t ~node p (drop_label t reason);
+       observe_fate t p ~dropped:true
      | None -> ());
   (* Terminal fate: the packet is past every sample point, so its
      storage can be recycled. Idempotent — the default no-sink sink
@@ -335,7 +347,7 @@ let port_drop t ~node packet reason =
   emit t ~node ~packet (Trace_drop reason);
   account_terminal t packet;
   if !Telemetry.Control.enabled then begin
-    record_hop t ~node ~packet ("drop:" ^ reason);
+    record_hop_p t ~node packet (drop_label t reason);
     observe_fate t packet ~dropped:true
   end;
   Packet.release packet
@@ -409,7 +421,7 @@ let transmit t ~from ~to_ packet =
                    (Telemetry.Event_log.Frr_switchover
                       { src = from; dst = to_ })
              end;
-             record_hop_p t ~node:from packet "frr";
+             record_hop_p t ~node:from packet l_frr;
              (bypass, pr.Lfib.via)
            | None -> (l, to_))
         | Some _ | None ->
@@ -430,7 +442,7 @@ let transmit t ~from ~to_ packet =
            t.pending_tx.(id) <- t.pending_tx.(id) + packet.Packet.size
          end
          else Telemetry.Counter.add t.link_tx_bytes.(id) packet.Packet.size;
-         record_hop_p t ~node:from packet "tx"
+         record_hop_p t ~node:from packet l_tx
        end;
        Port.send p packet
      | None -> drop ~node:from ~packet t "no-link")
@@ -465,7 +477,7 @@ let deliver t node packet =
     if Engine.in_batch t.engine then
       t.pending_delivered <- t.pending_delivered + 1
     else Telemetry.Counter.incr m_delivered;
-    record_hop_p t ~node packet "deliver";
+    record_hop_p t ~node packet l_deliver;
     Telemetry.Histogram.observe
       (sojourn_for t (Packet.visible_dscp packet))
       (Engine.now t.engine -. packet.Packet.created_at);
@@ -571,6 +583,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
       drops_dirty = false;
       sojourn_cache = Array.make 64 None;
       trace_ring = None;
+      drop_labels = Str_tbl.create 8;
       tracer = None;
       slo = None;
       span_sampler = None;
@@ -596,7 +609,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
       notify_receive =
         (fun ~node ~from p ->
            emit_receive net ~node ~from p;
-           record_hop_p net ~node p "rx") };
+           record_hop_p net ~node p l_rx) };
   (* Default sinks count unclaimed deliveries. *)
   for v = 0 to nodes - 1 do
     net.sinks.(v) <- (fun packet -> drop ~node:v ~packet net "no-sink")
@@ -611,7 +624,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
          Port.create engine ~link:l ~qdisc
            ~classify:(Qos_mapping.classify policy)
            ~on_txstart:(fun packet ->
-               record_hop_p net ~node:l.Topology.src packet "txstart")
+               record_hop_p net ~node:l.Topology.src packet l_txstart)
            ~on_drop:(fun ~reason packet ->
                port_drop net ~node:l.Topology.src packet reason)
            ~on_deliver:

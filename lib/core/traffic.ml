@@ -9,23 +9,28 @@ module Cbq = Mvpn_qos.Cbq
 (* Dispatch-ledger kind for every source-generator firing. *)
 let k_src = Mvpn_sim.Profile.register_kind "traffic.src"
 
+(* Flow-keyed table for the per-delivery collector lookup: hashing and
+   comparing through [Flow]'s monomorphic functions keeps the generic
+   structural hash and compare off the delivery path. *)
+module Flow_tbl = Hashtbl.Make (Flow)
+
 type registry = {
   engine : Engine.t;
-  flows : (Flow.t, Sla.collector) Hashtbl.t;
+  flows : Sla.collector Flow_tbl.t;
   named : (string, Sla.collector) Hashtbl.t;
   mutable label_order : string list;  (* reverse creation order *)
 }
 
 let registry engine =
-  { engine; flows = Hashtbl.create 64; named = Hashtbl.create 16;
+  { engine; flows = Flow_tbl.create 64; named = Hashtbl.create 16;
     label_order = [] }
 
 let sink r packet =
-  match Hashtbl.find r.flows packet.Packet.flow with
+  match Flow_tbl.find r.flows packet.Packet.flow with
   | c -> Sla.on_receive c ~now:(Engine.now r.engine) packet
   | exception Not_found -> ()
 
-let register_flow r flow c = Hashtbl.replace r.flows flow c
+let register_flow r flow c = Flow_tbl.replace r.flows flow c
 
 let collector r label =
   match Hashtbl.find_opt r.named label with

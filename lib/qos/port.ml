@@ -10,21 +10,6 @@ let k_propagate = Mvpn_sim.Profile.register_kind "port.propagate"
 
 type fault = { loss : float; corrupt : float; seed : int }
 
-(* A pooled propagation event: the closure [d_fire] is built once per
-   cell and captures the cell itself, so scheduling a delivery is a
-   packet-slot store plus an [Engine.schedule] — no per-packet closure.
-   Cells link through [d_next] into a per-port free list terminated by
-   the global [nil_dcell] sentinel; a port grows as many cells as its
-   delay line ever holds concurrently and then recycles them forever. *)
-type dcell = {
-  mutable d_pkt : Packet.t;
-  mutable d_next : dcell;
-  d_fire : unit -> unit;
-}
-
-let rec nil_dcell =
-  { d_pkt = Packet.null; d_next = nil_dcell; d_fire = (fun () -> ()) }
-
 type t = {
   engine : Engine.t;
   link : Topology.link;
@@ -49,12 +34,21 @@ type t = {
      bit-identical to the original — only the operand load changes. *)
   acc : floatarray;
   bw : floatarray;
-  (* The port serves one packet at a time, so a single pre-built
-     tx-complete closure and one in-flight packet slot cover the whole
-     serialization path. [tx_pkt] is [Packet.null] when idle. *)
-  mutable tx_pkt : Packet.t;
+  (* The delay line: a FIFO ring of the packets on the wire, oldest at
+     [r_head], capacity a power of two. The link delay is immutable and
+     serializations complete one at a time, so propagation events of
+     this port fire in ring order and each pops the head — one
+     pre-built [prop_fire] closure serves them all. While a packet
+     serializes it already sits at the ring's tail (behind every packet
+     propagating), which spares an in-flight slot; a link-down drop or
+     a cut-link handoff at tx completion takes it back off the tail.
+     Slots are int-indexed, so the only pointer stores per hop are the
+     packet's store and clear. *)
+  mutable ring : Packet.t array;
+  mutable r_head : int;
+  mutable r_len : int;
   mutable tx_fire : unit -> unit;
-  mutable d_free : dcell;
+  mutable prop_fire : unit -> unit;
 }
 
 type counters = {
@@ -116,41 +110,44 @@ let link t = t.link
 
 let qdisc t = t.qdisc
 
-(* Fire a pooled propagation event: take the packet out, park the cell
-   back on the free list (before delivery, so a re-entrant send on the
-   same port can reuse it), deliver. *)
-let fire_dcell t cell =
-  let packet = cell.d_pkt in
-  cell.d_pkt <- Packet.null;
-  cell.d_next <- t.d_free;
-  t.d_free <- cell;
+let ring_push t packet =
+  let cap = Array.length t.ring in
+  if t.r_len = cap then begin
+    let bigger = Array.make (2 * cap) Packet.null in
+    for i = 0 to t.r_len - 1 do
+      bigger.(i) <- t.ring.((t.r_head + i) land (cap - 1))
+    done;
+    t.ring <- bigger;
+    t.r_head <- 0
+  end;
+  t.ring.((t.r_head + t.r_len) land (Array.length t.ring - 1)) <- packet;
+  t.r_len <- t.r_len + 1
+
+(* The packet serializing: the ring's tail. *)
+let ring_tail t =
+  t.ring.((t.r_head + t.r_len - 1) land (Array.length t.ring - 1))
+
+let ring_pop_tail t =
+  let i = (t.r_head + t.r_len - 1) land (Array.length t.ring - 1) in
+  let packet = t.ring.(i) in
+  t.ring.(i) <- Packet.null;
+  t.r_len <- t.r_len - 1;
+  packet
+
+(* A propagation event: the oldest packet on the wire arrives. It
+   leaves the ring before delivery, so a re-entrant send on the same
+   port sees a consistent line. *)
+let propagate t =
+  let packet = t.ring.(t.r_head) in
+  t.ring.(t.r_head) <- Packet.null;
+  t.r_head <- (t.r_head + 1) land (Array.length t.ring - 1);
+  t.r_len <- t.r_len - 1;
   t.on_deliver packet
-
-let make_dcell t =
-  let rec cell =
-    { d_pkt = Packet.null; d_next = nil_dcell;
-      d_fire = (fun () -> fire_dcell t cell) }
-  in
-  cell
-
-let schedule_delivery t packet =
-  let cell =
-    if t.d_free != nil_dcell then begin
-      let c = t.d_free in
-      t.d_free <- c.d_next;
-      c.d_next <- nil_dcell;
-      c
-    end
-    else make_dcell t
-  in
-  cell.d_pkt <- packet;
-  Engine.schedule_kind t.engine ~kind:k_propagate
-    ~delay:t.link.Topology.delay cell.d_fire
 
 (* Serve the head-of-line packet: serialize for size*8/bandwidth
    seconds, then hand it to propagation and start on the next packet.
    The serialization event is the pre-built [tx_fire] closure; the
-   in-flight packet travels through the [tx_pkt] slot. *)
+   packet waits at the ring's tail. *)
 let rec start_service (t : t) =
   let packet = Queue_disc.dequeue_null t.qdisc in
   if packet == Packet.null then t.busy <- false
@@ -161,27 +158,28 @@ let rec start_service (t : t) =
       float_of_int packet.Packet.size *. 8.0 /. Float.Array.get t.bw 0
     in
     Float.Array.set t.acc 0 (Float.Array.get t.acc 0 +. tx);
-    t.tx_pkt <- packet;
+    ring_push t packet;
     Engine.schedule_kind t.engine ~kind:k_tx ~delay:tx t.tx_fire
   end
 
 and tx_complete (t : t) =
-  let packet = t.tx_pkt in
-  t.tx_pkt <- Packet.null;
   (if t.link.Topology.up then begin
      t.delivered <- t.delivered + 1;
-     t.bytes_delivered <- t.bytes_delivered + packet.Packet.size;
+     t.bytes_delivered <- t.bytes_delivered + (ring_tail t).Packet.size;
      match t.handoff with
      | Some hand ->
        (* Propagation is owned elsewhere (a cut link of a partitioned
           run): hand over the packet stamped with its arrival time
           instead of scheduling locally. *)
+       let packet = ring_pop_tail t in
        hand ~arrival:(Engine.now t.engine +. t.link.Topology.delay) packet
-     | None -> schedule_delivery t packet
+     | None ->
+       Engine.schedule_kind t.engine ~kind:k_propagate
+         ~delay:t.link.Topology.delay t.prop_fire
    end
    else begin
      t.dropped_link_down <- t.dropped_link_down + 1;
-     t.on_drop ~reason:"link-down" packet
+     t.on_drop ~reason:"link-down" (ring_pop_tail t)
    end);
   start_service t
 
@@ -194,10 +192,11 @@ let create ?(on_txstart = nop_txstart) ?(on_drop = nop_drop) engine ~link
       dropped_fault = 0; bytes_delivered = 0;
       acc = Float.Array.make 1 0.0;
       bw = Float.Array.make 1 link.Topology.bandwidth;
-      tx_pkt = Packet.null;
-      tx_fire = (fun () -> ()); d_free = nil_dcell }
+      ring = Array.make 4 Packet.null; r_head = 0; r_len = 0;
+      tx_fire = ignore; prop_fire = ignore }
   in
   t.tx_fire <- (fun () -> tx_complete t);
+  t.prop_fire <- (fun () -> propagate t);
   t
 
 let send (t : t) packet =

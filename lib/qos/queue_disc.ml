@@ -16,7 +16,7 @@ let m_dequeued = band_counter "dequeued"
 let m_tail_drop = band_counter "tail_drop"
 let m_red_drop = band_counter "red_drop"
 
-let tracked i = min i (max_tracked_bands - 1)
+let tracked i = Int.min i (max_tracked_bands - 1)
 
 type sched =
   | Strict
@@ -50,27 +50,17 @@ type band_stats = {
   bytes_sent : int;
 }
 
-(* Intrusive FIFO cell: the queued packet plus its WFQ finish tag,
-   linked through [c_next] and terminated by the [nil_qcell] sentinel.
-   Vacated cells park on the qdisc's free list with the packet slot
-   cleared, so a steady-state enqueue recycles storage instead of
-   allocating a tuple + Queue cell per packet. The tag lives in a
-   one-slot floatarray owned by the cell (allocated once, recycled
-   with it) so tag writes and the WFQ head-tag comparisons never box. *)
-type qcell = {
-  mutable c_pkt : Packet.t;
-  c_tag : floatarray;
-  mutable c_next : qcell;
-}
-
-let rec nil_qcell =
-  { c_pkt = Packet.null; c_tag = Float.Array.make 1 0.0; c_next = nil_qcell }
-
 type band = {
   cfg : band_cfg;
   idx : int;  (* position in the qdisc, for per-band telemetry *)
-  mutable q_head : qcell;  (* == nil_qcell when empty *)
-  mutable q_tail : qcell;
+  (* The band's FIFO: a ring of packets with their WFQ finish tags in
+     a parallel floatarray (tags never box), oldest at [q_head],
+     capacity a power of two. Slots are int-indexed, so the only
+     pointer stores per packet are its store and clear; a vacated slot
+     holds [Packet.null]. *)
+  mutable pkts : Packet.t array;
+  mutable tags : floatarray;
+  mutable q_head : int;
   mutable q_len : int;
   mutable bytes : int;
   (* RED EWMA of backlog bytes ([0]) and the WFQ last-finish tag ([1])
@@ -97,7 +87,6 @@ type t = {
   vt : floatarray;  (* WFQ virtual time, unboxed (slot 0) *)
   mutable rr_pos : int;  (* WRR / DRR cursor *)
   mutable wrr_credit : int;  (* packets left for the current WRR band *)
-  mutable q_free : qcell;  (* parked cells, shared across bands *)
 }
 
 let check_weights name n arr pos =
@@ -136,7 +125,8 @@ let create ?rng ~sched cfgs =
     bands =
       Array.mapi
         (fun idx cfg ->
-           { cfg; idx; q_head = nil_qcell; q_tail = nil_qcell; q_len = 0;
+           { cfg; idx; pkts = Array.make 8 Packet.null;
+             tags = Float.Array.make 8 0.0; q_head = 0; q_len = 0;
              bytes = 0; bf = Float.Array.make 2 0.0;
              red_count = 0; deficit = 0; s_enqueued = 0;
              s_dequeued = 0; s_tail_dropped = 0; s_red_dropped = 0;
@@ -147,8 +137,7 @@ let create ?rng ~sched cfgs =
       (match sched with
        | Wfq w -> w
        | Strict | Wrr _ | Drr _ -> [||]);
-    vt = Float.Array.make 1 0.0; rr_pos = 0; wrr_credit = 0;
-    q_free = nil_qcell }
+    vt = Float.Array.make 1 0.0; rr_pos = 0; wrr_credit = 0 }
 
 let fifo ~capacity_bytes =
   create ~sched:Strict [| plain_band capacity_bytes |]
@@ -166,7 +155,9 @@ let red_drops t band (p : Packet.t) =
     in
     Float.Array.set band.bf 0 avg;
     let prec = Dscp.drop_precedence (Packet.visible_dscp p) in
-    let idx = min (max (prec - 1) 0) (Array.length red.thresholds - 1) in
+    let idx =
+      Int.min (Int.max (prec - 1) 0) (Array.length red.thresholds - 1)
+    in
     let min_th, max_th, max_p = red.thresholds.(idx) in
     if avg < min_th then begin
       band.red_count <- 0;
@@ -193,8 +184,22 @@ let red_drops t band (p : Packet.t) =
       end
     end
 
+(* Double a full band ring, unwrapping it to start at slot 0. *)
+let grow band =
+  let cap = Array.length band.pkts in
+  let pkts = Array.make (2 * cap) Packet.null in
+  let tags = Float.Array.make (2 * cap) 0.0 in
+  for i = 0 to cap - 1 do
+    let j = (band.q_head + i) land (cap - 1) in
+    pkts.(i) <- band.pkts.(j);
+    Float.Array.set tags i (Float.Array.get band.tags j)
+  done;
+  band.pkts <- pkts;
+  band.tags <- tags;
+  band.q_head <- 0
+
 let enqueue t ~cls packet =
-  let cls = min (max cls 0) (Array.length t.bands - 1) in
+  let cls = Int.min (Int.max cls 0) (Array.length t.bands - 1) in
   let band = t.bands.(cls) in
   if red_drops t band packet then begin
     band.s_red_dropped <- band.s_red_dropped + 1;
@@ -207,35 +212,21 @@ let enqueue t ~cls packet =
     Error Tail_drop
   end
   else begin
-    let tag =
-      match t.sched with
-      | Wfq _ ->
-        let lf = Float.Array.get band.bf 1 in
-        let vtime = Float.Array.get t.vt 0 in
-        let start = if vtime > lf then vtime else lf in
-        let finish =
-          start +. (float_of_int packet.Packet.size /. t.wts.(cls))
-        in
-        Float.Array.set band.bf 1 finish;
-        finish
-      | Strict | Wrr _ | Drr _ -> 0.0
-    in
-    let cell =
-      if t.q_free != nil_qcell then begin
-        let c = t.q_free in
-        t.q_free <- c.c_next;
-        c.c_next <- nil_qcell;
-        c
-      end
-      else
-        { c_pkt = Packet.null; c_tag = Float.Array.make 1 0.0;
-          c_next = nil_qcell }
-    in
-    cell.c_pkt <- packet;
-    Float.Array.set cell.c_tag 0 tag;
-    if band.q_head == nil_qcell then band.q_head <- cell
-    else band.q_tail.c_next <- cell;
-    band.q_tail <- cell;
+    if band.q_len = Array.length band.pkts then grow band;
+    let i = (band.q_head + band.q_len) land (Array.length band.pkts - 1) in
+    (* The WFQ finish tag goes straight into the packet's ring slot. *)
+    (match t.sched with
+     | Wfq _ ->
+       let lf = Float.Array.get band.bf 1 in
+       let vtime = Float.Array.get t.vt 0 in
+       let start = if vtime > lf then vtime else lf in
+       let finish =
+         start +. (float_of_int packet.Packet.size /. t.wts.(cls))
+       in
+       Float.Array.set band.bf 1 finish;
+       Float.Array.set band.tags i finish
+     | Strict | Wrr _ | Drr _ -> ());
+    band.pkts.(i) <- packet;
     band.q_len <- band.q_len + 1;
     band.bytes <- band.bytes + packet.Packet.size;
     band.s_enqueued <- band.s_enqueued + 1;
@@ -243,29 +234,27 @@ let enqueue t ~cls packet =
     Ok ()
   end
 
-let take_from t band =
-  let cell = band.q_head in
-  band.q_head <- cell.c_next;
-  if band.q_head == nil_qcell then band.q_tail <- nil_qcell;
+let[@inline] head_tag band = Float.Array.get band.tags band.q_head
+
+let take_from band =
+  let packet = band.pkts.(band.q_head) in
+  band.pkts.(band.q_head) <- Packet.null;
+  band.q_head <- (band.q_head + 1) land (Array.length band.pkts - 1);
   band.q_len <- band.q_len - 1;
-  let packet = cell.c_pkt in
-  cell.c_pkt <- Packet.null;
-  cell.c_next <- t.q_free;
-  t.q_free <- cell;
   band.bytes <- band.bytes - packet.Packet.size;
   band.s_dequeued <- band.s_dequeued + 1;
   band.s_bytes_sent <- band.s_bytes_sent + packet.Packet.size;
   Telemetry.Counter.incr m_dequeued.(tracked band.idx);
   packet
 
-let is_empty t = Array.for_all (fun b -> b.q_head == nil_qcell) t.bands
+let is_empty t = Array.for_all (fun b -> b.q_len = 0) t.bands
 
 let dequeue_strict t =
   let n = Array.length t.bands in
   let rec go i =
     if i >= n then Packet.null
-    else if t.bands.(i).q_head == nil_qcell then go (i + 1)
-    else take_from t t.bands.(i)
+    else if t.bands.(i).q_len = 0 then go (i + 1)
+    else take_from t.bands.(i)
   in
   go 0
 
@@ -278,9 +267,9 @@ let dequeue_wrr t weights =
       if guard > 2 * n then Packet.null
       else begin
         let band = t.bands.(t.rr_pos) in
-        if t.wrr_credit > 0 && band.q_head != nil_qcell then begin
+        if t.wrr_credit > 0 && band.q_len > 0 then begin
           t.wrr_credit <- t.wrr_credit - 1;
-          take_from t band
+          take_from band
         end else begin
           t.rr_pos <- (t.rr_pos + 1) mod n;
           t.wrr_credit <- weights.(t.rr_pos);
@@ -297,15 +286,15 @@ let dequeue_drr t quanta =
     let n = Array.length t.bands in
     let rec go () =
       let band = t.bands.(t.rr_pos) in
-      if band.q_head == nil_qcell then begin
+      if band.q_len = 0 then begin
         band.deficit <- 0;
         t.rr_pos <- (t.rr_pos + 1) mod n;
         go ()
       end else begin
-        let head = band.q_head.c_pkt in
+        let head = band.pkts.(band.q_head) in
         if band.deficit >= head.Packet.size then begin
           band.deficit <- band.deficit - head.Packet.size;
-          take_from t band
+          take_from band
         end else begin
           band.deficit <- band.deficit + quanta.(t.rr_pos);
           t.rr_pos <- (t.rr_pos + 1) mod n;
@@ -324,18 +313,16 @@ let dequeue_wfq t =
   let best = ref (-1) in
   for i = 0 to n - 1 do
     let band = t.bands.(i) in
-    if band.q_head != nil_qcell
-    && (!best < 0
-        || Float.Array.get band.q_head.c_tag 0
-           < Float.Array.get t.bands.(!best).q_head.c_tag 0)
+    if band.q_len > 0
+    && (!best < 0 || head_tag band < head_tag t.bands.(!best))
     then best := i
   done;
   if !best < 0 then Packet.null
   else begin
     let band = t.bands.(!best) in
-    let tag = Float.Array.get band.q_head.c_tag 0 in
+    let tag = head_tag band in
     if tag > Float.Array.get t.vt 0 then Float.Array.set t.vt 0 tag;
-    take_from t band
+    take_from band
   end
 
 (* Sentinel-returning fast path ({!Packet.null} when every band is

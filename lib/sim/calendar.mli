@@ -13,7 +13,11 @@
     [(key, seq)] total order {!Heap} implements, which keeps the two
     structures byte-interchangeable under the engine. {!Heap} stays as
     the reference oracle; the scheduler-contract property test drives
-    both through one harness. *)
+    both through one harness.
+
+    Events live in int-indexed struct-of-arrays slots, recycled through
+    a free list; a popped or cleared slot retains nothing of its
+    payload. *)
 
 type 'a t
 
@@ -29,7 +33,7 @@ val push : 'a t -> float -> 'a -> unit
 val push_at : 'a t -> floatarray -> 'a -> unit
 (** {!push} with the key read from slot 0 of the caller's one-slot
     staging cell: the key crosses the call unboxed, so a steady-state
-    push (cells recycled) allocates nothing. The cell is copied from,
+    push (slots recycled) allocates nothing. The cell is copied from,
     never retained. *)
 
 val pop : 'a t -> (float * 'a) option

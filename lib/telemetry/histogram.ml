@@ -73,7 +73,7 @@ let bucket_index t v =
   else begin
     (* v/lo = m·2^e with m in [0.5, 1), so v sits in bucket e-1. *)
     let _, e = Float.frexp (v /. t.lo) in
-    min (t.buckets - 1) (max 0 (e - 1))
+    Int.min (t.buckets - 1) (Int.max 0 (e - 1))
   end
 
 let observe_unchecked t v =

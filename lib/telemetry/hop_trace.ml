@@ -6,16 +6,38 @@
    records: recording happens for every instrumented hop of every
    packet, and the unboxed layout makes it four stores with no
    allocation (the float array is flat), where a record ring would
-   allocate and initialize a box per hop. The public [event] record is
-   reconstructed only on the cold read paths. *)
+   allocate and initialize a box per hop. Labels are stored as interned
+   int codes, so no slot store goes through the write barrier. The
+   public [event] record is reconstructed only on the cold read paths. *)
 
 type event = { uid : int; time : float; node : int; label : string }
+
+(* The label intern table is process-wide: shards on other domains
+   record [drop:<reason>] labels into their own rings, and a code must
+   mean the same string everywhere. Interning takes a mutex; decoding
+   reads an immutable array published through an atomic, replaced
+   wholesale (copy-on-write) when a label is added. Labels form a small
+   closed set, so the copies are few. *)
+let intern_lock = Mutex.create ()
+let codes : (string, int) Hashtbl.t = Hashtbl.create 32
+let names : string array Atomic.t = Atomic.make [||]
+
+let intern label =
+  Mutex.protect intern_lock (fun () ->
+      match Hashtbl.find_opt codes label with
+      | Some code -> code
+      | None ->
+        let known = Atomic.get names in
+        let code = Array.length known in
+        Atomic.set names (Array.append known [| label |]);
+        Hashtbl.add codes label code;
+        code)
 
 type t = {
   uids : int array;
   times : float array;
   nodes : int array;
-  labels : string array;
+  labels : int array;  (* interned label codes *)
   mutable pos : int;  (* next slot to overwrite *)
   mutable recorded : int;  (* total ever recorded *)
 }
@@ -25,7 +47,7 @@ let create ?(capacity = 4096) () =
   { uids = Array.make capacity (-1);
     times = Array.make capacity 0.0;
     nodes = Array.make capacity (-1);
-    labels = Array.make capacity "";
+    labels = Array.make capacity (-1);
     pos = 0;
     recorded = 0 }
 
@@ -33,17 +55,20 @@ let capacity t = Array.length t.uids
 
 let recorded t = t.recorded
 
-let record t ~uid ~time ~node label =
+let record_code t ~uid ~time ~node code =
   if !Control.enabled then begin
     let p = t.pos in
     t.uids.(p) <- uid;
     t.times.(p) <- time;
     t.nodes.(p) <- node;
-    t.labels.(p) <- label;
+    t.labels.(p) <- code;
     let p = p + 1 in
     t.pos <- (if p = Array.length t.uids then 0 else p);
     t.recorded <- t.recorded + 1
   end
+
+let record t ~uid ~time ~node label =
+  if !Control.enabled then record_code t ~uid ~time ~node (intern label)
 
 (* Oldest-first fold over live entries. *)
 let fold f t init =
@@ -51,12 +76,13 @@ let fold f t init =
   let live = min t.recorded cap in
   let start = (t.pos - live + cap) mod cap in
   let acc = ref init in
+  let names = Atomic.get names in
   for i = 0 to live - 1 do
     let j = (start + i) mod cap in
     acc :=
       f !acc
         { uid = t.uids.(j); time = t.times.(j); node = t.nodes.(j);
-          label = t.labels.(j) }
+          label = names.(t.labels.(j)) }
   done;
   !acc
 
@@ -73,7 +99,7 @@ let clear t =
   Array.fill t.uids 0 (Array.length t.uids) (-1);
   Array.fill t.times 0 (Array.length t.times) 0.0;
   Array.fill t.nodes 0 (Array.length t.nodes) (-1);
-  Array.fill t.labels 0 (Array.length t.labels) "";
+  Array.fill t.labels 0 (Array.length t.labels) (-1);
   t.pos <- 0;
   t.recorded <- 0
 

@@ -25,6 +25,17 @@ val recorded : t -> int
 (** Total events ever recorded (>= live entries once wrapped). *)
 
 val record : t -> uid:int -> time:float -> node:int -> string -> unit
+(** Record one event; interns [label] (a mutex and a table lookup), so
+    per-hop callers intern their labels once and use {!record_code}. *)
+
+val intern : string -> int
+(** The code of a label, allocated on first use. Codes are process-wide
+    and domain-safe: the same string gets the same code in every
+    domain. *)
+
+val record_code : t -> uid:int -> time:float -> node:int -> int -> unit
+(** {!record} with a label code from {!intern}: a handful of int and
+    float stores, no allocation. *)
 
 val trace : t -> uid:int -> event list
 (** Chronological events still in the ring for one packet. *)

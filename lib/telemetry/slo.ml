@@ -45,7 +45,7 @@ let lat_index v =
            0x7FFL)
       - 1023
     in
-    min (lat_buckets - 1) (max 0 e)
+    Int.min (lat_buckets - 1) (Int.max 0 e)
 
 type bucket = {
   mutable total : int;

@@ -788,6 +788,343 @@ let test_intserv_unreachable () =
   | Ok _ -> Alcotest.fail "reserved across a partition"
   | Error _ -> ()
 
+(* --- Ring storage: list models ------------------------------------------ *)
+
+(* The port's delay line against a list model of a FIFO port. Every
+   time is a dyadic fraction, so the float arithmetic is exact: packet
+   sends and serializations fall on multiples of 1/1024 s (a 64 kbit/s
+   line, sizes in multiples of 8 bytes), link flips and handoff
+   switches on odd multiples of 1/2048 s, so no flip ever ties a
+   packet event. Long delays keep hundreds of packets on the wire
+   (ring growth); steady streams wrap the ring; flips drop packets both
+   at send and at tx completion (the tail leaving the ring); a handoff
+   window moves completions to the cut-link path. *)
+type port_case = {
+  sends : (int * int) list;  (* gap before the send, tx time (1/1024 s) *)
+  delay : float;
+  flips : int list;  (* link flips at (2k+1)/2048 s, k ascending *)
+  handoff : (int * int) option;  (* on/off switch at (2k+1)/2048 s *)
+}
+
+type fate = Delivered of float | Handed of float | Link_down of float
+
+let port_case_gen =
+  let open QCheck.Gen in
+  let ascending l = List.sort_uniq compare l in
+  map4
+    (fun sends delay flips handoff ->
+       { sends; delay; flips = ascending flips;
+         handoff =
+           Option.map (fun (a, b) -> (Int.min a b, Int.max a b + 1)) handoff })
+    (list_size (int_range 1 300) (pair (int_bound 6) (int_range 1 8)))
+    (oneofl [ 0.0; 1.0 /. 1024.0; 0.25; 2.0 ])
+    (list_size (int_bound 6) (int_bound 1500))
+    (option (pair (int_bound 1500) (int_bound 1500)))
+
+let flip_time k = float_of_int ((2 * k) + 1) /. 2048.0
+
+let port_model c =
+  let up t =
+    List.length (List.filter (fun k -> flip_time k < t) c.flips) mod 2 = 0
+  in
+  let handing t =
+    match c.handoff with
+    | Some (a, b) -> flip_time a < t && t < flip_time b
+    | None -> false
+  in
+  let now = ref 0.0 and free = ref 0.0 in
+  List.map
+    (fun (gap, units) ->
+       now := !now +. (float_of_int gap /. 1024.0);
+       if not (up !now) then Link_down !now
+       else begin
+         let start = Float.max !now !free in
+         let fin = start +. (float_of_int units /. 1024.0) in
+         free := fin;
+         if not (up fin) then Link_down fin
+         else if handing fin then Handed (fin +. c.delay)
+         else Delivered (fin +. c.delay)
+       end)
+    c.sends
+
+let port_run c =
+  let e = Engine.create () in
+  let topo = Topology.create () in
+  let a = Topology.add_node topo and b = Topology.add_node topo in
+  let l, _ = Topology.connect topo a b ~bandwidth:65536.0 ~delay:c.delay in
+  let n = List.length c.sends in
+  let fates = Array.make n None in
+  let order = ref [] in
+  let idx = Hashtbl.create n in
+  let note p f =
+    let i = Hashtbl.find idx p.Packet.uid in
+    if fates.(i) <> None then Alcotest.failf "packet %d fated twice" i;
+    fates.(i) <- Some f
+  in
+  let port =
+    Port.create e ~link:l ~qdisc:(Queue_disc.fifo ~capacity_bytes:(1 lsl 40))
+      ~classify:(fun _ -> 0)
+      ~on_deliver:(fun p ->
+          order := Hashtbl.find idx p.Packet.uid :: !order;
+          note p (Delivered (Engine.now e)))
+      ~on_drop:(fun ~reason p ->
+          Alcotest.(check string) "drop reason" "link-down" reason;
+          note p (Link_down (Engine.now e)))
+  in
+  let t = ref 0.0 in
+  List.iteri
+    (fun i (gap, units) ->
+       t := !t +. (float_of_int gap /. 1024.0);
+       let p = packet ~size:(8 * units) () in
+       Hashtbl.replace idx p.Packet.uid i;
+       Engine.schedule_at e ~time:!t (fun () -> Port.send port p))
+    c.sends;
+  let up = ref true in
+  List.iter
+    (fun k ->
+       Engine.schedule_at e ~time:(flip_time k) (fun () ->
+           up := not !up;
+           Topology.set_duplex_state topo a b !up))
+    c.flips;
+  (match c.handoff with
+   | Some (on, off) ->
+     Engine.schedule_at e ~time:(flip_time on) (fun () ->
+         Port.set_handoff port
+           (Some (fun ~arrival p -> note p (Handed arrival))));
+     Engine.schedule_at e ~time:(flip_time off) (fun () ->
+         Port.set_handoff port None)
+   | None -> ());
+  Engine.run e;
+  (Array.to_list (Array.map Option.get fates), List.rev !order,
+   Port.counters port)
+
+let port_ring_model =
+  QCheck.Test.make ~name:"port delay ring matches the FIFO list model"
+    ~count:200
+    (QCheck.make
+       ~print:(fun c ->
+           Printf.sprintf "%d sends, delay %g, %d flips, handoff %b"
+             (List.length c.sends) c.delay (List.length c.flips)
+             (c.handoff <> None))
+       port_case_gen)
+    (fun c ->
+       let want = port_model c in
+       let got, order, ctr = port_run c in
+       let count p = List.length (List.filter p want) in
+       got = want
+       (* One wire: arrivals pop in send order. *)
+       && order = List.sort compare order
+       && List.length order
+          = count (function Delivered _ -> true | _ -> false)
+       && ctr.Port.delivered
+          = count (function Delivered _ | Handed _ -> true | _ -> false)
+       && ctr.Port.dropped_link_down
+          = count (function Link_down _ -> true | _ -> false))
+
+(* Band rings against a list model of each scheduler: the same
+   scheduling rules over plain lists, so any disagreement is the ring
+   storage (wrap-around, growth, the WFQ tag beside each slot). *)
+type qop = Enq of int * int | Deq  (* class, bytes *)
+
+type mband = {
+  mutable items : (int * int * float) list;  (* id, bytes, tag; FIFO *)
+  mutable mbytes : int;
+  mutable last_finish : float;
+  mutable mdeficit : int;
+  cap : int;
+}
+
+let qdisc_model sched caps ops =
+  let n = Array.length caps in
+  let bands =
+    Array.map
+      (fun cap ->
+         { items = []; mbytes = 0; last_finish = 0.0; mdeficit = 0; cap })
+      caps
+  in
+  let vt = ref 0.0 and rr_pos = ref 0 and credit = ref 0 in
+  let all_empty () = Array.for_all (fun b -> b.items = []) bands in
+  let take i =
+    let b = bands.(i) in
+    match b.items with
+    | (id, bytes, _) :: rest ->
+      b.items <- rest;
+      b.mbytes <- b.mbytes - bytes;
+      Some id
+    | [] -> assert false
+  in
+  let head_bytes b = match b.items with (_, s, _) :: _ -> s | [] -> 0 in
+  let head_tag b = match b.items with (_, _, t) :: _ -> t | [] -> 0.0 in
+  let dequeue () =
+    match sched with
+    | Queue_disc.Strict ->
+      let rec go i =
+        if i >= n then None else if bands.(i).items = [] then go (i + 1)
+        else take i
+      in
+      go 0
+    | Queue_disc.Wrr w ->
+      if all_empty () then None
+      else begin
+        let rec go guard =
+          if guard > 2 * n then None
+          else if !credit > 0 && bands.(!rr_pos).items <> [] then begin
+            decr credit;
+            take !rr_pos
+          end
+          else begin
+            rr_pos := (!rr_pos + 1) mod n;
+            credit := w.(!rr_pos);
+            go (guard + 1)
+          end
+        in
+        go 0
+      end
+    | Queue_disc.Drr q ->
+      if all_empty () then None
+      else begin
+        let rec go () =
+          let b = bands.(!rr_pos) in
+          if b.items = [] then begin
+            b.mdeficit <- 0;
+            rr_pos := (!rr_pos + 1) mod n;
+            go ()
+          end
+          else if b.mdeficit >= head_bytes b then begin
+            b.mdeficit <- b.mdeficit - head_bytes b;
+            take !rr_pos
+          end
+          else begin
+            b.mdeficit <- b.mdeficit + q.(!rr_pos);
+            rr_pos := (!rr_pos + 1) mod n;
+            go ()
+          end
+        in
+        go ()
+      end
+    | Queue_disc.Wfq _ ->
+      let best = ref (-1) in
+      Array.iteri
+        (fun i b ->
+           if b.items <> []
+           && (!best < 0 || head_tag b < head_tag bands.(!best))
+           then best := i)
+        bands;
+      if !best < 0 then None
+      else begin
+        vt := Float.max !vt (head_tag bands.(!best));
+        take !best
+      end
+  in
+  let next_id = ref 0 in
+  List.filter_map
+    (function
+      | Enq (cls, bytes) ->
+        let id = !next_id in
+        incr next_id;
+        let b = bands.(cls) in
+        if b.mbytes + bytes > b.cap then Some (`Dropped id)
+        else begin
+          let tag =
+            match sched with
+            | Queue_disc.Wfq w ->
+              let finish =
+                Float.max !vt b.last_finish +. (float_of_int bytes /. w.(cls))
+              in
+              b.last_finish <- finish;
+              finish
+            | _ -> 0.0
+          in
+          b.items <- b.items @ [ (id, bytes, tag) ];
+          b.mbytes <- b.mbytes + bytes;
+          None
+        end
+      | Deq -> Some (`Out (dequeue ())))
+    ops
+
+let qdisc_run sched caps ops =
+  let q =
+    Queue_disc.create ~sched (Array.map Queue_disc.plain_band caps)
+  in
+  let ids = Hashtbl.create 64 in
+  let next_id = ref 0 in
+  List.filter_map
+    (function
+      | Enq (cls, bytes) ->
+        let id = !next_id in
+        incr next_id;
+        let p = packet ~size:bytes () in
+        Hashtbl.replace ids p.Packet.uid id;
+        (match Queue_disc.enqueue q ~cls p with
+         | Ok () -> None
+         | Error _ -> Some (`Dropped id))
+      | Deq ->
+        let p = Queue_disc.dequeue_null q in
+        Some
+          (`Out
+             (if p == Packet.null then None
+              else Some (Hashtbl.find ids p.Packet.uid))))
+    ops
+
+let qdisc_case_gen =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun n ->
+  let weights = array_size (return n) (int_range 1 4) in
+  let sched =
+    oneof
+      [ return Queue_disc.Strict;
+        map (fun w -> Queue_disc.Wrr w) weights;
+        map (fun w -> Queue_disc.Drr (Array.map (fun x -> 500 * x) w)) weights;
+        map (fun w -> Queue_disc.Wfq (Array.map float_of_int w)) weights ]
+  in
+  let caps = array_size (return n) (oneofl [ 3000; 20_000; 1 lsl 30 ]) in
+  (* Enqueue-heavy runs build backlogs past the initial ring size;
+     interleaved dequeues move the head so later growth unwraps. *)
+  let op =
+    frequency
+      [ (3,
+         map2 (fun c b -> Enq (c, b)) (int_bound (n - 1)) (int_range 40 1500));
+        (2, return Deq) ]
+  in
+  triple sched caps (list_size (int_range 0 400) op)
+
+let qdisc_ring_model =
+  QCheck.Test.make ~name:"qdisc band rings match the list model" ~count:300
+    (QCheck.make
+       ~print:(fun (sched, caps, ops) ->
+           Printf.sprintf "%s, %d bands, %d ops"
+             (match sched with
+              | Queue_disc.Strict -> "strict"
+              | Wrr _ -> "wrr"
+              | Drr _ -> "drr"
+              | Wfq _ -> "wfq")
+             (Array.length caps) (List.length ops))
+       qdisc_case_gen)
+    (fun (sched, caps, ops) ->
+       qdisc_model sched caps ops = qdisc_run sched caps ops)
+
+(* A warmed enqueue/dequeue_null cycle allocates nothing: a boxed WFQ
+   tag (or any other float) on the path fails here. *)
+let test_qdisc_cycle_allocates_nothing () =
+  let q =
+    Queue_disc.create ~sched:(Queue_disc.Wfq [| 3.0; 2.0; 1.0 |])
+      (Array.make 3 (Queue_disc.plain_band 1_000_000))
+  in
+  let pkts = Array.init 64 (fun i -> packet ~size:(64 + (i * 20)) ()) in
+  let cycles n =
+    for i = 1 to n do
+      (match Queue_disc.enqueue q ~cls:(i mod 3) pkts.(i land 63) with
+       | Ok () | Error _ -> ());
+      if Queue_disc.backlog_packets q > 40 then
+        ignore (Sys.opaque_identity (Queue_disc.dequeue_null q))
+    done
+  in
+  cycles 20_000;
+  let w0 = Gc.minor_words () in
+  cycles 10_000;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 10k cycles" 0.0 dw
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "qos"
@@ -828,7 +1165,10 @@ let () =
            test_wred_drops_worse_precedence_first;
          Alcotest.test_case "validation" `Quick test_qdisc_validation;
          qt qdisc_work_conservation;
-         Alcotest.test_case "empty dequeue" `Quick test_qdisc_empty_dequeue ]);
+         Alcotest.test_case "empty dequeue" `Quick test_qdisc_empty_dequeue;
+         qt qdisc_ring_model;
+         Alcotest.test_case "enqueue/dequeue cycle allocates nothing" `Quick
+           test_qdisc_cycle_allocates_nothing ]);
       ("cbq",
        [ Alcotest.test_case "marks in profile" `Quick
            test_cbq_marks_in_profile;
@@ -847,7 +1187,8 @@ let () =
            test_port_down_link_drops;
          Alcotest.test_case "queue drop counted" `Quick
            test_port_queue_drop_counted;
-         Alcotest.test_case "utilization" `Quick test_port_utilization ]);
+         Alcotest.test_case "utilization" `Quick test_port_utilization;
+         qt port_ring_model ]);
       ("shaper",
        [ Alcotest.test_case "passes conforming" `Quick
            test_shaper_passes_conforming;

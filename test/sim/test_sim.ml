@@ -195,28 +195,35 @@ struct
       model := List.filter (fun (_, i) -> i <> bi) !model;
       Some best
 
-  (* An op is [None] (pop) or [Some key_choice] (push). *)
+  (* [Push k] inserts at absolute key [k]; [Push_after d] at the last
+     popped key plus [d], the way the engine schedules. *)
+  type op = Pop | Push of float | Push_after of float
+
   let agrees ops =
     let q = Q.create () in
     let model = ref [] in
     let next_id = ref 0 in
+    let last = ref 0.0 in
     let ok = ref true in
     let check_pop () =
       match (Q.pop q, ref_pop model) with
-      | Some (k, v), Some (rk, ri) -> if k <> rk || v <> ri then ok := false
+      | Some (k, v), Some (rk, ri) ->
+        if k <> rk || v <> ri then ok := false;
+        last := k
       | None, None -> ()
       | _ -> ok := false
     in
+    let push k =
+      let id = !next_id in
+      incr next_id;
+      Q.push q k id;
+      model := (k, id) :: !model
+    in
     List.iter
-      (fun op ->
-         match op with
-         | None -> check_pop ()
-         | Some kc ->
-           let k = float_of_int (kc : int) *. 0.5 in
-           let id = !next_id in
-           incr next_id;
-           Q.push q k id;
-           model := (k, id) :: !model)
+      (function
+        | Pop -> check_pop ()
+        | Push k -> push k
+        | Push_after d -> push (!last +. d))
       ops;
     while Q.size q > 0 || !model <> [] do
       check_pop ()
@@ -227,6 +234,50 @@ struct
     QCheck.Test.make ~name ~count:150
       QCheck.(list_of_size (QCheck.Gen.int_range 0 120)
                 (option (int_bound 7)))
+      (fun ops ->
+         agrees
+           (List.map
+              (function
+                | None -> Pop
+                | Some kc -> Push (float_of_int (kc : int) *. 0.5))
+              ops))
+
+  (* Phases that push the storage through its corners: bursts of
+     hundreds of live events (slot-array growth, bucket doubling),
+     drains (halving rebuilds, every slot back on the free list, then
+     reused), keys at wildly different scales and far-future outliers
+     (direct-scan fallback), and long engine-like churn at a steady
+     population (past the density-drift re-width period). Keys are
+     drawn from coarse grids so ties stay common. *)
+  let phase =
+    let open QCheck.Gen in
+    let scale = oneofl [ 1e-6; 0.5; 1e3 ] in
+    let burst =
+      map3
+        (fun n scale outliers ->
+           List.init n (fun i ->
+               Push (float_of_int ((i * 7919) mod 53) *. scale))
+           @ List.init outliers (fun i -> Push (1e9 +. float_of_int i)))
+        (int_range 40 400) scale (int_bound 2)
+    in
+    let drain = map (fun n -> List.init n (fun _ -> Pop)) (int_range 1 500) in
+    let churn =
+      map2
+        (fun n delays ->
+           let delays = Array.of_list delays in
+           List.concat
+             (List.init n (fun i ->
+                  [ Push_after delays.(i mod Array.length delays); Pop ])))
+        (int_range 1 9000)
+        (list_size (int_range 1 5) (oneofl [ 0.0; 1e-4; 3e-4; 0.01; 2.0 ]))
+    in
+    frequency [ (3, burst); (3, drain); (1, churn) ]
+
+  let storage_contract name =
+    QCheck.Test.make ~name ~count:40
+      (QCheck.make
+         ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
+         QCheck.Gen.(map List.concat (list_size (int_range 1 8) phase)))
       agrees
 end
 
@@ -238,6 +289,13 @@ let heap_fifo_contract =
 
 let calendar_fifo_contract =
   Calendar_contract.fifo_contract "calendar matches the (key, seq) reference"
+
+let heap_storage_contract =
+  Heap_contract.storage_contract "heap matches the reference through resizes"
+
+let calendar_storage_contract =
+  Calendar_contract.storage_contract
+    "calendar matches the reference through slot reuse and rebuilds"
 
 (* --- Calendar --------------------------------------------------------- *)
 
@@ -313,6 +371,25 @@ let test_calendar_sparse_outlier () =
   done;
   Alcotest.(check bool) "outlier last" true (Calendar.pop c = Some (1e6, "far"));
   Alcotest.(check bool) "drained" true (Calendar.pop c = None)
+
+(* Part-way through this drain the width is re-derived as 20000/7, so
+   the key 40000 lands on a bucket edge: 40000 / w rounds to just
+   under 14 (bucket 13) while 14 * w rounds to exactly 40000. The due
+   test must follow the division, or 40000 sits out a whole year and
+   pops after 41000. *)
+let test_calendar_bucket_edge () =
+  let c = Calendar.create () in
+  let keys = List.init 210 (fun i -> float_of_int (i * 7919 mod 53) *. 1e3) in
+  List.iteri (fun i k -> Calendar.push c k i) keys;
+  let expected =
+    List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+      (List.mapi (fun i k -> (k, i)) keys)
+  in
+  let rec drain acc =
+    match Calendar.pop c with None -> List.rev acc | Some e -> drain (e :: acc)
+  in
+  Alcotest.(check (list (pair (float 0.0) int))) "(key, seq) order" expected
+    (drain [])
 
 let test_calendar_rejects_nonfinite () =
   let c = Calendar.create () in
@@ -550,44 +627,101 @@ let test_timeseries () =
 (* Push payloads while registering them in a weak array, without
    leaving strong references on this frame's stack.  [@inline never]
    keeps the payload roots confined to the callee. *)
-let[@inline never] heap_fill_weak h (w : int ref Weak.t) n =
+let[@inline never] fill_weak push (w : int ref Weak.t) n =
   for i = 0 to n - 1 do
     let payload = ref i in
     Weak.set w i (Some payload);
-    Heap.push h (float_of_int i) payload
+    push (float_of_int i) payload
   done
 
-let test_heap_pop_releases_payload () =
-  let h : int ref Heap.t = Heap.create () in
+(* Pop the two smallest of four; their payloads must become collectable
+   even though the queue itself stays live with the other two. *)
+let pop_releases_payload ~push ~pop ~size () =
   let w = Weak.create 4 in
-  heap_fill_weak h w 4;
-  (* Pop the two smallest; their payloads must become collectable even
-     though the heap itself stays live with the other two. *)
-  ignore (Sys.opaque_identity (Heap.pop h));
-  ignore (Sys.opaque_identity (Heap.pop h));
+  fill_weak push w 4;
+  ignore (Sys.opaque_identity (pop ()));
+  ignore (Sys.opaque_identity (pop ()));
   Gc.full_major ();
   Alcotest.(check bool) "popped payloads reclaimed" true
     (Weak.get w 0 = None && Weak.get w 1 = None);
   Alcotest.(check bool) "live payloads retained" true
     (Weak.get w 2 <> None && Weak.get w 3 <> None);
-  Alcotest.(check int) "heap still holds the rest" 2 (Heap.size h)
+  Alcotest.(check int) "queue still holds the rest" 2 (size ())
 
-let test_heap_drain_releases_all () =
-  (* Enough pushes to force at least one grow; after draining, nothing
-     may be pinned by vacated or freshly grown slots. *)
+(* Enough pushes to force storage growth; after draining, nothing may
+   be pinned by vacated or freshly grown slots. *)
+let drain_releases_all ~push ~pop ~size () =
   let n = 40 in
-  let h : int ref Heap.t = Heap.create () in
   let w = Weak.create n in
-  heap_fill_weak h w n;
-  while Heap.pop h <> None do () done;
+  fill_weak push w n;
+  while pop () <> None do () done;
   Gc.full_major ();
   for i = 0 to n - 1 do
     if Weak.get w i <> None then
       Alcotest.failf "payload %d still reachable after drain" i
   done;
-  (* Keep the drained heap (and its backing array) live across the GC
-     above, so reclamation is due to cleared slots, not a dead heap. *)
-  Alcotest.(check int) "drained" 0 (Heap.size h)
+  (* Keep the drained queue (and its backing arrays) live across the GC
+     above, so reclamation is due to cleared slots, not a dead queue. *)
+  Alcotest.(check int) "drained" 0 (size ())
+
+let test_heap_pop_releases_payload () =
+  let h : int ref Heap.t = Heap.create () in
+  pop_releases_payload ~push:(Heap.push h) ~pop:(fun () -> Heap.pop h)
+    ~size:(fun () -> Heap.size h) ()
+
+let test_heap_drain_releases_all () =
+  let h : int ref Heap.t = Heap.create () in
+  drain_releases_all ~push:(Heap.push h) ~pop:(fun () -> Heap.pop h)
+    ~size:(fun () -> Heap.size h) ()
+
+let test_calendar_pop_releases_payload () =
+  let c : int ref Calendar.t = Calendar.create () in
+  pop_releases_payload ~push:(Calendar.push c) ~pop:(fun () -> Calendar.pop c)
+    ~size:(fun () -> Calendar.size c) ()
+
+let test_calendar_drain_releases_all () =
+  let c : int ref Calendar.t = Calendar.create () in
+  drain_releases_all ~push:(Calendar.push c) ~pop:(fun () -> Calendar.pop c)
+    ~size:(fun () -> Calendar.size c) ()
+
+(* The engine's pop path: [pop_due] must clear the vacated slot too. *)
+let test_calendar_pop_due_releases_payload () =
+  let c : int ref Calendar.t = Calendar.create () in
+  let default = ref (-1) and key_out = Float.Array.make 1 0.0 in
+  pop_releases_payload ~push:(Calendar.push c)
+    ~pop:(fun () ->
+        let v =
+          Calendar.pop_due c ~bound:infinity ~strict:false ~default ~key_out
+        in
+        if v == default then None else Some v)
+    ~size:(fun () -> Calendar.size c) ()
+
+(* A warmed push_at/pop_due cycle allocates nothing: a float boxed
+   anywhere on the path fails here, not only in the benchmark. *)
+let test_calendar_cycle_allocates_nothing () =
+  let c : (unit -> unit) Calendar.t = Calendar.create () in
+  let ev () = () in
+  let kcell = Float.Array.make 1 0.0 and key_out = Float.Array.make 1 0.0 in
+  let cycles n =
+    for i = 1 to n do
+      (* ~50 live events at a steady population, engine-like keys. *)
+      Float.Array.set kcell 0
+        (Float.Array.get key_out 0 +. float_of_int (i land 63) *. 1e-4);
+      Calendar.push_at c kcell ev;
+      if Calendar.size c > 50 then begin
+        let (_ : unit -> unit) =
+          Calendar.pop_due c ~bound:infinity ~strict:false ~default:ignore
+            ~key_out
+        in
+        ()
+      end
+    done
+  in
+  cycles 20_000;
+  let w0 = Gc.minor_words () in
+  cycles 10_000;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 10k cycles" 0.0 dw
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -856,6 +990,7 @@ let () =
          Alcotest.test_case "empty" `Quick test_heap_empty;
          Alcotest.test_case "clear" `Quick test_heap_clear;
          qt heap_fifo_contract;
+         qt heap_storage_contract;
          Alcotest.test_case "pop releases payload" `Quick
            test_heap_pop_releases_payload;
          Alcotest.test_case "drain releases all" `Quick
@@ -871,7 +1006,18 @@ let () =
            test_calendar_sparse_outlier;
          Alcotest.test_case "rejects non-finite keys" `Quick
            test_calendar_rejects_nonfinite;
-         qt calendar_fifo_contract ]);
+         Alcotest.test_case "bucket-edge keys pop in order" `Quick
+           test_calendar_bucket_edge;
+         qt calendar_fifo_contract;
+         qt calendar_storage_contract;
+         Alcotest.test_case "pop releases payload" `Quick
+           test_calendar_pop_releases_payload;
+         Alcotest.test_case "pop_due releases payload" `Quick
+           test_calendar_pop_due_releases_payload;
+         Alcotest.test_case "drain releases all" `Quick
+           test_calendar_drain_releases_all;
+         Alcotest.test_case "push/pop cycle allocates nothing" `Quick
+           test_calendar_cycle_allocates_nothing ]);
       ("engine",
        [ Alcotest.test_case "time order" `Quick test_engine_time_order;
          Alcotest.test_case "cascading" `Quick test_engine_cascading;

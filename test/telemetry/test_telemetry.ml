@@ -125,6 +125,27 @@ let test_trace_disabled () =
   Hop_trace.record t ~uid:1 ~time:0.0 ~node:0 "rx";
   Alcotest.(check int) "no-op while disabled" 0 (Hop_trace.recorded t)
 
+(* Shards on other domains intern drop labels concurrently: every
+   domain must get the same code for the same string, and a ring filled
+   through codes must read back the strings. *)
+let test_trace_intern_across_domains () =
+  let labels = List.init 50 (fun i -> Printf.sprintf "drop:intern-test-%d" i) in
+  let intern_all order () = List.map Hop_trace.intern (order labels) in
+  let d = Domain.spawn (intern_all List.rev) in
+  let here = intern_all Fun.id () in
+  let there = List.rev (Domain.join d) in
+  Alcotest.(check (list int)) "same code in both domains" here there;
+  Alcotest.(check int) "distinct codes" 50
+    (List.length (List.sort_uniq Int.compare here));
+  let t = Hop_trace.create () in
+  Control.with_enabled (fun () ->
+      List.iteri
+        (fun uid code -> Hop_trace.record_code t ~uid ~time:0.0 ~node:0 code)
+        here);
+  Alcotest.(check (list string)) "codes decode to their labels" labels
+    (List.map (fun (e : Hop_trace.event) -> e.Hop_trace.label)
+       (Hop_trace.recent t 100))
+
 (* --- Registry ---------------------------------------------------------- *)
 
 let test_registry_get_or_create () =
@@ -756,7 +777,8 @@ let () =
       ("hop-trace",
        [ tc "per packet" test_trace_per_packet;
          tc "ring wraps" test_trace_ring_wraps;
-         tc "disabled" test_trace_disabled ]);
+         tc "disabled" test_trace_disabled;
+         tc "intern across domains" test_trace_intern_across_domains ]);
       ("registry",
        [ tc "get or create" test_registry_get_or_create;
          tc "reset keeps registrations" test_registry_reset_keeps_registrations;

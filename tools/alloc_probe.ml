@@ -2,8 +2,8 @@
 
    Runs the same scenario as bench/e16_parallel.ml's sequential rows
    and prints, for each phase (scenario build, workload arming, engine
-   run, SLO replay, registry JSON), the wall time and the minor-heap
-   words allocated — plus the headline words-per-event figure for the
+   run, SLO replay, registry JSON), the wall time, the process CPU time
+   and the minor-heap words allocated — plus the headline words-per-event figure for the
    engine phase. Use it to find where the run loop still allocates
    before reaching for a profiler. *)
 
@@ -14,13 +14,18 @@ module Network = Mvpn_core.Network
 module Packet = Mvpn_net.Packet
 module Registry = Mvpn_telemetry.Registry
 
+(* CPU seconds are printed beside wall seconds: on a shared host the
+   wall clock drifts with neighbours' load, CPU time much less. *)
 let phase name f =
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
+  let c0 = Sys.time () in
   let r = f () in
+  let dc = Sys.time () -. c0 in
   let dt = Unix.gettimeofday () -. t0 in
   let dw = Gc.minor_words () -. w0 in
-  Printf.printf "%-16s %8.3f s  %14.0f minor words\n%!" name dt dw;
+  Printf.printf "%-16s %8.3f s wall %8.3f s cpu  %14.0f minor words\n%!"
+    name dt dc dw;
   (r, dt, dw)
 
 let () =
