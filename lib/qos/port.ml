@@ -34,6 +34,8 @@ type t = {
      bit-identical to the original — only the operand load changes. *)
   acc : floatarray;
   bw : floatarray;
+  (* Serialization time handed to [Engine.schedule_cell] unboxed. *)
+  tx_cell : floatarray;
   (* The delay line: a FIFO ring of the packets on the wire, oldest at
      [r_head], capacity a power of two. The link delay is immutable and
      serializations complete one at a time, so propagation events of
@@ -159,7 +161,8 @@ let rec start_service (t : t) =
     in
     Float.Array.set t.acc 0 (Float.Array.get t.acc 0 +. tx);
     ring_push t packet;
-    Engine.schedule_kind t.engine ~kind:k_tx ~delay:tx t.tx_fire
+    Float.Array.set t.tx_cell 0 tx;
+    Engine.schedule_cell t.engine ~kind:k_tx t.tx_cell t.tx_fire
   end
 
 and tx_complete (t : t) =
@@ -192,6 +195,7 @@ let create ?(on_txstart = nop_txstart) ?(on_drop = nop_drop) engine ~link
       dropped_fault = 0; bytes_delivered = 0;
       acc = Float.Array.make 1 0.0;
       bw = Float.Array.make 1 link.Topology.bandwidth;
+      tx_cell = Float.Array.make 1 0.0;
       ring = Array.make 4 Packet.null; r_head = 0; r_len = 0;
       tx_fire = ignore; prop_fire = ignore }
   in

@@ -249,14 +249,13 @@ let take_from band =
 
 let is_empty t = Array.for_all (fun b -> b.q_len = 0) t.bands
 
+(* A loop, not a local recursive closure: the closure (over [t] and
+   the band count) would be allocated on every dequeue. *)
 let dequeue_strict t =
   let n = Array.length t.bands in
-  let rec go i =
-    if i >= n then Packet.null
-    else if t.bands.(i).q_len = 0 then go (i + 1)
-    else take_from t.bands.(i)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && t.bands.(!i).q_len = 0 do incr i done;
+  if !i >= n then Packet.null else take_from t.bands.(!i)
 
 let dequeue_wrr t weights =
   if is_empty t then Packet.null

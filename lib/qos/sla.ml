@@ -38,13 +38,17 @@ type collector = {
      (nan = no packet yet) so the per-packet update is an unboxed
      store, not a [Some] box. *)
   last_delay : floatarray;
+  (* One-slot cell that carries each sample into [Stats] unboxed
+     (the [-opaque] boxing rule, ARCHITECTURE). *)
+  arg : floatarray;
 }
 
 let collector () =
   { delays = Stats.Samples.create (); jitter_acc = Stats.Summary.create ();
     last_seq = Hashtbl.create 8; reordered = 0;
     sent = 0; received = 0; bytes_received = 0; first_send = infinity;
-    last_receive = neg_infinity; last_delay = Float.Array.make 1 Float.nan }
+    last_receive = neg_infinity; last_delay = Float.Array.make 1 Float.nan;
+    arg = Float.Array.make 1 0.0 }
 
 let on_send c ~now ~bytes =
   ignore bytes;
@@ -65,10 +69,13 @@ let on_receive c ~now packet =
   c.received <- c.received + 1;
   c.bytes_received <- c.bytes_received + packet.Packet.size;
   if now > c.last_receive then c.last_receive <- now;
-  Stats.Samples.add c.delays delay;
+  Float.Array.set c.arg 0 delay;
+  Stats.Samples.add_cell c.delays c.arg;
   let prev = Float.Array.get c.last_delay 0 in
-  if not (Float.is_nan prev) then
-    Stats.Summary.add c.jitter_acc (Float.abs (delay -. prev));
+  if not (Float.is_nan prev) then begin
+    Float.Array.set c.arg 0 (Float.abs (delay -. prev));
+    Stats.Summary.add_cell c.jitter_acc c.arg
+  end;
   Float.Array.set c.last_delay 0 delay
 
 type report = {

@@ -65,6 +65,9 @@ type t = {
      which holds the in-flight event's key while its closure (and any
      schedule it performs) runs. *)
   push_cell : floatarray;
+  (* In-parameter cell through which the boxed-delay entry points hand
+     their delay to [schedule_cell]. *)
+  delay_cell : floatarray;
   (* Dispatch-cost ledger (see profile.ml). Disabled by default; the
      run loops pick a profiled or plain drain once per window, so the
      per-event path is untouched until [Profile.enable]. *)
@@ -80,7 +83,8 @@ let create ?(backend = Calendar) () =
   { queue; now = 0.0; processed = 0; stopped = false;
     in_batch = false; batch_events = 0; batch_scheduled = 0;
     flush_hooks = []; key_cell = Float.Array.create 1;
-    push_cell = Float.Array.create 1; prof = Profile.create () }
+    push_cell = Float.Array.create 1; delay_cell = Float.Array.create 1;
+    prof = Profile.create () }
 
 let now e = e.now
 
@@ -124,15 +128,23 @@ let check_finite what v =
   if not (Float.is_finite v) then
     invalid_arg (Printf.sprintf "Engine.%s: time not finite" what)
 
-(* [x -. x = 0.0] is [Float.is_finite] unfolded (nan and the two
-   infinities fail it) — the cross-module call, and the argument box
-   it forces, stay off the per-event path. *)
-let schedule e ~delay f =
+(* The one relative-time scheduling path. The delay arrives in slot 0
+   of [dcell], so a caller holding it in a per-object cell (a port's
+   serialization time) schedules without boxing it. [x -. x = 0.0] is
+   [Float.is_finite] unfolded (nan and the two infinities fail it) —
+   the cross-module call, and the argument box it forces, stay off the
+   per-event path. *)
+let push_delay e dcell f =
+  let delay = Float.Array.get dcell 0 in
   if not (delay -. delay = 0.0) then check_finite "schedule" delay;
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   note_scheduled e;
   Float.Array.set e.push_cell 0 (e.now +. delay);
   q_push_at e.queue e.push_cell f
+
+let schedule e ~delay f =
+  Float.Array.set e.delay_cell 0 delay;
+  push_delay e e.delay_cell f
 
 let schedule_at e ~time f =
   if not (time -. time = 0.0) then check_finite "schedule_at" time;
@@ -144,9 +156,13 @@ let schedule_at e ~time f =
 (* [schedule] plus a per-kind count in the dispatch ledger. The kind
    is only consulted when profiling is on, so tagged call sites cost
    one predictable branch otherwise. *)
-let schedule_kind e ~kind ~delay f =
+let schedule_cell e ~kind dcell f =
   if Profile.enabled e.prof then Profile.note_kind e.prof kind;
-  schedule e ~delay f
+  push_delay e dcell f
+
+let schedule_kind e ~kind ~delay f =
+  Float.Array.set e.delay_cell 0 delay;
+  schedule_cell e ~kind e.delay_cell f
 
 let schedule_kind_at e ~kind ~time f =
   if Profile.enabled e.prof then Profile.note_kind e.prof kind;

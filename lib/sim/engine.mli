@@ -36,6 +36,14 @@ val schedule_kind :
     engine's profiler is enabled, the per-kind scheduled count is
     bumped. One predictable branch otherwise. *)
 
+val schedule_cell :
+  t -> kind:Profile.kind -> floatarray -> (unit -> unit) -> unit
+(** [schedule_cell e ~kind dcell f] is [schedule_kind e ~kind ~delay f]
+    with [delay] read from slot 0 of [dcell]. A per-packet caller keeps
+    the delay in a one-slot cell of its own, so it crosses the call
+    unboxed (the [Calendar.push_at] idiom). {!schedule} and
+    {!schedule_kind} are wrappers over this path. *)
+
 val schedule_kind_at :
   t -> kind:Profile.kind -> time:float -> (unit -> unit) -> unit
 (** {!schedule_at}, tagged like {!schedule_kind}. *)

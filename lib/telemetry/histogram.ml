@@ -1,9 +1,9 @@
 (* Log-bucketed histogram: bucket [i] covers [lo·2^i, lo·2^(i+1)).
-   Recording is O(1) (one frexp, one array bump); quantiles are read by
-   a cumulative walk with linear interpolation inside the crossing
-   bucket, clamped to the exact observed min/max. Relative error is
-   bounded by the factor-of-two bucket width, which is plenty for
-   latency p50/p90/p99 summaries.
+   Recording is O(1) (one exponent read, one array bump); quantiles are
+   read by a cumulative walk with linear interpolation inside the
+   crossing bucket, clamped to the exact observed min/max. Relative
+   error is bounded by the factor-of-two bucket width, which is plenty
+   for latency p50/p90/p99 summaries.
 
    The handle (name + bucket geometry) is shared across domains; the
    mutable state lives in domain-local storage so concurrent domains
@@ -68,13 +68,25 @@ let state t =
     st
   end
 
+(* floor(log2 (v / lo)), clamped: the IEEE exponent field of the
+   ratio, read through [Int64.bits_of_float] (an unboxed external) like
+   [Slo.lat_index]; [Float.frexp] would allocate its result pair on
+   every observation. For v >= lo the ratio is >= 1, so never
+   subnormal. A ratio that overflows to +inf (v = +inf, or v above
+   max_float·lo) has exponent field 2047 and clamps to the top bucket
+   (frexp reports exponent 0 for infinity, which would file it in
+   bucket 0). NaN fails [v >= lo] and lands in bucket 0. *)
 let bucket_index t v =
-  if v < t.lo then 0
-  else begin
-    (* v/lo = m·2^e with m in [0.5, 1), so v sits in bucket e-1. *)
-    let _, e = Float.frexp (v /. t.lo) in
-    Int.min (t.buckets - 1) (Int.max 0 (e - 1))
-  end
+  if not (v >= t.lo) then 0
+  else
+    let e =
+      Int64.to_int
+        (Int64.logand
+           (Int64.shift_right_logical (Int64.bits_of_float (v /. t.lo)) 52)
+           0x7FFL)
+      - 1023
+    in
+    Int.min (t.buckets - 1) (Int.max 0 e)
 
 let observe_unchecked t v =
   let s = state t in

@@ -21,6 +21,13 @@ val make : ?lo:float -> ?buckets:int -> string -> t
 val name : t -> string
 
 val observe : t -> float -> unit
+(** Allocation-free. *)
+
+val bucket_index : t -> float -> int
+(** The bucket {!observe} files a value in: [floor (log2 (v /. lo))]
+    clamped to [0, buckets - 1]. Values below [lo] and NaN land in
+    bucket 0; +infinity, and any value whose ratio to [lo] overflows,
+    in the top bucket. *)
 
 val observe_int : t -> int -> unit
 (** Integer convenience (trie depths, byte sizes); the int→float

@@ -47,23 +47,26 @@ let lat_index v =
     in
     Int.min (lat_buckets - 1) (Int.max 0 e)
 
+(* [lat_max] is a one-slot floatarray: a float field of this mixed
+   record would be a pointer, so each new maximum would pay a
+   write-barrier store of the caller's box. *)
 type bucket = {
   mutable total : int;
   mutable bad : int;
   mutable drops : int;
-  mutable lat_max : float;
+  lat_max : floatarray;
   lat : int array;  (* deliveries by latency bucket *)
 }
 
 let new_bucket () =
-  { total = 0; bad = 0; drops = 0; lat_max = 0.0;
+  { total = 0; bad = 0; drops = 0; lat_max = Float.Array.make 1 0.0;
     lat = Array.make lat_buckets 0 }
 
 let clear_bucket b =
   b.total <- 0;
   b.bad <- 0;
   b.drops <- 0;
-  b.lat_max <- 0.0;
+  Float.Array.set b.lat_max 0 0.0;
   Array.fill b.lat 0 lat_buckets 0
 
 type objective = {
@@ -146,7 +149,7 @@ let window_p99 t obj ~upto ~k =
     window_fold t obj ~upto ~k
       (fun (n, vmax) b ->
          Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) b.lat;
-         (n + b.total - b.drops, Float.max vmax b.lat_max))
+         (n + b.total - b.drops, Float.max vmax (Float.Array.get b.lat_max 0)))
       (0, 0.0)
   in
   if n = 0 then (0, 0.0)
@@ -302,43 +305,49 @@ let advance t ~time =
     Hashtbl.iter (fun _ obj -> advance_obj t obj ~target_bucket)
       t.objectives
 
-let find t ~vpn ~band = Hashtbl.find_opt t.objectives (key ~vpn ~band)
+(* The open bucket of objective [obj] once time reaches [time]. *)
+let open_bucket t obj ~time =
+  advance_obj t obj ~target_bucket:(bucket_of t time);
+  obj.buckets.(obj.cur mod t.slow_n)
 
-let observe_with t ~vpn ~band ~time f =
-  match find t ~vpn ~band with
-  | None -> ()
-  | Some obj ->
-    advance_obj t obj ~target_bucket:(bucket_of t time);
-    let bk = obj.buckets.(obj.cur mod t.slow_n) in
-    f obj bk
-
+(* Per-packet observers: [Hashtbl.find] with its exception, not
+   [find_opt], and the update written inline rather than passed as a
+   closure, so an observation inside the open bucket allocates
+   nothing. *)
 let observe_delivery t ~vpn ~band ~time ~latency =
   if !Control.enabled then
-    observe_with t ~vpn ~band ~time (fun obj bk ->
-        bk.total <- bk.total + 1;
-        let li = lat_index latency in
-        bk.lat.(li) <- bk.lat.(li) + 1;
-        if latency > bk.lat_max then bk.lat_max <- latency;
-        obj.cum_total <- obj.cum_total + 1;
-        let late =
-          match obj.spec.latency_p99 with
-          | Some bound -> latency > bound
-          | None -> false
-        in
-        if late then begin
-          bk.bad <- bk.bad + 1;
-          obj.cum_bad <- obj.cum_bad + 1
-        end)
+    match Hashtbl.find t.objectives (key ~vpn ~band) with
+    | exception Not_found -> ()
+    | obj ->
+      let bk = open_bucket t obj ~time in
+      bk.total <- bk.total + 1;
+      let li = lat_index latency in
+      bk.lat.(li) <- bk.lat.(li) + 1;
+      if latency > Float.Array.get bk.lat_max 0 then
+        Float.Array.set bk.lat_max 0 latency;
+      obj.cum_total <- obj.cum_total + 1;
+      let late =
+        match obj.spec.latency_p99 with
+        | Some bound -> latency > bound
+        | None -> false
+      in
+      if late then begin
+        bk.bad <- bk.bad + 1;
+        obj.cum_bad <- obj.cum_bad + 1
+      end
 
 let observe_drop t ~vpn ~band ~time =
   if !Control.enabled then
-    observe_with t ~vpn ~band ~time (fun obj bk ->
-        bk.total <- bk.total + 1;
-        bk.bad <- bk.bad + 1;
-        bk.drops <- bk.drops + 1;
-        obj.cum_total <- obj.cum_total + 1;
-        obj.cum_bad <- obj.cum_bad + 1;
-        obj.cum_drops <- obj.cum_drops + 1)
+    match Hashtbl.find t.objectives (key ~vpn ~band) with
+    | exception Not_found -> ()
+    | obj ->
+      let bk = open_bucket t obj ~time in
+      bk.total <- bk.total + 1;
+      bk.bad <- bk.bad + 1;
+      bk.drops <- bk.drops + 1;
+      obj.cum_total <- obj.cum_total + 1;
+      obj.cum_bad <- obj.cum_bad + 1;
+      obj.cum_drops <- obj.cum_drops + 1
 
 (* --- reporting --------------------------------------------------------- *)
 

@@ -1125,6 +1125,74 @@ let test_qdisc_cycle_allocates_nothing () =
   let dw = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.0)) "minor words over 10k cycles" 0.0 dw
 
+(* [Sla.on_receive] on a flow it already tracks allocates nothing: the
+   delay and the jitter step reach [Stats] through the collector's
+   one-slot cell, not as boxed arguments. The receive times are
+   pre-boxed, as the engine's clock is. *)
+let test_sla_on_receive_allocates_nothing () =
+  let c = Sla.collector () in
+  let p = packet () in
+  let nows = List.init 900 (fun i -> 0.01 +. (1e-4 *. float_of_int (i mod 37))) in
+  let rec feed = function
+    | [] -> ()
+    | now :: rest ->
+      Sla.on_receive c ~now p;
+      feed rest
+  in
+  (* Warm past 1024 samples, so the 900 measured ones fit the
+     sample store without growing it. *)
+  feed nows;
+  feed (List.filteri (fun i _ -> i < 200) nows);
+  let w0 = Gc.minor_words () in
+  feed nows;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 900 receives" 0.0 dw;
+  Alcotest.(check int) "received" 2000 (Sla.report c).Sla.received
+
+(* A warmed port's send -> tx -> propagate cycle allocates nothing but
+   the engine clock's box (2 words per executed event; ARCHITECTURE,
+   "Why Engine.now stays boxed"). The serialization delay reaches the
+   engine through the port's cell, unboxed. Both readings are taken
+   inside one run window, so the window's own setup cancels out, and
+   after 12k warm-up events, by which the calendar queue has settled
+   its bucket width (a re-width allocates a fresh bucket array). *)
+let test_port_cycle_allocates_only_the_clock () =
+  let e = Engine.create () in
+  let topo = Topology.create () in
+  let a = Topology.add_node topo and b = Topology.add_node topo in
+  let l, _ = Topology.connect topo a b ~bandwidth:1e9 ~delay:1e-4 in
+  let delivered = ref 0 in
+  let port =
+    Port.create e ~link:l ~qdisc:(Queue_disc.fifo ~capacity_bytes:1_000_000)
+      ~classify:(fun _ -> 0)
+      ~on_deliver:(fun _ -> incr delivered)
+  in
+  let p = packet ~size:1000 () in
+  let words = Float.Array.make 2 0.0 and events = Array.make 2 0 in
+  let sent = ref 0 in
+  (* One send per millisecond: each packet serializes (8 us) and
+     propagates (100 us) before the next. *)
+  let rec source () =
+    if !sent = 4000 || !sent = 6000 then begin
+      let k = if !sent = 4000 then 0 else 1 in
+      Float.Array.set words k (Gc.minor_words ());
+      events.(k) <- Engine.processed e
+    end;
+    if !sent < 6000 then begin
+      incr sent;
+      Port.send port p;
+      Engine.schedule e ~delay:1e-3 source
+    end
+  in
+  Engine.schedule e ~delay:0.0 source;
+  Engine.run e;
+  Alcotest.(check int) "delivered" 6000 !delivered;
+  let dev = events.(1) - events.(0) in
+  Alcotest.(check int) "three events per cycle" 6000 dev;
+  Alcotest.(check (float 0.0)) "minor words beyond the clock box" 0.0
+    (Float.Array.get words 1 -. Float.Array.get words 0
+     -. (2.0 *. float_of_int dev))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "qos"
@@ -1188,7 +1256,9 @@ let () =
          Alcotest.test_case "queue drop counted" `Quick
            test_port_queue_drop_counted;
          Alcotest.test_case "utilization" `Quick test_port_utilization;
-         qt port_ring_model ]);
+         qt port_ring_model;
+         Alcotest.test_case "send/tx/propagate allocates only the clock"
+           `Quick test_port_cycle_allocates_only_the_clock ]);
       ("shaper",
        [ Alcotest.test_case "passes conforming" `Quick
            test_shaper_passes_conforming;
@@ -1213,4 +1283,6 @@ let () =
          Alcotest.test_case "reorder detection" `Quick
            test_sla_reorder_detection;
          Alcotest.test_case "empty collector" `Quick
-           test_sla_empty_collector ]) ]
+           test_sla_empty_collector;
+         Alcotest.test_case "on_receive allocates nothing" `Quick
+           test_sla_on_receive_allocates_nothing ]) ]

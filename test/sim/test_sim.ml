@@ -601,6 +601,252 @@ let test_samples_interleaved_sorting () =
   Alcotest.(check (array (float 1e-9))) "sorted" [|1.0; 3.0; 5.0|]
     (Stats.Samples.to_array s)
 
+(* --- Stats equivalence with the boxed reference ------------------------ *)
+
+(* [Float.compare]-equal and bitwise equal, except that -0 and +0 may
+   trade places: the reference sort and the in-place one both leave
+   equal elements in an unspecified order. *)
+let same_float x y =
+  Float.compare x y = 0
+  && (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      || (x = 0.0 && y = 0.0))
+
+(* The interpolation [Samples.percentile] documents, over an array the
+   stdlib sorted. *)
+let ref_percentile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else begin
+    let pos = q *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor pos) in
+    let hi = Int.min (lo + 1) (n - 1) in
+    let frac = pos -. float_of_int lo in
+    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+  end
+
+let quantiles = [ 0.0; 0.5; 0.99; 1.0 ]
+
+(* Add [xs] in two halves with a percentile read between them, so the
+   second read re-sorts a sorted prefix plus an unsorted tail; then
+   check every quantile and the sorted copy against the stdlib. *)
+let samples_agree xs =
+  let s = Stats.Samples.create () in
+  let n = Array.length xs in
+  Array.iteri
+    (fun i x ->
+       if i = n / 2 then ignore (Stats.Samples.percentile s 0.5);
+       Stats.Samples.add s x)
+    xs;
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  List.for_all
+    (fun q ->
+       Float.compare (Stats.Samples.percentile s q) (ref_percentile sorted q)
+       = 0)
+    quantiles
+  &&
+  let got = Stats.Samples.to_array s in
+  Array.length got = n && Array.for_all2 same_float got sorted
+
+(* One nan bit pattern only: two nans compare equal under
+   [Float.compare] but may differ in payload. *)
+let specials =
+  [| Float.nan; infinity; neg_infinity; 0.0; -0.0; 1.0; -1.0; max_float;
+     Float.min_float; 5e-324 |]
+
+let samples_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (4, map float_of_int (int_range (-40) 40));
+        (3, map (fun x -> if Float.is_nan x then Float.nan else x) float);
+        (1, oneofa specials) ]
+  in
+  let shape =
+    oneofl [ `Random; `Sorted; `Reversed; `Equal; `Organ_pipe ]
+  in
+  pair shape (int_range 0 5000) >>= fun (shape, n) ->
+  array_repeat n value >|= fun xs ->
+  let sorted () =
+    let c = Array.copy xs in
+    Array.sort Float.compare c;
+    c
+  in
+  match shape with
+  | `Random -> xs
+  | `Sorted -> sorted ()
+  | `Reversed ->
+    let c = sorted () in
+    Array.init n (fun i -> c.(n - 1 - i))
+  | `Equal -> if n = 0 then xs else Array.make n xs.(0)
+  | `Organ_pipe ->
+    Array.init n (fun i -> float_of_int (Int.min i (n - 1 - i)))
+
+let samples_match_stdlib_sort =
+  QCheck.Test.make ~name:"samples sort and percentiles match stdlib"
+    ~count:200
+    (QCheck.make
+       ~print:(fun xs ->
+           Printf.sprintf "%d samples: %s" (Array.length xs)
+             (String.concat " "
+                (List.map string_of_float
+                   (Array.to_list (Array.sub xs 0 (Int.min 20 (Array.length xs)))))))
+       samples_gen)
+    samples_agree
+
+(* Musser's median-of-three killer: it drives the median-of-three
+   partition to its depth limit, so the sort has to finish in the
+   heap-sort fallback (a quadratic quicksort would take minutes). *)
+let test_samples_quicksort_killer () =
+  let n = 200_000 in
+  let k = n / 2 in
+  let xs = Array.make n 0.0 in
+  for i = 1 to k do
+    if i mod 2 = 1 then begin
+      xs.(i - 1) <- float_of_int i;
+      xs.(i) <- float_of_int (k + i)
+    end;
+    xs.(k + i - 1) <- float_of_int (2 * i)
+  done;
+  Alcotest.(check bool) "matches stdlib sort" true (samples_agree xs)
+
+(* The reference: a Welford summary on a record of boxed floats, with
+   the same arithmetic as [Stats.Summary], operation for operation. *)
+type ref_summary = {
+  mutable r_count : int;
+  mutable r_mean : float;
+  mutable r_m2 : float;
+  mutable r_min : float;
+  mutable r_max : float;
+}
+
+let ref_create () =
+  { r_count = 0; r_mean = 0.0; r_m2 = 0.0; r_min = infinity;
+    r_max = neg_infinity }
+
+let ref_add s x =
+  s.r_count <- s.r_count + 1;
+  let delta = x -. s.r_mean in
+  s.r_mean <- s.r_mean +. (delta /. float_of_int s.r_count);
+  s.r_m2 <- s.r_m2 +. (delta *. (x -. s.r_mean));
+  if x < s.r_min then s.r_min <- x;
+  if x > s.r_max then s.r_max <- x
+
+let ref_merge a b =
+  if a.r_count = 0 then { b with r_count = b.r_count }
+  else if b.r_count = 0 then { a with r_count = a.r_count }
+  else begin
+    let n = a.r_count + b.r_count in
+    let delta = b.r_mean -. a.r_mean in
+    let mean =
+      a.r_mean +. (delta *. float_of_int b.r_count /. float_of_int n)
+    in
+    let m2 =
+      a.r_m2 +. b.r_m2
+      +. (delta *. delta *. float_of_int a.r_count *. float_of_int b.r_count
+          /. float_of_int n)
+    in
+    { r_count = n; r_mean = mean; r_m2 = m2;
+      r_min = Float.min a.r_min b.r_min; r_max = Float.max a.r_max b.r_max }
+  end
+
+(* Bit for bit, except that any two NaNs match: with two NaN operands
+   x86 returns the payload of whichever the instruction names first,
+   and the compiler may order a commutative operation's operands
+   either way. *)
+let bits_equal x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || (Float.is_nan x && Float.is_nan y)
+
+(* Every accessor, bit for bit, with the reference's own guards. *)
+let summary_is s r =
+  let n = r.r_count in
+  Stats.Summary.count s = n
+  && bits_equal (Stats.Summary.mean s) (if n = 0 then 0.0 else r.r_mean)
+  && bits_equal (Stats.Summary.variance s)
+    (if n < 2 then 0.0 else r.r_m2 /. float_of_int (n - 1))
+  && bits_equal (Stats.Summary.stddev s)
+    (sqrt (if n < 2 then 0.0 else r.r_m2 /. float_of_int (n - 1)))
+  && bits_equal (Stats.Summary.min s) (if n = 0 then 0.0 else r.r_min)
+  && bits_equal (Stats.Summary.max s) (if n = 0 then 0.0 else r.r_max)
+
+let summary_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (6, float_range (-1e6) 1e6); (2, float); (1, oneofa specials) ]
+  in
+  pair (list_size (int_range 0 60) value) (list_size (int_range 0 60) value)
+
+let summary_matches_boxed_reference =
+  QCheck.Test.make ~name:"summary matches boxed welford bit for bit"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list float) (list float))
+       summary_gen)
+    (fun (xs, ys) ->
+       let a = Stats.Summary.create () and ra = ref_create () in
+       let b = Stats.Summary.create () and rb = ref_create () in
+       List.iter (fun x -> Stats.Summary.add a x; ref_add ra x) xs;
+       List.iter (fun y -> Stats.Summary.add b y; ref_add rb y) ys;
+       let m = Stats.Summary.merge a b and rm = ref_merge ra rb in
+       let merged_ok = summary_is m rm in
+       (* The merge shares nothing: adding to it leaves both inputs as
+          they were, and adding to an input leaves the merge alone. *)
+       Stats.Summary.add m 12345.0;
+       ref_add rm 12345.0;
+       let inputs_untouched = summary_is a ra && summary_is b rb in
+       Stats.Summary.add a (-7.0);
+       ref_add ra (-7.0);
+       Stats.Summary.add b 9.0;
+       ref_add rb 9.0;
+       merged_ok && inputs_untouched && summary_is m rm && summary_is a ra
+       && summary_is b rb)
+
+(* Warmed sort, pre-boxed samples: each round appends one sample and
+   reads a percentile, which re-sorts all 1000 in place. The returned
+   float's box (2 words) is the only allocation; a generic
+   [Array.sort Float.compare] would box both operands of every
+   comparison. *)
+let test_samples_resort_allocates_nothing () =
+  let s = Stats.Samples.create () in
+  for i = 1 to 1000 do
+    Stats.Samples.add s (float_of_int ((i * 7919) mod 1000))
+  done;
+  (* Boxed once, here; the rounds below pass these boxes on. *)
+  let tail = List.init 20 (fun i -> float_of_int (i * 37 mod 50)) in
+  let rec rounds = function
+    | [] -> ()
+    | x :: rest ->
+      Stats.Samples.add s x;
+      ignore (Sys.opaque_identity (Stats.Samples.percentile s 0.99));
+      rounds rest
+  in
+  ignore (Stats.Samples.percentile s 0.99);
+  let w0 = Gc.minor_words () in
+  rounds tail;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 20 re-sorts"
+    (2.0 *. 20.0) dw
+
+(* [Summary.add] with pre-boxed samples allocates nothing: its
+   accumulators are unboxed stores into a floatarray. *)
+let test_summary_add_allocates_nothing () =
+  let s = Stats.Summary.create () in
+  let xs = List.init 1000 (fun i -> float_of_int ((i * 31) mod 97) /. 7.0) in
+  let rec feed = function
+    | [] -> ()
+    | x :: rest ->
+      Stats.Summary.add s x;
+      feed rest
+  in
+  feed xs;
+  let w0 = Gc.minor_words () in
+  feed xs;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 1000 adds" 0.0 dw;
+  Alcotest.(check int) "count" 2000 (Stats.Summary.count s)
+
 let test_hist_buckets () =
   let h = Stats.Hist.create [|1.0; 2.0; 4.0|] in
   List.iter (Stats.Hist.add h) [0.5; 1.0; 1.5; 3.0; 10.0];
@@ -1048,6 +1294,14 @@ let () =
          Alcotest.test_case "percentiles" `Quick test_samples_percentiles;
          Alcotest.test_case "interleaved sorting" `Quick
            test_samples_interleaved_sorting;
+         qt samples_match_stdlib_sort;
+         Alcotest.test_case "quicksort killer" `Quick
+           test_samples_quicksort_killer;
+         qt summary_matches_boxed_reference;
+         Alcotest.test_case "re-sort allocates only the result" `Quick
+           test_samples_resort_allocates_nothing;
+         Alcotest.test_case "summary add allocates nothing" `Quick
+           test_summary_add_allocates_nothing;
          Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
          Alcotest.test_case "hist bad edges" `Quick test_hist_bad_edges;
          Alcotest.test_case "timeseries" `Quick test_timeseries;

@@ -754,6 +754,119 @@ let test_span_json_bytes () =
     {|{"uid":7,"vpn":1,"band":0,"start":0,"end":0.008,"outcome":"dropped:ttl","segments":[{"node":0,"next_node":0,"kind":"processing","start":0,"dwell":0.001},{"node":0,"next_node":0,"kind":"queueing","start":0.001,"dwell":0.002},{"node":0,"next_node":1,"kind":"transmission","start":0.003,"dwell":0.004},{"node":1,"next_node":1,"kind":"other","start":0.007,"dwell":0.001}]}|}
     (Json.to_string (Span.to_json sp))
 
+(* --- allocation-free recording ------------------------------------------ *)
+
+(* The reference: [bucket_index] by [Float.frexp]. It is exact wherever
+   [v /. lo] is finite; a ratio that overflows (v = +inf, or v above
+   max_float·lo) gets frexp's exponent 0, which would file it in
+   bucket 0, so the property expects the top bucket there instead. *)
+let frexp_bucket ~lo ~buckets v =
+  if v < lo then 0
+  else begin
+    let _, e = Float.frexp (v /. lo) in
+    Int.min (buckets - 1) (Int.max 0 (e - 1))
+  end
+
+let bucket_index_matches_frexp =
+  let open QCheck.Gen in
+  let lo = oneof [ return 1e-9; return 1.0; float_range 1e-12 1e3 ] in
+  (* Raw bit patterns cover the whole line; lo·2^k·m puts most values
+     at and around the bucket edges above [lo]. *)
+  let value lo =
+    frequency
+      [ (1, map Int64.float_of_bits ui64);
+        (3,
+         map2
+           (fun k m -> Float.ldexp (lo *. m) k)
+           (int_range (-4) 140) (float_range 1.0 2.0));
+        (1, map (fun k -> Float.ldexp lo k) (int_range (-2) 1100)) ]
+  in
+  let case =
+    triple lo (int_range 1 128) (return ()) >>= fun (lo, buckets, ()) ->
+    map (fun v -> (lo, buckets, v)) (value lo)
+  in
+  QCheck.Test.make ~name:"bucket_index matches the frexp formulation"
+    ~count:5000
+    (QCheck.make
+       ~print:(fun (lo, b, v) -> Printf.sprintf "lo=%h buckets=%d v=%h" lo b v)
+       case)
+    (fun (lo, buckets, v) ->
+       QCheck.assume (Float.is_finite v);
+       let h = Histogram.make ~lo ~buckets "h" in
+       let got = Histogram.bucket_index h v in
+       if v < lo || Float.is_finite (v /. lo) then
+         got = frexp_bucket ~lo ~buckets v
+       else got = buckets - 1)
+
+let test_histogram_infinity_top_bucket () =
+  let h = Histogram.make ~lo:1.0 ~buckets:8 "h" in
+  Alcotest.(check int) "+inf index" 7 (Histogram.bucket_index h infinity);
+  Alcotest.(check int) "max_float index" 7
+    (Histogram.bucket_index h max_float);
+  Control.with_enabled (fun () ->
+      List.iter (Histogram.observe h) [ 1.5; 1.5; 1.5; infinity ]);
+  (* The fourth of four samples is the largest: p99 reads the top
+     bucket, [128, 256), not the [1, 2) bucket of the small ones. *)
+  Alcotest.(check bool) "p99 from the top bucket" true
+    (Histogram.p99 h >= 128.0);
+  Alcotest.(check (float 0.0)) "max" infinity (Histogram.max_value h)
+
+let test_histogram_nan_bucket_zero () =
+  let h = Histogram.make ~lo:1.0 ~buckets:8 "h" in
+  Alcotest.(check int) "nan index" 0 (Histogram.bucket_index h Float.nan);
+  Alcotest.(check int) "-inf index" 0
+    (Histogram.bucket_index h neg_infinity);
+  Control.with_enabled (fun () -> Histogram.observe h Float.nan);
+  Alcotest.(check int) "counted" 1 (Histogram.count h)
+
+(* Pre-boxed samples: [observe] itself allocates nothing (a [frexp]
+   call would build a result pair and box the ratio per call). *)
+let test_histogram_observe_allocates_nothing () =
+  let h = Histogram.make "h" in
+  let xs = List.init 1000 (fun i -> 1e-6 *. float_of_int (1 + (i * 37 mod 4000))) in
+  let rec feed = function
+    | [] -> ()
+    | x :: rest ->
+      Histogram.observe h x;
+      feed rest
+  in
+  Control.with_enabled (fun () ->
+      feed xs;
+      let w0 = Gc.minor_words () in
+      feed xs;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) "minor words over 1000 observations" 0.0 dw);
+  Alcotest.(check int) "count" 2000 (Histogram.count h)
+
+(* Deliveries and drops inside the open one-second bucket allocate
+   nothing: no [find_opt] box, no per-call closure. Times and latencies
+   are pre-boxed, as a caller's own floats would be. *)
+let test_slo_observe_allocates_nothing () =
+  let t = Slo.create ~events:(Event_log.create ()) () in
+  Slo.declare t ~vpn:3 ~band:1 (Slo.spec ~latency_p99:0.05 0.99);
+  let times = List.init 500 (fun i -> 0.001 *. float_of_int i) in
+  let lats = List.init 500 (fun i -> 0.0001 *. float_of_int (i mod 900)) in
+  let rec feed ts ls =
+    match (ts, ls) with
+    | time :: ts, latency :: ls ->
+      Slo.observe_delivery t ~vpn:3 ~band:1 ~time ~latency;
+      Slo.observe_drop t ~vpn:3 ~band:1 ~time;
+      (* An undeclared objective is a no-op, and allocation-free too. *)
+      Slo.observe_delivery t ~vpn:4 ~band:1 ~time ~latency;
+      feed ts ls
+    | _ -> ()
+  in
+  Control.with_enabled (fun () ->
+      feed times lats;
+      let w0 = Gc.minor_words () in
+      feed times lats;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) "minor words over 1500 observations" 0.0
+        dw);
+  match Slo.reports t with
+  | [ r ] -> Alcotest.(check int) "total" 2000 r.Slo.total
+  | rs -> Alcotest.fail (Printf.sprintf "one report, got %d" (List.length rs))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick (wrap f) in
   Alcotest.run "telemetry"
@@ -773,7 +886,12 @@ let () =
          tc "one bucket" test_histogram_one_bucket;
          tc "quantile clamped" test_histogram_quantile_clamped;
          tc "observe_int gated" test_histogram_observe_int_gated;
-         tc "snapshot restore" test_histogram_snapshot_restore ]);
+         tc "snapshot restore" test_histogram_snapshot_restore;
+         tc "+inf in the top bucket" test_histogram_infinity_top_bucket;
+         tc "nan in bucket 0" test_histogram_nan_bucket_zero;
+         QCheck_alcotest.to_alcotest bucket_index_matches_frexp;
+         tc "observe allocates nothing"
+           test_histogram_observe_allocates_nothing ]);
       ("hop-trace",
        [ tc "per packet" test_trace_per_packet;
          tc "ring wraps" test_trace_ring_wraps;
@@ -800,7 +918,8 @@ let () =
        [ tc "spec validation" test_slo_spec_validation;
          tc "good traffic in budget" test_slo_good_traffic_stays_in_budget;
          tc "violation recovery alert" test_slo_violation_recovery_and_alert;
-         tc "gated and json" test_slo_gated_and_json ]);
+         tc "gated and json" test_slo_gated_and_json;
+         tc "observe allocates nothing" test_slo_observe_allocates_nothing ]);
       ("json-bytes",
        [ tc "event log entries" test_event_log_json_bytes;
          tc "slo report" test_slo_report_json_bytes;

@@ -2,10 +2,12 @@
 
    Runs the same scenario as bench/e16_parallel.ml's sequential rows
    and prints, for each phase (scenario build, workload arming, engine
-   run, SLO replay, registry JSON), the wall time, the process CPU time
-   and the minor-heap words allocated — plus the headline words-per-event figure for the
-   engine phase. Use it to find where the run loop still allocates
-   before reaching for a profiler. *)
+   run, per-class SLA reports, registry JSON), the wall time, the
+   process CPU time and the minor-heap words allocated — plus words
+   per event for the engine phase and for the post-run verdict
+   ([Scenario.class_reports]) separately, so a regression in either
+   shows apart from the other. Use it to find where the run loop still
+   allocates before reaching for a profiler. *)
 
 module Engine = Mvpn_sim.Engine
 module Runner = Mvpn_par.Runner
@@ -87,6 +89,9 @@ let () =
         else Engine.run ~until:horizon (Scenario.engine sc))
   in
   let events = Engine.processed (Scenario.engine sc) - e0 in
+  let _, _, reports_dw =
+    phase "reports" (fun () -> Scenario.class_reports sc)
+  in
   let _, _, _ =
     phase "registry-json" (fun () -> Registry.to_json ~trace_events:0 ())
   in
@@ -104,10 +109,12 @@ let () =
   Packet.set_pooling prev;
   let net = Scenario.network sc in
   ignore (Network.topology net);
-  Printf.printf "\nevents           %d\n" events;
-  Printf.printf "words/event      %.2f\n" (run_dw /. float_of_int events);
-  Printf.printf "events/s         %.0f\n" (float_of_int events /. run_dt);
-  Printf.printf "pool size        %d\n" (Packet.pool_size ());
+  Printf.printf "\nevents              %d\n" events;
+  Printf.printf "engine words/event  %.2f\n" (run_dw /. float_of_int events);
+  Printf.printf "report words/event  %.2f\n"
+    (reports_dw /. float_of_int events);
+  Printf.printf "events/s            %.0f\n" (float_of_int events /. run_dt);
+  Printf.printf "pool size           %d\n" (Packet.pool_size ());
   if !samples <> [] then begin
     ignore
       (Unix.setitimer Unix.ITIMER_PROF

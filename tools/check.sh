@@ -124,15 +124,15 @@ for g in e16.rate.seq_pps e16.rate.seq_heap_pps e16.rate.seq_calendar_pps \
   }
 done
 
-echo "== flat-packet allocation gate (sim.gc.minor_words_per_event <= 24)"
+echo "== flat-packet allocation gate (sim.gc.minor_words_per_event <= 8)"
 grep -q '"sim\.gc\.minor_words_per_event"' BENCH_telemetry.json || {
   echo "missing sim.gc.minor_words_per_event gauge in BENCH_telemetry.json" >&2
   exit 1
 }
 wpe=$(grep -o '"sim\.gc\.minor_words_per_event":[0-9.eE+-]*' \
   BENCH_telemetry.json | cut -d: -f2)
-awk -v w="$wpe" 'BEGIN { exit !(w+0 > 0 && w+0 <= 24) }' || {
-  echo "minor words/event out of budget: $wpe (gate: > 0 and <= 24)" >&2
+awk -v w="$wpe" 'BEGIN { exit !(w+0 > 0 && w+0 <= 8) }' || {
+  echo "minor words/event out of budget: $wpe (gate: > 0 and <= 8)" >&2
   exit 1
 }
 
