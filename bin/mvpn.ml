@@ -50,8 +50,41 @@ let classes_json classes =
 
 (* --- shared arguments -------------------------------------------------- *)
 
+(* Numeric inputs that would crash or silently degenerate a run are
+   rejected at parse time, so misuse surfaces as cmdliner's usage-error
+   exit (124), never as an exception trace (125). *)
+
+(* Strictly positive finite float. *)
+let pos_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0.0 -> Ok v
+    | Some _ -> Error (`Msg "must be a finite positive number")
+    | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
+  in
+  Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
+
+(* Integer in [lo, hi] ([hi] unbounded when absent). *)
+let int_conv ~what ~lo ?hi () =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
+    | Some v when v < lo || (match hi with Some h -> v > h | None -> false)
+      ->
+      Error
+        (`Msg
+           (match hi with
+            | Some h -> Printf.sprintf "%s must be in [%d, %d]" what lo h
+            | None -> Printf.sprintf "%s must be >= %d" what lo))
+    | Some v -> Ok v
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* The backbone is a ring (at least 3 POPs) and numbers POP loopbacks
+   in one octet (at most 256). *)
 let pops_arg =
-  Arg.(value & opt int 12 & info ["pops"] ~docv:"N" ~doc:"Number of POPs.")
+  Arg.(value & opt (int_conv ~what:"--pops" ~lo:3 ~hi:256 ()) 12
+       & info ["pops"] ~docv:"N" ~doc:"Number of POPs (3-256).")
 
 let vpns_arg =
   Arg.(value & opt int 2 & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs.")
@@ -78,8 +111,8 @@ let load_arg =
          ~doc:"Offered load as a fraction of the access rate.")
 
 let duration_arg =
-  Arg.(value & opt float 30.0 & info ["duration"] ~docv:"SEC"
-         ~doc:"Workload duration in simulated seconds.")
+  Arg.(value & opt pos_float_conv 30.0 & info ["duration"] ~docv:"SEC"
+         ~doc:"Workload duration in simulated seconds (finite, positive).")
 
 let overlay_arg =
   Arg.(value & flag & info ["overlay"]
@@ -491,7 +524,8 @@ let par_cmd =
     end
   in
   let shards_arg =
-    Arg.(value & opt int 4 & info ["shards"] ~docv:"K"
+    Arg.(value & opt (int_conv ~what:"--shards" ~lo:1 ()) 4
+         & info ["shards"] ~docv:"K"
            ~doc:"Number of parallel shards (domains). Clamped to the \
                  number of POP regions; 1 degenerates to a sequential \
                  run through the same machinery.")
@@ -628,9 +662,9 @@ let timeline_cmd =
                  exported series are byte-identical at every K.")
   in
   let interval_arg =
-    Arg.(value & opt float Sampler.default_interval
+    Arg.(value & opt pos_float_conv Sampler.default_interval
          & info ["interval"] ~docv:"SEC"
-           ~doc:"Sampling interval in simulated seconds.")
+           ~doc:"Sampling interval in simulated seconds (finite, positive).")
   in
   let json_arg =
     Arg.(value & flag & info ["json"]
@@ -653,18 +687,6 @@ let timeline_cmd =
           $ interval_arg $ json_arg $ csv_arg)
 
 (* --- soak --------------------------------------------------------------- *)
-
-(* Strictly positive finite float, rejected at parse time so misuse
-   surfaces as cmdliner's usage-error exit (124), never as a crash or a
-   silently degenerate run. *)
-let pos_float_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg "must be a finite positive number")
-    | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
-  in
-  Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
 
 let soak_cmd =
   let run pops vpns sites_per_vpn load seed shards hours chaos
@@ -853,7 +875,8 @@ let soak_cmd =
                  seconds (finite, positive).")
   in
   let segments_arg =
-    Arg.(value & opt int 8 & info ["segments"] ~docv:"N"
+    Arg.(value & opt (int_conv ~what:"--segments" ~lo:1 ()) 8
+         & info ["segments"] ~docv:"N"
            ~doc:"Diurnal load-envelope segments over the soak.")
   in
   let fail_fast_arg =
@@ -930,23 +953,6 @@ let fail_cmd =
 
 let provision_cmd =
   let module P = Mvpn_provision in
-  (* All numeric inputs are validated at parse time so misuse is always
-     cmdliner's usage-error exit (124), never an exception trace. *)
-  let int_conv ~what ~lo ?hi () =
-    let parse s =
-      match int_of_string_opt s with
-      | None -> Error (`Msg (Printf.sprintf "invalid integer %S" s))
-      | Some v when v < lo || (match hi with Some h -> v > h | None -> false)
-        ->
-        Error
-          (`Msg
-             (match hi with
-              | Some h -> Printf.sprintf "%s must be in [%d, %d]" what lo h
-              | None -> Printf.sprintf "%s must be >= %d" what lo))
-      | Some v -> Ok v
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-  in
   let customers_arg =
     Arg.(value
          & opt (int_conv ~what:"--customers" ~lo:1 ~hi:0x3fff ()) 1000
