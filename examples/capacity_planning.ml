@@ -11,6 +11,8 @@ open Mvpn_core
 module Engine = Mvpn_sim.Engine
 module Topology = Mvpn_sim.Topology
 module Rng = Mvpn_sim.Rng
+module Port = Mvpn_qos.Port
+module Queue_disc = Mvpn_qos.Queue_disc
 
 let () =
   Printf.printf "== Offline planning, then live monitoring ==\n\n";
@@ -45,11 +47,25 @@ let () =
   (* Static routes per demand path (the planning view made live). *)
   let spf = Planning.route_spf topo demands in
   ignore spf;
-  (* Find the busiest planned link and monitor every core link. *)
-  let link_ids =
-    List.map (fun (l : Topology.link) -> l.Topology.id) (Topology.links topo)
+  (* Monitor every link: each 0.5 s tick keeps the per-link peak of
+     utilization (averaged since the start of the run) and of queue
+     backlog. *)
+  let links = Array.of_list (Topology.links topo) in
+  let peak_util = Array.make (Array.length links) neg_infinity in
+  let peak_backlog = Array.make (Array.length links) 0 in
+  let watch = Mvpn_sim.Profile.register_kind "example.watch" in
+  let stop_watch =
+    Engine.every engine ~kind:watch ~interval:0.5 (fun () ->
+        let now = Engine.now engine in
+        Array.iteri
+          (fun i (l : Topology.link) ->
+             let port = Network.port net ~link_id:l.Topology.id in
+             let util = Port.utilization port ~now in
+             let backlog = Queue_disc.backlog_bytes (Port.qdisc port) in
+             peak_util.(i) <- Float.max peak_util.(i) util;
+             peak_backlog.(i) <- max peak_backlog.(i) backlog)
+          links)
   in
-  let mon = Monitor.start ~interval:0.5 net ~link_ids in
   (* Drive traffic along each demand's shortest path using per-hop
      static routes toward a unique destination prefix per demand. *)
   let registry = Traffic.registry engine in
@@ -92,21 +108,24 @@ let () =
          ~rate_bps:d.Planning.bandwidth ~packet_bytes:1500 emit)
     demands;
   Engine.run ~until:10.0 engine;
-  Monitor.stop mon;
+  stop_watch ();
   Printf.printf "\n  worst observed links (live, 0.5 s samples):\n";
+  (* Worst first; equal peaks keep link order. *)
+  let worst =
+    List.stable_sort
+      (fun a b -> Float.compare peak_util.(b) peak_util.(a))
+      (List.init (Array.length links) Fun.id)
+  in
   List.iteri
-    (fun i (link_id, peak) ->
-       if i < 4 then begin
-         let l = Topology.link topo link_id in
+    (fun rank i ->
+       if rank < 4 then begin
+         let l = links.(i) in
          Printf.printf "    %s -> %s  peak %.1f%%  max backlog %d B\n"
            (Topology.node_name topo l.Topology.src)
            (Topology.node_name topo l.Topology.dst)
-           (peak *. 100.0)
-           (int_of_float
-              (Mvpn_sim.Stats.Timeseries.max_value
-                 (Monitor.backlog_series mon ~link_id)))
+           (peak_util.(i) *. 100.0) peak_backlog.(i)
        end)
-    (Monitor.peak_utilization mon);
+    worst;
   Printf.printf
     "\nThe offline plan's hot spots are exactly where the live run\n\
      queues — the planning arithmetic is the monitoring arithmetic run\n\

@@ -25,7 +25,6 @@ let default_interval = 1.0
 type t = {
   sc : Scenario.t;
   interval : float;
-  until : float;
   link_ids : int array;
   link_util : T.Timeseries.t array;
   link_prev_bytes : int array;
@@ -44,7 +43,6 @@ type t = {
   band_bounds : float array;  (* nan = no latency bound *)
   gc_minor : T.Timeseries.t;
   mutable prev_minor : float;
-  mutable stopped : bool;
 }
 
 let series_capacity = T.Timeseries.default_capacity
@@ -178,25 +176,7 @@ let sample t =
   T.Timeseries.add t.gc_minor ~time:now (mw -. t.prev_minor);
   t.prev_minor <- mw
 
-let stop t = t.stopped <- true
-
 let start ?(interval = default_interval) ?until sc =
-  (* A non-finite or non-positive interval is a silent runaway: the
-     self-reschedule would loop at one instant (0, nan) or never fire
-     again (infinity). Reject at config time with a clear error. *)
-  if not (Float.is_finite interval && interval > 0.0) then
-    invalid_arg
-      (Printf.sprintf
-         "Sampler.start: interval must be finite and positive, got %g"
-         interval);
-  let engine = Scenario.engine sc in
-  let horizon =
-    match until with
-    | Some h when Float.is_nan h || h < 0.0 ->
-      invalid_arg "Sampler.start: until must be >= 0"
-    | Some h -> h
-    | None -> infinity
-  in
   let link_ids = Array.of_list (Scenario.core_link_ids sc) in
   let bands = Qos_mapping.band_count in
   let max_vpn =
@@ -216,7 +196,7 @@ let start ?(interval = default_interval) ?until sc =
         else [||])
   in
   let t =
-    { sc; interval; until = horizon;
+    { sc; interval;
       link_ids;
       link_util = Array.map link_series link_ids;
       link_prev_bytes = Array.make (Array.length link_ids) 0;
@@ -236,16 +216,10 @@ let start ?(interval = default_interval) ?until sc =
             | Some bound -> bound
             | None -> Float.nan);
       gc_minor = host_series "ts.gc.minor_words";
-      prev_minor = Gc.minor_words ();
-      stopped = false }
+      prev_minor = Gc.minor_words () }
   in
-  let rec tick () =
-    if (not t.stopped) && Engine.now engine <= t.until then begin
-      sample t;
-      Engine.schedule_kind engine ~kind:k_sample ~delay:t.interval tick
-    end
+  let (_stop : unit -> unit) =
+    Engine.every (Scenario.engine sc) ~kind:k_sample ~interval ?until
+      (fun () -> sample t)
   in
-  Engine.schedule_kind engine ~kind:k_sample ~delay:t.interval tick;
   t
-
-let interval t = t.interval

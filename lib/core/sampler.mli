@@ -1,4 +1,4 @@
-(** Streaming timeline sampler: a self-rescheduling engine event that
+(** Streaming timeline sampler: a periodic engine tick that
     records bounded {!Mvpn_telemetry.Timeseries} points every
     [interval] sim-seconds — per-core-link utilization
     ([ts.link.<id>.util]), per-band queue depth and drop deltas
@@ -22,11 +22,10 @@ val default_interval : float
 
 val start : ?interval:float -> ?until:float -> Scenario.t -> t
 (** Register the series (idempotent) and schedule the first tick at
-    [interval]; each tick re-schedules the next until [until] (default
-    unbounded) or {!stop}. Arm before the run starts.
+    [interval] through {!Mvpn_sim.Engine.every}; ticks run until
+    [until] (default unbounded). Arm before the run starts.
     @raise Invalid_argument on a non-finite or non-positive interval
-    (a silent runaway self-reschedule otherwise) or a negative/NaN
-    [until]. *)
+    or a negative/NaN [until]. *)
 
 val observe_fate :
   t ->
@@ -37,11 +36,6 @@ val observe_fate :
     per-band objective's latency bound — the same classification
     {!Mvpn_telemetry.Slo.observe_delivery} applies — so the sampled
     good/bad deltas sum to the replayed SLO totals. *)
-
-val stop : t -> unit
-(** Stop after the current tick; pending tick events become no-ops. *)
-
-val interval : t -> float
 
 val burn :
   target:float ->

@@ -1,5 +1,5 @@
-(* Streaming runtime invariant auditor: a cheap self-rescheduling
-   engine event (the Sampler pattern) that re-proves, every tick, the
+(* Streaming runtime invariant auditor: a cheap periodic engine tick
+   ([Engine.every], like the Sampler) that re-proves, every tick, the
    properties the architecture's steady-state claims rest on — packet
    conservation against the authoritative drop table, loop bounds from
    the hop-trace ring, FRR protection coverage, SLO error-budget
@@ -46,9 +46,6 @@ type qprev = {
 
 type t = {
   net : Network.t;
-  engine : Engine.t;
-  interval : float;
-  until : float;
   fail_fast : bool;
   max_hops : int;
   heap_slack : float;
@@ -56,7 +53,7 @@ type t = {
   mutable ticks : int;
   mutable violations : int;
   mutable recent : (string * string) list;  (* newest first, capped *)
-  mutable stopped : bool;
+  mutable stop : unit -> unit;
   (* baselines and high-water marks *)
   mutable frr_base : int option;  (* protected + unprotected links *)
   mutable frr_switched_prev : int;
@@ -296,7 +293,7 @@ let run_checks t =
   check_queues t;
   check_heap t
 
-let stop t = t.stopped <- true
+let stop t = t.stop ()
 
 let ticks t = t.ticks
 let violations t = t.violations
@@ -304,37 +301,21 @@ let recent_violations t = List.rev t.recent
 
 let start ?(interval = default_interval) ?until ?(fail_fast = false)
     ?(max_hops = default_max_hops) ?(heap_slack = 4.0) ?frr sc =
-  if not (Float.is_finite interval && interval > 0.0) then
-    invalid_arg
-      (Printf.sprintf
-         "Audit.start: interval must be finite and positive, got %g" interval);
-  let until =
-    match until with
-    | Some h when Float.is_nan h || h < 0.0 ->
-      invalid_arg "Audit.start: until must be >= 0"
-    | Some h -> h
-    | None -> infinity
-  in
   if max_hops < 1 then invalid_arg "Audit.start: max_hops must be >= 1";
   if not (heap_slack >= 1.0) then
     invalid_arg "Audit.start: heap_slack must be >= 1";
-  let net = Scenario.network sc in
-  let engine = Scenario.engine sc in
   let t =
-    { net; engine; interval; until; fail_fast; max_hops; heap_slack; frr;
-      ticks = 0; violations = 0; recent = []; stopped = false;
+    { net = Scenario.network sc; fail_fast; max_hops; heap_slack; frr;
+      ticks = 0; violations = 0; recent = []; stop = ignore;
       frr_base = None; frr_switched_prev = 0;
       slo_prev = Hashtbl.create 16; slo_seen = None;
       queue_prev = Hashtbl.create 64; heap_base = None; pool_base = None;
       unattributed_prev = 0 }
   in
-  let rec tick () =
-    if (not t.stopped) && Engine.now engine <= t.until then begin
-      t.ticks <- t.ticks + 1;
-      T.Counter.incr m_ticks;
-      run_checks t;
-      Engine.schedule_kind engine ~kind:k_tick ~delay:t.interval tick
-    end
-  in
-  Engine.schedule_kind engine ~kind:k_tick ~delay:t.interval tick;
+  t.stop <-
+    Engine.every (Scenario.engine sc) ~kind:k_tick ~interval ?until
+      (fun () ->
+         t.ticks <- t.ticks + 1;
+         T.Counter.incr m_ticks;
+         run_checks t);
   t

@@ -1,9 +1,10 @@
 (** Streaming runtime invariant auditor.
 
-    A cheap self-rescheduling engine event (the {!Mvpn_core.Sampler}
-    pattern): every [interval] sim-seconds it re-proves the properties
-    the paper's steady-state QoS claims rest on, while the run — hours
-    of simulated chaos, sequential or sharded — is still going:
+    A cheap periodic engine tick ({!Mvpn_sim.Engine.every}, like
+    {!Mvpn_core.Sampler}): every [interval] sim-seconds it re-proves
+    the properties the paper's steady-state QoS claims rest on, while
+    the run — hours of simulated chaos, sequential or sharded — is
+    still going:
 
     - {b conservation}: [injected + imported + forked = delivered +
       table drops + port drops + exported + consumed + live], from
@@ -64,8 +65,9 @@ val start :
   ?frr:Frr.t ->
   Mvpn_core.Scenario.t ->
   t
-(** Schedule the first tick at [interval]; each tick re-schedules the
-    next until [until] (default unbounded) or {!stop}. Arm before the
+(** Schedule the first tick at [interval] through
+    {!Mvpn_sim.Engine.every}; ticks run until [until] (default
+    unbounded) or {!stop}. Arm before the
     run starts, after any {!Harness.arm} (pass its {!Harness.frr}
     handle to audit protection coverage). The SLO check reads whatever
     engine is attached to the network at each tick.

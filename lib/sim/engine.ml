@@ -168,6 +168,29 @@ let schedule_kind_at e ~kind ~time f =
   if Profile.enabled e.prof then Profile.note_kind e.prof kind;
   schedule_at e ~time f
 
+(* The one fixed-interval tick. It re-arms relative to the tick that
+   just ran ([~delay:interval]), not at [start + i * interval]: sample
+   times are the running float sum, which the timeline exports carry
+   byte-for-byte. The first tick past [until] runs as a no-op and does
+   not re-arm, so a horizon-bounded tick lets a bare [run] drain. *)
+let every e ~kind ~interval ?(until = infinity) f =
+  if not (Float.is_finite interval && interval > 0.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.every: interval must be finite and positive, got %g"
+         interval);
+  if Float.is_nan until || until < 0.0 then
+    invalid_arg "Engine.every: until must be >= 0";
+  let stopped = ref false in
+  let rec tick () =
+    if (not !stopped) && e.now <= until then begin
+      f ();
+      schedule_kind e ~kind ~delay:interval tick
+    end
+  in
+  schedule_kind e ~kind ~delay:interval tick;
+  fun () -> stopped := true
+
 let step e =
   match q_pop e.queue with
   | None -> false

@@ -48,6 +48,26 @@ val schedule_kind_at :
   t -> kind:Profile.kind -> time:float -> (unit -> unit) -> unit
 (** {!schedule_at}, tagged like {!schedule_kind}. *)
 
+val every :
+  t ->
+  kind:Profile.kind ->
+  interval:float ->
+  ?until:float ->
+  (unit -> unit) ->
+  unit -> unit
+(** [every e ~kind ~interval ?until f] runs [f] every [interval]
+    seconds, first at [now e +. interval], and returns a [stop]
+    function. Each tick re-arms [interval] after itself, so tick times
+    are the running sum [((now + i) + i) + ...], not [now + k * i].
+    [f] runs while [now <= until] (default unbounded). The first tick
+    after [until], and every tick after [stop], is a no-op that does
+    not re-arm: with [until] a bare {!run} drains, leaving one
+    trailing event past the horizon. Every tick is scheduled through
+    {!schedule_kind} with [kind].
+    @raise Invalid_argument if [interval] is not finite and positive
+    (the re-arm would spin at one instant or never fire), or [until]
+    is negative or NaN. *)
+
 val profiler : t -> Profile.t
 (** The engine's dispatch-cost ledger (see {!Profile}). Disabled at
     {!create}; enabling takes effect at the next run-window entry,

@@ -1,5 +1,5 @@
-(** Measurement plane: running moments, exact percentiles, histograms
-    and time series.
+(** Measurement plane: running moments, exact percentiles and
+    histograms. Time series live in {!Mvpn_telemetry.Timeseries}.
 
     The SLA compliance machinery (delay bounds, jitter, loss ratios) is
     built on these; they never influence forwarding. *)
@@ -85,20 +85,4 @@ module Hist : sig
 
   val total : t -> int
   val pp : Format.formatter -> t -> unit
-end
-
-(** Append-only (time, value) series, e.g. link utilization over time. *)
-module Timeseries : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> float -> unit
-  (** [add ts time v]; times must be non-decreasing.
-      @raise Invalid_argument otherwise. *)
-
-  val length : t -> int
-  val to_list : t -> (float * float) list
-  val last : t -> (float * float) option
-  val mean_value : t -> float
-  val max_value : t -> float
 end

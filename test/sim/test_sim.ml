@@ -505,6 +505,154 @@ let test_engine_backend_parity () =
   Alcotest.(check int) "same processed count" ph pc;
   Alcotest.(check (float 1e-12)) "same final clock" nh nc
 
+(* --- Engine.every ----------------------------------------------------- *)
+
+let k_every = Profile.register_kind "test.every"
+
+(* Tick times are the running sum of the interval from the arming
+   instant: the first at [now + interval], each next [interval] after
+   the last, never [start + k * interval]. *)
+let test_every_ticks () =
+  let e = Engine.create () in
+  Engine.schedule e ~delay:0.5 ignore;
+  Engine.run e;
+  let times = ref [] in
+  let (_ : unit -> unit) =
+    Engine.every e ~kind:k_every ~interval:1.0 (fun () ->
+        times := Engine.now e :: !times)
+  in
+  Engine.run ~until:10.5 e;
+  Alcotest.(check (list (float 0.0))) "ten ticks from now + interval"
+    (List.init 10 (fun i -> 1.5 +. float_of_int i))
+    (List.rev !times);
+  Alcotest.(check int) "the next tick stays armed" 1 (Engine.pending e);
+  (* 0.1 is inexact: the running sum drifts from [k * 0.1], and the
+     ticks must follow the sum. *)
+  let e = Engine.create () in
+  let times = ref [] in
+  let (_ : unit -> unit) =
+    Engine.every e ~kind:k_every ~interval:0.1 ~until:1.0 (fun () ->
+        times := Engine.now e :: !times)
+  in
+  Engine.run e;
+  let sums =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (t, acc) _ -> (t +. 0.1, (t +. 0.1) :: acc))
+            (0.0, []) (List.init 10 Fun.id)))
+  in
+  Alcotest.(check bool) "the sum is not the product" true
+    (List.nth sums 7 <> 8.0 *. 0.1);
+  Alcotest.(check (list (float 0.0))) "running-sum tick times" sums
+    (List.rev !times)
+
+(* With [until], a bare [run] drains: [f] runs at every tick up to the
+   horizon, then one trailing tick past it is a no-op that does not
+   re-arm. *)
+let test_every_until_drains () =
+  let e = Engine.create () in
+  let n = ref 0 in
+  let (_ : unit -> unit) =
+    Engine.every e ~kind:k_every ~interval:1.0 ~until:5.0 (fun () -> incr n)
+  in
+  Engine.run e;
+  Alcotest.(check int) "ticks up to the horizon, inclusive" 5 !n;
+  Alcotest.(check int) "one trailing no-op event" 6 (Engine.processed e);
+  Alcotest.(check (float 0.0)) "trailing tick one interval past" 6.0
+    (Engine.now e);
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+let test_every_stop () =
+  (* Stopped from inside a tick: the tick it armed is a no-op. *)
+  let e = Engine.create () in
+  let n = ref 0 in
+  let stop = ref ignore in
+  stop :=
+    Engine.every e ~kind:k_every ~interval:1.0 (fun () ->
+        incr n;
+        if !n = 3 then !stop ());
+  Engine.run ~until:10.0 e;
+  Alcotest.(check int) "no tick after stop" 3 !n;
+  Alcotest.(check int) "one pending no-op ran" 4 (Engine.processed e);
+  Alcotest.(check int) "and did not re-arm" 0 (Engine.pending e);
+  (* Stopped between runs. *)
+  let e = Engine.create () in
+  let n = ref 0 in
+  let stop = Engine.every e ~kind:k_every ~interval:1.0 (fun () -> incr n) in
+  Engine.run ~until:2.5 e;
+  stop ();
+  Engine.run e;
+  Alcotest.(check int) "pending tick does nothing" 2 !n;
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+let test_every_validation () =
+  let e = Engine.create () in
+  List.iter
+    (fun (interval, shown) ->
+       Alcotest.check_raises "interval refused"
+         (Invalid_argument
+            ("Engine.every: interval must be finite and positive, got "
+             ^ shown))
+         (fun () ->
+            ignore (Engine.every e ~kind:k_every ~interval ignore : unit -> unit)))
+    [ (Float.nan, "nan"); (0.0, "0"); (-0.5, "-0.5"); (infinity, "inf") ];
+  List.iter
+    (fun until ->
+       Alcotest.check_raises "until refused"
+         (Invalid_argument "Engine.every: until must be >= 0") (fun () ->
+             ignore
+               (Engine.every e ~kind:k_every ~interval:1.0 ~until ignore
+                : unit -> unit)))
+    [ Float.nan; -1.0 ];
+  Alcotest.(check int) "nothing armed" 0 (Engine.pending e);
+  (* The boundary cases that must keep working. *)
+  let n = ref 0 in
+  let (_ : unit -> unit) =
+    Engine.every e ~kind:k_every ~interval:0.25 ~until:0.0 (fun () -> incr n)
+  in
+  Engine.run e;
+  Alcotest.(check int) "until 0: the first tick is already past" 0 !n;
+  Alcotest.(check int) "and drains" 0 (Engine.pending e)
+
+(* Every tick, the trailing no-op included, is scheduled under the
+   caller's kind. *)
+let test_every_profile_kind () =
+  let e = Engine.create () in
+  let p = Engine.profiler e in
+  let k = Profile.register_kind "test.every.profiled" in
+  Profile.enable p;
+  let (_ : unit -> unit) =
+    Engine.every e ~kind:k ~interval:1.0 ~until:5.0 ignore
+  in
+  Engine.run e;
+  Alcotest.(check int) "scheduled per kind" 6 (Profile.kind_count p k);
+  Alcotest.(check int) "executed" 6 (Profile.events p)
+
+(* Two periodic ticks and one-shot events on shared instants execute in
+   the same order under both backends. *)
+let test_every_backend_parity () =
+  let trace backend =
+    let e = Engine.create ~backend () in
+    let log = ref [] in
+    let note tag () = log := (tag, Engine.now e) :: !log in
+    let (_ : unit -> unit) =
+      Engine.every e ~kind:k_every ~interval:0.25 ~until:3.0 (note 1)
+    in
+    Engine.schedule e ~delay:0.5 (note 0);
+    let (_ : unit -> unit) =
+      Engine.every e ~kind:k_every ~interval:0.5 ~until:2.0 (note 2)
+    in
+    Engine.schedule e ~delay:1.0 (note 3);
+    Engine.run e;
+    (List.rev !log, Engine.processed e)
+  in
+  let lh, ph = trace Engine.Binary_heap in
+  let lc, pc = trace Engine.Calendar in
+  Alcotest.(check int) "every tick ran" 18 (List.length lh);
+  Alcotest.(check (list (pair int (float 0.0)))) "same sequence" lh lc;
+  Alcotest.(check int) "same processed count" ph pc
+
 (* --- Stats ------------------------------------------------------------ *)
 
 let test_summary_moments () =
@@ -858,18 +1006,6 @@ let test_hist_bad_edges () =
     (Invalid_argument "Hist.create: edges must be strictly increasing")
     (fun () -> ignore (Stats.Hist.create [|1.0; 1.0|]))
 
-let test_timeseries () =
-  let ts = Stats.Timeseries.create () in
-  Stats.Timeseries.add ts 0.0 1.0;
-  Stats.Timeseries.add ts 1.0 3.0;
-  Stats.Timeseries.add ts 2.0 2.0;
-  Alcotest.(check int) "length" 3 (Stats.Timeseries.length ts);
-  Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.Timeseries.mean_value ts);
-  Alcotest.(check (float 1e-9)) "max" 3.0 (Stats.Timeseries.max_value ts);
-  Alcotest.check_raises "backwards"
-    (Invalid_argument "Timeseries.add: time going backwards") (fun () ->
-      Stats.Timeseries.add ts 1.5 0.0)
-
 (* Push payloads while registering them in a weak array, without
    leaving strong references on this frame's stack.  [@inline never]
    keeps the payload roots confined to the callee. *)
@@ -1058,15 +1194,6 @@ let test_summary_single_sample () =
     (Stats.Summary.variance s);
   Alcotest.(check (float 1e-9)) "min=max" (Stats.Summary.min s)
     (Stats.Summary.max s)
-
-let test_timeseries_equal_times_allowed () =
-  let ts = Stats.Timeseries.create () in
-  Stats.Timeseries.add ts 1.0 1.0;
-  Stats.Timeseries.add ts 1.0 2.0;
-  Alcotest.(check int) "both kept" 2 (Stats.Timeseries.length ts);
-  Alcotest.(check (option (pair (float 1e-9) (float 1e-9)))) "last"
-    (Some (1.0, 2.0))
-    (Stats.Timeseries.last ts)
 
 (* --- Topology --------------------------------------------------------- *)
 
@@ -1283,7 +1410,17 @@ let () =
          Alcotest.test_case "run_before strict" `Quick
            test_engine_run_before;
          Alcotest.test_case "profiler ledger" `Quick
-           test_engine_profiler ]);
+           test_engine_profiler;
+         Alcotest.test_case "every tick times and count" `Quick
+           test_every_ticks;
+         Alcotest.test_case "every until drains" `Quick
+           test_every_until_drains;
+         Alcotest.test_case "every stop" `Quick test_every_stop;
+         Alcotest.test_case "every validation" `Quick test_every_validation;
+         Alcotest.test_case "every profile kind" `Quick
+           test_every_profile_kind;
+         Alcotest.test_case "every backend parity" `Quick
+           test_every_backend_parity ]);
       ("stats",
        [ Alcotest.test_case "summary moments" `Quick test_summary_moments;
          Alcotest.test_case "summary empty" `Quick test_summary_empty;
@@ -1304,11 +1441,8 @@ let () =
            test_summary_add_allocates_nothing;
          Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
          Alcotest.test_case "hist bad edges" `Quick test_hist_bad_edges;
-         Alcotest.test_case "timeseries" `Quick test_timeseries;
          Alcotest.test_case "summary single sample" `Quick
-           test_summary_single_sample;
-         Alcotest.test_case "timeseries equal times" `Quick
-           test_timeseries_equal_times_allowed ]);
+           test_summary_single_sample ]);
       ("topology",
        [ Alcotest.test_case "connect" `Quick test_topology_connect;
          Alcotest.test_case "duplicates rejected" `Quick

@@ -583,6 +583,17 @@ let test_series_gated () =
   Alcotest.(check (pair (float 1e-9) (float 1e-9))) "the sample" (1.0, 2.0)
     (Timeseries.get s 0)
 
+(* Two samplers on one instant (or a tick that records twice) keep
+   both samples, in arrival order. *)
+let test_series_equal_times () =
+  let s = Timeseries.make ~capacity:8 "ts.equal" in
+  Control.with_enabled (fun () ->
+      Timeseries.add s ~time:1.0 1.0;
+      Timeseries.add s ~time:1.0 2.0);
+  Alcotest.(check int) "both kept" 2 (Timeseries.length s);
+  Alcotest.(check (pair (float 1e-9) (float 1e-9))) "last" (1.0, 2.0)
+    (Timeseries.get s 1)
+
 let test_series_decimation () =
   (* 100 arrivals through a ring of 8: the ring decimates by powers of
      two, and what survives is exactly the arrivals at multiples of the
@@ -906,7 +917,8 @@ let () =
        [ tc "gated by control" test_series_gated;
          tc "decimation invariant" test_series_decimation;
          tc "snapshot restore" test_series_snapshot_restore;
-         tc "two-domain absorb orders" test_series_absorb_two_domains ]);
+         tc "two-domain absorb orders" test_series_absorb_two_domains;
+         tc "equal times kept" test_series_equal_times ]);
       ("event-log",
        [ tc "gated and wraps" test_event_log_gated_and_wraps;
          tc "kinds and clock" test_event_log_kinds_and_clock ]);
