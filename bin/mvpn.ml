@@ -568,8 +568,8 @@ let timeline_cmd =
     Telemetry.Control.enable ();
     let cfg =
       { Mvpn_par.Runner.default_config with
-        shards = (if shards < 1 then 1 else shards);
-        pops; vpns; sites_per_vpn; policy; use_te; load; duration; seed;
+        shards; pops; vpns; sites_per_vpn; policy; use_te; load; duration;
+        seed;
         sample_interval = Some interval }
     in
     let o =
@@ -657,7 +657,8 @@ let timeline_cmd =
     end
   in
   let shards_arg =
-    Arg.(value & opt int 1 & info ["shards"] ~docv:"K"
+    Arg.(value & opt (int_conv ~what:"--shards" ~lo:1 ()) 1
+         & info ["shards"] ~docv:"K"
            ~doc:"Shard (domain) count; 1 runs the sequential replica. The \
                  exported series are byte-identical at every K.")
   in
@@ -752,8 +753,7 @@ let soak_cmd =
     Telemetry.Control.enable ();
     let cfg =
       { Mvpn_par.Runner.default_config with
-        shards = (if shards < 1 then 1 else shards);
-        pops; vpns; sites_per_vpn; load; duration; seed;
+        shards; pops; vpns; sites_per_vpn; load; duration; seed;
         sample_interval = Some snapshot_interval;
         prepare_replica = Some prepare;
         diurnal = Some segments }
@@ -857,7 +857,8 @@ let soak_cmd =
                  outages, session drops) for the whole soak.")
   in
   let shards_arg =
-    Arg.(value & opt int 1 & info ["shards"] ~docv:"K"
+    Arg.(value & opt (int_conv ~what:"--shards" ~lo:1 ()) 1
+         & info ["shards"] ~docv:"K"
            ~doc:"Shard (domain) count; 1 runs the sequential replica. \
                  The JSON envelope is byte-identical at every K.")
   in

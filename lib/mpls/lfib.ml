@@ -23,10 +23,10 @@ type t = {
      LFIB can detect staleness in O(1). *)
   mutable gen : int;
   (* Facility-backup NHLFEs, keyed by the protected next hop. Consulted
-     by the I/O shell when the primary link is down; never by [step],
-     so the per-packet decision path is untouched while links are
-     healthy. Not generation-tracked: compiled caches never capture
-     protection decisions. *)
+     by the I/O shell when the primary link is down; never by
+     [step_packed], so the per-packet decision path is untouched while
+     links are healthy. Not generation-tracked: compiled caches never
+     capture protection decisions. *)
   protections : (int, protection) Hashtbl.t;
 }
 
@@ -94,12 +94,6 @@ let protected_next_hops t =
   List.sort Int.compare
     (Hashtbl.fold (fun nh _ acc -> nh :: acc) t.protections [])
 
-type step_result =
-  | Forward of int
-  | Ip_continue of int
-  | No_binding of int
-  | Ttl_expired
-
 (* RFC 3443 uniform model: the outermost shim carries the packet's real
    TTL, so a pop is still a hop — decrement the popped shim's TTL and
    copy it onto whatever the pop exposed (the next shim or the IP
@@ -120,8 +114,8 @@ let pop_and_propagate_ttl packet popped =
 
 (* Packed step result: [(arg + 1) lsl 2 lor tag], tags below. The +1
    keeps [local] (-1) encodable; labels and node ids are well inside
-   the remaining bits. An immediate int instead of a [step_result]
-   constructor, so the per-hop forwarding decision allocates nothing. *)
+   the remaining bits. An immediate int instead of a constructor
+   block, so the per-hop forwarding decision allocates nothing. *)
 let tag_forward = 0
 let tag_ip_continue = 1
 let tag_no_binding = 2
@@ -134,7 +128,7 @@ let pack tag arg = ((arg + 1) lsl 2) lor tag
 
 let step_packed t packet =
   let shim = Packet.top_packed packet in
-  if shim < 0 then invalid_arg "Lfib.step: unlabelled packet";
+  if shim < 0 then invalid_arg "Lfib.step_packed: unlabelled packet";
   if Packet.Shim.ttl shim <= 1 then begin
     Mvpn_telemetry.Counter.incr m_ttl_expired;
     pack tag_ttl_expired 0
@@ -160,12 +154,3 @@ let step_packed t packet =
         pop_and_propagate_ttl packet shim;
         pack tag_ip_continue next_hop
   end
-
-let step t packet =
-  let r = step_packed t packet in
-  let arg = packed_arg r in
-  let tag = packed_tag r in
-  if tag = tag_forward then Forward arg
-  else if tag = tag_ip_continue then Ip_continue arg
-  else if tag = tag_no_binding then No_binding arg
-  else Ttl_expired

@@ -61,7 +61,7 @@ val clear : t -> unit
     ([Mvpn_resilience.Frr]) and consulted by the network I/O shell at
     transmit time when the primary link is down. They live beside the
     ILM so the point of local repair owns its own backup state, but
-    {!step} never reads them and they do not participate in
+    {!step_packed} never reads them and they do not participate in
     {!generation} — protection switches packets the instant a link
     dies without recompiling anything. *)
 
@@ -79,21 +79,24 @@ val clear_protections : t -> unit
 val protected_next_hops : t -> int list
 (** Sorted next hops with a protection bound (inspection/tests). *)
 
-(** Result of running one labelled packet through an LSR. *)
-type step_result =
-  | Forward of int  (** send to this node; label stack already rewritten *)
-  | Ip_continue of int
-      (** label(s) popped; continue with IP forwarding at this node
-          ([local] means here) *)
-  | No_binding of int  (** unknown incoming label — drop *)
-  | Ttl_expired
-
 val step_packed : t -> Mvpn_net.Packet.t -> int
-(** Allocation-free {!step}: the result packed as
-    [((arg + 1) lsl 2) lor tag] — an immediate int, no constructor
-    block per hop. Decode with {!packed_tag} / {!packed_arg}; [arg] is
-    the next hop ({!tag_forward}, {!tag_ip_continue} — where it may be
-    {!local}) or the unknown label ({!tag_no_binding}). *)
+(** Run one labelled packet through this LSR: apply the ILM entry for
+    its top label, mutating the packet (swap/pop, TTL decrement). TTL
+    follows the RFC 3443 uniform model: every op counts as one hop, and
+    a pop copies the decremented shim TTL onto the newly exposed shim
+    or IP header (never increasing an inner TTL), so looping packets
+    expire on pop paths too.
+
+    The result is packed as [((arg + 1) lsl 2) lor tag] — an immediate
+    int, no constructor block per hop. Decode with {!packed_tag} /
+    {!packed_arg}. The tag is one of:
+    - {!tag_forward}: send to node [arg]; the label stack is already
+      rewritten;
+    - {!tag_ip_continue}: label(s) popped; continue with IP forwarding
+      at node [arg] ({!local} means here);
+    - {!tag_no_binding}: [arg] is the unknown incoming label — drop;
+    - {!tag_ttl_expired}: drop.
+    @raise Invalid_argument if the packet carries no label. *)
 
 val tag_forward : int
 val tag_ip_continue : int
@@ -101,11 +104,3 @@ val tag_no_binding : int
 val tag_ttl_expired : int
 val packed_tag : int -> int
 val packed_arg : int -> int
-
-val step : t -> Mvpn_net.Packet.t -> step_result
-(** Apply the ILM entry for the packet's top label, mutating the packet
-    (swap/pop, TTL decrement). TTL follows the RFC 3443 uniform model:
-    every op counts as one hop, and a pop copies the decremented shim
-    TTL onto the newly exposed shim or IP header (never increasing an
-    inner TTL), so looping packets expire on pop paths too.
-    @raise Invalid_argument if the packet carries no label. *)

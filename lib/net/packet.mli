@@ -40,7 +40,8 @@ type shim = { mutable label : int; mutable exp : int; mutable ttl : int }
 
 (** Packed shim entries: [label (20 bits) | exp (3 bits) | ttl (8 bits)]
     in one immediate, non-negative [int]. The unboxed currency of the
-    forwarding hot path ({!Mvpn_mpls.Lfib.step}, EXP classification). *)
+    forwarding hot path ({!Mvpn_mpls.Lfib.step_packed}, EXP
+    classification). *)
 module Shim : sig
   type packed = int
 

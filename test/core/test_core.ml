@@ -251,6 +251,15 @@ let test_qos_bands () =
   Alcotest.(check int) "be" 3 (Qos_mapping.band_of_dscp Dscp.best_effort);
   Alcotest.(check int) "cs6" 0 (Qos_mapping.band_of_dscp (Dscp.cs 6))
 
+(* Accounting names its acct.vpnN.bandB gauges from band_of_dscp, so
+   every code point a customer can mark must land in a known band. *)
+let test_qos_bands_total () =
+  for d = 0 to 63 do
+    let band = Qos_mapping.band_of_dscp (Dscp.of_int_exn d) in
+    if band < 0 || band > 3 then
+      Alcotest.failf "dscp %d maps to band %d, want 0..3" d band
+  done
+
 let test_qos_band_of_packet_prefers_exp () =
   let p =
     Packet.make ~dscp:Dscp.best_effort ~now:0.0
@@ -1877,6 +1886,8 @@ let () =
            test_vrf_overlapping_isolation ]);
       ("qos-mapping",
        [ Alcotest.test_case "bands" `Quick test_qos_bands;
+         Alcotest.test_case "all 64 dscps in bands 0..3" `Quick
+           test_qos_bands_total;
          Alcotest.test_case "exp preferred" `Quick
            test_qos_band_of_packet_prefers_exp;
          Alcotest.test_case "mark exp" `Quick test_qos_mark_exp;

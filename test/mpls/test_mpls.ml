@@ -41,6 +41,22 @@ let test_fec_compare () =
 
 (* --- Lfib ------------------------------------------------------------- *)
 
+(* [Lfib.step_packed] returns its decision as a packed immediate int;
+   decode it into a variant so the cases below read as plain matches. *)
+type step =
+  | Forward of int
+  | Ip_continue of int
+  | No_binding of int
+  | Ttl_expired
+
+let step lfib p =
+  let r = Lfib.step_packed lfib p in
+  let tag = Lfib.packed_tag r and arg = Lfib.packed_arg r in
+  if tag = Lfib.tag_forward then Forward arg
+  else if tag = Lfib.tag_ip_continue then Ip_continue arg
+  else if tag = Lfib.tag_no_binding then No_binding arg
+  else Ttl_expired
+
 let test_lfib_install_lookup () =
   let l = Lfib.create () in
   Lfib.install l ~in_label:100 { Lfib.op = Lfib.Swap 200; next_hop = 5 };
@@ -67,8 +83,8 @@ let test_lfib_step_swap () =
   let l = Lfib.create () in
   Lfib.install l ~in_label:100 { Lfib.op = Lfib.Swap 200; next_hop = 7 };
   let p = labelled_packet 100 in
-  (match Lfib.step l p with
-   | Lfib.Forward nh -> Alcotest.(check int) "forwarded" 7 nh
+  (match step l p with
+   | Forward nh -> Alcotest.(check int) "forwarded" 7 nh
    | _ -> Alcotest.fail "expected forward");
   match Packet.top_label p with
   | Some s ->
@@ -80,8 +96,8 @@ let test_lfib_step_pop_to_ip () =
   let l = Lfib.create () in
   Lfib.install l ~in_label:100 { Lfib.op = Lfib.Pop; next_hop = 7 };
   let p = labelled_packet 100 in
-  (match Lfib.step l p with
-   | Lfib.Ip_continue nh -> Alcotest.(check int) "ip at next hop" 7 nh
+  (match step l p with
+   | Ip_continue nh -> Alcotest.(check int) "ip at next hop" 7 nh
    | _ -> Alcotest.fail "expected ip continue");
   Alcotest.(check bool) "stack empty" true (Packet.top_label p = None)
 
@@ -90,8 +106,8 @@ let test_lfib_step_pop_inner_remains () =
   Lfib.install l ~in_label:200 { Lfib.op = Lfib.Pop; next_hop = 7 };
   let p = labelled_packet 300 in
   Packet.push_label p ~label:200 ~exp:0 ~ttl:64;
-  (match Lfib.step l p with
-   | Lfib.Forward nh -> Alcotest.(check int) "forward with inner" 7 nh
+  (match step l p with
+   | Forward nh -> Alcotest.(check int) "forward with inner" 7 nh
    | _ -> Alcotest.fail "expected forward");
   match Packet.top_label p with
   | Some s -> Alcotest.(check int) "inner label exposed" 300 s.Packet.label
@@ -104,8 +120,8 @@ let test_lfib_pop_ttl_reaches_ip_header () =
   let l = Lfib.create () in
   Lfib.install l ~in_label:100 { Lfib.op = Lfib.Pop; next_hop = 7 };
   let p = labelled_packet ~ttl:9 100 in
-  (match Lfib.step l p with
-   | Lfib.Ip_continue 7 -> ()
+  (match step l p with
+   | Ip_continue 7 -> ()
    | _ -> Alcotest.fail "expected ip continue");
   Alcotest.(check int) "ip ttl = shim ttl - 1" 8
     (Packet.visible_header p).Packet.ttl
@@ -115,8 +131,8 @@ let test_lfib_pop_ttl_reaches_inner_shim () =
   Lfib.install l ~in_label:200 { Lfib.op = Lfib.Pop; next_hop = 7 };
   let p = labelled_packet ~ttl:64 300 in
   Packet.push_label p ~label:200 ~exp:0 ~ttl:5;
-  (match Lfib.step l p with
-   | Lfib.Forward 7 -> ()
+  (match step l p with
+   | Forward 7 -> ()
    | _ -> Alcotest.fail "expected forward with inner label");
   match Packet.top_label p with
   | Some s -> Alcotest.(check int) "inner ttl = outer ttl - 1" 4 s.Packet.ttl
@@ -128,8 +144,8 @@ let test_lfib_pop_never_raises_inner_ttl () =
   Lfib.install l ~in_label:200 { Lfib.op = Lfib.Pop; next_hop = 7 };
   let p = labelled_packet ~ttl:3 300 in
   Packet.push_label p ~label:200 ~exp:0 ~ttl:64;
-  (match Lfib.step l p with
-   | Lfib.Forward _ -> ()
+  (match step l p with
+   | Forward _ -> ()
    | _ -> Alcotest.fail "expected forward");
   match Packet.top_label p with
   | Some s -> Alcotest.(check int) "inner ttl unchanged" 3 s.Packet.ttl
@@ -139,8 +155,8 @@ let test_lfib_pop_and_ip_ttl () =
   let l = Lfib.create () in
   Lfib.install l ~in_label:100 { Lfib.op = Lfib.Pop_and_ip; next_hop = 7 };
   let p = labelled_packet ~ttl:9 100 in
-  (match Lfib.step l p with
-   | Lfib.Ip_continue 7 -> ()
+  (match step l p with
+   | Ip_continue 7 -> ()
    | _ -> Alcotest.fail "expected ip continue");
   Alcotest.(check int) "ip ttl = shim ttl - 1" 8
     (Packet.visible_header p).Packet.ttl
@@ -152,31 +168,31 @@ let test_lfib_pop_ttl_boundary () =
   Lfib.install l ~in_label:200 { Lfib.op = Lfib.Pop; next_hop = 7 };
   let p = labelled_packet ~ttl:64 300 in
   Packet.push_label p ~label:200 ~exp:0 ~ttl:2;
-  (match Lfib.step l p with
-   | Lfib.Forward 7 -> ()
+  (match step l p with
+   | Forward 7 -> ()
    | _ -> Alcotest.fail "pop at ttl 2 should still forward");
   (match Packet.top_label p with
    | Some s -> Alcotest.(check int) "exposed ttl" 1 s.Packet.ttl
    | None -> Alcotest.fail "inner label missing");
   let next = Lfib.create () in
   Lfib.install next ~in_label:300 { Lfib.op = Lfib.Swap 301; next_hop = 8 };
-  match Lfib.step next p with
-  | Lfib.Ttl_expired -> ()
+  match step next p with
+  | Ttl_expired -> ()
   | _ -> Alcotest.fail "next hop should expire the packet"
 
 let test_lfib_step_ttl () =
   let l = Lfib.create () in
   Lfib.install l ~in_label:100 { Lfib.op = Lfib.Swap 200; next_hop = 7 };
   let p = labelled_packet ~ttl:1 100 in
-  match Lfib.step l p with
-  | Lfib.Ttl_expired -> ()
+  match step l p with
+  | Ttl_expired -> ()
   | _ -> Alcotest.fail "expected ttl expiry"
 
 let test_lfib_step_no_binding () =
   let l = Lfib.create () in
   let p = labelled_packet 999 in
-  match Lfib.step l p with
-  | Lfib.No_binding 999 -> ()
+  match step l p with
+  | No_binding 999 -> ()
   | _ -> Alcotest.fail "expected no binding"
 
 (* Generation counters: every ILM mutation that can change a lookup
@@ -220,11 +236,11 @@ let test_ldp_end_to_end_php () =
   in
   Packet.push_label p ~label:l0 ~exp:0 ~ttl:64;
   (* Walk the LSP: node 1 swaps, node 2 (penultimate) pops. *)
-  (match Lfib.step (Plane.lfib plane n.(1)) p with
-   | Lfib.Forward nh -> Alcotest.(check int) "1 -> 2" n.(2) nh
+  (match step (Plane.lfib plane n.(1)) p with
+   | Forward nh -> Alcotest.(check int) "1 -> 2" n.(2) nh
    | _ -> Alcotest.fail "node 1 should forward");
-  (match Lfib.step (Plane.lfib plane n.(2)) p with
-   | Lfib.Ip_continue nh ->
+  (match step (Plane.lfib plane n.(2)) p with
+   | Ip_continue nh ->
      Alcotest.(check int) "php: ip continues at 3" n.(3) nh
    | _ -> Alcotest.fail "node 2 should pop (php)");
   Alcotest.(check bool) "unlabelled at egress" true
@@ -248,11 +264,11 @@ let test_ldp_no_php_egress_pops () =
     | None -> Alcotest.fail "no binding at 2"
   in
   Packet.push_label p ~label:l2 ~exp:0 ~ttl:64;
-  (match Lfib.step (Plane.lfib plane n.(2)) p with
-   | Lfib.Forward nh -> Alcotest.(check int) "2 swaps to 3" n.(3) nh
+  (match step (Plane.lfib plane n.(2)) p with
+   | Forward nh -> Alcotest.(check int) "2 swaps to 3" n.(3) nh
    | _ -> Alcotest.fail "node 2 should swap without php");
-  match Lfib.step (Plane.lfib plane n.(3)) p with
-  | Lfib.Ip_continue nh ->
+  match step (Plane.lfib plane n.(3)) p with
+  | Ip_continue nh ->
     Alcotest.(check int) "egress pops locally" Lfib.local nh
   | _ -> Alcotest.fail "egress should pop"
 
@@ -405,12 +421,12 @@ let ldp_lsp_always_reaches_egress =
                   if hops > 50 then false
                   else if Packet.top_label p = None then at = egress
                   else
-                    match Lfib.step (Plane.lfib plane at) p with
-                    | Lfib.Forward nh -> walk nh (hops + 1)
-                    | Lfib.Ip_continue nh ->
+                    match step (Plane.lfib plane at) p with
+                    | Forward nh -> walk nh (hops + 1)
+                    | Ip_continue nh ->
                       (nh = egress)
                       || (nh = Lfib.local && at = egress)
-                    | Lfib.No_binding _ | Lfib.Ttl_expired -> false
+                    | No_binding _ | Ttl_expired -> false
                 in
                 walk e.Plane.next_hop 0
             end)
@@ -817,8 +833,8 @@ let test_te_labels_walk () =
      | Some e ->
        Packet.push_label p ~label:e.Plane.push ~exp:5 ~ttl:64;
        (* Node 1 is penultimate: pops, delivers IP to 3. *)
-       (match Lfib.step (Plane.lfib plane e.Plane.next_hop) p with
-        | Lfib.Ip_continue nh -> Alcotest.(check int) "egress" n.(3) nh
+       (match step (Plane.lfib plane e.Plane.next_hop) p with
+        | Ip_continue nh -> Alcotest.(check int) "egress" n.(3) nh
         | _ -> Alcotest.fail "expected php pop at node 1"))
 
 let () =
