@@ -80,6 +80,7 @@ type sample = {
   cpu : float;  (* this process's CPU seconds — noise-resistant *)
   ticks : int;  (* audit ticks, summed over replicas *)
   bad : int;  (* audit violations, summed over replicas *)
+  words : float;  (* this domain's minor words: all of a K=1 run's *)
 }
 
 (* What the packets did — excludes executed/scheduled events, which the
@@ -93,10 +94,12 @@ let timed tag c run =
   let v0 = T.Registry.counter_value "audit.violations" in
   let w0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
+  let m0 = Gc.minor_words () in
   let outcome = run c in
+  let words = Gc.minor_words () -. m0 in
   let cpu = Sys.time () -. c0 in
   let wall = Unix.gettimeofday () -. w0 in
-  { tag; outcome; wall; cpu;
+  { tag; outcome; wall; cpu; words;
     ticks = T.Registry.counter_value "audit.ticks" - t0;
     bad = T.Registry.counter_value "audit.violations" - v0 }
 
@@ -200,6 +203,10 @@ let run () =
   T.Gauge.set (T.Registry.gauge "e18.overhead.audit")
     (Float.max 1e-9 base.cpu /. Float.max 1e-9 audited.cpu);
   T.Gauge.set (T.Registry.gauge "e18.audit.ticks") (float_of_int audited.ticks);
+  (* Storm repairs and audit ticks included: the seq-chaos run's
+     garbage per executed event. *)
+  T.Gauge.set (T.Registry.gauge "e18.gc.minor_words_per_event")
+    (chaos.words /. float_of_int (max 1 chaos.outcome.Runner.events));
   T.Gauge.set (T.Registry.gauge "e18.audit.violations")
     (float_of_int (audited.bad + chaos.bad));
   Tables.note

@@ -22,7 +22,7 @@
     {!Mvpn_mpls.Lfib}, the plane's FTN map
     ({!Mvpn_mpls.Plane.ftn_generation}) and the interceptor chain it
     was built from, and every packet re-checks them (four int
-    comparisons). Reconvergence — [Fib.clear_source], [Ldp.refresh],
+    comparisons). Reconvergence — {!Network.refresh_igp}, [Ldp.refresh],
     interceptor changes — bumps a generation, so the next packet
     recompiles instead of being served a stale next hop.
 

@@ -100,15 +100,6 @@ let rt_of_vpn vpn = { Mpbgp.rt_asn = provider_asn; rt_value = vpn }
 let domain_link t (l : Topology.link) =
   l.Topology.up && t.domain l.Topology.src && t.domain l.Topology.dst
 
-let refresh_fibs t =
-  let topo = Network.topology t.net in
-  for node = 0 to Topology.node_count topo - 1 do
-    if t.domain node then begin
-      ignore (Fib.clear_source (Network.fib t.net node) Fib.Igp);
-      Network.install_fib t.net node (Ospf.fib t.ospf node)
-    end
-  done
-
 let refresh_pe_next_hops t =
   Hashtbl.reset t.pe_next_hop;
   let topo = Network.topology t.net in
@@ -499,7 +490,7 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
       transport_memo = Hashtbl.create 64; tunnels_gen = 0;
       touches = 0 }
   in
-  refresh_fibs t;
+  Network.refresh_igp ~members:t.domain t.net t.ospf;
   refresh_pe_next_hops t;
   List.iter
     (fun site ->
@@ -584,7 +575,7 @@ let remove_site t ~site_id =
 
 let reconverge t =
   let rounds = Ospf.converge t.ospf in
-  refresh_fibs t;
+  Network.refresh_igp ~members:t.domain t.net t.ospf;
   Ldp.refresh t.ldp;
   refresh_pe_next_hops t;
   (match t.te with

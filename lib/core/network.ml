@@ -7,6 +7,7 @@ module Prefix = Mvpn_net.Prefix
 module Plane = Mvpn_mpls.Plane
 module Lfib = Mvpn_mpls.Lfib
 module Fec = Mvpn_mpls.Fec
+module Ospf = Mvpn_routing.Ospf
 module Port = Mvpn_qos.Port
 module Telemetry = Mvpn_telemetry
 
@@ -537,10 +538,12 @@ let port_drop_total t =
          + c.Port.dropped_fault)
     0 t.ports
 
+(* A plain loop: no closure per call, so a caller holding a prebuilt
+   visitor walks the ports without allocating. *)
 let iter_ports t f =
-  Array.iteri
-    (fun link_id slot -> match slot with Some p -> f ~link_id p | None -> ())
-    t.ports
+  for link_id = 0 to Array.length t.ports - 1 do
+    match t.ports.(link_id) with Some p -> f ~link_id p | None -> ()
+  done
 
 let set_drop_leak t n =
   if n < 0 then invalid_arg "Network.set_drop_leak: negative count";
@@ -638,8 +641,29 @@ let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
 
 let drop_packet ?node ?packet t reason = drop ?node ?packet t reason
 
-let install_fib t node source =
-  Fib.iter (fun p r -> Fib.add t.fibs.(node) p r) source
+(* Per node: the same table as [Fib.clear_source fib Igp] followed by
+   adding every route of the router's OSPF table, without tearing down
+   and regrowing the trie. Only IGP routes the new table no longer
+   carries are removed; the rest are overwritten in place. The FIB's
+   generation moves exactly when the clear-and-refill would have moved
+   it (a removal, or a non-empty OSPF table), so the dataplane
+   recompiles the same nodes. *)
+let refresh_igp ?(members = fun _ -> true) t ospf =
+  for node = 0 to Array.length t.fibs - 1 do
+    if members node then begin
+      let fib = t.fibs.(node) and source = Ospf.fib ospf node in
+      let stale = ref [] in
+      Fib.iter
+        (fun p (r : Fib.route) ->
+           if r.Fib.source = Fib.Igp then
+             match Fib.find source p with
+             | None -> stale := p :: !stale
+             | Some _ -> ())
+        fib;
+      List.iter (fun p -> ignore (Fib.remove fib p)) !stale;
+      Fib.iter (fun p r -> Fib.add fib p r) source
+    end
+  done
 
 let drop_counts t =
   Hashtbl.fold (fun k e acc -> (k, e.n) :: acc) t.drop_table []

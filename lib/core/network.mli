@@ -162,9 +162,15 @@ val set_fate_hook :
     SLO engine, so conformance totals are identical for every shard
     count. Fires only while {!Mvpn_telemetry.Control} is enabled. *)
 
-val install_fib : t -> int -> Mvpn_net.Fib.t -> unit
-(** Merge every route of the given table into the node's FIB
-    (provisioning helper: copy an OSPF-computed table in). *)
+val refresh_igp :
+  ?members:(int -> bool) -> t -> Mvpn_routing.Ospf.t -> unit
+(** Copy each member node's OSPF table (default: every node) into its
+    FIB after a converge. The result is what [Fib.clear_source fib Igp]
+    followed by adding every OSPF route would leave, done in place: IGP
+    routes the OSPF table no longer carries are removed and every OSPF
+    route is (re)written. A node's FIB generation moves iff that
+    clear-and-refill would have moved it, so the same nodes
+    recompile. *)
 
 val drop_counts : t -> (string * int) list
 (** Per-reason drop counters, sorted by reason. The per-network drop

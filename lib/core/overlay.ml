@@ -1,4 +1,3 @@
-module Topology = Mvpn_sim.Topology
 module Engine = Mvpn_sim.Engine
 module Prefix = Mvpn_net.Prefix
 module Ipv4 = Mvpn_net.Ipv4
@@ -34,13 +33,6 @@ let loopback_of_site (site : Site.t) =
     32
 
 let loopback_addr site = Prefix.network (loopback_of_site site)
-
-let refresh_fibs t =
-  let topo = Network.topology t.net in
-  for node = 0 to Topology.node_count topo - 1 do
-    ignore (Fib.clear_source (Network.fib t.net node) Fib.Igp);
-    Network.install_fib t.net node (Ospf.fib t.ospf node)
-  done
 
 (* Occupy the CE's crypto engine for [cost] seconds starting no earlier
    than now; run [k] when the work completes. *)
@@ -148,7 +140,7 @@ let provision_ce t (site : Site.t) =
 let add_site t site =
   provision_ce t site;
   ignore (Ospf.converge t.ospf);
-  refresh_fibs t;
+  Network.refresh_igp t.net t.ospf;
   let peers =
     List.filter (fun (s : Site.t) -> s.Site.vpn = site.Site.vpn) t.sites
   in
@@ -177,7 +169,7 @@ let deploy ?(cipher = Crypto.Des) ?(copy_tos = false) ?ike ~net ~sites () =
   (* Provision all CEs first, then converge the IGP once. *)
   List.iter (fun site -> provision_ce t site) sites;
   ignore (Ospf.converge t.ospf);
-  refresh_fibs t;
+  Network.refresh_igp t.net t.ospf;
   List.iter
     (fun site ->
        let peers =

@@ -66,7 +66,7 @@ let install t fs =
           { Lfib.op = Lfib.Pop_and_ip; next_hop = Lfib.local };
       (* The egress also "advertises" its binding to each neighbor. *)
       advertisements :=
-        !advertisements + List.length (Topology.up_neighbors t.topo r)
+        !advertisements + Topology.up_degree t.topo r
     end
     else if Float.is_finite tree.Spf.dist.(r) then begin
       let nh = tree.Spf.parent.(r) in
@@ -82,7 +82,7 @@ let install t fs =
       if out <> Label.implicit_null then
         Plane.install_ftn t.plane r fec { Plane.push = out; next_hop = nh };
       advertisements :=
-        !advertisements + List.length (Topology.up_neighbors t.topo r)
+        !advertisements + Topology.up_degree t.topo r
     end
   done;
   !advertisements

@@ -7,14 +7,14 @@ module Telemetry = Mvpn_telemetry
    (bands beyond the last tracked index share its counters). *)
 let max_tracked_bands = 8
 
-let band_counter stem =
+let band_counters stem =
   Array.init max_tracked_bands (fun i ->
       Telemetry.Registry.counter (Printf.sprintf "qdisc.band%d.%s" i stem))
 
-let m_enqueued = band_counter "enqueued"
-let m_dequeued = band_counter "dequeued"
-let m_tail_drop = band_counter "tail_drop"
-let m_red_drop = band_counter "red_drop"
+let m_enqueued = band_counters "enqueued"
+let m_dequeued = band_counters "dequeued"
+let m_tail_drop = band_counters "tail_drop"
+let m_red_drop = band_counters "red_drop"
 
 let tracked i = Int.min i (max_tracked_bands - 1)
 
@@ -342,6 +342,16 @@ let backlog_bytes t = Array.fold_left (fun acc b -> acc + b.bytes) 0 t.bands
 
 let backlog_packets t =
   Array.fold_left (fun acc b -> acc + b.q_len) 0 t.bands
+
+type counter = Enqueued | Dequeued | Tail_dropped | Red_dropped
+
+let band_counter t ~band c =
+  let b = t.bands.(band) in
+  match c with
+  | Enqueued -> b.s_enqueued
+  | Dequeued -> b.s_dequeued
+  | Tail_dropped -> b.s_tail_dropped
+  | Red_dropped -> b.s_red_dropped
 
 let stats t =
   Array.map

@@ -78,3 +78,10 @@ type band_stats = {
 
 val stats : t -> band_stats array
 (** Per-band counters since creation. *)
+
+type counter = Enqueued | Dequeued | Tail_dropped | Red_dropped
+
+val band_counter : t -> band:int -> counter -> int
+(** One field of [(stats t).(band)] without building the array — the
+    allocation-free read the auditor's per-tick queue check makes.
+    @raise Invalid_argument on a band out of range. *)

@@ -37,12 +37,12 @@ let default_interval = 1.0
    carry their own TTL budget). *)
 let default_max_hops = 2 * Packet.default_ttl
 
-type qprev = {
-  mutable q_enq : int;
-  mutable q_deq : int;
-  mutable q_tail : int;
-  mutable q_red : int;
-}
+let rx_code = T.Hop_trace.intern "rx"
+
+(* The four cumulative per-band counters the queue check tracks, in
+   their slot order within a (link, band) record of [queue_prev]. *)
+let queue_counters =
+  Queue_disc.[| Enqueued; Dequeued; Tail_dropped; Red_dropped |]
 
 type t = {
   net : Network.t;
@@ -59,7 +59,20 @@ type t = {
   mutable frr_switched_prev : int;
   slo_prev : (int * int, float) Hashtbl.t;  (* (vpn, band) -> spent *)
   mutable slo_seen : T.Slo.t option;
-  queue_prev : (int * int, qprev) Hashtbl.t;  (* (link, band) *)
+  (* Last seen counters, 4 ints per (link, band) from [queue_base.(link)]
+     on; -1 until first seen, so the first reading compares clean. *)
+  queue_base : int array;
+  queue_prev : int array;
+  (* Per-tick rx count per packet uid, open addressing over
+     [rx_uid]/[rx_count]; a slot is live iff its stamp is [rx_epoch]. *)
+  mutable rx_uid : int array;
+  mutable rx_count : int array;
+  mutable rx_stamp : int array;
+  mutable rx_epoch : int;
+  (* Prebuilt visitors: a tick's loop and queue checks allocate no
+     closure. *)
+  mutable visit_rx : int -> int -> unit;
+  mutable visit_port : link_id:int -> Port.t -> unit;
   mutable heap_base : int option;
   mutable pool_base : int option;
   mutable unattributed_prev : int;
@@ -145,25 +158,42 @@ let check_pool t =
    holds the most recent window, so this is a streaming spot check:
    any loop that outlives the ring shows up in it. Empty ring (trace
    disabled) passes trivially. *)
+let count_rx t uid code =
+  if code = rx_code then begin
+    let mask = Array.length t.rx_uid - 1 in
+    let i = ref (uid land mask) in
+    while t.rx_stamp.(!i) = t.rx_epoch && t.rx_uid.(!i) <> uid do
+      i := (!i + 1) land mask
+    done;
+    let n =
+      if t.rx_stamp.(!i) = t.rx_epoch then t.rx_count.(!i) + 1
+      else begin
+        t.rx_stamp.(!i) <- t.rx_epoch;
+        t.rx_uid.(!i) <- uid;
+        1
+      end
+    in
+    t.rx_count.(!i) <- n;
+    if n = t.max_hops + 1 then
+      violate t "loops"
+        (Printf.sprintf "packet uid %d seen rx %d times (bound %d)" uid n
+           t.max_hops)
+  end
+
 let check_loops t =
   T.Counter.incr m_loops;
   let ring = T.Registry.trace () in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 512 in
-  T.Hop_trace.fold
-    (fun () (e : T.Hop_trace.event) ->
-       if String.equal e.T.Hop_trace.label "rx" then begin
-         let n =
-           match Hashtbl.find_opt counts e.T.Hop_trace.uid with
-           | Some n -> n + 1
-           | None -> 1
-         in
-         Hashtbl.replace counts e.T.Hop_trace.uid n;
-         if n = t.max_hops + 1 then
-           violate t "loops"
-             (Printf.sprintf "packet uid %d seen rx %d times (bound %d)"
-                e.T.Hop_trace.uid n t.max_hops)
-       end)
-    ring ()
+  (* At most half full: probes stay short and always find a free slot. *)
+  let want = ref 16 in
+  while !want < 2 * T.Hop_trace.capacity ring do want := 2 * !want done;
+  if Array.length t.rx_uid < !want then begin
+    t.rx_uid <- Array.make !want 0;
+    t.rx_count <- Array.make !want 0;
+    t.rx_stamp <- Array.make !want 0;
+    t.rx_epoch <- 0
+  end;
+  t.rx_epoch <- t.rx_epoch + 1;
+  T.Hop_trace.iter_codes t.visit_rx ring
 
 (* Protection coverage: every armed directed link is either protected
    or counted unprotected — the split may shift as chaos rewires
@@ -220,47 +250,37 @@ let check_slo t =
 
 (* Per-band queue books: cumulative counters only grow, and the implied
    standing depth (enqueued - dequeued - drops) is never negative. *)
+let check_port t ~link_id p =
+  let q = Port.qdisc p in
+  for band = 0 to Queue_disc.band_count q - 1 do
+    let enq = Queue_disc.band_counter q ~band Queue_disc.Enqueued
+    and deq = Queue_disc.band_counter q ~band Queue_disc.Dequeued in
+    (* [enqueued] counts only accepted packets — tail/RED drops are
+       tallied separately, never enqueued — so standing depth is the
+       plain difference. *)
+    if enq - deq < 0 then
+      violate t "queues"
+        (Printf.sprintf
+           "link %d band %d negative depth: enq=%d deq=%d tail=%d red=%d"
+           link_id band enq deq
+           (Queue_disc.band_counter q ~band Queue_disc.Tail_dropped)
+           (Queue_disc.band_counter q ~band Queue_disc.Red_dropped));
+    let base = t.queue_base.(link_id) + (4 * band) in
+    let backwards = ref false in
+    for i = 0 to 3 do
+      let now = Queue_disc.band_counter q ~band queue_counters.(i) in
+      if now < t.queue_prev.(base + i) then backwards := true;
+      t.queue_prev.(base + i) <- now
+    done;
+    if !backwards then
+      violate t "queues"
+        (Printf.sprintf "link %d band %d cumulative counter went backwards"
+           link_id band)
+  done
+
 let check_queues t =
   T.Counter.incr m_queues;
-  Network.iter_ports t.net (fun ~link_id p ->
-      let stats = Queue_disc.stats (Port.qdisc p) in
-      Array.iteri
-        (fun band (bs : Queue_disc.band_stats) ->
-           (* [enqueued] counts only accepted packets — tail/RED drops
-              are tallied separately, never enqueued — so standing
-              depth is the plain difference. *)
-           let depth = bs.Queue_disc.enqueued - bs.Queue_disc.dequeued in
-           if depth < 0 then
-             violate t "queues"
-               (Printf.sprintf
-                  "link %d band %d negative depth: enq=%d deq=%d tail=%d \
-                   red=%d"
-                  link_id band bs.Queue_disc.enqueued bs.Queue_disc.dequeued
-                  bs.Queue_disc.tail_dropped bs.Queue_disc.red_dropped);
-           let key = (link_id, band) in
-           match Hashtbl.find_opt t.queue_prev key with
-           | None ->
-             Hashtbl.add t.queue_prev key
-               { q_enq = bs.Queue_disc.enqueued;
-                 q_deq = bs.Queue_disc.dequeued;
-                 q_tail = bs.Queue_disc.tail_dropped;
-                 q_red = bs.Queue_disc.red_dropped }
-           | Some prev ->
-             if
-               bs.Queue_disc.enqueued < prev.q_enq
-               || bs.Queue_disc.dequeued < prev.q_deq
-               || bs.Queue_disc.tail_dropped < prev.q_tail
-               || bs.Queue_disc.red_dropped < prev.q_red
-             then
-               violate t "queues"
-                 (Printf.sprintf
-                    "link %d band %d cumulative counter went backwards" link_id
-                    band);
-             prev.q_enq <- bs.Queue_disc.enqueued;
-             prev.q_deq <- bs.Queue_disc.dequeued;
-             prev.q_tail <- bs.Queue_disc.tail_dropped;
-             prev.q_red <- bs.Queue_disc.red_dropped)
-        stats)
+  Network.iter_ports t.net t.visit_port
 
 (* Bounded residency: the live major heap must not grow without bound
    over a soak. The baseline is taken a few ticks in (after arming
@@ -304,14 +324,27 @@ let start ?(interval = default_interval) ?until ?(fail_fast = false)
   if max_hops < 1 then invalid_arg "Audit.start: max_hops must be >= 1";
   if not (heap_slack >= 1.0) then
     invalid_arg "Audit.start: heap_slack must be >= 1";
+  let net = Scenario.network sc in
+  (* Ports and their band counts are fixed when the network is built. *)
+  let queue_base =
+    Array.make (Mvpn_sim.Topology.link_count (Network.topology net)) 0
+  in
+  let slots = ref 0 in
+  Network.iter_ports net (fun ~link_id p ->
+      queue_base.(link_id) <- !slots;
+      slots := !slots + (4 * Queue_disc.band_count (Port.qdisc p)));
   let t =
-    { net = Scenario.network sc; fail_fast; max_hops; heap_slack; frr;
+    { net; fail_fast; max_hops; heap_slack; frr;
       ticks = 0; violations = 0; recent = []; stop = ignore;
       frr_base = None; frr_switched_prev = 0;
       slo_prev = Hashtbl.create 16; slo_seen = None;
-      queue_prev = Hashtbl.create 64; heap_base = None; pool_base = None;
-      unattributed_prev = 0 }
+      queue_base; queue_prev = Array.make !slots (-1);
+      rx_uid = [||]; rx_count = [||]; rx_stamp = [||]; rx_epoch = 0;
+      visit_rx = (fun _ _ -> ()); visit_port = (fun ~link_id:_ _ -> ());
+      heap_base = None; pool_base = None; unattributed_prev = 0 }
   in
+  t.visit_rx <- (fun uid code -> count_rx t uid code);
+  t.visit_port <- (fun ~link_id p -> check_port t ~link_id p);
   t.stop <-
     Engine.every (Scenario.engine sc) ~kind:k_tick ~interval ?until
       (fun () ->

@@ -76,6 +76,18 @@ val start :
 
 val stop : t -> unit
 
+val check_loops : t -> unit
+(** The loop check a tick runs, on demand (counts
+    [audit.check.loops]). It walks the hop-trace ring through
+    {!Mvpn_telemetry.Hop_trace.iter_codes} into an rx-per-uid table
+    the auditor owns, so once the first call has sized that table it
+    allocates nothing. *)
+
+val check_queues : t -> unit
+(** The queue check a tick runs, on demand (counts
+    [audit.check.queues]). Reads per-band counters in place into flat
+    arrays sized at {!start}; allocates nothing. *)
+
 val ticks : t -> int
 
 val violations : t -> int

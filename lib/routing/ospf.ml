@@ -12,7 +12,16 @@ type lsa = {
 type router = {
   id : int;
   lsdb : (int, lsa) Hashtbl.t;
+  mutable lsdb_gen : int;  (* bumped by every LSDB write *)
+  mutable prefix_gen : int;  (* bumped when a write changed some prefixes *)
+  (* SPF over the LSDB as of [spf_gen] (-1: never run). *)
+  mutable spf : Spf.tree;
+  mutable spf_gen : int;
+  (* The FIB and what it was built from: it is rebuilt only when the
+     SPF distances/first hops or the LSDB prefixes moved since. *)
   mutable fib : Fib.t;
+  mutable fib_tree : Spf.tree;
+  mutable fib_prefix_gen : int;
   mutable attached : Prefix.t list;
   mutable own_seq : int;
 }
@@ -24,13 +33,18 @@ type t = {
   mutable messages : int;
 }
 
+let no_tree =
+  { Spf.src = -1; dist = [||]; first_hop = [||]; parent = [||] }
+
 let create ?(members = fun _ -> true) topo =
   let n = Topology.node_count topo in
   { topo;
     routers =
       Array.init n (fun id ->
-          { id; lsdb = Hashtbl.create 16; fib = Fib.create ();
-            attached = []; own_seq = 0 });
+          { id; lsdb = Hashtbl.create 16; lsdb_gen = 0; prefix_gen = 0;
+            spf = no_tree; spf_gen = -1; fib = Fib.create ();
+            fib_tree = no_tree; fib_prefix_gen = -1; attached = [];
+            own_seq = 0 });
     members;
     messages = 0 }
 
@@ -62,6 +76,13 @@ let lsa_content_equal a b =
   && a.adjacencies = b.adjacencies
   && List.equal Prefix.equal a.prefixes b.prefixes
 
+let lsdb_write r origin lsa =
+  (match Hashtbl.find r.lsdb origin with
+   | old when List.equal Prefix.equal old.prefixes lsa.prefixes -> ()
+   | _ | (exception Not_found) -> r.prefix_gen <- r.prefix_gen + 1);
+  Hashtbl.replace r.lsdb origin lsa;
+  r.lsdb_gen <- r.lsdb_gen + 1
+
 (* Re-originate: bump the sequence number only when content changed, so
    steady-state converge calls cost zero flooding rounds. *)
 let originate t r =
@@ -70,7 +91,7 @@ let originate t r =
   | Some old when lsa_content_equal old fresh -> ()
   | Some _ | None ->
     r.own_seq <- r.own_seq + 1;
-    Hashtbl.replace r.lsdb r.id { fresh with seq = r.own_seq }
+    lsdb_write r r.id { fresh with seq = r.own_seq }
 
 (* One synchronous flooding round: every router offers its database to
    each up neighbor; the neighbor accepts LSAs that are new or newer.
@@ -106,75 +127,88 @@ let flood_round t =
        match Hashtbl.find_opt peer.lsdb origin with
        | Some have when have.seq >= lsa.seq -> ()
        | Some _ | None ->
-         Hashtbl.replace peer.lsdb origin lsa;
+         lsdb_write peer origin lsa;
          changed := true)
     !staged;
   !changed
 
-let spf_and_fib t r =
-  (* Dijkstra over the router's own database, not the live topology:
-     a router can only route on what flooding has told it. *)
+let rec lists_adjacency v = function
+  | [] -> false
+  | (b, _) :: rest -> b = v || lists_adjacency v rest
+
+(* SPF over the router's own database, not the live topology: a router
+   can only route on what flooding has told it. The LSDB becomes
+   compressed sparse rows for {!Spf.dijkstra_csr}; an adjacency counts
+   only if the neighbor's LSA lists it back (the two-way check real
+   link-state SPF makes). LSAs keep adjacencies sorted by neighbor id,
+   the order the relax loop expects. *)
+let run_spf t r =
   let n = Array.length t.routers in
-  let dist = Array.make n infinity in
-  let first_hop = Array.make n (-1) in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  let heap = Mvpn_sim.Heap.create () in
-  dist.(r.id) <- 0.0;
-  Mvpn_sim.Heap.push heap 0.0 r.id;
-  let rec drain () =
-    match Mvpn_sim.Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-      if not settled.(v) && d <= dist.(v) then begin
-        settled.(v) <- true;
-        (match Hashtbl.find_opt r.lsdb v with
-         | None -> ()
-         | Some lsa ->
-           List.iter
-             (fun (nbr, cost) ->
-                (* Accept the adjacency only if the neighbor's LSA
-                   agrees (two-way check), as real link-state SPF does. *)
-                let two_way =
-                  match Hashtbl.find_opt r.lsdb nbr with
-                  | None -> false
-                  | Some back ->
-                    List.exists (fun (b, _) -> b = v) back.adjacencies
-                in
-                if two_way && nbr < n && not settled.(nbr) then begin
-                  let nd = dist.(v) +. float_of_int cost in
-                  if nd < dist.(nbr)
-                  || (nd = dist.(nbr) && parent.(nbr) > v)
-                  then begin
-                    dist.(nbr) <- nd;
-                    parent.(nbr) <- v;
-                    first_hop.(nbr) <-
-                      (if v = r.id then nbr else first_hop.(v));
-                    Mvpn_sim.Heap.push heap nd nbr
-                  end
-                end)
-             lsa.adjacencies)
-      end;
-      drain ()
+  let total =
+    Hashtbl.fold (fun _ lsa acc -> acc + List.length lsa.adjacencies)
+      r.lsdb 0
   in
-  drain ();
-  let fib = Fib.create () in
-  Hashtbl.iter
-    (fun origin lsa ->
-       List.iter
-         (fun p ->
-            if origin = r.id then
-              Fib.add fib p
-                { Fib.next_hop = Fib.local_delivery; cost = 0;
-                  source = Fib.Connected }
-            else if Float.is_finite dist.(origin) then
-              Fib.add fib p
-                { Fib.next_hop = first_hop.(origin);
-                  cost = int_of_float dist.(origin); source = Fib.Igp })
-         lsa.prefixes)
-    r.lsdb;
-  r.fib <- fib;
-  (dist, first_hop)
+  let off = Array.make (n + 1) 0 in
+  let nbr = Array.make total 0 in
+  let weight = Float.Array.make total Float.nan in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    off.(v) <- !k;
+    match Hashtbl.find r.lsdb v with
+    | exception Not_found -> ()
+    | lsa ->
+      List.iter
+        (fun (u, cost) ->
+           let two_way =
+             match Hashtbl.find r.lsdb u with
+             | back -> lists_adjacency v back.adjacencies
+             | exception Not_found -> false
+           in
+           if two_way && u < n then begin
+             nbr.(!k) <- u;
+             Float.Array.set weight !k (float_of_int cost);
+             incr k
+           end)
+        lsa.adjacencies
+  done;
+  off.(n) <- !k;
+  Spf.dijkstra_csr ~off ~nbr ~weight ~src:r.id
+
+let spf t r =
+  if r.spf_gen <> r.lsdb_gen then begin
+    r.spf <- run_spf t r;
+    r.spf_gen <- r.lsdb_gen
+  end;
+  r.spf
+
+(* What a FIB is built from: distances (never nan) and first hops. *)
+let same_routes (a : Spf.tree) (b : Spf.tree) =
+  a == b || (a.Spf.dist = b.Spf.dist && a.Spf.first_hop = b.Spf.first_hop)
+
+let refresh_fib t r =
+  let tree = spf t r in
+  if r.fib_prefix_gen <> r.prefix_gen || not (same_routes r.fib_tree tree)
+  then begin
+    let dist = tree.Spf.dist and first_hop = tree.Spf.first_hop in
+    let fib = Fib.create () in
+    Hashtbl.iter
+      (fun origin lsa ->
+         List.iter
+           (fun p ->
+              if origin = r.id then
+                Fib.add fib p
+                  { Fib.next_hop = Fib.local_delivery; cost = 0;
+                    source = Fib.Connected }
+              else if Float.is_finite dist.(origin) then
+                Fib.add fib p
+                  { Fib.next_hop = first_hop.(origin);
+                    cost = int_of_float dist.(origin); source = Fib.Igp })
+           lsa.prefixes)
+      r.lsdb;
+    r.fib <- fib;
+    r.fib_tree <- tree;
+    r.fib_prefix_gen <- r.prefix_gen
+  end
 
 let converge t =
   Array.iter (fun r -> if t.members r.id then originate t r) t.routers;
@@ -183,8 +217,7 @@ let converge t =
   while !continue_ do
     if flood_round t then incr rounds else continue_ := false
   done;
-  Array.iter (fun r -> if t.members r.id then ignore (spf_and_fib t r))
-    t.routers;
+  Array.iter (fun r -> if t.members r.id then refresh_fib t r) t.routers;
   !rounds
 
 let converged t =
@@ -213,18 +246,15 @@ let fib t node =
   check_router t node;
   t.routers.(node).fib
 
-let spf_arrays t src =
-  check_router t src;
-  spf_and_fib t t.routers.(src)
-
 let next_hop_to_router t ~src ~dst =
   check_router t dst;
-  let _, first_hop = spf_arrays t src in
+  check_router t src;
+  let first_hop = (spf t t.routers.(src)).Spf.first_hop in
   if dst = src then None
   else if first_hop.(dst) >= 0 then Some first_hop.(dst)
   else None
 
 let distance t ~src ~dst =
   check_router t dst;
-  let dist, _ = spf_arrays t src in
-  dist.(dst)
+  check_router t src;
+  (spf t t.routers.(src)).Spf.dist.(dst)

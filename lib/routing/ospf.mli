@@ -38,13 +38,16 @@ val fib : t -> int -> Mvpn_net.Fib.t
 (** The forwarding table SPF built for a router at the last
     {!converge}. Routes carry source {!Mvpn_net.Fib.Igp}; a prefix
     attached to the router itself maps to
-    {!Mvpn_net.Fib.local_delivery}. *)
+    {!Mvpn_net.Fib.local_delivery}. A converge that moves neither the
+    router's SPF distances and first hops nor any LSA's prefixes keeps
+    the same table (physically), so callers may compare with [==]. *)
 
 val next_hop_to_router : t -> src:int -> dst:int -> int option
-(** Next hop from [src] toward router [dst] per [src]'s database. *)
+(** Next hop from [src] toward router [dst] per [src]'s database. Runs
+    (or reuses) SPF only: the FIB is never touched by a query. *)
 
 val distance : t -> src:int -> dst:int -> float
 (** IGP distance between routers per [src]'s database ([infinity] when
-    unreachable). *)
+    unreachable). Like {!next_hop_to_router}, a pure read. *)
 
 val router_count : t -> int

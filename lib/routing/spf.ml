@@ -12,49 +12,122 @@ let default_usable (l : Topology.link) = l.Topology.up
 
 let default_metric (l : Topology.link) = float_of_int l.Topology.cost
 
-let dijkstra ?(usable = default_usable) ?(metric = default_metric) topo ~src =
-  let n = Topology.node_count topo in
+(* The one relax loop. The frontier is a flat binary min-heap over
+   parallel arrays — keys in a floatarray, insertion sequence numbers
+   and nodes in int arrays — ordered by (key, seq), so equal keys pop
+   FIFO exactly as the event queue's heap would. Each edge is relaxed
+   at most once (when its source settles), so [m + 1] slots hold every
+   push: the whole run allocates O(n + m) words and nothing per pop. *)
+let dijkstra_csr ~off ~nbr ~weight ~src =
+  let n = Array.length off - 1 in
   if src < 0 || src >= n then
     invalid_arg (Printf.sprintf "Spf.dijkstra: unknown source %d" src);
   let dist = Array.make n infinity in
   let first_hop = Array.make n (-1) in
   let parent = Array.make n (-1) in
   let settled = Array.make n false in
-  let heap = Heap.create () in
-  dist.(src) <- 0.0;
-  Heap.push heap 0.0 src;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-      if not settled.(v) && d <= dist.(v) then begin
-        settled.(v) <- true;
-        let relax (nbr, l) =
-          if usable l && not settled.(nbr) then begin
-            let nd = dist.(v) +. metric l in
-            (* Strict improvement, or same cost through a lower parent:
-               deterministic tie-breaking for reproducible routing. *)
-            if nd < dist.(nbr)
-            || (nd = dist.(nbr) && parent.(nbr) > v)
-            then begin
-              dist.(nbr) <- nd;
-              parent.(nbr) <- v;
-              first_hop.(nbr) <- (if v = src then nbr else first_hop.(v));
-              Heap.push heap nd nbr
-            end
-          end
-        in
-        (* Sort neighbors for deterministic relax order. *)
-        let nbrs =
-          List.sort (fun (a, _) (b, _) -> Int.compare a b)
-            (Topology.neighbors topo v)
-        in
-        List.iter relax nbrs
-      end;
-      drain ()
+  let cap = Array.length nbr + 1 in
+  let keys = Float.Array.make cap 0.0 in
+  let seqs = Array.make cap 0 in
+  let nodes = Array.make cap 0 in
+  let size = ref 0 and next_seq = ref 0 in
+  let less i j =
+    let ki = Float.Array.unsafe_get keys i
+    and kj = Float.Array.unsafe_get keys j in
+    ki < kj || (ki = kj && seqs.(i) < seqs.(j))
   in
-  drain ();
+  let swap i j =
+    let k = Float.Array.unsafe_get keys i in
+    Float.Array.unsafe_set keys i (Float.Array.unsafe_get keys j);
+    Float.Array.unsafe_set keys j k;
+    let s = seqs.(i) in
+    seqs.(i) <- seqs.(j);
+    seqs.(j) <- s;
+    let v = nodes.(i) in
+    nodes.(i) <- nodes.(j);
+    nodes.(j) <- v
+  in
+  (* Push [v] with the key the caller stored at slot [!size] (a float
+     argument would be boxed). *)
+  let push v =
+    let i = ref !size in
+    seqs.(!i) <- !next_seq;
+    nodes.(!i) <- v;
+    incr next_seq;
+    incr size;
+    while !i > 0 && less !i ((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      swap !i p;
+      i := p
+    done
+  in
+  (* Remove the root; the caller read it first. *)
+  let pop () =
+    decr size;
+    if !size > 0 then begin
+      Float.Array.set keys 0 (Float.Array.get keys !size);
+      seqs.(0) <- seqs.(!size);
+      nodes.(0) <- nodes.(!size);
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        let r = l + 1 in
+        let s = ref !i in
+        if l < !size && less l !s then s := l;
+        if r < !size && less r !s then s := r;
+        if !s = !i then continue := false
+        else begin
+          swap !i !s;
+          i := !s
+        end
+      done
+    end
+  in
+  dist.(src) <- 0.0;
+  Float.Array.set keys 0 0.0;
+  push src;
+  while !size > 0 do
+    let d = Float.Array.get keys 0 and v = nodes.(0) in
+    pop ();
+    if (not settled.(v)) && d <= dist.(v) then begin
+      settled.(v) <- true;
+      for k = off.(v) to off.(v + 1) - 1 do
+        let u = nbr.(k) and w = Float.Array.get weight k in
+        (* A nan weight marks an unusable edge. *)
+        if w = w && not settled.(u) then begin
+          let nd = dist.(v) +. w in
+          (* Strict improvement, or same cost through a lower parent:
+             deterministic tie-breaking for reproducible routing. *)
+          if nd < dist.(u) || (nd = dist.(u) && parent.(u) > v) then begin
+            dist.(u) <- nd;
+            parent.(u) <- v;
+            first_hop.(u) <- (if v = src then u else first_hop.(v));
+            Float.Array.set keys !size nd;
+            push u
+          end
+        end
+      done
+    end
+  done;
   { src; dist; first_hop; parent }
+
+let dijkstra ?usable ?metric topo ~src =
+  let n = Topology.node_count topo in
+  if src < 0 || src >= n then
+    invalid_arg (Printf.sprintf "Spf.dijkstra: unknown source %d" src);
+  let a = Topology.adjacency topo in
+  let m = Array.length a.Topology.nbr in
+  let weight = Float.Array.make m Float.nan in
+  for k = 0 to m - 1 do
+    let l = Topology.link topo a.Topology.link_ids.(k) in
+    let ok = match usable with None -> l.Topology.up | Some f -> f l in
+    (* One store per branch: a float joined from both would be boxed. *)
+    if ok then
+      match metric with
+      | None -> Float.Array.set weight k (float_of_int l.Topology.cost)
+      | Some f -> Float.Array.set weight k (f l)
+  done;
+  dijkstra_csr ~off:a.Topology.off ~nbr:a.Topology.nbr ~weight ~src
 
 let path_of_tree tree dst =
   if dst = tree.src then Some [dst]

@@ -21,6 +21,16 @@ val dijkstra :
     up; [metric] defaults to the link's IGP [cost]. Ties broken toward
     lower node ids, deterministically. *)
 
+val dijkstra_csr :
+  off:int array -> nbr:int array -> weight:floatarray -> src:int -> tree
+(** The relax loop under {!dijkstra}, over a graph in compressed sparse
+    rows: node [v]'s out-edges are positions [off.(v)] to
+    [off.(v + 1) - 1] of [nbr] (the neighbor, in increasing id) and
+    [weight] (its metric; [nan] marks an unusable edge). There are
+    [Array.length off - 1] nodes. Allocates the tree plus O(n + m)
+    words of frontier and nothing per pop. Link-state SPF over a
+    router's LSDB ({!Ospf}) and SPF over the live topology share it. *)
+
 val path_of_tree : tree -> int -> int list option
 (** [path_of_tree tree dst] is the node sequence src..dst, or [None] if
     unreachable. *)

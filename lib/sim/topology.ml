@@ -24,13 +24,23 @@ type t = {
      node count the matrix was built for; a mismatch marks it stale. *)
   mutable mat : int array;
   mutable mat_nodes : int;
+  (* Out-links sorted by neighbor id, backing {!adjacency}: built
+     lazily on first use and rebuilt when the link or node count moved
+     since ([sadj_links] = -1 marks it unbuilt). *)
+  mutable sadj : adjacency;
+  mutable sadj_links : int;
+  mutable sadj_nodes : int;
 }
+
+and adjacency = { off : int array; nbr : int array; link_ids : int array }
 
 let mat_threshold = 1024
 
 let create () =
   { names = [||]; nodes = 0; link_arr = [||]; link_n = 0; adj = [||];
-    generation = 0; duplex_hooks = []; mat = [||]; mat_nodes = -1 }
+    generation = 0; duplex_hooks = []; mat = [||]; mat_nodes = -1;
+    sadj = { off = [| 0 |]; nbr = [||]; link_ids = [||] };
+    sadj_links = -1; sadj_nodes = -1 }
 
 let generation t = t.generation
 
@@ -141,6 +151,40 @@ let neighbors t v =
 
 let up_neighbors t v =
   List.filter (fun (_, l) -> l.up) (neighbors t v)
+
+(* Each node's out-links in increasing neighbor id (a node has at most
+   one link to each neighbor), concatenated in node order. *)
+let build_adjacency t =
+  let n = t.nodes and m = t.link_n in
+  let off = Array.make (n + 1) 0 in
+  let nbr = Array.make m 0 and link_ids = Array.make m 0 in
+  for v = 0 to n - 1 do
+    let k = ref off.(v) in
+    List.iter
+      (fun (b, lid) ->
+         nbr.(!k) <- b;
+         link_ids.(!k) <- lid;
+         incr k)
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) t.adj.(v));
+    off.(v + 1) <- !k
+  done;
+  t.sadj <- { off; nbr; link_ids };
+  t.sadj_links <- m;
+  t.sadj_nodes <- n
+
+let adjacency t =
+  if t.sadj_links <> t.link_n || t.sadj_nodes <> t.nodes then
+    build_adjacency t;
+  t.sadj
+
+let up_degree t v =
+  check_node t v;
+  let a = adjacency t in
+  let d = ref 0 in
+  for k = a.off.(v) to a.off.(v + 1) - 1 do
+    if t.link_arr.(a.link_ids.(k)).up then incr d
+  done;
+  !d
 
 (* Idempotent: a call that re-asserts the current state is a no-op —
    no events, no generation bump, no hook firing — so callers (retry

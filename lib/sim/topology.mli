@@ -65,6 +65,26 @@ val neighbors : t -> int -> (int * link) list
 val up_neighbors : t -> int -> (int * link) list
 (** Only neighbors reachable over links that are up. *)
 
+type adjacency = private {
+  off : int array;  (** node count + 1 entries *)
+  nbr : int array;
+  link_ids : int array;
+}
+(** Every link, grouped by source node in compressed sparse rows:
+    node [v]'s out-links (up or down) are positions [off.(v)] to
+    [off.(v + 1) - 1] of [nbr] (the neighbor) and [link_ids] (the
+    link), in increasing neighbor id. Read-only. *)
+
+val adjacency : t -> adjacency
+(** The sorted adjacency, built lazily on first use and rebuilt when
+    the link or node count changed since (like {!find_link_id}'s
+    matrix). Up/down state is read through {!link}, so flaps need no
+    rebuild. Allocation-free once built. *)
+
+val up_degree : t -> int -> int
+(** Number of [v]'s out-links that are up: [List.length (up_neighbors t
+    v)] without building the list. *)
+
 val set_duplex_state : t -> int -> int -> bool -> unit
 (** Bring both directions of the a↔b connection up or down — the
     failure-injection hook. Idempotent: re-asserting the current state

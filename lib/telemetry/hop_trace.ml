@@ -86,6 +86,16 @@ let fold f t init =
   done;
   !acc
 
+let iter_codes f t =
+  let cap = Array.length t.uids in
+  let live = min t.recorded cap in
+  let j = ref ((t.pos - live + cap) mod cap) in
+  for _ = 1 to live do
+    f t.uids.(!j) t.labels.(!j);
+    incr j;
+    if !j = cap then j := 0
+  done
+
 let trace t ~uid =
   List.rev (fold (fun acc e -> if e.uid = uid then e :: acc else acc) t [])
 

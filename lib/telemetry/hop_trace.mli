@@ -46,6 +46,11 @@ val recent : t -> int -> event list
 val fold : ('a -> event -> 'a) -> t -> 'a -> 'a
 (** Oldest-first fold over live entries. *)
 
+val iter_codes : (int -> int -> unit) -> t -> unit
+(** [iter_codes f t] calls [f uid code] on every live entry, oldest
+    first, with the label as its {!intern} code. No event record is
+    built, so with a preallocated [f] the walk allocates nothing. *)
+
 val clear : t -> unit
 
 val pp_event : Format.formatter -> event -> unit

@@ -300,6 +300,60 @@ let line_net () =
   let net = Network.create engine topo in
   (engine, topo, net, ids)
 
+(* [refresh_igp] updates in place but must leave exactly what the old
+   clear-and-refill left ([Fib.clear_source Igp], then add every OSPF
+   route), and move each FIB's generation exactly when that would have:
+   the dataplane recompiles a node iff its generation moved. Checked in
+   lockstep against reference tables through a steady converge, a
+   flap, a partition and the heal, with a static route beside the IGP
+   ones. *)
+let test_network_refresh_igp_matches_clear_and_refill () =
+  let module Ospf = Mvpn_routing.Ospf in
+  let topo = Topology.create () in
+  let ids = Topology.ring topo 5 ~bandwidth:1e6 ~delay:0.001 in
+  let net = Network.create (Engine.create ()) topo in
+  let refs = Array.map (fun _ -> Fib.create ()) ids in
+  let static = { Fib.next_hop = ids.(1); cost = 9; source = Fib.Static } in
+  List.iter
+    (fun fib ->
+       Fib.add fib (pfx "10.2.0.0/16") static;
+       Fib.add fib (pfx "192.0.2.0/24") static)
+    [ Network.fib net ids.(0); refs.(0) ];
+  let ospf = Ospf.create topo in
+  Array.iteri
+    (fun i v ->
+       Ospf.attach_prefix ospf v (Prefix.make (Ipv4.of_octets 10 i 0 0) 16))
+    ids;
+  let step name =
+    ignore (Ospf.converge ospf);
+    let gens = Array.map (fun v -> Fib.generation (Network.fib net v)) ids in
+    let ref_gens = Array.map Fib.generation refs in
+    Network.refresh_igp net ospf;
+    Array.iteri
+      (fun i v ->
+         ignore (Fib.clear_source refs.(i) Fib.Igp);
+         Fib.iter (fun p r -> Fib.add refs.(i) p r) (Ospf.fib ospf v);
+         let fib = Network.fib net v in
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: node %d routes" name v)
+           true
+           (Fib.to_list fib = Fib.to_list refs.(i));
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: node %d generation moved" name v)
+           (Fib.generation refs.(i) <> ref_gens.(i))
+           (Fib.generation fib <> gens.(i)))
+      ids
+  in
+  step "first";
+  step "steady";
+  Topology.set_duplex_state topo ids.(1) ids.(2) false;
+  step "flap";
+  Topology.set_duplex_state topo ids.(3) ids.(4) false;
+  step "partition";
+  Topology.set_duplex_state topo ids.(1) ids.(2) true;
+  Topology.set_duplex_state topo ids.(3) ids.(4) true;
+  step "heal"
+
 let test_network_ip_forwarding () =
   let engine, _topo, net, ids = line_net () in
   Fib.add (Network.fib net ids.(0)) (pfx "10.9.0.0/16")
@@ -1901,7 +1955,9 @@ let () =
          Alcotest.test_case "interceptor" `Quick
            test_network_interceptor_consumes;
          Alcotest.test_case "label forwarding" `Quick
-           test_network_label_forwarding ]);
+           test_network_label_forwarding;
+         Alcotest.test_case "refresh_igp matches clear and refill" `Quick
+           test_network_refresh_igp_matches_clear_and_refill ]);
       ("backbone",
        [ Alcotest.test_case "shape" `Quick test_backbone_shape ]);
       ("mpls-vpn",

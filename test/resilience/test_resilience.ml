@@ -529,6 +529,66 @@ let test_audit_clean_under_storm () =
   Alcotest.(check int) "conservation checked every tick" (Audit.ticks a)
     (cv "audit.check.conservation")
 
+(* After the first tick sizes the auditor's tables, the loop check
+   (ring walk + rx-per-uid table) and the queue check (per-band
+   counters into flat arrays) allocate nothing, over a full hop-trace
+   ring and every port of a storm-armed network. *)
+let test_audit_checks_allocate_nothing () =
+  T.Registry.reset ();
+  let sc = audit_scenario () in
+  let h = Harness.arm ~frr:true ~fallback:true ~seed:21 ~duration:4.0 sc in
+  let a = Audit.start ~interval:0.5 ~until:6.0 ?frr:(Harness.frr h) sc in
+  Scenario.add_mixed_workload ~load:0.6 sc
+    ~pairs:(Scenario.default_pairs sc) ~duration:4.0;
+  Harness.run h;
+  let ring = T.Registry.trace () in
+  Alcotest.(check bool) "hop-trace ring is full" true
+    (T.Hop_trace.recorded ring >= T.Hop_trace.capacity ring);
+  Audit.check_loops a;
+  Audit.check_queues a;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Audit.check_loops a;
+    Audit.check_queues a
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 10 loop + queue checks" 0.0
+    dw;
+  Alcotest.(check int) "no violations" 0 (Audit.violations a)
+
+(* The rx-per-uid table restarts every check: a uid received more than
+   [max_hops] times in the ring is flagged once per check — also when
+   it shares a table slot with another — and a uid at the bound, or
+   seen only as tx, is not. *)
+let test_audit_loop_check_counts_per_uid () =
+  T.Registry.reset ();
+  let sc = audit_scenario () in
+  let a = Audit.start ~max_hops:3 sc in
+  let ring = T.Registry.trace () in
+  T.Hop_trace.clear ring;
+  let rx = T.Hop_trace.intern "rx" and tx = T.Hop_trace.intern "tx" in
+  let collide = 7 + (2 * T.Hop_trace.capacity ring) in
+  let record uid code =
+    T.Hop_trace.record_code ring ~uid ~time:0.0 ~node:0 code
+  in
+  for i = 1 to 4 do
+    record 7 rx;
+    record collide rx;
+    record 9 tx;
+    if i <= 3 then record 8 rx
+  done;
+  let loops () =
+    List.filter (fun (inv, _) -> inv = "loops") (Audit.recent_violations a)
+  in
+  Audit.check_loops a;
+  Alcotest.(check (list string)) "the two uids over the bound"
+    [ "packet uid 7 seen rx 4 times (bound 3)";
+      Printf.sprintf "packet uid %d seen rx 4 times (bound 3)" collide ]
+    (List.map snd (loops ()));
+  Audit.check_loops a;
+  Alcotest.(check int) "recounted from scratch on the next check" 4
+    (List.length (loops ()))
+
 let expect_invalid name f =
   match f () with
   | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
@@ -584,4 +644,8 @@ let () =
          Alcotest.test_case "catches a leaky drop table" `Quick
            (with_telemetry test_audit_catches_drop_leak);
          Alcotest.test_case "start validates its knobs" `Quick
-           test_audit_start_validation ]) ]
+           test_audit_start_validation;
+         Alcotest.test_case "loop and queue checks allocate nothing" `Quick
+           (with_telemetry test_audit_checks_allocate_nothing);
+         Alcotest.test_case "loop check counts rx per uid" `Quick
+           (with_telemetry test_audit_loop_check_counts_per_uid) ]) ]

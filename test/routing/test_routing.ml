@@ -308,6 +308,317 @@ let ospf_agrees_with_spf =
               ids)
          ids)
 
+(* --- One relax loop: equivalence with the list-and-boxed-heap SPFs ---- *)
+
+(* Reference copies of the two Dijkstra loops [Spf.dijkstra_csr]
+   replaced: the topology SPF (per-pop sorted neighbor lists, boxed
+   heap) and OSPF's SPF over an LSDB (LSA adjacency lists with the
+   two-way check). The flat kernel must reproduce both bit for bit. *)
+let ref_dijkstra ?(usable = fun (l : Topology.link) -> l.Topology.up)
+    ?(metric = fun (l : Topology.link) -> float_of_int l.Topology.cost) topo
+    ~src =
+  let module Heap = Mvpn_sim.Heap in
+  let n = Topology.node_count topo in
+  let dist = Array.make n infinity in
+  let first_hop = Array.make n (-1) in
+  let parent = Array.make n (-1) in
+  let settled = Array.make n false in
+  let heap = Heap.create () in
+  dist.(src) <- 0.0;
+  Heap.push heap 0.0 src;
+  let rec drain () =
+    match Heap.pop heap with
+    | None -> ()
+    | Some (d, v) ->
+      if not settled.(v) && d <= dist.(v) then begin
+        settled.(v) <- true;
+        let relax (nbr, l) =
+          if usable l && not settled.(nbr) then begin
+            let nd = dist.(v) +. metric l in
+            if nd < dist.(nbr) || (nd = dist.(nbr) && parent.(nbr) > v)
+            then begin
+              dist.(nbr) <- nd;
+              parent.(nbr) <- v;
+              first_hop.(nbr) <- (if v = src then nbr else first_hop.(v));
+              Heap.push heap nd nbr
+            end
+          end
+        in
+        List.iter relax
+          (List.sort (fun (a, _) (b, _) -> Int.compare a b)
+             (Topology.neighbors topo v))
+      end;
+      drain ()
+  in
+  drain ();
+  (dist, first_hop, parent)
+
+(* OSPF's converged view of a topology: one adjacency list per router,
+   (neighbor, cost) over up links, sorted — what every router's LSDB
+   says about its own partition once flooding settles. *)
+let ref_lsdb topo =
+  Array.init (Topology.node_count topo) (fun v ->
+      List.sort compare
+        (List.map
+           (fun (nbr, (l : Topology.link)) -> (nbr, l.Topology.cost))
+           (Topology.up_neighbors topo v)))
+
+let ref_ospf_spf lsdb ~src =
+  let module Heap = Mvpn_sim.Heap in
+  let n = Array.length lsdb in
+  let dist = Array.make n infinity in
+  let first_hop = Array.make n (-1) in
+  let parent = Array.make n (-1) in
+  let settled = Array.make n false in
+  let heap = Heap.create () in
+  dist.(src) <- 0.0;
+  Heap.push heap 0.0 src;
+  let rec drain () =
+    match Heap.pop heap with
+    | None -> ()
+    | Some (d, v) ->
+      if not settled.(v) && d <= dist.(v) then begin
+        settled.(v) <- true;
+        List.iter
+          (fun (nbr, cost) ->
+             let two_way = List.exists (fun (b, _) -> b = v) lsdb.(nbr) in
+             if two_way && nbr < n && not settled.(nbr) then begin
+               let nd = dist.(v) +. float_of_int cost in
+               if nd < dist.(nbr) || (nd = dist.(nbr) && parent.(nbr) > v)
+               then begin
+                 dist.(nbr) <- nd;
+                 parent.(nbr) <- v;
+                 first_hop.(nbr) <- (if v = src then nbr else first_hop.(v));
+                 Heap.push heap nd nbr
+               end
+             end)
+          lsdb.(v)
+      end;
+      drain ()
+  in
+  drain ();
+  (dist, first_hop)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* A random connected topology with IGP costs in 1..3 (plenty of
+   equal-cost ties), [down] duplex links taken down and as many single
+   directions (asymmetric failures: one end still advertises the link,
+   which the two-way check must refuse). *)
+let random_topo ~n ~seed ~down =
+  let t = Topology.create () in
+  let rng = Rng.create seed in
+  ignore
+    (Topology.random_connected t rng ~n ~extra_links:n ~bandwidth:1e9
+       ~delay:0.001);
+  List.iter
+    (fun (l : Topology.link) ->
+       if l.Topology.src < l.Topology.dst then begin
+         let c = 1 + Rng.int rng 3 in
+         l.Topology.cost <- c;
+         match Topology.find_link t l.Topology.dst l.Topology.src with
+         | Some back -> back.Topology.cost <- c
+         | None -> ()
+       end)
+    (Topology.links t);
+  for _ = 1 to down do
+    let l = Topology.link t (Rng.int rng (Topology.link_count t)) in
+    Topology.set_duplex_state t l.Topology.src l.Topology.dst false
+  done;
+  for _ = 1 to down do
+    (Topology.link t (Rng.int rng (Topology.link_count t))).Topology.up <-
+      false
+  done;
+  t
+
+let spf_matches_reference =
+  QCheck.Test.make ~name:"flat spf equals the list-and-heap reference"
+    ~count:60
+    QCheck.(triple (int_range 2 14) small_int (int_range 0 4))
+    (fun (n, seed, down) ->
+       let t = random_topo ~n ~seed:(seed * 31 + 5) ~down in
+       (* A custom usable (drops every fifth link id, offset by the
+          seed) and metric (adds 0.5 on odd link ids) beside the
+          defaults. *)
+       let usable (l : Topology.link) =
+         l.Topology.up && (l.Topology.id + seed) mod 5 <> 0
+       in
+       let metric (l : Topology.link) =
+         float_of_int l.Topology.cost
+         +. (0.5 *. float_of_int (l.Topology.id mod 2))
+       in
+       List.for_all
+         (fun src ->
+            let agree (tree : Spf.tree) (dist, first_hop, parent) =
+              same_bits tree.Spf.dist dist
+              && tree.Spf.first_hop = first_hop
+              && tree.Spf.parent = parent
+            in
+            agree (Spf.dijkstra t ~src) (ref_dijkstra t ~src)
+            && agree (Spf.dijkstra ~usable t ~src) (ref_dijkstra ~usable t ~src)
+            && agree
+                 (Spf.dijkstra ~usable ~metric t ~src)
+                 (ref_dijkstra ~usable ~metric t ~src))
+         (List.init n Fun.id))
+
+let ospf_spf_matches_reference =
+  QCheck.Test.make ~name:"ospf spf equals the lsdb reference"
+    ~count:60
+    QCheck.(triple (int_range 2 14) small_int (int_range 0 4))
+    (fun (n, seed, down) ->
+       let t = random_topo ~n ~seed:(seed * 13 + 1) ~down in
+       let o = Ospf.create t in
+       ignore (Ospf.converge o);
+       let lsdb = ref_lsdb t in
+       List.for_all
+         (fun src ->
+            let dist, first_hop = ref_ospf_spf lsdb ~src in
+            List.for_all
+              (fun dst ->
+                 Int64.equal
+                   (Int64.bits_of_float (Ospf.distance o ~src ~dst))
+                   (Int64.bits_of_float dist.(dst))
+                 && Ospf.next_hop_to_router o ~src ~dst
+                    = (if dst = src || first_hop.(dst) < 0 then None
+                       else Some first_hop.(dst)))
+              (List.init n Fun.id))
+         (List.init n Fun.id))
+
+type ospf_op = Flap of int | Heal of int | Cost of int * int | Attach of int
+
+(* After every converge of a random flap / heal / re-cost / attach
+   sequence (partitions included), each router's FIB — reused or
+   rebuilt — equals the one a fresh instance converged on the same
+   topology and prefixes builds, route for route. *)
+let ospf_incremental_matches_fresh =
+  QCheck.Test.make ~name:"ospf fibs after flaps equal a fresh converge"
+    ~count:40
+    QCheck.(triple (int_range 3 10) small_int (int_range 1 12))
+    (fun (n, seed, steps) ->
+       let t = random_topo ~n ~seed:(seed * 7 + 2) ~down:0 in
+       let rng = Rng.create (seed + 99) in
+       let attached = ref [] in
+       let attach o (v, p) = Ospf.attach_prefix o v p in
+       let o = Ospf.create t in
+       let next_prefix = ref 0 in
+       let add v =
+         let p =
+           Prefix.make
+             (Ipv4.of_octets 10 (!next_prefix / 256) (!next_prefix mod 256) 0)
+             24
+         in
+         incr next_prefix;
+         attached := (v, p) :: !attached;
+         attach o (v, p)
+       in
+       for v = 0 to n - 1 do add v done;
+       ignore (Ospf.converge o);
+       let links = Array.of_list (Topology.links t) in
+       let op () =
+         let l = links.(Rng.int rng (Array.length links)) in
+         match Rng.int rng 4 with
+         | 0 -> Flap l.Topology.id
+         | 1 -> Heal l.Topology.id
+         | 2 -> Cost (l.Topology.id, 1 + Rng.int rng 3)
+         | _ -> Attach (Rng.int rng n)
+       in
+       let apply = function
+         | Flap id | Heal id as o' ->
+           let l = Topology.link t id in
+           Topology.set_duplex_state t l.Topology.src l.Topology.dst
+             (match o' with Heal _ -> true | _ -> false)
+         | Cost (id, c) ->
+           let l = Topology.link t id in
+           l.Topology.cost <- c;
+           (match Topology.find_link t l.Topology.dst l.Topology.src with
+            | Some back -> back.Topology.cost <- c
+            | None -> ())
+         | Attach v -> add v
+       in
+       let ok = ref true in
+       for _ = 1 to steps do
+         apply (op ());
+         ignore (Ospf.converge o);
+         let fresh = Ospf.create t in
+         List.iter (attach fresh) (List.rev !attached);
+         ignore (Ospf.converge fresh);
+         for v = 0 to n - 1 do
+           if Fib.to_list (Ospf.fib o v) <> Fib.to_list (Ospf.fib fresh v)
+           then ok := false
+         done
+       done;
+       !ok)
+
+(* Queries run SPF only: they must not replace the router's FIB. *)
+let test_ospf_queries_keep_fib () =
+  let t, n = diamond () in
+  let o = Ospf.create t in
+  Ospf.attach_prefix o n.(3) (pfx "10.3.0.0/16");
+  ignore (Ospf.converge o);
+  let before = Array.map (fun v -> Ospf.fib o v) n in
+  Array.iter
+    (fun src ->
+       Array.iter
+         (fun dst ->
+            ignore (Ospf.distance o ~src ~dst);
+            ignore (Ospf.next_hop_to_router o ~src ~dst))
+         n)
+    n;
+  Array.iteri
+    (fun i v ->
+       Alcotest.(check bool)
+         (Printf.sprintf "fib of %d untouched" v)
+         true
+         (Ospf.fib o v == before.(i)))
+    n;
+  (* A converge that moves no route keeps every table too. *)
+  ignore (Ospf.converge o);
+  Array.iteri
+    (fun i v ->
+       Alcotest.(check bool) "steady converge reuses the fib" true
+         (Ospf.fib o v == before.(i)))
+    n
+
+(* The E16 backbone's shape: 16 POPs on a chorded ring, 32 CE sites
+   hanging off them. *)
+let e16_topology () =
+  let t = Topology.create () in
+  let pops =
+    Topology.ring_with_chords t 16 ~chords:[ (0, 8); (4, 12); (2, 10) ]
+      ~bandwidth:45e6 ~delay:0.004
+  in
+  for i = 0 to 31 do
+    let ce = Topology.add_node t in
+    ignore (Topology.connect t pops.(i mod 16) ce ~bandwidth:2e6 ~delay:0.001)
+  done;
+  t
+
+(* [Gc.minor_words] is exact (unlike [Gc.allocated_bytes], which lags
+   until a collection); on this graph every array the run makes is
+   small enough to be a minor allocation. *)
+let words_allocated f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_spf_allocates_linear () =
+  let t = e16_topology () in
+  let n = Topology.node_count t and m = Topology.link_count t in
+  ignore (Spf.dijkstra t ~src:0);
+  let words = words_allocated (fun () -> ignore (Spf.dijkstra t ~src:0)) in
+  (* The tree and the settled flags (4n), one weight and three
+     frontier slots per link (4m), and a handful of closures. A per-pop
+     neighbor list, its sorted copy and a boxed heap slot per push cost
+     several times that. *)
+  let bound = float_of_int ((4 * n) + (4 * m) + 128) in
+  if words > bound then
+    Alcotest.failf "dijkstra on n=%d m=%d allocated %.0f words > %.0f" n m
+      words bound
+
 (* --- Bgp -------------------------------------------------------------- *)
 
 let test_bgp_ebgp_propagation () =
@@ -666,7 +977,10 @@ let () =
          Alcotest.test_case "k shortest" `Quick test_k_shortest;
          qt k_shortest_sorted;
          qt spf_triangle_inequality;
-         qt spf_symmetric_on_duplex ]);
+         qt spf_symmetric_on_duplex;
+         qt spf_matches_reference;
+         Alcotest.test_case "allocates O(n + m)" `Quick
+           test_spf_allocates_linear ]);
       ("ospf",
        [ Alcotest.test_case "convergence" `Quick test_ospf_convergence;
          Alcotest.test_case "domain restriction" `Quick
@@ -679,7 +993,11 @@ let () =
          Alcotest.test_case "distance" `Quick test_ospf_distance;
          Alcotest.test_case "messages counted" `Quick
            test_ospf_messages_counted;
-         qt ospf_agrees_with_spf ]);
+         qt ospf_agrees_with_spf;
+         qt ospf_spf_matches_reference;
+         qt ospf_incremental_matches_fresh;
+         Alcotest.test_case "queries keep the fib" `Quick
+           test_ospf_queries_keep_fib ]);
       ("bgp",
        [ Alcotest.test_case "ebgp propagation" `Quick
            test_bgp_ebgp_propagation;
