@@ -8,7 +8,8 @@
    - per-PE state and its growth between the two scales (linear in
      attached sites if C1 holds — an overlay needs N(N-1)/2 circuits);
    - resident bytes per route with the interned store and shared group
-     tables (Gc live-word delta across the compile);
+     tables (Gc live-word delta across the compile), and minor words
+     allocated per route by the compile itself;
    - incremental convergence: single-delta p99 versus a from-scratch
      recompile of the same final portfolio, validated by canonical
      fingerprint against the oracle;
@@ -31,6 +32,7 @@ type row = {
   per_pe : (int * int) array;
   compile_s : float;
   bytes_per_route : float;
+  words_per_route : float;
   state : P.Compile.t;
   portfolio : P.Portfolio.t;
 }
@@ -46,16 +48,18 @@ let compile_row n =
   in
   let w0 = live_words () in
   let t0 = Unix.gettimeofday () in
+  let minor0 = Gc.minor_words () in
   let state = P.Compile.compile portfolio in
+  let minor = Gc.minor_words () -. minor0 in
   let compile_s = Unix.gettimeofday () -. t0 in
   let w1 = live_words () in
   let m = P.Compile.metrics state in
+  let routes = float_of_int (max 1 m.P.Compile.routes) in
   { n; sites = P.Portfolio.site_count portfolio;
     overlay = P.Portfolio.overlay_circuits portfolio; m;
     per_pe = P.Compile.per_pe state; compile_s;
-    bytes_per_route =
-      float_of_int ((w1 - w0) * 8) /. float_of_int (max 1 m.P.Compile.routes);
-    state; portfolio }
+    bytes_per_route = float_of_int ((w1 - w0) * 8) /. routes;
+    words_per_route = minor /. routes; state; portfolio }
 
 let mean_entries r =
   Array.fold_left (fun acc (_, e) -> acc +. float_of_int e) 0.0 r.per_pe
@@ -112,6 +116,7 @@ let run () =
     "\nstate growth 1k -> 10k: %.2fx per site ratio (1.0 = linear)\n" growth;
   Printf.printf "bytes/route (interned store + shared tables): %.0f\n"
     big.bytes_per_route;
+  Printf.printf "compile minor words/route: %.0f\n" big.words_per_route;
 
   (* Incremental convergence on the 10k state: per-delta wall time vs a
      from-scratch compile of the exact final portfolio, then the
@@ -160,6 +165,7 @@ let run () =
     (float_of_int big.m.P.Compile.table_entries
      /. float_of_int (max 1 big.m.P.Compile.shared_entries));
   g "e19.mem.bytes_per_route" big.bytes_per_route;
+  g "e19.compile.words_per_route" big.words_per_route;
   g "e19.converge.p99_ms" p99_ms;
   g "e19.converge.full_ms" full_ms;
   g "e19.converge.speedup" speedup;

@@ -256,6 +256,74 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
     p.Portfolio.customers;
   t
 
+(* The bulk group fill: one walk of the interned store in id order,
+   appending each route to every group importing one of its export
+   RTs — the same set {!routes_importing} finds per group. Ids come out
+   ascending, so each list reversed is the sorted table; an extranet
+   route can reach a group through both of its RTs, and since all of
+   one id's appends happen together, the repeat is the list head. *)
+let fill_groups t =
+  let acc = Hashtbl.create (Hashtbl.length t.groups) in
+  Hashtbl.iter (fun gk _ -> Hashtbl.replace acc gk (ref [])) t.groups;
+  let into = Hashtbl.create (Hashtbl.length t.importers) in
+  Hashtbl.iter
+    (fun rt gks -> Hashtbl.replace into rt (List.map (Hashtbl.find acc) gks))
+    t.importers;
+  for id = 0 to Mpbgp.store_size t.bgp - 1 do
+    match Mpbgp.find_route t.bgp id with
+    | None -> ()
+    | Some r ->
+      List.iter
+        (fun (rt : Mpbgp.rt) ->
+           match Hashtbl.find_opt into rt.Mpbgp.rt_value with
+           | None -> ()
+           | Some cells ->
+             List.iter
+               (fun cell ->
+                  match !cell with
+                  | last :: _ when last = id -> ()
+                  | ids -> cell := id :: ids)
+               cells)
+        r.Mpbgp.export_rts
+  done;
+  Hashtbl.iter
+    (fun gk g ->
+       let ids = !(Hashtbl.find acc gk) in
+       let n = List.length ids in
+       let a = Array.make n 0 in
+       List.iteri (fun i id -> a.(n - 1 - i) <- id) ids;
+       g.g_routes <- a)
+    t.groups
+
+(* Transport LSPs in bulk: a group's routes counted once per egress PE,
+   those counts summed into a flat ingress x egress matrix for each
+   member PE, and the matrix's non-zero cells written out — the same
+   refcounts as one {!lsp_incr} per (member VRF, remote route). *)
+let fill_lsps t =
+  let n = t.pe_count in
+  let per_egress = Array.make n 0 and refs = Array.make (n * n) 0 in
+  Hashtbl.iter
+    (fun _ g ->
+       Array.fill per_egress 0 n 0;
+       Array.iter
+         (fun id ->
+            let e = (route_exn t id).Mpbgp.next_hop_pe in
+            per_egress.(e) <- per_egress.(e) + 1)
+         g.g_routes;
+       List.iter
+         (fun pe ->
+            for e = 0 to n - 1 do
+              if e <> pe then
+                refs.((pe * n) + e) <- refs.((pe * n) + e) + per_egress.(e)
+            done)
+         g.g_pes)
+    t.groups;
+  Array.iteri
+    (fun k c ->
+       if c > 0 then
+         Hashtbl.replace t.lsps (lsp_key ~ingress:(k / n) ~egress:(k mod n)) c)
+    refs
+
 let compile ?mode (p : Portfolio.t) =
   let t = create ?mode p in
   (* Design every site, then one membership batch and one propagation
@@ -272,23 +340,8 @@ let compile ?mode (p : Portfolio.t) =
     p.Portfolio.customers;
   Membership.join_all t.membership (List.rev !sites);
   ignore (Mpbgp.run t.bgp);
-  (* Fill the shared group tables: a route lands in every group
-     importing one of its export RTs. *)
-  Hashtbl.iter (fun _ g -> g.g_routes <- routes_importing t g.g_import)
-    t.groups;
-  (* Transport LSPs: one refcount per (member VRF, remote route). *)
-  Hashtbl.iter
-    (fun _ g ->
-       List.iter
-         (fun pe ->
-            Array.iter
-              (fun id ->
-                 let r = route_exn t id in
-                 if r.Mpbgp.next_hop_pe <> pe then
-                   lsp_incr t ~ingress:pe ~egress:r.Mpbgp.next_hop_pe)
-              g.g_routes)
-         g.g_pes)
-    t.groups;
+  fill_groups t;
+  fill_lsps t;
   t
 
 (* --- incremental primitives --------------------------------------------- *)

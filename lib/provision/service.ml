@@ -43,8 +43,7 @@ let default_role topology ~sid =
 let site_prefix ~sid =
   if sid < 0 || sid > 0xffff then
     invalid_arg (Printf.sprintf "Service.site_prefix: sid %d out of range" sid);
-  Prefix.of_string_exn
-    (Printf.sprintf "10.%d.%d.0/24" (sid lsr 8) (sid land 0xff))
+  Prefix.make (Mvpn_net.Ipv4.of_octets 10 (sid lsr 8) (sid land 0xff) 0) 24
 
 let global_site_id ~customer ~sid =
   if customer < 1 || customer > 0x3fff then
@@ -61,7 +60,8 @@ let global_site_id ~customer ~sid =
    disagree on the label an egress PE allocated. *)
 let vpn_label_of_site gsid = 16 + gsid
 
-let site_name ~customer ~sid = Printf.sprintf "c%d-s%d" customer sid
+let site_name ~customer ~sid =
+  "c" ^ string_of_int customer ^ "-s" ^ string_of_int sid
 
 module Pool = struct
   (* RT value layout, all disjoint by construction: customer RTs use

@@ -40,9 +40,25 @@ let key_of (r : vpnv4_route) : key =
    are indexed by site id, so withdrawing a site touches only its own
    routes, never the PE's whole export table. *)
 
+(* Hashed on its four ints alone: no generic traversal of the tuple and
+   its RD record, no polymorphic compare. *)
+module Key_tbl = Hashtbl.Make (struct
+    type t = key
+
+    let equal ((r, n, l, p) : t) ((r', n', l', p') : t) =
+      n = n' && p = p' && l = l' && r.rd_assigned = r'.rd_assigned
+      && r.rd_asn = r'.rd_asn
+
+    let hash ((r, n, l, p) : t) =
+      let h = (r.rd_assigned * 0x9e3779b1) + r.rd_asn in
+      let h = (h * 0x9e3779b1) + n in
+      let h = (h * 0x9e3779b1) + ((l lsl 8) lor p) in
+      (h lxor (h lsr 29)) land max_int
+  end)
+
 type pe_state = {
   pe : int;
-  exported : (key, int) Hashtbl.t;  (* logical announcement -> route id *)
+  exported : int Key_tbl.t;  (* logical announcement -> route id *)
   by_site : (int, key) Hashtbl.t;  (* site -> each key it exported *)
   mutable received : Bytes.t;  (* Adj-RIB-In bitmap over interned ids *)
 }
@@ -66,12 +82,19 @@ let reindex_site s k ~from ~into =
     (List.rev (unbind_site s from));
   Hashtbl.add s.by_site into k
 
-(* What a dirty route needs at the next {!run}: [New] has never been
-   propagated (deliver everywhere, count per table that gains it),
-   [Update] changed content in place (everyone already has the id, count
-   one UPDATE per session the mode implies), [Retract] must leave every
-   Adj-RIB-In it reached (count per removal). *)
-type pending = New | Update | Retract
+(* The dirty journal is one byte per interned id, what the route needs
+   at the next {!run}: [clean] nothing; [added] has never been
+   propagated (deliver everywhere, count per table that gains it);
+   [updated] changed content in place (everyone already has the id,
+   count one UPDATE per session the mode implies); [retracted] must
+   leave every Adj-RIB-In it reached (count per removal). An id goes on
+   the [dirty] stack when its byte leaves [clean], so {!run} visits only
+   journaled ids; one cleaned before the run (announced, then withdrawn)
+   stays on the stack and is skipped there. *)
+let clean = '\000'
+let added = '\001'
+let updated = '\002'
+let retracted = '\003'
 
 type t = {
   mode : session_mode;
@@ -79,15 +102,17 @@ type t = {
   by_pe : (int, pe_state) Hashtbl.t;
   mutable messages : int;
   mutable store : vpnv4_route option array;  (* id -> interned route *)
+  mutable journal : Bytes.t;  (* id -> pending code, sized like [store] *)
+  mutable dirty : int array;  (* ids journaled since the last run *)
+  mutable dirty_len : int;
   mutable next_id : int;
-  pending : (int, pending) Hashtbl.t;  (* dirty journal since last run *)
   mutable fresh : int list;  (* PEs added since last run, to back-fill *)
 }
 
 let create ?(mode = Full_mesh) () =
   { mode; pes = []; by_pe = Hashtbl.create 16; messages = 0;
-    store = Array.make 64 None; next_id = 0;
-    pending = Hashtbl.create 64; fresh = [] }
+    store = Array.make 64 None; journal = Bytes.make 64 clean;
+    dirty = Array.make 64 0; dirty_len = 0; next_id = 0; fresh = [] }
 
 let find_pe t pe = Hashtbl.find_opt t.by_pe pe
 
@@ -95,7 +120,7 @@ let add_pe t pe =
   if find_pe t pe <> None then
     invalid_arg (Printf.sprintf "Mpbgp.add_pe: duplicate PE %d" pe);
   let s =
-    { pe; exported = Hashtbl.create 32; by_site = Hashtbl.create 32;
+    { pe; exported = Key_tbl.create 32; by_site = Hashtbl.create 32;
       received = Bytes.empty }
   in
   t.pes <- t.pes @ [s];
@@ -117,19 +142,36 @@ let get_pe t pe =
 
 let alloc t r =
   if t.next_id = Array.length t.store then begin
-    let bigger = Array.make (2 * Array.length t.store) None in
+    let n = 2 * Array.length t.store in
+    let bigger = Array.make n None in
     Array.blit t.store 0 bigger 0 t.next_id;
-    t.store <- bigger
+    t.store <- bigger;
+    let j = Bytes.make n clean in
+    Bytes.blit t.journal 0 j 0 t.next_id;
+    t.journal <- j
   end;
   let id = t.next_id in
   t.store.(id) <- Some r;
   t.next_id <- id + 1;
   id
 
+(* Set an id's journal code, stacking it if it was clean. *)
+let mark t id code =
+  if Bytes.get t.journal id = clean then begin
+    if t.dirty_len = Array.length t.dirty then begin
+      let bigger = Array.make (2 * t.dirty_len) 0 in
+      Array.blit t.dirty 0 bigger 0 t.dirty_len;
+      t.dirty <- bigger
+    end;
+    t.dirty.(t.dirty_len) <- id;
+    t.dirty_len <- t.dirty_len + 1
+  end;
+  Bytes.set t.journal id code
+
 let export t route =
   let s = get_pe t route.next_hop_pe in
   let k = key_of route in
-  match Hashtbl.find_opt s.exported k with
+  match Key_tbl.find_opt s.exported k with
   | Some id ->
     (match t.store.(id) with
      | Some old when old = route -> id
@@ -146,14 +188,13 @@ let export t route =
          | None -> true
        in
        t.store.(id) <- Some route;
-       if noisy && not (Hashtbl.mem t.pending id) then
-         Hashtbl.replace t.pending id Update;
+       if noisy && Bytes.get t.journal id = clean then mark t id updated;
        id)
   | None ->
     let id = alloc t route in
-    Hashtbl.add s.exported k id;
+    Key_tbl.add s.exported k id;
     Hashtbl.add s.by_site route.site k;
-    Hashtbl.add t.pending id New;
+    mark t id added;
     id
 
 let export_route t route = ignore (export t route)
@@ -163,29 +204,44 @@ let withdraw_site t ~pe ~site =
   let victims = unbind_site s site in
   List.iter
     (fun k ->
-       let id = Hashtbl.find s.exported k in
-       Hashtbl.remove s.exported k;
-       match Hashtbl.find_opt t.pending id with
-       | Some New ->
+       let id = Key_tbl.find s.exported k in
+       Key_tbl.remove s.exported k;
+       if Bytes.get t.journal id = added then begin
          (* Announced and retracted between runs: nobody ever saw it. *)
-         Hashtbl.remove t.pending id;
+         Bytes.set t.journal id clean;
          t.store.(id) <- None
-       | _ -> Hashtbl.replace t.pending id Retract)
+       end
+       else mark t id retracted)
     victims;
   List.length victims
 
-(* Who receives an announcement from [src] under the session mode:
-   full mesh sends to every other PE; with a route reflector, clients
-   send one copy to the RR which reflects to the remaining clients. *)
-let targets t src f =
+(* One delivery of [id] to [d]: an UPDATE if [d] gains the route, or if
+   it already holds it and the content [changed]. *)
+let deliver ~changed d id =
+  if holds d id then if changed then 1 else 0
+  else begin
+    set_held d id true;
+    1
+  end
+
+let rec deliver_all ~changed ~skip ~skip' id = function
+  | [] -> 0
+  | d :: rest ->
+    (if d.pe <> skip && d.pe <> skip' then deliver ~changed d id else 0)
+    + deliver_all ~changed ~skip ~skip' id rest
+
+(* Send an announcement from [src] under the session mode and count the
+   UPDATEs: full mesh sends to every other PE; with a route reflector,
+   clients send one copy to the RR which reflects to the remaining
+   clients. *)
+let propagate t ~changed src id =
   match t.mode with
-  | Full_mesh -> List.iter (fun d -> if d.pe <> src then f d) t.pes
+  | Full_mesh -> deliver_all ~changed ~skip:src ~skip':src id t.pes
+  | Route_reflector rr when src = rr ->
+    deliver_all ~changed ~skip:rr ~skip':rr id t.pes
   | Route_reflector rr ->
-    if src = rr then List.iter (fun d -> if d.pe <> rr then f d) t.pes
-    else begin
-      f (get_pe t rr);
-      List.iter (fun d -> if d.pe <> src && d.pe <> rr then f d) t.pes
-    end
+    let to_rr = deliver ~changed (get_pe t rr) id in
+    to_rr + deliver_all ~changed ~skip:src ~skip':rr id t.pes
 
 let run t =
   let sent = ref 0 in
@@ -200,52 +256,43 @@ let run t =
          d.received <- b
        end)
     t.pes;
-  let deliver ~changed dst id =
-    if holds dst id then begin
-      if changed then incr sent
-    end else begin
-      set_held dst id true;
-      incr sent
-    end
-  in
-  (* Late-joining PEs first: back-fill the full current table, one
-     UPDATE per route the newcomer gains. Routes already in the journal
-     are skipped — the journal pass below reaches the newcomer too. *)
+  (* Late-joining PEs first: back-fill every live route, one UPDATE per
+     route the newcomer gains. Journaled routes are skipped — the
+     journal pass below reaches the newcomer too. That covers all of the
+     newcomer's own routes: it exported each one after joining. *)
   List.iter
     (fun pe ->
-       List.iter
-         (fun src ->
-            if src.pe <> pe then
-              Hashtbl.iter
-                (fun _ id ->
-                   if not (Hashtbl.mem t.pending id) then
-                     targets t src.pe (fun d ->
-                         if d.pe = pe then deliver ~changed:false d id))
-                src.exported)
-         t.pes)
+       let d = get_pe t pe in
+       for id = 0 to t.next_id - 1 do
+         if Bytes.get t.journal id = clean && Option.is_some t.store.(id) then
+           sent := !sent + deliver ~changed:false d id
+       done)
     t.fresh;
   t.fresh <- [];
-  let entries = Hashtbl.fold (fun id p acc -> (id, p) :: acc) t.pending [] in
-  Hashtbl.reset t.pending;
-  List.iter
-    (fun (id, p) ->
-       match p with
-       | Retract ->
-         List.iter
-           (fun d ->
-              if holds d id then begin
-                set_held d id false;
-                incr sent
-              end)
-           t.pes;
-         t.store.(id) <- None
-       | New | Update ->
-         (match t.store.(id) with
-          | None -> ()
-          | Some r ->
-            targets t r.next_hop_pe (fun d ->
-                deliver ~changed:(p = Update) d id)))
-    entries;
+  for i = 0 to t.dirty_len - 1 do
+    let id = t.dirty.(i) in
+    let code = Bytes.get t.journal id in
+    Bytes.set t.journal id clean;
+    if code = retracted then begin
+      List.iter
+        (fun d ->
+           if holds d id then begin
+             set_held d id false;
+             incr sent
+           end)
+        t.pes;
+      t.store.(id) <- None
+    end
+    else if code <> clean then
+      match t.store.(id) with
+      | None -> ()
+      | Some r ->
+        sent :=
+          !sent + propagate t ~changed:(code = updated) r.next_hop_pe id
+  done;
+  t.dirty_len <- 0;
+  (* A bulk round's stack (one slot per route) is not kept resident. *)
+  if Array.length t.dirty > 4096 then t.dirty <- Array.make 64 0;
   t.messages <- t.messages + !sent;
   !sent
 
@@ -255,7 +302,7 @@ let find_route t id =
 let iter_exported t f =
   List.iter
     (fun s ->
-       Hashtbl.iter
+       Key_tbl.iter
          (fun _ id ->
             match t.store.(id) with Some r -> f id r | None -> ())
          s.exported)
@@ -274,7 +321,7 @@ let fold_received t s f acc =
 let routes_at t pe =
   let s = get_pe t pe in
   let own =
-    Hashtbl.fold
+    Key_tbl.fold
       (fun _ id acc ->
          match t.store.(id) with Some r -> r :: acc | None -> acc)
       s.exported []
@@ -297,7 +344,7 @@ let import_ids t ~pe ~import_rts =
     []
 
 let total_routes t =
-  List.fold_left (fun acc s -> acc + Hashtbl.length s.exported) 0 t.pes
+  List.fold_left (fun acc s -> acc + Key_tbl.length s.exported) 0 t.pes
 
 let store_size t = t.next_id
 

@@ -44,6 +44,32 @@ let test_pure_identifiers () =
   Alcotest.(check int) "label is a pure function" (16 + g)
     (Service.vpn_label_of_site g)
 
+(* The arithmetic identifiers must keep the formatted forms they
+   replaced, and the same range checks. *)
+let test_identifiers_match_printf () =
+  for sid = 0 to 0xffff do
+    let want =
+      Mvpn_net.Prefix.of_string_exn
+        (Printf.sprintf "10.%d.%d.0/24" (sid lsr 8) (sid land 0xff))
+    in
+    if Service.site_prefix ~sid <> want then
+      Alcotest.failf "site_prefix %d" sid
+  done;
+  List.iter
+    (fun sid ->
+       match Service.site_prefix ~sid with
+       | _ -> Alcotest.failf "site_prefix %d accepted" sid
+       | exception Invalid_argument _ -> ())
+    [ -1; 0x10000 ];
+  List.iter
+    (fun (customer, sid) ->
+       Alcotest.(check string)
+         (Printf.sprintf "site_name %d %d" customer sid)
+         (Printf.sprintf "c%d-s%d" customer sid)
+         (Service.site_name ~customer ~sid))
+    [ (1, 0); (1, 1); (9, 10); (42, 255); (999, 256); (0x3fff, 0xffff);
+      (12345, 7); (0, 0); (-3, -1) ]
+
 (* --- generator determinism (Rng.split substream hygiene) ----------------- *)
 
 let test_generator_order_independence () =
@@ -195,6 +221,76 @@ let prop_random_interleavings_converge =
     QCheck.(triple (int_range 1 8) (int_range 0 25) small_int)
     converges
 
+(* --- bulk compile vs one site at a time ------------------------------------ *)
+
+(* An independent referee for the bulk path: the same customers compiled
+   with no sites, then every site provisioned one by one in portfolio
+   order. The incremental splice shares no code with the bulk group
+   fill, LSP pass or back-fill-free propagation round, so a bug in one
+   shows as a different fingerprint or metric. Control messages differ
+   by design (one BGP round per site), so they are not compared. *)
+let topology_of code group =
+  match code with
+  | 0 -> Service.Any_to_any
+  | 1 -> Service.Hub_spoke
+  | _ -> Service.Extranet group
+
+let referee_portfolio ~uniform ~pe_count ~seed topologies =
+  let dist = if uniform then Portfolio.Uniform else Portfolio.Pareto in
+  let customers =
+    List.mapi
+      (fun i (code, group) ->
+         let id = i + 1 in
+         let c =
+           Portfolio.generate_customer ~dist ~pe_count ~max_sites:24 ~seed ~id
+             ()
+         in
+         let topology = topology_of code group in
+         { c with
+           Service.topology;
+           sites =
+             List.map
+               (fun (s : Service.site_spec) ->
+                  { s with
+                    Service.role =
+                      Service.default_role topology ~sid:s.Service.sid })
+               c.Service.sites })
+      topologies
+  in
+  Portfolio.of_customers ~dist ~pe_count ~seed customers
+
+let prop_bulk_equals_one_by_one =
+  QCheck.Test.make ~name:"bulk compile equals provisioning site by site"
+    ~count:60
+    QCheck.(
+      pair
+        (quad bool bool (int_range 1 8) small_int)
+        (list_of_size Gen.(int_range 1 12)
+           (pair (int_range 0 2) (int_range 0 2))))
+    (fun ((uniform, rr, pe_count, seed), topologies) ->
+       let mode = if rr then Mpbgp.Route_reflector 0 else Mpbgp.Full_mesh in
+       let p = referee_portfolio ~uniform ~pe_count ~seed topologies in
+       let bulk = Compile.compile ~mode p in
+       let empty =
+         Portfolio.of_customers ~pe_count ~seed
+           (List.map
+              (fun (c : Service.customer) -> { c with Service.sites = [] })
+              (Array.to_list p.Portfolio.customers))
+       in
+       let one = Compile.compile ~mode empty in
+       Array.iter
+         (fun (c : Service.customer) ->
+            List.iter
+              (fun (s : Service.site_spec) ->
+                 ignore
+                   (Compile.provision_site one ~customer:c.Service.id
+                      ~sid:s.Service.sid ~pe:s.Service.pe))
+              c.Service.sites)
+         p.Portfolio.customers;
+       let quiet m = { m with Compile.control_messages = 0 } in
+       Compile.fingerprint bulk = Compile.fingerprint one
+       && quiet (Compile.metrics bulk) = quiet (Compile.metrics one))
+
 (* --- state accounting ----------------------------------------------------- *)
 
 let test_metrics_accounting () =
@@ -236,7 +332,9 @@ let () =
     [ ("service",
        [ Alcotest.test_case "pool idempotent, distinct" `Quick
            test_pool_idempotent_and_distinct;
-         Alcotest.test_case "pure identifiers" `Quick test_pure_identifiers ]);
+         Alcotest.test_case "pure identifiers" `Quick test_pure_identifiers;
+         Alcotest.test_case "identifiers match printf" `Quick
+           test_identifiers_match_printf ]);
       ("portfolio",
        [ Alcotest.test_case "generator order independence" `Quick
            test_generator_order_independence;
@@ -253,7 +351,8 @@ let () =
          Alcotest.test_case "metrics accounting" `Quick
            test_metrics_accounting;
          Alcotest.test_case "materialize agreement" `Quick
-           test_materialize_agrees_with_compile ]);
+           test_materialize_agrees_with_compile;
+         qt prop_bulk_equals_one_by_one ]);
       ("delta",
        [ Alcotest.test_case "converges to oracle" `Quick
            test_delta_converges_to_oracle;

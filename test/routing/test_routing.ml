@@ -959,6 +959,274 @@ let mpbgp_model_property =
             ok && agree ())
          ops)
 
+(* --- Byte-coded journal: equivalence with the hash-table journal ------- *)
+
+(* A reference copy of the MP-BGP core the byte-coded journal replaced:
+   the dirty journal is a hash table from id to pending action, and
+   [run] back-fills a late-joining PE by walking every other PE's
+   export table. The tables, the interning and the message counting are
+   as before; [Mpbgp] must agree with it on every observable. *)
+module Ref_bgp = struct
+  type key = Mpbgp.rd * int * int * int
+
+  let key_of (r : Mpbgp.vpnv4_route) : key =
+    ( r.Mpbgp.rd,
+      Ipv4.to_int (Prefix.network r.Mpbgp.prefix),
+      Prefix.length r.Mpbgp.prefix,
+      r.Mpbgp.next_hop_pe )
+
+  type pe_state = {
+    pe : int;
+    exported : (key, int) Hashtbl.t;
+    by_site : (int, key) Hashtbl.t;
+    mutable received : Bytes.t;
+  }
+
+  let holds s id =
+    id < Bytes.length s.received && Bytes.get s.received id = '\001'
+
+  let set_held s id held =
+    Bytes.set s.received id (if held then '\001' else '\000')
+
+  let unbind_site s site =
+    let ks = Hashtbl.find_all s.by_site site in
+    List.iter (fun _ -> Hashtbl.remove s.by_site site) ks;
+    ks
+
+  let reindex_site s k ~from ~into =
+    List.iter
+      (fun k' -> if k' <> k then Hashtbl.add s.by_site from k')
+      (List.rev (unbind_site s from));
+    Hashtbl.add s.by_site into k
+
+  type pending = New | Update | Retract
+
+  type t = {
+    mode : Mpbgp.session_mode;
+    mutable pes : pe_state list;
+    mutable messages : int;
+    mutable store : Mpbgp.vpnv4_route option array;
+    mutable next_id : int;
+    pending : (int, pending) Hashtbl.t;
+    mutable fresh : int list;
+  }
+
+  let create mode =
+    { mode; pes = []; messages = 0; store = Array.make 64 None;
+      next_id = 0; pending = Hashtbl.create 64; fresh = [] }
+
+  let get_pe t pe = List.find (fun s -> s.pe = pe) t.pes
+
+  let add_pe t pe =
+    let s =
+      { pe; exported = Hashtbl.create 32; by_site = Hashtbl.create 32;
+        received = Bytes.empty }
+    in
+    t.pes <- t.pes @ [ s ];
+    t.fresh <- pe :: t.fresh
+
+  let alloc t r =
+    if t.next_id = Array.length t.store then begin
+      let bigger = Array.make (2 * Array.length t.store) None in
+      Array.blit t.store 0 bigger 0 t.next_id;
+      t.store <- bigger
+    end;
+    let id = t.next_id in
+    t.store.(id) <- Some r;
+    t.next_id <- id + 1;
+    id
+
+  let export t (route : Mpbgp.vpnv4_route) =
+    let s = get_pe t route.Mpbgp.next_hop_pe in
+    let k = key_of route in
+    match Hashtbl.find_opt s.exported k with
+    | Some id ->
+      (match t.store.(id) with
+       | Some old when old = route -> id
+       | old ->
+         let noisy =
+           match old with
+           | Some o ->
+             if o.Mpbgp.site <> route.Mpbgp.site then
+               reindex_site s k ~from:o.Mpbgp.site ~into:route.Mpbgp.site;
+             o.Mpbgp.vpn_label <> route.Mpbgp.vpn_label
+             || o.Mpbgp.export_rts <> route.Mpbgp.export_rts
+           | None -> true
+         in
+         t.store.(id) <- Some route;
+         if noisy && not (Hashtbl.mem t.pending id) then
+           Hashtbl.replace t.pending id Update;
+         id)
+    | None ->
+      let id = alloc t route in
+      Hashtbl.add s.exported k id;
+      Hashtbl.add s.by_site route.Mpbgp.site k;
+      Hashtbl.add t.pending id New;
+      id
+
+  let withdraw_site t ~pe ~site =
+    let s = get_pe t pe in
+    let victims = unbind_site s site in
+    List.iter
+      (fun k ->
+         let id = Hashtbl.find s.exported k in
+         Hashtbl.remove s.exported k;
+         match Hashtbl.find_opt t.pending id with
+         | Some New ->
+           Hashtbl.remove t.pending id;
+           t.store.(id) <- None
+         | _ -> Hashtbl.replace t.pending id Retract)
+      victims;
+    List.length victims
+
+  let targets t src f =
+    match t.mode with
+    | Mpbgp.Full_mesh -> List.iter (fun d -> if d.pe <> src then f d) t.pes
+    | Mpbgp.Route_reflector rr ->
+      if src = rr then List.iter (fun d -> if d.pe <> rr then f d) t.pes
+      else begin
+        f (get_pe t rr);
+        List.iter (fun d -> if d.pe <> src && d.pe <> rr then f d) t.pes
+      end
+
+  let run t =
+    let sent = ref 0 in
+    let cap = Array.length t.store in
+    List.iter
+      (fun d ->
+         let n = Bytes.length d.received in
+         if n < cap then begin
+           let b = Bytes.make cap '\000' in
+           Bytes.blit d.received 0 b 0 n;
+           d.received <- b
+         end)
+      t.pes;
+    let deliver ~changed dst id =
+      if holds dst id then begin
+        if changed then incr sent
+      end
+      else begin
+        set_held dst id true;
+        incr sent
+      end
+    in
+    List.iter
+      (fun pe ->
+         List.iter
+           (fun src ->
+              if src.pe <> pe then
+                Hashtbl.iter
+                  (fun _ id ->
+                     if not (Hashtbl.mem t.pending id) then
+                       targets t src.pe (fun d ->
+                           if d.pe = pe then deliver ~changed:false d id))
+                  src.exported)
+           t.pes)
+      t.fresh;
+    t.fresh <- [];
+    let entries = Hashtbl.fold (fun id p acc -> (id, p) :: acc) t.pending [] in
+    Hashtbl.reset t.pending;
+    List.iter
+      (fun (id, p) ->
+         match p with
+         | Retract ->
+           List.iter
+             (fun d ->
+                if holds d id then begin
+                  set_held d id false;
+                  incr sent
+                end)
+             t.pes;
+           t.store.(id) <- None
+         | New | Update ->
+           (match t.store.(id) with
+            | None -> ()
+            | Some r ->
+              targets t r.Mpbgp.next_hop_pe (fun d ->
+                  deliver ~changed:(p = Update) d id)))
+      entries;
+    t.messages <- t.messages + !sent;
+    !sent
+
+  let find_route t id =
+    if id < 0 || id >= t.next_id then None else t.store.(id)
+
+  let routes_at t pe =
+    let s = get_pe t pe in
+    let own =
+      Hashtbl.fold
+        (fun _ id acc ->
+           match t.store.(id) with Some r -> r :: acc | None -> acc)
+        s.exported []
+    in
+    let acc = ref own in
+    for id = min (Bytes.length s.received) t.next_id - 1 downto 0 do
+      if Bytes.get s.received id = '\001' then
+        match t.store.(id) with Some r -> acc := r :: !acc | None -> ()
+    done;
+    !acc
+end
+
+let journal_equivalence =
+  QCheck.Test.make ~name:"byte journal equals the hash-table journal"
+    ~count:300
+    QCheck.(
+      triple bool (int_range 1 3)
+        (make ~shrink:Shrink.list
+           ~print:(fun l -> String.concat " " (List.map mpbgp_op_print l))
+           Gen.(list_size (int_range 0 60) mpbgp_op_gen)))
+    (fun (rr, initial, ops) ->
+       let mode = if rr then Mpbgp.Route_reflector 0 else Mpbgp.Full_mesh in
+       let m = Mpbgp.create ~mode () and r = Ref_bgp.create mode in
+       let pes = ref [] in
+       let add pe =
+         Mpbgp.add_pe m pe;
+         Ref_bgp.add_pe r pe;
+         pes := !pes @ [ pe ]
+       in
+       for pe = 0 to initial - 1 do add pe done;
+       let issued = ref 0 in
+       let rts_of mask =
+         List.filter_map
+           (fun v -> if mask land v <> 0 then Some (rt v) else None)
+           [ 1; 2 ]
+       in
+       let nth_pe i = List.nth !pes (i mod List.length !pes) in
+       let by_content = List.sort compare in
+       let agree () =
+         Mpbgp.messages_sent m = r.Ref_bgp.messages
+         && List.for_all
+              (fun pe ->
+                 by_content (Mpbgp.routes_at m pe)
+                 = by_content (Ref_bgp.routes_at r pe))
+              !pes
+         && List.for_all
+              (fun id -> Mpbgp.find_route m id = Ref_bgp.find_route r id)
+              (List.init (!issued + 1) Fun.id)
+       in
+       List.for_all
+         (fun op ->
+            match op with
+            | B_export (pe, d, p, site, label, mask) ->
+              let route =
+                vpn_route ~site ~rd:(rd d) ~pe:(nth_pe pe) ~label
+                  ~rts:(rts_of mask) (Printf.sprintf "10.%d.0.0/16" p)
+              in
+              let id = Mpbgp.export m route in
+              issued := max !issued id;
+              id = Ref_bgp.export r route
+            | B_withdraw (pe, site) ->
+              let pe = nth_pe pe in
+              Mpbgp.withdraw_site m ~pe ~site
+              = Ref_bgp.withdraw_site r ~pe ~site
+            | B_add_pe ->
+              add (List.length !pes);
+              true
+            | B_run -> Mpbgp.run m = Ref_bgp.run r && agree ())
+         ops
+       && Mpbgp.run m = Ref_bgp.run r
+       && agree ())
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -1021,4 +1289,5 @@ let () =
            test_mpbgp_rr_delivers_everywhere;
          Alcotest.test_case "run idempotent" `Quick
            test_mpbgp_run_idempotent;
-         qt mpbgp_model_property ]) ]
+         qt mpbgp_model_property;
+         qt journal_equivalence ]) ]
