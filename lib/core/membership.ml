@@ -8,30 +8,37 @@ type vpn = {
   mutable size : int;
 }
 
+module Id_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = Mvpn_sim.Rng.hash_int
+  end)
+
 type t = {
   mechanism : mechanism;
   pe_count : int;
-  by_id : (int, Site.t) Hashtbl.t;
-  vpns : (int, vpn) Hashtbl.t;  (* vpn id -> its live members *)
-  pe_sizes : (int, int) Hashtbl.t;  (* pe -> attached member count *)
+  mutable by_id : Site.t Id_tbl.t;
+  vpns : vpn Id_tbl.t;  (* vpn id -> its live members *)
+  pe_sizes : int Id_tbl.t;  (* pe -> attached member count *)
   mutable messages : int;
 }
 
 let create ?(mechanism = Directory) ~pe_count () =
-  { mechanism; pe_count; by_id = Hashtbl.create 64;
-    vpns = Hashtbl.create 16; pe_sizes = Hashtbl.create 16;
+  { mechanism; pe_count; by_id = Id_tbl.create 64;
+    vpns = Id_tbl.create 16; pe_sizes = Id_tbl.create 16;
     messages = 0 }
 
 let pe_attachment_count t ~pe =
-  Option.value ~default:0 (Hashtbl.find_opt t.pe_sizes pe)
+  Option.value ~default:0 (Id_tbl.find_opt t.pe_sizes pe)
 
 let bump_pe t pe d =
   let n = pe_attachment_count t ~pe + d in
-  if n <= 0 then Hashtbl.remove t.pe_sizes pe
-  else Hashtbl.replace t.pe_sizes pe n
+  if n <= 0 then Id_tbl.remove t.pe_sizes pe
+  else Id_tbl.replace t.pe_sizes pe n
 
 let members t ~vpn =
-  match Hashtbl.find_opt t.vpns vpn with
+  match Id_tbl.find_opt t.vpns vpn with
   | Some v -> List.rev v.rev_members
   | None -> []
 
@@ -49,59 +56,66 @@ let notify_cost t ~others =
 
 (* The join itself is O(1): dup check, notification cost and the per-PE
    attachment count all come from the index tables — mass provisioning
-   joins in linear total time. *)
+   joins in linear total time. [site] is already in [by_id]. *)
 let join_one t (site : Site.t) =
   let vpn = site.Site.vpn in
   let v =
-    match Hashtbl.find_opt t.vpns vpn with
+    match Id_tbl.find_opt t.vpns vpn with
     | Some v -> v
     | None ->
       let v = { rev_members = []; size = 0 } in
-      Hashtbl.replace t.vpns vpn v;
+      Id_tbl.replace t.vpns vpn v;
       v
   in
   t.messages <- t.messages + notify_cost t ~others:v.size;
   v.rev_members <- site :: v.rev_members;
   v.size <- v.size + 1;
-  Hashtbl.replace t.by_id site.Site.id site;
   bump_pe t site.Site.pe_node 1
 
-let reject_member t (site : Site.t) =
-  if Hashtbl.mem t.by_id site.Site.id then
-    invalid_arg
-      (Printf.sprintf "Membership.join: site %d already a member"
-         site.Site.id)
+let reject_member (site : Site.t) =
+  invalid_arg
+    (Printf.sprintf "Membership.join: site %d already a member" site.Site.id)
 
-let join t site =
-  reject_member t site;
+let join t (site : Site.t) =
+  if Id_tbl.mem t.by_id site.Site.id then reject_member site;
+  Id_tbl.add t.by_id site.Site.id site;
   join_one t site
 
 let join_all t sites =
-  (* Validate the whole batch before touching any state, so a bad batch
-     is rejected atomically — including duplicates within the batch. *)
-  let seen = Hashtbl.create (List.length sites) in
-  List.iter
-    (fun (site : Site.t) ->
-       reject_member t site;
-       if Hashtbl.mem seen site.Site.id then
-         invalid_arg
-           (Printf.sprintf "Membership.join: site %d already a member"
-              site.Site.id);
-       Hashtbl.replace seen site.Site.id ())
-    sites;
+  (* Validate the whole batch before any join, so a bad batch is
+     rejected atomically. Each site is recorded in [by_id] as it
+     passes, so one lookup catches a duplicate of a member and of an
+     earlier site of the batch alike; on a duplicate the [n] sites
+     recorded so far are unrecorded — by count, since the batch may
+     hold the very same record twice. *)
+  if Id_tbl.length t.by_id = 0 then
+    t.by_id <- Id_tbl.create (List.length sites);
+  let rec record n = function
+    | [] -> ()
+    | (site : Site.t) :: rest ->
+      if Id_tbl.mem t.by_id site.Site.id then begin
+        List.iteri
+          (fun i (s : Site.t) -> if i < n then Id_tbl.remove t.by_id s.Site.id)
+          sites;
+        reject_member site
+      end;
+      Id_tbl.add t.by_id site.Site.id site;
+      record (n + 1) rest
+  in
+  record 0 sites;
   List.iter (join_one t) sites
 
 let leave t ~site_id =
-  match Hashtbl.find_opt t.by_id site_id with
+  match Id_tbl.find_opt t.by_id site_id with
   | None -> false
   | Some site ->
     let vpn = site.Site.vpn in
-    let v = Hashtbl.find t.vpns vpn in
+    let v = Id_tbl.find t.vpns vpn in
     v.rev_members <-
       List.filter (fun (s : Site.t) -> s.Site.id <> site_id) v.rev_members;
     v.size <- v.size - 1;
-    if v.size = 0 then Hashtbl.remove t.vpns vpn;
-    Hashtbl.remove t.by_id site_id;
+    if v.size = 0 then Id_tbl.remove t.vpns vpn;
+    Id_tbl.remove t.by_id site_id;
     bump_pe t site.Site.pe_node (-1);
     t.messages <- t.messages + notify_cost t ~others:v.size;
     true
@@ -113,8 +127,8 @@ let discover t ~asking =
     (members t ~vpn:asking.Site.vpn)
 
 let vpn_ids t =
-  List.sort Int.compare (Hashtbl.fold (fun vpn _ acc -> vpn :: acc) t.vpns [])
+  List.sort Int.compare (Id_tbl.fold (fun vpn _ acc -> vpn :: acc) t.vpns [])
 
-let site_count t = Hashtbl.length t.by_id
+let site_count t = Id_tbl.length t.by_id
 
 let messages t = t.messages

@@ -76,12 +76,10 @@ let arm_workload cfg sc ~only =
 (* Replay a time-sorted fate stream into a fresh conformance engine
    with the stock per-(vpn, band) objectives — the same declarations
    [Scenario.attach_slo] makes. The stream arrives as an iteration
-   function so the two producers keep their natural storage: the
-   parallel runner a merged list of [Shard.fate] records, the
-   sequential runner a struct-of-arrays log (below) that never built
-   records in the first place. A private event log keeps violation
-   events out of the global forensic ring (the registry JSON was
-   captured already; see below). *)
+   function: the sequential runner's one fate log, or the parallel
+   runner's merge of its shards' logs. A private event log keeps
+   violation events out of the global forensic ring (the registry JSON
+   was captured already; see below). *)
 let replay_slo ~scenario ~horizon iter_fates =
   let log = Event_log.create () in
   let slo = Slo.create ~events:log () in
@@ -104,48 +102,6 @@ let replay_slo ~scenario ~horizon iter_fates =
           else Slo.observe_delivery slo ~vpn ~band ~time ~latency);
       Slo.advance slo ~time:horizon);
   slo
-
-(* Struct-of-arrays fate log for the sequential runner: the fate hook
-   fires in event-time order, so no sort is needed before replay, and
-   recording a fate is two unboxed float stores plus one packed int —
-   no record, no cons. Meta packing: bit 0 dropped, bits 1-21 band,
-   bits 22+ vpn. *)
-type fatelog = {
-  mutable fl_times : floatarray;
-  mutable fl_lats : floatarray;  (* latency; 0.0 for drops *)
-  mutable fl_meta : int array;
-  mutable fl_n : int;
-}
-
-let fatelog_create () =
-  { fl_times = Float.Array.create 1024; fl_lats = Float.Array.create 1024;
-    fl_meta = Array.make 1024 0; fl_n = 0 }
-
-let fatelog_add fl ~time ~vpn ~band ~dropped ~latency =
-  let n = fl.fl_n in
-  if n = Array.length fl.fl_meta then begin
-    let cap = 2 * n in
-    let t = Float.Array.create cap and l = Float.Array.create cap in
-    Float.Array.blit fl.fl_times 0 t 0 n;
-    Float.Array.blit fl.fl_lats 0 l 0 n;
-    let m = Array.make cap 0 in
-    Array.blit fl.fl_meta 0 m 0 n;
-    fl.fl_times <- t;
-    fl.fl_lats <- l;
-    fl.fl_meta <- m
-  end;
-  Float.Array.set fl.fl_times n time;
-  Float.Array.set fl.fl_lats n latency;
-  fl.fl_meta.(n) <- (vpn lsl 22) lor (band lsl 1) lor Bool.to_int dropped;
-  fl.fl_n <- n + 1
-
-let fatelog_iter fl f =
-  for i = 0 to fl.fl_n - 1 do
-    let meta = fl.fl_meta.(i) in
-    f ~time:(Float.Array.get fl.fl_times i) ~vpn:(meta lsr 22)
-      ~band:((meta lsr 1) land 0x1FFFFF) ~dropped:(meta land 1 = 1)
-      ~latency:(Float.Array.get fl.fl_lats i)
-  done
 
 let class_sums per_replica_reports =
   let tbl = Hashtbl.create 8 in
@@ -293,26 +249,11 @@ let run_parallel (cfg : config) =
       (fun acc c -> acc + Registry.snapshot_counter c.Shard.r_snapshot name)
       0 cols
   in
-  let fates =
-    Array.to_list cols
-    |> List.concat_map (fun c ->
-           List.map (fun f -> (c.Shard.r_id, f)) c.Shard.r_fates)
-    |> List.sort (fun (sa, (fa : Shard.fate)) (sb, fb) ->
-           match Float.compare fa.Shard.f_time fb.Shard.f_time with
-           | 0 ->
-             (match Int.compare sa sb with
-              | 0 -> Int.compare fa.Shard.f_seq fb.Shard.f_seq
-              | c -> c)
-           | c -> c)
-    |> List.map snd
-  in
+  (* [cols] is in shard order, so the merge orders fates by (time,
+     shard, observation order). *)
   let slo =
-    replay_slo ~scenario:cols.(0).Shard.r_scenario ~horizon (fun f ->
-        List.iter
-          (fun (x : Shard.fate) ->
-             f ~time:x.Shard.f_time ~vpn:x.Shard.f_vpn ~band:x.Shard.f_band
-               ~dropped:x.Shard.f_dropped ~latency:x.Shard.f_latency)
-          fates)
+    replay_slo ~scenario:cols.(0).Shard.r_scenario ~horizon
+      (Fatelog.iter_merged (Array.map (fun c -> c.Shard.r_fates) cols))
   in
   { shards = k;
     sizes = Partition.sizes part;
@@ -352,15 +293,15 @@ let run_sequential (cfg : config) =
   (match cfg.prepare_replica with Some f -> f sc | None -> ());
   if cfg.profile then
     Mvpn_sim.Profile.enable (Engine.profiler (Scenario.engine sc));
-  let fates = fatelog_create () in
+  let fates = Fatelog.create () in
   Network.set_fate_hook net
     (Some
        (match sampler with
-        | None -> fatelog_add fates
+        | None -> Fatelog.add fates
         | Some sm ->
           fun ~time ~vpn ~band ~dropped ~latency ->
             Sampler.observe_fate sm ~time ~vpn ~band ~dropped ~latency;
-            fatelog_add fates ~time ~vpn ~band ~dropped ~latency));
+            Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
   arm_workload cfg sc ~only:(fun _ _ -> true);
   Engine.run ~until:horizon (Scenario.engine sc);
   if cfg.profile then
@@ -371,7 +312,7 @@ let run_sequential (cfg : config) =
     - Registry.snapshot_counter base name
   in
   let registry_json = Registry.to_json ~trace_events:0 () in
-  let slo = replay_slo ~scenario:sc ~horizon (fatelog_iter fates) in
+  let slo = replay_slo ~scenario:sc ~horizon (Fatelog.iter fates) in
   { shards = 1;
     sizes =
       [| Topology.node_count (Network.topology net) |];

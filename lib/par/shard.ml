@@ -6,19 +6,9 @@ module Network = Mvpn_core.Network
 module Site = Mvpn_core.Site
 module Port = Mvpn_qos.Port
 
-type fate = {
-  f_time : float;
-  f_vpn : int;
-  f_band : int;
-  f_dropped : bool;
-  f_latency : float;
-  f_seq : int;
-}
-
 type result = {
-  r_id : int;
   r_snapshot : Registry.snapshot;
-  r_fates : fate list;
+  r_fates : Fatelog.t;
   r_leftover : Exchange.msg list;
   r_sent : int;
   r_ingested : int;
@@ -32,8 +22,7 @@ type t = {
   eng : Engine.t;
   exchange : Exchange.t;
   mutable pending : Exchange.msg list;  (* sorted by [msg_order] *)
-  mutable fates : fate list;  (* newest first *)
-  mutable fseq : int;
+  fates : Fatelog.t;
   mutable sent : int;
   mutable ingested : int;
 }
@@ -63,21 +52,17 @@ let create ~id ~part ~exchange ~build ?prepare ~arm () =
   let net = Scenario.network sc in
   let eng = Scenario.engine sc in
   let t =
-    { sid = id; sc; net; eng; exchange; pending = []; fates = []; fseq = 0;
-      sent = 0; ingested = 0 }
+    { sid = id; sc; net; eng; exchange; pending = [];
+      fates = Fatelog.create (); sent = 0; ingested = 0 }
   in
   Network.set_fate_hook net
     (Some
-       (fun ~time ~vpn ~band ~dropped ~latency ->
-          (match tap with
-           | Some f -> f ~time ~vpn ~band ~dropped ~latency
-           | None -> ());
-          let f =
-            { f_time = time; f_vpn = vpn; f_band = band;
-              f_dropped = dropped; f_latency = latency; f_seq = t.fseq }
-          in
-          t.fseq <- t.fseq + 1;
-          t.fates <- f :: t.fates));
+       (match tap with
+        | None -> Fatelog.add t.fates
+        | Some f ->
+          fun ~time ~vpn ~band ~dropped ~latency ->
+            f ~time ~vpn ~band ~dropped ~latency;
+            Fatelog.add t.fates ~time ~vpn ~band ~dropped ~latency));
   (* Outbound cut ports hand finished transmissions to the exchange
      instead of scheduling the propagation event locally. *)
   let owner = part.Partition.owner in
@@ -135,9 +120,8 @@ let run_to t ~until = Engine.run ~until t.eng
 let peek t = Engine.peek_time t.eng
 
 let collect t =
-  { r_id = t.sid;
-    r_snapshot = Registry.snapshot ();
-    r_fates = List.rev t.fates;
+  { r_snapshot = Registry.snapshot ();
+    r_fates = t.fates;
     r_leftover = t.pending;
     r_sent = t.sent;
     r_ingested = t.ingested;

@@ -14,20 +14,10 @@
     cells are domain-local); {!collect}'s result is read by the runner
     after joining the domain. *)
 
-type fate = {
-  f_time : float;
-  f_vpn : int;
-  f_band : int;
-  f_dropped : bool;
-  f_latency : float;  (** 0 for drops *)
-  f_seq : int;  (** per-shard observation order *)
-}
-
 type result = {
-  r_id : int;
   r_snapshot : Mvpn_telemetry.Registry.snapshot;
       (** this domain's metric cells *)
-  r_fates : fate list;  (** in observation order *)
+  r_fates : Fatelog.t;  (** this replica's packet fates *)
   r_leftover : Exchange.msg list;
       (** cross-shard packets arriving after the horizon, in
           deterministic {!ingest} order *)

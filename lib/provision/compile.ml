@@ -12,6 +12,14 @@ let rec ins_sorted x = function
   | y :: rest when x = y -> y :: rest
   | y :: rest -> y :: ins_sorted x rest
 
+(* [ins_sorted] for a list kept in descending order: adding a value
+   above every other is a cons. *)
+let rec ins_desc x = function
+  | [] -> [x]
+  | y :: _ as l when x > y -> x :: l
+  | y :: rest when x = y -> y :: rest
+  | y :: rest -> y :: ins_desc x rest
+
 let rm_sorted x l = List.filter (fun y -> y <> x) l
 
 let arr_mem (a : int array) x =
@@ -61,8 +69,18 @@ type vrf = {
   v_role : Service.role;
   v_rd : Mpbgp.rd;
   v_group : group;
-  mutable v_locals : int list;  (* global site ids, sorted *)
+  mutable v_locals : int list;  (* global site ids, descending *)
 }
+
+(* Every table here is keyed on packed ints (global site ids are
+   [customer lsl 16 lor sid]): mixed before the bucket mask, or the low
+   bits alone would pick the bucket. *)
+module Int_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = Mvpn_sim.Rng.hash_int
+  end)
 
 type cust = {
   c_id : int;
@@ -76,14 +94,13 @@ type t = {
   pool : Service.Pool.t;
   membership : Membership.t;
   bgp : Mpbgp.t;
-  customers : (int, cust) Hashtbl.t;
-  vrfs : (int, vrf) Hashtbl.t;  (* vrf_key -> vrf *)
-  groups : (int, group) Hashtbl.t;  (* group_key -> group *)
-  importers : (int, int list) Hashtbl.t;  (* rt_value -> importing groups *)
-  exporters : (int, int list) Hashtbl.t;  (* rt_value -> exporting groups *)
-  site_route : (int, int) Hashtbl.t;  (* gsid -> interned route id *)
-  site_info : (int, Site.t * Service.role) Hashtbl.t;
-  lsps : (int, int) Hashtbl.t;  (* (ingress lsl 8) lor egress -> refcount *)
+  customers : cust Int_tbl.t;
+  vrfs : vrf Int_tbl.t;  (* vrf_key -> vrf *)
+  groups : group Int_tbl.t;  (* group_key -> group *)
+  importers : int list Int_tbl.t;  (* rt_value -> importing groups *)
+  exporters : int list Int_tbl.t;  (* rt_value -> exporting groups *)
+  sites : int Int_tbl.t;  (* gsid -> site_entry of its route and role *)
+  lsps : int Int_tbl.t;  (* (ingress lsl 8) lor egress -> refcount *)
 }
 
 let role_bit = function Service.Hub -> 1 | Service.Spoke -> 0
@@ -96,12 +113,18 @@ let vrf_key pe vpn role = member_key (group_key vpn role) pe
 
 let lsp_key ~ingress ~egress = (ingress lsl 8) lor egress
 
+(* A provisioned site is the id of the route it exports and the role of
+   its VRF; the site's PE is the route's. *)
+let site_entry ~route role = (route lsl 1) lor role_bit role
+let entry_route e = e lsr 1
+let entry_role e = if e land 1 = 1 then Service.Hub else Service.Spoke
+
 let pe_count t = t.pe_count
 let membership t = t.membership
 let mpbgp t = t.bgp
 
 let find_customer t id =
-  match Hashtbl.find_opt t.customers id with
+  match Int_tbl.find_opt t.customers id with
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Compile: unknown customer %d" id)
 
@@ -110,35 +133,39 @@ let route_exn t id =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Compile: dead route id %d" id)
 
+let route_pe t id = Mpbgp.route_pe t.bgp id
+
+let route_rts t id = Mpbgp.rt_set t.bgp (Mpbgp.route_rts t.bgp id)
+
 let lsp_incr t ~ingress ~egress =
   let k = lsp_key ~ingress ~egress in
-  Hashtbl.replace t.lsps k
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.lsps k))
+  Int_tbl.replace t.lsps k
+    (1 + Option.value ~default:0 (Int_tbl.find_opt t.lsps k))
 
 let lsp_decr t ~ingress ~egress =
   let k = lsp_key ~ingress ~egress in
-  match Hashtbl.find_opt t.lsps k with
+  match Int_tbl.find_opt t.lsps k with
   | None | Some 0 ->
     invalid_arg
       (Printf.sprintf "Compile: LSP refcount underflow %d->%d" ingress egress)
-  | Some 1 -> Hashtbl.remove t.lsps k
-  | Some n -> Hashtbl.replace t.lsps k (n - 1)
+  | Some 1 -> Int_tbl.remove t.lsps k
+  | Some n -> Int_tbl.replace t.lsps k (n - 1)
 
 let groups_of tbl (rt : Mpbgp.rt) =
-  Option.value ~default:[] (Hashtbl.find_opt tbl rt.Mpbgp.rt_value)
+  Option.value ~default:[] (Int_tbl.find_opt tbl rt.Mpbgp.rt_value)
 
 let link tbl k rts =
   List.iter
     (fun (rt : Mpbgp.rt) ->
-       Hashtbl.replace tbl rt.Mpbgp.rt_value (k :: groups_of tbl rt))
+       Int_tbl.replace tbl rt.Mpbgp.rt_value (k :: groups_of tbl rt))
     rts
 
 let unlink tbl k rts =
   List.iter
     (fun (rt : Mpbgp.rt) ->
        match rm_sorted k (groups_of tbl rt) with
-       | [] -> Hashtbl.remove tbl rt.Mpbgp.rt_value
-       | rest -> Hashtbl.replace tbl rt.Mpbgp.rt_value rest)
+       | [] -> Int_tbl.remove tbl rt.Mpbgp.rt_value
+       | rest -> Int_tbl.replace tbl rt.Mpbgp.rt_value rest)
     rts
 
 (* A group's table from scratch: the locals of every VRF in a group that
@@ -152,11 +179,12 @@ let routes_importing t (imports : Mpbgp.rt list) =
          (fun gk ->
             List.iter
               (fun pe ->
-                 let v = Hashtbl.find t.vrfs (member_key gk pe) in
+                 let v = Int_tbl.find t.vrfs (member_key gk pe) in
                  List.iter
-                   (fun gsid -> ids := Hashtbl.find t.site_route gsid :: !ids)
+                   (fun gsid ->
+                      ids := entry_route (Int_tbl.find t.sites gsid) :: !ids)
                    v.v_locals)
-              (Hashtbl.find t.groups gk).g_pes)
+              (Int_tbl.find t.groups gk).g_pes)
          (groups_of t.exporters rt))
     imports;
   Array.of_list (List.sort_uniq Int.compare !ids)
@@ -167,7 +195,7 @@ let routes_importing t (imports : Mpbgp.rt list) =
    propagation round instead. *)
 let ensure_group t (c : cust) role ~fill =
   let k = group_key c.c_id role in
-  match Hashtbl.find_opt t.groups k with
+  match Int_tbl.find_opt t.groups k with
   | Some g -> g
   | None ->
     let rts f = f t.pool ~topology:c.c_topology ~customer:c.c_id ~role in
@@ -175,7 +203,7 @@ let ensure_group t (c : cust) role ~fill =
     let g_export = rts Service.export_rts in
     let g_routes = if fill then routes_importing t g_import else [||] in
     let g = { g_key = k; g_import; g_export; g_pes = []; g_routes } in
-    Hashtbl.replace t.groups k g;
+    Int_tbl.replace t.groups k g;
     link t.importers k g_import;
     link t.exporters k g_export;
     g
@@ -185,7 +213,7 @@ let ensure_group t (c : cust) role ~fill =
    in one sweep at the end. *)
 let ensure_vrf t (c : cust) role pe ~wire =
   let k = vrf_key pe c.c_id role in
-  match Hashtbl.find_opt t.vrfs k with
+  match Int_tbl.find_opt t.vrfs k with
   | Some v -> v
   | None ->
     let g = ensure_group t c role ~fill:wire in
@@ -195,13 +223,12 @@ let ensure_vrf t (c : cust) role pe ~wire =
         v_rd = Service.Pool.rd t.pool ~customer:c.c_id;
         v_group = g; v_locals = [] }
     in
-    Hashtbl.replace t.vrfs k v;
+    Int_tbl.replace t.vrfs k v;
     if wire then
       Array.iter
         (fun id ->
-           let r = route_exn t id in
-           if r.Mpbgp.next_hop_pe <> pe then
-             lsp_incr t ~ingress:pe ~egress:r.Mpbgp.next_hop_pe)
+           let egress = route_pe t id in
+           if egress <> pe then lsp_incr t ~ingress:pe ~egress)
         g.g_routes;
     v
 
@@ -210,7 +237,7 @@ let ensure_vrf t (c : cust) role pe ~wire =
    Membership joining is the caller's business (bulk vs one-by-one). *)
 let design_site t (c : cust) (spec : Service.site_spec) ~wire =
   let gsid = Service.global_site_id ~customer:c.c_id ~sid:spec.Service.sid in
-  if Hashtbl.mem t.site_info gsid then
+  if Int_tbl.mem t.sites gsid then
     invalid_arg
       (Printf.sprintf "Compile: site %d.%d already provisioned" c.c_id
          spec.Service.sid);
@@ -227,9 +254,8 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
         vpn_label = Service.vpn_label_of_site gsid;
         export_rts = v.v_group.g_export; site = gsid }
   in
-  v.v_locals <- ins_sorted gsid v.v_locals;
-  Hashtbl.replace t.site_route gsid id;
-  Hashtbl.replace t.site_info gsid (site, spec.Service.role);
+  v.v_locals <- ins_desc gsid v.v_locals;
+  Int_tbl.add t.sites gsid (site_entry ~route:id spec.Service.role);
   (site, id)
 
 let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
@@ -238,62 +264,65 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
       pool = Service.Pool.create ();
       membership = Membership.create ~pe_count:p.Portfolio.pe_count ();
       bgp = Mpbgp.create ~mode ();
-      customers = Hashtbl.create 256;
-      vrfs = Hashtbl.create 1024;
-      groups = Hashtbl.create 512;
-      importers = Hashtbl.create 512;
-      exporters = Hashtbl.create 512;
-      site_route = Hashtbl.create 1024;
-      site_info = Hashtbl.create 1024;
-      lsps = Hashtbl.create 256 }
+      customers = Int_tbl.create (Array.length p.Portfolio.customers);
+      vrfs = Int_tbl.create 1024;
+      groups = Int_tbl.create 512;
+      importers = Int_tbl.create 512;
+      exporters = Int_tbl.create 512;
+      sites = Int_tbl.create (Portfolio.site_count p);
+      lsps = Int_tbl.create 256 }
   in
   for pe = 0 to t.pe_count - 1 do Mpbgp.add_pe t.bgp pe done;
   Array.iter
     (fun (c : Service.customer) ->
-       Hashtbl.replace t.customers c.Service.id
+       Int_tbl.replace t.customers c.Service.id
          { c_id = c.Service.id; c_name = c.Service.name;
            c_topology = c.Service.topology; c_tier = c.Service.tier })
     p.Portfolio.customers;
   t
 
-(* The bulk group fill: one walk of the interned store in id order,
-   appending each route to every group importing one of its export
-   RTs — the same set {!routes_importing} finds per group. Ids come out
-   ascending, so each list reversed is the sorted table; an extranet
-   route can reach a group through both of its RTs, and since all of
-   one id's appends happen together, the repeat is the list head. *)
+(* The bulk group fill: two walks of the interned store in id order.
+   Each distinct export-RT list is resolved once to the groups that
+   import one of its RTs (a group reached through both RTs of an
+   extranet route counted once); the first walk counts each group's
+   routes, the second writes them into arrays of exactly that size.
+   Ids come out ascending, so every table is sorted — the same sets
+   {!routes_importing} finds per group. *)
 let fill_groups t =
-  let acc = Hashtbl.create (Hashtbl.length t.groups) in
-  Hashtbl.iter (fun gk _ -> Hashtbl.replace acc gk (ref [])) t.groups;
-  let into = Hashtbl.create (Hashtbl.length t.importers) in
-  Hashtbl.iter
-    (fun rt gks -> Hashtbl.replace into rt (List.map (Hashtbl.find acc) gks))
-    t.importers;
-  for id = 0 to Mpbgp.store_size t.bgp - 1 do
-    match Mpbgp.find_route t.bgp id with
-    | None -> ()
-    | Some r ->
-      List.iter
-        (fun (rt : Mpbgp.rt) ->
-           match Hashtbl.find_opt into rt.Mpbgp.rt_value with
-           | None -> ()
-           | Some cells ->
-             List.iter
-               (fun cell ->
-                  match !cell with
-                  | last :: _ when last = id -> ()
-                  | ids -> cell := id :: ids)
-               cells)
-        r.Mpbgp.export_rts
-  done;
-  Hashtbl.iter
-    (fun gk g ->
-       let ids = !(Hashtbl.find acc gk) in
-       let n = List.length ids in
-       let a = Array.make n 0 in
-       List.iteri (fun i id -> a.(n - 1 - i) <- id) ids;
-       g.g_routes <- a)
-    t.groups
+  let groups = Array.of_seq (Int_tbl.to_seq_values t.groups) in
+  let slot = Int_tbl.create (Array.length groups) in
+  Array.iteri (fun i g -> Int_tbl.replace slot g.g_key i) groups;
+  let targets =
+    Array.init (Mpbgp.rt_set_count t.bgp) (fun rs ->
+        List.fold_left
+          (fun acc rt ->
+             List.fold_left
+               (fun acc gk ->
+                  let i = Int_tbl.find slot gk in
+                  if List.mem i acc then acc else i :: acc)
+               acc (groups_of t.importers rt))
+          [] (Mpbgp.rt_set t.bgp rs))
+  in
+  let fill = Array.make (Array.length groups) 0 in
+  let rec each f id = function
+    | [] -> ()
+    | i :: rest -> f i id; each f id rest
+  in
+  let walk f =
+    for id = 0 to Mpbgp.store_size t.bgp - 1 do
+      if Mpbgp.is_live t.bgp id then
+        each f id targets.(Mpbgp.route_rts t.bgp id)
+    done
+  in
+  walk (fun i _ -> fill.(i) <- fill.(i) + 1);
+  Array.iteri
+    (fun i g ->
+       g.g_routes <- Array.make fill.(i) 0;
+       fill.(i) <- 0)
+    groups;
+  walk (fun i id ->
+      groups.(i).g_routes.(fill.(i)) <- id;
+      fill.(i) <- fill.(i) + 1)
 
 (* Transport LSPs in bulk: a group's routes counted once per egress PE,
    those counts summed into a flat ingress x egress matrix for each
@@ -302,12 +331,12 @@ let fill_groups t =
 let fill_lsps t =
   let n = t.pe_count in
   let per_egress = Array.make n 0 and refs = Array.make (n * n) 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ g ->
        Array.fill per_egress 0 n 0;
        Array.iter
          (fun id ->
-            let e = (route_exn t id).Mpbgp.next_hop_pe in
+            let e = route_pe t id in
             per_egress.(e) <- per_egress.(e) + 1)
          g.g_routes;
        List.iter
@@ -321,7 +350,7 @@ let fill_lsps t =
   Array.iteri
     (fun k c ->
        if c > 0 then
-         Hashtbl.replace t.lsps (lsp_key ~ingress:(k / n) ~egress:(k mod n)) c)
+         Int_tbl.replace t.lsps (lsp_key ~ingress:(k / n) ~egress:(k mod n)) c)
     refs
 
 let compile ?mode (p : Portfolio.t) =
@@ -354,41 +383,38 @@ let provision_site t ~customer ~sid ~pe =
   let site, id = design_site t c { Service.sid; pe; role } ~wire:true in
   Membership.join t.membership site;
   ignore (Mpbgp.run t.bgp);
-  let r = route_exn t id in
   let touched = ref 1 in
   List.iter
     (fun rt ->
        List.iter
          (fun gk ->
-            let g = Hashtbl.find t.groups gk in
+            let g = Int_tbl.find t.groups gk in
             if not (arr_mem g.g_routes id) then begin
               g.g_routes <- arr_insert g.g_routes id;
               touched := !touched + List.length g.g_pes;
               List.iter
-                (fun pe' ->
-                   if pe' <> r.Mpbgp.next_hop_pe then
-                     lsp_incr t ~ingress:pe' ~egress:r.Mpbgp.next_hop_pe)
+                (fun pe' -> if pe' <> pe then lsp_incr t ~ingress:pe' ~egress:pe)
                 g.g_pes
             end)
          (groups_of t.importers rt))
-    r.Mpbgp.export_rts;
+    (route_rts t id);
   !touched
 
 let decommission_site t ~customer ~sid =
   let c = find_customer t customer in
   let gsid = Service.global_site_id ~customer ~sid in
-  let site, role =
-    match Hashtbl.find_opt t.site_info gsid with
-    | Some si -> si
+  let e =
+    match Int_tbl.find_opt t.sites gsid with
+    | Some e -> e
     | None ->
       invalid_arg
         (Printf.sprintf "Compile.decommission_site: no site %d.%d" customer
            sid)
   in
-  let id = Hashtbl.find t.site_route gsid in
-  let r = route_exn t id in
+  let id = entry_route e and role = entry_role e in
+  let egress = route_pe t id in
   ignore (Membership.leave t.membership ~site_id:gsid);
-  ignore (Mpbgp.withdraw_site t.bgp ~pe:site.Site.pe_node ~site:gsid);
+  ignore (Mpbgp.withdraw_site t.bgp ~pe:egress ~site:gsid);
   ignore (Mpbgp.run t.bgp);
   let touched = ref 1 in
   (* Prune the route from every group that imported it, dropping the
@@ -397,42 +423,38 @@ let decommission_site t ~customer ~sid =
     (fun rt ->
        List.iter
          (fun gk ->
-            let g = Hashtbl.find t.groups gk in
+            let g = Int_tbl.find t.groups gk in
             if arr_mem g.g_routes id then begin
               g.g_routes <- arr_remove g.g_routes id;
               touched := !touched + List.length g.g_pes;
               List.iter
-                (fun pe' ->
-                   if pe' <> r.Mpbgp.next_hop_pe then
-                     lsp_decr t ~ingress:pe' ~egress:r.Mpbgp.next_hop_pe)
+                (fun pe' -> if pe' <> egress then lsp_decr t ~ingress:pe' ~egress)
                 g.g_pes
             end)
          (groups_of t.importers rt))
-    r.Mpbgp.export_rts;
+    (route_rts t id);
   (* Shrink the VRF; tear it down when its last local site leaves, and
      the group when its last member VRF goes — a from-scratch compile
      of the shrunken portfolio would not have them. *)
-  let vk = vrf_key site.Site.pe_node c.c_id role in
-  let v = Hashtbl.find t.vrfs vk in
+  let vk = vrf_key egress c.c_id role in
+  let v = Int_tbl.find t.vrfs vk in
   v.v_locals <- rm_sorted gsid v.v_locals;
   if v.v_locals = [] then begin
     let g = v.v_group in
     g.g_pes <- rm_sorted v.v_pe g.g_pes;
     Array.iter
       (fun id' ->
-         let r' = route_exn t id' in
-         if r'.Mpbgp.next_hop_pe <> v.v_pe then
-           lsp_decr t ~ingress:v.v_pe ~egress:r'.Mpbgp.next_hop_pe)
+         let egress = route_pe t id' in
+         if egress <> v.v_pe then lsp_decr t ~ingress:v.v_pe ~egress)
       g.g_routes;
-    Hashtbl.remove t.vrfs vk;
+    Int_tbl.remove t.vrfs vk;
     if g.g_pes = [] then begin
-      Hashtbl.remove t.groups g.g_key;
+      Int_tbl.remove t.groups g.g_key;
       unlink t.importers g.g_key g.g_import;
       unlink t.exporters g.g_key g.g_export
     end
   end;
-  Hashtbl.remove t.site_route gsid;
-  Hashtbl.remove t.site_info gsid;
+  Int_tbl.remove t.sites gsid;
   !touched
 
 let retier t ~customer ~tier =
@@ -459,34 +481,33 @@ type metrics = {
 (* Remote view size: group entries minus the ones this PE originated. *)
 let remote_count t (v : vrf) =
   Array.fold_left
-    (fun acc id ->
-       if (route_exn t id).Mpbgp.next_hop_pe <> v.v_pe then acc + 1 else acc)
+    (fun acc id -> if route_pe t id <> v.v_pe then acc + 1 else acc)
     0 v.v_group.g_routes
 
 let metrics (t : t) =
   let table = ref 0 and shared_locals = ref 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ v ->
        table := !table + List.length v.v_locals + remote_count t v;
        shared_locals := !shared_locals + List.length v.v_locals)
     t.vrfs;
   let shared_groups =
-    Hashtbl.fold (fun _ g acc -> acc + Array.length g.g_routes) t.groups 0
+    Int_tbl.fold (fun _ g acc -> acc + Array.length g.g_routes) t.groups 0
   in
   let bands = Array.make Mvpn_core.Qos_mapping.band_count 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ c ->
        let b = Service.band_of_tier c.c_tier in
        bands.(b) <- bands.(b) + 1)
     t.customers;
-  { customers = Hashtbl.length t.customers;
+  { customers = Int_tbl.length t.customers;
     sites = Membership.site_count t.membership;
-    vrfs = Hashtbl.length t.vrfs;
-    groups = Hashtbl.length t.groups;
+    vrfs = Int_tbl.length t.vrfs;
+    groups = Int_tbl.length t.groups;
     routes = Mpbgp.total_routes t.bgp;
     table_entries = !table;
     shared_entries = shared_groups + !shared_locals;
-    lsps = Hashtbl.length t.lsps;
+    lsps = Int_tbl.length t.lsps;
     control_messages = Membership.messages t.membership
                        + Mpbgp.messages_sent t.bgp;
     rds = Service.Pool.rds_allocated t.pool;
@@ -496,7 +517,7 @@ let metrics (t : t) =
 let per_pe (t : t) =
   let sites = Array.make t.pe_count 0 in
   let routes = Array.make t.pe_count 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ v ->
        sites.(v.v_pe) <- sites.(v.v_pe) + List.length v.v_locals;
        routes.(v.v_pe) <-
@@ -509,12 +530,12 @@ let qos_policy t ~customer =
   (Service.band_of_tier c.c_tier, Service.objective_of_tier c.c_tier)
 
 let vrf_locals (t : t) ~pe ~customer ~role =
-  match Hashtbl.find_opt t.vrfs (vrf_key pe customer role) with
-  | Some v -> v.v_locals
+  match Int_tbl.find_opt t.vrfs (vrf_key pe customer role) with
+  | Some v -> List.rev v.v_locals
   | None -> []
 
 let vrf_table (t : t) ~pe ~customer ~role =
-  match Hashtbl.find_opt t.vrfs (vrf_key pe customer role) with
+  match Int_tbl.find_opt t.vrfs (vrf_key pe customer role) with
   | None -> []
   | Some v ->
     Array.fold_left
@@ -531,7 +552,7 @@ let fingerprint (t : t) =
   let b = Buffer.create 65536 in
   let sorted_by f tbl =
     List.sort (fun a b -> compare (f a) (f b))
-      (Hashtbl.fold (fun _ v acc -> v :: acc) tbl [])
+      (Int_tbl.fold (fun _ v acc -> v :: acc) tbl [])
   in
   List.iter
     (fun c ->
@@ -540,9 +561,9 @@ let fingerprint (t : t) =
          (Service.tier_name c.c_tier))
     (sorted_by (fun c -> c.c_id) t.customers);
   (* One canonical entry array per group, shared by its member VRFs. *)
-  let canon = Hashtbl.create 64 in
+  let canon = Int_tbl.create 64 in
   let group_entries (g : group) =
-    match Hashtbl.find_opt canon g.g_key with
+    match Int_tbl.find_opt canon g.g_key with
     | Some e -> e
     | None ->
       let e =
@@ -557,7 +578,7 @@ let fingerprint (t : t) =
           g.g_routes
       in
       Array.sort (fun (_, x) (_, y) -> String.compare x y) e;
-      Hashtbl.replace canon g.g_key e;
+      Int_tbl.replace canon g.g_key e;
       e
   in
   let rt_values rts =
@@ -575,7 +596,7 @@ let fingerprint (t : t) =
          (Mpbgp.rd_to_string v.v_rd)
          (rt_values v.v_group.g_export)
          (rt_values v.v_group.g_import)
-         (String.concat "," (List.map string_of_int v.v_locals));
+         (String.concat "," (List.rev_map string_of_int v.v_locals));
        Array.iter
          (fun (nh, s) ->
             if nh <> v.v_pe then begin
@@ -586,7 +607,7 @@ let fingerprint (t : t) =
     (sorted_by (fun v -> vrf_key v.v_pe v.v_vpn v.v_role) t.vrfs);
   List.iter
     (fun (k, n) -> Printf.bprintf b "L%d:%d;" k n)
-    (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.lsps []));
+    (List.sort compare (Int_tbl.fold (fun k n acc -> (k, n) :: acc) t.lsps []));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let equal a b = String.equal (fingerprint a) (fingerprint b)

@@ -60,8 +60,30 @@ let global_site_id ~customer ~sid =
    disagree on the label an egress PE allocated. *)
 let vpn_label_of_site gsid = 16 + gsid
 
+(* "c<customer>-s<sid>", as [Printf.sprintf "c%d-s%d"] prints it, in one
+   allocation. Digits are taken from the non-positive side, where
+   [min_int] has a magnitude. *)
+let rec digits_neg n = if n > -10 then 1 else 1 + digits_neg (n / 10)
+
+let decimal_width n = if n < 0 then 1 + digits_neg n else digits_neg (-n)
+
+let write_decimal b pos width n =
+  if n < 0 then Bytes.set b pos '-';
+  let m = ref (if n < 0 then n else -n) in
+  for i = pos + width - 1 downto pos + Bool.to_int (n < 0) do
+    Bytes.set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done
+
 let site_name ~customer ~sid =
-  "c" ^ string_of_int customer ^ "-s" ^ string_of_int sid
+  let wc = decimal_width customer and ws = decimal_width sid in
+  let b = Bytes.create (wc + ws + 3) in
+  Bytes.set b 0 'c';
+  write_decimal b 1 wc customer;
+  Bytes.set b (wc + 1) '-';
+  Bytes.set b (wc + 2) 's';
+  write_decimal b (wc + 3) ws sid;
+  Bytes.unsafe_to_string b
 
 module Pool = struct
   (* RT value layout, all disjoint by construction: customer RTs use

@@ -1,4 +1,5 @@
 module Prefix = Mvpn_net.Prefix
+module Ipv4 = Mvpn_net.Ipv4
 
 type rd = { rd_asn : int; rd_assigned : int }
 
@@ -21,45 +22,39 @@ type vpnv4_route = {
 
 type session_mode = Full_mesh | Route_reflector of int
 
-type key = rd * int * int * int  (* rd, network, length, pe *)
+(* Index hashes: the fields folded by multiply-add, then a full
+   avalanche finalizer, so keys that differ only in a few low or high
+   bits (customer lsl 16 lor sid, a /24 network) still spread over the
+   whole table. Without the finalizer, linear probing over such keys
+   clusters into runs of thousands of slots. *)
+let k_mul = 0x2545f4914f6cdd1d
 
-let key_of (r : vpnv4_route) : key =
-  ( r.rd,
-    Mvpn_net.Ipv4.to_int (Prefix.network r.prefix),
-    Prefix.length r.prefix,
-    r.next_hop_pe )
+let key_hash asn assigned net len pe =
+  Mvpn_sim.Rng.hash_int
+    ((((((((assigned * k_mul) + asn) * k_mul) + net) * k_mul) + len) * k_mul)
+     + pe)
 
-(* One route record lives once, in the interned store; every table that
-   holds it — the owner's exports, every remote PE's Adj-RIB-In, any
-   VRF route group built on top — keeps only its integer id. At 100k+
-   routes times a dozen importing PEs this is the difference between a
-   dozen copies of every announcement and one.
+let site_hash pe site = Mvpn_sim.Rng.hash_int ((site * k_mul) + pe)
 
-   Ids are dense, so an Adj-RIB-In is a byte per id (1 = held) rather
-   than a hash table: a delivery is a byte store. A site's exported keys
-   are indexed by site id, so withdrawing a site touches only its own
-   routes, never the PE's whole export table. *)
+module Pe_tbl = Hashtbl.Make (struct
+    type t = int
 
-(* Hashed on its four ints alone: no generic traversal of the tuple and
-   its RD record, no polymorphic compare. *)
-module Key_tbl = Hashtbl.Make (struct
-    type t = key
-
-    let equal ((r, n, l, p) : t) ((r', n', l', p') : t) =
-      n = n' && p = p' && l = l' && r.rd_assigned = r'.rd_assigned
-      && r.rd_asn = r'.rd_asn
-
-    let hash ((r, n, l, p) : t) =
-      let h = (r.rd_assigned * 0x9e3779b1) + r.rd_asn in
-      let h = (h * 0x9e3779b1) + n in
-      let h = (h * 0x9e3779b1) + ((l lsl 8) lor p) in
-      (h lxor (h lsr 29)) land max_int
+    let equal = Int.equal
+    let hash = Mvpn_sim.Rng.hash_int
   end)
 
+(* One route lives once, in the interned store, as a column of ints per
+   field: the tables that hold it — every remote PE's Adj-RIB-In, any
+   VRF route group built on top — keep only its integer id. The store
+   holds no per-route pointer: the major GC never marks it, and a route
+   costs nine words plus two bytes whatever the heap around it looks
+   like. RT lists, which few routes do not share, are interned once into
+   [rt_sets] and a route stores the set's id.
+
+   Ids are dense, so an Adj-RIB-In is a byte per id (1 = held) rather
+   than a hash table: a delivery is a byte store. *)
 type pe_state = {
   pe : int;
-  exported : int Key_tbl.t;  (* logical announcement -> route id *)
-  by_site : (int, key) Hashtbl.t;  (* site -> each key it exported *)
   mutable received : Bytes.t;  (* Adj-RIB-In bitmap over interned ids *)
 }
 
@@ -68,19 +63,6 @@ let holds s id =
 
 let set_held s id held =
   Bytes.set s.received id (if held then '\001' else '\000')
-
-(* [by_site] holds one binding per exported key ([Hashtbl.add]), so
-   indexing a new export costs one hash. *)
-let unbind_site s site =
-  let ks = Hashtbl.find_all s.by_site site in
-  List.iter (fun _ -> Hashtbl.remove s.by_site site) ks;
-  ks
-
-let reindex_site s k ~from ~into =
-  List.iter
-    (fun k' -> if k' <> k then Hashtbl.add s.by_site from k')
-    (List.rev (unbind_site s from));
-  Hashtbl.add s.by_site into k
 
 (* The dirty journal is one byte per interned id, what the route needs
    at the next {!run}: [clean] nothing; [added] has never been
@@ -96,35 +78,84 @@ let added = '\001'
 let updated = '\002'
 let retracted = '\003'
 
+(* Open-addressed int tables with linear probing. A slot holds an id,
+   [empty] or [tomb] (a removed entry, which a probe steps over and an
+   insert may reuse). Both tables are keyed on fields of the id they
+   hold, so a slot needs no key column. [used] counts live entries and
+   tombstones; an insert that lifts it above half the slots rehashes,
+   so a probe always meets an empty slot. *)
+let empty = -1
+let tomb = -2
+
+type index = {
+  mutable slots : int array;
+  mutable used : int;
+  mutable live : int;
+}
+
+let index_create () = { slots = Array.make 64 empty; used = 0; live = 0 }
+
 type t = {
   mode : session_mode;
   mutable pes : pe_state list;  (* insertion order preserved via append *)
-  by_pe : (int, pe_state) Hashtbl.t;
+  by_pe : pe_state Pe_tbl.t;
   mutable messages : int;
-  mutable store : vpnv4_route option array;  (* id -> interned route *)
-  mutable journal : Bytes.t;  (* id -> pending code, sized like [store] *)
+  (* The store: per id, one entry in each column. *)
+  mutable rd_asn : int array;
+  mutable rd_assigned : int array;
+  mutable network : int array;
+  mutable length : int array;
+  mutable next_hop : int array;
+  mutable label : int array;
+  mutable site : int array;
+  mutable rts : int array;  (* id into [rt_sets] *)
+  mutable site_next : int array;  (* next id of the same (PE, site), or -1 *)
+  mutable live : Bytes.t;  (* '\001' while [find_route] resolves the id *)
+  mutable journal : Bytes.t;  (* id -> pending code *)
   mutable dirty : int array;  (* ids journaled since the last run *)
   mutable dirty_len : int;
   mutable next_id : int;
+  mutable exported : int;  (* ids whose announcement stands *)
   mutable fresh : int list;  (* PEs added since last run, to back-fill *)
+  (* (RD, network, length, PE) -> id, for every standing announcement. *)
+  keys : index;
+  (* (PE, site) -> the newest of its standing ids; [site_next] chains
+     the rest. *)
+  sites : index;
+  rt_ids : (rt list, int) Hashtbl.t;
+  mutable rt_sets : rt list array;
+  mutable rt_count : int;
+  (* The last set interned: a bulk export hands the same list for every
+     site of a VRF, so one physical comparison skips the hash. *)
+  mutable last_rts : rt list;
+  mutable last_rts_id : int;
 }
 
 let create ?(mode = Full_mesh) () =
-  { mode; pes = []; by_pe = Hashtbl.create 16; messages = 0;
-    store = Array.make 64 None; journal = Bytes.make 64 clean;
-    dirty = Array.make 64 0; dirty_len = 0; next_id = 0; fresh = [] }
+  let col () = Array.make 64 0 in
+  let t =
+    { mode; pes = []; by_pe = Pe_tbl.create 16; messages = 0;
+      rd_asn = col (); rd_assigned = col (); network = col ();
+      length = col (); next_hop = col (); label = col (); site = col ();
+      rts = col (); site_next = col (); live = Bytes.make 64 '\000';
+      journal = Bytes.make 64 clean; dirty = col (); dirty_len = 0;
+      next_id = 0; exported = 0; fresh = []; keys = index_create ();
+      sites = index_create (); rt_ids = Hashtbl.create 64;
+      rt_sets = Array.make 64 []; rt_count = 1; last_rts = [];
+      last_rts_id = 0 }
+  in
+  (* Set 0 is the empty list, which also seeds the one-entry cache. *)
+  Hashtbl.replace t.rt_ids [] 0;
+  t
 
-let find_pe t pe = Hashtbl.find_opt t.by_pe pe
+let find_pe t pe = Pe_tbl.find_opt t.by_pe pe
 
 let add_pe t pe =
   if find_pe t pe <> None then
     invalid_arg (Printf.sprintf "Mpbgp.add_pe: duplicate PE %d" pe);
-  let s =
-    { pe; exported = Key_tbl.create 32; by_site = Hashtbl.create 32;
-      received = Bytes.empty }
-  in
+  let s = { pe; received = Bytes.empty } in
   t.pes <- t.pes @ [s];
-  Hashtbl.replace t.by_pe pe s;
+  Pe_tbl.replace t.by_pe pe s;
   t.fresh <- pe :: t.fresh
 
 let pe_count t = List.length t.pes
@@ -135,85 +166,268 @@ let session_count t =
   | Full_mesh -> n * (n - 1) / 2
   | Route_reflector _ -> max 0 (n - 1)
 
-let get_pe t pe =
-  match find_pe t pe with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Mpbgp: unknown PE %d" pe)
+let unknown_pe pe = invalid_arg (Printf.sprintf "Mpbgp: unknown PE %d" pe)
 
-let alloc t r =
-  if t.next_id = Array.length t.store then begin
-    let n = 2 * Array.length t.store in
-    let bigger = Array.make n None in
-    Array.blit t.store 0 bigger 0 t.next_id;
-    t.store <- bigger;
-    let j = Bytes.make n clean in
-    Bytes.blit t.journal 0 j 0 t.next_id;
-    t.journal <- j
+let get_pe t pe = match find_pe t pe with Some s -> s | None -> unknown_pe pe
+
+let check_pe t pe = if not (Pe_tbl.mem t.by_pe pe) then unknown_pe pe
+
+(* --- the two indexes ----------------------------------------------------- *)
+
+(* The slot holding the id announced under the key, or [lnot s] for the
+   slot [s] an insert of that key takes (the first tombstone on the
+   probe path, else the empty slot ending it). *)
+let key_slot t asn assigned net len pe =
+  let slots = t.keys.slots in
+  let mask = Array.length slots - 1 in
+  let i = ref (key_hash asn assigned net len pe land mask) in
+  let free = ref (-1) and found = ref min_int in
+  while !found = min_int do
+    let id = slots.(!i) in
+    if id = empty then found := lnot (if !free >= 0 then !free else !i)
+    else if id = tomb then begin
+      if !free < 0 then free := !i;
+      i := (!i + 1) land mask
+    end
+    else if
+      t.network.(id) = net && t.next_hop.(id) = pe && t.length.(id) = len
+      && t.rd_assigned.(id) = assigned && t.rd_asn.(id) = asn
+    then found := !i
+    else i := (!i + 1) land mask
+  done;
+  !found
+
+(* Like {!key_slot}, for the (PE, site) chain heads. *)
+let site_slot t pe site =
+  let slots = t.sites.slots in
+  let mask = Array.length slots - 1 in
+  let i = ref (site_hash pe site land mask) in
+  let free = ref (-1) and found = ref min_int in
+  while !found = min_int do
+    let id = slots.(!i) in
+    if id = empty then found := lnot (if !free >= 0 then !free else !i)
+    else if id = tomb then begin
+      if !free < 0 then free := !i;
+      i := (!i + 1) land mask
+    end
+    else if t.site.(id) = site && t.next_hop.(id) = pe then found := !i
+    else i := (!i + 1) land mask
+  done;
+  !found
+
+let home t idx id =
+  if idx == t.keys then
+    key_hash t.rd_asn.(id) t.rd_assigned.(id) t.network.(id) t.length.(id)
+      t.next_hop.(id)
+  else site_hash t.next_hop.(id) t.site.(id)
+
+(* Re-insert every live entry into fresh slots: twice as many when more
+   than a quarter are live, else as many (which only drops the
+   tombstones). *)
+let rehash t idx =
+  let old = idx.slots in
+  let cap = Array.length old in
+  let cap = if idx.live * 4 > cap then 2 * cap else cap in
+  let slots = Array.make cap empty in
+  let mask = cap - 1 in
+  for j = 0 to Array.length old - 1 do
+    let id = old.(j) in
+    if id >= 0 then begin
+      let i = ref (home t idx id land mask) in
+      while slots.(!i) <> empty do i := (!i + 1) land mask done;
+      slots.(!i) <- id
+    end
+  done;
+  idx.slots <- slots;
+  idx.used <- idx.live
+
+(* Store [id] at the insert slot [s] a probe returned ([lnot s]). *)
+let index_put t idx s id =
+  if idx.slots.(s) = empty then idx.used <- idx.used + 1;
+  idx.slots.(s) <- id;
+  idx.live <- idx.live + 1;
+  if idx.used * 2 > Array.length idx.slots then rehash t idx
+
+let index_remove idx s =
+  idx.slots.(s) <- tomb;
+  idx.live <- idx.live - 1
+
+let probe_length t idx =
+  let slots = idx.slots in
+  let mask = Array.length slots - 1 in
+  let worst = ref 0 in
+  Array.iteri
+    (fun j id ->
+       if id >= 0 then
+         worst := max !worst (((j - home t idx id) land mask) + 1))
+    slots;
+  !worst
+
+let longest_probe t = max (probe_length t t.keys) (probe_length t t.sites)
+
+(* --- the store ----------------------------------------------------------- *)
+
+let grow_col a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_bytes b n fill =
+  let c = Bytes.make n fill in
+  Bytes.blit b 0 c 0 (Bytes.length b);
+  c
+
+let alloc t =
+  if t.next_id = Array.length t.network then begin
+    let n = 2 * t.next_id in
+    t.rd_asn <- grow_col t.rd_asn n;
+    t.rd_assigned <- grow_col t.rd_assigned n;
+    t.network <- grow_col t.network n;
+    t.length <- grow_col t.length n;
+    t.next_hop <- grow_col t.next_hop n;
+    t.label <- grow_col t.label n;
+    t.site <- grow_col t.site n;
+    t.rts <- grow_col t.rts n;
+    t.site_next <- grow_col t.site_next n;
+    t.live <- grow_bytes t.live n '\000';
+    t.journal <- grow_bytes t.journal n clean
   end;
   let id = t.next_id in
-  t.store.(id) <- Some r;
   t.next_id <- id + 1;
   id
+
+let intern_rts t rts =
+  if rts == t.last_rts then t.last_rts_id
+  else begin
+    let id =
+      match Hashtbl.find_opt t.rt_ids rts with
+      | Some id -> id
+      | None ->
+        let id = t.rt_count in
+        if id = Array.length t.rt_sets then begin
+          let bigger = Array.make (2 * id) [] in
+          Array.blit t.rt_sets 0 bigger 0 id;
+          t.rt_sets <- bigger
+        end;
+        t.rt_sets.(id) <- rts;
+        t.rt_count <- id + 1;
+        Hashtbl.replace t.rt_ids rts id;
+        id
+    in
+    t.last_rts <- rts;
+    t.last_rts_id <- id;
+    id
+  end
 
 (* Set an id's journal code, stacking it if it was clean. *)
 let mark t id code =
   if Bytes.get t.journal id = clean then begin
-    if t.dirty_len = Array.length t.dirty then begin
-      let bigger = Array.make (2 * t.dirty_len) 0 in
-      Array.blit t.dirty 0 bigger 0 t.dirty_len;
-      t.dirty <- bigger
-    end;
+    if t.dirty_len = Array.length t.dirty then
+      t.dirty <- grow_col t.dirty (2 * t.dirty_len);
     t.dirty.(t.dirty_len) <- id;
     t.dirty_len <- t.dirty_len + 1
   end;
   Bytes.set t.journal id code
 
+(* Put [id] at the head of its (PE, site) chain. *)
+let chain_push t id =
+  let s = site_slot t t.next_hop.(id) t.site.(id) in
+  if s >= 0 then begin
+    t.site_next.(id) <- t.sites.slots.(s);
+    t.sites.slots.(s) <- id
+  end
+  else begin
+    t.site_next.(id) <- -1;
+    index_put t t.sites (lnot s) id
+  end
+
+let chain_unlink t id =
+  let s = site_slot t t.next_hop.(id) t.site.(id) in
+  let head = t.sites.slots.(s) in
+  if head = id then begin
+    if t.site_next.(id) < 0 then index_remove t.sites s
+    else t.sites.slots.(s) <- t.site_next.(id)
+  end
+  else begin
+    let prev = ref head in
+    while t.site_next.(!prev) <> id do prev := t.site_next.(!prev) done;
+    t.site_next.(!prev) <- t.site_next.(id)
+  end
+
+let is_live t id = Bytes.get t.live id = '\001'
+
+(* A live id whose announcement stands: not withdrawn pending a run. *)
+let standing t id = is_live t id && Bytes.get t.journal id <> retracted
+
 let export t route =
-  let s = get_pe t route.next_hop_pe in
-  let k = key_of route in
-  match Key_tbl.find_opt s.exported k with
-  | Some id ->
-    (match t.store.(id) with
-     | Some old when old = route -> id
-     | old ->
-       (* Same announcement, new content: patch the shared record in
-          place. Only label/RT changes are UPDATE-worthy on the wire;
-          diagnostic fields ride along silently. *)
-       let noisy =
-         match old with
-         | Some o ->
-           if o.site <> route.site then
-             reindex_site s k ~from:o.site ~into:route.site;
-           o.vpn_label <> route.vpn_label || o.export_rts <> route.export_rts
-         | None -> true
-       in
-       t.store.(id) <- Some route;
-       if noisy && Bytes.get t.journal id = clean then mark t id updated;
-       id)
-  | None ->
-    let id = alloc t route in
-    Key_tbl.add s.exported k id;
-    Hashtbl.add s.by_site route.site k;
+  let pe = route.next_hop_pe in
+  check_pe t pe;
+  let asn = route.rd.rd_asn and assigned = route.rd.rd_assigned in
+  let net = Ipv4.to_int (Prefix.network route.prefix) in
+  let len = Prefix.length route.prefix in
+  let rs = intern_rts t route.export_rts in
+  let s = key_slot t asn assigned net len pe in
+  if s >= 0 then begin
+    (* Same announcement: patch the stored fields in place. Only
+       label/RT changes are UPDATE-worthy on the wire; the site rides
+       along silently. *)
+    let id = t.keys.slots.(s) in
+    if t.site.(id) <> route.site then begin
+      chain_unlink t id;
+      t.site.(id) <- route.site;
+      chain_push t id
+    end;
+    if t.label.(id) <> route.vpn_label || t.rts.(id) <> rs then begin
+      t.label.(id) <- route.vpn_label;
+      t.rts.(id) <- rs;
+      if Bytes.get t.journal id = clean then mark t id updated
+    end;
+    id
+  end
+  else begin
+    let id = alloc t in
+    t.rd_asn.(id) <- asn;
+    t.rd_assigned.(id) <- assigned;
+    t.network.(id) <- net;
+    t.length.(id) <- len;
+    t.next_hop.(id) <- pe;
+    t.label.(id) <- route.vpn_label;
+    t.site.(id) <- route.site;
+    t.rts.(id) <- rs;
+    Bytes.set t.live id '\001';
+    index_put t t.keys (lnot s) id;
+    chain_push t id;
+    t.exported <- t.exported + 1;
     mark t id added;
     id
+  end
 
 let export_route t route = ignore (export t route)
 
 let withdraw_site t ~pe ~site =
-  let s = get_pe t pe in
-  let victims = unbind_site s site in
-  List.iter
-    (fun k ->
-       let id = Key_tbl.find s.exported k in
-       Key_tbl.remove s.exported k;
-       if Bytes.get t.journal id = added then begin
-         (* Announced and retracted between runs: nobody ever saw it. *)
-         Bytes.set t.journal id clean;
-         t.store.(id) <- None
-       end
-       else mark t id retracted)
-    victims;
-  List.length victims
+  check_pe t pe;
+  let s = site_slot t pe site in
+  if s < 0 then 0
+  else begin
+    let id = ref t.sites.slots.(s) and n = ref 0 in
+    index_remove t.sites s;
+    while !id >= 0 do
+      let i = !id in
+      id := t.site_next.(i);
+      index_remove t.keys
+        (key_slot t t.rd_asn.(i) t.rd_assigned.(i) t.network.(i)
+           t.length.(i) pe);
+      t.exported <- t.exported - 1;
+      if Bytes.get t.journal i = added then begin
+        (* Announced and retracted between runs: nobody ever saw it. *)
+        Bytes.set t.journal i clean;
+        Bytes.set t.live i '\000'
+      end
+      else mark t i retracted;
+      incr n
+    done;
+    !n
+  end
 
 (* One delivery of [id] to [d]: an UPDATE if [d] gains the route, or if
    it already holds it and the content [changed]. *)
@@ -246,15 +460,11 @@ let propagate t ~changed src id =
 let run t =
   let sent = ref 0 in
   (* Every Adj-RIB-In spans the whole store before any delivery. *)
-  let cap = Array.length t.store in
+  let cap = Array.length t.network in
   List.iter
     (fun d ->
-       let n = Bytes.length d.received in
-       if n < cap then begin
-         let b = Bytes.make cap '\000' in
-         Bytes.blit d.received 0 b 0 n;
-         d.received <- b
-       end)
+       if Bytes.length d.received < cap then
+         d.received <- grow_bytes d.received cap '\000')
     t.pes;
   (* Late-joining PEs first: back-fill every live route, one UPDATE per
      route the newcomer gains. Journaled routes are skipped — the
@@ -264,7 +474,7 @@ let run t =
     (fun pe ->
        let d = get_pe t pe in
        for id = 0 to t.next_id - 1 do
-         if Bytes.get t.journal id = clean && Option.is_some t.store.(id) then
+         if Bytes.get t.journal id = clean && is_live t id then
            sent := !sent + deliver ~changed:false d id
        done)
     t.fresh;
@@ -281,14 +491,11 @@ let run t =
              incr sent
            end)
         t.pes;
-      t.store.(id) <- None
+      Bytes.set t.live id '\000'
     end
-    else if code <> clean then
-      match t.store.(id) with
-      | None -> ()
-      | Some r ->
-        sent :=
-          !sent + propagate t ~changed:(code = updated) r.next_hop_pe id
+    else if code <> clean && is_live t id then
+      sent :=
+        !sent + propagate t ~changed:(code = updated) t.next_hop.(id) id
   done;
   t.dirty_len <- 0;
   (* A bulk round's stack (one slot per route) is not kept resident. *)
@@ -296,55 +503,75 @@ let run t =
   t.messages <- t.messages + !sent;
   !sent
 
+(* --- readers ------------------------------------------------------------- *)
+
+let issued t id = id >= 0 && id < t.next_id
+
+let check t fn id =
+  if not (issued t id) then
+    invalid_arg (Printf.sprintf "Mpbgp.%s: id %d never issued" fn id)
+
+let route_pe t id = check t "route_pe" id; t.next_hop.(id)
+
+let route_rts t id = check t "route_rts" id; t.rts.(id)
+
+let rt_set t rs =
+  if rs < 0 || rs >= t.rt_count then
+    invalid_arg (Printf.sprintf "Mpbgp.rt_set: set %d never interned" rs);
+  t.rt_sets.(rs)
+
+let rt_set_count t = t.rt_count
+
+(* Cold paths: a record built from the columns on every read. *)
+let route t id =
+  { rd = { rd_asn = t.rd_asn.(id); rd_assigned = t.rd_assigned.(id) };
+    prefix = Prefix.make (Ipv4.of_int32_exn t.network.(id)) t.length.(id);
+    next_hop_pe = t.next_hop.(id); vpn_label = t.label.(id);
+    export_rts = t.rt_sets.(t.rts.(id)); site = t.site.(id) }
+
 let find_route t id =
-  if id < 0 || id >= t.next_id then None else t.store.(id)
+  if issued t id && is_live t id then Some (route t id) else None
 
 let iter_exported t f =
-  List.iter
-    (fun s ->
-       Key_tbl.iter
-         (fun _ id ->
-            match t.store.(id) with Some r -> f id r | None -> ())
-         s.exported)
-    t.pes
+  for id = 0 to t.next_id - 1 do
+    if standing t id then f id (route t id)
+  done
 
 (* Fold over a PE's Adj-RIB-In in descending id order, so a consing
    [f] yields ascending (export) order. *)
 let fold_received t s f acc =
   let acc = ref acc in
   for id = min (Bytes.length s.received) t.next_id - 1 downto 0 do
-    if Bytes.get s.received id = '\001' then
-      match t.store.(id) with Some r -> acc := f id r !acc | None -> ()
+    if Bytes.get s.received id = '\001' && is_live t id then
+      acc := f id !acc
   done;
   !acc
 
 let routes_at t pe =
   let s = get_pe t pe in
-  let own =
-    Key_tbl.fold
-      (fun _ id acc ->
-         match t.store.(id) with Some r -> r :: acc | None -> acc)
-      s.exported []
-  in
-  fold_received t s (fun _ r acc -> r :: acc) own
+  let own = ref [] in
+  for id = t.next_id - 1 downto 0 do
+    if t.next_hop.(id) = pe && standing t id then own := route t id :: !own
+  done;
+  fold_received t s (fun id acc -> route t id :: acc) !own
 
 let rts_intersect a b =
   List.exists (fun x -> List.exists (rt_equal x) b) a
 
+let imported t id import_rts =
+  rts_intersect t.rt_sets.(t.rts.(id)) import_rts
+
 let import t ~pe ~import_rts =
   fold_received t (get_pe t pe)
-    (fun _ r acc ->
-       if rts_intersect r.export_rts import_rts then r :: acc else acc)
+    (fun id acc -> if imported t id import_rts then route t id :: acc else acc)
     []
 
 let import_ids t ~pe ~import_rts =
   fold_received t (get_pe t pe)
-    (fun id r acc ->
-       if rts_intersect r.export_rts import_rts then id :: acc else acc)
+    (fun id acc -> if imported t id import_rts then id :: acc else acc)
     []
 
-let total_routes t =
-  List.fold_left (fun acc s -> acc + Key_tbl.length s.exported) 0 t.pes
+let total_routes t = t.exported
 
 let store_size t = t.next_id
 

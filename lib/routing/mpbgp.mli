@@ -12,14 +12,17 @@
     Sessions are either a full iBGP mesh among the PEs or a route
     reflector — the state-growth knob of experiment E1/E3.
 
-    Internally every route record is interned once in a shared store
-    and all tables (the owner's exports, each remote PE's Adj-RIB-In,
-    any VRF groups built on top by {!Mvpn_provision}) hold only integer
-    ids — at provisioning scale (E19: 10k VPNs, 100k+ routes) this is
-    what keeps per-PE memory a constant factor of the route count.
-    Propagation is incremental: exports and withdrawals land in a dirty
-    journal and {!run} touches only journaled routes (plus any PE added
-    since the last run, which is back-filled), never the full table. *)
+    Internally every route is interned once in a shared store and all
+    tables (each remote PE's Adj-RIB-In, any VRF groups built on top by
+    {!Mvpn_provision}) hold only integer ids — at provisioning scale
+    (E19: 10k VPNs, 100k+ routes) this is what keeps per-PE memory a
+    constant factor of the route count. The store keeps each field in
+    an int column and RT lists as ids into a table of distinct lists;
+    {!route_pe}, {!route_rts} and {!is_live} read it without building a
+    record. Propagation is incremental: exports and withdrawals land in
+    a dirty journal and {!run} touches only journaled routes (plus any
+    PE added since the last run, which is back-filled), never the full
+    table. *)
 
 type rd = { rd_asn : int; rd_assigned : int }
 (** Route distinguisher [asn:assigned]. *)
@@ -70,7 +73,32 @@ val export : t -> vpnv4_route -> int
 
 val find_route : t -> int -> vpnv4_route option
 (** Resolve an interned id; [None] once the announcement has been
-    withdrawn and flushed by {!run} (or if the id was never issued). *)
+    withdrawn and flushed by {!run} (or if the id was never issued).
+    Builds a fresh record on every call. *)
+
+(** {2 Field readers}
+
+    Allocation-free reads of one field of an issued id, for loops over
+    many routes. They read dead ids too (the last values exported).
+    @raise Invalid_argument on an id never issued. *)
+
+val is_live : t -> int -> bool
+(** [find_route t id <> None], for an issued id. *)
+
+val route_pe : t -> int -> int
+(** The egress PE ([next_hop_pe]). *)
+
+val route_rts : t -> int -> int
+(** The id of the route's export-RT list, for {!rt_set}. Two routes
+    carry structurally equal lists exactly when their ids are equal. *)
+
+val rt_set : t -> int -> rt list
+(** The export-RT list behind an id {!route_rts} returned.
+    @raise Invalid_argument on an id outside [0, rt_set_count). *)
+
+val rt_set_count : t -> int
+(** Distinct export-RT lists interned so far; their ids are
+    [0 .. rt_set_count - 1]. *)
 
 val iter_exported : t -> (int -> vpnv4_route -> unit) -> unit
 (** Every live announcement in the system with its interned id, in no
@@ -105,6 +133,11 @@ val total_routes : t -> int
 val store_size : t -> int
 (** Interned-store slots ever allocated (live + tombstoned) — a
     diagnostic for the churn bound of the share-by-id scheme. *)
+
+val longest_probe : t -> int
+(** The most slots any lookup in the store's two open-addressed indexes
+    ((RD, prefix, PE) -> id and (PE, site) -> ids) probes today — a
+    diagnostic for hash clustering. *)
 
 val messages_sent : t -> int
 (** Cumulative UPDATEs across {!run} calls. *)

@@ -285,6 +285,68 @@ let test_runner_barrier_mode_parity () =
       Alcotest.(check bool) "totals still match" true
         (totals (Runner.run_sequential cfg) = totals par))
 
+(* --- Fatelog ------------------------------------------------------------- *)
+
+type fate = float * int * int * bool * float  (* time vpn band dropped latency *)
+
+(* Per-shard streams, each time-sorted; times come from a few integer
+   values, so equal times across (and within) shards are common. *)
+let fate_streams_gen =
+  let open QCheck.Gen in
+  let fate =
+    map
+      (fun ((t, vpn, band), (dropped, lat)) ->
+         (float_of_int t, vpn, band, dropped, if dropped then 0.0 else lat))
+      (pair
+         (triple (int_range 0 6) (int_range 0 5000) (int_range 0 7))
+         (pair bool (float_bound_inclusive 1.0)))
+  in
+  let stream =
+    map
+      (List.stable_sort (fun (a, _, _, _, _) (b, _, _, _, _) ->
+           Float.compare a b))
+      (list_size (int_range 0 25) fate)
+  in
+  list_size (int_range 1 5) stream
+
+let fatelog_merge_equals_sort =
+  QCheck.Test.make ~name:"fate merge equals the (time, shard, seq) sort"
+    ~count:300
+    (QCheck.make fate_streams_gen)
+    (fun streams ->
+       let logs =
+         Array.of_list
+           (List.map
+              (fun stream ->
+                 let fl = Fatelog.create () in
+                 List.iter
+                   (fun (time, vpn, band, dropped, latency) ->
+                      Fatelog.add fl ~time ~vpn ~band ~dropped ~latency)
+                   stream;
+                 fl)
+              streams)
+       in
+       let merged = ref [] in
+       Fatelog.iter_merged logs (fun ~time ~vpn ~band ~dropped ~latency ->
+           merged := (time, vpn, band, dropped, latency) :: !merged);
+       (* The sort the runner did before the merge. *)
+       let sorted : fate list =
+         List.concat
+           (List.mapi
+              (fun shard stream ->
+                 List.mapi (fun seq f -> (shard, seq, f)) stream)
+              streams)
+         |> List.sort (fun (sa, qa, (ta, _, _, _, _)) (sb, qb, (tb, _, _, _, _)) ->
+                match Float.compare ta tb with
+                | 0 -> compare (sa, qa) (sb, qb)
+                | c -> c)
+         |> List.map (fun (_, _, f) -> f)
+       in
+       List.rev !merged = sorted
+       && Array.for_all2
+            (fun fl stream -> Fatelog.length fl = List.length stream)
+            logs (Array.of_list streams))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "par"
@@ -309,6 +371,7 @@ let () =
            test_clock_lookahead_windows;
          Alcotest.test_case "barrier and min_next" `Quick
            test_clock_barrier_and_min_next ]);
+      ("fatelog", [ qt fatelog_merge_equals_sort ]);
       ("runner",
        [ qt runner_matches_sequential;
          Alcotest.test_case "K=8 deterministic" `Quick

@@ -68,7 +68,8 @@ let test_identifiers_match_printf () =
          (Printf.sprintf "c%d-s%d" customer sid)
          (Service.site_name ~customer ~sid))
     [ (1, 0); (1, 1); (9, 10); (42, 255); (999, 256); (0x3fff, 0xffff);
-      (12345, 7); (0, 0); (-3, -1) ]
+      (12345, 7); (0, 0); (-3, -1); (-10, 100); (min_int, max_int);
+      (max_int, min_int) ]
 
 (* --- generator determinism (Rng.split substream hygiene) ----------------- *)
 
