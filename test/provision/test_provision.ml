@@ -122,6 +122,27 @@ let test_hub_spoke_tables () =
       gsid ~customer:1 ~sid:3 ]
     (table_sites t ~pe:0 ~customer:1 ~role:Service.Hub)
 
+(* A VRF's locals read in ascending site order, whether the bulk compile
+   added them or the incremental path spliced one in below, above or
+   between the others. *)
+let test_vrf_locals_ascending () =
+  let c =
+    cust 1 Service.Any_to_any Service.Silver
+      [ site 0 0 Service.Spoke; site 1 1 Service.Spoke;
+        site 2 0 Service.Spoke; site 4 0 Service.Spoke ]
+  in
+  let t = Compile.compile (Portfolio.of_customers ~pe_count:2 ~seed:0 [ c ]) in
+  let locals () =
+    Compile.vrf_locals t ~pe:0 ~customer:1 ~role:Service.Spoke
+  in
+  let g sids = List.map (fun sid -> gsid ~customer:1 ~sid) sids in
+  Alcotest.(check (list int)) "bulk" (g [ 0; 2; 4 ]) (locals ());
+  ignore (Compile.provision_site t ~customer:1 ~sid:3 ~pe:0);
+  ignore (Compile.provision_site t ~customer:1 ~sid:9 ~pe:0);
+  Alcotest.(check (list int)) "spliced" (g [ 0; 2; 3; 4; 9 ]) (locals ());
+  ignore (Compile.decommission_site t ~customer:1 ~sid:0);
+  Alcotest.(check (list int)) "removed" (g [ 2; 3; 4; 9 ]) (locals ())
+
 let test_any_to_any_tables () =
   let c =
     cust 1 Service.Any_to_any Service.Silver
@@ -345,6 +366,8 @@ let () =
        [ Alcotest.test_case "hub-spoke tables" `Quick test_hub_spoke_tables;
          Alcotest.test_case "any-to-any tables" `Quick
            test_any_to_any_tables;
+         Alcotest.test_case "vrf locals ascending" `Quick
+           test_vrf_locals_ascending;
          Alcotest.test_case "extranet visibility" `Quick
            test_extranet_cross_customer_visibility;
          Alcotest.test_case "qos policy follows tier" `Quick

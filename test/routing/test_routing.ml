@@ -1227,6 +1227,193 @@ let journal_equivalence =
        && Mpbgp.run m = Ref_bgp.run r
        && agree ())
 
+(* --- Struct-of-arrays store: tombstone churn and clustering ------------- *)
+
+(* Model check of the store and its two open-addressed indexes under
+   churn: a small key space re-exported, withdrawn and re-exported
+   before and after runs (so index slots turn into tombstones and are
+   reused), sites moved by re-exports, and bulk batches of fresh keys
+   that grow the indexes through several rehashes and then leave as
+   one withdrawal. The model is a list of standing announcements plus
+   a per-id record of what [find_route] must return. *)
+type churn_op =
+  | C_export of int * int * int * int * int  (* pe, key, site, label, rt mask *)
+  | C_withdraw of int * int  (* pe, site *)
+  | C_bulk of int * int  (* site, count: keys of their own at PE 0 *)
+  | C_run
+
+let churn_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [ (8,
+       map
+         (fun ((pe, key, site), (label, mask)) ->
+            C_export (pe, key, site, label, mask))
+         (pair
+            (triple (int_range 0 2) (int_range 0 5) (int_range 0 3))
+            (pair (int_range 0 1) (int_range 1 3))));
+      (4, map2 (fun pe site -> C_withdraw (pe, site)) (int_range 0 2)
+            (int_range 0 3));
+      (1, map2 (fun site n -> C_bulk (site, n)) (int_range 10 12)
+            (int_range 20 150));
+      (1, map (fun site -> C_withdraw (0, site)) (int_range 10 12));
+      (3, return C_run) ]
+
+let churn_op_print = function
+  | C_export (pe, k, s, l, m) ->
+    Printf.sprintf "export(pe%d,k%d,s%d,l%d,m%d)" pe k s l m
+  | C_withdraw (pe, s) -> Printf.sprintf "withdraw(pe%d,s%d)" pe s
+  | C_bulk (s, n) -> Printf.sprintf "bulk(s%d,%d)" s n
+  | C_run -> "run"
+
+let rts_of_mask mask =
+  List.filter_map
+    (fun v -> if mask land v <> 0 then Some (rt v) else None)
+    [ 1; 2 ]
+
+type churn_id = {
+  mutable c_route : Mpbgp.vpnv4_route;
+  mutable c_live : bool;  (* what find_route resolves *)
+  mutable c_fresh : bool;  (* exported since the last run *)
+  mutable c_retracting : bool;  (* withdrawn, dies at the next run *)
+}
+
+let store_churn_property =
+  QCheck.Test.make ~name:"store indexes survive tombstone churn" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun l -> String.concat " " (List.map churn_op_print l))
+       QCheck.Gen.(list_size (int_range 0 60) churn_op_gen))
+    (fun ops ->
+       let pes = [ 0; 1; 2 ] in
+       let m = Mpbgp.create () in
+       List.iter (Mpbgp.add_pe m) pes;
+       let ids : churn_id array ref = ref [||] in
+       let standing = ref [] in  (* (key, id), newest first *)
+       let held = Hashtbl.create 4 in  (* pe -> ids delivered at the last run *)
+       let key_of (r : Mpbgp.vpnv4_route) =
+         (r.Mpbgp.rd, Prefix.to_string r.Mpbgp.prefix, r.Mpbgp.next_hop_pe)
+       in
+       let export (r : Mpbgp.vpnv4_route) =
+         let want =
+           match List.assoc_opt (key_of r) !standing with
+           | Some id ->
+             !ids.(id).c_route <- r;
+             id
+           | None ->
+             let id = Array.length !ids in
+             ids :=
+               Array.append !ids
+                 [| { c_route = r; c_live = true; c_fresh = true;
+                      c_retracting = false } |];
+             standing := (key_of r, id) :: !standing;
+             id
+         in
+         Mpbgp.export m r = want
+       in
+       let withdraw pe site =
+         let victims, rest =
+           List.partition
+             (fun ((_, _, pe'), id) ->
+                pe' = pe && !ids.(id).c_route.Mpbgp.site = site)
+             !standing
+         in
+         standing := rest;
+         List.iter
+           (fun (_, id) ->
+              let c = !ids.(id) in
+              if c.c_fresh then c.c_live <- false else c.c_retracting <- true)
+           victims;
+         Mpbgp.withdraw_site m ~pe ~site = List.length victims
+       in
+       let run () =
+         Array.iter
+           (fun c ->
+              if c.c_retracting then begin
+                c.c_live <- false;
+                c.c_retracting <- false
+              end;
+              c.c_fresh <- false)
+           !ids;
+         List.iter
+           (fun pe ->
+              Hashtbl.replace held pe
+                (List.filter_map
+                   (fun ((_, _, pe'), id) -> if pe' <> pe then Some id else None)
+                   !standing))
+           pes;
+         ignore (Mpbgp.run m)
+       in
+       let by_content = List.sort compare in
+       let agree () =
+         Mpbgp.total_routes m = List.length !standing
+         && Mpbgp.store_size m = Array.length !ids
+         && Mpbgp.find_route m (Array.length !ids) = None
+         && Array.for_all Fun.id
+              (Array.mapi
+                 (fun id c ->
+                    Mpbgp.find_route m id
+                    = if c.c_live then Some c.c_route else None)
+                 !ids)
+         && List.for_all
+              (fun pe ->
+                 let own =
+                   List.filter_map
+                     (fun ((_, _, pe'), id) ->
+                        if pe' = pe then Some !ids.(id).c_route else None)
+                     !standing
+                 in
+                 let got =
+                   List.map
+                     (fun id -> !ids.(id).c_route)
+                     (Option.value ~default:[] (Hashtbl.find_opt held pe))
+                 in
+                 by_content (Mpbgp.routes_at m pe) = by_content (own @ got))
+              pes
+       in
+       List.for_all
+         (fun op ->
+            let ok =
+              match op with
+              | C_export (pe, key, site, label, mask) ->
+                export
+                  (vpn_route ~site ~rd:(rd (key mod 2)) ~pe ~label
+                     ~rts:(rts_of_mask mask)
+                     (Printf.sprintf "10.%d.0.0/16" (key / 2)))
+              | C_withdraw (pe, site) -> withdraw pe site
+              | C_bulk (site, n) ->
+                List.for_all export
+                  (List.init n (fun i ->
+                       vpn_route ~site ~rd:(rd (100 + site)) ~pe:0 ~label:i
+                         ~rts:[ rt 1 ]
+                         (Printf.sprintf "10.%d.%d.0/24" (i lsr 8)
+                            (i land 0xff))))
+              | C_run -> run (); true
+            in
+            ok && agree ())
+         ops)
+
+(* The key shape of E19's 10k portfolio — customers 1..10k (the RD),
+   sids 0..511 (the /24 and the site), 12 PEs — must not cluster in the
+   store's linear-probing indexes. The longest probe is 26 slots; it is
+   59 with the multiply-add fold alone (no avalanche finalizer), whose
+   low bits see only the sid and the low bits of the customer. *)
+let test_store_probe_clustering () =
+  let m = Mpbgp.create () in
+  for pe = 0 to 11 do Mpbgp.add_pe m pe done;
+  for c = 1 to 10_000 do
+    for j = 0 to 11 do
+      let sid = ((j * 43) + c) mod 512 in
+      Mpbgp.export_route m
+        { Mpbgp.rd = rd c;
+          prefix = Prefix.make (Ipv4.of_octets 10 (sid lsr 8) (sid land 0xff) 0) 24;
+          next_hop_pe = ((c * 7) + j) mod 12; vpn_label = 16 + sid;
+          export_rts = [ rt (4 * c) ]; site = (c lsl 16) lor sid }
+    done
+  done;
+  Alcotest.(check int) "routes" 120_000 (Mpbgp.total_routes m);
+  let worst = Mpbgp.longest_probe m in
+  if worst > 40 then Alcotest.failf "longest probe %d slots (want <= 40)" worst
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -1290,4 +1477,7 @@ let () =
          Alcotest.test_case "run idempotent" `Quick
            test_mpbgp_run_idempotent;
          qt mpbgp_model_property;
-         qt journal_equivalence ]) ]
+         qt journal_equivalence;
+         qt store_churn_property;
+         Alcotest.test_case "probe clustering on the E19 key shape" `Quick
+           test_store_probe_clustering ]) ]
