@@ -4,23 +4,19 @@ type mechanism = Directory | Flooded
    VPN — leave, members, discover — walks only that VPN's list, never
    the whole population (E19: 10k VPNs, 100k+ sites). *)
 type vpn = {
+  vpn_id : int;
   mutable rev_members : Site.t list;  (* reverse join order *)
   mutable size : int;
 }
 
-module Id_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Mvpn_sim.Rng.hash_int
-  end)
+module Id_tbl = Mvpn_sim.Int_tbl
 
 type t = {
   mechanism : mechanism;
   pe_count : int;
   mutable by_id : Site.t Id_tbl.t;
   vpns : vpn Id_tbl.t;  (* vpn id -> its live members *)
-  pe_sizes : int Id_tbl.t;  (* pe -> attached member count *)
+  pe_sizes : int ref Id_tbl.t;  (* pe -> attached member count *)
   mutable messages : int;
 }
 
@@ -30,12 +26,14 @@ let create ?(mechanism = Directory) ~pe_count () =
     messages = 0 }
 
 let pe_attachment_count t ~pe =
-  Option.value ~default:0 (Id_tbl.find_opt t.pe_sizes pe)
+  match Id_tbl.find t.pe_sizes pe with n -> !n | exception Not_found -> 0
 
 let bump_pe t pe d =
-  let n = pe_attachment_count t ~pe + d in
-  if n <= 0 then Id_tbl.remove t.pe_sizes pe
-  else Id_tbl.replace t.pe_sizes pe n
+  match Id_tbl.find t.pe_sizes pe with
+  | n ->
+    n := !n + d;
+    if !n <= 0 then Id_tbl.remove t.pe_sizes pe
+  | exception Not_found -> if d > 0 then Id_tbl.add t.pe_sizes pe (ref d)
 
 let members t ~vpn =
   match Id_tbl.find_opt t.vpns vpn with
@@ -56,17 +54,17 @@ let notify_cost t ~others =
 
 (* The join itself is O(1): dup check, notification cost and the per-PE
    attachment count all come from the index tables — mass provisioning
-   joins in linear total time. [site] is already in [by_id]. *)
-let join_one t (site : Site.t) =
-  let vpn = site.Site.vpn in
-  let v =
-    match Id_tbl.find_opt t.vpns vpn with
-    | Some v -> v
-    | None ->
-      let v = { rev_members = []; size = 0 } in
-      Id_tbl.replace t.vpns vpn v;
-      v
-  in
+   joins in linear total time. *)
+let vpn_of t vpn =
+  match Id_tbl.find t.vpns vpn with
+  | v -> v
+  | exception Not_found ->
+    let v = { vpn_id = vpn; rev_members = []; size = 0 } in
+    Id_tbl.add t.vpns vpn v;
+    v
+
+(* [site] joins [v], its VPN; it is already in [by_id]. *)
+let join_one t v (site : Site.t) =
   t.messages <- t.messages + notify_cost t ~others:v.size;
   v.rev_members <- site :: v.rev_members;
   v.size <- v.size + 1;
@@ -79,7 +77,7 @@ let reject_member (site : Site.t) =
 let join t (site : Site.t) =
   if Id_tbl.mem t.by_id site.Site.id then reject_member site;
   Id_tbl.add t.by_id site.Site.id site;
-  join_one t site
+  join_one t (vpn_of t site.Site.vpn) site
 
 let join_all t sites =
   (* Validate the whole batch before any join, so a bad batch is
@@ -103,7 +101,17 @@ let join_all t sites =
       record (n + 1) rest
   in
   record 0 sites;
-  List.iter (join_one t) sites
+  (* A batch lists a VPN's sites together; look its record up once. *)
+  let rec join_run v = function
+    | [] -> ()
+    | (site : Site.t) :: rest ->
+      let v = if v.vpn_id = site.Site.vpn then v else vpn_of t site.Site.vpn in
+      join_one t v site;
+      join_run v rest
+  in
+  match sites with
+  | [] -> ()
+  | (first : Site.t) :: _ -> join_run (vpn_of t first.Site.vpn) sites
 
 let leave t ~site_id =
   match Id_tbl.find_opt t.by_id site_id with

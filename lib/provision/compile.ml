@@ -6,21 +6,15 @@ module Prefix = Mvpn_net.Prefix
 
 (* --- small sorted-collection helpers ------------------------------------ *)
 
-let rec ins_sorted x = function
-  | [] -> [x]
-  | y :: _ as l when x < y -> x :: l
-  | y :: rest when x = y -> y :: rest
-  | y :: rest -> y :: ins_sorted x rest
-
-(* [ins_sorted] for a list kept in descending order: adding a value
-   above every other is a cons. *)
+(* Insert into a list kept in descending order: adding a value above
+   every other is a cons. *)
 let rec ins_desc x = function
   | [] -> [x]
   | y :: _ as l when x > y -> x :: l
   | y :: rest when x = y -> y :: rest
   | y :: rest -> y :: ins_desc x rest
 
-let rm_sorted x l = List.filter (fun y -> y <> x) l
+let remove x l = List.filter (fun y -> y <> x) l
 
 let arr_mem (a : int array) x =
   let lo = ref 0 and hi = ref (Array.length a) in
@@ -59,7 +53,7 @@ type group = {
   g_key : int;
   g_import : Mpbgp.rt list;
   g_export : Mpbgp.rt list;
-  mutable g_pes : int list;  (* member VRF PEs, sorted *)
+  mutable g_pes : int list;  (* member VRF PEs, newest first *)
   mutable g_routes : int array;  (* interned route ids, sorted *)
 }
 
@@ -73,14 +67,8 @@ type vrf = {
 }
 
 (* Every table here is keyed on packed ints (global site ids are
-   [customer lsl 16 lor sid]): mixed before the bucket mask, or the low
-   bits alone would pick the bucket. *)
-module Int_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Mvpn_sim.Rng.hash_int
-  end)
+   [customer lsl 16 lor sid]). *)
+module Int_tbl = Mvpn_sim.Int_tbl
 
 type cust = {
   c_id : int;
@@ -101,6 +89,7 @@ type t = {
   exporters : int list Int_tbl.t;  (* rt_value -> exporting groups *)
   sites : int Int_tbl.t;  (* gsid -> site_entry of its route and role *)
   lsps : int Int_tbl.t;  (* (ingress lsl 8) lor egress -> refcount *)
+  mutable prefixes : Prefix.t option array;  (* sid -> its site prefix *)
 }
 
 let role_bit = function Service.Hub -> 1 | Service.Spoke -> 0
@@ -163,7 +152,7 @@ let link tbl k rts =
 let unlink tbl k rts =
   List.iter
     (fun (rt : Mpbgp.rt) ->
-       match rm_sorted k (groups_of tbl rt) with
+       match remove k (groups_of tbl rt) with
        | [] -> Int_tbl.remove tbl rt.Mpbgp.rt_value
        | rest -> Int_tbl.replace tbl rt.Mpbgp.rt_value rest)
     rts
@@ -213,17 +202,17 @@ let ensure_group t (c : cust) role ~fill =
    in one sweep at the end. *)
 let ensure_vrf t (c : cust) role pe ~wire =
   let k = vrf_key pe c.c_id role in
-  match Int_tbl.find_opt t.vrfs k with
-  | Some v -> v
-  | None ->
+  match Int_tbl.find t.vrfs k with
+  | v -> v
+  | exception Not_found ->
     let g = ensure_group t c role ~fill:wire in
-    g.g_pes <- ins_sorted pe g.g_pes;
+    g.g_pes <- pe :: g.g_pes;
     let v =
       { v_pe = pe; v_vpn = c.c_id; v_role = role;
         v_rd = Service.Pool.rd t.pool ~customer:c.c_id;
         v_group = g; v_locals = [] }
     in
-    Int_tbl.replace t.vrfs k v;
+    Int_tbl.add t.vrfs k v;
     if wire then
       Array.iter
         (fun id ->
@@ -231,6 +220,23 @@ let ensure_vrf t (c : cust) role pe ~wire =
            if egress <> pe then lsp_incr t ~ingress:pe ~egress)
         g.g_routes;
     v
+
+(* A site's prefix depends on its sid alone, so every site with the
+   same sid shares one record. [sid] is in range: its global site id
+   was built. *)
+let site_prefix t sid =
+  let n = Array.length t.prefixes in
+  if sid >= n then begin
+    let a = Array.make (min 0x10000 (max (sid + 1) (2 * n))) None in
+    Array.blit t.prefixes 0 a 0 n;
+    t.prefixes <- a
+  end;
+  match t.prefixes.(sid) with
+  | Some p -> p
+  | None ->
+    let p = Service.site_prefix ~sid in
+    t.prefixes.(sid) <- Some p;
+    p
 
 (* Design a site into existence: VRF (created if first on this PE),
    route exported with the pool's RD/RTs and the pure-function label.
@@ -241,7 +247,7 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
     invalid_arg
       (Printf.sprintf "Compile: site %d.%d already provisioned" c.c_id
          spec.Service.sid);
-  let prefix = Service.site_prefix ~sid:spec.Service.sid in
+  let prefix = site_prefix t spec.Service.sid in
   let site =
     Site.make ~id:gsid
       ~name:(Service.site_name ~customer:c.c_id ~sid:spec.Service.sid)
@@ -256,21 +262,25 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
   in
   v.v_locals <- ins_desc gsid v.v_locals;
   Int_tbl.add t.sites gsid (site_entry ~route:id spec.Service.role);
-  (site, id)
+  site
 
+(* Tables sized from the portfolio: a customer has one or two groups
+   and RTs, and a VRF on each PE it reaches (a table holds twice its
+   buckets before it grows). *)
 let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
+  let customers = Array.length p.Portfolio.customers in
   let t =
     { pe_count = p.Portfolio.pe_count;
       pool = Service.Pool.create ();
       membership = Membership.create ~pe_count:p.Portfolio.pe_count ();
       bgp = Mpbgp.create ~mode ();
-      customers = Int_tbl.create (Array.length p.Portfolio.customers);
-      vrfs = Int_tbl.create 1024;
-      groups = Int_tbl.create 512;
-      importers = Int_tbl.create 512;
-      exporters = Int_tbl.create 512;
+      customers = Int_tbl.create customers;
+      vrfs = Int_tbl.create (2 * customers);
+      groups = Int_tbl.create customers;
+      importers = Int_tbl.create customers;
+      exporters = Int_tbl.create customers;
       sites = Int_tbl.create (Portfolio.site_count p);
-      lsps = Int_tbl.create 256 }
+      lsps = Int_tbl.create 256; prefixes = [||] }
   in
   for pe = 0 to t.pe_count - 1 do Mpbgp.add_pe t.bgp pe done;
   Array.iter
@@ -289,9 +299,11 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
    Ids come out ascending, so every table is sorted — the same sets
    {!routes_importing} finds per group. *)
 let fill_groups t =
-  let groups = Array.of_seq (Int_tbl.to_seq_values t.groups) in
+  let groups =
+    Array.of_list (Int_tbl.fold (fun _ g acc -> g :: acc) t.groups [])
+  in
   let slot = Int_tbl.create (Array.length groups) in
-  Array.iteri (fun i g -> Int_tbl.replace slot g.g_key i) groups;
+  Array.iteri (fun i g -> Int_tbl.add slot g.g_key i) groups;
   let targets =
     Array.init (Mpbgp.rt_set_count t.bgp) (fun rs ->
         List.fold_left
@@ -363,8 +375,7 @@ let compile ?mode (p : Portfolio.t) =
        let cust = find_customer t c.Service.id in
        List.iter
          (fun spec ->
-            let site, _ = design_site t cust spec ~wire:false in
-            sites := site :: !sites)
+            sites := design_site t cust spec ~wire:false :: !sites)
          c.Service.sites)
     p.Portfolio.customers;
   Membership.join_all t.membership (List.rev !sites);
@@ -380,7 +391,8 @@ let provision_site t ~customer ~sid ~pe =
     invalid_arg (Printf.sprintf "Compile.provision_site: bad PE %d" pe);
   let c = find_customer t customer in
   let role = Service.default_role c.c_topology ~sid in
-  let site, id = design_site t c { Service.sid; pe; role } ~wire:true in
+  let site = design_site t c { Service.sid; pe; role } ~wire:true in
+  let id = entry_route (Int_tbl.find t.sites site.Site.id) in
   Membership.join t.membership site;
   ignore (Mpbgp.run t.bgp);
   let touched = ref 1 in
@@ -438,10 +450,10 @@ let decommission_site t ~customer ~sid =
      of the shrunken portfolio would not have them. *)
   let vk = vrf_key egress c.c_id role in
   let v = Int_tbl.find t.vrfs vk in
-  v.v_locals <- rm_sorted gsid v.v_locals;
+  v.v_locals <- remove gsid v.v_locals;
   if v.v_locals = [] then begin
     let g = v.v_group in
-    g.g_pes <- rm_sorted v.v_pe g.g_pes;
+    g.g_pes <- remove v.v_pe g.g_pes;
     Array.iter
       (fun id' ->
          let egress = route_pe t id' in

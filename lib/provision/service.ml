@@ -1,5 +1,6 @@
 module Mpbgp = Mvpn_routing.Mpbgp
 module Qos_mapping = Mvpn_core.Qos_mapping
+module Int_tbl = Mvpn_sim.Int_tbl
 module Prefix = Mvpn_net.Prefix
 
 type tier = Gold | Silver | Bronze
@@ -92,29 +93,29 @@ module Pool = struct
      tables double as the allocation ledger. *)
   type t = {
     asn : int;
-    rds : (int, Mpbgp.rd) Hashtbl.t;
-    rts : (int, Mpbgp.rt) Hashtbl.t;
+    rds : Mpbgp.rd Int_tbl.t;
+    rts : Mpbgp.rt Int_tbl.t;
   }
 
   let create ?(asn = 65000) () =
-    { asn; rds = Hashtbl.create 64; rts = Hashtbl.create 64 }
+    { asn; rds = Int_tbl.create 64; rts = Int_tbl.create 64 }
 
   let asn t = t.asn
 
   let rd t ~customer =
-    match Hashtbl.find_opt t.rds customer with
-    | Some rd -> rd
-    | None ->
+    match Int_tbl.find t.rds customer with
+    | rd -> rd
+    | exception Not_found ->
       let rd = { Mpbgp.rd_asn = t.asn; rd_assigned = customer } in
-      Hashtbl.replace t.rds customer rd;
+      Int_tbl.add t.rds customer rd;
       rd
 
   let rt_value t v =
-    match Hashtbl.find_opt t.rts v with
-    | Some rt -> rt
-    | None ->
+    match Int_tbl.find t.rts v with
+    | rt -> rt
+    | exception Not_found ->
       let rt = { Mpbgp.rt_asn = t.asn; rt_value = v } in
-      Hashtbl.replace t.rts v rt;
+      Int_tbl.add t.rts v rt;
       rt
 
   let rt_any t ~customer = rt_value t (4 * customer)
@@ -122,8 +123,8 @@ module Pool = struct
   let rt_spoke t ~customer = rt_value t ((4 * customer) + 2)
   let rt_extranet t ~group = rt_value t ((4 * group) + 3)
 
-  let rds_allocated t = Hashtbl.length t.rds
-  let rts_allocated t = Hashtbl.length t.rts
+  let rds_allocated t = Int_tbl.length t.rds
+  let rts_allocated t = Int_tbl.length t.rts
 end
 
 let export_rts pool ~topology ~customer ~role =

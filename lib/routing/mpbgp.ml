@@ -29,25 +29,19 @@ type session_mode = Full_mesh | Route_reflector of int
    clusters into runs of thousands of slots. *)
 let k_mul = 0x2545f4914f6cdd1d
 
-let key_hash asn assigned net len pe =
-  Mvpn_sim.Rng.hash_int
-    ((((((((assigned * k_mul) + asn) * k_mul) + net) * k_mul) + len) * k_mul)
-     + pe)
+let key_hash asn assigned prefix pe =
+  Mvpn_sim.Int_tbl.hash
+    ((((((assigned * k_mul) + asn) * k_mul) + prefix) * k_mul) + pe)
 
-let site_hash pe site = Mvpn_sim.Rng.hash_int ((site * k_mul) + pe)
+let site_hash pe site = Mvpn_sim.Int_tbl.hash ((site * k_mul) + pe)
 
-module Pe_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Mvpn_sim.Rng.hash_int
-  end)
+module Pe_tbl = Mvpn_sim.Int_tbl
 
 (* One route lives once, in the interned store, as a column of ints per
    field: the tables that hold it — every remote PE's Adj-RIB-In, any
    VRF route group built on top — keep only its integer id. The store
    holds no per-route pointer: the major GC never marks it, and a route
-   costs nine words plus two bytes whatever the heap around it looks
+   costs eight words plus two bytes whatever the heap around it looks
    like. RT lists, which few routes do not share, are interned once into
    [rt_sets] and a route stores the set's id.
 
@@ -103,8 +97,7 @@ type t = {
   (* The store: per id, one entry in each column. *)
   mutable rd_asn : int array;
   mutable rd_assigned : int array;
-  mutable network : int array;
-  mutable length : int array;
+  mutable prefix : int array;  (* network lsl 6 lor length *)
   mutable next_hop : int array;
   mutable label : int array;
   mutable site : int array;
@@ -117,7 +110,7 @@ type t = {
   mutable next_id : int;
   mutable exported : int;  (* ids whose announcement stands *)
   mutable fresh : int list;  (* PEs added since last run, to back-fill *)
-  (* (RD, network, length, PE) -> id, for every standing announcement. *)
+  (* (RD, prefix, PE) -> id, for every standing announcement. *)
   keys : index;
   (* (PE, site) -> the newest of its standing ids; [site_next] chains
      the rest. *)
@@ -135,8 +128,8 @@ let create ?(mode = Full_mesh) () =
   let col () = Array.make 64 0 in
   let t =
     { mode; pes = []; by_pe = Pe_tbl.create 16; messages = 0;
-      rd_asn = col (); rd_assigned = col (); network = col ();
-      length = col (); next_hop = col (); label = col (); site = col ();
+      rd_asn = col (); rd_assigned = col (); prefix = col ();
+      next_hop = col (); label = col (); site = col ();
       rts = col (); site_next = col (); live = Bytes.make 64 '\000';
       journal = Bytes.make 64 clean; dirty = col (); dirty_len = 0;
       next_id = 0; exported = 0; fresh = []; keys = index_create ();
@@ -177,10 +170,10 @@ let check_pe t pe = if not (Pe_tbl.mem t.by_pe pe) then unknown_pe pe
 (* The slot holding the id announced under the key, or [lnot s] for the
    slot [s] an insert of that key takes (the first tombstone on the
    probe path, else the empty slot ending it). *)
-let key_slot t asn assigned net len pe =
+let key_slot t asn assigned prefix pe =
   let slots = t.keys.slots in
   let mask = Array.length slots - 1 in
-  let i = ref (key_hash asn assigned net len pe land mask) in
+  let i = ref (key_hash asn assigned prefix pe land mask) in
   let free = ref (-1) and found = ref min_int in
   while !found = min_int do
     let id = slots.(!i) in
@@ -190,7 +183,7 @@ let key_slot t asn assigned net len pe =
       i := (!i + 1) land mask
     end
     else if
-      t.network.(id) = net && t.next_hop.(id) = pe && t.length.(id) = len
+      t.prefix.(id) = prefix && t.next_hop.(id) = pe
       && t.rd_assigned.(id) = assigned && t.rd_asn.(id) = asn
     then found := !i
     else i := (!i + 1) land mask
@@ -217,8 +210,7 @@ let site_slot t pe site =
 
 let home t idx id =
   if idx == t.keys then
-    key_hash t.rd_asn.(id) t.rd_assigned.(id) t.network.(id) t.length.(id)
-      t.next_hop.(id)
+    key_hash t.rd_asn.(id) t.rd_assigned.(id) t.prefix.(id) t.next_hop.(id)
   else site_hash t.next_hop.(id) t.site.(id)
 
 (* Re-insert every live entry into fresh slots: twice as many when more
@@ -278,12 +270,11 @@ let grow_bytes b n fill =
   c
 
 let alloc t =
-  if t.next_id = Array.length t.network then begin
+  if t.next_id = Array.length t.prefix then begin
     let n = 2 * t.next_id in
     t.rd_asn <- grow_col t.rd_asn n;
     t.rd_assigned <- grow_col t.rd_assigned n;
-    t.network <- grow_col t.network n;
-    t.length <- grow_col t.length n;
+    t.prefix <- grow_col t.prefix n;
     t.next_hop <- grow_col t.next_hop n;
     t.label <- grow_col t.label n;
     t.site <- grow_col t.site n;
@@ -363,10 +354,12 @@ let export t route =
   let pe = route.next_hop_pe in
   check_pe t pe;
   let asn = route.rd.rd_asn and assigned = route.rd.rd_assigned in
-  let net = Ipv4.to_int (Prefix.network route.prefix) in
-  let len = Prefix.length route.prefix in
+  let prefix =
+    (Ipv4.to_int (Prefix.network route.prefix) lsl 6)
+    lor Prefix.length route.prefix
+  in
   let rs = intern_rts t route.export_rts in
-  let s = key_slot t asn assigned net len pe in
+  let s = key_slot t asn assigned prefix pe in
   if s >= 0 then begin
     (* Same announcement: patch the stored fields in place. Only
        label/RT changes are UPDATE-worthy on the wire; the site rides
@@ -388,8 +381,7 @@ let export t route =
     let id = alloc t in
     t.rd_asn.(id) <- asn;
     t.rd_assigned.(id) <- assigned;
-    t.network.(id) <- net;
-    t.length.(id) <- len;
+    t.prefix.(id) <- prefix;
     t.next_hop.(id) <- pe;
     t.label.(id) <- route.vpn_label;
     t.site.(id) <- route.site;
@@ -415,8 +407,7 @@ let withdraw_site t ~pe ~site =
       let i = !id in
       id := t.site_next.(i);
       index_remove t.keys
-        (key_slot t t.rd_asn.(i) t.rd_assigned.(i) t.network.(i)
-           t.length.(i) pe);
+        (key_slot t t.rd_asn.(i) t.rd_assigned.(i) t.prefix.(i) pe);
       t.exported <- t.exported - 1;
       if Bytes.get t.journal i = added then begin
         (* Announced and retracted between runs: nobody ever saw it. *)
@@ -460,7 +451,7 @@ let propagate t ~changed src id =
 let run t =
   let sent = ref 0 in
   (* Every Adj-RIB-In spans the whole store before any delivery. *)
-  let cap = Array.length t.network in
+  let cap = Array.length t.prefix in
   List.iter
     (fun d ->
        if Bytes.length d.received < cap then
@@ -525,7 +516,9 @@ let rt_set_count t = t.rt_count
 (* Cold paths: a record built from the columns on every read. *)
 let route t id =
   { rd = { rd_asn = t.rd_asn.(id); rd_assigned = t.rd_assigned.(id) };
-    prefix = Prefix.make (Ipv4.of_int32_exn t.network.(id)) t.length.(id);
+    prefix =
+      Prefix.make (Ipv4.of_int32_exn (t.prefix.(id) lsr 6))
+        (t.prefix.(id) land 63);
     next_hop_pe = t.next_hop.(id); vpn_label = t.label.(id);
     export_rts = t.rt_sets.(t.rts.(id)); site = t.site.(id) }
 

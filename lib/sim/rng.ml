@@ -17,11 +17,6 @@ let bits64 r =
 
 let fork r = { state = bits64 r }
 
-let hash_int h =
-  let h = (h lxor (h lsr 31)) * 0x3c79ac492ba7b653 in
-  let h = (h lxor (h lsr 29)) * 0x1c69b3f74ac4ae35 in
-  (h lxor (h lsr 32)) land max_int
-
 (* Indexed substream: derived from the parent's *current* position and
    the index only, without advancing the parent — so shard k of a
    partitioned run gets the same stream no matter how many sibling

@@ -25,12 +25,6 @@ val split : t -> int -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val hash_int : int -> int
-(** A stateless full-avalanche mix of an int (the splitmix64 finalizer
-    on 63-bit ints) onto [0, max_int]: every input bit reaches every
-    output bit. For hash tables keyed on packed ints, whose low bits
-    alone would cluster. *)
-
 val int : t -> int -> int
 (** [int r bound] is uniform in [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)
