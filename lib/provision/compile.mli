@@ -29,9 +29,9 @@ type t
 
 val compile : ?mode:Mvpn_routing.Mpbgp.session_mode -> Portfolio.t -> t
 (** Bulk compile of a whole portfolio: one membership batch, one BGP
-    propagation round, group tables filled in a single pass over the
-    interned store, and LSP refcounts summed per (ingress, egress) PE
-    pair from per-group counts. *)
+    propagation round, group tables filled by walks of the interned
+    store in id order, and LSP refcounts summed per (ingress, egress)
+    PE pair from per-group counts. *)
 
 val pe_count : t -> int
 val membership : t -> Mvpn_core.Membership.t

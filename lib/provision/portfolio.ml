@@ -95,18 +95,18 @@ let op_name = function
   | Remove_site _ -> "remove-site"
   | Change_tier _ -> "change-tier"
 
-let apply t op =
-  let customers = Array.copy t.customers in
-  let patch id f =
+(* Replay [op] into [customers] in place. *)
+let patch customers op =
+  let update id f =
     if id < 1 || id > Array.length customers then
       invalid_arg (Printf.sprintf "Portfolio.apply: unknown customer %d" id);
     customers.(id - 1) <- f customers.(id - 1)
   in
   (match op with
    | Change_tier { customer; tier } ->
-     patch customer (fun c -> { c with Service.tier })
+     update customer (fun c -> { c with Service.tier })
    | Add_site { customer; sid; pe } ->
-     patch customer (fun c ->
+     update customer (fun c ->
          if List.exists (fun s -> s.Service.sid = sid) c.Service.sites then
            invalid_arg
              (Printf.sprintf "Portfolio.apply: duplicate site %d.%d" customer
@@ -115,28 +115,36 @@ let apply t op =
          { c with
            Service.sites = c.Service.sites @ [{ Service.sid; pe; role }] })
    | Remove_site { customer; sid } ->
-     patch customer (fun c ->
+     update customer (fun c ->
          if not (List.exists (fun s -> s.Service.sid = sid) c.Service.sites)
          then
            invalid_arg
              (Printf.sprintf "Portfolio.apply: no site %d.%d" customer sid);
          { c with
            Service.sites =
-             List.filter (fun s -> s.Service.sid <> sid) c.Service.sites }));
+             List.filter (fun s -> s.Service.sid <> sid) c.Service.sites }))
+
+(* Pure for the caller: each works on a private copy of the customer
+   array, one copy per call rather than one per op. *)
+let apply t op =
+  let customers = Array.copy t.customers in
+  patch customers op;
   { t with customers }
 
-let apply_all t ops = List.fold_left apply t ops
+let apply_all t ops =
+  let customers = Array.copy t.customers in
+  List.iter (patch customers) ops;
+  { t with customers }
 
 (* Op [k] draws only from substream [k]; the evolving portfolio it
    validates against is itself a pure replay — so the whole sequence
    is a function of (portfolio, seed, ops), nothing else. *)
 let churn t ~seed ~ops =
   let root = Rng.create seed in
-  let cur = ref t in
+  let customers = Array.copy t.customers in
   List.init ops (fun k ->
       let rng = Rng.split root (k + 1) in
-      let p = !cur in
-      let c = p.customers.(Rng.int rng (Array.length p.customers)) in
+      let c = customers.(Rng.int rng (Array.length customers)) in
       let n = List.length c.Service.sites in
       let x = Rng.uniform rng in
       let op =
@@ -152,7 +160,7 @@ let churn t ~seed ~ops =
                 (fun m s -> max m s.Service.sid)
                 (-1) c.Service.sites
           in
-          Add_site { customer = c.Service.id; sid; pe = Rng.int rng p.pe_count }
+          Add_site { customer = c.Service.id; sid; pe = Rng.int rng t.pe_count }
       in
-      cur := apply p op;
+      patch customers op;
       op)
