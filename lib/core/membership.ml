@@ -4,39 +4,36 @@ type mechanism = Directory | Flooded
    VPN — leave, members, discover — walks only that VPN's list, never
    the whole population (E19: 10k VPNs, 100k+ sites). *)
 type vpn = {
-  vpn_id : int;
   mutable rev_members : Site.t list;  (* reverse join order *)
   mutable size : int;
 }
 
-module Id_tbl = Mvpn_sim.Int_tbl
+module Int_tbl = Mvpn_sim.Int_tbl
 
 type t = {
   mechanism : mechanism;
   pe_count : int;
-  mutable by_id : Site.t Id_tbl.t;
-  vpns : vpn Id_tbl.t;  (* vpn id -> its live members *)
-  pe_sizes : int ref Id_tbl.t;  (* pe -> attached member count *)
+  mutable by_id : Site.t Int_tbl.t;
+  vpns : vpn Int_tbl.t;  (* vpn id -> its live members *)
+  pe_sizes : int Int_tbl.t;  (* pe -> attached member count *)
   mutable messages : int;
 }
 
 let create ?(mechanism = Directory) ~pe_count () =
-  { mechanism; pe_count; by_id = Id_tbl.create 64;
-    vpns = Id_tbl.create 16; pe_sizes = Id_tbl.create 16;
+  { mechanism; pe_count; by_id = Int_tbl.create 64;
+    vpns = Int_tbl.create 16; pe_sizes = Int_tbl.create 16;
     messages = 0 }
 
 let pe_attachment_count t ~pe =
-  match Id_tbl.find t.pe_sizes pe with n -> !n | exception Not_found -> 0
+  Option.value ~default:0 (Int_tbl.find_opt t.pe_sizes pe)
 
 let bump_pe t pe d =
-  match Id_tbl.find t.pe_sizes pe with
-  | n ->
-    n := !n + d;
-    if !n <= 0 then Id_tbl.remove t.pe_sizes pe
-  | exception Not_found -> if d > 0 then Id_tbl.add t.pe_sizes pe (ref d)
+  let n = pe_attachment_count t ~pe + d in
+  if n <= 0 then Int_tbl.remove t.pe_sizes pe
+  else Int_tbl.replace t.pe_sizes pe n
 
 let members t ~vpn =
-  match Id_tbl.find_opt t.vpns vpn with
+  match Int_tbl.find_opt t.vpns vpn with
   | Some v -> List.rev v.rev_members
   | None -> []
 
@@ -54,17 +51,17 @@ let notify_cost t ~others =
 
 (* The join itself is O(1): dup check, notification cost and the per-PE
    attachment count all come from the index tables — mass provisioning
-   joins in linear total time. *)
-let vpn_of t vpn =
-  match Id_tbl.find t.vpns vpn with
-  | v -> v
-  | exception Not_found ->
-    let v = { vpn_id = vpn; rev_members = []; size = 0 } in
-    Id_tbl.add t.vpns vpn v;
-    v
-
-(* [site] joins [v], its VPN; it is already in [by_id]. *)
-let join_one t v (site : Site.t) =
+   joins in linear total time. [site] is already in [by_id]. *)
+let join_one t (site : Site.t) =
+  let vpn = site.Site.vpn in
+  let v =
+    match Int_tbl.find_opt t.vpns vpn with
+    | Some v -> v
+    | None ->
+      let v = { rev_members = []; size = 0 } in
+      Int_tbl.replace t.vpns vpn v;
+      v
+  in
   t.messages <- t.messages + notify_cost t ~others:v.size;
   v.rev_members <- site :: v.rev_members;
   v.size <- v.size + 1;
@@ -75,9 +72,9 @@ let reject_member (site : Site.t) =
     (Printf.sprintf "Membership.join: site %d already a member" site.Site.id)
 
 let join t (site : Site.t) =
-  if Id_tbl.mem t.by_id site.Site.id then reject_member site;
-  Id_tbl.add t.by_id site.Site.id site;
-  join_one t (vpn_of t site.Site.vpn) site
+  if Int_tbl.mem t.by_id site.Site.id then reject_member site;
+  Int_tbl.add t.by_id site.Site.id site;
+  join_one t site
 
 let join_all t sites =
   (* Validate the whole batch before any join, so a bad batch is
@@ -86,44 +83,34 @@ let join_all t sites =
      earlier site of the batch alike; on a duplicate the [n] sites
      recorded so far are unrecorded — by count, since the batch may
      hold the very same record twice. *)
-  if Id_tbl.length t.by_id = 0 then
-    t.by_id <- Id_tbl.create (List.length sites);
+  if Int_tbl.length t.by_id = 0 then
+    t.by_id <- Int_tbl.create (List.length sites);
   let rec record n = function
     | [] -> ()
     | (site : Site.t) :: rest ->
-      if Id_tbl.mem t.by_id site.Site.id then begin
+      if Int_tbl.mem t.by_id site.Site.id then begin
         List.iteri
-          (fun i (s : Site.t) -> if i < n then Id_tbl.remove t.by_id s.Site.id)
+          (fun i (s : Site.t) -> if i < n then Int_tbl.remove t.by_id s.Site.id)
           sites;
         reject_member site
       end;
-      Id_tbl.add t.by_id site.Site.id site;
+      Int_tbl.add t.by_id site.Site.id site;
       record (n + 1) rest
   in
   record 0 sites;
-  (* A batch lists a VPN's sites together; look its record up once. *)
-  let rec join_run v = function
-    | [] -> ()
-    | (site : Site.t) :: rest ->
-      let v = if v.vpn_id = site.Site.vpn then v else vpn_of t site.Site.vpn in
-      join_one t v site;
-      join_run v rest
-  in
-  match sites with
-  | [] -> ()
-  | (first : Site.t) :: _ -> join_run (vpn_of t first.Site.vpn) sites
+  List.iter (join_one t) sites
 
 let leave t ~site_id =
-  match Id_tbl.find_opt t.by_id site_id with
+  match Int_tbl.find_opt t.by_id site_id with
   | None -> false
   | Some site ->
     let vpn = site.Site.vpn in
-    let v = Id_tbl.find t.vpns vpn in
+    let v = Int_tbl.find t.vpns vpn in
     v.rev_members <-
       List.filter (fun (s : Site.t) -> s.Site.id <> site_id) v.rev_members;
     v.size <- v.size - 1;
-    if v.size = 0 then Id_tbl.remove t.vpns vpn;
-    Id_tbl.remove t.by_id site_id;
+    if v.size = 0 then Int_tbl.remove t.vpns vpn;
+    Int_tbl.remove t.by_id site_id;
     bump_pe t site.Site.pe_node (-1);
     t.messages <- t.messages + notify_cost t ~others:v.size;
     true
@@ -135,8 +122,8 @@ let discover t ~asking =
     (members t ~vpn:asking.Site.vpn)
 
 let vpn_ids t =
-  List.sort Int.compare (Id_tbl.fold (fun vpn _ acc -> vpn :: acc) t.vpns [])
+  List.sort Int.compare (Int_tbl.fold (fun vpn _ acc -> vpn :: acc) t.vpns [])
 
-let site_count t = Id_tbl.length t.by_id
+let site_count t = Int_tbl.length t.by_id
 
 let messages t = t.messages

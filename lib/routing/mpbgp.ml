@@ -167,51 +167,46 @@ let check_pe t pe = if not (Pe_tbl.mem t.by_pe pe) then unknown_pe pe
 
 (* --- the two indexes ----------------------------------------------------- *)
 
-(* The slot holding the id announced under the key, or [lnot s] for the
-   slot [s] an insert of that key takes (the first tombstone on the
-   probe path, else the empty slot ending it). *)
-let key_slot t asn assigned prefix pe =
-  let slots = t.keys.slots in
-  let mask = Array.length slots - 1 in
-  let i = ref (key_hash asn assigned prefix pe land mask) in
-  let free = ref (-1) and found = ref min_int in
-  while !found = min_int do
-    let id = slots.(!i) in
-    if id = empty then found := lnot (if !free >= 0 then !free else !i)
-    else if id = tomb then begin
-      if !free < 0 then free := !i;
-      i := (!i + 1) land mask
-    end
-    else if
-      t.prefix.(id) = prefix && t.next_hop.(id) = pe
-      && t.rd_assigned.(id) = assigned && t.rd_asn.(id) = asn
-    then found := !i
-    else i := (!i + 1) land mask
-  done;
-  !found
+(* A key of [keys] is (RD asn, RD assigned, prefix, PE); a key of
+   [sites] is (site, PE), passed as [a] and [pe] with [b] and [c]
+   unused. A slot's key is read from the id it holds. *)
+let holds_key t idx id a b c pe =
+  t.next_hop.(id) = pe
+  && (if idx == t.keys then
+        t.prefix.(id) = c && t.rd_assigned.(id) = b && t.rd_asn.(id) = a
+      else t.site.(id) = a)
 
-(* Like {!key_slot}, for the (PE, site) chain heads. *)
-let site_slot t pe site =
-  let slots = t.sites.slots in
-  let mask = Array.length slots - 1 in
-  let i = ref (site_hash pe site land mask) in
-  let free = ref (-1) and found = ref min_int in
-  while !found = min_int do
-    let id = slots.(!i) in
-    if id = empty then found := lnot (if !free >= 0 then !free else !i)
-    else if id = tomb then begin
-      if !free < 0 then free := !i;
-      i := (!i + 1) land mask
-    end
-    else if t.site.(id) = site && t.next_hop.(id) = pe then found := !i
-    else i := (!i + 1) land mask
-  done;
-  !found
+let hash t idx a b c pe =
+  if idx == t.keys then key_hash a b c pe else site_hash pe a
 
 let home t idx id =
   if idx == t.keys then
     key_hash t.rd_asn.(id) t.rd_assigned.(id) t.prefix.(id) t.next_hop.(id)
   else site_hash t.next_hop.(id) t.site.(id)
+
+(* The slot of [idx] holding the id under the key, or [lnot s] for the
+   slot [s] an insert of that key takes (the first tombstone on the
+   probe path, else the empty slot ending it). *)
+let slot t idx a b c pe =
+  let slots = idx.slots in
+  let mask = Array.length slots - 1 in
+  let i = ref (hash t idx a b c pe land mask) in
+  let free = ref (-1) and found = ref min_int in
+  while !found = min_int do
+    let id = slots.(!i) in
+    if id = empty then found := lnot (if !free >= 0 then !free else !i)
+    else if id = tomb then begin
+      if !free < 0 then free := !i;
+      i := (!i + 1) land mask
+    end
+    else if holds_key t idx id a b c pe then found := !i
+    else i := (!i + 1) land mask
+  done;
+  !found
+
+let key_slot t asn assigned prefix pe = slot t t.keys asn assigned prefix pe
+
+let site_slot t pe site = slot t t.sites site 0 0 pe
 
 (* Re-insert every live entry into fresh slots: twice as many when more
    than a quarter are live, else as many (which only drops the

@@ -1250,7 +1250,7 @@ let churn_op_gen =
          (fun ((pe, key, site), (label, mask)) ->
             C_export (pe, key, site, label, mask))
          (pair
-            (triple (int_range 0 2) (int_range 0 5) (int_range 0 3))
+            (triple (int_range 0 2) (int_range 0 7) (int_range 0 3))
             (pair (int_range 0 1) (int_range 1 3))));
       (4, map2 (fun pe site -> C_withdraw (pe, site)) (int_range 0 2)
             (int_range 0 3));
@@ -1375,10 +1375,14 @@ let store_churn_property =
             let ok =
               match op with
               | C_export (pe, key, site, label, mask) ->
+                (* Keys 2k and 2k+1 differ in the RD's ASN alone. *)
+                let rd =
+                  { Mpbgp.rd_asn = 65000 + (key land 1);
+                    rd_assigned = (key lsr 1) land 1 }
+                in
                 export
-                  (vpn_route ~site ~rd:(rd (key mod 2)) ~pe ~label
-                     ~rts:(rts_of_mask mask)
-                     (Printf.sprintf "10.%d.0.0/16" (key / 2)))
+                  (vpn_route ~site ~rd ~pe ~label ~rts:(rts_of_mask mask)
+                     (Printf.sprintf "10.%d.0.0/16" (key lsr 2)))
               | C_withdraw (pe, site) -> withdraw pe site
               | C_bulk (site, n) ->
                 List.for_all export
@@ -1391,6 +1395,45 @@ let store_churn_property =
             in
             ok && agree ())
          ops)
+
+(* Keys that differ in one field only share every other one, so once
+   their index holds a few dozen of them, nearly every probe passes
+   another's slot: each key field must take part in the comparison. *)
+let test_store_keys_differ_in_one_field () =
+  let variants =
+    [ ("rd asn", fun i -> ({ Mpbgp.rd_asn = i; rd_assigned = 1 }, 0, 0));
+      ("rd assigned", fun i -> (rd i, 0, 0));
+      ("prefix", fun i -> (rd 1, i, 0));
+      ("pe", fun i -> (rd 1, 0, i)) ]
+  in
+  List.iter
+    (fun (field, key) ->
+       let m = Mpbgp.create () in
+       for pe = 0 to 39 do Mpbgp.add_pe m pe done;
+       let routes =
+         List.init 40 (fun i ->
+             let r, p, pe = key i in
+             vpn_route ~site:(100 + i) ~rd:r ~pe ~label:i ~rts:[ rt 1 ]
+               (Printf.sprintf "10.%d.0.0/16" p))
+       in
+       List.iteri
+         (fun i r ->
+            Alcotest.(check int) (field ^ ": fresh id") i (Mpbgp.export m r))
+         routes;
+       Alcotest.(check int) (field ^ ": routes") 40 (Mpbgp.total_routes m);
+       List.iteri
+         (fun i r ->
+            Alcotest.(check bool) (field ^ ": resolves") true
+              (Mpbgp.find_route m i = Some r))
+         routes;
+       (* One site per route: each withdrawal takes exactly its own. *)
+       List.iteri
+         (fun i (r : Mpbgp.vpnv4_route) ->
+            Alcotest.(check int) (field ^ ": withdrawn") 1
+              (Mpbgp.withdraw_site m ~pe:r.Mpbgp.next_hop_pe ~site:(100 + i)))
+         routes;
+       Alcotest.(check int) (field ^ ": none left") 0 (Mpbgp.total_routes m))
+    variants
 
 (* The key shape of E19's 10k portfolio — customers 1..10k (the RD),
    sids 0..511 (the /24 and the site), 12 PEs — must not cluster in the
@@ -1479,5 +1522,7 @@ let () =
          qt mpbgp_model_property;
          qt journal_equivalence;
          qt store_churn_property;
+         Alcotest.test_case "store keys differ in one field" `Quick
+           test_store_keys_differ_in_one_field;
          Alcotest.test_case "probe clustering on the E19 key shape" `Quick
            test_store_probe_clustering ]) ]
