@@ -24,8 +24,10 @@ let create ?(mechanism = Directory) ~pe_count () =
     vpns = Int_tbl.create 16; pe_sizes = Int_tbl.create 16;
     messages = 0 }
 
+(* [find] rather than [find_opt]: a join looks up twice, and an option
+   box per lookup is most of what a bulk join allocates. *)
 let pe_attachment_count t ~pe =
-  Option.value ~default:0 (Int_tbl.find_opt t.pe_sizes pe)
+  match Int_tbl.find t.pe_sizes pe with n -> n | exception Not_found -> 0
 
 let bump_pe t pe d =
   let n = pe_attachment_count t ~pe + d in
@@ -55,9 +57,9 @@ let notify_cost t ~others =
 let join_one t (site : Site.t) =
   let vpn = site.Site.vpn in
   let v =
-    match Int_tbl.find_opt t.vpns vpn with
-    | Some v -> v
-    | None ->
+    match Int_tbl.find t.vpns vpn with
+    | v -> v
+    | exception Not_found ->
       let v = { rev_members = []; size = 0 } in
       Int_tbl.replace t.vpns vpn v;
       v

@@ -103,17 +103,17 @@ module Pool = struct
   let asn t = t.asn
 
   let rd t ~customer =
-    match Int_tbl.find_opt t.rds customer with
-    | Some rd -> rd
-    | None ->
+    match Int_tbl.find t.rds customer with
+    | rd -> rd
+    | exception Not_found ->
       let rd = { Mpbgp.rd_asn = t.asn; rd_assigned = customer } in
       Int_tbl.replace t.rds customer rd;
       rd
 
   let rt_value t v =
-    match Int_tbl.find_opt t.rts v with
-    | Some rt -> rt
-    | None ->
+    match Int_tbl.find t.rts v with
+    | rt -> rt
+    | exception Not_found ->
       let rt = { Mpbgp.rt_asn = t.asn; rt_value = v } in
       Int_tbl.replace t.rts v rt;
       rt

@@ -340,10 +340,10 @@ let chain_unlink t id =
     t.site_next.(!prev) <- t.site_next.(id)
   end
 
-let is_live t id = Bytes.get t.live id = '\001'
+let alive t id = Bytes.get t.live id = '\001'
 
 (* A live id whose announcement stands: not withdrawn pending a run. *)
-let standing t id = is_live t id && Bytes.get t.journal id <> retracted
+let standing t id = alive t id && Bytes.get t.journal id <> retracted
 
 let export t route =
   let pe = route.next_hop_pe in
@@ -460,7 +460,7 @@ let run t =
     (fun pe ->
        let d = get_pe t pe in
        for id = 0 to t.next_id - 1 do
-         if Bytes.get t.journal id = clean && is_live t id then
+         if Bytes.get t.journal id = clean && alive t id then
            sent := !sent + deliver ~changed:false d id
        done)
     t.fresh;
@@ -479,7 +479,7 @@ let run t =
         t.pes;
       Bytes.set t.live id '\000'
     end
-    else if code <> clean && is_live t id then
+    else if code <> clean && alive t id then
       sent :=
         !sent + propagate t ~changed:(code = updated) t.next_hop.(id) id
   done;
@@ -496,6 +496,8 @@ let issued t id = id >= 0 && id < t.next_id
 let check t fn id =
   if not (issued t id) then
     invalid_arg (Printf.sprintf "Mpbgp.%s: id %d never issued" fn id)
+
+let is_live t id = check t "is_live" id; alive t id
 
 let route_pe t id = check t "route_pe" id; t.next_hop.(id)
 
@@ -518,7 +520,7 @@ let route t id =
     export_rts = t.rt_sets.(t.rts.(id)); site = t.site.(id) }
 
 let find_route t id =
-  if issued t id && is_live t id then Some (route t id) else None
+  if issued t id && alive t id then Some (route t id) else None
 
 let iter_exported t f =
   for id = 0 to t.next_id - 1 do
@@ -530,7 +532,7 @@ let iter_exported t f =
 let fold_received t s f acc =
   let acc = ref acc in
   for id = min (Bytes.length s.received) t.next_id - 1 downto 0 do
-    if Bytes.get s.received id = '\001' && is_live t id then
+    if Bytes.get s.received id = '\001' && alive t id then
       acc := f id !acc
   done;
   !acc
