@@ -40,10 +40,10 @@ module Pe_tbl = Mvpn_sim.Int_tbl
 (* One route lives once, in the interned store, as a column of ints per
    field: the tables that hold it — every remote PE's Adj-RIB-In, any
    VRF route group built on top — keep only its integer id. The store
-   holds no per-route pointer: the major GC never marks it, and a route
-   costs eight words plus two bytes whatever the heap around it looks
-   like. RT lists, which few routes do not share, are interned once into
-   [rt_sets] and a route stores the set's id.
+   holds no per-route pointer, so the major GC has nothing in it to
+   follow, and a route costs eight words plus two bytes. RT lists, most
+   of them shared by many routes, are interned once into [rt_sets] and
+   a route stores the list's id.
 
    Ids are dense, so an Adj-RIB-In is a byte per id (1 = held) rather
    than a hash table: a delivery is a byte store. *)
