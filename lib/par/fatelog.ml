@@ -28,8 +28,6 @@ let add fl ~time ~vpn ~band ~dropped ~latency =
   fl.meta.(n) <- (vpn lsl 22) lor (band lsl 1) lor Bool.to_int dropped;
   fl.n <- n + 1
 
-let length fl = fl.n
-
 let emit fl i f =
   let meta = fl.meta.(i) in
   f ~time:(Float.Array.get fl.times i) ~vpn:(meta lsr 22)

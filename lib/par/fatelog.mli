@@ -17,8 +17,6 @@ val add :
 (** Append one fate; [latency] is 0 for drops. [band] must fit 21 bits
     and [vpn] 40. *)
 
-val length : t -> int
-
 val iter :
   t ->
   (time:float -> vpn:int -> band:int -> dropped:bool -> latency:float ->
