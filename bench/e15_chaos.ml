@@ -87,11 +87,17 @@ let run_regime ~frr =
   let s0 = cv "resilience.frr.switched" in
   let f0 = cv "resilience.fallback.packets" in
   let r0 = cv "resilience.recovery.resignal" in
-  let h =
-    H.build ~pops:8 ~vpns:2 ~sites_per_vpn:4 ~events ~load:0.5 ~frr
-      ~fallback:true ~seed ~duration ()
-  in
-  H.run h;
+  let h = ref None in
+  ignore
+    (Mvpn_par.Runner.run_sequential
+       { Mvpn_par.Runner.default_config with
+         pops = 8; vpns = 2; sites_per_vpn = 4; load = 0.5; duration; seed;
+         prepare_replica =
+           Some
+             (fun sc ->
+                h := Some (H.arm ~events ~frr ~fallback:true ~seed ~duration sc))
+       });
+  let h = Option.get !h in
   let p = H.port_totals h in
   let net = Scenario.network (H.scenario h) in
   let net_drops =

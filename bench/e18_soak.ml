@@ -19,10 +19,7 @@
 open Mvpn_par
 module T = Mvpn_telemetry
 module Audit = Mvpn_resilience.Audit
-module Chaos = Mvpn_resilience.Chaos
 module Harness = Mvpn_resilience.Harness
-module Scenario = Mvpn_core.Scenario
-module Backbone = Mvpn_core.Backbone
 
 let duration = 72.0
 let chaos_seed = 7
@@ -32,42 +29,21 @@ let base_cfg k =
     Runner.shards = k; pops = 16; vpns = 4; sites_per_vpn = 8;
     load = 0.9; duration; seed = 11; diurnal = Some 8 }
 
-(* Topology-only storm (no uid-hash verdicts), drawn once from a
-   throwaway build and closed over by every replica — the same plan is
-   valid at any shard count. *)
+(* The soak's topology-only storm, drawn once and closed over by every
+   replica — the same plan is valid at any shard count. *)
 let storm_plan =
   lazy
-    (T.Control.with_disabled (fun () ->
-         let c = base_cfg 1 in
-         let sc =
-           Scenario.build ~pops:c.Runner.pops ~vpns:c.Runner.vpns
-             ~sites_per_vpn:c.Runner.sites_per_vpn ~seed:c.Runner.seed
-             (Scenario.Mpls_deployment
-                { policy = c.Runner.policy; use_te = c.Runner.use_te })
-         in
-         let nodes = Array.to_list (Backbone.pops (Scenario.backbone sc)) in
-         Chaos.random_topology_plan ~events:24 ~nodes
-           ~rng:(Mvpn_sim.Rng.create chaos_seed)
-           ~links:(Scenario.core_links sc) ~duration ()))
+    (Harness.soak_storm ~events:24 ~seed:chaos_seed ~duration (fun () ->
+         Runner.build (base_cfg 1)))
 
-(* Both regimes — audited and baseline — carry the soak driver's live
+(* Both regimes — audited and baseline — carry the soak's live
    per-replica SLO engine, so the rate ratio isolates the auditor
-   itself. The span sampler attach_slo arms re-walks the trace ring
-   per sampled delivery; the soak runs without it, on every row. *)
-let prepare ~audit ~chaos sc =
-  let frr =
-    if chaos then
-      Harness.frr
-        (Harness.arm ~plan:(Lazy.force storm_plan) ~frr:true ~fallback:true
-           ~seed:chaos_seed ~duration sc)
-    else None
-  in
-  ignore
-    (Scenario.attach_slo
-       ~slo:(T.Slo.create ~events:(T.Event_log.create ()) ())
-       sc);
-  Mvpn_core.Network.set_span_sampler (Scenario.network sc) None;
-  if audit then ignore (Audit.start ?frr ~until:(duration +. 5.0) sc)
+   itself. *)
+let prepare ~audit ~chaos =
+  Harness.soak_replica
+    ?storm:(if chaos then Some (chaos_seed, Lazy.force storm_plan) else None)
+    ?audit:(if audit then Some (Audit.default_interval, false) else None)
+    ~duration
 
 let cfg ~k ~audit ~chaos =
   { (base_cfg k) with

@@ -1,39 +1,24 @@
-(* mvpn — command-line front end.
+(* mvpn — command-line front end; [mvpn SUBCOMMAND --help] documents
+   each subcommand.
 
-     mvpn topo     [--pops N]                  describe a backbone
-     mvpn deploy   [--pops N] [--vpns V] [--sites K] [--overlay]
-                                               provision and print state
-     mvpn run      [--policy P] [--load L] [--duration D] ...
-                                               run the mixed workload and
-                                               print per-class SLA reports
-     mvpn stats    [--json] ...                run the workload with
-                                               telemetry on and dump the
-                                               metric registry
-     mvpn slo      [--json] [--fail-at T] ...  run under per-(vpn, band)
-                                               SLOs; report conformance,
-                                               budgets and events; exit
-                                               non-zero when out of budget
-     mvpn timeline [--json|--csv] [--interval S] [--shards K]
-                                               run with the timeline sampler
-                                               armed and export the recorded
-                                               time series
-     mvpn soak     [--hours H] [--chaos SEED] [--shards K] [--json]
-                                               long-horizon diurnal soak with
-                                               the invariant auditor armed;
-                                               exit 1 on any violation
-     mvpn fail     [--pops N] ...              fail a core link mid-run and
-                                               report reconvergence
-     mvpn provision [--customers N] [--sites-dist D] [--churn K] [--json]
-                                               compile a customer portfolio
-                                               to VPN state; churn it
-                                               incrementally against the
-                                               from-scratch oracle *)
+     topo, deploy, plan, provision   the backbone, a VPN deployment,
+                                     capacity planning, a portfolio
+     run, stats, slo, chaos          one sequential run of the mixed
+                                     workload, reported four ways
+     par, timeline, soak             the same run, sequential or sharded
+     fail                            a scripted core-link failover
+
+   Every subcommand that runs traffic goes through Mvpn_par.Runner: its
+   flags make one Runner.config, and whatever it arms before the
+   workload is the config's prepare_replica. *)
 
 open Cmdliner
 open Mvpn_core
 module Engine = Mvpn_sim.Engine
 module Topology = Mvpn_sim.Topology
 module Sla = Mvpn_qos.Sla
+module Runner = Mvpn_par.Runner
+module Harness = Mvpn_resilience.Harness
 module Telemetry = Mvpn_telemetry
 module Json = Mvpn_telemetry.Json
 
@@ -50,19 +35,26 @@ let classes_json classes =
 
 (* --- shared arguments -------------------------------------------------- *)
 
-(* Numeric inputs that would crash or silently degenerate a run are
-   rejected at parse time, so misuse surfaces as cmdliner's usage-error
-   exit (124), never as an exception trace (125). *)
+(* Numeric inputs that would crash, hang or silently degenerate a run
+   are rejected at parse time, so misuse surfaces as cmdliner's
+   usage-error exit (124), never as an exception trace (125). *)
 
-(* Strictly positive finite float. *)
-let pos_float_conv =
+(* Finite float, strictly positive or, with [zero], non-negative. *)
+let float_conv ~zero =
   let parse s =
     match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg "must be a finite positive number")
+    | Some v when Float.is_finite v && (v > 0.0 || (zero && v = 0.0)) -> Ok v
+    | Some _ ->
+      Error
+        (`Msg
+           (if zero then "must be a finite non-negative number"
+            else "must be a finite positive number"))
     | None -> Error (`Msg (Printf.sprintf "invalid number %S" s))
   in
   Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
+
+let pos_float_conv = float_conv ~zero:false
+let nonneg_float_conv = float_conv ~zero:true
 
 (* Integer in [lo, hi] ([hi] unbounded when absent). *)
 let int_conv ~what ~lo ?hi () =
@@ -89,9 +81,10 @@ let pops_arg =
 let vpns_arg =
   Arg.(value & opt int 2 & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs.")
 
+(* Site k's prefix is 10.k.0.0/16, so k needs one octet. *)
 let sites_arg =
-  Arg.(value & opt int 4 & info ["sites"] ~docv:"K"
-         ~doc:"Sites per VPN.")
+  Arg.(value & opt (int_conv ~what:"--sites" ~lo:0 ~hi:256 ()) 4
+       & info ["sites"] ~docv:"K" ~doc:"Sites per VPN (0-256).")
 
 let policy_conv =
   Arg.enum
@@ -107,8 +100,9 @@ let policy_arg =
          ~doc:"Forwarding policy: best-effort, diffserv, diffserv-strict.")
 
 let load_arg =
-  Arg.(value & opt float 0.9 & info ["load"] ~docv:"L"
-         ~doc:"Offered load as a fraction of the access rate.")
+  Arg.(value & opt nonneg_float_conv 0.9 & info ["load"] ~docv:"L"
+         ~doc:"Offered load as a fraction of the access rate (finite, \
+               non-negative).")
 
 let duration_arg =
   Arg.(value & opt pos_float_conv 30.0 & info ["duration"] ~docv:"SEC"
@@ -124,6 +118,73 @@ let te_arg =
 let seed_arg =
   Arg.(value & opt int 11 & info ["seed"] ~docv:"SEED"
          ~doc:"Deterministic simulation seed.")
+
+(* The scenario a traffic subcommand runs: [shape_term] from the flags
+   all of them share, [config_term] with the rest of the common set. *)
+let shape_term =
+  let make pops vpns sites_per_vpn load seed =
+    { Runner.default_config with pops; vpns; sites_per_vpn; load; seed }
+  in
+  Term.(const make $ pops_arg $ vpns_arg $ sites_arg $ load_arg $ seed_arg)
+
+let config_term =
+  let make (cfg : Runner.config) policy duration use_te =
+    { cfg with policy; duration; use_te }
+  in
+  Term.(const make $ shape_term $ policy_arg $ duration_arg $ te_arg)
+
+(* --- shared run path ---------------------------------------------------- *)
+
+(* Run [f] on a fresh registry with telemetry on. *)
+let with_telemetry f =
+  Telemetry.Registry.reset ();
+  Telemetry.Control.enable ();
+  let r = f () in
+  Telemetry.Control.disable ();
+  r
+
+(* One shard runs the sequential replica; more run partitioned. *)
+let run_config (cfg : Runner.config) =
+  if cfg.shards <= 1 then Runner.run_sequential cfg
+  else Runner.run_parallel cfg
+
+(* A sequential run that also hands back its replica, for the reports
+   that read the scenario. An SLO engine attached to the replica has
+   its windows closed at the horizon. *)
+let run_replica (cfg : Runner.config) =
+  let replica = ref None in
+  let prepare sc =
+    replica := Some sc;
+    Option.iter (fun f -> f sc) cfg.prepare_replica
+  in
+  ignore (Runner.run_sequential { cfg with prepare_replica = Some prepare });
+  let sc = Option.get !replica in
+  Option.iter
+    (fun slo ->
+       Telemetry.Slo.advance slo ~time:(Engine.now (Scenario.engine sc)))
+    (Network.slo (Scenario.network sc));
+  sc
+
+(* The merged replay's SLO table, as [par] and [soak] print it, then
+   the verdict. *)
+let print_conformance slo verdict =
+  Printf.printf "\nSLA conformance (merged fate replay):\n";
+  Telemetry.Slo.pp Format.std_formatter slo;
+  Format.pp_print_flush Format.std_formatter ();
+  Printf.printf "overall: %s\n" verdict
+
+(* Every sim-scope series in the registry, by name. Host-scope rings
+   (GC churn) are real but machine-dependent, so they stay out of the
+   exports — which is what keeps the bytes identical for every shard
+   count. *)
+let sim_series () =
+  List.filter_map
+    (fun name ->
+       match Telemetry.Registry.find_series name with
+       | Some s when Telemetry.Timeseries.scope s = Telemetry.Timeseries.Sim ->
+         Some (name, s)
+       | _ -> None)
+    (Telemetry.Registry.names ())
 
 (* --- topo --------------------------------------------------------------- *)
 
@@ -226,22 +287,17 @@ let print_reports sc =
     (Scenario.class_reports sc)
 
 let run_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed =
-    let sc =
-      Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-        (Scenario.Mpls_deployment { policy; use_te })
-    in
+  let run (cfg : Runner.config) =
     (* Wrap every CE sink with usage accounting. *)
     let acct = Accounting.create () in
-    let registry = Scenario.registry sc in
-    Array.iter
-      (fun (s : Site.t) ->
-         Network.set_sink (Scenario.network sc) s.Site.ce_node
-           (Accounting.sink acct (Traffic.sink registry)))
-      (Scenario.sites sc);
-    Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
-      ~duration;
-    Scenario.run sc ~duration:(duration +. 5.0);
+    let prepare sc =
+      Array.iter
+        (fun (s : Site.t) ->
+           Network.set_sink (Scenario.network sc) s.Site.ce_node
+             (Accounting.sink acct (Traffic.sink (Scenario.registry sc))))
+        (Scenario.sites sc)
+    in
+    let sc = run_replica { cfg with prepare_replica = Some prepare } in
     print_reports sc;
     Printf.printf "\nmax core utilization: %.1f%%   core loss: %.2f%%\n"
       (Scenario.max_core_utilization sc *. 100.0)
@@ -249,31 +305,20 @@ let run_cmd =
     Printf.printf "\nUsage-based billing (default tariff):\n";
     List.iter
       (fun vpn -> Accounting.pp_invoice Format.std_formatter acct ~vpn)
-      (List.init vpns (fun v -> v + 1));
+      (List.init cfg.vpns (fun v -> v + 1));
     Format.pp_print_flush Format.std_formatter ()
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run the mixed voice/transactional/bulk workload and report \
              per-class SLAs.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg)
+    Term.(const run $ config_term)
 
 (* --- stats -------------------------------------------------------------- *)
 
 let stats_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed json
-      trace_events event_entries =
-    Telemetry.Registry.reset ();
-    Telemetry.Control.enable ();
-    let sc =
-      Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-        (Scenario.Mpls_deployment { policy; use_te })
-    in
-    Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
-      ~duration;
-    Scenario.run sc ~duration:(duration +. 5.0);
-    Telemetry.Control.disable ();
+  let run cfg json trace_events event_entries =
+    let sc = with_telemetry (fun () -> run_replica cfg) in
     if json then
       print_json (Telemetry.Registry.to_json ~trace_events ~event_entries ())
     else begin
@@ -300,63 +345,62 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run the mixed workload with telemetry enabled and dump every \
              counter, gauge, histogram and the hop-trace tail.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ json_arg
-          $ trace_arg $ events_arg)
+    Term.(const run $ config_term $ json_arg $ trace_arg $ events_arg)
 
 (* --- slo ---------------------------------------------------------------- *)
 
 let slo_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed json
-      fail_at repair_at chaos_seed =
-    Telemetry.Registry.reset ();
-    Telemetry.Control.enable ();
-    let sc =
-      Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-        (Scenario.Mpls_deployment { policy; use_te })
-    in
-    (* --chaos SEED: arm the full resilience stack (IP fallback, FRR
-       bypasses, backoff recovery) plus the seeded fault plan, and
-       judge conformance under that storm. *)
-    (match chaos_seed with
-     | Some cseed ->
-       ignore
-         (Mvpn_resilience.Harness.arm ~frr:true ~fallback:true ~seed:cseed
-            ~duration sc)
-     | None -> ());
-    let slo = Scenario.attach_slo sc in
-    let net = Scenario.network sc in
-    let engine = Scenario.engine sc in
-    Scenario.add_mixed_workload ~load sc ~pairs:(Scenario.default_pairs sc)
-      ~duration;
+  let run (cfg : Runner.config) json fail_at repair_at chaos_seed =
     (* Optional mid-run core failure (and repair + reconvergence), to
        watch the conformance engine catch the churn. *)
-    let pops_arr = Backbone.pops (Scenario.backbone sc) in
-    let set_core up =
-      Topology.set_duplex_state (Network.topology net) pops_arr.(0)
-        pops_arr.(1) up
+    let schedule_failure sc =
+      let at t f =
+        match t with
+        | Some t when t > 0.0 -> Engine.schedule (Scenario.engine sc) ~delay:t f
+        | _ -> ()
+      in
+      match (fail_at, Scenario.first_pair_core_link sc) with
+      | None, _ -> ()
+      | Some _, None ->
+        prerr_endline "mvpn slo: sites 0 and 1 share a PE; no core link to fail"
+      | Some _, Some (u, v) ->
+        let set_core up =
+          Topology.set_duplex_state (Network.topology (Scenario.network sc))
+            u v up
+        in
+        at fail_at (fun () -> set_core false);
+        at repair_at (fun () ->
+            set_core true;
+            Option.iter (fun m -> ignore (Mpls_vpn.reconverge m))
+              (Scenario.mpls sc))
     in
-    (match fail_at with
-     | Some t when t > 0.0 ->
-       Engine.schedule engine ~delay:t (fun () -> set_core false)
-     | _ -> ());
-    (match fail_at, repair_at with
-     | Some _, Some t when t > 0.0 ->
-       Engine.schedule engine ~delay:t (fun () ->
-           set_core true;
-           match Scenario.mpls sc with
-           | Some m -> ignore (Mpls_vpn.reconverge m)
-           | None -> ())
-     | _ -> ());
-    Scenario.run sc ~duration:(duration +. 5.0);
-    Telemetry.Control.disable ();
+    let prepare sc =
+      (* --chaos SEED: arm the full resilience stack (IP fallback, FRR
+         bypasses, backoff recovery) plus the seeded fault plan, and
+         judge conformance under that storm. *)
+      Option.iter
+        (fun seed ->
+           ignore
+             (Harness.arm ~frr:true ~fallback:true ~seed
+                ~duration:cfg.duration sc))
+        chaos_seed;
+      ignore (Scenario.attach_slo sc);
+      schedule_failure sc
+    in
+    let sc =
+      with_telemetry (fun () ->
+          run_replica { cfg with prepare_replica = Some prepare })
+    in
+    let net = Scenario.network sc in
+    let now = Engine.now (Scenario.engine sc) in
+    let slo = Option.get (Network.slo net) in
     let ok = Telemetry.Slo.in_budget slo in
     let events = Telemetry.Registry.events () in
     if json then
       print_json
         Json.(
           envelope
-            [ ("now", Float (Engine.now engine)); ("in_budget", Bool ok);
+            [ ("now", Float now); ("in_budget", Bool ok);
               ("objectives", Telemetry.Slo.to_json slo);
               ("events", Telemetry.Event_log.json_entries events);
               ("spans",
@@ -364,8 +408,7 @@ let slo_cmd =
                | Some s -> Telemetry.Span.sampler_to_json s
                | None -> List []) ])
     else begin
-      Printf.printf "SLA conformance after %.1fs (per vpn/band):\n"
-        (Engine.now engine);
+      Printf.printf "SLA conformance after %.1fs (per vpn/band):\n" now;
       Telemetry.Slo.pp Format.std_formatter slo;
       Format.pp_print_flush Format.std_formatter ();
       Printf.printf "\nevents (%d recorded):\n"
@@ -388,7 +431,8 @@ let slo_cmd =
   in
   let fail_arg =
     Arg.(value & opt (some float) None & info ["fail-at"] ~docv:"SEC"
-           ~doc:"Fail the pop0<->pop1 core link at this time.")
+           ~doc:"Fail the first core link on the path from VPN 1's site 0 \
+                 to its site 1 at this time.")
   in
   let repair_arg =
     Arg.(value & opt (some float) None & info ["repair-at"] ~docv:"SEC"
@@ -407,28 +451,33 @@ let slo_cmd =
              Exit status is the contract: 0 when every objective is in \
              budget, 1 when any objective is out of budget (124 on \
              command-line errors, per cmdliner).")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ json_arg
-          $ fail_arg $ repair_arg $ chaos_arg)
+    Term.(const run $ config_term $ json_arg $ fail_arg $ repair_arg
+          $ chaos_arg)
 
 (* --- chaos -------------------------------------------------------------- *)
 
 let chaos_cmd =
-  let run pops vpns sites_per_vpn load duration seed events json no_frr
-      no_fallback =
-    Telemetry.Registry.reset ();
-    Telemetry.Control.enable ();
-    let h =
-      Mvpn_resilience.Harness.build ~pops ~vpns ~sites_per_vpn ~events ~load
-        ~frr:(not no_frr) ~fallback:(not no_fallback) ~seed ~duration ()
+  let run (cfg : Runner.config) events json no_frr no_fallback =
+    let h = ref None in
+    let prepare sc =
+      h :=
+        Some
+          (Harness.arm ~events ~frr:(not no_frr) ~fallback:(not no_fallback)
+             ~seed:cfg.seed ~duration:cfg.duration sc)
     in
-    Mvpn_resilience.Harness.run h;
-    Telemetry.Control.disable ();
-    if json then print_json (Mvpn_resilience.Harness.summary_json h)
+    ignore
+      (with_telemetry (fun () ->
+           Runner.run_sequential { cfg with prepare_replica = Some prepare }));
+    let h = Option.get !h in
+    if json then print_json (Harness.summary_json h)
     else begin
-      Mvpn_resilience.Harness.pp_summary Format.std_formatter h;
+      Harness.pp_summary Format.std_formatter h;
       Format.pp_print_flush Format.std_formatter ()
     end
+  in
+  let config_term =
+    Term.(const (fun (cfg : Runner.config) duration -> { cfg with duration })
+          $ shape_term $ duration_arg)
   in
   let events_arg =
     Arg.(value & opt int 12 & info ["events"] ~docv:"N"
@@ -453,30 +502,19 @@ let chaos_cmd =
              flaps, node outages, loss and corruption bursts, \
              control-plane session drops — with fast reroute, IP fallback \
              and backoff recovery armed, and account every packet's fate.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ load_arg
-          $ duration_arg $ seed_arg $ events_arg $ json_arg $ no_frr_arg
+    Term.(const run $ config_term $ events_arg $ json_arg $ no_frr_arg
           $ no_fallback_arg)
 
 (* --- par ---------------------------------------------------------------- *)
 
 let par_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed shards
-      core_delay seq json =
-    Telemetry.Registry.reset ();
-    Telemetry.Control.enable ();
-    let cfg =
-      { Mvpn_par.Runner.shards; pops; vpns; sites_per_vpn; policy; use_te;
-        load; duration; seed; core_delay;
-        backend = Mvpn_sim.Engine.Calendar;
-        sample_interval = None; profile = false; prepare_replica = None;
-        diurnal = None }
-    in
+  let run (cfg : Runner.config) shards core_delay seq json =
+    let cfg = { cfg with shards; core_delay } in
     let o =
-      if seq then Mvpn_par.Runner.run_sequential cfg
-      else Mvpn_par.Runner.run_parallel cfg
+      with_telemetry (fun () ->
+          if seq then Runner.run_sequential cfg else Runner.run_parallel cfg)
     in
-    Telemetry.Control.disable ();
-    let open Mvpn_par.Runner in
+    let open Runner in
     if json then
       print_json
         Json.(
@@ -515,10 +553,7 @@ let par_cmd =
       List.iter
         (fun (l, s, r) -> Printf.printf "  %-15s %8d %8d\n" l s r)
         o.classes;
-      Printf.printf "\nSLA conformance (merged fate replay):\n";
-      Telemetry.Slo.pp Format.std_formatter o.slo;
-      Format.pp_print_flush Format.std_formatter ();
-      Printf.printf "overall: %s\n"
+      print_conformance o.slo
         (if Telemetry.Slo.in_budget o.slo then "all objectives in budget"
          else "OUT OF BUDGET")
     end
@@ -531,10 +566,11 @@ let par_cmd =
                  run through the same machinery.")
   in
   let core_delay_arg =
-    Arg.(value & opt (some float) None & info ["core-delay"] ~docv:"SEC"
+    Arg.(value & opt (some nonneg_float_conv) None
+         & info ["core-delay"] ~docv:"SEC"
            ~doc:"Override the POP-POP propagation delay (the \
-                 synchronization lookahead). 0 forces the epoch-barrier \
-                 fallback.")
+                 synchronization lookahead; finite, non-negative). 0 \
+                 forces the epoch-barrier fallback.")
   in
   let seq_arg =
     Arg.(value & flag & info ["seq"]
@@ -555,45 +591,24 @@ let par_cmd =
              per-shard telemetry merges into one snapshot whose totals \
              are identical to the sequential run's, for every shard \
              count.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ shards_arg
-          $ core_delay_arg $ seq_arg $ json_arg)
+    Term.(const run $ config_term $ shards_arg $ core_delay_arg $ seq_arg
+          $ json_arg)
 
 (* --- timeline ----------------------------------------------------------- *)
 
 let timeline_cmd =
-  let run pops vpns sites_per_vpn policy load duration use_te seed shards
-      interval json csv =
-    Telemetry.Registry.reset ();
-    Telemetry.Control.enable ();
-    let cfg =
-      { Mvpn_par.Runner.default_config with
-        shards; pops; vpns; sites_per_vpn; policy; use_te; load; duration;
-        seed;
-        sample_interval = Some interval }
-    in
+  let run (cfg : Runner.config) shards interval json csv =
     let o =
-      if shards <= 1 then Mvpn_par.Runner.run_sequential cfg
-      else Mvpn_par.Runner.run_parallel cfg
-    in
-    Telemetry.Control.disable ();
-    (* Sim-scope series only. Host-scope rings (GC churn) are real but
-       machine-dependent, so they stay out of the export — which is what
-       keeps the bytes identical for every shard count. *)
-    let sim_series =
-      List.filter_map
-        (fun name ->
-           match Telemetry.Registry.find_series name with
-           | Some s when Telemetry.Timeseries.scope s = Telemetry.Timeseries.Sim
-             ->
-             Some (name, Telemetry.Timeseries.level s,
-                   Telemetry.Timeseries.samples s)
-           | _ -> None)
-        (Telemetry.Registry.names ())
+      with_telemetry (fun () ->
+          run_config { cfg with shards; sample_interval = Some interval })
     in
     let all =
       List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-        (sim_series
+        (List.map
+           (fun (name, s) ->
+              (name, Telemetry.Timeseries.level s,
+               Telemetry.Timeseries.samples s))
+           (sim_series ())
          @ List.map (fun (name, samples) -> (name, 0, samples))
              (Sampler.burn_series ()))
     in
@@ -603,8 +618,8 @@ let timeline_cmd =
           let pair (t, v) = List [ Float t; Float v ] in
           envelope
             [ ("interval", Float interval);
-              ("horizon", Float o.Mvpn_par.Runner.horizon);
-              ("seed", Int seed);
+              ("horizon", Float o.Runner.horizon);
+              ("seed", Int cfg.seed);
               ("series",
                Obj
                  (List.map
@@ -631,8 +646,8 @@ let timeline_cmd =
       Printf.printf
         "timeline: %d series, interval %.3gs, horizon %.3gs \
          (delivered %d, dropped %d)\n\n"
-        (List.length all) interval o.Mvpn_par.Runner.horizon
-        o.Mvpn_par.Runner.delivered o.Mvpn_par.Runner.dropped;
+        (List.length all) interval o.Runner.horizon o.Runner.delivered
+        o.Runner.dropped;
       Printf.printf "  %-26s %6s %5s %12s %12s %12s\n"
         "series" "n" "lvl" "min" "mean" "max";
       List.iter
@@ -641,18 +656,16 @@ let timeline_cmd =
            if n = 0 then
              Printf.printf "  %-26s %6d %5d %12s %12s %12s\n"
                name 0 level "-" "-" "-"
-           else begin
-             let mn = ref infinity and mx = ref neg_infinity
-             and sum = ref 0.0 in
-             Array.iter
-               (fun (_, v) ->
-                  if v < !mn then mn := v;
-                  if v > !mx then mx := v;
-                  sum := !sum +. v)
-               samples;
+           else
+             let mn, mx, sum =
+               Array.fold_left
+                 (fun (mn, mx, sum) (_, v) ->
+                    ((if v < mn then v else mn), (if v > mx then v else mx),
+                     sum +. v))
+                 (infinity, neg_infinity, 0.0) samples
+             in
              Printf.printf "  %-26s %6d %5d %12.4g %12.4g %12.4g\n"
-               name n level !mn (!sum /. float_of_int n) !mx
-           end)
+               name n level mn (sum /. float_of_int n) mx)
         all
     end
   in
@@ -683,87 +696,39 @@ let timeline_cmd =
              per-band queue depth and drops, per-(vpn, band) SLO burn \
              material — as a table, JSON or CSV. Series ride fixed-size \
              decimating rings, so memory stays bounded at any horizon.")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ policy_arg
-          $ load_arg $ duration_arg $ te_arg $ seed_arg $ shards_arg
-          $ interval_arg $ json_arg $ csv_arg)
+    Term.(const run $ config_term $ shards_arg $ interval_arg $ json_arg
+          $ csv_arg)
 
 (* --- soak --------------------------------------------------------------- *)
 
 let soak_cmd =
-  let run pops vpns sites_per_vpn load seed shards hours chaos
-      audit_interval snapshot_interval segments fail_fast json =
-    Telemetry.Registry.reset ();
+  let run (cfg : Runner.config) shards hours chaos audit_interval
+      snapshot_interval segments fail_fast json =
     let duration = hours *. 3600.0 in
-    let horizon = duration +. 5.0 in
-    let deployment =
-      Scenario.Mpls_deployment
-        { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
-          use_te = false }
-    in
-    (* The fault plan is drawn once, here, and closed over by every
-       replica: topology-only faults (no uid-hash verdicts), so the
-       same storm is valid at any shard count. A throwaway build
-       supplies the node/link universe without touching telemetry. *)
-    let chaos_plan =
-      Option.map
-        (fun cseed ->
-           Telemetry.Control.with_disabled (fun () ->
-               let sc =
-                 Scenario.build ~pops ~vpns ~sites_per_vpn ~seed deployment
-               in
-               let nodes =
-                 Array.to_list (Backbone.pops (Scenario.backbone sc))
-               in
-               Mvpn_resilience.Chaos.random_topology_plan ~nodes
-                 ~rng:(Mvpn_sim.Rng.create cseed)
-                 ~links:(Scenario.core_links sc) ~duration ()))
-        chaos
-    in
-    (* Runs on every replica — sequential, or each shard — after the
-       timeline sampler and before the workload, in this exact order,
-       so event FIFO ranks match at every shard count. *)
-    let prepare sc =
-      let frr =
-        match (chaos, chaos_plan) with
-        | Some cseed, Some plan ->
-          let h =
-            Mvpn_resilience.Harness.arm ~plan ~frr:true ~fallback:true
-              ~seed:cseed ~duration sc
-          in
-          Mvpn_resilience.Harness.frr h
-        | _ -> None
-      in
-      (* Live per-replica conformance engine for the auditor's
-         budget-monotonicity check; violation events stay in a private
-         log. The reported SLO verdict still comes from the merged
-         fate replay, as everywhere else. *)
-      ignore
-        (Scenario.attach_slo
-           ~slo:(Telemetry.Slo.create
-                   ~events:(Telemetry.Event_log.create ()) ())
-           sc);
-      (* The span sampler attach_slo arms re-walks the trace ring per
-         sampled delivery — real money over an hours-long soak, and
-         nothing here reads the spans. *)
-      Mvpn_core.Network.set_span_sampler (Scenario.network sc) None;
-      ignore
-        (Mvpn_resilience.Audit.start ~interval:audit_interval
-           ~until:horizon ~fail_fast ?frr sc)
-    in
-    Telemetry.Control.enable ();
     let cfg =
-      { Mvpn_par.Runner.default_config with
-        shards; pops; vpns; sites_per_vpn; load; duration; seed;
-        sample_interval = Some snapshot_interval;
-        prepare_replica = Some prepare;
+      { cfg with
+        shards; duration; sample_interval = Some snapshot_interval;
         diurnal = Some segments }
     in
-    let o =
-      if shards <= 1 then Mvpn_par.Runner.run_sequential cfg
-      else Mvpn_par.Runner.run_parallel cfg
+    (* The storm is drawn once and closed over by every replica, which
+       the soak prepares identically — sequential, or each shard. *)
+    let storm, o =
+      with_telemetry (fun () ->
+          let storm =
+            Option.map
+              (fun cseed ->
+                 ( cseed,
+                   Harness.soak_storm ~seed:cseed ~duration (fun () ->
+                       Runner.build cfg) ))
+              chaos
+          in
+          let prepare =
+            Harness.soak_replica ?storm ~audit:(audit_interval, fail_fast)
+              ~duration
+          in
+          (storm, run_config { cfg with prepare_replica = Some prepare }))
     in
-    Telemetry.Control.disable ();
-    let replicas = max 1 o.Mvpn_par.Runner.shards in
+    let replicas = max 1 o.Runner.shards in
     let audit_ticks =
       Telemetry.Registry.counter_value "audit.ticks" / replicas
     in
@@ -774,16 +739,11 @@ let soak_cmd =
        timeline sampler recorded (decimating rings bound it). *)
     let snapshots =
       List.fold_left
-        (fun acc name ->
-           match Telemetry.Registry.find_series name with
-           | Some s
-             when Telemetry.Timeseries.scope s = Telemetry.Timeseries.Sim ->
-             max acc (Array.length (Telemetry.Timeseries.samples s))
-           | _ -> acc)
-        0
-        (Telemetry.Registry.names ())
+        (fun acc (_, s) ->
+           max acc (Array.length (Telemetry.Timeseries.samples s)))
+        0 (sim_series ())
     in
-    let open Mvpn_par.Runner in
+    let open Runner in
     if json then begin
       (* Only shard-invariant material: equal seeds must give these
          exact bytes at every --shards K. *)
@@ -791,15 +751,15 @@ let soak_cmd =
         Json.(
           envelope
             [ ("hours", Float hours); ("duration", Float duration);
-              ("seed", Int seed); ("load", Float load);
+              ("seed", Int cfg.seed); ("load", Float cfg.load);
               ("segments", Int segments);
               ("chaos",
-               match (chaos, chaos_plan) with
-               | Some cseed, Some plan ->
+               match storm with
+               | Some (cseed, plan) ->
                  Obj
                    [ ("seed", Int cseed);
                      ("plan", Mvpn_resilience.Chaos.plan_json plan) ]
-               | _ -> Null);
+               | None -> Null);
               ("delivered", Int o.delivered); ("dropped", Int o.dropped);
               ("classes", classes_json o.classes);
               ("slo",
@@ -816,12 +776,12 @@ let soak_cmd =
     else begin
       Printf.printf
         "soak: %.3g h simulated (%.6gs), seed %d, %d replica(s)\n" hours
-        duration seed replicas;
-      (match (chaos, chaos_plan) with
-       | Some cseed, Some plan ->
+        duration cfg.seed replicas;
+      (match storm with
+       | Some (cseed, plan) ->
          Printf.printf "  chaos seed %d: %d topology faults\n" cseed
            (List.length plan)
-       | _ -> Printf.printf "  chaos: off\n");
+       | None -> Printf.printf "  chaos: off\n");
       Printf.printf "  delivered         %d\n  dropped           %d\n"
         o.delivered o.dropped;
       Printf.printf "  audit ticks       %d (interval %.3gs)\n" audit_ticks
@@ -830,21 +790,23 @@ let soak_cmd =
       List.iter
         (fun name ->
            let prefix = "audit.violation." in
-           if String.length name > String.length prefix
-           && String.sub name 0 (String.length prefix) = prefix then
+           if String.starts_with ~prefix name && name <> prefix then
              Printf.printf "    %-24s %d\n" name
                (Telemetry.Registry.counter_value name))
         (Telemetry.Registry.names ());
       Printf.printf "  snapshots         %d (interval %.3gs)\n" snapshots
         snapshot_interval;
-      Printf.printf "\nSLA conformance (merged fate replay):\n";
-      Telemetry.Slo.pp Format.std_formatter o.slo;
-      Format.pp_print_flush Format.std_formatter ();
-      Printf.printf "overall: %s\n"
+      print_conformance o.slo
         (if audit_violations = 0 then "all invariants held"
          else "INVARIANT VIOLATIONS")
     end;
     if audit_violations <> 0 then exit 1
+  in
+  let shards_arg =
+    Arg.(value & opt (int_conv ~what:"--shards" ~lo:1 ()) 1
+         & info ["shards"] ~docv:"K"
+           ~doc:"Shard (domain) count; 1 runs the sequential replica. \
+                 The JSON envelope is byte-identical at every K.")
   in
   let hours_arg =
     Arg.(value & opt pos_float_conv 0.1 & info ["hours"] ~docv:"H"
@@ -855,12 +817,6 @@ let soak_cmd =
            ~doc:"Arm fast reroute, IP fallback, backoff recovery and a \
                  seeded topology-only fault storm (link flaps, node \
                  outages, session drops) for the whole soak.")
-  in
-  let shards_arg =
-    Arg.(value & opt (int_conv ~what:"--shards" ~lo:1 ()) 1
-         & info ["shards"] ~docv:"K"
-           ~doc:"Shard (domain) count; 1 runs the sequential replica. \
-                 The JSON envelope is byte-identical at every K.")
   in
   let audit_interval_arg =
     Arg.(value
@@ -900,8 +856,7 @@ let soak_cmd =
              sampler armed on every replica. Exit status is the \
              contract: 0 when every audited invariant held, 1 on any \
              violation (124 on command-line errors, per cmdliner).")
-    Term.(const run $ pops_arg $ vpns_arg $ sites_arg $ load_arg
-          $ seed_arg $ shards_arg $ hours_arg $ chaos_arg
+    Term.(const run $ shape_term $ shards_arg $ hours_arg $ chaos_arg
           $ audit_interval_arg $ snapshot_interval_arg $ segments_arg
           $ fail_fast_arg $ json_arg)
 
@@ -930,20 +885,27 @@ let fail_cmd =
     in
     send ();
     Printf.printf "before failure: delivered %d/1\n" !delivered;
-    let pops_arr = Backbone.pops (Scenario.backbone sc) in
-    Topology.set_duplex_state (Network.topology net) pops_arr.(0)
-      pops_arr.(1) false;
-    Printf.printf "failing core link pop0 <-> pop1...\n";
-    send ();
-    Printf.printf "before reconvergence: delivered %d/2 (traffic lost)\n"
-      !delivered;
-    (match Scenario.mpls sc with
-     | Some m ->
-       let rounds = Mpls_vpn.reconverge m in
-       Printf.printf "reconverged in %d flooding rounds\n" rounds
-     | None -> ());
-    send ();
-    Printf.printf "after reconvergence: delivered %d/3\n" !delivered
+    let pop v =
+      Printf.sprintf "pop%d"
+        (Option.get (Backbone.pop_of_node (Scenario.backbone sc) v))
+    in
+    match Scenario.first_pair_core_link sc with
+    | None ->
+      Printf.printf "both sites home on %s: no core link to fail\n"
+        (pop a.Site.pe_node)
+    | Some (u, v) ->
+      Topology.set_duplex_state (Network.topology net) u v false;
+      Printf.printf "failing core link %s <-> %s...\n" (pop u) (pop v);
+      send ();
+      Printf.printf "before reconvergence: delivered %d/2%s\n" !delivered
+        (if !delivered < 2 then " (traffic lost)" else "");
+      (match Scenario.mpls sc with
+       | Some m ->
+         let rounds = Mpls_vpn.reconverge m in
+         Printf.printf "reconverged in %d flooding rounds\n" rounds
+       | None -> ());
+      send ();
+      Printf.printf "after reconvergence: delivered %d/3\n" !delivered
   in
   Cmd.v
     (Cmd.info "fail"
@@ -1140,12 +1102,13 @@ let plan_cmd =
     report "capacity-aware" (Planning.route_capacity_aware topo demands)
   in
   let demands_arg =
-    Arg.(value & opt int 20 & info ["demands"] ~docv:"N"
-           ~doc:"Number of random demands.")
+    Arg.(value & opt (int_conv ~what:"--demands" ~lo:0 ()) 20
+         & info ["demands"] ~docv:"N" ~doc:"Number of random demands.")
   in
   let bw_arg =
-    Arg.(value & opt float 8e6 & info ["bandwidth"] ~docv:"BPS"
-           ~doc:"Bandwidth per demand in bits per second.")
+    Arg.(value & opt pos_float_conv 8e6 & info ["bandwidth"] ~docv:"BPS"
+           ~doc:"Bandwidth per demand in bits per second (finite, \
+                 positive).")
   in
   Cmd.v
     (Cmd.info "plan"

@@ -62,27 +62,26 @@ let usage t =
       | 0 -> Int.compare a.band b.band
       | c -> c)
 
-type tariff = { per_gb : float array }
+(* Price per gigabyte by band: EF, AF-hi, AF-lo, BE. *)
+let per_gb = [| 8.0; 4.0; 2.0; 0.5 |]
 
-let default_tariff = { per_gb = [| 8.0; 4.0; 2.0; 0.5 |] }
-
-let line_cost tariff u =
+let line_cost u =
   let rate =
-    if u.band < Array.length tariff.per_gb then tariff.per_gb.(u.band)
-    else tariff.per_gb.(Array.length tariff.per_gb - 1)
+    if u.band < Array.length per_gb then per_gb.(u.band)
+    else per_gb.(Array.length per_gb - 1)
   in
   float_of_int u.bytes /. 1e9 *. rate
 
-let invoice ?(tariff = default_tariff) t ~vpn =
+let invoice t ~vpn =
   let lines =
     List.filter_map
-      (fun u -> if u.vpn = vpn then Some (u, line_cost tariff u) else None)
+      (fun u -> if u.vpn = vpn then Some (u, line_cost u) else None)
       (usage t)
   in
   (lines, List.fold_left (fun acc (_, c) -> acc +. c) 0.0 lines)
 
-let pp_invoice ?tariff ppf t ~vpn =
-  let lines, total = invoice ?tariff t ~vpn in
+let pp_invoice ppf t ~vpn =
+  let lines, total = invoice t ~vpn in
   Format.fprintf ppf "VPN %d usage:@." vpn;
   List.iter
     (fun (u, cost) ->

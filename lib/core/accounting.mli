@@ -35,15 +35,10 @@ type usage = {
 val usage : t -> usage list
 (** All non-zero usage records, sorted by (vpn, band). *)
 
-(** Price per gigabyte per class band. *)
-type tariff = { per_gb : float array }
-
-val default_tariff : tariff
-(** EF 8.0, AF-hi 4.0, AF-lo 2.0, BE 0.5 (currency units per GB) —
+val invoice : t -> vpn:int -> (usage * float) list * float
+(** Line items with their cost and the total, for one customer, at
+    EF 8.0, AF-hi 4.0, AF-lo 2.0 and BE 0.5 currency units per GB —
     premium classes priced at the multiples the SLA machinery makes
     defensible. *)
 
-val invoice : ?tariff:tariff -> t -> vpn:int -> (usage * float) list * float
-(** Line items with their cost and the total, for one customer. *)
-
-val pp_invoice : ?tariff:tariff -> Format.formatter -> t -> vpn:int -> unit
+val pp_invoice : Format.formatter -> t -> vpn:int -> unit

@@ -64,13 +64,12 @@ let pop_of_node t node =
   in
   go 0
 
-let attach_site ?(access_bandwidth = 2e6) ?(access_delay = 0.001) t ~id
-    ~name ~vpn ~prefix ~pop =
+let attach_site ?(access_bandwidth = 2e6) t ~id ~name ~vpn ~prefix ~pop =
   check_pop t pop;
   let ce = Topology.add_node ~name:(Printf.sprintf "ce-%s" name) t.topo in
   ignore
     (Topology.connect t.topo ce t.pops.(pop) ~bandwidth:access_bandwidth
-       ~delay:access_delay);
+       ~delay:0.001);
   let site =
     Site.make ~id ~name ~vpn ~prefix ~ce_node:ce ~pe_node:t.pops.(pop)
   in

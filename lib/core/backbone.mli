@@ -39,7 +39,7 @@ val pop_of_node : t -> int -> int option
 (** Reverse lookup: which POP index a node id is, if any. *)
 
 val attach_site :
-  ?access_bandwidth:float -> ?access_delay:float ->
+  ?access_bandwidth:float ->
   t -> id:int -> name:string -> vpn:int -> prefix:Mvpn_net.Prefix.t ->
   pop:int -> Site.t
 (** Create a CE node, connect it to the POP (default 2 Mb/s access at

@@ -31,7 +31,7 @@ let border t = (t.border_a, t.border_b)
 let ebgp_messages t = t.ebgp_messages
 
 let build ?(pops_per_provider = 6) ?(core_bandwidth = 45e6)
-    ?(border_bandwidth = 45e6) ?(attach = fun _ _ -> ()) ~net_of () =
+    ?(attach = fun _ _ -> ()) ~net_of () =
   let topo = Topology.create () in
   let bb_a =
     Backbone.build ~pops:pops_per_provider ~core_bandwidth ~into:topo
@@ -44,8 +44,7 @@ let build ?(pops_per_provider = 6) ?(core_bandwidth = 45e6)
   let border_a = (Backbone.pops bb_a).(0) in
   let border_b = (Backbone.pops bb_b).(0) in
   ignore
-    (Topology.connect topo border_a border_b ~bandwidth:border_bandwidth
-       ~delay:0.002);
+    (Topology.connect topo border_a border_b ~bandwidth:45e6 ~delay:0.002);
   attach bb_a bb_b;
   let net = net_of topo in
   { topo; bb_a; bb_b; net; border_a; border_b; vpn_a = None; vpn_b = None;

@@ -18,15 +18,14 @@ type t
 val build :
   ?pops_per_provider:int ->
   ?core_bandwidth:float ->
-  ?border_bandwidth:float ->
   ?attach:(Backbone.t -> Backbone.t -> unit) ->
   net_of:(Mvpn_sim.Topology.t -> Network.t) ->
   unit -> t
-(** Creates both backbones in one topology and the border link between
-    provider A's POP 0 and provider B's POP 0, calls [attach] (where
-    customer sites should be attached, so their access links exist),
-    then [net_of] to wrap the finished topology in a network.
-    {!deploy_vpn} packages the common case. *)
+(** Creates both backbones in one topology and the 45 Mb/s, 2 ms
+    border link between provider A's POP 0 and provider B's POP 0,
+    calls [attach] (where customer sites should be attached, so their
+    access links exist), then [net_of] to wrap the finished topology
+    in a network. {!deploy_vpn} packages the common case. *)
 
 val backbone_a : t -> Backbone.t
 val backbone_b : t -> Backbone.t

@@ -15,6 +15,9 @@ module Rsvp_te = Mvpn_mpls.Rsvp_te
 
 let provider_asn = 65000
 
+(* RSVP-TE reservation per PE pair when TE is on: 1 Mb/s. *)
+let te_bandwidth = 1e6
+
 (* Node-id keyed table for the per-packet CE -> VRF lookup: node ids
    are small non-negative ints, so the identity is a perfect hash and
    neither the hash nor the key compare leaves OCaml code. *)
@@ -40,7 +43,6 @@ type t = {
   ldp : Ldp.t;
   mpbgp : Mpbgp.t;
   te : Rsvp_te.t option;
-  te_bandwidth : float;
   vrf_table : (int * int, Vrf.t) Hashtbl.t;  (* (pe node, vpn) -> vrf *)
   ce_vrf : Vrf.t Node_tbl.t;  (* ce node -> its vrf *)
   site_state : (int, Site.t * int) Hashtbl.t;  (* site id -> site, label *)
@@ -446,7 +448,7 @@ let signal_te_mesh t =
               if src <> dst
               && not (Hashtbl.mem t.pe_tunnels (pe_key src dst)) then
                 match
-                  Rsvp_te.signal te ~src ~dst ~bandwidth:t.te_bandwidth
+                  Rsvp_te.signal te ~src ~dst ~bandwidth:te_bandwidth
                 with
                 | Ok tn ->
                   Hashtbl.replace t.pe_tunnels (pe_key src dst) tn.Rsvp_te.id;
@@ -456,7 +458,7 @@ let signal_te_mesh t =
       pe_nodes
 
 let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
-    ?(use_te = false) ?(te_bandwidth = 1e6) ?(map_dscp_to_exp = true)
+    ?(use_te = false) ?(map_dscp_to_exp = true)
     ?(domain = fun _ -> true) ~net ~backbone ~sites () =
   let topo = Network.topology net in
   let membership =
@@ -481,7 +483,7 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
   Array.iter (fun node -> Mpbgp.add_pe mpbgp node) (Backbone.pops backbone);
   let te = if use_te then Some (Rsvp_te.create topo (Network.plane net)) else None in
   let t =
-    { net; backbone; membership; ospf; ldp; mpbgp; te; te_bandwidth;
+    { net; backbone; membership; ospf; ldp; mpbgp; te;
       vrf_table = Hashtbl.create 16; ce_vrf = Node_tbl.create 16;
       site_state = Hashtbl.create 16; pe_tunnels = Hashtbl.create 16;
       pe_next_hop = Hashtbl.create 64;

@@ -36,17 +36,15 @@ val deploy :
   ?mechanism:Membership.mechanism ->
   ?session_mode:Mvpn_routing.Mpbgp.session_mode ->
   ?use_te:bool ->
-  ?te_bandwidth:float ->
   ?map_dscp_to_exp:bool ->
   ?domain:(int -> bool) ->
   net:Network.t -> backbone:Backbone.t -> sites:Site.t list -> unit -> t
-(** [te_bandwidth] is the per-PE-pair reservation when [use_te]
-    (default 1 Mb/s). [map_dscp_to_exp] (default true) is the §5 edge
-    function; turning it off sends every label with EXP 0, so the core
-    cannot differentiate — the E6 comparison point. [domain] (default:
-    all nodes) bounds this provider's IGP and label distribution to its
-    own routers — required when several carriers share one simulated
-    internetwork (see {!Interprovider}). *)
+(** [use_te] reserves 1 Mb/s per PE pair. [map_dscp_to_exp] (default
+    true) is the §5 edge function; turning it off sends every label
+    with EXP 0, so the core cannot differentiate — the E6 comparison
+    point. [domain] (default: all nodes) bounds this provider's IGP and
+    label distribution to its own routers — required when several
+    carriers share one simulated internetwork (see {!Interprovider}). *)
 
 val membership : t -> Membership.t
 val mpbgp : t -> Mvpn_routing.Mpbgp.t

@@ -552,7 +552,7 @@ let set_drop_leak t n =
 let inject_after t ~delay node packet =
   Engine.schedule t.engine ~delay (fun () -> inject t node packet)
 
-let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
+let create ?(policy = Qos_mapping.Best_effort) ?wred
     ?(route_cache = true) ?(seed = 7) engine topo =
   let nodes = Topology.node_count topo in
   let master_rng = Rng.create seed in
@@ -620,8 +620,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?buffer_bytes ?wred
   List.iter
     (fun (l : Topology.link) ->
        let qdisc =
-         Qos_mapping.make_qdisc ~rng:(Rng.fork master_rng) ?buffer_bytes
-           ?wred policy
+         Qos_mapping.make_qdisc ~rng:(Rng.fork master_rng) ?wred policy
        in
        let p =
          Port.create engine ~link:l ~qdisc

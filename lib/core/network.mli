@@ -18,7 +18,6 @@ type verdict = Dataplane.verdict = Consumed | Continue
 
 val create :
   ?policy:Qos_mapping.policy ->
-  ?buffer_bytes:int ->
   ?wred:bool ->
   ?route_cache:bool ->
   ?seed:int ->

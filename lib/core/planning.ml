@@ -91,14 +91,13 @@ let route_ecmp topo demands =
     demands;
   p
 
-let route_capacity_aware ?(headroom = 1.0) topo demands =
+let route_capacity_aware topo demands =
   let p = fresh topo in
   List.iter
     (fun d ->
        let usable (l : Topology.link) =
          l.Topology.up
-         && link_load p l +. d.bandwidth
-            <= l.Topology.bandwidth *. headroom
+         && link_load p l +. d.bandwidth <= l.Topology.bandwidth
        in
        match Spf.shortest_path ~usable topo ~src:d.src ~dst:d.dst with
        | Some path -> place p path d.bandwidth
@@ -119,11 +118,11 @@ let max_utilization p =
     (fun acc l -> Float.max acc (utilization p l))
     0.0 (Topology.links p.topo)
 
-let hot_links ?(threshold = 1.0) p =
+let hot_links p =
   List.filter_map
     (fun l ->
        let u = utilization p l in
-       if u > threshold then Some (l, u) else None)
+       if u > 1.0 then Some (l, u) else None)
     (Topology.links p.topo)
   |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
 

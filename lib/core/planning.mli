@@ -21,12 +21,10 @@ val route_ecmp : Mvpn_sim.Topology.t -> demand list -> placement
     ideal). Still capacity-blind — ECMP spreads ties, it cannot see
     load. *)
 
-val route_capacity_aware :
-  ?headroom:float -> Mvpn_sim.Topology.t -> demand list -> placement
+val route_capacity_aware : Mvpn_sim.Topology.t -> demand list -> placement
 (** Sequential CSPF-style placement: each demand takes the cheapest
-    path whose links still have room for it under planned load ×
-    [headroom] (default 1.0 = plan to line rate). Demands that fit
-    nowhere are unrouted. *)
+    path whose links still have room for it, planning to line rate.
+    Demands that fit nowhere are unrouted. *)
 
 val routed : placement -> int
 val unrouted : placement -> int
@@ -37,9 +35,9 @@ val link_load : placement -> Mvpn_sim.Topology.link -> float
 val max_utilization : placement -> float
 (** Highest planned load ÷ capacity across links. *)
 
-val hot_links : ?threshold:float -> placement -> (Mvpn_sim.Topology.link * float) list
-(** Links whose planned utilization exceeds [threshold] (default 1.0),
-    with their utilization, worst first. *)
+val hot_links : placement -> (Mvpn_sim.Topology.link * float) list
+(** Overloaded links (planned utilization above 1), with their
+    utilization, worst first. *)
 
 val upgrades_needed : placement -> (Mvpn_sim.Topology.link * float) list
 (** For overloaded links, the extra capacity (bps) that would bring

@@ -31,7 +31,10 @@ let default_diffserv_sched = Queue_disc.Wfq [| 8.0; 4.0; 2.0; 1.0 |]
 
 let strict_sched = Queue_disc.Strict
 
-let make_qdisc ?rng ?(buffer_bytes = 262_144) ?(wred = true) policy =
+(* Buffer per egress port, split across bands under DiffServ. *)
+let buffer_bytes = 262_144
+
+let make_qdisc ?rng ?(wred = true) policy =
   match policy with
   | Best_effort -> Queue_disc.fifo ~capacity_bytes:buffer_bytes
   | Diffserv sched ->

@@ -40,11 +40,11 @@ val strict_sched : Mvpn_qos.Queue_disc.sched
 (** True strict priority — the starvation ablation. *)
 
 val make_qdisc :
-  ?rng:Mvpn_sim.Rng.t -> ?buffer_bytes:int -> ?wred:bool -> policy ->
+  ?rng:Mvpn_sim.Rng.t -> ?wred:bool -> policy ->
   Mvpn_qos.Queue_disc.t
-(** A fresh discipline for one egress port. [buffer_bytes] (default
-    ~256 KB total) is split across bands under [Diffserv]; [wred]
-    (default true) arms WRED on the AF bands. *)
+(** A fresh discipline for one egress port. Its 256 KiB buffer is
+    split across bands under [Diffserv]; [wred] (default true) arms
+    WRED on the AF bands. *)
 
 val default_objective : int -> Mvpn_telemetry.Slo.spec
 (** The stock SLO for a band, aligned with {!Mvpn_qos.Sla}'s templates:

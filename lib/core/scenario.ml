@@ -53,7 +53,7 @@ let site_id ~vpn ~idx = (vpn * 1000) + idx
 
 let build ?backend ?(pops = 12) ?(core_bandwidth = 45e6) ?core_delay
     ?(access_bandwidth = 2e6) ?(vpns = 2) ?(sites_per_vpn = 4) ?(seed = 11)
-    ?wred ?te_bandwidth deployment =
+    ?wred deployment =
   let bb = Backbone.build ~pops ~core_bandwidth ?core_delay () in
   let site_list = ref [] in
   for v = 1 to vpns do
@@ -92,8 +92,7 @@ let build ?backend ?(pops = 12) ?(core_bandwidth = 45e6) ?core_delay
     match deployment with
     | Mpls_deployment { use_te; _ } ->
       ( Some
-          (Mpls_vpn.deploy ~use_te ?te_bandwidth ~net ~backbone:bb
-             ~sites:all_sites ()),
+          (Mpls_vpn.deploy ~use_te ~net ~backbone:bb ~sites:all_sites ()),
         None )
     | Overlay_deployment { cipher; copy_tos; _ } ->
       (None, Some (Overlay.deploy ~cipher ~copy_tos ~net ~sites:all_sites ()))
@@ -231,15 +230,7 @@ let region_hint t =
     t.sites;
   fun v -> if v >= 0 && v < n then hint.(v) else None
 
-(* Declare the stock per-band objectives for every VPN with sites in
-   this scenario (plus vpn 0, where un-tenanted traffic books) and
-   attach the engine and a span sampler to the network. *)
-let attach_slo ?slo ?(sample_every = 64) t =
-  let slo =
-    match slo with
-    | Some s -> s
-    | None -> Mvpn_telemetry.Slo.create ()
-  in
+let declare_objectives t slo =
   let vpns =
     Array.fold_left
       (fun acc (s : Site.t) ->
@@ -253,10 +244,18 @@ let attach_slo ?slo ?(sample_every = 64) t =
          Mvpn_telemetry.Slo.declare slo ~vpn ~band
            (Qos_mapping.default_objective band)
        done)
-    vpns;
+    vpns
+
+let attach_slo ?slo t =
+  let slo =
+    match slo with
+    | Some s -> s
+    | None -> Mvpn_telemetry.Slo.create ()
+  in
+  declare_objectives t slo;
   Network.set_slo t.net (Some slo);
   Network.set_span_sampler t.net
-    (Some (Mvpn_telemetry.Span.sampler ~every:sample_every ()));
+    (Some (Mvpn_telemetry.Span.sampler ~every:64 ()));
   slo
 
 let run t ~duration =
@@ -266,6 +265,16 @@ let run t ~duration =
   match Network.slo t.net with
   | Some slo -> Mvpn_telemetry.Slo.advance slo ~time:(Engine.now t.engine)
   | None -> ()
+
+let first_pair_core_link t =
+  if Array.length t.sites < 2 then None
+  else
+    match
+      Mvpn_routing.Spf.shortest_path (Backbone.topology t.backbone)
+        ~src:t.sites.(0).Site.pe_node ~dst:t.sites.(1).Site.pe_node
+    with
+    | Some (u :: v :: _) -> Some (u, v)
+    | _ -> None
 
 let class_report t label = Traffic.report t.registry label
 

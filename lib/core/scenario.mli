@@ -27,7 +27,6 @@ val build :
   ?sites_per_vpn:int ->
   ?seed:int ->
   ?wred:bool ->
-  ?te_bandwidth:float ->
   deployment -> t
 (** Defaults: 12 POPs at 45 Mb/s, 2 Mb/s access, 2 VPNs × 4 sites.
     VPN [v]'s site [k] uses prefix 10.k.0.0/16 — the same in every VPN,
@@ -97,18 +96,25 @@ val region_hint : t -> int -> int option
     is never split across shards and every cut is a core link. [None]
     for nodes outside any region. *)
 
-val attach_slo :
-  ?slo:Mvpn_telemetry.Slo.t -> ?sample_every:int -> t ->
-  Mvpn_telemetry.Slo.t
-(** Attach SLA conformance tracking to the scenario's network: declares
-    the stock {!Qos_mapping.default_objective} for every band of every
-    VPN with sites here (and vpn 0, where un-tenanted traffic books) on
-    [slo] (default: a fresh engine), plus a 1-in-[sample_every] span
-    sampler. Returns the engine for reporting. *)
+val declare_objectives : t -> Mvpn_telemetry.Slo.t -> unit
+(** Declare the stock {!Qos_mapping.default_objective} for every band
+    of every VPN with sites here, and of vpn 0, where un-tenanted
+    traffic books. *)
+
+val attach_slo : ?slo:Mvpn_telemetry.Slo.t -> t -> Mvpn_telemetry.Slo.t
+(** Attach SLA conformance tracking to the scenario's network:
+    {!declare_objectives} on [slo] (default: a fresh engine), plus a
+    1-in-64 span sampler. Returns the engine for reporting. *)
 
 val run : t -> duration:float -> unit
 (** Drive the engine to [duration] seconds, then close out any attached
     SLO's conformance windows at the horizon. *)
+
+val first_pair_core_link : t -> (int * int) option
+(** The first core link, as a (from, to) node pair, on the IGP shortest
+    path between the PEs of the first default pair (sites 0 and 1) —
+    the link whose failure that pair's traffic feels. [None] when both
+    sites home on one PE. *)
 
 val class_report : t -> string -> Mvpn_qos.Sla.report
 

@@ -130,7 +130,8 @@ let onoff engine rng ~start ~stop ~on_mean ~off_mean ~rate_bps ~packet_bytes
     start_burst
 
 let pareto_bursts engine rng ~start ~stop ~burst_rate ~mean_burst_bytes
-    ?(shape = 1.5) ?(mtu = 1500) emit =
+    ?(shape = 1.5) emit =
+  let mtu = 1500 in
   if burst_rate <= 0.0 then
     invalid_arg "Traffic.pareto_bursts: rate must be positive";
   if shape <= 1.0 then

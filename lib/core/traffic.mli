@@ -61,7 +61,7 @@ val onoff :
 val pareto_bursts :
   Mvpn_sim.Engine.t -> Mvpn_sim.Rng.t -> start:float -> stop:float ->
   burst_rate:float -> mean_burst_bytes:float -> ?shape:float ->
-  ?mtu:int -> emit -> unit
+  emit -> unit
 (** Poisson burst arrivals; each burst is a Pareto-sized transfer
-    (default shape 1.5) emitted as back-to-back MTU packets (default
-    1500) — self-similar bulk data. *)
+    (default shape 1.5) emitted as back-to-back 1500-byte MTU packets
+    — self-similar bulk data. *)

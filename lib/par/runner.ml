@@ -7,7 +7,6 @@ module Slo = Mvpn_telemetry.Slo
 module Event_log = Mvpn_telemetry.Event_log
 module Scenario = Mvpn_core.Scenario
 module Network = Mvpn_core.Network
-module Site = Mvpn_core.Site
 module Qos_mapping = Mvpn_core.Qos_mapping
 module Sampler = Mvpn_core.Sampler
 module Sla = Mvpn_qos.Sla
@@ -58,7 +57,7 @@ type outcome = {
 
 let horizon_of cfg = cfg.duration +. 5.0
 
-let build_replica cfg () =
+let build cfg =
   Scenario.build ~backend:cfg.backend ~pops:cfg.pops ~vpns:cfg.vpns
     ~sites_per_vpn:cfg.sites_per_vpn ~seed:cfg.seed
     ?core_delay:cfg.core_delay
@@ -77,25 +76,12 @@ let arm_workload cfg sc ~only =
    with the stock per-(vpn, band) objectives — the same declarations
    [Scenario.attach_slo] makes. The stream arrives as an iteration
    function: the sequential runner's one fate log, or the parallel
-   runner's merge of its shards' logs. A private event log keeps
-   violation events out of the global forensic ring (the registry JSON
-   was captured already; see below). *)
+   runner's merge of its shards' logs. A private event log keeps the
+   replay's transitions out of the global forensic ring and the global
+   slo.* counters, which count what the run itself recorded. *)
 let replay_slo ~scenario ~horizon iter_fates =
-  let log = Event_log.create () in
-  let slo = Slo.create ~events:log () in
-  let vpns =
-    Array.fold_left
-      (fun acc (s : Site.t) ->
-         if List.mem s.Site.vpn acc then acc else s.Site.vpn :: acc)
-      [ 0 ] (Scenario.sites scenario)
-    |> List.sort_uniq Int.compare
-  in
-  List.iter
-    (fun vpn ->
-       for band = 0 to Qos_mapping.band_count - 1 do
-         Slo.declare slo ~vpn ~band (Qos_mapping.default_objective band)
-       done)
-    vpns;
+  let slo = Slo.create ~events:(Event_log.create ()) () in
+  Scenario.declare_objectives scenario slo;
   Control.with_enabled (fun () ->
       iter_fates (fun ~time ~vpn ~band ~dropped ~latency ->
           if dropped then Slo.observe_drop slo ~vpn ~band ~time
@@ -173,7 +159,7 @@ let run_parallel (cfg : config) =
      replica builds the same one, so the partition is exact. *)
   let part =
     Control.with_disabled (fun () ->
-        let sc = build_replica cfg () in
+        let sc = build cfg in
         Partition.compute
           ~hint:(Scenario.region_hint sc)
           (Network.topology (Scenario.network sc))
@@ -200,7 +186,7 @@ let run_parallel (cfg : config) =
         Domain.spawn (fun () ->
             let sh =
               Shard.create ~id:i ~part ~exchange:ex
-                ~build:(build_replica cfg)
+                ~build:(fun () -> build cfg)
                 ~prepare:(fun sc ->
                     let tap =
                       Option.map
@@ -280,7 +266,7 @@ let run_sequential (cfg : config) =
   @@ fun () ->
   let horizon = horizon_of cfg in
   let base = Registry.snapshot () in
-  let sc = build_replica cfg () in
+  let sc = build cfg in
   let net = Scenario.network sc in
   let sampler =
     Option.map

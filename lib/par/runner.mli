@@ -47,10 +47,12 @@ type config = {
           [false]) *)
   prepare_replica : (Mvpn_core.Scenario.t -> unit) option;
       (** run on every replica — the sequential scenario, and each
-          shard's — after the timeline sampler is armed and before the
-          workload: the soak driver's hook for arming chaos storms and
-          the invariant auditor identically everywhere. Must schedule
-          the same events in the same order on every replica (e.g.
+          shard's — once, after the timeline sampler is armed and
+          before the workload: where each [mvpn] traffic subcommand
+          arms what it needs (accounting sinks, a live SLO and a
+          failure schedule, {!Mvpn_resilience.Harness.arm}, the soak's
+          storm and auditor). On a sharded run it must schedule the
+          same events in the same order on every replica (e.g.
           {!Mvpn_resilience.Chaos.random_topology_plan}-based storms,
           never uid-dependent faults), or determinism across shard
           counts is forfeit (default [None]) *)
@@ -64,6 +66,12 @@ type config = {
 val default_config : config
 (** The [mvpn] demo defaults: 4 shards, 12 POPs, 2 VPNs × 4 sites,
     DiffServ policy, load 0.9, 30 s, seed 11. *)
+
+val build : config -> Mvpn_core.Scenario.t
+(** One replica of the config's scenario — an MPLS deployment of its
+    shape, policy, TE switch, seed, core delay and backend — exactly as
+    both entry points build it, before any sampler, preparation or
+    workload. *)
 
 type outcome = {
   shards : int;  (** effective shard count *)

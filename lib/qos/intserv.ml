@@ -16,7 +16,6 @@ type reservation = {
 
 type t = {
   topo : Topology.t;
-  reservable_fraction : float;
   (* Per-link promised bandwidth, by link id. *)
   link_reserved : (int, float) Hashtbl.t;
   (* Per-router flow-state count. *)
@@ -26,10 +25,11 @@ type t = {
   mutable next_id : int;
 }
 
-let create ?(reservable_fraction = 0.75) topo =
-  if reservable_fraction <= 0.0 || reservable_fraction > 1.0 then
-    invalid_arg "Intserv.create: reservable fraction outside (0, 1]";
-  { topo; reservable_fraction; link_reserved = Hashtbl.create 64;
+(* The share of each link IntServ may promise away. *)
+let reservable_fraction = 0.75
+
+let create topo =
+  { topo; link_reserved = Hashtbl.create 64;
     router_state = Hashtbl.create 64; by_id = Hashtbl.create 64;
     by_flow = Hashtbl.create 64; next_id = 1 }
 
@@ -68,7 +68,7 @@ let reserve t ~src ~dst flow tspec =
       let links = links_of_path t path in
       let fits (l : Topology.link) =
         reserved_on t l +. tspec.rate_bps
-        <= l.Topology.bandwidth *. t.reservable_fraction
+        <= l.Topology.bandwidth *. reservable_fraction
       in
       if not (List.for_all fits links) then
         Error "insufficient reservable capacity on the path"

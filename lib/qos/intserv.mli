@@ -18,11 +18,8 @@ type tspec = {
 
 type t
 
-val create :
-  ?reservable_fraction:float -> Mvpn_sim.Topology.t -> t
-(** [reservable_fraction] (default 0.75) caps how much of each link
-    IntServ may promise away.
-    @raise Invalid_argument if outside (0, 1]. *)
+val create : Mvpn_sim.Topology.t -> t
+(** IntServ may promise away at most 75 % of each link. *)
 
 val reserve :
   t -> src:int -> dst:int -> Mvpn_net.Flow.t -> tspec ->

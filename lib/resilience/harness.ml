@@ -5,8 +5,6 @@ module Network = Mvpn_core.Network
 module Scenario = Mvpn_core.Scenario
 module Backbone = Mvpn_core.Backbone
 module Mpls_vpn = Mvpn_core.Mpls_vpn
-module Site = Mvpn_core.Site
-module Qos_mapping = Mvpn_core.Qos_mapping
 module Port = Mvpn_qos.Port
 module Telemetry = Mvpn_telemetry
 module Json = Mvpn_telemetry.Json
@@ -38,7 +36,7 @@ let down_duplex net =
    whole control plane, then re-plumb bypasses against the surviving
    graph. [restored] is the number of duplex links that came back
    since the previous burst; [still_down] drives the backoff. *)
-let arm ?(events = 12) ?plan:plan_override ?recovery_config ~frr:frr_on
+let arm ?(events = 12) ?plan:plan_override ~frr:frr_on
     ~fallback ~seed ~duration sc =
   let net = Scenario.network sc in
   let vpn =
@@ -59,9 +57,7 @@ let arm ?(events = 12) ?plan:plan_override ?recovery_config ~frr:frr_on
     prev_down := d;
     (restored, d)
   in
-  let recovery =
-    Recovery.arm ?config:recovery_config ~seed:((seed * 7) + 1) net ~repair
-  in
+  let recovery = Recovery.arm ~seed:((seed * 7) + 1) net ~repair in
   let plan =
     match plan_override with
     | Some p -> p
@@ -85,29 +81,37 @@ let arm ?(events = 12) ?plan:plan_override ?recovery_config ~frr:frr_on
     plan;
   { sc; vpn; frr; recovery; plan; seed; duration }
 
-let default_pairs sc =
-  let sites = Scenario.sites sc in
-  let pairs = ref [] in
-  Array.iteri
-    (fun i a ->
-       if i mod 2 = 0 && i + 1 < Array.length sites then
-         pairs := (a, sites.(i + 1)) :: !pairs)
-    sites;
-  !pairs
+(* --- soak replicas --------------------------------------------------- *)
 
-let build ?(pops = 12) ?(vpns = 2) ?(sites_per_vpn = 4) ?events
-    ?recovery_config ?(load = 0.5) ~frr ~fallback ~seed ~duration () =
-  let sc =
-    Scenario.build ~pops ~vpns ~sites_per_vpn ~seed
-      (Scenario.Mpls_deployment
-         { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
-           use_te = false })
+let soak_storm ?events ~seed ~duration build =
+  Telemetry.Control.with_disabled (fun () ->
+      let sc = build () in
+      Chaos.random_topology_plan ?events
+        ~nodes:(Array.to_list (Backbone.pops (Scenario.backbone sc)))
+        ~rng:(Rng.create seed) ~links:(Scenario.core_links sc) ~duration ())
+
+let soak_replica ?storm ?audit ~duration sc =
+  let frr =
+    match storm with
+    | Some (seed, plan) ->
+      frr (arm ~plan ~frr:true ~fallback:true ~seed ~duration sc)
+    | None -> None
   in
-  let t = arm ?events ?recovery_config ~frr ~fallback ~seed ~duration sc in
-  Scenario.add_mixed_workload ~load sc ~pairs:(default_pairs sc) ~duration;
-  t
-
-let run t = Scenario.run t.sc ~duration:(t.duration +. 5.0)
+  (* Live conformance for the auditor's budget-monotonicity check, with
+     its events in a private log; a reported verdict comes from the
+     runner's fate replay. *)
+  ignore
+    (Scenario.attach_slo
+       ~slo:(Telemetry.Slo.create ~events:(Telemetry.Event_log.create ()) ())
+       sc);
+  (* The span sampler attach_slo arms re-walks the trace ring per
+     sampled delivery, and nothing in a soak reads the spans. *)
+  Network.set_span_sampler (Scenario.network sc) None;
+  Option.iter
+    (fun (interval, fail_fast) ->
+       ignore
+         (Audit.start ~interval ~until:(duration +. 5.0) ~fail_fast ?frr sc))
+    audit
 
 (* --- summary ------------------------------------------------------------ *)
 

@@ -1,19 +1,18 @@
-(** One-stop chaos harness: scenario + FRR + recovery + fault plan.
+(** One-stop chaos harness: FRR + recovery + fault plan on a scenario.
 
-    [mvpn chaos], [mvpn slo --chaos], bench E15 and the property tests
-    all run the same stack; this module is that stack, so a seed means
-    the same fault timeline everywhere. {!arm} bolts the resilience
-    machinery onto an existing scenario (the [slo --chaos] path);
-    {!build} also constructs the scenario and its mixed workload (the
-    [mvpn chaos] path). Equal seeds give byte-identical
-    {!summary_json}. *)
+    [mvpn chaos], [mvpn slo --chaos], [mvpn soak], bench E15 and E18
+    and the property tests all run the same stack; this module is that
+    stack, so a seed means the same fault timeline everywhere. {!arm}
+    bolts the resilience machinery onto a built scenario before its
+    workload — the runner's [prepare_replica] hook — and
+    {!soak_replica} adds the soak's live SLO and auditor. Equal seeds
+    give byte-identical {!summary_json}. *)
 
 type t
 
 val arm :
   ?events:int ->
   ?plan:Chaos.plan ->
-  ?recovery_config:Recovery.config ->
   frr:bool ->
   fallback:bool ->
   seed:int ->
@@ -30,26 +29,28 @@ val arm :
     add workload and does not run.
     @raise Invalid_argument if the scenario has no MPLS deployment. *)
 
-val build :
-  ?pops:int ->
-  ?vpns:int ->
-  ?sites_per_vpn:int ->
-  ?events:int ->
-  ?recovery_config:Recovery.config ->
-  ?load:float ->
-  frr:bool ->
-  fallback:bool ->
-  seed:int ->
-  duration:float ->
-  unit ->
-  t
-(** {!Mvpn_core.Scenario.build} an MPLS deployment (diffserv policy,
-    no TE), {!arm} it, and add the stock mixed workload at [load]
-    (default 0.5) between consecutive site pairs. *)
+val soak_storm :
+  ?events:int -> seed:int -> duration:float ->
+  (unit -> Mvpn_core.Scenario.t) -> Chaos.plan
+(** The soak's storm: a {!Chaos.random_topology_plan} of [events]
+    faults over [0, duration), seeded by [seed], over the POPs and core
+    links of a throwaway [build ()] made with telemetry off. It holds
+    no per-packet verdicts, so every replica of a sharded run can close
+    over the same plan. *)
 
-val run : t -> unit
-(** Drive the engine [duration] plus a 5 s drain, closing out SLO
-    windows if one is attached. *)
+val soak_replica :
+  ?storm:int * Chaos.plan ->
+  ?audit:float * bool ->
+  duration:float ->
+  Mvpn_core.Scenario.t ->
+  unit
+(** Prepare one soak replica, in this order: [storm = (seed, plan)]
+    {!arm}s FRR, IP fallback and recovery over [plan]; a live
+    {!Mvpn_core.Scenario.attach_slo} engine with a private event log
+    feeds the auditor's budget check; the span sampler is dropped;
+    [audit = (interval, fail_fast)] starts {!Audit} until
+    [duration + 5]. Every replica schedules the same events in the
+    same order, so the soak is shard-invariant. *)
 
 val scenario : t -> Mvpn_core.Scenario.t
 val plan : t -> Chaos.plan

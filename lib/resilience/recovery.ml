@@ -9,18 +9,15 @@ let m_suppressed = Telemetry.Registry.counter "resilience.recovery.suppressed"
 let m_damped = Telemetry.Registry.counter "resilience.recovery.damped"
 let m_released = Telemetry.Registry.counter "resilience.recovery.released"
 
-type config = {
-  base_delay : float;
-  max_delay : float;
-  jitter : float;
-  damp_threshold : int;
-  damp_window : float;
-  reuse_after : float;
-}
-
-let default_config =
-  { base_delay = 0.2; max_delay = 5.0; jitter = 0.25; damp_threshold = 5;
-    damp_window = 2.0; reuse_after = 3.0 }
+(* Backoff: a 0.2 s first retry, doubling to a 5 s ceiling, with
+   +-25 % jitter. Damping: 5 downs within 2 s damp a link; 3 s held up
+   release it. *)
+let base_delay = 0.2
+let max_delay = 5.0
+let jitter = 0.25
+let damp_threshold = 5
+let damp_window = 2.0
+let reuse_after = 3.0
 
 type link_state = {
   mutable downs : float list;  (* down transitions inside the window *)
@@ -30,7 +27,6 @@ type link_state = {
 
 type t = {
   net : Network.t;
-  config : config;
   rng : Rng.t;
   repair : unit -> int * int;
   states : (int * int, link_state) Hashtbl.t;
@@ -94,19 +90,18 @@ and schedule_repair t =
   if not t.pending then begin
     t.pending <- true;
     let backoff =
-      Float.min t.config.max_delay
-        (t.config.base_delay *. (2.0 ** float_of_int t.attempt))
+      Float.min max_delay (base_delay *. (2.0 ** float_of_int t.attempt))
     in
-    let jit = 1.0 +. (t.config.jitter *. ((2.0 *. Rng.uniform t.rng) -. 1.0)) in
+    let jit = 1.0 +. (jitter *. ((2.0 *. Rng.uniform t.rng) -. 1.0)) in
     Engine.schedule (Network.engine t.net) ~delay:(backoff *. jit) (fun () ->
         fire t)
   end
 
 (* A damped link earns release by holding up for [reuse_after]. *)
 let schedule_release t (a, b) s =
-  let check_at = now t +. t.config.reuse_after in
+  let check_at = now t +. reuse_after in
   Engine.schedule_at (Network.engine t.net) ~time:check_at (fun () ->
-      if s.damped && s.last_down < check_at -. t.config.reuse_after +. 1e-9
+      if s.damped && s.last_down < check_at -. reuse_after +. 1e-9
       then begin
         let still_up =
           match Topology.find_link (Network.topology t.net) a b with
@@ -132,8 +127,8 @@ let on_change t ~a ~b ~up =
     s.last_down <- time;
     s.downs <-
       time
-      :: List.filter (fun d -> time -. d <= t.config.damp_window) s.downs;
-    if (not s.damped) && List.length s.downs >= t.config.damp_threshold
+      :: List.filter (fun d -> time -. d <= damp_window) s.downs;
+    if (not s.damped) && List.length s.downs >= damp_threshold
     then begin
       s.damped <- true;
       Telemetry.Counter.incr m_damped;
@@ -151,15 +146,9 @@ let on_change t ~a ~b ~up =
 
 let request t = schedule_repair t
 
-let arm ?(config = default_config) ~seed net ~repair =
-  if config.base_delay <= 0.0 || config.max_delay < config.base_delay then
-    invalid_arg "Recovery.arm: bad delays";
-  if config.jitter < 0.0 || config.jitter >= 1.0 then
-    invalid_arg "Recovery.arm: jitter outside [0, 1)";
-  if config.damp_threshold < 2 then
-    invalid_arg "Recovery.arm: damp threshold below 2";
+let arm ~seed net ~repair =
   let t =
-    { net; config; rng = Rng.create seed; repair;
+    { net; rng = Rng.create seed; repair;
       states = Hashtbl.create 16; pending = false; attempt = 0 }
   in
   Topology.on_duplex_change (Network.topology net) (fun ~a ~b ~up ->

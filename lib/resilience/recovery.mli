@@ -4,36 +4,24 @@
     failure (and every repair) schedules one coalesced re-signal burst
     — the [repair] callback, typically {!Mvpn_core.Mpls_vpn.reconverge}
     plus an {!Frr.rearm} — after an exponential backoff
-    ([base_delay ·2ᵃᵗᵗᵉᵐᵖᵗ], capped at [max_delay]) with deterministic
-    seeded jitter, so repeated failures do not synchronize into
+    (0.2 s ·2ᵃᵗᵗᵉᵐᵖᵗ, capped at 5 s) with deterministic seeded ±25 %
+    jitter, so repeated failures do not synchronize into
     re-signal storms. A burst whose [repair] reports everything
     restored resets the backoff; otherwise the next burst backs off
     further.
 
-    Flap damping: a link that goes down [damp_threshold] times within
-    [damp_window] seconds is damped — it stops triggering repair
+    Flap damping: a link that goes down 5 times within 2 seconds is
+    damped — it stops triggering repair
     bursts, and while {e every} down link is damped, pending bursts are
     suppressed outright ([resilience.recovery.suppressed]). A damped
-    link is released after holding up for [reuse_after] seconds, which
+    link is released after holding up for 3 seconds, which
     re-arms repair. Typed events ([Flap_damped], [Flap_released],
     [Resignal]) and the [resilience.recovery.*] counters trace every
     decision. *)
 
-type config = {
-  base_delay : float;  (** first-retry delay, seconds (default 0.2) *)
-  max_delay : float;  (** backoff ceiling (default 5.0) *)
-  jitter : float;  (** ± fraction of the delay, in [0, 1) (default 0.25) *)
-  damp_threshold : int;  (** flaps within the window that damp (5) *)
-  damp_window : float;  (** seconds (default 2.0) *)
-  reuse_after : float;  (** hold-up time before release (default 3.0) *)
-}
-
-val default_config : config
-
 type t
 
 val arm :
-  ?config:config ->
   seed:int ->
   Mvpn_core.Network.t ->
   repair:(unit -> int * int) ->
@@ -41,8 +29,7 @@ val arm :
 (** Subscribe to the network's topology. [repair] performs one
     re-signal burst and reports [(restored, still_down)]; a burst with
     [still_down = 0] resets the backoff. [seed] drives the jitter —
-    equal seeds give equal retry timelines.
-    @raise Invalid_argument on a nonsensical config. *)
+    equal seeds give equal retry timelines. *)
 
 val request : t -> unit
 (** Ask for a repair burst outside any link transition — e.g. an LDP

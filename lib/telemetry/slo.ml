@@ -1,8 +1,8 @@
 (* Streaming SLO engine: sliding-window conformance, error budgets and
    multi-window burn-rate alerts per (vpn, band) objective.
 
-   Time is divided into one-second (configurable) buckets kept in a
-   ring of [slow_buckets]. Each delivery/drop observation lands in the
+   Time is divided into one-second buckets kept in a ring of 60 (the
+   slow window). Each delivery/drop observation lands in the
    open bucket; when an observation (or an explicit {!advance}) moves
    time past a bucket boundary the closed bucket is evaluated: window
    statistics are recomputed, per-dimension violation state is
@@ -91,14 +91,19 @@ type objective = {
   mutable burn_slow : float;
 }
 
+(* Window settings: 1 s buckets, a 5-bucket fast window and a
+   60-bucket slow window; an alert needs a burn of 2x the sustainable
+   rate, and a window judges latency or loss from 5 samples on. *)
+let bucket_width = 1.0
+let fast_n = 5
+let slow_n = 60
+let burn_threshold = 2.0
+let min_samples = 5
+
 type t = {
-  bucket_width : float;
-  fast_n : int;
-  slow_n : int;
-  burn_threshold : float;
-  min_samples : int;
   objectives : (int, objective) Hashtbl.t;  (* key = vpn lsl 4 lor band *)
   events : Event_log.t;
+  global : bool;  (* books transitions in the global slo.* counters *)
 }
 
 let m_violation = Registry.counter "slo.violation"
@@ -106,17 +111,13 @@ let m_recovered = Registry.counter "slo.recovered"
 let m_alert_fire = Registry.counter "slo.alert_fire"
 let m_alert_clear = Registry.counter "slo.alert_clear"
 
-let create ?(bucket_width = 1.0) ?(fast_buckets = 5) ?(slow_buckets = 60)
-    ?(burn_threshold = 2.0) ?(min_samples = 5) ?events () =
-  if bucket_width <= 0.0 then
-    invalid_arg "Slo.create: bucket_width must be positive";
-  if fast_buckets < 1 || slow_buckets < fast_buckets then
-    invalid_arg "Slo.create: need 1 <= fast_buckets <= slow_buckets";
-  let events =
-    match events with Some e -> e | None -> Registry.events ()
-  in
-  { bucket_width; fast_n = fast_buckets; slow_n = slow_buckets;
-    burn_threshold; min_samples; objectives = Hashtbl.create 16; events }
+(* An engine with a private log is private throughout: the global
+   counters count what the global log records. *)
+let create ?events () =
+  let objectives = Hashtbl.create 16 in
+  match events with
+  | Some events -> { objectives; events; global = false }
+  | None -> { objectives; events = Registry.events (); global = true }
 
 let key ~vpn ~band = (vpn lsl 4) lor (band land 0xF)
 
@@ -125,7 +126,7 @@ let declare t ~vpn ~band spec =
   if not (Hashtbl.mem t.objectives k) then
     Hashtbl.add t.objectives k
       { vpn; band; spec;
-        buckets = Array.init t.slow_n (fun _ -> new_bucket ());
+        buckets = Array.init slow_n (fun _ -> new_bucket ());
         cur = 0; cum_total = 0; cum_bad = 0; cum_drops = 0;
         viol_latency = false; viol_loss = false; viol_avail = false;
         alerting = false; last_p99 = 0.0; last_loss = 0.0;
@@ -136,17 +137,17 @@ let declare t ~vpn ~band spec =
 (* Sum the last [k] buckets ending at absolute index [upto]
    (inclusive); valid for k <= slow_n since older slots have been
    recycled. *)
-let window_fold t obj ~upto ~k f init =
+let window_fold obj ~upto ~k f init =
   let acc = ref init in
   for b = max 0 (upto - k + 1) to upto do
-    acc := f !acc obj.buckets.(b mod t.slow_n)
+    acc := f !acc obj.buckets.(b mod slow_n)
   done;
   !acc
 
-let window_p99 t obj ~upto ~k =
+let window_p99 obj ~upto ~k =
   let merged = Array.make lat_buckets 0 in
   let n, vmax =
-    window_fold t obj ~upto ~k
+    window_fold obj ~upto ~k
       (fun (n, vmax) b ->
          Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) b.lat;
          (n + b.total - b.drops, Float.max vmax (Float.Array.get b.lat_max 0)))
@@ -176,12 +177,12 @@ let burn_of ~target ~bad ~total =
 let transition t obj ~time ~dimension ~value ~bound ~was ~now =
   (match (was, now) with
    | false, true ->
-     Counter.incr m_violation;
+     if t.global then Counter.incr m_violation;
      Event_log.record t.events ~time
        (Event_log.Slo_violation
           { vpn = obj.vpn; band = obj.band; dimension; value; bound })
    | true, false ->
-     Counter.incr m_recovered;
+     if t.global then Counter.incr m_recovered;
      Event_log.record t.events ~time
        (Event_log.Slo_recovered
           { vpn = obj.vpn; band = obj.band; dimension; value; bound })
@@ -191,14 +192,14 @@ let transition t obj ~time ~dimension ~value ~bound ~was ~now =
 (* Evaluate objective state as of the close of absolute bucket
    [closing] (windows end at that bucket). *)
 let evaluate t obj ~closing =
-  let bucket_end = float_of_int (closing + 1) *. t.bucket_width in
+  let bucket_end = float_of_int (closing + 1) *. bucket_width in
   let fast_bad, fast_total =
-    window_fold t obj ~upto:closing ~k:t.fast_n
+    window_fold obj ~upto:closing ~k:fast_n
       (fun (b, n) bk -> (b + bk.bad, n + bk.total))
       (0, 0)
   in
   let slow_bad, slow_total =
-    window_fold t obj ~upto:closing ~k:t.slow_n
+    window_fold obj ~upto:closing ~k:slow_n
       (fun (b, n) bk -> (b + bk.bad, n + bk.total))
       (0, 0)
   in
@@ -208,8 +209,8 @@ let evaluate t obj ~closing =
   (match obj.spec.latency_p99 with
    | None -> ()
    | Some bound ->
-     let n, p99 = window_p99 t obj ~upto:closing ~k:t.fast_n in
-     if n >= t.min_samples then begin
+     let n, p99 = window_p99 obj ~upto:closing ~k:fast_n in
+     if n >= min_samples then begin
        obj.last_p99 <- p99;
        obj.viol_latency <-
          transition t obj ~time:bucket_end ~dimension:"latency_p99"
@@ -225,11 +226,11 @@ let evaluate t obj ~closing =
    | None -> ()
    | Some bound ->
      let drops, total =
-       window_fold t obj ~upto:closing ~k:t.fast_n
+       window_fold obj ~upto:closing ~k:fast_n
          (fun (d, n) bk -> (d + bk.drops, n + bk.total))
          (0, 0)
      in
-     if total >= t.min_samples then begin
+     if total >= min_samples then begin
        let ratio = float_of_int drops /. float_of_int total in
        obj.last_loss <- ratio;
        obj.viol_loss <-
@@ -246,7 +247,7 @@ let evaluate t obj ~closing =
    | None -> ()
    | Some bound ->
      let down, with_traffic =
-       window_fold t obj ~upto:closing ~k:t.slow_n
+       window_fold obj ~upto:closing ~k:slow_n
          (fun (d, n) bk ->
             if bk.total = 0 then (d, n)
             else ((if bk.drops = bk.total then d + 1 else d), n + 1))
@@ -263,19 +264,19 @@ let evaluate t obj ~closing =
      end);
   (* multi-window burn-rate alert *)
   if (not obj.alerting)
-  && obj.burn_fast >= t.burn_threshold
-  && obj.burn_slow >= t.burn_threshold
+  && obj.burn_fast >= burn_threshold
+  && obj.burn_slow >= burn_threshold
   then begin
     obj.alerting <- true;
-    Counter.incr m_alert_fire;
+    if t.global then Counter.incr m_alert_fire;
     Event_log.record t.events ~time:bucket_end
       (Event_log.Alert_fire
          { vpn = obj.vpn; band = obj.band; burn_fast = obj.burn_fast;
            burn_slow = obj.burn_slow })
   end
-  else if obj.alerting && obj.burn_fast < t.burn_threshold then begin
+  else if obj.alerting && obj.burn_fast < burn_threshold then begin
     obj.alerting <- false;
-    Counter.incr m_alert_clear;
+    if t.global then Counter.incr m_alert_clear;
     Event_log.record t.events ~time:bucket_end
       (Event_log.Alert_clear
          { vpn = obj.vpn; band = obj.band; burn_fast = obj.burn_fast })
@@ -286,29 +287,29 @@ let advance_obj t obj ~target_bucket =
     (* A jump past the whole ring leaves only empty history; evaluate
        the transition once from just before the gap's end rather than
        spinning through millions of identical empty closes. *)
-    if target_bucket - obj.cur > t.slow_n then begin
+    if target_bucket - obj.cur > slow_n then begin
       Array.iter clear_bucket obj.buckets;
-      obj.cur <- target_bucket - t.slow_n
+      obj.cur <- target_bucket - slow_n
     end;
     while obj.cur < target_bucket do
       evaluate t obj ~closing:obj.cur;
       obj.cur <- obj.cur + 1;
-      clear_bucket obj.buckets.(obj.cur mod t.slow_n)
+      clear_bucket obj.buckets.(obj.cur mod slow_n)
     done
   end
 
-let bucket_of t time = int_of_float (time /. t.bucket_width)
+let bucket_of time = int_of_float (time /. bucket_width)
 
 let advance t ~time =
   if !Control.enabled then
-    let target_bucket = bucket_of t time in
+    let target_bucket = bucket_of time in
     Hashtbl.iter (fun _ obj -> advance_obj t obj ~target_bucket)
       t.objectives
 
 (* The open bucket of objective [obj] once time reaches [time]. *)
 let open_bucket t obj ~time =
-  advance_obj t obj ~target_bucket:(bucket_of t time);
-  obj.buckets.(obj.cur mod t.slow_n)
+  advance_obj t obj ~target_bucket:(bucket_of time);
+  obj.buckets.(obj.cur mod slow_n)
 
 (* Per-packet observers: [Hashtbl.find] with its exception, not
    [find_opt], and the update written inline rather than passed as a

@@ -2,8 +2,8 @@
     windows, error budgets and multi-window burn-rate alerts.
 
     Declare an objective per (vpn, class band), then feed it deliveries
-    and drops from the forwarding path. Time is bucketed (default 1 s
-    of simulation time); closing a bucket re-evaluates conformance:
+    and drops from the forwarding path. Time is bucketed (1 s of
+    simulation time); closing a bucket re-evaluates conformance:
 
     - {b latency}: p99 over the fast window vs the objective's bound;
     - {b loss}: drop ratio over the fast window vs the bound;
@@ -11,11 +11,10 @@
       slow window that were not total blackouts, vs the bound.
 
     Dimension transitions fire [Slo_violation] / [Slo_recovered]
-    events; the burn-rate alert fires when {e both} the fast (default
-    5 s) and slow (default 60 s) windows consume error budget faster
-    than [burn_threshold] times the sustainable rate, and clears when
-    the fast window cools — the standard multi-window, multi-burn-rate
-    recipe, on simulation time.
+    events; the burn-rate alert fires when {e both} the fast (5 s) and
+    slow (60 s) windows consume error budget faster than twice the
+    sustainable rate, and clears when the fast window cools — the
+    standard multi-window, multi-burn-rate recipe, on simulation time.
 
     A packet is {e good} when delivered within the latency bound;
     drops and late deliveries spend error budget. All observation
@@ -37,16 +36,14 @@ val spec :
 (** [spec target] with optional dimension bounds.
     @raise Invalid_argument unless [0 < target < 1]. *)
 
-val create :
-  ?bucket_width:float -> ?fast_buckets:int -> ?slow_buckets:int ->
-  ?burn_threshold:float -> ?min_samples:int -> ?events:Event_log.t ->
-  unit -> t
-(** Defaults: 1 s buckets, 5-bucket fast window, 60-bucket slow window,
-    burn threshold 2.0, 5 samples minimum before a window judges
-    latency or loss. Events go to [events] (default: the global
-    {!Registry.events} log).
-    @raise Invalid_argument on a non-positive width or bad window
-    sizes. *)
+val create : ?events:Event_log.t -> unit -> t
+(** 1 s buckets, a 5-bucket fast window, a 60-bucket slow window, burn
+    threshold 2.0, and 5 samples minimum before a window judges latency
+    or loss. Events go to [events] (default: the global
+    {!Registry.events} log). An engine with its own [events] log is
+    private: its transitions do not add to the global [slo.violation],
+    [slo.recovered] and [slo.alert_*] counters, so those count exactly
+    what the global log records. *)
 
 val declare : t -> vpn:int -> band:int -> spec -> unit
 (** Register an objective; re-declaring an existing (vpn, band) is

@@ -285,6 +285,45 @@ let test_runner_barrier_mode_parity () =
       Alcotest.(check bool) "totals still match" true
         (totals (Runner.run_sequential cfg) = totals par))
 
+(* The prepare_replica contract both entry points keep: one call per
+   replica, on the replica that then runs, after the timeline sampler
+   has scheduled its first tick and before any workload is armed. *)
+let test_prepare_replica_order () =
+  let cfg =
+    { (small_cfg ~pops:6 ~vpns:2 ~sites:2 ~seed:3) with
+      Runner.sample_interval = Some 0.5 }
+  in
+  (* What a bare build leaves scheduled; the sampler adds one tick. *)
+  let built =
+    T.Control.with_disabled (fun () ->
+        Mvpn_sim.Engine.pending (Mvpn_core.Scenario.engine (Runner.build cfg)))
+  in
+  let check_run name run cfg ~replicas =
+    let lock = Mutex.create () in
+    let seen = ref [] in
+    let prepare sc =
+      let pending = Mvpn_sim.Engine.pending (Mvpn_core.Scenario.engine sc) in
+      let armed = Mvpn_core.Scenario.class_reports sc <> [] in
+      Mutex.protect lock (fun () -> seen := (sc, pending, armed) :: !seen)
+    in
+    ignore
+      (with_telemetry (fun () ->
+           run { cfg with Runner.prepare_replica = Some prepare }));
+    Alcotest.(check int) (name ^ ": one call per replica") replicas
+      (List.length !seen);
+    List.iter
+      (fun (sc, pending, armed) ->
+         Alcotest.(check int) (name ^ ": after the sampler's first tick")
+           (built + 1) pending;
+         Alcotest.(check bool) (name ^ ": before the workload") false armed;
+         Alcotest.(check bool) (name ^ ": on the replica that ran") true
+           (Mvpn_sim.Engine.processed (Mvpn_core.Scenario.engine sc) > 0))
+      !seen
+  in
+  check_run "sequential" Runner.run_sequential cfg ~replicas:1;
+  check_run "K=2" Runner.run_parallel { cfg with Runner.shards = 2 }
+    ~replicas:2
+
 (* --- Fatelog ------------------------------------------------------------- *)
 
 type fate = float * int * int * bool * float  (* time vpn band dropped latency *)
@@ -374,4 +413,6 @@ let () =
          Alcotest.test_case "K=8 deterministic" `Quick
            test_runner_k8_deterministic;
          Alcotest.test_case "barrier-mode parity" `Quick
-           test_runner_barrier_mode_parity ]) ]
+           test_runner_barrier_mode_parity;
+         Alcotest.test_case "prepare_replica order" `Quick
+           test_prepare_replica_order ]) ]

@@ -247,11 +247,18 @@ let test_flap_release_after_hold () =
 let chaos_fates seed =
   Packet.reset_uid_counter ();
   let d0 = cv "net.delivered" in
-  let h =
-    Harness.build ~pops:6 ~vpns:1 ~sites_per_vpn:2 ~events:8 ~frr:true
-      ~fallback:true ~seed ~duration:5.0 ()
+  let sc =
+    Scenario.build ~pops:6 ~vpns:1 ~sites_per_vpn:2 ~seed
+      (Scenario.Mpls_deployment
+         { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
+           use_te = false })
   in
-  Harness.run h;
+  let h =
+    Harness.arm ~events:8 ~frr:true ~fallback:true ~seed ~duration:5.0 sc
+  in
+  Scenario.add_mixed_workload ~load:0.5 sc
+    ~pairs:(Scenario.default_pairs sc) ~duration:5.0;
+  Scenario.run sc ~duration:10.0;
   let net = Scenario.network (Harness.scenario h) in
   ( T.Json.to_string (Chaos.plan_json (Harness.plan h)),
     cv "net.delivered" - d0,
@@ -454,7 +461,7 @@ let test_plan_replay_identity () =
     in
     Scenario.add_mixed_workload ~load:0.5 sc
       ~pairs:(Scenario.default_pairs sc) ~duration:8.0;
-    Harness.run h;
+    Scenario.run sc ~duration:13.0;
     (Harness.plan h, T.Json.to_string (Harness.summary_json h))
   in
   let plan, s1 = run None in
@@ -520,7 +527,7 @@ let test_audit_clean_under_storm () =
   in
   Scenario.add_mixed_workload ~load:0.6 sc
     ~pairs:(Scenario.default_pairs sc) ~duration:8.0;
-  Harness.run h;
+  Scenario.run sc ~duration:13.0;
   Alcotest.(check int) "no violations under the storm" 0
     (Audit.violations a);
   Alcotest.(check bool) "auditor actually ticked" true (Audit.ticks a > 10);
@@ -540,7 +547,7 @@ let test_audit_checks_allocate_nothing () =
   let a = Audit.start ~interval:0.5 ~until:6.0 ?frr:(Harness.frr h) sc in
   Scenario.add_mixed_workload ~load:0.6 sc
     ~pairs:(Scenario.default_pairs sc) ~duration:4.0;
-  Harness.run h;
+  Scenario.run sc ~duration:9.0;
   let ring = T.Registry.trace () in
   Alcotest.(check bool) "hop-trace ring is full" true
     (T.Hop_trace.recorded ring >= T.Hop_trace.capacity ring);

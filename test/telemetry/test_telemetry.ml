@@ -518,6 +518,32 @@ let test_slo_gated_and_json () =
      | Some g -> Gauge.value g = 1.0
      | None -> false)
 
+(* An engine with a private event log keeps its transitions out of the
+   global slo.* counters, which count what the global log records; a
+   default engine books them there. *)
+let test_slo_private_engine_uncounted () =
+  let blackout t =
+    Slo.declare t ~vpn:1 ~band:0 (Slo.spec ~loss_ratio:0.01 0.99);
+    Control.with_enabled (fun () ->
+        for i = 0 to 49 do
+          Slo.observe_drop t ~vpn:1 ~band:0 ~time:(0.1 *. float_of_int i)
+        done;
+        Slo.advance t ~time:6.0)
+  in
+  let violations () = Registry.counter_value "slo.violation" in
+  let alerts () = Registry.counter_value "slo.alert_fire" in
+  let v0 = violations () and a0 = alerts () in
+  let events = Event_log.create () in
+  blackout (Slo.create ~events ());
+  Alcotest.(check bool) "private log records the violation" true
+    (Event_log.count_kind events "slo_violation" >= 1
+     && Event_log.count_kind events "alert_fire" >= 1);
+  Alcotest.(check int) "violation counter unchanged" v0 (violations ());
+  Alcotest.(check int) "alert counter unchanged" a0 (alerts ());
+  blackout (Slo.create ());
+  Alcotest.(check bool) "a default engine counts its violation" true
+    (violations () > v0 && alerts () > a0)
+
 (* --- Registry snapshot/restore ----------------------------------------- *)
 
 let test_registry_snapshot_restore () =
@@ -931,7 +957,8 @@ let () =
          tc "good traffic in budget" test_slo_good_traffic_stays_in_budget;
          tc "violation recovery alert" test_slo_violation_recovery_and_alert;
          tc "gated and json" test_slo_gated_and_json;
-         tc "observe allocates nothing" test_slo_observe_allocates_nothing ]);
+         tc "observe allocates nothing" test_slo_observe_allocates_nothing;
+         tc "private engine uncounted" test_slo_private_engine_uncounted ]);
       ("json-bytes",
        [ tc "event log entries" test_event_log_json_bytes;
          tc "slo report" test_slo_report_json_bytes;
