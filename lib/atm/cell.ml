@@ -19,8 +19,3 @@ let make ~vpi ~vci ?(clp = false) ~frame_id ~index ~last_of_frame () =
   if vci < 0 || vci > 65535 then
     invalid_arg (Printf.sprintf "Cell.make: vci %d out of range" vci);
   { vpi; vci; last_of_frame; clp; frame_id; index }
-
-let pp ppf c =
-  Format.fprintf ppf "cell %d/%d frame %d #%d%s" c.vpi c.vci c.frame_id
-    c.index
-    (if c.last_of_frame then " (eom)" else "")

@@ -30,5 +30,3 @@ val make :
   vpi:int -> vci:int -> ?clp:bool -> frame_id:int -> index:int ->
   last_of_frame:bool -> unit -> t
 (** @raise Invalid_argument if VPI/VCI are out of range. *)
-
-val pp : Format.formatter -> t -> unit

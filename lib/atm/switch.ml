@@ -22,8 +22,6 @@ let create ~line_rate_bps =
   { line_cell_rate = line_rate_bps /. (float_of_int Cell.cell_bytes *. 8.0);
     table = Hashtbl.create 64; reserved = 0.0 }
 
-let line_cell_rate t = t.line_cell_rate
-
 let reservation_of = function
   | Cbr { pcr } -> pcr
   | Vbr { scr; _ } -> scr

@@ -22,9 +22,6 @@ type t
 val create : line_rate_bps:float -> t
 (** @raise Invalid_argument on a non-positive rate. *)
 
-val line_cell_rate : t -> float
-(** The line rate in cells per second. *)
-
 val admit :
   t -> in_vpi:int -> in_vci:int -> out_vpi:int -> out_vci:int ->
   next_hop:int -> category -> (unit, string) result

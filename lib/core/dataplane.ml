@@ -55,7 +55,7 @@ type t = {
   plane : Plane.t;
   fibs : Fib.t array;
   mutable hooks : hooks;
-  mutable cache : bool;
+  cache : bool;
   mutable auto_ftn : bool;
   interceptors : interceptor list array;
   icept_gens : int array;
@@ -72,14 +72,6 @@ let create ?(cache = true) ~nodes ~plane ~fibs () =
 
 let set_hooks t hooks = t.hooks <- hooks
 
-let cache_enabled t = t.cache
-
-let set_cache t flag =
-  if t.cache <> flag then begin
-    t.cache <- flag;
-    Array.fill t.compiled 0 (Array.length t.compiled) None
-  end
-
 let set_auto_ftn t flag = t.auto_ftn <- flag
 
 let bump_interceptors t node chain =
@@ -90,10 +82,6 @@ let set_interceptor t node f = bump_interceptors t node [f]
 
 let add_interceptor t node f =
   bump_interceptors t node (f :: t.interceptors.(node))
-
-let clear_interceptor t node = bump_interceptors t node []
-
-let interceptor_generation t node = t.icept_gens.(node)
 
 let recompiles t = t.recompiles
 

@@ -64,11 +64,6 @@ val create :
 
 val set_hooks : t -> hooks -> unit
 
-val set_cache : t -> bool -> unit
-(** Toggle the caches; flushes all compiled per-node state. *)
-
-val cache_enabled : t -> bool
-
 val set_auto_ftn : t -> bool -> unit
 (** When on, an IP-forwarded packet whose matched FIB prefix has an FTN
     binding at the node gets the label pushed (plain MPLS ingress). *)
@@ -79,11 +74,6 @@ val set_interceptor : t -> int -> interceptor -> unit
 val add_interceptor : t -> int -> interceptor -> unit
 (** Prepend to the node's chain: interceptors run in prepend order and
     the first [Consumed] wins. *)
-
-val clear_interceptor : t -> int -> unit
-
-val interceptor_generation : t -> int -> int
-(** Bumped by every chain change at the node. *)
 
 val receive : t -> int -> from:int option -> Mvpn_net.Packet.t -> unit
 (** Run the node's compiled pipeline on one packet: notify, dispatch

@@ -84,14 +84,10 @@ let pe_key a b = (a lsl 20) lor b
 let membership t = t.membership
 let set_ip_fallback t flag = t.ip_fallback <- flag
 let ip_fallback t = t.ip_fallback
-let mpbgp t = t.mpbgp
 let ospf t = t.ospf
-let ldp t = t.ldp
 let te t = t.te
 
 let vrf t ~pe ~vpn = Hashtbl.find_opt t.vrf_table (pe, vpn)
-
-let vrfs t = Hashtbl.fold (fun _ v acc -> v :: acc) t.vrf_table []
 
 let rd_of_vpn vpn = { Mpbgp.rd_asn = provider_asn; rd_assigned = vpn }
 

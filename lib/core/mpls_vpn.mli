@@ -47,9 +47,7 @@ val deploy :
     carriers share one simulated internetwork (see {!Interprovider}). *)
 
 val membership : t -> Membership.t
-val mpbgp : t -> Mvpn_routing.Mpbgp.t
 val ospf : t -> Mvpn_routing.Ospf.t
-val ldp : t -> Mvpn_mpls.Ldp.t
 val te : t -> Mvpn_mpls.Rsvp_te.t option
 
 val set_ip_fallback : t -> bool -> unit
@@ -70,8 +68,6 @@ val ip_fallback : t -> bool
 
 val vrf : t -> pe:int -> vpn:int -> Vrf.t option
 
-val vrfs : t -> Vrf.t list
-
 val add_site : t -> Site.t -> unit
 (** Join a new site after deployment: updates membership, VRFs, BGP and
     the data plane. The site's CE link must already exist. *)
@@ -80,11 +76,6 @@ val remove_site : t -> site_id:int -> bool
 (** A site leaves: withdraw routes, drop VRF state. *)
 
 (** {2 Inter-provider borders (Option A, §5 "cross-network SLA")} *)
-
-val attach_vrf_neighbor : t -> pe:int -> vpn:int -> neighbor:int -> unit
-(** Treat packets arriving at [pe] from the adjacent node [neighbor]
-    (the other carrier's border router) as belonging to [vpn]'s VRF —
-    the other provider looks like a CE. Creates the VRF if absent. *)
 
 val add_external_route :
   t -> pe:int -> vpn:int -> prefix:Mvpn_net.Prefix.t -> via:int ->

@@ -364,15 +364,9 @@ let dataplane t = t.dp
 
 let set_auto_ftn t flag = Dataplane.set_auto_ftn t.dp flag
 
-let set_route_cache t flag = Dataplane.set_cache t.dp flag
-
-let route_cache t = Dataplane.cache_enabled t.dp
-
 let set_interceptor t node f = Dataplane.set_interceptor t.dp node f
 
 let add_interceptor t node f = Dataplane.add_interceptor t.dp node f
-
-let clear_interceptor t node = Dataplane.clear_interceptor t.dp node
 
 let set_sink t node f = t.sinks.(node) <- f
 
@@ -548,9 +542,6 @@ let iter_ports t f =
 let set_drop_leak t n =
   if n < 0 then invalid_arg "Network.set_drop_leak: negative count";
   t.drop_leak <- n
-
-let inject_after t ~delay node packet =
-  Engine.schedule t.engine ~delay (fun () -> inject t node packet)
 
 let create ?(policy = Qos_mapping.Best_effort) ?wred
     ?(route_cache = true) ?(seed = 7) engine topo =

@@ -44,12 +44,6 @@ val set_auto_ftn : t -> bool -> unit
 (** When on, an IP-forwarded packet whose matched FIB prefix has an FTN
     binding at this node gets the label pushed (plain MPLS ingress). *)
 
-val set_route_cache : t -> bool -> unit
-(** Toggle the dataplane caches (flushes compiled state). E0 races the
-    two settings; behavior is observationally identical either way. *)
-
-val route_cache : t -> bool
-
 val set_interceptor : t -> int -> Dataplane.interceptor -> unit
 (** Replace the node's interceptor chain with this single function.
     (Convenience for {!Dataplane.set_interceptor}.) *)
@@ -59,8 +53,6 @@ val add_interceptor : t -> int -> Dataplane.interceptor -> unit
     prepend order and the first [Consumed] wins — how several services
     (an L3 VPN's PE function, an L2 pseudowire demux) share one edge
     router. *)
-
-val clear_interceptor : t -> int -> unit
 
 val set_sink : t -> int -> (Mvpn_net.Packet.t -> unit) -> unit
 (** Local-delivery handler; default counts the packet as drop
@@ -75,9 +67,6 @@ val receive : t -> int -> from:(int option) -> Mvpn_net.Packet.t -> unit
     neighbor (the continuation a port's propagation event invokes).
     Exposed so the parallel runner can re-inject packets that crossed a
     cut link from another shard; [inject] is [receive ~from:None]. *)
-
-val inject_after : t -> delay:float -> int -> Mvpn_net.Packet.t -> unit
-(** Schedule [inject] after a processing delay (crypto cost, CPU). *)
 
 val forward_ip : t -> int -> Mvpn_net.Packet.t -> unit
 (** Skip the interceptor and run plain IP forwarding at a node — for

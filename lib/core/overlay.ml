@@ -137,20 +137,6 @@ let provision_ce t (site : Site.t) =
   Dataplane.set_interceptor (Network.dataplane t.net) site.Site.ce_node
     (ce_interceptor t site)
 
-let add_site t site =
-  provision_ce t site;
-  ignore (Ospf.converge t.ospf);
-  Network.refresh_igp t.net t.ospf;
-  let peers =
-    List.filter (fun (s : Site.t) -> s.Site.vpn = site.Site.vpn) t.sites
-  in
-  List.iter
-    (fun peer ->
-       connect_pair t site peer;
-       connect_pair t peer site)
-    peers;
-  t.sites <- site :: t.sites
-
 let deploy ?(cipher = Crypto.Des) ?(copy_tos = false) ?ike ~net ~sites () =
   let ready_at =
     match ike with

@@ -31,14 +31,6 @@ val deploy :
 val tunnel_ready_at : t -> float
 (** When the mesh finished keying (0 when deployed without [ike]). *)
 
-val loopback_of_site : Site.t -> Mvpn_net.Prefix.t
-(** The CE's provider-routable /32. *)
-
-val add_site : t -> Site.t -> unit
-(** Join: floods the new loopback and provisions tunnels to and from
-    every existing member of the VPN — the O(N) per-join cost that
-    makes overlay growth quadratic. *)
-
 val tunnel_count : t -> int
 (** Directional tunnels provisioned. *)
 
@@ -47,10 +39,6 @@ val vc_count : t -> int
 
 val replay_drops : t -> int
 (** Packets the anti-replay windows rejected. *)
-
-val ike_messages : t -> int
-(** Handshake messages implied by the mesh (9 per directional-pair
-    setup: 6 phase 1 + 3 phase 2). *)
 
 (** Provisioning metrics, mirror of {!Mpls_vpn.state_metrics} where it
     makes sense. *)

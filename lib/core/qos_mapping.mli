@@ -24,7 +24,6 @@ type policy =
 val band_count : int
 (** 4. *)
 
-val band_of_exp : int -> int
 val band_of_dscp : Mvpn_net.Dscp.t -> int
 
 val band_of_packet : Mvpn_net.Packet.t -> int

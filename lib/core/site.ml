@@ -13,7 +13,3 @@ let make ~id ~name ~vpn ~prefix ~ce_node ~pe_node =
   { id; name; vpn; prefix; ce_node; pe_node }
 
 let host t i = Prefix.nth_host t.prefix (i + 1)
-
-let pp ppf t =
-  Format.fprintf ppf "site %d (%s) vpn %d %a ce=%d pe=%d" t.id t.name t.vpn
-    Prefix.pp t.prefix t.ce_node t.pe_node

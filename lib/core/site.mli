@@ -23,5 +23,3 @@ val host : t -> int -> Mvpn_net.Ipv4.t
 (** [host site i] is the [i]-th usable address inside the site, for
     generating traffic endpoints.
     @raise Invalid_argument if outside the prefix. *)
-
-val pp : Format.formatter -> t -> unit

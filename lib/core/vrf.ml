@@ -39,7 +39,6 @@ let create ~pe ~vpn ~rd ~import_rts ~export_rts =
     cgen = -1 }
 
 let pe t = t.pe
-let vpn t = t.vpn
 let rd t = t.rd
 let import_rts t = t.import_rts
 let export_rts t = t.export_rts
@@ -74,18 +73,7 @@ let lookup t addr =
     r
   end
 
-let route_count t = Radix.cardinal t.routes
-
 let iter_routes t f = Radix.iter f t.routes
-
-let local_sites t =
-  Radix.fold
-    (fun _ nh acc ->
-       match nh with
-       | Local_site s -> s :: acc
-       | Remote_pe _ | Via_neighbor _ -> acc)
-    t.routes []
-  |> List.rev
 
 let clear_remote t =
   let victims =

@@ -24,7 +24,6 @@ val create :
   export_rts:Mvpn_routing.Mpbgp.rt list -> t
 
 val pe : t -> int
-val vpn : t -> int
 val rd : t -> Mvpn_routing.Mpbgp.rd
 val import_rts : t -> Mvpn_routing.Mpbgp.rt list
 val export_rts : t -> Mvpn_routing.Mpbgp.rt list
@@ -45,13 +44,9 @@ val remove : t -> Mvpn_net.Prefix.t -> bool
 val lookup : t -> Mvpn_net.Ipv4.t -> next_hop option
 (** Longest-prefix match within this VRF only. *)
 
-val route_count : t -> int
-
 val iter_routes : t -> (Mvpn_net.Prefix.t -> next_hop -> unit) -> unit
 (** Visit every route in prefix order — the replication fan-out for
     group delivery. *)
-
-val local_sites : t -> Site.t list
 
 val clear_remote : t -> int
 (** Drop every remote route (before re-import); returns how many. *)

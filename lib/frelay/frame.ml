@@ -19,9 +19,3 @@ let make ~dlci ~payload =
   { dlci; payload; de = false; fecn = false; becn = false }
 
 let wire_bytes t = t.payload + overhead_bytes
-
-let pp ppf t =
-  Format.fprintf ppf "frame dlci=%d %dB%s%s%s" t.dlci t.payload
-    (if t.de then " DE" else "")
-    (if t.fecn then " FECN" else "")
-    (if t.becn then " BECN" else "")

@@ -8,12 +8,6 @@
     frames addressed by DLCI, with the DE (discard eligibility), FECN
     and BECN bits that implement its congestion contract. *)
 
-val header_bytes : int
-(** 2 — the Q.922 address field (2-byte default format). *)
-
-val flag_and_fcs_bytes : int
-(** 4 — opening/closing flags shared, plus the 2-byte FCS. *)
-
 val overhead_bytes : int
 (** Total per-frame overhead: header + flags + FCS (6). *)
 
@@ -30,5 +24,3 @@ val make : dlci:int -> payload:int -> t
     non-positive payload. *)
 
 val wire_bytes : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -51,6 +51,4 @@ let submit t (frame : Frame.t) =
 let drain t =
   if Queue.is_empty t.queue then None else Some (Queue.pop t.queue)
 
-let queue_depth t = Queue.length t.queue
-
 let de_discards t = t.de_discards

@@ -35,6 +35,4 @@ val submit : t -> Frame.t -> forward_result
 val drain : t -> (Frame.t * int) option
 (** Serve the next queued (frame, next hop), if any. *)
 
-val queue_depth : t -> int
-
 val de_discards : t -> int

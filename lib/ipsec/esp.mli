@@ -5,20 +5,8 @@
     block, pad-length/next-header trailer, and an authentication tag.
     The per-packet byte overhead is what shrinks goodput in E5. *)
 
-val outer_ip_bytes : int
-(** 20 — the tunnel-mode outer IPv4 header. *)
-
-val esp_header_bytes : int
-(** 8 — SPI and sequence number. *)
-
-val iv_bytes : Crypto.cipher -> int
-(** 8 for DES/3DES, 0 for null encryption. *)
-
 val trailer_bytes : int
 (** 2 — pad length + next header. *)
-
-val auth_bytes : int
-(** 12 — HMAC-96 integrity check value. *)
 
 val pad_bytes : Crypto.cipher -> payload:int -> int
 (** Padding to reach the cipher block size (8 for DES/3DES; none for

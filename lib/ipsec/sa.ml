@@ -13,8 +13,6 @@ let create ~spi ~cipher ~key =
     packets = 0 }
 
 let spi t = t.spi
-let cipher t = t.cipher
-let key t = t.key
 
 let next_seq t =
   t.seq <- t.seq + 1;

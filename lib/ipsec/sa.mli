@@ -9,8 +9,6 @@ type t
 val create : spi:int -> cipher:Crypto.cipher -> key:int64 -> t
 
 val spi : t -> int
-val cipher : t -> Crypto.cipher
-val key : t -> int64
 
 val next_seq : t -> int
 (** Outbound: the next ESP sequence number (starts at 1, increments). *)

@@ -18,16 +18,3 @@ let compare a b =
     Int.compare (rank a) (rank b)
 
 let equal a b = compare a b = 0
-
-let hash = function
-  | Prefix_fec p -> Hashtbl.hash (0, Prefix.hash p)
-  | Tunnel_fec i -> Hashtbl.hash (1, i)
-  | Vpn_fec { vpn; prefix } -> Hashtbl.hash (2, vpn, Prefix.hash prefix)
-
-let to_string = function
-  | Prefix_fec p -> Printf.sprintf "fec:%s" (Prefix.to_string p)
-  | Tunnel_fec i -> Printf.sprintf "tunnel:%d" i
-  | Vpn_fec { vpn; prefix } ->
-    Printf.sprintf "vpn%d:%s" vpn (Prefix.to_string prefix)
-
-let pp ppf f = Format.pp_print_string ppf (to_string f)

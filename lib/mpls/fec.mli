@@ -17,6 +17,3 @@ type t =
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

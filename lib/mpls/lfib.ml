@@ -82,17 +82,7 @@ let set_protection t ~next_hop ~push ~via ~usable =
 
 let protection t ~next_hop = Hashtbl.find_opt t.protections next_hop
 
-let remove_protection t ~next_hop =
-  if Hashtbl.mem t.protections next_hop then begin
-    Hashtbl.remove t.protections next_hop;
-    true
-  end else false
-
 let clear_protections t = Hashtbl.reset t.protections
-
-let protected_next_hops t =
-  List.sort Int.compare
-    (Hashtbl.fold (fun nh _ acc -> nh :: acc) t.protections [])
 
 (* RFC 3443 uniform model: the outermost shim carries the packet's real
    TTL, so a pop is still a hop — decrement the popped shim's TTL and

@@ -18,8 +18,6 @@ let create ~nodes =
       { allocator = Label.Allocator.create (); lfib = Lfib.create ();
         ftn = Hashtbl.create 16; ftn_gen = 0 })
 
-let node_count t = Array.length t
-
 let get (t : t) node =
   if node < 0 || node >= Array.length t then
     invalid_arg (Printf.sprintf "Plane: unknown node %d" node);
@@ -52,8 +50,6 @@ let clear_ftn t node =
   end
 
 let ftn_generation t node = (get t node).ftn_gen
-
-let ftn_size t node = Hashtbl.length (get t node).ftn
 
 let total_lfib_entries t =
   Array.fold_left (fun acc s -> acc + Lfib.size s.lfib) 0 t

@@ -14,8 +14,6 @@ type t
 
 val create : nodes:int -> t
 
-val node_count : t -> int
-
 val allocator : t -> int -> Label.Allocator.t
 (** The node's label space. @raise Invalid_argument on a bad node. *)
 
@@ -40,8 +38,6 @@ val ftn_generation : t -> int -> int
     FEC → FTN caches compare it to detect that an ingress binding moved
     (e.g. after a failure re-splice).
     @raise Invalid_argument on a bad node. *)
-
-val ftn_size : t -> int -> int
 
 val total_lfib_entries : t -> int
 (** Sum of LFIB sizes over all nodes — network-wide label state (E1). *)

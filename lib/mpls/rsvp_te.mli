@@ -62,8 +62,6 @@ val teardown : t -> int -> bool
 (** Tear a tunnel down by id and release its reservations; [false] if
     unknown or already down. *)
 
-val tunnel : t -> int -> tunnel option
-
 val tunnels : t -> tunnel list
 
 val ingress_fec : tunnel -> Fec.t

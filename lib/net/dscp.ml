@@ -72,5 +72,4 @@ let pp ppf d =
   | Af (c, p) -> Format.fprintf ppf "AF%d%d" c p
   | Cs n -> Format.fprintf ppf "CS%d" n
 
-let compare = Int.compare
 let equal = Int.equal

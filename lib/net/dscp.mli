@@ -60,5 +60,4 @@ val pp : Format.formatter -> t -> unit
 (** Prints the symbolic name ([EF], [AF31], [CS6], [BE], or the raw
     number for non-standard codepoints). *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool

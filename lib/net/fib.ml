@@ -34,16 +34,3 @@ let clear_source t src =
 let iter f t = Radix.iter f t
 
 let to_list t = Radix.to_list t
-
-let source_to_string = function
-  | Static -> "static"
-  | Connected -> "connected"
-  | Igp -> "igp"
-  | Bgp -> "bgp"
-
-let pp ppf t =
-  Radix.iter
-    (fun p r ->
-       Format.fprintf ppf "%a via %d cost %d (%s)@." Prefix.pp p r.next_hop
-         r.cost (source_to_string r.source))
-    t

@@ -55,7 +55,3 @@ val clear_source : t -> source -> int
 val iter : (Prefix.t -> route -> unit) -> t -> unit
 
 val to_list : t -> (Prefix.t * route) list
-
-val pp : Format.formatter -> t -> unit
-
-val source_to_string : source -> string

@@ -53,10 +53,6 @@ let proto_to_string = function
   | Esp -> "esp"
   | Gre -> "gre"
 
-let pp ppf f =
-  Format.fprintf ppf "%a:%d -> %a:%d/%s" Ipv4.pp f.src f.src_port Ipv4.pp
-    f.dst f.dst_port (proto_to_string f.proto)
-
 let reverse f =
   { f with src = f.dst; dst = f.src; src_port = f.dst_port;
     dst_port = f.src_port }

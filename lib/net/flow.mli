@@ -24,7 +24,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 
 val proto_to_string : proto -> string
-val pp : Format.formatter -> t -> unit
 
 val reverse : t -> t
 (** [reverse f] swaps source and destination address and port. *)

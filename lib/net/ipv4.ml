@@ -50,7 +50,6 @@ let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 let compare = Int.compare
 let equal = Int.equal
-let hash a = Hashtbl.hash a
 
 let succ a = (a + 1) land max_value
 let add a n = (a + n) land max_value
@@ -59,4 +58,3 @@ let is_multicast a = a lsr 28 = 0b1110
 
 let any = 0
 let broadcast = max_value
-let localhost = of_octets 127 0 0 1

@@ -41,8 +41,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val succ : t -> t
 (** [succ a] is the next address, wrapping from 255.255.255.255 to 0.0.0.0. *)
 
@@ -57,6 +55,3 @@ val any : t
 
 val broadcast : t
 (** 255.255.255.255 *)
-
-val localhost : t
-(** 127.0.0.1 *)

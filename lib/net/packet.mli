@@ -12,9 +12,7 @@
     - The label stack is a fixed-depth array of {e packed} shim entries —
       label (20 bits), EXP (3 bits) and TTL (8 bits) folded into one
       immediate [int] (see {!Shim}) — so push/pop/swap are plain integer
-      stores. The legacy {!shim} record survives as a {e decoded view}:
-      accessors returning it allocate a fresh snapshot, and mutating that
-      snapshot does {b not} write back into the packet.
+      stores, and readers decode fields from the packed int.
     - The outer header is pre-allocated in every packet and armed by a
       [has_outer] flag, so {!encapsulate}/{!decapsulate}/{!visible_header}
       never allocate.
@@ -32,16 +30,11 @@
     incarnation (between {!make} and {!release}) they are logically
     immutable. *)
 
-(** One MPLS shim entry, decoded. [exp] is the 3-bit class-of-service
-    field the provider edge writes from the DSCP (§5); [ttl] is the
-    label TTL. This is a {e snapshot}: mutating it does not affect the
-    packet it was decoded from. *)
-type shim = { mutable label : int; mutable exp : int; mutable ttl : int }
-
 (** Packed shim entries: [label (20 bits) | exp (3 bits) | ttl (8 bits)]
-    in one immediate, non-negative [int]. The unboxed currency of the
-    forwarding hot path ({!Mvpn_mpls.Lfib.step_packed}, EXP
-    classification). *)
+    in one immediate, non-negative [int]. [exp] is the 3-bit
+    class-of-service field the provider edge writes from the DSCP (§5);
+    [ttl] is the label TTL. The unboxed currency of the forwarding hot
+    path ({!Mvpn_mpls.Lfib.step_packed}, EXP classification). *)
 module Shim : sig
   type packed = int
 
@@ -49,23 +42,12 @@ module Shim : sig
   (** [-1]: the absence of a shim (empty stack). All real packed shims
       are [>= 0]. *)
 
-  val pack : label:int -> exp:int -> ttl:int -> packed
-  (** Fields are masked/clamped into range: label to 20 bits, exp to
-      3 bits, ttl clamped into [0, 255]. *)
-
   val label : packed -> int
   val exp : packed -> int
   val ttl : packed -> int
 
-  val with_label : packed -> int -> packed
-  (** Replace the label, keeping EXP and TTL. *)
-
-  val with_exp : packed -> int -> packed
   val with_ttl : packed -> int -> packed
-  (** Replace one field, clamped/masked as in {!pack}. *)
-
-  val to_shim : packed -> shim
-  (** Allocate a decoded snapshot. *)
+  (** Replace the TTL, clamped into [0, 255], keeping label and EXP. *)
 end
 
 type header = {
@@ -127,9 +109,6 @@ val make :
     [uid] from a global counter. When pooling is on and a retired packet
     is available, reinitialises it in place instead of allocating. *)
 
-val header_of_flow : ?dscp:Dscp.t -> Flow.t -> header
-(** A fresh header populated from a flow's 5-tuple. *)
-
 val copy : t -> t
 (** A replication copy: fresh uid, deep-copied headers and label stack,
     same provenance (flow, vpn, seq, creation time). The ingress-
@@ -169,7 +148,8 @@ val visible_header : t -> header
 
 val visible_dscp : t -> Dscp.t
 (** DSCP of {!visible_header} — what a DiffServ classifier sees. When the
-    packet is labelled, forwarding hops should use {!top_exp} instead. *)
+    packet is labelled, forwarding hops read the EXP of {!top_packed}
+    instead. *)
 
 val classifiable_flow : t -> Flow.t option
 (** The 5-tuple a multifield classifier can extract: [None] when the
@@ -184,35 +164,22 @@ val outer_header : t -> header
 
 (** {2 Label stack}
 
-    The packed accessors ([labelled], [top_packed], [pop_packed],
-    [set_top]) are the hot-path interface: no allocation, shims as
-    immediate ints. The [shim option] accessors are decoded views kept
-    for call sites where a boxed snapshot is fine. *)
+    The accessors ([labelled], [top_packed], [pop_packed], [set_top])
+    allocate nothing: shims travel as immediate ints, read with the
+    {!Shim} field decoders. *)
 
 val labelled : t -> bool
-(** [true] when the label stack is non-empty. Allocation-free
-    replacement for [top_label p <> None]. *)
+(** [true] when the label stack is non-empty. *)
 
 val label_depth : t -> int
 
 val top_packed : t -> Shim.packed
 (** Top of the stack as a packed shim, or {!Shim.none} when empty. *)
 
-val top_label : t -> shim option
-(** Top of the label stack, decoded, if any. The returned record is a
-    snapshot — mutating it does not rewrite the packet. *)
-
-val top_exp : t -> int option
-(** EXP bits of the top label, if the packet is labelled. *)
-
 val push_label : t -> label:int -> exp:int -> ttl:int -> unit
 (** Push a shim entry (4 bytes of wire size). Fields are masked/clamped
-    as by {!Shim.pack}.
+    into range: label to 20 bits, exp to 3 bits, ttl into [0, 255].
     @raise Invalid_argument when the stack is full ({!max_depth}). *)
-
-val pop_label : t -> shim option
-(** Pop the top shim entry (reclaims 4 bytes); [None] on empty stack.
-    The returned record is a decoded snapshot. *)
 
 val pop_packed : t -> Shim.packed
 (** Pop the top shim entry as a packed shim (reclaims 4 bytes);
@@ -230,9 +197,6 @@ val swap_label : t -> label:int -> unit
 val set_exp_all : t -> exp:int -> unit
 (** Write [exp] into every entry of the label stack (the PE marks the
     whole stack so EXP survives pops, §5). *)
-
-val label_stack : t -> shim list
-(** The whole stack, decoded, top first. Snapshot semantics. *)
 
 val label_values : t -> int list
 (** Just the label fields, top first (tracing). *)

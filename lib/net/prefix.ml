@@ -31,16 +31,12 @@ let of_string_exn s =
 
 let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.network) p.length
 
-let pp ppf p = Format.pp_print_string ppf (to_string p)
-
 let compare p q =
   match Ipv4.compare p.network q.network with
   | 0 -> Int.compare p.length q.length
   | c -> c
 
 let equal p q = compare p q = 0
-
-let hash p = Hashtbl.hash (Ipv4.to_int p.network, p.length)
 
 let mem a p = Ipv4.to_int a land mask_of_length p.length = Ipv4.to_int p.network
 

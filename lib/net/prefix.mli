@@ -26,14 +26,10 @@ val of_string_exn : string -> t
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val compare : t -> t -> int
 (** Orders by network address, then by mask length (shorter first). *)
 
 val equal : t -> t -> bool
-
-val hash : t -> int
 
 val mem : Ipv4.t -> t -> bool
 (** [mem a p] is [true] iff address [a] falls inside prefix [p]. *)

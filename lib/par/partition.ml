@@ -184,8 +184,3 @@ let sizes t =
   let s = Array.make t.shards 0 in
   Array.iter (fun o -> s.(o) <- s.(o) + 1) t.owner;
   s
-
-let owner_of t v =
-  if v < 0 || v >= Array.length t.owner then
-    invalid_arg (Printf.sprintf "Partition.owner_of: unknown node %d" v);
-  t.owner.(v)

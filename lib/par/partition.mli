@@ -29,6 +29,3 @@ val compute : ?hint:(int -> int option) -> Mvpn_sim.Topology.t -> shards:int -> 
 
 val sizes : t -> int array
 (** Nodes owned per shard. *)
-
-val owner_of : t -> int -> int
-(** @raise Invalid_argument on an unknown node id. *)

@@ -89,8 +89,6 @@ let create ~id ~part ~exchange ~build ?prepare ~arm () =
 
 let id t = t.sid
 
-let engine t = t.eng
-
 let ingest t ~bound ~inclusive =
   let fresh = Exchange.drain t.exchange ~dst:t.sid in
   if fresh <> [] then

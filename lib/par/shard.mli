@@ -59,8 +59,6 @@ val create :
 
 val id : t -> int
 
-val engine : t -> Mvpn_sim.Engine.t
-
 val ingest : t -> bound:float -> inclusive:bool -> unit
 (** Drain inbound exchange channels into the sorted pending inbox, then
     schedule every message with arrival below [bound] (at or below,

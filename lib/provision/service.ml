@@ -100,8 +100,6 @@ module Pool = struct
   let create ?(asn = 65000) () =
     { asn; rds = Int_tbl.create 64; rts = Int_tbl.create 64 }
 
-  let asn t = t.asn
-
   let rd t ~customer =
     match Int_tbl.find t.rds customer with
     | rd -> rd

@@ -82,8 +82,6 @@ module Pool : sig
   val create : ?asn:int -> unit -> t
   (** [asn] defaults to 65000 — the provider AS every RD/RT carries. *)
 
-  val asn : t -> int
-
   val rd : t -> customer:int -> Mvpn_routing.Mpbgp.rd
   (** One route distinguisher per customer, memoized. *)
 

@@ -99,5 +99,3 @@ let process t ~now packet =
         Marked { dscp = Dscp.best_effort; class_name = cls.cfg.name }
       | Police_drop -> Dropped { class_name = cls.cfg.name }
     end
-
-let class_names t = Array.map (fun c -> c.cfg.name) t.classes

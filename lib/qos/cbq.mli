@@ -48,5 +48,3 @@ val process : t -> now:float -> Mvpn_net.Packet.t -> verdict
 (** Classify, meter and mark one packet, writing the resulting DSCP into
     its inner header. Unmatched packets are marked best effort
     (class name ["default"]). *)
-
-val class_names : t -> string array

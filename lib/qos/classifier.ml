@@ -20,8 +20,6 @@ type 'a t = 'a rule list
 
 let create rules = rules
 
-let length = List.length
-
 let needs_flow r =
   r.src <> None || r.dst <> None || r.proto <> None || r.src_port <> None
   || r.dst_port <> None

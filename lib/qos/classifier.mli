@@ -32,5 +32,3 @@ val classify_flow :
   'a t -> ?dscp:Mvpn_net.Dscp.t -> Mvpn_net.Flow.t -> 'a option
 (** Classify a bare flow (CPE-side, before any encapsulation). [dscp]
     defaults to best effort. *)
-
-val length : 'a t -> int

@@ -107,6 +107,3 @@ let flow_state_at t node =
 
 let total_flow_state t =
   Hashtbl.fold (fun _ v acc -> acc + v) t.router_state 0
-
-let path_of t id =
-  Option.map (fun r -> r.path) (Hashtbl.find_opt t.by_id id)

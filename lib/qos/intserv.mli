@@ -37,9 +37,3 @@ val flow_state_at : t -> int -> int
 
 val total_flow_state : t -> int
 (** Sum over all routers. *)
-
-val reserved_on : t -> Mvpn_sim.Topology.link -> float
-(** Bits per second IntServ has promised on a link. *)
-
-val path_of : t -> int -> int list option
-(** The node path of a live reservation. *)

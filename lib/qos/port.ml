@@ -75,8 +75,6 @@ let clear_fault t = t.fault <- None
 
 let set_handoff t h = t.handoff <- h
 
-let faulty t = t.fault <> None
-
 (* Stateless per-packet fault decision: a splitmix64 finalizer over
    (uid, seed, salt) mapped to [0, 1). Keyed on the packet uid rather
    than drawn from a stream so the verdict for a given packet does not

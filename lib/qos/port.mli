@@ -50,8 +50,6 @@ val set_fault : t -> ?loss:float -> ?corrupt:float -> seed:int -> unit -> unit
 
 val clear_fault : t -> unit
 
-val faulty : t -> bool
-
 val set_handoff : t -> (arrival:float -> Mvpn_net.Packet.t -> unit) option -> unit
 (** Override propagation: when set, a packet finishing serialization on
     an up link is passed to the handoff with its computed arrival time

@@ -64,8 +64,6 @@ let offer t packet =
     true
   end
 
-let backlog_bytes t = t.backlog
-
 let shaped t = t.shaped
 
 let dropped t = t.dropped

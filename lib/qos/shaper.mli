@@ -19,8 +19,6 @@ val offer : t -> Mvpn_net.Packet.t -> bool
 (** Submit a packet: released immediately if tokens allow, queued if
     the buffer has room, else refused ([false]). *)
 
-val backlog_bytes : t -> int
-
 val shaped : t -> int
 (** Packets that had to wait (vs passing straight through). *)
 

@@ -15,8 +15,6 @@ let create ~rate_bps ~burst_bytes =
   { rate_bytes_per_s = rate_bps /. 8.0; burst = burst_bytes;
     tokens = burst_bytes; last = 0.0 }
 
-let rate_bps t = t.rate_bytes_per_s *. 8.0
-
 let refill t ~now =
   if now > t.last then begin
     t.tokens <-

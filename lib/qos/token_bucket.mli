@@ -10,8 +10,6 @@ type t
 val create : rate_bps:float -> burst_bytes:float -> t
 (** A full bucket. @raise Invalid_argument on non-positive rate or burst. *)
 
-val rate_bps : t -> float
-
 val take : t -> now:float -> bytes:int -> bool
 (** [take b ~now ~bytes] refills to [now] then consumes [bytes] tokens
     if available, returning whether the packet conformed. Non-conforming

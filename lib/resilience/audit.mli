@@ -53,9 +53,6 @@ exception Violation of string * string
 val default_interval : float
 (** 1.0 sim-second. *)
 
-val default_max_hops : int
-(** [2 x Packet.default_ttl]. *)
-
 val start :
   ?interval:float ->
   ?until:float ->

@@ -77,8 +77,6 @@ val random_topology_plan :
 val schedule : Mvpn_core.Network.t -> plan -> unit
 (** Arm every fault (and its recovery) on the network's engine. *)
 
-val fault_time : fault -> float
-
 val pp_fault : Format.formatter -> fault -> unit
 
 val fault_json : fault -> Mvpn_telemetry.Json.t

@@ -22,7 +22,6 @@ type t = {
 let scenario t = t.sc
 let plan t = t.plan
 let frr t = t.frr
-let recovery t = t.recovery
 
 let down_duplex net =
   List.length

@@ -55,7 +55,6 @@ val soak_replica :
 val scenario : t -> Mvpn_core.Scenario.t
 val plan : t -> Chaos.plan
 val frr : t -> Frr.t option
-val recovery : t -> Recovery.t
 
 type port_totals = {
   port_offered : int;

@@ -46,15 +46,9 @@ let add_speaker t ~asn =
   t.n <- id + 1;
   id
 
-let speaker_count t = t.n
-
 let check t v =
   if v < 0 || v >= t.n then
     invalid_arg (Printf.sprintf "Bgp: unknown speaker %d" v)
-
-let asn_of t v =
-  check t v;
-  t.speakers.(v).asn
 
 let peer t a b =
   check t a;

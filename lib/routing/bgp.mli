@@ -19,10 +19,6 @@ val create : unit -> t
 val add_speaker : t -> asn:int -> int
 (** Returns the new speaker's id. *)
 
-val speaker_count : t -> int
-
-val asn_of : t -> int -> int
-
 val peer : t -> int -> int -> unit
 (** Create a bidirectional session. Sessions between speakers of the
     same AS are iBGP (routes learned from one iBGP peer are not

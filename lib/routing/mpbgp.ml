@@ -7,8 +7,6 @@ type rt = { rt_asn : int; rt_value : int }
 
 let rd_to_string rd = Printf.sprintf "%d:%d" rd.rd_asn rd.rd_assigned
 
-let rt_to_string rt = Printf.sprintf "%d:%d" rt.rt_asn rt.rt_value
-
 let rt_equal a b = a.rt_asn = b.rt_asn && a.rt_value = b.rt_value
 
 type vpnv4_route = {
@@ -554,11 +552,6 @@ let imported t id import_rts =
 let import t ~pe ~import_rts =
   fold_received t (get_pe t pe)
     (fun id acc -> if imported t id import_rts then route t id :: acc else acc)
-    []
-
-let import_ids t ~pe ~import_rts =
-  fold_received t (get_pe t pe)
-    (fun id acc -> if imported t id import_rts then id :: acc else acc)
     []
 
 let total_routes t = t.exported

@@ -31,8 +31,6 @@ type rt = { rt_asn : int; rt_value : int }
 (** Route target extended community. *)
 
 val rd_to_string : rd -> string
-val rt_to_string : rt -> string
-val rt_equal : rt -> rt -> bool
 
 type vpnv4_route = {
   rd : rd;
@@ -54,8 +52,6 @@ val create : ?mode:session_mode -> unit -> t
 val add_pe : t -> int -> unit
 (** Register a PE by node id.
     @raise Invalid_argument on duplicates. *)
-
-val pe_count : t -> int
 
 val session_count : t -> int
 (** Number of BGP sessions the mode implies for the current PEs. *)
@@ -123,9 +119,6 @@ val import : t -> pe:int -> import_rts:rt list -> vpnv4_route list
     received routes whose export RTs intersect [import_rts]. Routes the
     PE itself exported are excluded (a VRF already holds its local
     routes). *)
-
-val import_ids : t -> pe:int -> import_rts:rt list -> int list
-(** {!import}, but as interned ids — what a compact VRF table stores. *)
 
 val total_routes : t -> int
 (** Distinct (RD, prefix, PE) announcements in the system. *)

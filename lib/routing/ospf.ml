@@ -48,8 +48,6 @@ let create ?(members = fun _ -> true) topo =
     members;
     messages = 0 }
 
-let router_count t = Array.length t.routers
-
 let check_router t v =
   if v < 0 || v >= Array.length t.routers then
     invalid_arg (Printf.sprintf "Ospf: unknown router %d" v)

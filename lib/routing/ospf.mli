@@ -49,5 +49,3 @@ val next_hop_to_router : t -> src:int -> dst:int -> int option
 val distance : t -> src:int -> dst:int -> float
 (** IGP distance between routers per [src]'s database ([infinity] when
     unreachable). Like {!next_hop_to_router}, a pure read. *)
-
-val router_count : t -> int

@@ -31,10 +31,6 @@ val dijkstra_csr :
     words of frontier and nothing per pop. Link-state SPF over a
     router's LSDB ({!Ospf}) and SPF over the live topology share it. *)
 
-val path_of_tree : tree -> int -> int list option
-(** [path_of_tree tree dst] is the node sequence src..dst, or [None] if
-    unreachable. *)
-
 val shortest_path :
   ?usable:(Mvpn_sim.Topology.link -> bool) ->
   ?metric:(Mvpn_sim.Topology.link -> float) ->

@@ -91,8 +91,6 @@ let create () =
 
 let size q = q.size
 
-let is_empty q = q.size = 0
-
 (* Virtual bucket of [key]: floor (key / w), clamped so the float →
    int conversion is always defined. The clamp only engages for keys
    astronomically far from the cursor, where the bucket index is

@@ -25,8 +25,6 @@ val create : unit -> 'a t
 
 val size : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> float -> 'a -> unit
 (** [push q k v] inserts [v] with priority [k]. Keys must be finite. *)
 

@@ -14,8 +14,6 @@ let create () = { data = [||]; size = 0; next_seq = 0 }
 
 let size h = h.size
 
-let is_empty h = h.size = 0
-
 let less a b =
   match a, b with
   | Slot a, Slot b -> a.key < b.key || (a.key = b.key && a.seq < b.seq)

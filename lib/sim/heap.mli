@@ -10,8 +10,6 @@ val create : unit -> 'a t
 
 val size : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> float -> 'a -> unit
 (** [push h k v] inserts [v] with priority [k]. *)
 

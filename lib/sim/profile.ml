@@ -124,17 +124,3 @@ let publish t =
            T.Gauge.set (g ("kind." ^ name))
              (float_of_int (kind_count t id)))
         (kind_names ()))
-
-let pp ppf t =
-  let ev = Stdlib.max 1 t.events in
-  Format.fprintf ppf
-    "@[<v>profile: %d events@,\
-    \  pop     %8.3f ms (%4.0f ns/ev)@,\
-    \  handler %8.3f ms (%4.0f ns/ev)@,\
-    \  flush   %8.3f ms@]"
-    t.events
-    (float_of_int t.pop_ns *. 1e-6)
-    (float_of_int t.pop_ns /. float_of_int ev)
-    (float_of_int t.handler_ns *. 1e-6)
-    (float_of_int t.handler_ns /. float_of_int ev)
-    (float_of_int t.flush_ns *. 1e-6)

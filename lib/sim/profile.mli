@@ -79,5 +79,3 @@ val publish : t -> unit
 (** Export the ledger as [sim.profile.*] gauges: [pop_s], [handler_s],
     [flush_s], [events] and [kind.<name>] per registered kind. Forces
     telemetry on for the writes (harness operation). *)
-
-val pp : Format.formatter -> t -> unit

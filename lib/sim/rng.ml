@@ -58,10 +58,6 @@ let normal r ~mean ~stddev =
   let u1 = 1.0 -. uniform r and u2 = uniform r in
   mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let choose r a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int r (Array.length a))
-
 let shuffle r a =
   for i = Array.length a - 1 downto 1 do
     let j = int r (i + 1) in

@@ -53,8 +53,5 @@ val pareto : t -> shape:float -> scale:float -> float
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian variate (Box–Muller). *)
 
-val choose : t -> 'a array -> 'a
-(** Uniformly random element. @raise Invalid_argument on empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -76,9 +76,6 @@ module Summary = struct
       { count = n; fl }
     end
 
-  let pp ppf s =
-    Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" s.count
-      (mean s) (stddev s) (min s) (max s)
 end
 
 (* In-place sort of [a.(0 .. n-1)] in [Float.compare] order (nan
@@ -279,14 +276,4 @@ module Hist = struct
 
   let total t = Array.fold_left ( + ) 0 t.counts
 
-  let pp ppf t =
-    let n = Array.length t.edges in
-    for i = 0 to n do
-      let label =
-        if i = 0 then Printf.sprintf "<=%.4g" t.edges.(0)
-        else if i = n then Printf.sprintf ">%.4g" t.edges.(n - 1)
-        else Printf.sprintf "(%.4g,%.4g]" t.edges.(i - 1) t.edges.(i)
-      in
-      Format.fprintf ppf "%s: %d@." label t.counts.(i)
-    done
 end

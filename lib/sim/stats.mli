@@ -39,8 +39,6 @@ module Summary : sig
   val merge : t -> t -> t
   (** Combine two summaries as if all samples were added to one. The
       result is fresh: it shares no state with either input. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Exact percentiles over a stored sample set. Linear space; use for
@@ -84,5 +82,4 @@ module Hist : sig
   (** Length is [Array.length edges + 1]. *)
 
   val total : t -> int
-  val pp : Format.formatter -> t -> unit
 end

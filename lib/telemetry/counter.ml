@@ -27,8 +27,6 @@ let empty_cache = { did = -1; cell = ref 0 }
 let make name =
   { name; key = Domain.DLS.new_key (fun () -> ref 0); last = empty_cache }
 
-let name t = t.name
-
 let cell t =
   let did = (Domain.self () :> int) in
   let l = t.last in
@@ -56,5 +54,3 @@ let set t n = if !Control.enabled then cell t := n
 let value t = !(cell t)
 
 let reset t = cell t := 0
-
-let pp ppf t = Format.fprintf ppf "%s = %d" t.name (value t)

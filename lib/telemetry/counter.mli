@@ -12,8 +12,6 @@ type t
 val make : string -> t
 (** Bare counter; {!Registry.counter} is the usual entry point. *)
 
-val name : t -> string
-
 val incr : t -> unit
 
 val add : t -> int -> unit
@@ -28,5 +26,3 @@ val set : t -> int -> unit
 val value : t -> int
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -54,8 +54,6 @@ let create ?(capacity = 1024) () =
 
 let set_clock t clock = t.clock <- clock
 
-let capacity t = Array.length t.data
-
 let recorded t = t.recorded
 
 let record t ?time event =

@@ -72,8 +72,6 @@ val set_clock : t -> (unit -> float) -> unit
     Starts as [fun () -> 0.0]; {!Mvpn_core.Network.create} points it at
     its engine's [now]. *)
 
-val capacity : t -> int
-
 val recorded : t -> int
 (** Total entries ever recorded (>= live entries once wrapped). *)
 
@@ -105,7 +103,5 @@ val entry_to_json : entry -> Json.t
 
 val json_entries : ?limit:int -> t -> Json.t
 (** JSON array of live entries (last [limit] when given). *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -4,8 +4,6 @@ type t = { name : string; cell : float ref Domain.DLS.key }
 
 let make name = { name; cell = Domain.DLS.new_key (fun () -> ref 0.0) }
 
-let name t = t.name
-
 let cell t = Domain.DLS.get t.cell
 
 let set t v = if !Control.enabled then cell t := v
@@ -13,5 +11,3 @@ let set t v = if !Control.enabled then cell t := v
 let value t = !(cell t)
 
 let reset t = cell t := 0.0
-
-let pp ppf t = Format.fprintf ppf "%s = %.6g" t.name (value t)

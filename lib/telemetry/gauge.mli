@@ -12,12 +12,8 @@ type t
 val make : string -> t
 (** Bare gauge; {!Registry.gauge} is the usual entry point. *)
 
-val name : t -> string
-
 val set : t -> float -> unit
 
 val value : t -> float
 
 val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit

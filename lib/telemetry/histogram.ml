@@ -56,8 +56,6 @@ let make ?(lo = 1e-9) ?(buckets = default_buckets) name =
           { counts = Array.make buckets 0; total = 0; fl = fresh_fl () });
     last = empty_cache }
 
-let name t = t.name
-
 let state t =
   let did = (Domain.self () :> int) in
   let l = t.last in
@@ -197,8 +195,3 @@ let absorb t snap =
     Float.Array.set s.fl f_min snap.s_vmin;
   if snap.s_vmax > Float.Array.get s.fl f_max then
     Float.Array.set s.fl f_max snap.s_vmax
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: n=%d mean=%.6g p50=%.6g p90=%.6g p99=%.6g max=%.6g" t.name (count t)
-    (mean t) (p50 t) (p90 t) (p99 t) (max_value t)

@@ -18,8 +18,6 @@ val make : ?lo:float -> ?buckets:int -> string -> t
     {!Registry.histogram} is the usual entry point.
     @raise Invalid_argument if [lo <= 0] or [buckets < 1]. *)
 
-val name : t -> string
-
 val observe : t -> float -> unit
 (** Allocation-free. *)
 
@@ -70,5 +68,3 @@ val absorb : t -> snapshot -> unit
     add, extrema widen. Associative and commutative, so per-domain
     partials can be folded in any order. Unconditional, like
     {!restore}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -43,9 +43,6 @@ val trace : t -> uid:int -> event list
 val recent : t -> int -> event list
 (** The last [n] events, oldest first. *)
 
-val fold : ('a -> event -> 'a) -> t -> 'a -> 'a
-(** Oldest-first fold over live entries. *)
-
 val iter_codes : (int -> int -> unit) -> t -> unit
 (** [iter_codes f t] calls [f uid code] on every live entry, oldest
     first, with the label as its {!intern} code. No event record is

@@ -40,8 +40,6 @@ val events : unit -> Event_log.t
 (** The calling domain's structured event log (SLO transitions, link
     flaps, recompiles). Cleared by {!reset}; exported by {!to_json}. *)
 
-val find : string -> metric option
-
 val find_counter : string -> Counter.t option
 
 val find_gauge : string -> Gauge.t option

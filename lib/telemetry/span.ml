@@ -101,15 +101,6 @@ let of_trace ?(vpn = -1) ?(band = -1) (events : Hop_trace.event list) =
 
 let total t = t.end_time -. t.start_time
 
-let by_kind t =
-  let add acc k d =
-    match List.assoc_opt k acc with
-    | Some prev -> (k, prev +. d) :: List.remove_assoc k acc
-    | None -> (k, d) :: acc
-  in
-  List.rev
-    (List.fold_left (fun acc s -> add acc s.kind s.dwell) [] t.segments)
-
 let dwell_of_kind t k =
   List.fold_left
     (fun acc s -> if s.kind = k then acc +. s.dwell else acc)
@@ -211,13 +202,3 @@ let to_json t =
 
 let sampler_to_json s =
   Json.List (List.map to_json (delivered_spans s @ dropped_spans s))
-
-let pp_segment ppf (s : segment) =
-  Format.fprintf ppf "%s@%d%s %.6fs (%s->%s)" (kind_name s.kind) s.node
-    (if s.next_node <> s.node then Printf.sprintf "->%d" s.next_node else "")
-    s.dwell s.from_label s.to_label
-
-let pp ppf t =
-  Format.fprintf ppf "span uid=%d vpn=%d band=%d %s total=%.6fs@." t.uid
-    t.vpn t.band (outcome_name t.outcome) (total t);
-  List.iter (fun s -> Format.fprintf ppf "  %a@." pp_segment s) t.segments

@@ -47,9 +47,6 @@ val of_trace : ?vpn:int -> ?band:int -> Hop_trace.event list -> t option
 val total : t -> float
 (** [end_time -. start_time]; equals the sum of segment dwells. *)
 
-val by_kind : t -> (kind * float) list
-(** Total dwell per stage, in first-appearance order. *)
-
 val dwell_of_kind : t -> kind -> float
 
 val kind_name : kind -> string
@@ -93,7 +90,3 @@ val to_json : t -> Json.t
 
 val sampler_to_json : sampler -> Json.t
 (** JSON array: retained delivery spans then drop spans. *)
-
-val pp : Format.formatter -> t -> unit
-
-val pp_segment : Format.formatter -> segment -> unit

@@ -44,10 +44,6 @@ let make ?(capacity = default_capacity) ?(scope = Sim) name =
     invalid_arg "Timeseries.make: capacity must be even and >= 2";
   { name; capacity; scope; key = Domain.DLS.new_key (fresh_state capacity) }
 
-let name t = t.name
-
-let capacity t = t.capacity
-
 let scope t = t.scope
 
 let state t = Domain.DLS.get t.key

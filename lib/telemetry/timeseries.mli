@@ -29,10 +29,6 @@ val make : ?capacity:int -> ?scope:scope -> string -> t
     [scope] defaults to [Sim]. Prefer {!Registry.series}, which
     registers the handle for export and reset. *)
 
-val name : t -> string
-
-val capacity : t -> int
-
 val scope : t -> scope
 
 val add : t -> time:float -> float -> unit

@@ -86,11 +86,9 @@ let test_lfib_step_swap () =
   (match step l p with
    | Forward nh -> Alcotest.(check int) "forwarded" 7 nh
    | _ -> Alcotest.fail "expected forward");
-  match Packet.top_label p with
-  | Some s ->
-    Alcotest.(check int) "label swapped" 200 s.Packet.label;
-    Alcotest.(check int) "ttl decremented" 63 s.Packet.ttl
-  | None -> Alcotest.fail "label vanished"
+  let s = Packet.top_packed p in
+  Alcotest.(check int) "label swapped" 200 (Packet.Shim.label s);
+  Alcotest.(check int) "ttl decremented" 63 (Packet.Shim.ttl s)
 
 let test_lfib_step_pop_to_ip () =
   let l = Lfib.create () in
@@ -99,7 +97,7 @@ let test_lfib_step_pop_to_ip () =
   (match step l p with
    | Ip_continue nh -> Alcotest.(check int) "ip at next hop" 7 nh
    | _ -> Alcotest.fail "expected ip continue");
-  Alcotest.(check bool) "stack empty" true (Packet.top_label p = None)
+  Alcotest.(check bool) "stack empty" false (Packet.labelled p)
 
 let test_lfib_step_pop_inner_remains () =
   let l = Lfib.create () in
@@ -109,9 +107,8 @@ let test_lfib_step_pop_inner_remains () =
   (match step l p with
    | Forward nh -> Alcotest.(check int) "forward with inner" 7 nh
    | _ -> Alcotest.fail "expected forward");
-  match Packet.top_label p with
-  | Some s -> Alcotest.(check int) "inner label exposed" 300 s.Packet.label
-  | None -> Alcotest.fail "inner label missing"
+  Alcotest.(check int) "inner label exposed" 300
+    (Packet.Shim.label (Packet.top_packed p))
 
 (* RFC 3443 uniform model: popping charges the hop against the shim TTL
    and propagates the decremented value inward, so time-to-live spent
@@ -134,9 +131,8 @@ let test_lfib_pop_ttl_reaches_inner_shim () =
   (match step l p with
    | Forward 7 -> ()
    | _ -> Alcotest.fail "expected forward with inner label");
-  match Packet.top_label p with
-  | Some s -> Alcotest.(check int) "inner ttl = outer ttl - 1" 4 s.Packet.ttl
-  | None -> Alcotest.fail "inner label missing"
+  Alcotest.(check int) "inner ttl = outer ttl - 1" 4
+    (Packet.Shim.ttl (Packet.top_packed p))
 
 let test_lfib_pop_never_raises_inner_ttl () =
   (* An inner TTL already lower than the popped shim's must stay put. *)
@@ -147,9 +143,8 @@ let test_lfib_pop_never_raises_inner_ttl () =
   (match step l p with
    | Forward _ -> ()
    | _ -> Alcotest.fail "expected forward");
-  match Packet.top_label p with
-  | Some s -> Alcotest.(check int) "inner ttl unchanged" 3 s.Packet.ttl
-  | None -> Alcotest.fail "inner label missing"
+  Alcotest.(check int) "inner ttl unchanged" 3
+    (Packet.Shim.ttl (Packet.top_packed p))
 
 let test_lfib_pop_and_ip_ttl () =
   let l = Lfib.create () in
@@ -171,9 +166,7 @@ let test_lfib_pop_ttl_boundary () =
   (match step l p with
    | Forward 7 -> ()
    | _ -> Alcotest.fail "pop at ttl 2 should still forward");
-  (match Packet.top_label p with
-   | Some s -> Alcotest.(check int) "exposed ttl" 1 s.Packet.ttl
-   | None -> Alcotest.fail "inner label missing");
+  Alcotest.(check int) "exposed ttl" 1 (Packet.Shim.ttl (Packet.top_packed p));
   let next = Lfib.create () in
   Lfib.install next ~in_label:300 { Lfib.op = Lfib.Swap 301; next_hop = 8 };
   match step next p with
@@ -243,8 +236,7 @@ let test_ldp_end_to_end_php () =
    | Ip_continue nh ->
      Alcotest.(check int) "php: ip continues at 3" n.(3) nh
    | _ -> Alcotest.fail "node 2 should pop (php)");
-  Alcotest.(check bool) "unlabelled at egress" true
-    (Packet.top_label p = None)
+  Alcotest.(check bool) "unlabelled at egress" false (Packet.labelled p)
 
 let test_ldp_no_php_egress_pops () =
   let topo, n = line4 () in
@@ -419,7 +411,7 @@ let ldp_lsp_always_reaches_egress =
                 Packet.push_label p ~label:e.Plane.push ~exp:0 ~ttl:64;
                 let rec walk at hops =
                   if hops > 50 then false
-                  else if Packet.top_label p = None then at = egress
+                  else if not (Packet.labelled p) then at = egress
                   else
                     match step (Plane.lfib plane at) p with
                     | Forward nh -> walk nh (hops + 1)
