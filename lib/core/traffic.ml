@@ -130,12 +130,10 @@ let onoff engine rng ~start ~stop ~on_mean ~off_mean ~rate_bps ~packet_bytes
     start_burst
 
 let pareto_bursts engine rng ~start ~stop ~burst_rate ~mean_burst_bytes
-    ?(shape = 1.5) emit =
-  let mtu = 1500 in
+    emit =
+  let mtu = 1500 and shape = 1.5 in
   if burst_rate <= 0.0 then
     invalid_arg "Traffic.pareto_bursts: rate must be positive";
-  if shape <= 1.0 then
-    invalid_arg "Traffic.pareto_bursts: shape must exceed 1 for a finite mean";
   (* Pareto mean = shape*scale/(shape-1); solve scale for the requested
      mean burst size. *)
   let scale = mean_burst_bytes *. (shape -. 1.0) /. shape in

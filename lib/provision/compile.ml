@@ -633,8 +633,7 @@ type deployment = {
   mpls : Mvpn_core.Mpls_vpn.t;
 }
 
-let materialize ?(policy = Mvpn_core.Qos_mapping.Best_effort)
-    (p : Portfolio.t) =
+let materialize (p : Portfolio.t) =
   let backbone = Backbone.build ~pops:p.Portfolio.pe_count () in
   let sites =
     Array.to_list p.Portfolio.customers
@@ -655,7 +654,7 @@ let materialize ?(policy = Mvpn_core.Qos_mapping.Best_effort)
   in
   let engine = Mvpn_sim.Engine.create () in
   let network =
-    Mvpn_core.Network.create ~policy engine (Backbone.topology backbone)
+    Mvpn_core.Network.create engine (Backbone.topology backbone)
   in
   let mpls =
     Mvpn_core.Mpls_vpn.deploy ~net:network ~backbone ~sites ()

@@ -109,9 +109,8 @@ type deployment = {
   mpls : Mvpn_core.Mpls_vpn.t;
 }
 
-val materialize :
-  ?policy:Mvpn_core.Qos_mapping.policy -> Portfolio.t -> deployment
-(** Deploy the portfolio for real on a simulated backbone via
+val materialize : Portfolio.t -> deployment
+(** Deploy the portfolio for real on a simulated best-effort backbone via
     {!Mvpn_core.Mpls_vpn.deploy} — CE nodes, VRFs, label stacks, the
     works. {!Mvpn_core.Mpls_vpn} provisions one any-to-any RT per VPN,
     so this is the deployable reference for any-to-any portfolios
