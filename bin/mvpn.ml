@@ -79,7 +79,8 @@ let pops_arg =
        & info ["pops"] ~docv:"N" ~doc:"Number of POPs (3-256).")
 
 let vpns_arg =
-  Arg.(value & opt int 2 & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs.")
+  Arg.(value & opt (int_conv ~what:"--vpns" ~lo:0 ()) 2
+       & info ["vpns"] ~docv:"V" ~doc:"Number of VPNs (at least 0).")
 
 (* Site k's prefix is 10.k.0.0/16, so k needs one octet. *)
 let sites_arg =
@@ -334,12 +335,15 @@ let stats_cmd =
                  of text.")
   in
   let trace_arg =
-    Arg.(value & opt int 16 & info ["trace"; "trace-events"] ~docv:"N"
-           ~doc:"Hop-trace tail length to include in the dump.")
+    Arg.(value & opt (int_conv ~what:"--trace" ~lo:0 ()) 16
+         & info ["trace"; "trace-events"] ~docv:"N"
+           ~doc:"Hop-trace tail length to include in the dump (at least 0).")
   in
   let events_arg =
-    Arg.(value & opt int 256 & info ["events"] ~docv:"N"
-           ~doc:"Event-log tail length to include in the JSON dump.")
+    Arg.(value & opt (int_conv ~what:"--events" ~lo:0 ()) 256
+         & info ["events"] ~docv:"N"
+           ~doc:"Event-log tail length to include in the JSON dump (at \
+                 least 0).")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -350,14 +354,12 @@ let stats_cmd =
 (* --- slo ---------------------------------------------------------------- *)
 
 let slo_cmd =
-  let run (cfg : Runner.config) json fail_at repair_at chaos_seed =
+  let run (cfg : Runner.config) json (fail_at, repair_at) chaos_seed =
     (* Optional mid-run core failure (and repair + reconvergence), to
        watch the conformance engine catch the churn. *)
     let schedule_failure sc =
       let at t f =
-        match t with
-        | Some t when t > 0.0 -> Engine.schedule (Scenario.engine sc) ~delay:t f
-        | _ -> ()
+        Option.iter (fun t -> Engine.schedule (Scenario.engine sc) ~delay:t f) t
       in
       match (fail_at, Scenario.first_pair_core_link sc) with
       | None, _ -> ()
@@ -430,13 +432,26 @@ let slo_cmd =
                  object.")
   in
   let fail_arg =
-    Arg.(value & opt (some float) None & info ["fail-at"] ~docv:"SEC"
+    Arg.(value & opt (some pos_float_conv) None & info ["fail-at"] ~docv:"SEC"
            ~doc:"Fail the first core link on the path from VPN 1's site 0 \
-                 to its site 1 at this time.")
+                 to its site 1 at this time (finite, positive).")
   in
   let repair_arg =
-    Arg.(value & opt (some float) None & info ["repair-at"] ~docv:"SEC"
-           ~doc:"Repair the failed link (and reconverge) at this time.")
+    Arg.(value & opt (some pos_float_conv) None & info ["repair-at"]
+           ~docv:"SEC"
+           ~doc:"Repair the failed link (and reconverge) at this time \
+                 (finite, after $(b,--fail-at)).")
+  in
+  (* A repair must undo a failure that comes before it. *)
+  let outage_term =
+    let check fail_at repair_at =
+      match (fail_at, repair_at) with
+      | None, Some _ -> `Error (true, "--repair-at needs --fail-at")
+      | Some f, Some r when r <= f ->
+        `Error (true, "--repair-at must be later than --fail-at")
+      | _ -> `Ok (fail_at, repair_at)
+    in
+    Term.(ret (const check $ fail_arg $ repair_arg))
   in
   let chaos_arg =
     Arg.(value & opt (some int) None & info ["chaos"] ~docv:"SEED"
@@ -451,8 +466,7 @@ let slo_cmd =
              Exit status is the contract: 0 when every objective is in \
              budget, 1 when any objective is out of budget (124 on \
              command-line errors, per cmdliner).")
-    Term.(const run $ config_term $ json_arg $ fail_arg $ repair_arg
-          $ chaos_arg)
+    Term.(const run $ config_term $ json_arg $ outage_term $ chaos_arg)
 
 (* --- chaos -------------------------------------------------------------- *)
 
@@ -480,8 +494,9 @@ let chaos_cmd =
           $ shape_term $ duration_arg)
   in
   let events_arg =
-    Arg.(value & opt int 12 & info ["events"] ~docv:"N"
-           ~doc:"Number of faults in the seeded plan.")
+    Arg.(value & opt (int_conv ~what:"--events" ~lo:0 ()) 12
+         & info ["events"] ~docv:"N"
+           ~doc:"Number of faults in the seeded plan (at least 0).")
   in
   let json_arg =
     Arg.(value & flag & info ["json"]

@@ -207,12 +207,16 @@ let add_diurnal_workload ?(peak_load = 0.9) ?(floor_load = 0.3)
       pairs
   done
 
+(* Sites are stored VPN by VPN; [k] is a site's index within its VPN. *)
 let default_pairs t =
-  let pairs = ref [] in
+  let n = Array.length t.sites in
+  let pairs = ref [] and k = ref 0 in
   Array.iteri
-    (fun i a ->
-       if i mod 2 = 0 && i + 1 < Array.length t.sites then
-         pairs := (a, t.sites.(i + 1)) :: !pairs)
+    (fun i (a : Site.t) ->
+       if i > 0 && t.sites.(i - 1).Site.vpn <> a.Site.vpn then k := 0;
+       if !k mod 2 = 0 && i + 1 < n && t.sites.(i + 1).Site.vpn = a.Site.vpn
+       then pairs := (a, t.sites.(i + 1)) :: !pairs;
+       incr k)
     t.sites;
   !pairs
 

@@ -86,8 +86,9 @@ val add_diurnal_workload :
     non-positive [duration]. *)
 
 val default_pairs : t -> (Site.t * Site.t) list
-(** The demo workload pairing used by [mvpn]: consecutive sites
-    (0→1, 2→3, …) in build order. Exposed so the sequential and
+(** The demo workload pairing used by [mvpn]: consecutive sites of
+    the same VPN (its site 0→1, 2→3, …; with an odd count its last site
+    sends nothing), last pair first. Exposed so the sequential and
     partitioned entry points drive byte-identical workloads. *)
 
 val region_hint : t -> int -> int option
