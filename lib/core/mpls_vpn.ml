@@ -12,6 +12,7 @@ module Lfib = Mvpn_mpls.Lfib
 module Label = Mvpn_mpls.Label
 module Fec = Mvpn_mpls.Fec
 module Rsvp_te = Mvpn_mpls.Rsvp_te
+module Int_tbl = Mvpn_sim.Int_tbl
 
 let provider_asn = 65000
 
@@ -63,12 +64,12 @@ type t = {
   mutable ip_fallback : bool;
   (* (ingress, egress) PE pairs currently degraded to IP: drives the
      once-per-episode engage/restore events and counters. *)
-  fallback_active : (int, unit) Hashtbl.t;  (* pe_key (ingress, egress) *)
+  fallback_active : unit Int_tbl.t;  (* pe_key (ingress, egress) *)
   (* Per-PE-pair transport-label memo (see {!outer_transport}): the
      FTN answer is a pure function of the ingress node's FTN table and
      the TE tunnel map, so it is cached under those two generation
      stamps and recomputed only after LDP/RSVP-TE churn. *)
-  transport_memo : (int, transport_memo) Hashtbl.t;  (* pe_key *)
+  transport_memo : transport_memo Int_tbl.t;  (* pe_key *)
   mutable tunnels_gen : int;  (* bumped on every pe_tunnels update *)
   mutable touches : int;
 }
@@ -214,7 +215,7 @@ let outer_transport_slow t ~ingress_pe ~egress_pe =
 let outer_transport t ~ingress_pe ~egress_pe =
   let fgen = Plane.ftn_generation (Network.plane t.net) ingress_pe in
   let k = pe_key ingress_pe egress_pe in
-  match Hashtbl.find t.transport_memo k with
+  match Int_tbl.find t.transport_memo k with
   | m when m.tm_ftn_gen = fgen && m.tm_tun_gen = t.tunnels_gen -> m.tm_ans
   | m ->
     let ans = outer_transport_slow t ~ingress_pe ~egress_pe in
@@ -224,7 +225,7 @@ let outer_transport t ~ingress_pe ~egress_pe =
     ans
   | exception Not_found ->
     let ans = outer_transport_slow t ~ingress_pe ~egress_pe in
-    Hashtbl.add t.transport_memo k
+    Int_tbl.add t.transport_memo k
       { tm_ftn_gen = fgen; tm_tun_gen = t.tunnels_gen; tm_ans = ans };
     ans
 
@@ -249,8 +250,8 @@ let egress_usable t pe nh =
    degradation episode — the make-before-break return to the LSP. *)
 let note_transport_ok t ~ingress ~egress =
   let k = pe_key ingress egress in
-  if Hashtbl.mem t.fallback_active k then begin
-    Hashtbl.remove t.fallback_active k;
+  if Int_tbl.mem t.fallback_active k then begin
+    Int_tbl.remove t.fallback_active k;
     Mvpn_telemetry.Counter.incr m_fallback_restored;
     if !Mvpn_telemetry.Control.enabled then
       Mvpn_telemetry.Event_log.record
@@ -280,8 +281,8 @@ let send_fallback t ~ingress ~egress ~vpn_label packet =
       ~overhead:fallback_overhead ~copy_tos:false;
     (Packet.visible_header packet).Packet.src_port <- vpn_label;
     let k = pe_key ingress egress in
-    if not (Hashtbl.mem t.fallback_active k) then begin
-      Hashtbl.replace t.fallback_active k ();
+    if not (Int_tbl.mem t.fallback_active k) then begin
+      Int_tbl.replace t.fallback_active k ();
       Mvpn_telemetry.Counter.incr m_fallback_engaged;
       if !Mvpn_telemetry.Control.enabled then
         Mvpn_telemetry.Event_log.record
@@ -484,8 +485,8 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
       site_state = Hashtbl.create 16; pe_tunnels = Hashtbl.create 16;
       pe_next_hop = Hashtbl.create 64;
       external_labels = Hashtbl.create 16; map_dscp_to_exp; domain;
-      ip_fallback = false; fallback_active = Hashtbl.create 8;
-      transport_memo = Hashtbl.create 64; tunnels_gen = 0;
+      ip_fallback = false; fallback_active = Int_tbl.create 8;
+      transport_memo = Int_tbl.create 64; tunnels_gen = 0;
       touches = 0 }
   in
   Network.refresh_igp ~members:t.domain t.net t.ospf;

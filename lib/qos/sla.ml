@@ -1,6 +1,11 @@
 module Stats = Mvpn_sim.Stats
 module Packet = Mvpn_net.Packet
 
+(* Per-flow table hashed and compared by [Flow]'s own functions, so a
+   delivery's sequence lookup stays in OCaml code (no [caml_hash] or
+   polymorphic compare on the 5-tuple record). *)
+module Flow_tbl = Hashtbl.Make (Mvpn_net.Flow)
+
 type spec = {
   name : string;
   max_mean_delay : float option;
@@ -27,7 +32,7 @@ let transactional_spec =
 type collector = {
   delays : Stats.Samples.t;
   jitter_acc : Stats.Summary.t;
-  last_seq : (Mvpn_net.Flow.t, int ref) Hashtbl.t;
+  last_seq : int ref Flow_tbl.t;
   mutable reordered : int;
   mutable sent : int;
   mutable received : int;
@@ -39,13 +44,13 @@ type collector = {
      store, not a [Some] box. *)
   last_delay : floatarray;
   (* One-slot cell that carries each sample into [Stats] unboxed
-     (the [-opaque] boxing rule, ARCHITECTURE). *)
+     (the float boxing rule, ARCHITECTURE). *)
   arg : floatarray;
 }
 
 let collector () =
   { delays = Stats.Samples.create (); jitter_acc = Stats.Summary.create ();
-    last_seq = Hashtbl.create 8; reordered = 0;
+    last_seq = Flow_tbl.create 8; reordered = 0;
     sent = 0; received = 0; bytes_received = 0; first_send = infinity;
     last_receive = neg_infinity; last_delay = Float.Array.make 1 Float.nan;
     arg = Float.Array.make 1 0.0 }
@@ -60,12 +65,12 @@ let on_receive c ~now packet =
   (* Per-flow sequence tracking: an arrival below the high-water mark
      was overtaken in flight. Exception-style lookup keeps the [Some]
      box out of the per-delivery path. *)
-  (match Hashtbl.find c.last_seq packet.Packet.flow with
+  (match Flow_tbl.find c.last_seq packet.Packet.flow with
    | high ->
      if packet.Packet.seq < !high then c.reordered <- c.reordered + 1
      else high := packet.Packet.seq
    | exception Not_found ->
-     Hashtbl.add c.last_seq packet.Packet.flow (ref packet.Packet.seq));
+     Flow_tbl.add c.last_seq packet.Packet.flow (ref packet.Packet.seq));
   c.received <- c.received + 1;
   c.bytes_received <- c.bytes_received + packet.Packet.size;
   if now > c.last_receive then c.last_receive <- now;

@@ -85,7 +85,7 @@ end
    and closure-free, so every element stays an unboxed float: the
    generic [Array.sort Float.compare] boxes both operands of each
    comparison. Helpers take indices, never float arguments, and the
-   comparison is inlined (the [-opaque] boxing rule, ARCHITECTURE). *)
+   comparison is inlined (the float boxing rule, ARCHITECTURE). *)
 module Fsort = struct
   (* [Float.compare x y < 0] without the call: nan sorts below every
      other value, and is equal to itself. *)

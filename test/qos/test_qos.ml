@@ -615,6 +615,38 @@ let test_sla_reorder_detection () =
   Sla.on_receive c ~now:0.2 (Packet.make ~seq:1 ~size:100 ~now:0.0 other);
   Alcotest.(check int) "per-flow tracking" 1 (Sla.report c).Sla.reordered
 
+(* Reorder counting against a list model. Arrivals interleave over four
+   flows that differ in one field each; about half carry a freshly built
+   flow record, structurally equal to but not the same object as the
+   one the flow started with, so the per-flow table must key on the
+   5-tuple's value. *)
+let sla_flows =
+  [| (fun () -> Flow.make (ip "10.0.0.1") (ip "10.1.0.1"));
+     (fun () -> Flow.make (ip "10.0.0.2") (ip "10.1.0.1"));
+     (fun () -> Flow.make ~src_port:5060 (ip "10.0.0.1") (ip "10.1.0.1"));
+     (fun () -> Flow.make ~proto:Flow.Tcp (ip "10.0.0.1") (ip "10.1.0.1")) |]
+
+let sla_reorder_model =
+  QCheck.Test.make ~name:"sla reorder count matches a per-flow list model"
+    ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 60)
+              (triple (int_bound 3) (int_bound 20) bool))
+    (fun arrivals ->
+       let shared = Array.map (fun mk -> mk ()) sla_flows in
+       let c = Sla.collector () in
+       let _, expected =
+         List.fold_left
+           (fun (high, n) (f, seq, fresh) ->
+              let flow = if fresh then sla_flows.(f) () else shared.(f) in
+              Sla.on_receive c ~now:1.0
+                (Packet.make ~seq ~size:100 ~now:0.0 flow);
+              match List.assoc_opt f high with
+              | Some h when seq < h -> (high, n + 1)
+              | _ -> ((f, seq) :: List.remove_assoc f high, n))
+           ([], 0) arrivals
+       in
+       (Sla.report c).Sla.reordered = expected)
+
 let test_sla_empty_collector () =
   let r = Sla.report (Sla.collector ()) in
   Alcotest.(check (float 1e-9)) "no loss when nothing sent" 0.0 r.Sla.loss;
@@ -1284,5 +1316,6 @@ let () =
            test_sla_reorder_detection;
          Alcotest.test_case "empty collector" `Quick
            test_sla_empty_collector;
+         qt sla_reorder_model;
          Alcotest.test_case "on_receive allocates nothing" `Quick
            test_sla_on_receive_allocates_nothing ]) ]

@@ -12,6 +12,25 @@ mvpn=./_build/default/bin/mvpn.exe
 json_lint=./_build/default/tools/json_lint.exe
 lint() { "$json_lint" --require-schema; }
 
+# The default profile is release (dune-workspace), which builds without
+# -opaque. Its flags must keep the dev profile's lint: the same
+# warnings-as-errors spec and -strict-sequence, in the root project and
+# in perfbench's separate one.
+echo "== lint parity: lib and perfbench carry the dev warning spec"
+for dir in lib perfbench; do
+  env_flags=$(dune printenv --root . "$dir")
+  for want in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' \
+    -strict-sequence; do
+    case "$env_flags" in
+      *"$want"*) ;;
+      *)
+        echo "dune printenv $dir lacks $want" >&2
+        exit 1
+        ;;
+    esac
+  done
+done
+
 echo "== dune build @all"
 dune build @all
 
