@@ -726,22 +726,29 @@ let soak_cmd =
         diurnal = Some segments }
     in
     (* The storm is drawn once and closed over by every replica, which
-       the soak prepares identically — sequential, or each shard. *)
+       the soak prepares identically — sequential, or each shard. Under
+       --fail-fast the auditor raises its first violation out of the
+       run: report it and exit 1, the same status a counted violation
+       gets. *)
     let storm, o =
-      with_telemetry (fun () ->
-          let storm =
-            Option.map
-              (fun cseed ->
-                 ( cseed,
-                   Harness.soak_storm ~seed:cseed ~duration (fun () ->
-                       Runner.build cfg) ))
-              chaos
-          in
-          let prepare =
-            Harness.soak_replica ?storm ~audit:(audit_interval, fail_fast)
-              ~duration
-          in
-          (storm, run_config { cfg with prepare_replica = Some prepare }))
+      try
+        with_telemetry (fun () ->
+            let storm =
+              Option.map
+                (fun cseed ->
+                   ( cseed,
+                     Harness.soak_storm ~seed:cseed ~duration (fun () ->
+                         Runner.build cfg) ))
+                chaos
+            in
+            let prepare =
+              Harness.soak_replica ?storm ~audit:(audit_interval, fail_fast)
+                ~duration
+            in
+            (storm, run_config { cfg with prepare_replica = Some prepare }))
+      with Mvpn_resilience.Audit.Violation (invariant, detail) ->
+        Printf.eprintf "soak: invariant %s violated: %s\n" invariant detail;
+        exit 1
     in
     let replicas = max 1 o.Runner.shards in
     let audit_ticks =

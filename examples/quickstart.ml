@@ -7,7 +7,6 @@ open Mvpn_core
 module Engine = Mvpn_sim.Engine
 module Prefix = Mvpn_net.Prefix
 module Flow = Mvpn_net.Flow
-module Packet = Mvpn_net.Packet
 
 let () =
   Printf.printf "== MPLS VPN quickstart ==\n\n";

@@ -1,4 +1,3 @@
-module Topology = Mvpn_sim.Topology
 module Packet = Mvpn_net.Packet
 module Ldp = Mvpn_mpls.Ldp
 module Plane = Mvpn_mpls.Plane
@@ -31,7 +30,6 @@ type pw = {
 type t = {
   net : Network.t;
   backbone : Backbone.t;
-  ldp : Ldp.t;
   (* (pe node, pseudowire label) -> which pseudowire side receives *)
   demux : (int * int, pw * bool (* toward side a *)) Hashtbl.t;
   pws : (int, pw) Hashtbl.t;
@@ -79,9 +77,10 @@ let deploy ~net ~backbone =
          (fun pop node -> (Backbone.loopback backbone ~pop, node))
          (Backbone.pops backbone))
   in
-  let ldp = Ldp.distribute topo (Network.plane net) ~fecs in
+  (* The transport LSPs live in the plane; nothing reads the session. *)
+  ignore (Ldp.distribute topo (Network.plane net) ~fecs);
   let t =
-    { net; backbone; ldp; demux = Hashtbl.create 32;
+    { net; backbone; demux = Hashtbl.create 32;
       pws = Hashtbl.create 16; in_flight = Hashtbl.create 64; next_id = 1 }
   in
   Array.iter (fun pe -> install_demux t pe) (Backbone.pops backbone);
@@ -152,7 +151,9 @@ let send t ~pw ~from_a packet =
        with
        | Some (_ :: nh :: _) ->
          Network.transmit t.net ~from:src_side.endpoint.pe ~to_:nh packet
-       | Some _ | None -> Network.drop_packet t.net "pw-unreachable")
+       | Some _ | None ->
+         Network.drop_packet ~node:src_side.endpoint.pe ~packet t.net
+           "pw-unreachable")
   end
 
 let misordered t ~pw = (find_pw t pw).misordered

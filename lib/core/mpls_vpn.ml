@@ -120,8 +120,7 @@ let ensure_vrf t (site : Site.t) =
   | Some v -> v
   | None ->
     let v =
-      Vrf.create ~pe:site.Site.pe_node ~vpn:site.Site.vpn
-        ~rd:(rd_of_vpn site.Site.vpn)
+      Vrf.create ~pe:site.Site.pe_node ~rd:(rd_of_vpn site.Site.vpn)
         ~import_rts:[rt_of_vpn site.Site.vpn]
         ~export_rts:[rt_of_vpn site.Site.vpn]
     in
@@ -520,7 +519,7 @@ let attach_vrf_neighbor t ~pe ~vpn ~neighbor =
     | Some v -> v
     | None ->
       let v =
-        Vrf.create ~pe ~vpn ~rd:(rd_of_vpn vpn)
+        Vrf.create ~pe ~rd:(rd_of_vpn vpn)
           ~import_rts:[rt_of_vpn vpn] ~export_rts:[rt_of_vpn vpn]
       in
       Hashtbl.replace t.vrf_table key v;

@@ -3,10 +3,8 @@ module Topology = Mvpn_sim.Topology
 module Rng = Mvpn_sim.Rng
 module Packet = Mvpn_net.Packet
 module Fib = Mvpn_net.Fib
-module Prefix = Mvpn_net.Prefix
 module Plane = Mvpn_mpls.Plane
 module Lfib = Mvpn_mpls.Lfib
-module Fec = Mvpn_mpls.Fec
 module Ospf = Mvpn_routing.Ospf
 module Port = Mvpn_qos.Port
 module Telemetry = Mvpn_telemetry
@@ -87,7 +85,6 @@ type flow_totals = {
   consumed : int;
   delivered : int;
   table_drops : int;
-  unattributed : int;
   live : int;
 }
 
@@ -112,11 +109,11 @@ type t = {
   mutable forked_n : int;
   mutable consumed_n : int;
   mutable delivered_n : int;
-  mutable unattributed_n : int;
   mutable live_n : int;
-  (* Test-only sabotage: while positive, [drop] skips the authoritative
-     table increment (but still releases the packet and retires it from
-     [live]) — the injected conservation bug the auditor must catch. *)
+  (* Test-only sabotage: while positive, [drop_packet] skips the
+     authoritative table increment (but still releases the packet and
+     retires it from [live]) — the injected conservation bug the
+     auditor must catch. *)
   mutable drop_leak : int;
   link_tx_bytes : Telemetry.Counter.t array;  (* indexed by link id *)
   (* Hot-path telemetry coalescing: while the engine is inside a batch
@@ -238,11 +235,9 @@ let observe_fate t (p : Packet.t) ~dropped =
 
 let labels_of packet = Packet.label_values packet
 
-(* Specialized tracer emitters for the per-hop fast path: the generic
-   [emit] makes its caller build the action (and box the packet in
-   [Some]) before the [tracer = None] test, which is an allocation per
-   hop with tracing off. These variants test first and build only for
-   an attached tracer. *)
+(* One tracer emitter per action: each tests [tracer = None] before
+   building anything, so with tracing off a hop allocates nothing (an
+   action built by the caller would cost an allocation per hop). *)
 let emit_transmit t ~node ~to_ (p : Packet.t) =
   match t.tracer with
   | None -> ()
@@ -270,41 +265,46 @@ let emit_receive t ~node ~from (p : Packet.t) =
         trace_uid = p.Packet.uid; trace_labels = labels_of p;
         trace_action = Trace_receive from }
 
-let emit t ~node ?packet action =
+let emit_drop t ~node (p : Packet.t) reason =
   match t.tracer with
   | None -> ()
   | Some f ->
     f
-      { trace_time = Engine.now t.engine;
-        trace_node = node;
-        trace_uid =
-          (match packet with Some p -> p.Packet.uid | None -> -1);
-        trace_labels =
-          (match packet with Some p -> labels_of p | None -> []);
-        trace_action = action }
+      { trace_time = Engine.now t.engine; trace_node = node;
+        trace_uid = p.Packet.uid; trace_labels = labels_of p;
+        trace_action = Trace_drop reason }
 
-(* Single-source drop accounting: the per-network table is the
-   authority; the [net.drop.<reason>] and [net.drops] telemetry
-   counters are set from it (never independently incremented), so they
-   agree with {!drop_counts} whenever telemetry is on. *)
 (* Retire a packet from the live count, exactly once per incarnation:
    [fated] guards against terminal paths that compose (the default
-   no-sink sink routes a delivery back through [drop]). *)
+   no-sink sink routes a delivery back through [drop_packet]). *)
 let account_terminal t (p : Packet.t) =
   if not p.Packet.fated then begin
     p.Packet.fated <- true;
     t.live_n <- t.live_n - 1
   end
 
-let drop ?(node = -1) ?packet t reason =
-  emit t ~node ?packet (Trace_drop reason);
-  (match packet with
-   | Some p -> account_terminal t p
-   | None ->
-     (* The caller abandoned a packet it never handed over; the ledger
-        retires one live packet against the table row below. *)
-     t.unattributed_n <- t.unattributed_n + 1;
-     t.live_n <- t.live_n - 1);
+(* The terminal path of every discard, table drop or port discard
+   (queue refusal, link down mid-queue) alike: trace it, retire it from
+   [live], record its "drop:<reason>" hop, span-sample it and charge it
+   against the tenant's SLO, then recycle its storage. Idempotent on
+   the ledger and the pool — the default no-sink sink routes a
+   delivered packet through here before [deliver] also releases. *)
+let discard t ~node (p : Packet.t) reason =
+  emit_drop t ~node p reason;
+  account_terminal t p;
+  if !Telemetry.Control.enabled then begin
+    record_hop_p t ~node p (drop_label t reason);
+    observe_fate t p ~dropped:true
+  end;
+  Packet.release p
+
+(* Single-source drop accounting: the per-network table is the
+   authority; the [net.drop.<reason>] and [net.drops] telemetry
+   counters are set from it (never independently incremented), so they
+   agree with {!drop_counts} whenever telemetry is on. Port discards
+   stay out of the table by contract — read those from the port
+   counters — and go straight to [discard]. *)
+let drop_packet ~node ~packet t reason =
   if t.drop_leak > 0 then t.drop_leak <- t.drop_leak - 1
   else begin
     let e =
@@ -329,29 +329,7 @@ let drop ?(node = -1) ?packet t reason =
       Telemetry.Counter.set m_drops t.total_drops
     end
   end;
-  (if !Telemetry.Control.enabled then
-     match packet with
-     | Some p ->
-       record_hop_p t ~node p (drop_label t reason);
-       observe_fate t p ~dropped:true
-     | None -> ());
-  (* Terminal fate: the packet is past every sample point, so its
-     storage can be recycled. Idempotent — the default no-sink sink
-     routes through here before [deliver] also releases. *)
-  match packet with Some p -> Packet.release p | None -> ()
-
-(* Port discards (queue refusal, link down mid-queue) stay out of the
-   drop table by contract — read those from the port counters — but
-   they are packet fates all the same: trace, span-sample and charge
-   them against the tenant's SLO. *)
-let port_drop t ~node packet reason =
-  emit t ~node ~packet (Trace_drop reason);
-  account_terminal t packet;
-  if !Telemetry.Control.enabled then begin
-    record_hop_p t ~node packet (drop_label t reason);
-    observe_fate t packet ~dropped:true
-  end;
-  Packet.release packet
+  discard t ~node packet reason
 
 let engine t = t.engine
 let topology t = t.topo
@@ -391,7 +369,7 @@ let port t ~link_id =
    link-down accounting names the loss. *)
 let transmit t ~from ~to_ packet =
   let lid = Topology.find_link_id t.topo from to_ in
-  if lid < 0 then drop ~node:from ~packet t "no-link"
+  if lid < 0 then drop_packet ~node:from ~packet t "no-link"
   else begin
     let l = Topology.link t.topo lid in
     let l, to_ =
@@ -440,7 +418,7 @@ let transmit t ~from ~to_ packet =
          record_hop_p t ~node:from packet l_tx
        end;
        Port.send p packet
-     | None -> drop ~node:from ~packet t "no-link")
+     | None -> drop_packet ~node:from ~packet t "no-link")
   end
 
 (* Per-network memo in front of the mutex-guarded global table: after
@@ -519,7 +497,7 @@ let flow_totals t =
   { injected = t.injected_n; imported = t.imported_n;
     exported = t.exported_n; forked = t.forked_n; consumed = t.consumed_n;
     delivered = t.delivered_n; table_drops = t.total_drops;
-    unattributed = t.unattributed_n; live = t.live_n }
+    live = t.live_n }
 
 let port_drop_total t =
   Array.fold_left
@@ -563,7 +541,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
       frr_engaged = Hashtbl.create 8;
       total_drops = 0;
       injected_n = 0; imported_n = 0; exported_n = 0; forked_n = 0;
-      consumed_n = 0; delivered_n = 0; unattributed_n = 0; live_n = 0;
+      consumed_n = 0; delivered_n = 0; live_n = 0;
       drop_leak = 0;
       link_tx_bytes =
         Array.init (max 1 n_links) (fun i ->
@@ -599,14 +577,14 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
   Dataplane.set_hooks dp
     { Dataplane.transmit = (fun ~from ~to_ p -> transmit net ~from ~to_ p);
       deliver = (fun ~node p -> deliver net node p);
-      drop = (fun ~node p reason -> drop ~node ~packet:p net reason);
+      drop = (fun ~node p reason -> drop_packet ~node ~packet:p net reason);
       notify_receive =
         (fun ~node ~from p ->
            emit_receive net ~node ~from p;
            record_hop_p net ~node p l_rx) };
   (* Default sinks count unclaimed deliveries. *)
   for v = 0 to nodes - 1 do
-    net.sinks.(v) <- (fun packet -> drop ~node:v ~packet net "no-sink")
+    net.sinks.(v) <- (fun packet -> drop_packet ~node:v ~packet net "no-sink")
   done;
   List.iter
     (fun (l : Topology.link) ->
@@ -619,7 +597,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
            ~on_txstart:(fun packet ->
                record_hop_p net ~node:l.Topology.src packet l_txstart)
            ~on_drop:(fun ~reason packet ->
-               port_drop net ~node:l.Topology.src packet reason)
+               discard net ~node:l.Topology.src packet reason)
            ~on_deliver:
              (* [Some src] hoisted: one box per port, not per packet. *)
              (let from = Some l.Topology.src in
@@ -628,8 +606,6 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
        net.ports.(l.Topology.id) <- Some p)
     links;
   net
-
-let drop_packet ?node ?packet t reason = drop ?node ?packet t reason
 
 (* Per node: the same table as [Fib.clear_source fib Igp] followed by
    adding every route of the router's OSPF table, without tearing down

@@ -89,10 +89,13 @@ val port : t -> link_id:int -> Mvpn_qos.Port.t
 (** @raise Invalid_argument on an unknown link id. *)
 
 val drop_packet :
-  ?node:int -> ?packet:Mvpn_net.Packet.t -> t -> string -> unit
-(** Count a drop under a reason — for interceptors that discard. Pass
-    the packet so the fate reaches tracing, SLO conformance and span
-    sampling; without it the drop is counted but unattributed. *)
+  node:int -> packet:Mvpn_net.Packet.t -> t -> string -> unit
+(** Discard [packet] at [node], counted in the drop table under the
+    reason — for interceptors and services that discard. The drop
+    takes the same terminal path as every other: it is traced, recorded
+    as a ["drop:<reason>"] hop, retired from the conservation ledger,
+    charged to the tenant's SLO, offered to the span sampler and, with
+    pooling on, recycled. The packet must not be touched afterwards. *)
 
 (** {2 Tracing}
 
@@ -108,8 +111,8 @@ type trace_action =
 
 type trace_event = {
   trace_time : float;
-  trace_node : int;  (** -1 when the node is unknown (rare drop paths) *)
-  trace_uid : int;  (** packet uid; -1 when no packet is in hand *)
+  trace_node : int;  (** the node the step happened at *)
+  trace_uid : int;  (** the packet's uid *)
   trace_labels : int list;  (** label stack snapshot, top first *)
   trace_action : trace_action;
 }
@@ -183,9 +186,9 @@ val drops : t -> int
     independently of the fate counters through the packet's [fated]
     flag, so a lost or double-counted fate unbalances the equation
     instead of cancelling. The books cover unicast and PE-replicated
-    traffic; packets a test abandons without handing them to the
-    network (unattributed {!drop_packet} calls) retire one live packet
-    against the drop table. *)
+    traffic. A packet handed straight to {!drop_packet} without entering
+    the network still retires one live packet against its table row,
+    so the books stay balanced. *)
 
 type flow_totals = {
   injected : int;  (** packets handed in via {!inject} *)
@@ -195,7 +198,6 @@ type flow_totals = {
   consumed : int;  (** replicated originals absorbed at the PE *)
   delivered : int;  (** packets handed to a sink *)
   table_drops : int;  (** same total as {!drops} *)
-  unattributed : int;  (** packet-less {!drop_packet} calls *)
   live : int;  (** packets currently held (queues, links, events) *)
 }
 

@@ -52,6 +52,11 @@ let with_crypto t ce ~cost k =
   free := done_at;
   Engine.schedule engine ~delay:(done_at -. now) k
 
+(* Every overlay discard happens at a CE and consumes the packet. *)
+let discard t (site : Site.t) packet reason =
+  Network.drop_packet ~node:site.Site.ce_node ~packet t.net reason;
+  Network.Consumed
+
 let ce_interceptor t (site : Site.t) ~from packet =
   ignore from;
   let me = loopback_addr site in
@@ -63,21 +68,15 @@ let ce_interceptor t (site : Site.t) ~from packet =
         Hashtbl.find_opt t.rx_tunnels
           (Ipv4.to_int outer.Packet.src, Ipv4.to_int outer.Packet.dst)
       with
-      | None ->
-        Network.drop_packet t.net "unknown-tunnel";
-        Network.Consumed
+      | None -> discard t site packet "unknown-tunnel"
       | Some tunnel ->
         (match Tunnel.decapsulate tunnel packet with
          | Tunnel.Decapsulated cost ->
            with_crypto t site.Site.ce_node ~cost (fun () ->
                Network.forward_ip t.net site.Site.ce_node packet);
            Network.Consumed
-         | Tunnel.Replayed ->
-           Network.drop_packet t.net "replay";
-           Network.Consumed
-         | Tunnel.Not_ours ->
-           Network.drop_packet t.net "unknown-tunnel";
-           Network.Consumed)
+         | Tunnel.Replayed -> discard t site packet "replay"
+         | Tunnel.Not_ours -> discard t site packet "unknown-tunnel")
     else Network.Continue
   end
   else
@@ -91,10 +90,8 @@ let ce_interceptor t (site : Site.t) ~from packet =
         (match Radix.lookup_value table dst with
          | None -> Network.Continue
          | Some (_, tunnel) ->
-           if Engine.now (Network.engine t.net) < t.ready_at then begin
-             Network.drop_packet t.net "ike-pending";
-             Network.Consumed
-           end
+           if Engine.now (Network.engine t.net) < t.ready_at then
+             discard t site packet "ike-pending"
            else begin
              let cost = Tunnel.encapsulate tunnel packet in
              with_crypto t site.Site.ce_node ~cost (fun () ->
@@ -115,9 +112,7 @@ let connect_pair t (a : Site.t) (b : Site.t) =
   if not (Hashtbl.mem t.tunnels (a.Site.id, b.Site.id)) then begin
     let tunnel =
       Tunnel.create ~copy_tos:t.copy_tos ~cipher:t.cipher
-        ~local:(loopback_addr a) ~remote:(loopback_addr b)
-        ~key:(Int64.of_int ((a.Site.id * 65536) + b.Site.id))
-        ()
+        ~local:(loopback_addr a) ~remote:(loopback_addr b) ()
     in
     Hashtbl.replace t.tunnels (a.Site.id, b.Site.id) tunnel;
     Radix.add (overlay_table t a.Site.ce_node) b.Site.prefix (b, tunnel);

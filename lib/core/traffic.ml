@@ -2,7 +2,6 @@ module Engine = Mvpn_sim.Engine
 module Rng = Mvpn_sim.Rng
 module Flow = Mvpn_net.Flow
 module Packet = Mvpn_net.Packet
-module Dscp = Mvpn_net.Dscp
 module Sla = Mvpn_qos.Sla
 module Cbq = Mvpn_qos.Cbq
 

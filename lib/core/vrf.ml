@@ -1,4 +1,3 @@
-module Prefix = Mvpn_net.Prefix
 module Radix = Mvpn_net.Radix
 module Mpbgp = Mvpn_routing.Mpbgp
 
@@ -9,7 +8,6 @@ type next_hop =
 
 type t = {
   pe : int;
-  vpn : int;
   rd : Mpbgp.rd;
   import_rts : Mpbgp.rt list;
   export_rts : Mpbgp.rt list;
@@ -32,8 +30,8 @@ let slot_of addr = (addr * 0x9E3779B1) lsr 16 land (cache_slots - 1)
 let m_cache_hit = Mvpn_telemetry.Registry.counter "vrf.cache.hit"
 let m_cache_miss = Mvpn_telemetry.Registry.counter "vrf.cache.miss"
 
-let create ~pe ~vpn ~rd ~import_rts ~export_rts =
-  { pe; vpn; rd; import_rts; export_rts; routes = Radix.create ();
+let create ~pe ~rd ~import_rts ~export_rts =
+  { pe; rd; import_rts; export_rts; routes = Radix.create ();
     ck = Array.make cache_slots (-1); cv = Array.make cache_slots None;
     (* -1 never equals a real generation, so the first lookup flushes. *)
     cgen = -1 }

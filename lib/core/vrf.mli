@@ -19,7 +19,7 @@ type next_hop =
 type t
 
 val create :
-  pe:int -> vpn:int -> rd:Mvpn_routing.Mpbgp.rd ->
+  pe:int -> rd:Mvpn_routing.Mpbgp.rd ->
   import_rts:Mvpn_routing.Mpbgp.rt list ->
   export_rts:Mvpn_routing.Mpbgp.rt list -> t
 

@@ -1,16 +1,13 @@
 type t = {
   spi : int;
-  cipher : Crypto.cipher;
-  key : int64;
   mutable seq : int;
   window : Replay.t;
   mutable bytes : int;
   mutable packets : int;
 }
 
-let create ~spi ~cipher ~key =
-  { spi; cipher; key; seq = 0; window = Replay.create (); bytes = 0;
-    packets = 0 }
+let create ~spi =
+  { spi; seq = 0; window = Replay.create (); bytes = 0; packets = 0 }
 
 let spi t = t.spi
 

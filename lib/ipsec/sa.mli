@@ -1,12 +1,12 @@
 (** Security association: one direction of an IPSec tunnel.
 
-    Carries the SPI, cipher, key, outbound sequence counter, inbound
-    anti-replay window and usage accounting. A tunnel owns two SAs, one
-    per direction. *)
+    Carries the SPI, outbound sequence counter, inbound anti-replay
+    window and usage accounting. A tunnel owns two SAs, one per
+    direction. *)
 
 type t
 
-val create : spi:int -> cipher:Crypto.cipher -> key:int64 -> t
+val create : spi:int -> t
 
 val spi : t -> int
 

@@ -22,10 +22,10 @@ type t = {
   mutable replay_dropped : int;
 }
 
-let create ?(copy_tos = false) ~cipher ~local ~remote ~key () =
+let create ?(copy_tos = false) ~cipher ~local ~remote () =
   { copy_tos; cipher; local; remote;
-    out_sa = Sa.create ~spi:0x1001 ~cipher ~key;
-    in_sa = Sa.create ~spi:0x1002 ~cipher ~key;
+    out_sa = Sa.create ~spi:0x1001;
+    in_sa = Sa.create ~spi:0x1002;
     in_flight_seq = Hashtbl.create 64; sent = 0; replay_dropped = 0 }
 
 let copy_tos t = t.copy_tos

@@ -21,7 +21,6 @@ val create :
   cipher:Crypto.cipher ->
   local:Mvpn_net.Ipv4.t ->
   remote:Mvpn_net.Ipv4.t ->
-  key:int64 ->
   unit -> t
 (** [copy_tos] defaults to [false] — the paper's problem case. *)
 

@@ -8,7 +8,6 @@ type tspec = {
 }
 
 type reservation = {
-  id : int;
   flow : Flow.t;
   tspec : tspec;
   path : int list;
@@ -82,7 +81,7 @@ let reserve t ~src ~dst flow tspec =
         (* Every router on the path, endpoints included, holds
            classifier + scheduler state for this flow. *)
         List.iter (fun node -> bump t.router_state node 1) path;
-        Hashtbl.replace t.by_id id { id; flow; tspec; path };
+        Hashtbl.replace t.by_id id { flow; tspec; path };
         Hashtbl.replace t.by_flow flow id;
         Ok id
       end

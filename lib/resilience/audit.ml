@@ -75,7 +75,6 @@ type t = {
   mutable visit_port : link_id:int -> Port.t -> unit;
   mutable heap_base : int option;
   mutable pool_base : int option;
-  mutable unattributed_prev : int;
 }
 
 let max_recent = 16
@@ -125,8 +124,7 @@ let check_conservation t =
    constant between ticks. Domain-local data only: the pool belongs to
    this domain and [allocated] is process-wide, so the check is valid
    only when no other domain can be allocating — the main domain with
-   no cross-shard traffic. Unattributed drops retire live packets that
-   were never released; rebase over them. *)
+   no cross-shard traffic. *)
 let check_pool t =
   let f = Network.flow_totals t.net in
   if
@@ -136,21 +134,15 @@ let check_pool t =
     T.Counter.incr m_pool;
     let offset = Packet.allocated () - f.Network.live - Packet.pool_size () in
     match t.pool_base with
-    | Some base
-      when f.Network.unattributed = t.unattributed_prev && offset <> base ->
+    | Some base when offset <> base ->
       violate t "pool"
         (Printf.sprintf
            "leak witness moved: allocated=%d live=%d pool=%d offset=%d \
             (baseline %d)"
            (Packet.allocated ()) f.Network.live (Packet.pool_size ()) offset
            base)
-    | Some _ when f.Network.unattributed <> t.unattributed_prev ->
-      t.pool_base <- Some offset;
-      t.unattributed_prev <- f.Network.unattributed
     | Some _ -> ()
-    | None ->
-      t.pool_base <- Some offset;
-      t.unattributed_prev <- f.Network.unattributed
+    | None -> t.pool_base <- Some offset
   end
 
 (* No packet incarnation may be received more than [max_hops] times —
@@ -341,7 +333,7 @@ let start ?(interval = default_interval) ?until ?(fail_fast = false)
       queue_base; queue_prev = Array.make !slots (-1);
       rx_uid = [||]; rx_count = [||]; rx_stamp = [||]; rx_epoch = 0;
       visit_rx = (fun _ _ -> ()); visit_port = (fun ~link_id:_ _ -> ());
-      heap_base = None; pool_base = None; unattributed_prev = 0 }
+      heap_base = None; pool_base = None }
   in
   t.visit_rx <- (fun uid code -> count_rx t uid code);
   t.visit_port <- (fun ~link_id p -> check_port t ~link_id p);

@@ -9,7 +9,6 @@ type route = {
 }
 
 type speaker = {
-  id : int;
   asn : int;
   mutable peers : int list;
   (* Candidate routes per prefix, keyed by the advertising peer
@@ -32,7 +31,7 @@ let create () = { speakers = [||]; n = 0; messages = 0 }
 let add_speaker t ~asn =
   let id = t.n in
   let s =
-    { id; asn; peers = []; rib_in = Hashtbl.create 32;
+    { asn; peers = []; rib_in = Hashtbl.create 32;
       loc_rib = Radix.create (); pref_overrides = Hashtbl.create 4;
       dirty = false }
   in

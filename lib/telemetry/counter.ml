@@ -16,7 +16,6 @@
 type cache = { did : int; cell : int ref }
 
 type t = {
-  name : string;
   key : int ref Domain.DLS.key;
   mutable last : cache;
 }
@@ -24,8 +23,8 @@ type t = {
 (* No real domain has id -1, so the first access always misses. *)
 let empty_cache = { did = -1; cell = ref 0 }
 
-let make name =
-  { name; key = Domain.DLS.new_key (fun () -> ref 0); last = empty_cache }
+let make () =
+  { key = Domain.DLS.new_key (fun () -> ref 0); last = empty_cache }
 
 let cell t =
   let did = (Domain.self () :> int) in

@@ -9,7 +9,7 @@
 
 type t
 
-val make : string -> t
+val make : unit -> t
 (** Bare counter; {!Registry.counter} is the usual entry point. *)
 
 val incr : t -> unit

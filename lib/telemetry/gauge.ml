@@ -1,8 +1,8 @@
 (* Shared handle, per-domain value cell — see counter.ml for the
    storage discipline. *)
-type t = { name : string; cell : float ref Domain.DLS.key }
+type t = { cell : float ref Domain.DLS.key }
 
-let make name = { name; cell = Domain.DLS.new_key (fun () -> ref 0.0) }
+let make () = { cell = Domain.DLS.new_key (fun () -> ref 0.0) }
 
 let cell t = Domain.DLS.get t.cell
 

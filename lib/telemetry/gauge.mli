@@ -9,7 +9,7 @@
 
 type t
 
-val make : string -> t
+val make : unit -> t
 (** Bare gauge; {!Registry.gauge} is the usual entry point. *)
 
 val set : t -> float -> unit

@@ -35,7 +35,6 @@ let fresh_fl () =
 type cache = { did : int; st : state }
 
 type t = {
-  name : string;
   lo : float;  (* lower bound of bucket 0; values below land in it *)
   buckets : int;
   cells : state Domain.DLS.key;
@@ -47,10 +46,10 @@ let empty_cache =
 
 let default_buckets = 96
 
-let make ?(lo = 1e-9) ?(buckets = default_buckets) name =
+let make ?(lo = 1e-9) ?(buckets = default_buckets) () =
   if lo <= 0.0 then invalid_arg "Histogram.make: lo must be positive";
   if buckets < 1 then invalid_arg "Histogram.make: need at least one bucket";
-  { name; lo; buckets;
+  { lo; buckets;
     cells =
       Domain.DLS.new_key (fun () ->
           { counts = Array.make buckets 0; total = 0; fl = fresh_fl () });

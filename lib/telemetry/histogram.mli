@@ -12,8 +12,8 @@
 
 type t
 
-val make : ?lo:float -> ?buckets:int -> string -> t
-(** [make name] with bucket 0 starting at [lo] (default [1e-9], fitting
+val make : ?lo:float -> ?buckets:int -> unit -> t
+(** [make ()] with bucket 0 starting at [lo] (default [1e-9], fitting
     sub-nanosecond to multi-hour latencies in the default 96 buckets).
     {!Registry.histogram} is the usual entry point.
     @raise Invalid_argument if [lo <= 0] or [buckets < 1]. *)

@@ -49,7 +49,7 @@ let register name wrap make select =
              (Printf.sprintf "Registry: %s already registered as a %s" name
                 (kind_name m)))
       | None ->
-        let v = make name in
+        let v = make () in
         Hashtbl.replace table name (wrap v);
         v)
 
@@ -66,7 +66,7 @@ let gauge name =
 let histogram ?lo ?buckets name =
   register name
     (fun h -> Histogram h)
-    (fun name -> Histogram.make ?lo ?buckets name)
+    (fun () -> Histogram.make ?lo ?buckets ())
     (function
       | Histogram h -> Some h
       | Counter _ | Gauge _ | Series _ -> None)
@@ -74,7 +74,7 @@ let histogram ?lo ?buckets name =
 let series ?capacity ?scope name =
   register name
     (fun s -> Series s)
-    (fun name -> Timeseries.make ?capacity ?scope name)
+    (fun () -> Timeseries.make ?capacity ?scope name)
     (function
       | Series s -> Some s
       | Counter _ | Gauge _ | Histogram _ -> None)

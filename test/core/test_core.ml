@@ -219,10 +219,10 @@ let test_vrf_overlapping_isolation () =
   let rd1 = { Mvpn_routing.Mpbgp.rd_asn = 65000; rd_assigned = 1 } in
   let rt1 = { Mvpn_routing.Mpbgp.rt_asn = 65000; rt_value = 1 } in
   let v1 =
-    Vrf.create ~pe:0 ~vpn:1 ~rd:rd1 ~import_rts:[rt1] ~export_rts:[rt1]
+    Vrf.create ~pe:0 ~rd:rd1 ~import_rts:[rt1] ~export_rts:[rt1]
   in
   let v2 =
-    Vrf.create ~pe:0 ~vpn:2
+    Vrf.create ~pe:0
       ~rd:{ Mvpn_routing.Mpbgp.rd_asn = 65000; rd_assigned = 2 }
       ~import_rts:[] ~export_rts:[]
   in
@@ -1811,6 +1811,97 @@ let test_slo_sees_failure_and_repair () =
   Alcotest.(check int) "link_up logged" 1
     (T.Event_log.count_kind events "link_up")
 
+(* A service's discard takes the same terminal path as a forwarding
+   drop: the tracer names the packet and the node, the hop ring ends
+   the packet's trace with the drop, the packet is fated and an
+   attached SLO engine charges the drop to its (vpn, band). [drive]
+   runs with telemetry on and must end in exactly one [reason] drop of
+   [p] at [node]. *)
+let check_attributed_drop net ~node ~reason (p : Packet.t) drive =
+  let vpn = Option.value ~default:0 p.Packet.vpn in
+  let band = Qos_mapping.band_of_dscp p.Packet.inner.Packet.dscp in
+  let slo = T.Slo.create () in
+  T.Slo.declare slo ~vpn ~band (Qos_mapping.default_objective band);
+  Network.set_slo net (Some slo);
+  let drops = ref [] in
+  Network.set_tracer net
+    (Some
+       (fun ev ->
+          if ev.Network.trace_action = Network.Trace_drop reason then
+            drops := ev :: !drops));
+  T.Control.with_enabled drive;
+  (match !drops with
+   | [ ev ] ->
+     Alcotest.(check int) "tracer sees the packet" p.Packet.uid
+       ev.Network.trace_uid;
+     Alcotest.(check int) "tracer sees the node" node ev.Network.trace_node
+   | evs -> Alcotest.failf "%d %s trace events" (List.length evs) reason);
+  (match List.rev (T.Hop_trace.trace (T.Registry.trace ()) ~uid:p.Packet.uid)
+   with
+   | last :: _ ->
+     Alcotest.(check string) "drop hop" ("drop:" ^ reason)
+       last.T.Hop_trace.label;
+     Alcotest.(check int) "drop hop node" node last.T.Hop_trace.node
+   | [] -> Alcotest.fail "no hops recorded");
+  Alcotest.(check bool) "packet fated" true p.Packet.fated;
+  match T.Slo.reports slo with
+  | [ r ] -> Alcotest.(check int) "slo charged" 1 r.T.Slo.drops
+  | rs -> Alcotest.failf "%d slo reports" (List.length rs)
+
+let test_overlay_ike_pending_attributed () =
+  let bb = Backbone.build ~pops:4 ~chords:[] () in
+  let s1 =
+    Backbone.attach_site bb ~id:1 ~name:"s1" ~vpn:1
+      ~prefix:(pfx "10.0.0.0/16") ~pop:0
+  in
+  let s2 =
+    Backbone.attach_site bb ~id:2 ~name:"s2" ~vpn:1
+      ~prefix:(pfx "10.1.0.0/16") ~pop:2
+  in
+  let engine = Engine.create () in
+  let net = Network.create engine (Backbone.topology bb) in
+  let ike = Mvpn_ipsec.Ike.default_params ~rtt:0.1 in
+  ignore (Overlay.deploy ~ike ~net ~sites:[s1; s2] ());
+  let p =
+    Packet.make ~vpn:1 ~dscp:Dscp.ef ~now:0.0
+      (Flow.make (Prefix.nth_host s1.Site.prefix 1)
+         (Prefix.nth_host s2.Site.prefix 1))
+  in
+  check_attributed_drop net ~node:s1.Site.ce_node ~reason:"ike-pending" p
+    (fun () ->
+       Network.inject net s1.Site.ce_node p;
+       Engine.run engine);
+  Alcotest.(check int) "ledger retired it" 0
+    (Network.flow_totals net).Network.live
+
+let test_l2vpn_pw_unreachable_attributed () =
+  let bb = Backbone.build ~pops:3 ~chords:[] () in
+  let engine = Engine.create () in
+  let net = Network.create engine (Backbone.topology bb) in
+  let l2 = L2vpn.deploy ~net ~backbone:bb in
+  let pops = Backbone.pops bb in
+  let pw =
+    match
+      L2vpn.create_pw l2
+        ~a:{ L2vpn.pe = pops.(0); on_deliver = ignore }
+        ~b:{ L2vpn.pe = pops.(1); on_deliver = ignore }
+    with
+    | Ok id -> id
+    | Error e -> Alcotest.fail e
+  in
+  (* Cut pops.(0) off: no LSP and no IGP path toward the far PE. *)
+  let topo = Backbone.topology bb in
+  Topology.set_duplex_state topo pops.(0) pops.(1) false;
+  Topology.set_duplex_state topo pops.(0) pops.(2) false;
+  let p =
+    Packet.make ~vpn:3 ~dscp:(Dscp.af 3 1) ~size:400 ~now:0.0
+      (Flow.make (ip "192.168.0.1") (ip "192.168.0.2"))
+  in
+  check_attributed_drop net ~node:pops.(0) ~reason:"pw-unreachable" p
+    (fun () ->
+       L2vpn.send l2 ~pw ~from_a:true p;
+       Engine.run engine)
+
 (* Bounded residency: a million-event run with every observability
    channel armed — spans, hop trace, SLO windows and the timeline
    sampler's decimating rings — must leave the live heap bounded by the
@@ -2076,7 +2167,11 @@ let () =
          Alcotest.test_case "span attributes delivery" `Quick
            (wrap_telemetry test_span_attributes_delivery);
          Alcotest.test_case "slo sees failure and repair" `Quick
-           (wrap_telemetry test_slo_sees_failure_and_repair) ]);
+           (wrap_telemetry test_slo_sees_failure_and_repair);
+         Alcotest.test_case "overlay ike-pending drop attributed" `Quick
+           (wrap_telemetry test_overlay_ike_pending_attributed);
+         Alcotest.test_case "l2vpn pw-unreachable drop attributed" `Quick
+           (wrap_telemetry test_l2vpn_pw_unreachable_attributed) ]);
       ("scenario",
        [ Alcotest.test_case "qos protects voice" `Slow
            test_scenario_mpls_qos_protects_voice;

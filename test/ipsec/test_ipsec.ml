@@ -170,7 +170,7 @@ let test_ike_rekey_changes_key () =
 (* --- Sa ------------------------------------------------------------------ *)
 
 let test_sa_seq_and_accounting () =
-  let sa = Sa.create ~spi:0x99 ~cipher:Crypto.Des ~key:1L in
+  let sa = Sa.create ~spi:0x99 in
   Alcotest.(check int) "seq 1" 1 (Sa.next_seq sa);
   Alcotest.(check int) "seq 2" 2 (Sa.next_seq sa);
   Sa.account sa ~bytes:500;
@@ -188,7 +188,7 @@ let fresh_packet ?(dscp = Dscp.ef) () =
 
 let gateway_pair ?copy_tos cipher =
   Tunnel.create ?copy_tos ~cipher ~local:(ip "198.51.100.1")
-    ~remote:(ip "198.51.100.2") ~key:0xFEEDL ()
+    ~remote:(ip "198.51.100.2") ()
 
 let test_tunnel_roundtrip () =
   let t = gateway_pair Crypto.Des in
@@ -248,7 +248,7 @@ let test_tunnel_wrong_destination () =
   let t = gateway_pair Crypto.Des in
   let other =
     Tunnel.create ~cipher:Crypto.Des ~local:(ip "198.51.100.1")
-      ~remote:(ip "203.0.113.9") ~key:1L ()
+      ~remote:(ip "203.0.113.9") ()
   in
   let p = fresh_packet () in
   ignore (Tunnel.encapsulate other p);

@@ -1,6 +1,5 @@
 open Mvpn_provision
 module Mpbgp = Mvpn_routing.Mpbgp
-module Membership = Mvpn_core.Membership
 module Mpls_vpn = Mvpn_core.Mpls_vpn
 
 let gsid ~customer ~sid = Service.global_site_id ~customer ~sid

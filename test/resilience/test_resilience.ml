@@ -27,6 +27,7 @@ module Frr = Mvpn_resilience.Frr
 module Chaos = Mvpn_resilience.Chaos
 module Recovery = Mvpn_resilience.Recovery
 module Harness = Mvpn_resilience.Harness
+module Runner = Mvpn_par.Runner
 module T = Mvpn_telemetry
 
 let cv = T.Registry.counter_value
@@ -504,7 +505,8 @@ let test_audit_catches_drop_leak () =
           Packet.make ~vpn:1 ~now:(Engine.now eng)
             (Flow.make (Site.host site 1) (Site.host site 2))
         in
-        Network.drop_packet ~packet:p net "test-intercept");
+        Network.drop_packet ~node:site.Site.ce_node ~packet:p net
+          "test-intercept");
     Scenario.run sc ~duration:6.0;
     Audit.stop a;
     (Audit.violations a, Audit.recent_violations a)
@@ -618,6 +620,73 @@ let test_audit_start_validation () =
   expect_invalid "heap_slack < 1" (fun () ->
       ignore (Audit.start ~heap_slack:0.5 sc))
 
+(* The overlay's discards take the one terminal path too. In a pooled
+   run, the packets the IPsec overlay drops while its tunnels are still
+   keying go back to the pool, so the auditor's leak witness stays put
+   and the books balance. *)
+let test_audit_pooled_overlay () =
+  T.Registry.reset ();
+  Packet.set_pooling true;
+  Fun.protect ~finally:(fun () -> Packet.set_pooling false) @@ fun () ->
+  let sc =
+    Scenario.build ~pops:6 ~vpns:1 ~sites_per_vpn:2 ~seed:3
+      (Scenario.Overlay_deployment
+         { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
+           cipher = Mvpn_ipsec.Crypto.Des; copy_tos = true })
+  in
+  let net = Scenario.network sc in
+  (* Re-key the mesh through IKE: the CEs drop what they are handed
+     before the exchanges complete as "ike-pending". *)
+  ignore
+    (Overlay.deploy ~ike:(Mvpn_ipsec.Ike.default_params ~rtt:0.1) ~net
+       ~sites:(Array.to_list (Scenario.sites sc)) ());
+  let a = Audit.start ~interval:0.25 ~until:6.0 sc in
+  Scenario.add_mixed_workload ~load:0.4 sc
+    ~pairs:(Scenario.default_pairs sc) ~duration:5.0;
+  Scenario.run sc ~duration:6.0;
+  Audit.stop a;
+  let pending =
+    Option.value ~default:0
+      (List.assoc_opt "ike-pending" (Network.drop_counts net))
+  in
+  Alcotest.(check bool) "early packets dropped as ike-pending" true
+    (pending > 0);
+  Alcotest.(check bool) "keyed tunnels deliver" true
+    ((Network.flow_totals net).Network.delivered > 0);
+  Alcotest.(check bool) "pool check ran" true (cv "audit.check.pool" > 0);
+  Alcotest.(check (list (pair string string))) "no violations" []
+    (Audit.recent_violations a)
+
+(* What [mvpn soak --fail-fast] maps to exit 1: a soak replica whose
+   auditor is armed fail-fast raises the first violation out of the
+   runner. A leaked drop booking unbalances the books on the next
+   tick. *)
+let test_soak_fail_fast_raises () =
+  T.Registry.reset ();
+  let duration = 3.0 in
+  let prepare sc =
+    Harness.soak_replica ~audit:(1.0, true) ~duration sc;
+    let net = Scenario.network sc in
+    Network.set_drop_leak net 1;
+    (* A destination no VRF holds: the ingress PE drops it. *)
+    let site = Scenario.site sc ~vpn:1 ~idx:0 in
+    let eng = Scenario.engine sc in
+    Engine.schedule eng ~delay:0.5 (fun () ->
+        Network.inject net site.Site.ce_node
+          (Packet.make ~vpn:1 ~now:(Engine.now eng)
+             (Flow.make (Site.host site 1)
+                (Mvpn_net.Ipv4.of_string_exn "192.0.2.1"))))
+  in
+  let cfg =
+    { Runner.default_config with
+      Runner.shards = 1; pops = 6; vpns = 1; sites_per_vpn = 2; load = 0.4;
+      duration; prepare_replica = Some prepare }
+  in
+  match Runner.run_sequential cfg with
+  | _ -> Alcotest.fail "the leaked drop booking did not abort the run"
+  | exception Audit.Violation (invariant, _) ->
+    Alcotest.(check string) "invariant" "conservation" invariant
+
 let qt t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -655,4 +724,8 @@ let () =
          Alcotest.test_case "loop and queue checks allocate nothing" `Quick
            (with_telemetry test_audit_checks_allocate_nothing);
          Alcotest.test_case "loop check counts rx per uid" `Quick
-           (with_telemetry test_audit_loop_check_counts_per_uid) ]) ]
+           (with_telemetry test_audit_loop_check_counts_per_uid);
+         Alcotest.test_case "pooled overlay run audits clean" `Quick
+           (with_telemetry test_audit_pooled_overlay);
+         Alcotest.test_case "soak fail-fast raises the violation" `Quick
+           (with_telemetry test_soak_fail_fast_raises) ]) ]

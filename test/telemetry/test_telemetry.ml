@@ -29,7 +29,7 @@ let test_control_restores_on_exception () =
 (* --- Counter ----------------------------------------------------------- *)
 
 let test_counter_gated () =
-  let c = Counter.make "c" in
+  let c = Counter.make () in
   Counter.incr c;
   Counter.add c 10;
   Alcotest.(check int) "no-op while disabled" 0 (Counter.value c);
@@ -44,7 +44,7 @@ let test_counter_gated () =
 (* --- Gauge ------------------------------------------------------------- *)
 
 let test_gauge_gated () =
-  let g = Gauge.make "g" in
+  let g = Gauge.make () in
   Gauge.set g 42.0;
   Alcotest.(check (float 1e-9)) "no-op while disabled" 0.0 (Gauge.value g);
   Control.with_enabled (fun () -> Gauge.set g 42.0);
@@ -53,7 +53,7 @@ let test_gauge_gated () =
 (* --- Histogram --------------------------------------------------------- *)
 
 let test_histogram_point_mass () =
-  let h = Histogram.make "h" in
+  let h = Histogram.make () in
   Control.with_enabled (fun () ->
       for _ = 1 to 100 do
         Histogram.observe h 5.0
@@ -66,7 +66,7 @@ let test_histogram_point_mass () =
   Alcotest.(check (float 1e-9)) "mean" 5.0 (Histogram.mean h)
 
 let test_histogram_quantile_bounds () =
-  let h = Histogram.make ~lo:1.0 "h" in
+  let h = Histogram.make ~lo:1.0 () in
   Control.with_enabled (fun () ->
       for i = 1 to 1000 do
         Histogram.observe_int h i
@@ -82,7 +82,7 @@ let test_histogram_quantile_bounds () =
   Alcotest.(check (float 0.5)) "mean" 500.5 (Histogram.mean h)
 
 let test_histogram_disabled_and_reset () =
-  let h = Histogram.make "h" in
+  let h = Histogram.make () in
   Histogram.observe h 1.0;
   Alcotest.(check int) "no-op while disabled" 0 (Histogram.count h);
   Control.with_enabled (fun () -> Histogram.observe h 3.0);
@@ -203,7 +203,7 @@ let test_registry_json () =
 (* --- Histogram edge cases ---------------------------------------------- *)
 
 let test_histogram_empty () =
-  let h = Histogram.make "empty" in
+  let h = Histogram.make () in
   Alcotest.(check int) "count" 0 (Histogram.count h);
   Alcotest.(check (float 1e-12)) "mean" 0.0 (Histogram.mean h);
   Alcotest.(check (float 1e-12)) "min" 0.0 (Histogram.min_value h);
@@ -219,7 +219,7 @@ let test_histogram_empty () =
     (fun () -> ignore (Histogram.quantile h 1.5))
 
 let test_histogram_single_sample () =
-  let h = Histogram.make "one" in
+  let h = Histogram.make () in
   Control.with_enabled (fun () -> Histogram.observe h 0.0042);
   (* Every quantile of a point mass is the point: interpolation inside
      the bucket must clamp to the observed extrema. *)
@@ -235,7 +235,7 @@ let test_histogram_single_sample () =
 let test_histogram_one_bucket () =
   (* A single-bucket histogram degenerates gracefully: everything lands
      in bucket 0 and quantiles stay within [min, max]. *)
-  let h = Histogram.make ~buckets:1 "tiny" in
+  let h = Histogram.make ~buckets:1 () in
   Control.with_enabled (fun () ->
       List.iter (Histogram.observe h) [0.001; 5.0; 123.0]);
   Alcotest.(check int) "count" 3 (Histogram.count h);
@@ -250,7 +250,7 @@ let test_histogram_one_bucket () =
 let test_histogram_quantile_clamped () =
   (* Two far-apart samples: bucket interpolation could stray outside
      the observed range; quantiles must clamp to [vmin, vmax]. *)
-  let h = Histogram.make "clamp" in
+  let h = Histogram.make () in
   Control.with_enabled (fun () ->
       Histogram.observe h 1.0;
       Histogram.observe h 1.0000001);
@@ -262,13 +262,13 @@ let test_histogram_quantile_clamped () =
          true (v >= 1.0 && v <= 1.0000001))
     [0.0; 0.01; 0.5; 0.99; 1.0];
   (* Below-range values clamp into bucket 0 without breaking extrema. *)
-  let low = Histogram.make ~lo:1e-3 "low" in
+  let low = Histogram.make ~lo:1e-3 () in
   Control.with_enabled (fun () -> Histogram.observe low 1e-9);
   Alcotest.(check (float 1e-15)) "sub-lo sample reported exactly" 1e-9
     (Histogram.p50 low)
 
 let test_histogram_observe_int_gated () =
-  let h = Histogram.make "gated" in
+  let h = Histogram.make () in
   Histogram.observe_int h 7;
   Alcotest.(check int) "no-op while disabled" 0 (Histogram.count h);
   Control.with_enabled (fun () -> Histogram.observe_int h 7);
@@ -276,7 +276,7 @@ let test_histogram_observe_int_gated () =
   Alcotest.(check (float 1e-12)) "value" 7.0 (Histogram.max_value h)
 
 let test_histogram_snapshot_restore () =
-  let h = Histogram.make "snap" in
+  let h = Histogram.make () in
   Control.with_enabled (fun () ->
       Histogram.observe h 1.0;
       Histogram.observe h 4.0);
@@ -829,14 +829,14 @@ let bucket_index_matches_frexp =
        case)
     (fun (lo, buckets, v) ->
        QCheck.assume (Float.is_finite v);
-       let h = Histogram.make ~lo ~buckets "h" in
+       let h = Histogram.make ~lo ~buckets () in
        let got = Histogram.bucket_index h v in
        if v < lo || Float.is_finite (v /. lo) then
          got = frexp_bucket ~lo ~buckets v
        else got = buckets - 1)
 
 let test_histogram_infinity_top_bucket () =
-  let h = Histogram.make ~lo:1.0 ~buckets:8 "h" in
+  let h = Histogram.make ~lo:1.0 ~buckets:8 () in
   Alcotest.(check int) "+inf index" 7 (Histogram.bucket_index h infinity);
   Alcotest.(check int) "max_float index" 7
     (Histogram.bucket_index h max_float);
@@ -849,7 +849,7 @@ let test_histogram_infinity_top_bucket () =
   Alcotest.(check (float 0.0)) "max" infinity (Histogram.max_value h)
 
 let test_histogram_nan_bucket_zero () =
-  let h = Histogram.make ~lo:1.0 ~buckets:8 "h" in
+  let h = Histogram.make ~lo:1.0 ~buckets:8 () in
   Alcotest.(check int) "nan index" 0 (Histogram.bucket_index h Float.nan);
   Alcotest.(check int) "-inf index" 0
     (Histogram.bucket_index h neg_infinity);
@@ -859,7 +859,7 @@ let test_histogram_nan_bucket_zero () =
 (* Pre-boxed samples: [observe] itself allocates nothing (a [frexp]
    call would build a result pair and box the ratio per call). *)
 let test_histogram_observe_allocates_nothing () =
-  let h = Histogram.make "h" in
+  let h = Histogram.make () in
   let xs = List.init 1000 (fun i -> 1e-6 *. float_of_int (1 + (i * 37 mod 4000))) in
   let rec feed = function
     | [] -> ()

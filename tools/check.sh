@@ -15,11 +15,12 @@ lint() { "$json_lint" --require-schema; }
 # The default profile is release (dune-workspace), which builds without
 # -opaque. Its flags must keep the dev profile's lint: the same
 # warnings-as-errors spec and -strict-sequence, in the root project and
-# in perfbench's separate one.
+# in perfbench's separate one. Unused module aliases (60) and record
+# fields written but never read (69) are errors too.
 echo "== lint parity: lib and perfbench carry the dev warning spec"
 for dir in lib perfbench; do
   env_flags=$(dune printenv --root . "$dir")
-  for want in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' \
+  for want in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' @60 @69 \
     -strict-sequence; do
     case "$env_flags" in
       *"$want"*) ;;
