@@ -171,30 +171,33 @@ let drop_label t reason =
 (* Flush every coalesced counter. Accumulation only happens while
    telemetry is enabled, so the flush writes are forced on — the switch
    may have been toggled between accumulation and window exit, and
-   counts observed while enabled must not be lost. *)
+   counts observed while enabled must not be lost. The switch is saved
+   and restored by hand, not through [Control.with_enabled], so a
+   window exit allocates no closure; nothing in between can raise. *)
 let flush_pending t =
-  if t.pending_delivered <> 0 then begin
-    Telemetry.Control.with_enabled (fun () ->
-        Telemetry.Counter.add m_delivered t.pending_delivered);
-    t.pending_delivered <- 0
-  end;
-  if t.dirty_n > 0 then begin
-    Telemetry.Control.with_enabled (fun () ->
-        for i = 0 to t.dirty_n - 1 do
-          let id = t.dirty_links.(i) in
-          Telemetry.Counter.add t.link_tx_bytes.(id) t.pending_tx.(id);
-          t.pending_tx.(id) <- 0;
-          t.link_dirty.(id) <- false
-        done);
-    t.dirty_n <- 0
-  end;
-  if t.drops_dirty then begin
-    Telemetry.Control.with_enabled (fun () ->
-        Hashtbl.iter
-          (fun _ e -> Telemetry.Counter.set e.metric e.n)
-          t.drop_table;
-        Telemetry.Counter.set m_drops t.total_drops);
-    t.drops_dirty <- false
+  if t.pending_delivered <> 0 || t.dirty_n > 0 || t.drops_dirty then begin
+    let enabled = Telemetry.Control.enabled in
+    let saved = !enabled in
+    enabled := true;
+    if t.pending_delivered <> 0 then begin
+      Telemetry.Counter.add m_delivered t.pending_delivered;
+      t.pending_delivered <- 0
+    end;
+    for i = 0 to t.dirty_n - 1 do
+      let id = t.dirty_links.(i) in
+      Telemetry.Counter.add t.link_tx_bytes.(id) t.pending_tx.(id);
+      t.pending_tx.(id) <- 0;
+      t.link_dirty.(id) <- false
+    done;
+    t.dirty_n <- 0;
+    if t.drops_dirty then begin
+      Hashtbl.iter
+        (fun _ e -> Telemetry.Counter.set e.metric e.n)
+        t.drop_table;
+      Telemetry.Counter.set m_drops t.total_drops;
+      t.drops_dirty <- false
+    end;
+    enabled := saved
   end
 
 let set_tracer t tracer = t.tracer <- tracer

@@ -22,7 +22,15 @@
     minimum; repeat until the minimum passes the horizon.
 
     All state is guarded by one mutex + condition; publications
-    broadcast so waiting shards re-evaluate their bounds. *)
+    broadcast so waiting shards re-evaluate their bounds.
+
+    {b Abort.} A shard whose run raises calls {!abort}; from then on
+    every wait ({!next_bound}, {!barrier}, {!min_next}) stops waiting
+    and raises {!Aborted}, so no sibling blocks on a publication that
+    will never come and the runner can join every domain. *)
+
+exception Aborted
+(** Raised by the waits once the clock is aborted. *)
 
 type t
 
@@ -40,17 +48,24 @@ val lookahead : t -> bool
 val next_bound : t -> shard:int -> completed:float -> float
 (** Lookahead mode: block until [bound(shard) > completed], then return
     the bound (≤ horizon). Returns immediately with the horizon once
-    every inbound source has published the horizon. *)
+    every inbound source has published the horizon.
+    @raise Aborted once {!abort} has run. *)
 
 val publish : t -> shard:int -> float -> unit
 (** Announce that [shard] has completed every event strictly before the
     given time (monotone; clamped up). Wakes waiting shards. *)
 
 val barrier : t -> unit
-(** Rendezvous of all shards (reusable, sense-reversing). *)
+(** Rendezvous of all shards (reusable, sense-reversing).
+    @raise Aborted once {!abort} has run. *)
 
 val min_next : t -> shard:int -> float -> float
 (** Barrier mode: contribute this shard's next pending event time
     (or [infinity]) and return the minimum over all shards. Contains
     two internal barriers; every shard must call it the same number of
-    times. *)
+    times.
+    @raise Aborted once {!abort} has run. *)
+
+val abort : t -> unit
+(** Mark the run failed and wake every waiter. Idempotent, callable
+    from any domain. *)

@@ -1,13 +1,22 @@
 (** Cross-shard packet exchange: one mutex-guarded channel per ordered
     (source shard, destination shard) pair that owns at least one cut
-    link.
+    link, and the destination's inbox the channels drain into.
 
     A packet finishing serialization on a cut-link port is pushed with
-    its send-derived arrival stamp ([tx end + propagation delay]) and a
-    per-channel sequence number; the destination shard drains its
-    inbound channels at window boundaries and re-inserts the packets
-    into its own event heap in a deterministic order (see
-    {!Shard.ingest}).
+    its send-derived arrival stamp ([tx end + propagation delay]), its
+    send time and a per-channel sequence number. The destination shard
+    moves its inbound channels into its {!inbox} at window boundaries
+    ({!drain_into}) and pops the messages in (arrival, sent, source
+    shard, seq) order — an order independent of cross-domain timing
+    (see {!Shard.ingest}).
+
+    Nothing here allocates in steady state. A channel is a growable
+    struct-of-arrays buffer (arrival and send time in [floatarray]s,
+    nodes in [int array]s, packets in one array), {!send} reads its two
+    floats from a cell the caller owns, and the inbox is a
+    struct-of-arrays binary min-heap whose slots are recycled through a
+    free list. Buffers only grow, doubling, so a warmed-up exchange
+    reuses its storage.
 
     Channels are bounded with {e soft} backpressure: a push over
     capacity is counted ([par.exchange.overflow]) rather than blocked —
@@ -15,16 +24,6 @@
     for this shard's clock publication would deadlock the conservative
     synchronization, so window sizing (lookahead), not blocking, is the
     real flow control. *)
-
-type msg = {
-  arrival : float;  (** send time + link propagation delay *)
-  sent : float;  (** serialization end on the source shard *)
-  src_shard : int;
-  seq : int;  (** per-channel send sequence *)
-  src_node : int;
-  dst_node : int;
-  packet : Mvpn_net.Packet.t;
-}
 
 type t
 
@@ -40,15 +39,48 @@ val channels : t -> (int * int) list
 (** Open (src, dst) pairs, sorted. *)
 
 val send :
-  t -> src:int -> dst:int -> arrival:float -> sent:float -> src_node:int ->
-  dst_node:int -> Mvpn_net.Packet.t -> unit
-(** Called from the source shard's domain.
+  t -> src:int -> dst:int -> floatarray -> src_node:int -> dst_node:int ->
+  Mvpn_net.Packet.t -> unit
+(** [send t ~src ~dst cell ~src_node ~dst_node packet] queues [packet]
+    toward shard [dst] with arrival time [cell.{0}] and send time
+    [cell.{1}], stamped with the channel's next sequence number. The
+    cell is copied from, never retained. Called from the source
+    shard's domain.
     @raise Invalid_argument if the channel was never opened. *)
-
-val drain : t -> dst:int -> msg list
-(** Pop everything currently queued toward [dst], in channel order then
-    send order (the caller merges and sorts by arrival). Called from
-    the destination shard's domain; safe against concurrent sends. *)
 
 val overflows : t -> int
 (** Total pushes that found a channel over capacity. *)
+
+(** {2 The destination's inbox} *)
+
+type inbox
+(** Messages drained toward one shard and not yet popped, as a binary
+    min-heap on (arrival, sent, source shard, seq). For one
+    destination (source shard, seq) is unique, so the order is total
+    and the pop sequence does not depend on how sends and drains
+    interleaved. *)
+
+val inbox : unit -> inbox
+
+val drain_into : t -> dst:int -> inbox -> unit
+(** Move everything currently queued toward [dst] into the inbox,
+    emptying the channels. Called from the destination shard's domain;
+    safe against concurrent sends. *)
+
+val length : inbox -> int
+
+val ready : inbox -> bound:float -> inclusive:bool -> bool
+(** The least message arrives before [bound] (at or before, when
+    [inclusive]). [false] on an empty inbox. *)
+
+val pop : inbox -> key_out:floatarray -> int
+(** Remove the least message, write its arrival into [key_out.{0}] and
+    return its slot. The slot reads back through the accessors below
+    until the next {!drain_into} reuses it.
+    @raise Invalid_argument on an empty inbox. *)
+
+val packet : inbox -> int -> Mvpn_net.Packet.t
+val src_node : inbox -> int -> int
+val dst_node : inbox -> int -> int
+val src_shard : inbox -> int -> int
+val seq : inbox -> int -> int

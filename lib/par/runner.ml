@@ -145,6 +145,25 @@ let drive sh clock =
      events sent (all of it arrives strictly past the horizon). *)
   Shard.ingest sh ~bound:neg_infinity ~inclusive:false
 
+(* A shard's failure: the sim time it stopped at, the exception and
+   its backtrace. *)
+type failure = { at : float; exn : exn; bt : Printexc.raw_backtrace }
+
+(* The failure to re-raise once every domain has joined: the earliest
+   by (sim time, shard), passing over the [Clock.Aborted] of shards
+   that only stopped because another failed. *)
+let first_failure joined =
+  let key f =
+    ((match f.exn with Clock.Aborted -> true | _ -> false), f.at)
+  in
+  Array.fold_left
+    (fun best r ->
+       match (best, r) with
+       | None, Error f -> Some f
+       | Some b, Error f when key f < key b -> Some f
+       | _ -> best)
+    None joined
+
 let run_parallel (cfg : config) =
   if cfg.shards < 1 then invalid_arg "Runner.run_parallel: shards < 1";
   (* Long soaks recycle packet storage. Flag set before the shard
@@ -181,54 +200,60 @@ let run_parallel (cfg : config) =
           | None -> (s, l.Topology.delay) :: inbound.(d)))
     part.Partition.cut;
   let clock = Clock.create ~shards:k ~horizon ~inbound in
-  let domains =
-    Array.init k (fun i ->
-        Domain.spawn (fun () ->
-            let sh =
-              Shard.create ~id:i ~part ~exchange:ex
-                ~build:(fun () -> build cfg)
-                ~prepare:(fun sc ->
-                    let tap =
-                      Option.map
-                        (fun dt ->
-                           Sampler.observe_fate
-                             (Sampler.start ~interval:dt ~until:horizon sc))
-                        cfg.sample_interval
-                    in
-                    (* Same schedule-call order as run_sequential:
-                       sampler ticks, then whatever the caller arms
-                       (chaos storms, the invariant auditor) — FIFO
-                       tie-break at equal times depends on it. *)
-                    (match cfg.prepare_replica with
-                     | Some f -> f sc
-                     | None -> ());
-                    tap)
-                ~arm:(arm_workload cfg) ()
-            in
-            drive sh clock;
-            Shard.collect sh))
+  let create_shard i =
+    Shard.create ~id:i ~part ~exchange:ex
+      ~build:(fun () -> build cfg)
+      ~prepare:(fun sc ->
+          let tap =
+            Option.map
+              (fun dt ->
+                 Sampler.observe_fate
+                   (Sampler.start ~interval:dt ~until:horizon sc))
+              cfg.sample_interval
+          in
+          (* Same schedule-call order as run_sequential: sampler ticks,
+             then whatever the caller arms (chaos storms, the invariant
+             auditor) — FIFO tie-break at equal times depends on it. *)
+          (match cfg.prepare_replica with Some f -> f sc | None -> ());
+          tap)
+      ~arm:(arm_workload cfg) ()
   in
-  let cols = Array.map Domain.join domains in
+  (* A shard's domain returns its failure instead of raising, after
+     aborting the clock, so every sibling stops waiting and every
+     domain can be joined. *)
+  let run_shard i () =
+    let started = ref None in
+    match
+      let sh = create_shard i in
+      started := Some sh;
+      drive sh clock;
+      (sh, Shard.collect sh)
+    with
+    | r -> Ok r
+    | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      Clock.abort clock;
+      let at = match !started with Some sh -> Shard.now sh | None -> 0.0 in
+      Error { at; exn; bt }
+  in
+  let domains = Array.init k (fun i -> Domain.spawn (run_shard i)) in
+  let joined = Array.map Domain.join domains in
+  Option.iter
+    (fun f -> Printexc.raise_with_backtrace f.exn f.bt)
+    (first_failure joined);
+  let shards, cols =
+    Array.split
+      (Array.map (function Ok r -> r | Error _ -> assert false) joined)
+  in
   (* Merge every shard's metric cells into this domain, in shard order
      (associative, so the order only pins float rounding). *)
   Array.iter (fun c -> Registry.absorb c.Shard.r_snapshot) cols;
   (* Post-horizon cross-shard packets: the sequential run scheduled
      their propagation events (and never executed them); re-schedule
      them on the destination replica so [sim.scheduled] agrees. *)
-  let leftover = ref 0 in
-  Array.iter
-    (fun c ->
-       let eng = Scenario.engine c.Shard.r_scenario in
-       let net = Scenario.network c.Shard.r_scenario in
-       List.iter
-         (fun (m : Exchange.msg) ->
-            incr leftover;
-            let dst = m.Exchange.dst_node and src = m.Exchange.src_node in
-            let packet = m.Exchange.packet in
-            Engine.schedule_at eng ~time:m.Exchange.arrival (fun () ->
-                Network.receive net dst ~from:(Some src) packet))
-         c.Shard.r_leftover)
-    cols;
+  let leftover =
+    Array.fold_left (fun acc sh -> acc + Shard.requeue_leftovers sh) 0 shards
+  in
   let registry_json = Registry.to_json ~trace_events:0 () in
   let counter_sum name =
     Array.fold_left
@@ -248,10 +273,10 @@ let run_parallel (cfg : config) =
     delivered = counter_sum "net.delivered";
     dropped = counter_sum "net.drops";
     events = counter_sum "sim.events";
-    scheduled = counter_sum "sim.scheduled" + !leftover;
+    scheduled = counter_sum "sim.scheduled" + leftover;
     exchanged =
       Array.fold_left (fun acc c -> acc + c.Shard.r_sent) 0 cols;
-    leftover = !leftover;
+    leftover;
     overflow = Exchange.overflows ex;
     classes =
       class_sums

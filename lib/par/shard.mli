@@ -10,17 +10,14 @@
     and RNG substreams byte-identical to the sequential run's, which is
     what makes the merged counters independent of the shard count.
 
-    All functions must be called from the shard's own domain (telemetry
-    cells are domain-local); {!collect}'s result is read by the runner
-    after joining the domain. *)
+    All functions but {!requeue_leftovers} must be called from the
+    shard's own domain (telemetry cells are domain-local); {!collect}'s
+    result is read by the runner after joining the domain. *)
 
 type result = {
   r_snapshot : Mvpn_telemetry.Registry.snapshot;
       (** this domain's metric cells *)
   r_fates : Fatelog.t;  (** this replica's packet fates *)
-  r_leftover : Exchange.msg list;
-      (** cross-shard packets arriving after the horizon, in
-          deterministic {!ingest} order *)
   r_sent : int;  (** messages pushed to other shards *)
   r_ingested : int;  (** messages scheduled into the local heap *)
   r_scenario : Mvpn_core.Scenario.t;
@@ -59,15 +56,22 @@ val create :
 
 val id : t -> int
 
+val now : t -> float
+(** The replica engine's clock: the sim time a failed run stopped at. *)
+
 val ingest : t -> bound:float -> inclusive:bool -> unit
-(** Drain inbound exchange channels into the sorted pending inbox, then
-    schedule every message with arrival below [bound] (at or below,
-    when [inclusive]) as a receive event on the local engine. Equal-
-    arrival messages always fall into the same window (a window bound
-    beyond an arrival implies every such message is already visible),
-    and are ordered by (arrival, send time, source shard, channel
-    sequence) — so heap insertion order, and therefore FIFO tie-breaks,
-    are independent of cross-domain timing. *)
+(** Drain inbound exchange channels into the shard's inbox (the
+    struct-of-arrays heap of {!Exchange.inbox}), then schedule every
+    message with arrival below [bound] (at or below, when [inclusive])
+    as a receive event on the local engine, keyed on its exact
+    arrival ({!Mvpn_sim.Engine.schedule_at_cell}). Equal-arrival
+    messages always fall into the same window (a window bound beyond
+    an arrival implies every such message is already visible), and are
+    ordered by (arrival, send time, source shard, channel sequence) —
+    so event insertion order, and therefore FIFO tie-breaks, are
+    independent of cross-domain timing. The events share one import
+    handler fed by a ring, so a steady-state ingest allocates
+    nothing. *)
 
 val run_before : t -> before:float -> unit
 (** Execute local events strictly below the window bound. *)
@@ -82,3 +86,11 @@ val peek : t -> float option
 val collect : t -> result
 (** Snapshot this domain's cells and hand everything to the runner.
     Call once, after the last event has run. *)
+
+val requeue_leftovers : t -> int
+(** Schedule every message still in the inbox — cross-shard packets
+    arriving after the horizon — on the replica's engine, in {!ingest}
+    order, and return how many. The sequential run scheduled their
+    propagation events and never ran them, so this keeps
+    [sim.scheduled] equal. The runner calls it after joining the
+    shard's domain, so the counter bump lands in the runner's cells. *)

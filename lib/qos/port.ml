@@ -20,7 +20,7 @@ type t = {
   on_drop : reason:string -> Packet.t -> unit;
   mutable busy : bool;
   mutable fault : fault option;
-  mutable handoff : (arrival:float -> Packet.t -> unit) option;
+  mutable handoff : (Packet.t -> unit) option;
   mutable offered : int;
   mutable delivered : int;
   mutable dropped_queue : int;
@@ -170,10 +170,8 @@ and tx_complete (t : t) =
      match t.handoff with
      | Some hand ->
        (* Propagation is owned elsewhere (a cut link of a partitioned
-          run): hand over the packet stamped with its arrival time
-          instead of scheduling locally. *)
-       let packet = ring_pop_tail t in
-       hand ~arrival:(Engine.now t.engine +. t.link.Topology.delay) packet
+          run): hand the packet over instead of scheduling locally. *)
+       hand (ring_pop_tail t)
      | None ->
        Engine.schedule_kind t.engine ~kind:k_propagate
          ~delay:t.link.Topology.delay t.prop_fire

@@ -50,14 +50,16 @@ val set_fault : t -> ?loss:float -> ?corrupt:float -> seed:int -> unit -> unit
 
 val clear_fault : t -> unit
 
-val set_handoff : t -> (arrival:float -> Mvpn_net.Packet.t -> unit) option -> unit
+val set_handoff : t -> (Mvpn_net.Packet.t -> unit) option -> unit
 (** Override propagation: when set, a packet finishing serialization on
-    an up link is passed to the handoff with its computed arrival time
-    ([now + link delay]) instead of being scheduled on this engine. The
-    parallel runner installs handoffs on cut-link ports so the packet
-    crosses into the shard that owns the far end; [None] restores local
-    propagation. Serialization, port counters and drop handling are
-    unchanged either way. *)
+    an up link is passed to the handoff instead of being scheduled on
+    this engine. The handoff runs at the serialization end, so it
+    derives the arrival itself as [Engine.now engine +. link delay],
+    the key local propagation would use; no float crosses the call.
+    The parallel runner installs handoffs on cut-link ports so the
+    packet crosses into the shard that owns the far end; [None]
+    restores local propagation. Serialization, port counters and drop
+    handling are unchanged either way. *)
 
 val link : t -> Mvpn_sim.Topology.link
 

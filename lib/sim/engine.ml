@@ -100,10 +100,16 @@ let on_flush e f = e.flush_hooks <- f :: e.flush_hooks
    accumulation and window exit. *)
 let flush_body e =
   List.iter (fun f -> f ()) e.flush_hooks;
-  if e.batch_events <> 0 || e.batch_scheduled <> 0 then
-    Mvpn_telemetry.Control.with_enabled (fun () ->
-        Mvpn_telemetry.Counter.add m_events e.batch_events;
-        Mvpn_telemetry.Counter.add m_scheduled e.batch_scheduled);
+  if e.batch_events <> 0 || e.batch_scheduled <> 0 then begin
+    (* Forced on by hand rather than through [Control.with_enabled]:
+       no closure per window, and two counter adds cannot raise. *)
+    let enabled = Mvpn_telemetry.Control.enabled in
+    let saved = !enabled in
+    enabled := true;
+    Mvpn_telemetry.Counter.add m_events e.batch_events;
+    Mvpn_telemetry.Counter.add m_scheduled e.batch_scheduled;
+    enabled := saved
+  end;
   e.batch_events <- 0;
   e.batch_scheduled <- 0
 
@@ -146,12 +152,20 @@ let schedule e ~delay f =
   Float.Array.set e.delay_cell 0 delay;
   push_delay e e.delay_cell f
 
-let schedule_at e ~time f =
+(* The one absolute-time scheduling path; inlined, so [schedule_at]
+   costs what it did before the cell entry point existed. *)
+let[@inline] push_time e tcell f =
+  let time = Float.Array.get tcell 0 in
   if not (time -. time = 0.0) then check_finite "schedule_at" time;
   if time < e.now then invalid_arg "Engine.schedule_at: time in the past";
   note_scheduled e;
+  q_push_at e.queue tcell f
+
+let schedule_at e ~time f =
   Float.Array.set e.push_cell 0 time;
-  q_push_at e.queue e.push_cell f
+  push_time e e.push_cell f
+
+let schedule_at_cell e tcell f = push_time e tcell f
 
 (* [schedule] plus a per-kind count in the dispatch ledger. The kind
    is only consulted when profiling is on, so tagged call sites cost
@@ -205,19 +219,9 @@ let step e =
     f ();
     true
 
-(* Run [body] as one batch window. Nested windows flush only at the
-   outermost exit; the flush survives an exception from an event so no
-   accumulated counts are lost. *)
-let in_window e body =
-  if e.in_batch then body ()
-  else begin
-    e.in_batch <- true;
-    Fun.protect
-      ~finally:(fun () ->
-          e.in_batch <- false;
-          flush_batch e)
-      body
-  end
+let leave_window e =
+  e.in_batch <- false;
+  flush_batch e
 
 (* The drains below bypass [step]'s peek/pop option churn: one
    [pop_due] per event returns the closure or the [null_event]
@@ -226,57 +230,75 @@ let in_window e body =
    counter branch is inlined. The profiled twin adds three monotonic
    clock reads per event (pop and handler deltas); a window picks its
    drain once, so the plain loop never tests the profiler. *)
-let plain_drain e ~bound ~strict =
-  let rec loop () =
-    if not e.stopped then begin
-      let f = q_pop_due e.queue ~bound ~strict ~key_out:e.key_cell in
-      if f != null_event then begin
-        e.now <- Float.Array.get e.key_cell 0;
-        e.processed <- e.processed + 1;
-        if !Mvpn_telemetry.Control.enabled then
-          e.batch_events <- e.batch_events + 1;
-        f ();
-        loop ()
-      end
+(* Top-level loops, not local closures, so entering a window
+   allocates nothing. *)
+let rec plain_drain e ~bound ~strict =
+  if not e.stopped then begin
+    let f = q_pop_due e.queue ~bound ~strict ~key_out:e.key_cell in
+    if f != null_event then begin
+      e.now <- Float.Array.get e.key_cell 0;
+      e.processed <- e.processed + 1;
+      if !Mvpn_telemetry.Control.enabled then
+        e.batch_events <- e.batch_events + 1;
+      f ();
+      plain_drain e ~bound ~strict
     end
-  in
-  loop ()
+  end
 
-let profiled_drain e ~bound ~strict =
-  let p = e.prof in
-  let rec loop () =
-    if not e.stopped then begin
-      let t0 = Profile.now_ns () in
-      let f = q_pop_due e.queue ~bound ~strict ~key_out:e.key_cell in
-      if f != null_event then begin
-        e.now <- Float.Array.get e.key_cell 0;
-        e.processed <- e.processed + 1;
-        if !Mvpn_telemetry.Control.enabled then
-          e.batch_events <- e.batch_events + 1;
-        let t1 = Profile.now_ns () in
-        f ();
-        let t2 = Profile.now_ns () in
-        Profile.note_event p ~pop_ns:(t1 - t0) ~handler_ns:(t2 - t1);
-        loop ()
-      end
-      else
-        (* The unproductive final pop still cost a queue walk. *)
-        Profile.note_pop p (Profile.now_ns () - t0)
+let rec profiled_drain e ~bound ~strict =
+  if not e.stopped then begin
+    let p = e.prof in
+    let t0 = Profile.now_ns () in
+    let f = q_pop_due e.queue ~bound ~strict ~key_out:e.key_cell in
+    if f != null_event then begin
+      e.now <- Float.Array.get e.key_cell 0;
+      e.processed <- e.processed + 1;
+      if !Mvpn_telemetry.Control.enabled then
+        e.batch_events <- e.batch_events + 1;
+      let t1 = Profile.now_ns () in
+      f ();
+      let t2 = Profile.now_ns () in
+      Profile.note_event p ~pop_ns:(t1 - t0) ~handler_ns:(t2 - t1);
+      profiled_drain e ~bound ~strict
     end
-  in
-  loop ()
+    else
+      (* The unproductive final pop still cost a queue walk. *)
+      Profile.note_pop p (Profile.now_ns () - t0)
+  end
 
 let drain e ~bound ~strict =
   if Profile.enabled e.prof then profiled_drain e ~bound ~strict
   else plain_drain e ~bound ~strict
 
-let run ?until e =
+(* A window's work: [drain], then, for an inclusive [run], the clock
+   advance to its horizon. *)
+let window_body e ~bound ~strict =
+  drain e ~bound ~strict;
+  if (not strict) && (not e.stopped) && Float.is_finite bound
+     && bound > e.now
+  then e.now <- bound
+
+(* Run [window_body] as one batch window. Nested windows flush only at
+   the outermost exit; an exception from an event still flushes, so no
+   accumulated counts are lost, and then propagates. Written without
+   [Fun.protect], whose closures would cost every window an
+   allocation. *)
+let window e ~bound ~strict =
   e.stopped <- false;
-  let horizon = match until with Some t -> t | None -> infinity in
-  in_window e (fun () ->
-      drain e ~bound:horizon ~strict:false;
-      if (not e.stopped) && Float.is_finite horizon && horizon > e.now then
-        e.now <- horizon)
+  if e.in_batch then window_body e ~bound ~strict
+  else begin
+    e.in_batch <- true;
+    match window_body e ~bound ~strict with
+    | () -> leave_window e
+    | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave_window e;
+      Printexc.raise_with_backtrace ex bt
+  end
+
+let run ?until e =
+  window e ~bound:(match until with Some t -> t | None -> infinity)
+    ~strict:false
 
 let peek_time e = Option.map fst (q_peek e.queue)
 
@@ -285,9 +307,7 @@ let peek_time e = Option.map fst (q_peek e.queue)
    itself — the window bound is a synchronization artifact, not a
    simulated instant, and a later window (or the final inclusive [run])
    owns the events at the bound. *)
-let run_before e ~before =
-  e.stopped <- false;
-  in_window e (fun () -> drain e ~bound:before ~strict:true)
+let run_before e ~before = window e ~bound:before ~strict:true
 
 let pending e = q_size e.queue
 

@@ -30,6 +30,14 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_at e ~time f] runs [f] at absolute [time].
     @raise Invalid_argument if [time] is in the past or not finite. *)
 
+val schedule_at_cell : t -> floatarray -> (unit -> unit) -> unit
+(** [schedule_at_cell e tcell f] is [schedule_at e ~time f] with [time]
+    read from slot 0 of [tcell], so an absolute key crosses the call
+    unboxed and becomes the event's exact key. The parallel runner
+    schedules every cross-shard arrival this way. The cell is copied
+    from, never retained. {!schedule_at} is a wrapper over this path.
+    @raise Invalid_argument like {!schedule_at}. *)
+
 val schedule_kind :
   t -> kind:Profile.kind -> delay:float -> (unit -> unit) -> unit
 (** {!schedule}, tagged for the dispatch-cost ledger: while the

@@ -7,49 +7,55 @@
 
    [Domain.DLS.get] per bump is measurable in instrumented hot loops
    (LFIB step, qdisc, per-hop counters), so the handle memoizes the
-   last resolved (domain id, cell) pair. The pair is one immutable
-   block behind a single mutable field: a racing reader sees either
-   the old or the new pair whole, and uses it only when the stored
-   domain id is its own — a hit always yields the caller's private
-   cell, so the DLS partial-count guarantee is untouched. *)
+   last resolved cell. A cell is one record carrying its owner's
+   domain id beside the count, built by the DLS initializer in the
+   domain that owns it. The memo is a single mutable field holding a
+   cell: a racing reader sees one cell whole, and uses it only when
+   the stored domain id is its own — a hit always yields the caller's
+   private cell, so the DLS partial-count guarantee is untouched. A
+   miss re-points the memo at the caller's existing cell, so a handle
+   that two domains take turns with allocates nothing. *)
 
-type cache = { did : int; cell : int ref }
+type cell = { did : int; mutable n : int }
 
 type t = {
-  key : int ref Domain.DLS.key;
-  mutable last : cache;
+  key : cell Domain.DLS.key;
+  mutable last : cell;
 }
 
 (* No real domain has id -1, so the first access always misses. *)
-let empty_cache = { did = -1; cell = ref 0 }
+let empty_cell = { did = -1; n = 0 }
 
 let make () =
-  { key = Domain.DLS.new_key (fun () -> ref 0); last = empty_cache }
+  { key =
+      Domain.DLS.new_key (fun () ->
+          { did = (Domain.self () :> int); n = 0 });
+    last = empty_cell }
 
 let cell t =
   let did = (Domain.self () :> int) in
   let l = t.last in
-  if l.did = did then l.cell
+  if l.did = did then l
   else begin
     let c = Domain.DLS.get t.key in
-    t.last <- { did; cell = c };
+    t.last <- c;
     c
   end
 
 let incr t =
   if !Control.enabled then begin
     let c = cell t in
-    c := !c + 1
+    c.n <- c.n + 1
   end
 
 let add t n =
   if !Control.enabled then begin
     let c = cell t in
-    c := !c + n
+    c.n <- c.n + n
   end
 
-let set t n = if !Control.enabled then cell t := n
+let set t n = if !Control.enabled then (cell t).n <- n
 
-let value t = !(cell t)
+let value t = (cell t).n
 
-let reset t = cell t := 0
+let reset t = (cell t).n <- 0

@@ -12,8 +12,10 @@
 
 (* [fl] packs the float accumulators ([0] sum, [1] min, [2] max) in a
    flat array so a hot observe is three unboxed stores, not three
-   fresh boxes. *)
+   fresh boxes. [did] is the owning domain's id, so a state doubles as
+   the handle's memo entry. *)
 type state = {
+  did : int;
   counts : int array;
   mutable total : int;
   fl : floatarray;
@@ -29,20 +31,19 @@ let fresh_fl () =
   Float.Array.set a f_max neg_infinity;
   a
 
-(* Last resolved (domain id, state) pair — same single-mutable-field
+(* [last] is the last resolved state — the same single-mutable-field
    memo as {!Counter.cell}, for the same reason: [Domain.DLS.get] per
-   observation is measurable in the per-hop instrumentation. *)
-type cache = { did : int; st : state }
-
+   observation is measurable in the per-hop instrumentation. A miss
+   re-points it at the caller's existing state, allocating nothing. *)
 type t = {
   lo : float;  (* lower bound of bucket 0; values below land in it *)
   buckets : int;
   cells : state Domain.DLS.key;
-  mutable last : cache;
+  mutable last : state;
 }
 
-let empty_cache =
-  { did = -1; st = { counts = [||]; total = 0; fl = fresh_fl () } }
+(* No real domain has id -1, so the first access always misses. *)
+let empty_state = { did = -1; counts = [||]; total = 0; fl = fresh_fl () }
 
 let default_buckets = 96
 
@@ -52,16 +53,17 @@ let make ?(lo = 1e-9) ?(buckets = default_buckets) () =
   { lo; buckets;
     cells =
       Domain.DLS.new_key (fun () ->
-          { counts = Array.make buckets 0; total = 0; fl = fresh_fl () });
-    last = empty_cache }
+          { did = (Domain.self () :> int); counts = Array.make buckets 0;
+            total = 0; fl = fresh_fl () });
+    last = empty_state }
 
 let state t =
   let did = (Domain.self () :> int) in
   let l = t.last in
-  if l.did = did then l.st
+  if l.did = did then l
   else begin
     let st = Domain.DLS.get t.cells in
-    t.last <- { did; st };
+    t.last <- st;
     st
   end
 

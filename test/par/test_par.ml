@@ -117,42 +117,169 @@ let test_exchange_channels () =
     (Exchange.channels ex);
   Alcotest.check_raises "send needs an open channel"
     (Invalid_argument "Exchange.send: no channel 1 -> 2") (fun () ->
-      Exchange.send ex ~src:1 ~dst:2 ~arrival:1.0 ~sent:0.5 ~src_node:0
-        ~dst_node:1 (dummy_packet ()))
+      Exchange.send ex ~src:1 ~dst:2 (Float.Array.of_list [ 1.0; 0.5 ])
+        ~src_node:0 ~dst_node:1 (dummy_packet ()))
+
+(* Pop everything in the inbox: (source shard, seq, arrival) in pop
+   order. *)
+let pop_all ib =
+  let key = Float.Array.make 1 0.0 in
+  let rec go acc =
+    if Exchange.length ib = 0 then List.rev acc
+    else begin
+      let s = Exchange.pop ib ~key_out:key in
+      go ((Exchange.src_shard ib s, Exchange.seq ib s, Float.Array.get key 0)
+          :: acc)
+    end
+  in
+  go []
 
 let test_exchange_drain_order () =
   let ex = Exchange.create ~shards:3 () in
   Exchange.open_channel ex ~src:0 ~dst:2;
   Exchange.open_channel ex ~src:1 ~dst:2;
   let send src arrival =
-    Exchange.send ex ~src ~dst:2 ~arrival ~sent:(arrival -. 0.1)
+    Exchange.send ex ~src ~dst:2
+      (Float.Array.of_list [ arrival; arrival -. 0.1 ])
       ~src_node:src ~dst_node:9 (dummy_packet ())
   in
   send 1 5.0;
   send 0 3.0;
   send 0 1.0;
   send 1 2.0;
-  let got = Exchange.drain ex ~dst:2 in
-  Alcotest.(check (list (pair int int)))
-    "groups by ascending source, send order within each"
-    [ (0, 0); (0, 1); (1, 0); (1, 1) ]
-    (List.map
-       (fun (m : Exchange.msg) -> (m.Exchange.src_shard, m.Exchange.seq))
-       got);
-  Alcotest.(check int) "drain empties" 0
-    (List.length (Exchange.drain ex ~dst:2))
+  let ib = Exchange.inbox () in
+  Exchange.drain_into ex ~dst:2 ib;
+  Alcotest.(check int) "drained all" 4 (Exchange.length ib);
+  Alcotest.(check bool) "ready below the least arrival" false
+    (Exchange.ready ib ~bound:1.0 ~inclusive:false);
+  Alcotest.(check bool) "ready at it, inclusive" true
+    (Exchange.ready ib ~bound:1.0 ~inclusive:true);
+  Alcotest.(check (list (triple int int (float 0.0))))
+    "pops by arrival; seq is the send order within each channel"
+    [ (0, 1, 1.0); (1, 1, 2.0); (0, 0, 3.0); (1, 0, 5.0) ]
+    (pop_all ib);
+  Exchange.drain_into ex ~dst:2 ib;
+  Alcotest.(check int) "drain empties the channels" 0 (Exchange.length ib)
 
 let test_exchange_overflow_soft () =
   let ex = Exchange.create ~capacity:2 ~shards:2 () in
   Exchange.open_channel ex ~src:0 ~dst:1;
   for i = 1 to 5 do
-    Exchange.send ex ~src:0 ~dst:1 ~arrival:(float_of_int i) ~sent:0.0
+    Exchange.send ex ~src:0 ~dst:1
+      (Float.Array.of_list [ float_of_int i; 0.0 ])
       ~src_node:0 ~dst_node:1 (dummy_packet ())
   done;
   Alcotest.(check int) "overflows counted" 3 (Exchange.overflows ex);
   (* soft bound: nothing is dropped or blocked *)
-  Alcotest.(check int) "all messages kept" 5
-    (List.length (Exchange.drain ex ~dst:1))
+  let ib = Exchange.inbox () in
+  Exchange.drain_into ex ~dst:1 ib;
+  Alcotest.(check int) "all messages kept" 5 (Exchange.length ib)
+
+(* The model: the list-based inbox the shard kept before the heap —
+   every message drained, sorted by this comparator. *)
+type msg = { arrival : float; sent : float; src_shard : int; seq : int }
+
+let msg_order a b =
+  match Float.compare a.arrival b.arrival with
+  | 0 ->
+    (match Float.compare a.sent b.sent with
+     | 0 ->
+       (match Int.compare a.src_shard b.src_shard with
+        | 0 -> Int.compare a.seq b.seq
+        | c -> c)
+     | c -> c)
+  | c -> c
+
+(* Batches of sends toward shard 3 from two or three source shards.
+   Batch [k]'s arrivals lie on a quarter grid in [k, k + 2) and its
+   send times on a tenth grid below them, so equal arrivals — and
+   equal (arrival, sent) pairs — are common. After each batch the
+   inbox is drained and popped up to [k + 1], the next batch's least
+   possible arrival, as a lookahead window would be. *)
+let inbox_batches_gen =
+  let open QCheck.Gen in
+  let send = triple (int_range 0 2) (int_range 0 7) (int_range 1 2) in
+  int_range 2 3 >>= fun sources ->
+  list_size (int_range 1 5) (list_size (int_range 0 12) send)
+  >|= fun batches ->
+    List.mapi
+      (fun k batch ->
+         List.map
+           (fun (src, a, d) ->
+              let arrival = float_of_int k +. (0.25 *. float_of_int a) in
+              (src mod sources, arrival, arrival -. (0.1 *. float_of_int d)))
+           batch)
+      batches
+
+let inbox_pops_in_msg_order =
+  QCheck.Test.make ~name:"inbox pops in the msg_order of every send"
+    ~count:300
+    (QCheck.make inbox_batches_gen)
+    (fun batches ->
+       let ex = Exchange.create ~shards:4 () in
+       List.iter (fun src -> Exchange.open_channel ex ~src ~dst:3) [ 0; 1; 2 ];
+       let ib = Exchange.inbox () in
+       let cell = Float.Array.make 2 0.0 and key = Float.Array.make 1 0.0 in
+       let seqs = Array.make 3 0 in
+       let sent_msgs = ref [] and popped = ref [] in
+       List.iteri
+         (fun k batch ->
+            List.iter
+              (fun (src, arrival, sent) ->
+                 Float.Array.set cell 0 arrival;
+                 Float.Array.set cell 1 sent;
+                 Exchange.send ex ~src ~dst:3 cell ~src_node:src ~dst_node:7
+                   (dummy_packet ());
+                 sent_msgs :=
+                   { arrival; sent; src_shard = src; seq = seqs.(src) }
+                   :: !sent_msgs;
+                 seqs.(src) <- seqs.(src) + 1)
+              batch;
+            Exchange.drain_into ex ~dst:3 ib;
+            let bound = float_of_int (k + 1) in
+            while Exchange.ready ib ~bound ~inclusive:false do
+              let s = Exchange.pop ib ~key_out:key in
+              popped :=
+                (Exchange.src_shard ib s, Exchange.seq ib s,
+                 Float.Array.get key 0)
+                :: !popped
+            done)
+         batches;
+       let got = List.rev_append !popped (pop_all ib) in
+       let want =
+         List.map
+           (fun m -> (m.src_shard, m.seq, m.arrival))
+           (List.sort msg_order !sent_msgs)
+       in
+       got = want)
+
+(* A warmed-up exchange moves a packet across shards without
+   allocating: channel and inbox slots are reused, and the floats
+   travel through cells. *)
+let test_exchange_round_trip_allocates_nothing () =
+  let ex = Exchange.create ~shards:2 () in
+  Exchange.open_channel ex ~src:0 ~dst:1;
+  let ib = Exchange.inbox () in
+  let cell = Float.Array.make 2 0.0 and key = Float.Array.make 1 0.0 in
+  let p = dummy_packet () in
+  let round_trip i =
+    Float.Array.set cell 0 (float_of_int i);
+    Float.Array.set cell 1 (float_of_int i -. 0.5);
+    Exchange.send ex ~src:0 ~dst:1 cell ~src_node:0 ~dst_node:1 p;
+    Exchange.drain_into ex ~dst:1 ib;
+    let s = Exchange.pop ib ~key_out:key in
+    if Exchange.packet ib s != p then Alcotest.fail "wrong packet"
+  in
+  for i = 1 to 100 do
+    round_trip i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    round_trip i
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 1000 round trips" 0.0 dw;
+  Alcotest.(check (float 0.0)) "last arrival" 1000.0 (Float.Array.get key 0)
 
 (* --- Clock -------------------------------------------------------------- *)
 
@@ -398,7 +525,10 @@ let () =
        [ Alcotest.test_case "channels" `Quick test_exchange_channels;
          Alcotest.test_case "drain order" `Quick test_exchange_drain_order;
          Alcotest.test_case "soft overflow" `Quick
-           test_exchange_overflow_soft ]);
+           test_exchange_overflow_soft;
+         qt inbox_pops_in_msg_order;
+         Alcotest.test_case "round trip allocates nothing" `Quick
+           test_exchange_round_trip_allocates_nothing ]);
       ("clock",
        [ Alcotest.test_case "single shard" `Quick test_clock_single_shard;
          Alcotest.test_case "zero delay -> barrier mode" `Quick

@@ -922,7 +922,9 @@ let port_run c =
    | Some (on, off) ->
      Engine.schedule_at e ~time:(flip_time on) (fun () ->
          Port.set_handoff port
-           (Some (fun ~arrival p -> note p (Handed arrival))));
+           (Some
+              (fun p ->
+                 note p (Handed (Engine.now e +. l.Topology.delay)))));
      Engine.schedule_at e ~time:(flip_time off) (fun () ->
          Port.set_handoff port None)
    | None -> ());

@@ -682,10 +682,17 @@ let test_soak_fail_fast_raises () =
       Runner.shards = 1; pops = 6; vpns = 1; sites_per_vpn = 2; load = 0.4;
       duration; prepare_replica = Some prepare }
   in
-  match Runner.run_sequential cfg with
-  | _ -> Alcotest.fail "the leaked drop booking did not abort the run"
-  | exception Audit.Violation (invariant, _) ->
-    Alcotest.(check string) "invariant" "conservation" invariant
+  (* Through the sharded runner too: the failing shard aborts the
+     clock, so its sibling stops waiting for a publication that never
+     comes and the runner joins both domains before re-raising. *)
+  List.iter
+    (fun (name, run) ->
+       match run cfg with
+       | _ -> Alcotest.failf "%s: the leaked drop booking did not abort the run" name
+       | exception Audit.Violation (invariant, _) ->
+         Alcotest.(check string) (name ^ ": invariant") "conservation" invariant)
+    [ ("sequential", Runner.run_sequential);
+      ("K=2", fun cfg -> Runner.run_parallel { cfg with Runner.shards = 2 }) ]
 
 let qt t = QCheck_alcotest.to_alcotest t
 

@@ -598,6 +598,47 @@ let test_counter_two_domains () =
   Registry.absorb s2;
   Alcotest.(check int) "no lost increments" (3 * bumps) (Counter.value c)
 
+(* A Counter and a Histogram shared by two domains that take turns, as
+   a cut link's two shards do: after each domain's first touch (which
+   builds its cells), a switch re-points each handle's memo at the
+   caller's existing cell and allocates nothing. An atomic hands the
+   turn over, so every bump follows the other domain's. *)
+let test_domain_switch_allocates_nothing () =
+  let c = Counter.make () and h = Histogram.make () in
+  let turns = 200 in
+  let turn = Atomic.make 0 in  (* even: the main domain's turn *)
+  Control.enable ();
+  let play parity =
+    let words = ref 0.0 in
+    for k = 0 to turns - 1 do
+      while Atomic.get turn land 1 <> parity do
+        Domain.cpu_relax ()
+      done;
+      let w0 = Gc.minor_words () in
+      Counter.incr c;
+      Histogram.observe h 1e-3;
+      let dw = Gc.minor_words () -. w0 in
+      if k > 0 then words := !words +. dw;
+      Atomic.incr turn
+    done;
+    !words
+  in
+  let d =
+    Domain.spawn (fun () ->
+        let w = play 1 in
+        (w, Counter.value c, Histogram.count h))
+  in
+  let w_main = play 0 in
+  let w_worker, n_worker, hn_worker = Domain.join d in
+  Alcotest.(check (float 0.0)) "main domain: words over its switches" 0.0
+    w_main;
+  Alcotest.(check (float 0.0)) "worker domain: words over its switches" 0.0
+    w_worker;
+  Alcotest.(check (pair int int)) "main partials" (turns, turns)
+    (Counter.value c, Histogram.count h);
+  Alcotest.(check (pair int int)) "worker partials" (turns, turns)
+    (n_worker, hn_worker)
+
 (* --- Timeseries --------------------------------------------------------- *)
 
 let test_series_gated () =
@@ -912,7 +953,9 @@ let () =
          tc "restores on exception" test_control_restores_on_exception ]);
       ("counter",
        [ tc "gated by control" test_counter_gated;
-         tc "two domains" test_counter_two_domains ]);
+         tc "two domains" test_counter_two_domains;
+         tc "domain switch allocates nothing"
+           test_domain_switch_allocates_nothing ]);
       ("gauge", [ tc "gated by control" test_gauge_gated ]);
       ("histogram",
        [ tc "point mass" test_histogram_point_mass;
