@@ -129,6 +129,11 @@ let run () =
   T.Gauge.set
     (T.Registry.gauge "sim.gc.minor_words_per_event")
     (words_per_event seq);
+  (* The same figure through the heap backend, whose push_at/pop_due
+     cycle allocates nothing either; check.sh gates it. *)
+  T.Gauge.set
+    (T.Registry.gauge "e16.gc.heap_minor_words_per_event")
+    (words_per_event seq_heap);
   (* Observability overhead: the identical sequential calendar run with
      the default-interval timeline sampler armed, back to back with the
      unsampled baseline (before the parallel rows churn the heap) so

@@ -138,6 +138,37 @@ let force_reserve_path topo path bw =
     (fun (l : Topology.link) -> l.Topology.reserved <- l.Topology.reserved +. bw)
     (links_of_path topo path)
 
+(* The CSPF prune: a link can take a new reservation of [bandwidth] if
+   it is up, has that much unreserved, and, for a sub-pool tunnel, that
+   much sub-pool room. Admission and re-signalling run SPF over what
+   passes it. *)
+let cspf_path t ~class_type ~bandwidth ~src ~dst =
+  let usable (l : Topology.link) =
+    l.Topology.up
+    && Topology.available l >= bandwidth
+    && (class_type = Global_pool || subpool_room t l >= bandwidth)
+  in
+  Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst
+
+(* Why an operator route is unusable, if it is: it must run from [src]
+   to [dst] over existing links and visit no node twice. *)
+let route_fault topo ~src ~dst path =
+  let rec hops seen = function
+    | a :: (b :: _ as rest) ->
+      if List.mem b seen then
+        Some (Printf.sprintf "explicit path revisits node %d" b)
+      else if Topology.find_link topo a b = None then
+        Some (Printf.sprintf "explicit path has no link %d->%d" a b)
+      else hops (b :: seen) rest
+    | [_] | [] -> None
+  in
+  match path with
+  | [] | [_] -> Some "explicit path needs at least two nodes"
+  | first :: _ ->
+    if first <> src || List.nth path (List.length path - 1) <> dst then
+      Some "explicit path does not run from src to dst"
+    else hops [first] path
+
 let preemptable_on t (l : Topology.link) ~setup_priority =
   List.fold_left
     (fun acc tn ->
@@ -156,102 +187,91 @@ let signal ?explicit_path ?(setup_priority = 7) ?(hold_priority = 7)
   || hold_priority < 0 || hold_priority > 7 then
     Error "priority outside 0-7"
   else if bandwidth < 0.0 then Error "negative bandwidth"
-  else begin
-    let subpool_ok l =
-      class_type = Global_pool || subpool_room t l >= bandwidth
-    in
-    let find_path () =
-      match explicit_path with
-      | Some p ->
-        if List.length p < 2 then None
-        else if List.hd p <> src || List.nth p (List.length p - 1) <> dst
-        then None
-        else Some p
-      | None ->
-        (match admission with
-         | Cspf ->
-           let usable (l : Topology.link) =
-             l.Topology.up
-             && Topology.available l >= bandwidth
-             && subpool_ok l
-           in
-           Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst
-         | Igp_only -> Cspf.igp_path t.topo ~src ~dst)
-    in
-    let finish path forced =
-      let tn =
-        { id = t.next_id; src; dst; bandwidth; setup_priority;
-          hold_priority; class_type; path; up = true }
+  else
+    (* A bad operator route is refused before any tunnel id, reservation
+       or label moves. *)
+    match Option.bind explicit_path (route_fault t.topo ~src ~dst) with
+    | Some e -> Error e
+    | None ->
+      let find_path () =
+        match explicit_path, admission with
+        | Some p, _ -> Some p
+        | None, Cspf -> cspf_path t ~class_type ~bandwidth ~src ~dst
+        | None, Igp_only -> Mvpn_routing.Spf.shortest_path t.topo ~src ~dst
       in
-      t.next_id <- t.next_id + 1;
-      if forced then force_reserve_path t.topo path bandwidth
-      else if not (reserve_path t.topo path bandwidth) then
-        (* Only possible for explicit paths that no longer fit. *)
-        force_reserve_path t.topo path bandwidth;
-      if class_type = Subpool then
-        List.iter
-          (fun l -> bump_subpool t l bandwidth)
-          (links_of_path t.topo path);
-      install_labels t tn;
-      t.tunnels <- tn :: t.tunnels;
-      Ok tn
-    in
-    match admission, find_path () with
-    | Igp_only, Some path ->
-      (* Blind commitment: reserve even past capacity. *)
-      finish path true
-    | Igp_only, None -> Error "no IGP path"
-    | Cspf, Some path -> finish path false
-    | Cspf, None ->
-      if not allow_preempt then Error "no path satisfies constraints"
-      else begin
-        (* Retry treating worse-priority reservations as free. *)
-        let usable (l : Topology.link) =
-          l.Topology.up
-          && Topology.available l +. preemptable_on t l ~setup_priority
-             >= bandwidth
+      let finish path forced =
+        let tn =
+          { id = t.next_id; src; dst; bandwidth; setup_priority;
+            hold_priority; class_type; path; up = true }
         in
-        match Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst with
-        | None -> Error "no path even with preemption"
-        | Some path ->
-          let path_links = links_of_path t.topo path in
-          let on_path (tn : tunnel) =
-            tn.up
-            && List.exists
-                 (fun (pl : Topology.link) ->
-                    List.exists
-                      (fun (l : Topology.link) ->
-                         l.Topology.id = pl.Topology.id)
-                      path_links)
-                 (links_of_path t.topo tn.path)
+        t.next_id <- t.next_id + 1;
+        if forced then force_reserve_path t.topo path bandwidth
+        else if not (reserve_path t.topo path bandwidth) then
+          (* Only possible for explicit paths that no longer fit. *)
+          force_reserve_path t.topo path bandwidth;
+        if class_type = Subpool then
+          List.iter
+            (fun l -> bump_subpool t l bandwidth)
+            (links_of_path t.topo path);
+        install_labels t tn;
+        t.tunnels <- tn :: t.tunnels;
+        Ok tn
+      in
+      match admission, find_path () with
+      | Igp_only, Some path ->
+        (* Blind commitment: reserve even past capacity. *)
+        finish path true
+      | Igp_only, None -> Error "no IGP path"
+      | Cspf, Some path -> finish path false
+      | Cspf, None ->
+        if not allow_preempt then Error "no path satisfies constraints"
+        else begin
+          (* Retry treating worse-priority reservations as free. *)
+          let usable (l : Topology.link) =
+            l.Topology.up
+            && Topology.available l +. preemptable_on t l ~setup_priority
+               >= bandwidth
           in
-          (* Tear down victims, worst hold priority first, until the
-             path fits. *)
-          let victims =
-            List.sort
-              (fun a b -> Int.compare b.hold_priority a.hold_priority)
-              (List.filter
-                 (fun tn -> tn.hold_priority > setup_priority && on_path tn)
-                 t.tunnels)
-          in
-          let fits () =
-            List.for_all
-              (fun l -> Topology.available l >= bandwidth)
-              path_links
-          in
-          let rec evict = function
-            | [] -> ()
-            | v :: rest ->
-              if not (fits ()) then begin
-                release_tunnel t v;
-                evict rest
-              end
-          in
-          evict victims;
-          if fits () then finish path false
-          else Error "preemption could not free enough bandwidth"
-      end
-  end
+          match Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst with
+          | None -> Error "no path even with preemption"
+          | Some path ->
+            let path_links = links_of_path t.topo path in
+            let on_path (tn : tunnel) =
+              tn.up
+              && List.exists
+                   (fun (pl : Topology.link) ->
+                      List.exists
+                        (fun (l : Topology.link) ->
+                           l.Topology.id = pl.Topology.id)
+                        path_links)
+                   (links_of_path t.topo tn.path)
+            in
+            (* Tear down victims, worst hold priority first, until the
+               path fits. *)
+            let victims =
+              List.sort
+                (fun a b -> Int.compare b.hold_priority a.hold_priority)
+                (List.filter
+                   (fun tn -> tn.hold_priority > setup_priority && on_path tn)
+                   t.tunnels)
+            in
+            let fits () =
+              List.for_all
+                (fun l -> Topology.available l >= bandwidth)
+                path_links
+            in
+            let rec evict = function
+              | [] -> ()
+              | v :: rest ->
+                if not (fits ()) then begin
+                  release_tunnel t v;
+                  evict rest
+                end
+            in
+            evict victims;
+            if fits () then finish path false
+            else Error "preemption could not free enough bandwidth"
+        end
 
 let tunnel t id = List.find_opt (fun tn -> tn.id = id) t.tunnels
 
@@ -292,15 +312,9 @@ let reroute_down t =
        | Some g when g = gen -> Mvpn_telemetry.Counter.incr m_reroute_skipped
        | Some _ | None ->
          Mvpn_telemetry.Counter.incr m_reroute_attempt;
-         let usable (l : Topology.link) =
-           l.Topology.up
-           && Topology.available l >= tn.bandwidth
-           && (tn.class_type = Global_pool
-               || subpool_room t l >= tn.bandwidth)
-         in
          match
-           Mvpn_routing.Spf.shortest_path ~usable t.topo ~src:tn.src
-             ~dst:tn.dst
+           cspf_path t ~class_type:tn.class_type ~bandwidth:tn.bandwidth
+             ~src:tn.src ~dst:tn.dst
          with
          | Some path when reserve_path t.topo path tn.bandwidth ->
            tn.path <- path;

@@ -12,7 +12,11 @@
     to avoid congested, constrained or disabled links" (§3). *)
 
 type admission =
-  | Cspf  (** resource-aware: refuse rather than over-commit *)
+  | Cspf
+      (** resource-aware: prune links without room for the reservation
+          (down, too little unreserved bandwidth, or, for a sub-pool
+          tunnel, too little sub-pool room), run SPF over the rest, and
+          refuse rather than over-commit *)
   | Igp_only
       (** the §2.2 baseline: route on plain SPF and commit blindly;
           reservations may exceed capacity (tracked as over-commitment) *)
@@ -53,10 +57,14 @@ val signal :
   t -> src:int -> dst:int -> bandwidth:float ->
   (tunnel, string) result
 (** Establish a tunnel. Priorities default to 7 (preemptable, cannot
-    preempt anything at default). With [allow_preempt] (default false),
-    on CSPF failure the call may tear down tunnels whose hold priority
-    is strictly worse than this tunnel's setup priority and retry once;
-    victims are left down (re-signal with {!reroute_down}). *)
+    preempt anything at default). An [explicit_path] must run from
+    [src] to [dst] over existing links and visit no node twice;
+    otherwise the call returns [Error] before allocating a tunnel id,
+    reserving bandwidth or installing a label. With [allow_preempt]
+    (default false), on CSPF failure the call may tear down tunnels
+    whose hold priority is strictly worse than this tunnel's setup
+    priority and retry once; victims are left down (re-signal with
+    {!reroute_down}). *)
 
 val teardown : t -> int -> bool
 (** Tear a tunnel down by id and release its reservations; [false] if

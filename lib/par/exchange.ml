@@ -107,7 +107,10 @@ let overflows t = Atomic.get t.overflow
 
 (* The inbox: message fields in int-indexed slots, [heap.(0 .. size-1)]
    the live slots in heap order, [free.(0 .. nfree-1)] the recycled
-   ones. Every array has one entry per slot. *)
+   ones. Every array has one entry per slot. It keeps its own heap
+   rather than using [Mvpn_sim.Heap]: its order, (arrival, sent, source
+   shard, seq), has two float keys, and folding that into the one-key
+   heap would make the heap branch on its caller. *)
 type inbox = {
   mutable arrival : floatarray;
   mutable sent : floatarray;

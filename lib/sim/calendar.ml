@@ -32,7 +32,7 @@
    therefore a plain int or float store; only the payload store on push
    and the payload clear on pop go through the write barrier. Vacated
    payload slots hold [hole], an immediate, so a popped event's payload
-   is unreachable from the queue at once (the [Heap] Empty-slot rule). *)
+   is unreachable from the queue at once ([Heap] keeps the same rule). *)
 type 'a t = {
   mutable heads : int array;  (* bucket -> first slot, or [nil] *)
   mutable mask : int;  (* Array.length heads - 1; power of two *)

@@ -11,9 +11,11 @@
 
     Equal-priority elements pop in insertion order — the exact
     [(key, seq)] total order {!Heap} implements, which keeps the two
-    structures byte-interchangeable under the engine. {!Heap} stays as
-    the reference oracle; the scheduler-contract property test drives
-    both through one harness.
+    structures byte-interchangeable under the engine. The two share one
+    signature (this one adds {!bucket_count} and {!width}); {!Heap}
+    stays as the reference oracle, and the scheduler-contract property
+    test drives both, through both push and both pop entry points, with
+    one harness.
 
     Events live in int-indexed struct-of-arrays slots, recycled through
     a free list; a popped or cleared slot retains nothing of its

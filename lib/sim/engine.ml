@@ -9,14 +9,12 @@ type queue =
   | Q_heap of (unit -> unit) Heap.t
   | Q_cal of (unit -> unit) Calendar.t
 
-(* Key handed over through a floatarray cell: on the calendar backend
-   (the default) the key never crosses a call boundary as a float
-   argument, so a schedule in steady state boxes nothing. The heap
-   backend re-reads the cell into an argument — one box, same as
-   before. *)
+(* Key handed over through a floatarray cell: on either backend the
+   key never crosses a call boundary as a float argument, so a schedule
+   in steady state boxes nothing. *)
 let q_push_at q kcell v =
   match q with
-  | Q_heap h -> Heap.push h (Float.Array.get kcell 0) v
+  | Q_heap h -> Heap.push_at h kcell v
   | Q_cal c -> Calendar.push_at c kcell v
 
 let q_pop q =

@@ -1,8 +1,15 @@
 (** Binary min-heap keyed on float priorities, with FIFO tie-breaking.
 
-    The event queue of the discrete-event engine. Equal-time events pop
-    in insertion order, which keeps simulations deterministic — the
-    property every reproducibility test relies on. *)
+    The priority queue under shortest-path-first (the frontier of
+    [Mvpn_routing.Spf]) and the engine's [Binary_heap] backend, the
+    reference the {!Calendar} is checked against. Equal-key entries pop
+    in insertion order, which keeps both deterministic.
+
+    Entries sit in heap order in parallel arrays: keys in a floatarray,
+    insertion seqs in an int array, payloads in an ['a array]. A warmed
+    {!push_at}/{!pop_due} cycle allocates nothing, and a popped or
+    cleared slot retains nothing of its payload. Same signature as
+    {!Calendar}, less its introspection. *)
 
 type 'a t
 
@@ -12,6 +19,11 @@ val size : 'a t -> int
 
 val push : 'a t -> float -> 'a -> unit
 (** [push h k v] inserts [v] with priority [k]. *)
+
+val push_at : 'a t -> floatarray -> 'a -> unit
+(** {!push} with the key read from slot 0 of the caller's one-slot
+    cell, so the key crosses the call unboxed. The cell is copied from,
+    never retained. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element; among equal

@@ -244,36 +244,3 @@ module Samples = struct
     ensure_sorted s;
     Array.sub s.data 0 s.size
 end
-
-module Hist = struct
-  type t = { edges : float array; counts : int array }
-
-  let create edges =
-    let n = Array.length edges in
-    for i = 1 to n - 1 do
-      if edges.(i) <= edges.(i - 1) then
-        invalid_arg "Hist.create: edges must be strictly increasing"
-    done;
-    { edges; counts = Array.make (n + 1) 0 }
-
-  let bucket t x =
-    (* First bucket whose upper edge is >= x; the overflow bucket
-       otherwise. *)
-    let n = Array.length t.edges in
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if x <= t.edges.(mid) then go lo mid else go (mid + 1) hi
-    in
-    go 0 n
-
-  let add t x =
-    let b = bucket t x in
-    t.counts.(b) <- t.counts.(b) + 1
-
-  let counts t = Array.copy t.counts
-
-  let total t = Array.fold_left ( + ) 0 t.counts
-
-end

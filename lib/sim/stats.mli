@@ -67,19 +67,3 @@ module Samples : sig
   val to_array : t -> float array
   (** A sorted copy of the samples. *)
 end
-
-(** Fixed-edge histogram. *)
-module Hist : sig
-  type t
-
-  val create : float array -> t
-  (** [create edges] has buckets (-inf, e0], (e0, e1], ..., (en, inf).
-      Edges must be strictly increasing.
-      @raise Invalid_argument otherwise. *)
-
-  val add : t -> float -> unit
-  val counts : t -> int array
-  (** Length is [Array.length edges + 1]. *)
-
-  val total : t -> int
-end

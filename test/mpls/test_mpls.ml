@@ -454,53 +454,37 @@ let ldp_splice_consistency =
                  | None -> false))
          ids)
 
-(* --- Cspf ------------------------------------------------------------- *)
+(* --- CSPF admission ----------------------------------------------------- *)
 
+(* RSVP-TE's CSPF admission prunes links without room for the demand,
+   then runs SPF on the rest; IGP-only admission takes the plain SPF
+   path whatever it holds. Each demand signals on a fresh topology. *)
 let test_cspf_avoids_reserved () =
-  let topo = Topology.create () in
-  let n = Array.init 4 (fun _ -> Topology.add_node topo) in
-  (* Short path 0-1-3 at low capacity, long path 0-2-3 at high. *)
-  let ab, _ = Topology.connect topo n.(0) n.(1) ~bandwidth:50.0 ~delay:0.001 in
-  ignore (Topology.connect topo n.(1) n.(3) ~bandwidth:50.0 ~delay:0.001);
-  ignore
-    (Topology.connect ~cost:5 topo n.(0) n.(2) ~bandwidth:1000.0
-       ~delay:0.001);
-  ignore
-    (Topology.connect ~cost:5 topo n.(2) n.(3) ~bandwidth:1000.0
-       ~delay:0.001);
-  ignore ab;
+  let path admission bandwidth =
+    let topo = Topology.create () in
+    let n = Array.init 4 (fun _ -> Topology.add_node topo) in
+    (* Short path 0-1-3 at low capacity, long path 0-2-3 at high. *)
+    ignore (Topology.connect topo n.(0) n.(1) ~bandwidth:50.0 ~delay:0.001);
+    ignore (Topology.connect topo n.(1) n.(3) ~bandwidth:50.0 ~delay:0.001);
+    ignore
+      (Topology.connect ~cost:5 topo n.(0) n.(2) ~bandwidth:1000.0
+         ~delay:0.001);
+    ignore
+      (Topology.connect ~cost:5 topo n.(2) n.(3) ~bandwidth:1000.0
+         ~delay:0.001);
+    let te = Rsvp_te.create topo (Plane.create ~nodes:4) in
+    match Rsvp_te.signal te ~admission ~src:n.(0) ~dst:n.(3) ~bandwidth with
+    | Ok tn -> Some tn.Rsvp_te.path
+    | Error _ -> None
+  in
   Alcotest.(check (option (list int))) "small demand takes short path"
-    (Some [0; 1; 3])
-    (Cspf.path topo ~src:n.(0) ~dst:n.(3) (Cspf.with_bandwidth 40.0));
+    (Some [0; 1; 3]) (path Rsvp_te.Cspf 40.0);
   Alcotest.(check (option (list int))) "big demand detours"
-    (Some [0; 2; 3])
-    (Cspf.path topo ~src:n.(0) ~dst:n.(3) (Cspf.with_bandwidth 100.0));
+    (Some [0; 2; 3]) (path Rsvp_te.Cspf 100.0);
   Alcotest.(check (option (list int))) "impossible demand" None
-    (Cspf.path topo ~src:n.(0) ~dst:n.(3) (Cspf.with_bandwidth 5000.0));
-  (* igp path ignores resources *)
+    (path Rsvp_te.Cspf 5000.0);
   Alcotest.(check (option (list int))) "igp blind" (Some [0; 1; 3])
-    (Cspf.igp_path topo ~src:n.(0) ~dst:n.(3))
-
-let test_cspf_avoid_node () =
-  let topo = Topology.create () in
-  let n = Array.init 4 (fun _ -> Topology.add_node topo) in
-  ignore (Topology.connect topo n.(0) n.(1) ~bandwidth:1e9 ~delay:0.001);
-  ignore (Topology.connect topo n.(1) n.(3) ~bandwidth:1e9 ~delay:0.001);
-  ignore (Topology.connect ~cost:3 topo n.(0) n.(2) ~bandwidth:1e9 ~delay:0.001);
-  ignore (Topology.connect ~cost:3 topo n.(2) n.(3) ~bandwidth:1e9 ~delay:0.001);
-  let c = { Cspf.no_constraints with Cspf.avoid_nodes = [n.(1)] } in
-  Alcotest.(check (option (list int))) "avoids node 1" (Some [0; 2; 3])
-    (Cspf.path topo ~src:n.(0) ~dst:n.(3) c)
-
-let test_cspf_max_hops () =
-  let topo = Topology.create () in
-  let ids = Topology.line topo 5 ~bandwidth:1e9 ~delay:0.001 in
-  let c = { Cspf.no_constraints with Cspf.max_hops = Some 2 } in
-  Alcotest.(check (option (list int))) "too many hops" None
-    (Cspf.path topo ~src:ids.(0) ~dst:ids.(4) c);
-  let c2 = { Cspf.no_constraints with Cspf.max_hops = Some 4 } in
-  Alcotest.(check bool) "within limit" true
-    (Cspf.path topo ~src:ids.(0) ~dst:ids.(4) c2 <> None)
+    (path Rsvp_te.Igp_only 100.0)
 
 (* --- Rsvp_te ---------------------------------------------------------- *)
 
@@ -689,6 +673,34 @@ let test_te_explicit_path () =
       tn.Rsvp_te.path
   | Error e -> Alcotest.failf "explicit: %s" e
 
+(* A bad operator route is refused with an [Error], before a tunnel id,
+   a reservation or a label moves: a hop with no link, and a route that
+   loops back through a node it already crossed. *)
+let test_te_explicit_path_checked () =
+  let topo, n = te_topo () in
+  let plane = Plane.create ~nodes:4 in
+  let te = Rsvp_te.create topo plane in
+  let refused route =
+    match
+      Rsvp_te.signal te ~explicit_path:route ~src:n.(0) ~dst:n.(3)
+        ~bandwidth:10.0
+    with
+    | Ok _ -> false
+    | Error _ -> true
+    | exception Invalid_argument _ -> false
+  in
+  Alcotest.(check bool) "hop with no link" true (refused [0; 3]);
+  Alcotest.(check bool) "looping route" true (refused [0; 1; 0; 1; 3]);
+  Alcotest.(check int) "no tunnel" 0 (List.length (Rsvp_te.tunnels te));
+  List.iter
+    (fun (l : Topology.link) ->
+       Alcotest.(check (float 0.0)) "nothing reserved" 0.0 l.Topology.reserved)
+    (Topology.links topo);
+  Alcotest.(check int) "no label" 0 (Plane.total_labels_allocated plane);
+  match Rsvp_te.signal te ~src:n.(0) ~dst:n.(3) ~bandwidth:10.0 with
+  | Ok tn -> Alcotest.(check int) "first id still free" 1 tn.Rsvp_te.id
+  | Error e -> Alcotest.failf "signal: %s" e
+
 let test_te_subpool_caps_premium () =
   let topo, n = te_topo () in
   let plane = Plane.create ~nodes:4 in
@@ -875,9 +887,7 @@ let () =
            test_plane_ftn_generation_tracks_refresh ]);
       ("cspf",
        [ Alcotest.test_case "avoids reserved" `Quick
-           test_cspf_avoids_reserved;
-         Alcotest.test_case "avoid node" `Quick test_cspf_avoid_node;
-         Alcotest.test_case "max hops" `Quick test_cspf_max_hops ]);
+           test_cspf_avoids_reserved ]);
       ("rsvp-te",
        [ Alcotest.test_case "signal reserves and installs" `Quick
            test_te_signal_reserves_and_installs;
@@ -893,6 +903,8 @@ let () =
          Alcotest.test_case "reroute skips unchanged generation" `Quick
            test_te_reroute_skips_unchanged_generation;
          Alcotest.test_case "explicit path" `Quick test_te_explicit_path;
+         Alcotest.test_case "explicit path checked first" `Quick
+           test_te_explicit_path_checked;
          Alcotest.test_case "ds-te subpool caps premium" `Quick
            test_te_subpool_caps_premium;
          Alcotest.test_case "ds-te subpool released" `Quick

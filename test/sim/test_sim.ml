@@ -169,35 +169,42 @@ let heap_sorts =
 
 (* Both event queues must implement the same total order: ascending key,
    FIFO among equal keys. The property drives random interleaved
-   push/pop sequences (keys drawn from a small set so ties are common)
-   against a brute-force reference model; Heap is the original oracle,
-   Calendar must be indistinguishable from it. *)
-module Scheduler_contract (Q : sig
-    type 'a t
+   sequences of both push and both pop entry points (keys drawn from a
+   small set so ties are common) against a brute-force reference model;
+   Heap is the original oracle, Calendar must be indistinguishable from
+   it. *)
+module type Queue = sig
+  type 'a t
 
-    val create : unit -> 'a t
-    val push : 'a t -> float -> 'a -> unit
-    val pop : 'a t -> (float * 'a) option
-    val size : 'a t -> int
-  end) =
-struct
-  (* Reference pop: minimum (key, insertion id) over a plain list. *)
-  let ref_pop model =
+  val create : unit -> 'a t
+  val push : 'a t -> float -> 'a -> unit
+  val push_at : 'a t -> floatarray -> 'a -> unit
+  val pop : 'a t -> (float * 'a) option
+  val pop_due :
+    'a t -> bound:float -> strict:bool -> default:'a -> key_out:floatarray -> 'a
+  val size : 'a t -> int
+end
+
+module Scheduler_contract (Q : Queue) = struct
+  (* Reference minimum (key, insertion id) over a plain list. *)
+  let ref_min model =
     match !model with
     | [] -> None
     | first :: rest ->
-      let ((_, bi) as best) =
-        List.fold_left
-          (fun ((bk, bi) as b) ((k, i) as c) ->
-             if k < bk || (k = bk && i < bi) then c else b)
-          first rest
-      in
-      model := List.filter (fun (_, i) -> i <> bi) !model;
-      Some best
+      Some
+        (List.fold_left
+           (fun ((bk, bi) as b) ((k, i) as c) ->
+              if k < bk || (k = bk && i < bi) then c else b)
+           first rest)
+
+  let ref_remove model (_, bi) =
+    model := List.filter (fun (_, i) -> i <> bi) !model
 
   (* [Push k] inserts at absolute key [k]; [Push_after d] at the last
-     popped key plus [d], the way the engine schedules. *)
-  type op = Pop | Push of float | Push_after of float
+     popped key plus [d] through [push_at], the way the engine
+     schedules. [Pop_due (d, strict)] pops through [pop_due] with the
+     bound at the last popped key plus [d]. *)
+  type op = Pop | Push of float | Push_after of float | Pop_due of float * bool
 
   let agrees ops =
     let q = Q.create () in
@@ -205,41 +212,68 @@ struct
     let next_id = ref 0 in
     let last = ref 0.0 in
     let ok = ref true in
+    let cell = Float.Array.make 1 0.0 in
+    (* The model's minimum leaves the model whatever the queue returns,
+       so a diverging queue cannot keep the final drain looping. *)
     let check_pop () =
-      match (Q.pop q, ref_pop model) with
+      let r = ref_min model in
+      Option.iter (ref_remove model) r;
+      match (Q.pop q, r) with
       | Some (k, v), Some (rk, ri) ->
         if k <> rk || v <> ri then ok := false;
         last := k
       | None, None -> ()
       | _ -> ok := false
     in
-    let push k =
+    (* Payload ids are non-negative, so -1 is the not-due sentinel. *)
+    let check_pop_due d strict =
+      let bound = !last +. d and before = Q.size q in
+      let v = Q.pop_due q ~bound ~strict ~default:(-1) ~key_out:cell in
+      match ref_min model with
+      | Some ((rk, ri) as r) when (if strict then rk < bound else rk <= bound)
+        ->
+        ref_remove model r;
+        if v <> ri || Float.Array.get cell 0 <> rk then ok := false;
+        last := rk
+      | Some _ | None -> if v <> -1 || Q.size q <> before then ok := false
+    in
+    let push ~at k =
       let id = !next_id in
       incr next_id;
-      Q.push q k id;
+      if at then begin
+        Float.Array.set cell 0 k;
+        Q.push_at q cell id
+      end
+      else Q.push q k id;
       model := (k, id) :: !model
     in
     List.iter
       (function
         | Pop -> check_pop ()
-        | Push k -> push k
-        | Push_after d -> push (!last +. d))
+        | Push k -> push ~at:false k
+        | Push_after d -> push ~at:true (!last +. d)
+        | Pop_due (d, strict) -> check_pop_due d strict)
       ops;
     while Q.size q > 0 || !model <> [] do
       check_pop ()
     done;
     !ok
 
+  (* Codes 0-7 push keys on a half-unit grid; 8-11 pop through
+     [pop_due] with the bound 0 or 0.5 past the last popped key, strict
+     or not, so keys sitting exactly on the bound are common. *)
   let fifo_contract name =
     QCheck.Test.make ~name ~count:150
       QCheck.(list_of_size (QCheck.Gen.int_range 0 120)
-                (option (int_bound 7)))
+                (option (int_bound 11)))
       (fun ops ->
          agrees
            (List.map
               (function
                 | None -> Pop
-                | Some kc -> Push (float_of_int (kc : int) *. 0.5))
+                | Some kc when kc < 8 -> Push (float_of_int kc *. 0.5)
+                | Some kc ->
+                  Pop_due (float_of_int ((kc - 8) / 2) *. 0.5, kc mod 2 = 0))
               ops))
 
   (* Phases that push the storage through its corners: bursts of
@@ -260,7 +294,15 @@ struct
            @ List.init outliers (fun i -> Push (1e9 +. float_of_int i)))
         (int_range 40 400) scale (int_bound 2)
     in
-    let drain = map (fun n -> List.init n (fun _ -> Pop)) (int_range 1 500) in
+    let drain =
+      list_size (int_range 1 500)
+        (frequency
+           [ (2, return Pop);
+             (1,
+              map2
+                (fun d strict -> Pop_due (d, strict))
+                (oneofl [ 0.0; 1e-4; 0.5; 1e3 ]) bool) ])
+    in
     let churn =
       map2
         (fun n delays ->
@@ -995,17 +1037,6 @@ let test_summary_add_allocates_nothing () =
   Alcotest.(check (float 0.0)) "minor words over 1000 adds" 0.0 dw;
   Alcotest.(check int) "count" 2000 (Stats.Summary.count s)
 
-let test_hist_buckets () =
-  let h = Stats.Hist.create [|1.0; 2.0; 4.0|] in
-  List.iter (Stats.Hist.add h) [0.5; 1.0; 1.5; 3.0; 10.0];
-  Alcotest.(check (array int)) "counts" [|2; 1; 1; 1|] (Stats.Hist.counts h);
-  Alcotest.(check int) "total" 5 (Stats.Hist.total h)
-
-let test_hist_bad_edges () =
-  Alcotest.check_raises "non-increasing"
-    (Invalid_argument "Hist.create: edges must be strictly increasing")
-    (fun () -> ignore (Stats.Hist.create [|1.0; 1.0|]))
-
 (* Push payloads while registering them in a weak array, without
    leaving strong references on this frame's stack.  [@inline never]
    keeps the payload roots confined to the callee. *)
@@ -1066,44 +1097,47 @@ let test_calendar_drain_releases_all () =
   drain_releases_all ~push:(Calendar.push c) ~pop:(fun () -> Calendar.pop c)
     ~size:(fun () -> Calendar.size c) ()
 
-(* The engine's pop path: [pop_due] must clear the vacated slot too. *)
-let test_calendar_pop_due_releases_payload () =
-  let c : int ref Calendar.t = Calendar.create () in
-  let default = ref (-1) and key_out = Float.Array.make 1 0.0 in
-  pop_releases_payload ~push:(Calendar.push c)
-    ~pop:(fun () ->
-        let v =
-          Calendar.pop_due c ~bound:infinity ~strict:false ~default ~key_out
-        in
-        if v == default then None else Some v)
-    ~size:(fun () -> Calendar.size c) ()
+(* The engine's pop path, for either queue: [pop_due] must clear the
+   vacated slot too, and a warmed [push_at]/[pop_due] cycle allocates
+   nothing, so a float boxed anywhere on the path fails here, not only
+   in the benchmark. *)
+module Storage_checks (Q : Queue) = struct
+  let pop_due_releases_payload () =
+    let q : int ref Q.t = Q.create () in
+    let default = ref (-1) and key_out = Float.Array.make 1 0.0 in
+    pop_releases_payload ~push:(Q.push q)
+      ~pop:(fun () ->
+          let v = Q.pop_due q ~bound:infinity ~strict:false ~default ~key_out in
+          if v == default then None else Some v)
+      ~size:(fun () -> Q.size q) ()
 
-(* A warmed push_at/pop_due cycle allocates nothing: a float boxed
-   anywhere on the path fails here, not only in the benchmark. *)
-let test_calendar_cycle_allocates_nothing () =
-  let c : (unit -> unit) Calendar.t = Calendar.create () in
-  let ev () = () in
-  let kcell = Float.Array.make 1 0.0 and key_out = Float.Array.make 1 0.0 in
-  let cycles n =
-    for i = 1 to n do
-      (* ~50 live events at a steady population, engine-like keys. *)
-      Float.Array.set kcell 0
-        (Float.Array.get key_out 0 +. float_of_int (i land 63) *. 1e-4);
-      Calendar.push_at c kcell ev;
-      if Calendar.size c > 50 then begin
-        let (_ : unit -> unit) =
-          Calendar.pop_due c ~bound:infinity ~strict:false ~default:ignore
-            ~key_out
-        in
-        ()
-      end
-    done
-  in
-  cycles 20_000;
-  let w0 = Gc.minor_words () in
-  cycles 10_000;
-  let dw = Gc.minor_words () -. w0 in
-  Alcotest.(check (float 0.0)) "minor words over 10k cycles" 0.0 dw
+  let cycle_allocates_nothing () =
+    let q : (unit -> unit) Q.t = Q.create () in
+    let ev () = () in
+    let kcell = Float.Array.make 1 0.0 and key_out = Float.Array.make 1 0.0 in
+    let cycles n =
+      for i = 1 to n do
+        (* ~50 live events at a steady population, engine-like keys. *)
+        Float.Array.set kcell 0
+          (Float.Array.get key_out 0 +. float_of_int (i land 63) *. 1e-4);
+        Q.push_at q kcell ev;
+        if Q.size q > 50 then begin
+          let (_ : unit -> unit) =
+            Q.pop_due q ~bound:infinity ~strict:false ~default:ignore ~key_out
+          in
+          ()
+        end
+      done
+    in
+    cycles 20_000;
+    let w0 = Gc.minor_words () in
+    cycles 10_000;
+    let dw = Gc.minor_words () -. w0 in
+    Alcotest.(check (float 0.0)) "minor words over 10k cycles" 0.0 dw
+end
+
+module Heap_storage = Storage_checks (Heap)
+module Calendar_storage = Storage_checks (Calendar)
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -1368,6 +1402,10 @@ let () =
            test_heap_pop_releases_payload;
          Alcotest.test_case "drain releases all" `Quick
            test_heap_drain_releases_all;
+         Alcotest.test_case "pop_due releases payload" `Quick
+           Heap_storage.pop_due_releases_payload;
+         Alcotest.test_case "push/pop cycle allocates nothing" `Quick
+           Heap_storage.cycle_allocates_nothing;
          qt heap_sorts ]);
       ("calendar",
        [ Alcotest.test_case "order" `Quick test_calendar_order;
@@ -1386,11 +1424,11 @@ let () =
          Alcotest.test_case "pop releases payload" `Quick
            test_calendar_pop_releases_payload;
          Alcotest.test_case "pop_due releases payload" `Quick
-           test_calendar_pop_due_releases_payload;
+           Calendar_storage.pop_due_releases_payload;
          Alcotest.test_case "drain releases all" `Quick
            test_calendar_drain_releases_all;
          Alcotest.test_case "push/pop cycle allocates nothing" `Quick
-           test_calendar_cycle_allocates_nothing ]);
+           Calendar_storage.cycle_allocates_nothing ]);
       ("engine",
        [ Alcotest.test_case "time order" `Quick test_engine_time_order;
          Alcotest.test_case "cascading" `Quick test_engine_cascading;
@@ -1439,8 +1477,6 @@ let () =
            test_samples_resort_allocates_nothing;
          Alcotest.test_case "summary add allocates nothing" `Quick
            test_summary_add_allocates_nothing;
-         Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
-         Alcotest.test_case "hist bad edges" `Quick test_hist_bad_edges;
          Alcotest.test_case "summary single sample" `Quick
            test_summary_single_sample ]);
       ("topology",
