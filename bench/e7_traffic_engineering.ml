@@ -93,7 +93,7 @@ let packet_level ~use_te =
           Plane.find_ftn (Network.plane net) ids.(0) (Rsvp_te.ingress_fec tn)
         with
         | Some e ->
-          Network.set_interceptor net ids.(0) (fun ~from packet ->
+          Network.add_interceptor net ids.(0) (fun ~from packet ->
               match from with
               | None when not (Mvpn_net.Packet.labelled packet) ->
                 Mvpn_net.Packet.push_label packet ~label:e.Plane.push
@@ -116,7 +116,7 @@ let packet_level ~use_te =
          Plane.find_ftn (Network.plane net) ids.(5) (Rsvp_te.ingress_fec tn)
        with
        | Some e ->
-         Network.set_interceptor net ids.(5) (fun ~from packet ->
+         Network.add_interceptor net ids.(5) (fun ~from packet ->
              match from with
              | None when not (Mvpn_net.Packet.labelled packet) ->
                Mvpn_net.Packet.push_label packet ~label:e.Plane.push

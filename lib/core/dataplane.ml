@@ -4,13 +4,10 @@ module Prefix = Mvpn_net.Prefix
 module Ipv4 = Mvpn_net.Ipv4
 module Plane = Mvpn_mpls.Plane
 module Lfib = Mvpn_mpls.Lfib
-module Fec = Mvpn_mpls.Fec
 module Telemetry = Mvpn_telemetry
 
 let m_fib_hit = Telemetry.Registry.counter "fib.cache.hit"
 let m_fib_miss = Telemetry.Registry.counter "fib.cache.miss"
-let m_ftn_hit = Telemetry.Registry.counter "ftn.cache.hit"
-let m_ftn_miss = Telemetry.Registry.counter "ftn.cache.miss"
 let m_recompile = Telemetry.Registry.counter "dataplane.recompile"
 
 type verdict = Consumed | Continue
@@ -42,13 +39,10 @@ let no_key = -1
 
 type compiled = {
   c_fib_gen : int;
-  c_lfib_gen : int;
-  c_ftn_gen : int;
   c_icept_gen : int;
   dispatch : from:int option -> Packet.t -> bool;  (* true = consumed *)
   fib_keys : int array;  (* Ipv4.to_int of the cached dst; no_key = empty *)
   fib_vals : (Prefix.t * Fib.route) option array;
-  ftn_memo : (Fec.t, Plane.ftn_entry option) Hashtbl.t;
 }
 
 type t = {
@@ -56,7 +50,6 @@ type t = {
   fibs : Fib.t array;
   mutable hooks : hooks;
   cache : bool;
-  mutable auto_ftn : bool;
   interceptors : interceptor list array;
   icept_gens : int array;
   compiled : compiled option array;
@@ -64,7 +57,7 @@ type t = {
 }
 
 let create ?(cache = true) ~nodes ~plane ~fibs () =
-  { plane; fibs; hooks = no_hooks; cache; auto_ftn = false;
+  { plane; fibs; hooks = no_hooks; cache;
     interceptors = Array.make nodes [];
     icept_gens = Array.make nodes 0;
     compiled = Array.make nodes None;
@@ -72,16 +65,9 @@ let create ?(cache = true) ~nodes ~plane ~fibs () =
 
 let set_hooks t hooks = t.hooks <- hooks
 
-let set_auto_ftn t flag = t.auto_ftn <- flag
-
-let bump_interceptors t node chain =
-  t.interceptors.(node) <- chain;
-  t.icept_gens.(node) <- t.icept_gens.(node) + 1
-
-let set_interceptor t node f = bump_interceptors t node [f]
-
 let add_interceptor t node f =
-  bump_interceptors t node (f :: t.interceptors.(node))
+  t.interceptors.(node) <- f :: t.interceptors.(node);
+  t.icept_gens.(node) <- t.icept_gens.(node) + 1
 
 let recompiles t = t.recompiles
 
@@ -107,27 +93,25 @@ let compile t node =
       (Telemetry.Event_log.Recompile { node });
   let c =
     { c_fib_gen = Fib.generation t.fibs.(node);
-      c_lfib_gen = Lfib.generation (Plane.lfib t.plane node);
-      c_ftn_gen = Plane.ftn_generation t.plane node;
       c_icept_gen = t.icept_gens.(node);
       dispatch = compile_dispatch t.interceptors.(node);
       fib_keys = (if t.cache then Array.make cache_slots no_key else [||]);
-      fib_vals = (if t.cache then Array.make cache_slots None else [||]);
-      ftn_memo = Hashtbl.create (if t.cache then 16 else 1) }
+      fib_vals = (if t.cache then Array.make cache_slots None else [||]) }
   in
   t.compiled.(node) <- Some c;
   c
 
-(* The per-packet staleness check: four int comparisons against the
-   live generations. Any mismatch throws the node's compiled state
-   away — caches never serve an entry older than the tables. *)
+(* The per-packet staleness check: one int comparison per input the
+   compiled state is built from — the FIB (route cache) and the
+   interceptor chain (dispatcher). Any mismatch throws the node's
+   compiled state away, so the cache never serves an entry older than
+   the FIB. LFIB and FTN changes need no check: every packet reads
+   those tables live. *)
 let state t node =
   match t.compiled.(node) with
   | Some c
     when c.c_fib_gen = Fib.generation t.fibs.(node)
-      && c.c_icept_gen = t.icept_gens.(node)
-      && c.c_lfib_gen = Lfib.generation (Plane.lfib t.plane node)
-      && c.c_ftn_gen = Plane.ftn_generation t.plane node -> c
+      && c.c_icept_gen = t.icept_gens.(node) -> c
   | Some _ | None -> compile t node
 
 let fib_lookup t c node dst =
@@ -147,23 +131,8 @@ let fib_lookup t c node dst =
     end
   end
 
-let ftn_lookup t c node fec =
-  if not t.cache then Plane.find_ftn t.plane node fec
-  else
-    match Hashtbl.find_opt c.ftn_memo fec with
-    | Some r ->
-      Telemetry.Counter.incr m_ftn_hit;
-      r
-    | None ->
-      Telemetry.Counter.incr m_ftn_miss;
-      let r = Plane.find_ftn t.plane node fec in
-      Hashtbl.add c.ftn_memo fec r;
-      r
-
-let find_ftn t node fec = ftn_lookup t (state t node) node fec
-
 (* Plain IP forwarding at [node]: cached FIB lookup on the visible
-   destination, local delivery, optional FTN label push, or relay.
+   destination, then local delivery or relay.
    [forward_ip_c] takes the node's already-validated compiled state so
    {!receive} pays the generation check once per packet, not twice;
    the interceptor contract makes that safe — an interceptor that
@@ -174,23 +143,11 @@ let forward_ip_c t c node packet =
   | None -> t.hooks.drop ~node packet "no-route"
   | Some (_, route) when route.Fib.next_hop = Fib.local_delivery ->
     t.hooks.deliver ~node packet
-  | Some (prefix, route) ->
+  | Some (_, route) ->
     if hdr.Packet.ttl <= 1 then t.hooks.drop ~node packet "ip-ttl"
     else begin
       hdr.Packet.ttl <- hdr.Packet.ttl - 1;
-      let pushed =
-        t.auto_ftn
-        && (match ftn_lookup t c node (Fec.Prefix_fec prefix) with
-            | Some e ->
-              Packet.push_label packet ~label:e.Plane.push
-                ~exp:(Mvpn_net.Dscp.to_exp (Packet.visible_dscp packet))
-                ~ttl:hdr.Packet.ttl;
-              t.hooks.transmit ~from:node ~to_:e.Plane.next_hop packet;
-              true
-            | None -> false)
-      in
-      if not pushed then
-        t.hooks.transmit ~from:node ~to_:route.Fib.next_hop packet
+      t.hooks.transmit ~from:node ~to_:route.Fib.next_hop packet
     end
 
 let forward_ip t node packet = forward_ip_c t (state t node) node packet

@@ -2,33 +2,32 @@
 
     This is the forwarding half of what used to be [Network]: the
     per-packet decision path (interceptor dispatch → LFIB step → FIB
-    longest-prefix match → FTN label push), separated from the I/O
-    shell (ports, links, sinks, tracing) that [Network] keeps.
+    longest-prefix match), separated from the I/O shell (ports, links,
+    sinks, tracing) that [Network] keeps.
 
     The paper's C2 claim (§3) is that label swapping wins because the
     device stops re-inspecting fields deep within each packet. This
     module applies the same idea to the simulator's own hot path: for
     each node it {e compiles} a forwarding pipeline from the node's
-    FIB, LFIB, FTN map and interceptor chain —
+    FIB and interceptor chain —
 
     - the interceptor chain becomes one prebuilt dispatcher instead of
       a per-packet [List.exists] over closures;
     - [Fib.lookup] is fronted by a direct-mapped dst → (prefix, route)
-      cache (negative results cached too);
-    - [Plane.find_ftn] is fronted by a FEC → FTN memo.
+      cache (negative results cached too).
+
+    The LFIB is a dense array and is read live on every labelled hop;
+    nothing compiled is derived from it, nor from the FTN map.
 
     Correctness rides on monotonic generation counters: the compiled
-    state records the generations of {!Mvpn_net.Fib},
-    {!Mvpn_mpls.Lfib}, the plane's FTN map
-    ({!Mvpn_mpls.Plane.ftn_generation}) and the interceptor chain it
-    was built from, and every packet re-checks them (four int
-    comparisons). Reconvergence — {!Network.refresh_igp}, [Ldp.refresh],
-    interceptor changes — bumps a generation, so the next packet
-    recompiles instead of being served a stale next hop.
+    state records the generations of the node's {!Mvpn_net.Fib} and of
+    its interceptor chain, and every packet re-checks them (two int
+    comparisons). Reconvergence ({!Network.refresh_igp}) and a new
+    interceptor bump a generation, so the next packet recompiles
+    instead of being served a stale next hop.
 
     Cache effectiveness is observable as the telemetry counters
-    [fib.cache.hit]/[fib.cache.miss] and
-    [ftn.cache.hit]/[ftn.cache.miss] (gated by the global telemetry
+    [fib.cache.hit]/[fib.cache.miss] (gated by the global telemetry
     switch, like all hot-path metrics). *)
 
 type verdict = Consumed | Continue
@@ -57,23 +56,17 @@ val create :
   plane:Mvpn_mpls.Plane.t ->
   fibs:Mvpn_net.Fib.t array ->
   unit -> t
-(** [cache] (default [true]) arms the route/FTN caches; when off every
+(** [cache] (default [true]) arms the route cache; when off every
     packet walks the live tables — the reference path the equivalence
     property races against. Hooks default to no-ops; set them before
     the first packet. *)
 
 val set_hooks : t -> hooks -> unit
 
-val set_auto_ftn : t -> bool -> unit
-(** When on, an IP-forwarded packet whose matched FIB prefix has an FTN
-    binding at the node gets the label pushed (plain MPLS ingress). *)
-
-val set_interceptor : t -> int -> interceptor -> unit
-(** Replace the node's chain with this single interceptor. *)
-
 val add_interceptor : t -> int -> interceptor -> unit
 (** Prepend to the node's chain: interceptors run in prepend order and
-    the first [Consumed] wins. *)
+    the first [Consumed] wins. The only way to register one, so a
+    service never removes another's. *)
 
 val receive : t -> int -> from:int option -> Mvpn_net.Packet.t -> unit
 (** Run the node's compiled pipeline on one packet: notify, dispatch
@@ -83,13 +76,7 @@ val receive : t -> int -> from:int option -> Mvpn_net.Packet.t -> unit
 val forward_ip : t -> int -> Mvpn_net.Packet.t -> unit
 (** Plain IP forwarding at the node, skipping the interceptor chain —
     for interceptors that finished their own processing. Cached FIB
-    lookup, local delivery, optional FTN push, or relay. *)
-
-val find_ftn :
-  t -> int -> Mvpn_mpls.Fec.t -> Mvpn_mpls.Plane.ftn_entry option
-(** Generation-checked cached FTN query — what services (PE ingress,
-    pseudowire send) use instead of raw [Plane.find_ftn] so transport
-    label selection shares the compiled state and its invalidation. *)
+    lookup, then local delivery or relay. *)
 
 val recompiles : t -> int
 (** How many per-node pipeline (re)compilations happened — one per

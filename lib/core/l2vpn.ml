@@ -55,7 +55,8 @@ let receive_side t pw ~toward_a packet =
      else side.expected_in <- seq + 1
    | None -> ());
   pw.delivered <- pw.delivered + 1;
-  side.endpoint.on_deliver packet
+  Network.deliver_to t.net ~node:side.endpoint.pe side.endpoint.on_deliver
+    packet
 
 let install_demux t pe =
   Dataplane.add_interceptor (Network.dataplane t.net) pe (fun ~from packet ->
@@ -121,21 +122,25 @@ let send t ~pw ~from_a packet =
   let dst_side = if from_a then pw.side_b else pw.side_a in
   let seq = src_side.seq_out in
   src_side.seq_out <- seq + 1;
-  Hashtbl.replace t.in_flight packet.Packet.uid seq;
+  (* The frame enters the network here, at its ingress PE, without
+     that PE's pipeline: the attachment circuit hands it straight to
+     the pseudowire. *)
+  Network.note_inject t.net;
   if src_side.endpoint.pe = dst_side.endpoint.pe then begin
     (* Local switching: both attachment circuits on one PE. *)
-    Hashtbl.remove t.in_flight packet.Packet.uid;
     (if seq < dst_side.expected_in then pw.misordered <- pw.misordered + 1
      else dst_side.expected_in <- seq + 1);
     pw.delivered <- pw.delivered + 1;
-    dst_side.endpoint.on_deliver packet
+    Network.deliver_to t.net ~node:dst_side.endpoint.pe
+      dst_side.endpoint.on_deliver packet
   end
   else begin
+    Hashtbl.replace t.in_flight packet.Packet.uid seq;
     packet.Packet.size <- packet.Packet.size + control_word_bytes;
     let exp = Mvpn_net.Dscp.to_exp (Packet.visible_dscp packet) in
     Packet.push_label packet ~label:dst_side.label ~exp ~ttl:64;
     let transport =
-      Dataplane.find_ftn (Network.dataplane t.net) src_side.endpoint.pe
+      Plane.find_ftn (Network.plane t.net) src_side.endpoint.pe
         (Fec.Prefix_fec (pe_loopback t dst_side.endpoint.pe))
     in
     match transport with

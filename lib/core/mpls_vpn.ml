@@ -195,11 +195,11 @@ let reimport_all t =
    ingress node's FTN generation and the tunnel-map generation — the
    only inputs the answer depends on. *)
 let outer_transport_slow t ~ingress_pe ~egress_pe =
-  let dp = Network.dataplane t.net in
+  let plane = Network.plane t.net in
   let te_ftn =
     match Hashtbl.find_opt t.pe_tunnels (pe_key ingress_pe egress_pe) with
     | Some tunnel_id ->
-      Dataplane.find_ftn dp ingress_pe (Fec.Tunnel_fec tunnel_id)
+      Plane.find_ftn plane ingress_pe (Fec.Tunnel_fec tunnel_id)
     | None -> None
   in
   match te_ftn with
@@ -207,7 +207,7 @@ let outer_transport_slow t ~ingress_pe ~egress_pe =
   | None ->
     (match Backbone.pop_of_node t.backbone egress_pe with
      | Some pop ->
-       Dataplane.find_ftn dp ingress_pe
+       Plane.find_ftn plane ingress_pe
          (Fec.Prefix_fec (Backbone.loopback t.backbone ~pop))
      | None -> None)
 
@@ -390,7 +390,7 @@ let install_pe_interceptor t pe =
     | Some pop -> Some (Prefix.network (Backbone.loopback t.backbone ~pop))
     | None -> None
   in
-  Dataplane.set_interceptor (Network.dataplane t.net) pe (fun ~from packet ->
+  Dataplane.add_interceptor (Network.dataplane t.net) pe (fun ~from packet ->
       if
         Packet.has_outer packet
         && from <> None
@@ -526,7 +526,9 @@ let attach_vrf_neighbor t ~pe ~vpn ~neighbor =
       v
   in
   Node_tbl.replace t.ce_vrf neighbor v;
-  install_pe_interceptor t pe
+  (* [deploy] armed every POP, and the interceptor reads [ce_vrf] per
+     packet, so only a PE outside the backbone needs arming here. *)
+  if Backbone.pop_of_node t.backbone pe = None then install_pe_interceptor t pe
 
 let add_external_route t ~pe ~vpn ~prefix ~via ~site_id =
   attach_vrf_neighbor t ~pe ~vpn ~neighbor:via;

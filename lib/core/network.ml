@@ -343,10 +343,6 @@ let fib t node = t.fibs.(node)
 
 let dataplane t = t.dp
 
-let set_auto_ftn t flag = Dataplane.set_auto_ftn t.dp flag
-
-let set_interceptor t node f = Dataplane.set_interceptor t.dp node f
-
 let add_interceptor t node f = Dataplane.add_interceptor t.dp node f
 
 let set_sink t node f = t.sinks.(node) <- f
@@ -438,7 +434,7 @@ let sojourn_for t dscp =
       h
   else sojourn_hist dscp
 
-let deliver t node packet =
+let deliver_to t ~node consume packet =
   emit_deliver t ~node packet;
   (* Book the delivery before the sink runs: if the sink is the
      drop-counting default, the drop path sees the packet already fated
@@ -459,19 +455,24 @@ let deliver t node packet =
       (Engine.now t.engine -. packet.Packet.created_at);
     observe_fate t packet ~dropped:false
   end;
-  t.sinks.(node) packet;
-  (* Past the sink (the last consumer: SLA bookkeeping reads scalars
-     and never retains the packet). Safe even when the sink was the
-     drop-counting default — release is idempotent. *)
+  consume packet;
+  (* Past the consumer (the last one: SLA bookkeeping reads scalars
+     and never retains the packet). Safe even when it was the
+     drop-counting default sink — release is idempotent. *)
   Packet.release packet
+
+let deliver t node packet = deliver_to t ~node t.sinks.(node) packet
 
 let forward_ip t node packet = Dataplane.forward_ip t.dp node packet
 
 let receive t node ~from packet = Dataplane.receive t.dp node ~from packet
 
-let inject t node packet =
+let note_inject t =
   t.injected_n <- t.injected_n + 1;
-  t.live_n <- t.live_n + 1;
+  t.live_n <- t.live_n + 1
+
+let inject t node packet =
+  note_inject t;
   receive t node ~from:None packet
 
 (* Shard-boundary and replication hand-offs: the runner's exchange and
@@ -512,6 +513,32 @@ let port_drop_total t =
          acc + c.Port.dropped_queue + c.Port.dropped_link_down
          + c.Port.dropped_fault)
     0 t.ports
+
+(* The conservation identity, and with [~strict] also [live >= 0]; on
+   failure, one line naming every term. The line is formatted only on
+   failure: the auditor calls this every tick. *)
+let ledger_fault t ~strict =
+  let port = port_drop_total t in
+  let lhs = t.injected_n + t.imported_n + t.forked_n in
+  let rhs =
+    t.delivered_n + t.total_drops + port + t.exported_n + t.consumed_n
+    + t.live_n
+  in
+  if lhs = rhs && not (strict && t.live_n < 0) then None
+  else
+    Some
+      (Printf.sprintf
+         "injected=%d imported=%d forked=%d vs delivered=%d table_drops=%d \
+          port_drops=%d exported=%d consumed=%d live=%d (lhs=%d rhs=%d)"
+         t.injected_n t.imported_n t.forked_n t.delivered_n t.total_drops
+         port t.exported_n t.consumed_n t.live_n lhs rhs)
+
+let books_fault t = ledger_fault t ~strict:false
+
+let close_books t =
+  match ledger_fault t ~strict:true with
+  | Some line -> failwith ("packet ledger does not close: " ^ line)
+  | None -> ()
 
 (* A plain loop: no closure per call, so a caller holding a prebuilt
    visitor walks the ports without allocating. *)

@@ -4,8 +4,8 @@
     becomes a router with one egress {!Mvpn_qos.Port} per outgoing link
     (queue discipline chosen by the {!Qos_mapping.policy}), an IP FIB,
     and a share of the MPLS {!Mvpn_mpls.Plane}. The per-packet decision
-    path (interceptor dispatch, LFIB step, FIB longest-prefix match,
-    FTN push) lives in the node's compiled {!Dataplane} pipeline; this
+    path (interceptor dispatch, LFIB step, FIB longest-prefix match)
+    lives in the node's compiled {!Dataplane} pipeline; this
     module owns what surrounds it — ports and links, local sinks, drop
     accounting, tracing — and hands the dataplane its hooks.
 
@@ -25,7 +25,7 @@ val create :
 (** Builds ports for every link present in the topology. [policy]
     defaults to [Best_effort]; [wred] (default true) arms WRED on the
     AF bands of DiffServ ports; [route_cache] (default true) arms the
-    dataplane's generation-invalidated route/FTN caches. Links added to
+    dataplane's generation-invalidated route cache. Links added to
     the topology afterwards are unknown to the network. *)
 
 val engine : t -> Mvpn_sim.Engine.t
@@ -34,25 +34,17 @@ val plane : t -> Mvpn_mpls.Plane.t
 val policy : t -> Qos_mapping.policy
 
 val dataplane : t -> Dataplane.t
-(** The compiled forwarding pipelines. Services register interceptors
-    and make cached FTN queries through this. *)
+(** The compiled forwarding pipelines. *)
 
 val fib : t -> int -> Mvpn_net.Fib.t
 (** The node's IP FIB (mutable; provisioning fills it). *)
-
-val set_auto_ftn : t -> bool -> unit
-(** When on, an IP-forwarded packet whose matched FIB prefix has an FTN
-    binding at this node gets the label pushed (plain MPLS ingress). *)
-
-val set_interceptor : t -> int -> Dataplane.interceptor -> unit
-(** Replace the node's interceptor chain with this single function.
-    (Convenience for {!Dataplane.set_interceptor}.) *)
 
 val add_interceptor : t -> int -> Dataplane.interceptor -> unit
 (** Prepend to the node's interceptor chain: interceptors run in
     prepend order and the first [Consumed] wins — how several services
     (an L3 VPN's PE function, an L2 pseudowire demux) share one edge
-    router. *)
+    router, in either deploy order. The only registration call: no
+    service can remove another's interceptor. *)
 
 val set_sink : t -> int -> (Mvpn_net.Packet.t -> unit) -> unit
 (** Local-delivery handler; default counts the packet as drop
@@ -61,6 +53,20 @@ val set_sink : t -> int -> (Mvpn_net.Packet.t -> unit) -> unit
 val inject : t -> int -> Mvpn_net.Packet.t -> unit
 (** Hand a packet to a node as if originated there (runs the full
     receive path, interceptor included). *)
+
+val note_inject : t -> unit
+(** Book one packet in as {!inject} does, without running a receive
+    path — for a service that takes a packet at its own edge and sends
+    it on itself (a pseudowire frame at its ingress PE). *)
+
+val deliver_to :
+  t -> node:int -> (Mvpn_net.Packet.t -> unit) -> Mvpn_net.Packet.t -> unit
+(** [deliver_to t ~node consume p] ends [p]'s journey at [node] the way
+    every local delivery does — traced, booked as delivered, offered
+    to the SLO engine, the fate hook and the span sampler, then
+    released — but hands it to [consume] instead of the node's sink.
+    For services that terminate packets themselves (a pseudowire's
+    attachment circuit). [consume] must not retain [p]. *)
 
 val receive : t -> int -> from:(int option) -> Mvpn_net.Packet.t -> unit
 (** Run the node's receive path for a packet arriving from the given
@@ -202,6 +208,17 @@ type flow_totals = {
 }
 
 val flow_totals : t -> flow_totals
+
+val books_fault : t -> string option
+(** [None] when the identity above holds; otherwise one line naming
+    every term and both sides. O(ports). Mid-run [live] may dip below
+    zero by design (a packet dropped without entering), so this checks
+    the balance only. *)
+
+val close_books : t -> unit
+(** The end-of-run check: the identity holds and [live >= 0] — every
+    packet retired was counted in.
+    @raise Failure naming every term otherwise. O(ports). *)
 
 val port_drop_total : t -> int
 (** Port discards summed over every link's port: queue refusals,

@@ -129,7 +129,7 @@ let provision_ce t (site : Site.t) =
     { Fib.next_hop = Fib.local_delivery; cost = 0; source = Fib.Connected };
   Fib.add ce_fib (loopback_of_site site)
     { Fib.next_hop = Fib.local_delivery; cost = 0; source = Fib.Connected };
-  Dataplane.set_interceptor (Network.dataplane t.net) site.Site.ce_node
+  Dataplane.add_interceptor (Network.dataplane t.net) site.Site.ce_node
     (ce_interceptor t site)
 
 let deploy ?(cipher = Crypto.Des) ?(copy_tos = false) ?ike ~net ~sites () =

@@ -18,22 +18,15 @@ let local = -1
 type t = {
   mutable table : entry option array;
   mutable count : int;
-  (* Monotonic mutation counter: bumped by install, successful
-     uninstall and clear, so compiled forwarding state built over this
-     LFIB can detect staleness in O(1). *)
-  mutable gen : int;
   (* Facility-backup NHLFEs, keyed by the protected next hop. Consulted
      by the I/O shell when the primary link is down; never by
      [step_packed], so the per-packet decision path is untouched while
-     links are healthy. Not generation-tracked: compiled caches never
-     capture protection decisions. *)
+     links are healthy. *)
   protections : (int, protection) Hashtbl.t;
 }
 
 let create () =
-  { table = [||]; count = 0; gen = 0; protections = Hashtbl.create 4 }
-
-let generation t = t.gen
+  { table = [||]; count = 0; protections = Hashtbl.create 4 }
 
 let ensure t label =
   let cap = Array.length t.table in
@@ -51,8 +44,7 @@ let install t ~in_label entry =
     invalid_arg (Printf.sprintf "Lfib.install: reserved label %d" in_label);
   ensure t in_label;
   if t.table.(in_label) = None then t.count <- t.count + 1;
-  t.table.(in_label) <- Some entry;
-  t.gen <- t.gen + 1
+  t.table.(in_label) <- Some entry
 
 let uninstall t ~in_label =
   if in_label >= 0 && in_label < Array.length t.table
@@ -60,7 +52,6 @@ let uninstall t ~in_label =
   then begin
     t.table.(in_label) <- None;
     t.count <- t.count - 1;
-    t.gen <- t.gen + 1;
     true
   end else false
 
@@ -72,8 +63,7 @@ let size t = t.count
 
 let clear t =
   t.table <- [||];
-  t.count <- 0;
-  t.gen <- t.gen + 1
+  t.count <- 0
 
 let set_protection t ~next_hop ~push ~via ~usable =
   if not (Label.valid push) then

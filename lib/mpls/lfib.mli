@@ -47,12 +47,6 @@ val lookup : t -> int -> entry option
 val size : t -> int
 (** Number of installed entries — per-LSR MPLS state (E1). *)
 
-val generation : t -> int
-(** Monotonic mutation counter, bumped by {!install}, successful
-    {!uninstall} and {!clear}. LDP refresh after a failure re-installs
-    entries, so a generation mismatch tells compiled dataplane state
-    that label bindings moved underneath it. *)
-
 val clear : t -> unit
 
 (** {2 Fast-reroute protection}
@@ -61,9 +55,8 @@ val clear : t -> unit
     ([Mvpn_resilience.Frr]) and consulted by the network I/O shell at
     transmit time when the primary link is down. They live beside the
     ILM so the point of local repair owns its own backup state, but
-    {!step_packed} never reads them and they do not participate in
-    {!generation} — protection switches packets the instant a link
-    dies without recompiling anything. *)
+    {!step_packed} never reads them — protection switches packets the
+    instant a link dies without recompiling anything. *)
 
 val set_protection :
   t -> next_hop:int -> push:int -> via:int -> usable:(unit -> bool) -> unit

@@ -141,14 +141,15 @@ let force_reserve_path topo path bw =
 (* The CSPF prune: a link can take a new reservation of [bandwidth] if
    it is up, has that much unreserved, and, for a sub-pool tunnel, that
    much sub-pool room. Admission and re-signalling run SPF over what
-   passes it. *)
+   passes it; an explicit route must pass it on every link. *)
+let cspf_usable t ~class_type ~bandwidth (l : Topology.link) =
+  l.Topology.up
+  && Topology.available l >= bandwidth
+  && (class_type = Global_pool || subpool_room t l >= bandwidth)
+
 let cspf_path t ~class_type ~bandwidth ~src ~dst =
-  let usable (l : Topology.link) =
-    l.Topology.up
-    && Topology.available l >= bandwidth
-    && (class_type = Global_pool || subpool_room t l >= bandwidth)
-  in
-  Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst
+  Mvpn_routing.Spf.shortest_path
+    ~usable:(cspf_usable t ~class_type ~bandwidth) t.topo ~src ~dst
 
 (* Why an operator route is unusable, if it is: it must run from [src]
    to [dst] over existing links and visit no node twice. *)
@@ -193,11 +194,20 @@ let signal ?explicit_path ?(setup_priority = 7) ?(hold_priority = 7)
     match Option.bind explicit_path (route_fault t.topo ~src ~dst) with
     | Some e -> Error e
     | None ->
+      (* The operator's route if every link passes [usable], else SPF
+         over the links that do. *)
+      let route_over usable =
+        match explicit_path with
+        | Some p ->
+          if List.for_all usable (links_of_path t.topo p) then Some p
+          else None
+        | None -> Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst
+      in
       let find_path () =
         match explicit_path, admission with
-        | Some p, _ -> Some p
-        | None, Cspf -> cspf_path t ~class_type ~bandwidth ~src ~dst
+        | Some p, Igp_only -> Some p
         | None, Igp_only -> Mvpn_routing.Spf.shortest_path t.topo ~src ~dst
+        | _, Cspf -> route_over (cspf_usable t ~class_type ~bandwidth)
       in
       let finish path forced =
         let tn =
@@ -205,10 +215,10 @@ let signal ?explicit_path ?(setup_priority = 7) ?(hold_priority = 7)
             hold_priority; class_type; path; up = true }
         in
         t.next_id <- t.next_id + 1;
+        (* CSPF admitted [path] (every link fits), so only the blind
+           commitment can over-reserve. *)
         if forced then force_reserve_path t.topo path bandwidth
-        else if not (reserve_path t.topo path bandwidth) then
-          (* Only possible for explicit paths that no longer fit. *)
-          force_reserve_path t.topo path bandwidth;
+        else ignore (reserve_path t.topo path bandwidth);
         if class_type = Subpool then
           List.iter
             (fun l -> bump_subpool t l bandwidth)
@@ -232,7 +242,7 @@ let signal ?explicit_path ?(setup_priority = 7) ?(hold_priority = 7)
             && Topology.available l +. preemptable_on t l ~setup_priority
                >= bandwidth
           in
-          match Mvpn_routing.Spf.shortest_path ~usable t.topo ~src ~dst with
+          match route_over usable with
           | None -> Error "no path even with preemption"
           | Some path ->
             let path_links = links_of_path t.topo path in

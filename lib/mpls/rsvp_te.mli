@@ -60,10 +60,13 @@ val signal :
     preempt anything at default). An [explicit_path] must run from
     [src] to [dst] over existing links and visit no node twice;
     otherwise the call returns [Error] before allocating a tunnel id,
-    reserving bandwidth or installing a label. With [allow_preempt]
-    (default false), on CSPF failure the call may tear down tunnels
-    whose hold priority is strictly worse than this tunnel's setup
-    priority and retry once; victims are left down (re-signal with
+    reserving bandwidth or installing a label. Under [Cspf] admission
+    it must also pass the CSPF prune on every link, or the call is
+    refused the same way; only [Igp_only] commits it blindly. With
+    [allow_preempt] (default false), on CSPF failure the call may tear
+    down tunnels whose hold priority is strictly worse than this
+    tunnel's setup priority and retry once — on the explicit path, when
+    one is given; victims are left down (re-signal with
     {!reroute_down}). *)
 
 val teardown : t -> int -> bool

@@ -227,7 +227,13 @@ let run_parallel (cfg : config) =
       let sh = create_shard i in
       started := Some sh;
       drive sh clock;
-      (sh, Shard.collect sh)
+      let r = Shard.collect sh in
+      (* Close the books at the horizon: every packet the replica was
+         handed is delivered, dropped, handed to another shard,
+         consumed or still live, and none retired without being
+         counted in. O(ports), once per run. *)
+      Network.close_books (Scenario.network r.Shard.r_scenario);
+      (sh, r)
     with
     | r -> Ok r
     | exception exn ->
@@ -315,6 +321,7 @@ let run_sequential (cfg : config) =
             Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
   arm_workload cfg sc ~only:(fun _ _ -> true);
   Engine.run ~until:horizon (Scenario.engine sc);
+  Network.close_books net;
   if cfg.profile then
     Mvpn_sim.Profile.publish (Engine.profiler (Scenario.engine sc));
   let finis = Registry.snapshot () in

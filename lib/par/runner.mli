@@ -96,9 +96,15 @@ type outcome = {
 }
 
 val run_parallel : config -> outcome
-(** @raise Invalid_argument if [config.shards < 1]. *)
+(** Each shard closes its replica's books at the horizon
+    ({!Mvpn_core.Network.close_books}).
+    @raise Invalid_argument if [config.shards < 1].
+    @raise Failure naming every ledger term if a shard's books do not
+    balance or its live count is negative. *)
 
 val run_sequential : config -> outcome
 (** Single-domain baseline on the identical build/workload path
     (ignores [config.shards]); totals are diffed against the registry
-    state at entry, so a dirty registry does not skew them. *)
+    state at entry, so a dirty registry does not skew them. Closes the
+    books at the horizon as {!run_parallel} does.
+    @raise Failure as {!run_parallel}. *)

@@ -99,24 +99,13 @@ let violate t invariant detail =
    Both sides are maintained by independent mechanisms (the fate
    counters vs the per-packet [fated] discipline behind [live]), so a
    lost or double-counted fate genuinely unbalances the books. Covers
-   unicast and PE-replicated traffic; see Network.flow_totals. *)
+   unicast, PE-replicated and pseudowire traffic; see
+   Network.books_fault. *)
 let check_conservation t =
   T.Counter.incr m_conservation;
-  let f = Network.flow_totals t.net in
-  let port = Network.port_drop_total t.net in
-  let lhs = f.Network.injected + f.Network.imported + f.Network.forked in
-  let rhs =
-    f.Network.delivered + f.Network.table_drops + port + f.Network.exported
-    + f.Network.consumed + f.Network.live
-  in
-  if lhs <> rhs then
-    violate t "conservation"
-      (Printf.sprintf
-         "injected=%d imported=%d forked=%d vs delivered=%d table_drops=%d \
-          port_drops=%d exported=%d consumed=%d live=%d (lhs=%d rhs=%d)"
-         f.Network.injected f.Network.imported f.Network.forked
-         f.Network.delivered f.Network.table_drops port f.Network.exported
-         f.Network.consumed f.Network.live lhs rhs)
+  match Network.books_fault t.net with
+  | Some detail -> violate t "conservation" detail
+  | None -> ()
 
 (* With pooling on, [allocated - live - pool] counts packet records
    neither circulating nor retired — leaked. It need not be zero (other

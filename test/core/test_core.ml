@@ -403,7 +403,7 @@ let test_network_ttl_drop () =
 let test_network_interceptor_consumes () =
   let engine, _topo, net, ids = line_net () in
   let seen = ref 0 in
-  Network.set_interceptor net ids.(0) (fun ~from:_ _ ->
+  Network.add_interceptor net ids.(0) (fun ~from:_ _ ->
       incr seen;
       Network.Consumed);
   let p =
@@ -594,7 +594,7 @@ let test_mvpn_uses_label_switching () =
   Array.iter
     (fun pop ->
        if pop <> s11.Site.pe_node then
-         Network.set_interceptor e.net pop (fun ~from:_ p ->
+         Network.add_interceptor e.net pop (fun ~from:_ p ->
              if Packet.labelled p then labelled := true;
              Network.Continue))
     pops;
@@ -682,7 +682,7 @@ let test_mvpn_dscp_to_exp_mapping () =
   Array.iter
     (fun pop ->
        if pop <> s11.Site.pe_node then
-         Network.set_interceptor e.net pop (fun ~from:_ p ->
+         Network.add_interceptor e.net pop (fun ~from:_ p ->
              if Packet.labelled p then
                exp_seen := Packet.Shim.exp (Packet.top_packed p);
              Network.Continue))
@@ -1327,9 +1327,10 @@ let test_l2vpn_local_switching () =
   Engine.run engine;
   Alcotest.(check int) "locally switched" 1 !got
 
-let test_l2vpn_coexists_with_l3vpn () =
-  (* An L3 VPN and a pseudowire share the same backbone, PEs and label
-     space; both must work. *)
+(* An L3 VPN and a pseudowire share the same backbone, PEs and label
+   space; both must work whichever service is deployed first, and both
+   frames are booked in and out of the packet ledger. *)
+let check_l2vpn_coexists ~l2_first =
   let bb = Backbone.build ~pops:4 ~chords:[] () in
   let s1 =
     Backbone.attach_site bb ~id:1 ~name:"s1" ~vpn:1
@@ -1341,8 +1342,17 @@ let test_l2vpn_coexists_with_l3vpn () =
   in
   let engine = Engine.create () in
   let net = Network.create engine (Backbone.topology bb) in
-  let _l3 = Mpls_vpn.deploy ~net ~backbone:bb ~sites:[s1; s2] () in
-  let l2 = L2vpn.deploy ~net ~backbone:bb in
+  let l2 =
+    if l2_first then begin
+      let l2 = L2vpn.deploy ~net ~backbone:bb in
+      ignore (Mpls_vpn.deploy ~net ~backbone:bb ~sites:[s1; s2] ());
+      l2
+    end
+    else begin
+      ignore (Mpls_vpn.deploy ~net ~backbone:bb ~sites:[s1; s2] ());
+      L2vpn.deploy ~net ~backbone:bb
+    end
+  in
   let pops = Backbone.pops bb in
   let l3_got = ref 0 and l2_got = ref 0 in
   Network.set_sink net s2.Site.ce_node (fun _ -> incr l3_got);
@@ -1365,7 +1375,15 @@ let test_l2vpn_coexists_with_l3vpn () =
   Engine.run engine;
   Alcotest.(check int) "l3 delivery" 1 !l3_got;
   Alcotest.(check int) "l2 delivery" 1 !l2_got;
-  Alcotest.(check int) "no drops" 0 (Network.drops net)
+  Alcotest.(check int) "no drops" 0 (Network.drops net);
+  let f = Network.flow_totals net in
+  Alcotest.(check int) "both booked in" 2 f.Network.injected;
+  Alcotest.(check int) "both booked out" 2 f.Network.delivered;
+  Alcotest.(check int) "none live" 0 f.Network.live
+
+let test_l2vpn_coexists_with_l3vpn () = check_l2vpn_coexists ~l2_first:false
+
+let test_l2vpn_deployed_before_l3vpn () = check_l2vpn_coexists ~l2_first:true
 
 let test_l2vpn_frame_relay_interworking () =
   (* A frame relay PVC carried across the MPLS backbone: the frame's
@@ -1900,7 +1918,52 @@ let test_l2vpn_pw_unreachable_attributed () =
   check_attributed_drop net ~node:pops.(0) ~reason:"pw-unreachable" p
     (fun () ->
        L2vpn.send l2 ~pw ~from_a:true p;
-       Engine.run engine)
+       Engine.run engine);
+  Alcotest.(check int) "ledger retired it" 0
+    (Network.flow_totals net).Network.live
+
+(* A pseudowire delivery takes the network's delivery path: an
+   attached SLO engine and the fate hook each see it once, with its
+   end-to-end latency. *)
+let test_l2vpn_pw_delivery_observed () =
+  let bb, engine, net, l2 = l2_setup () in
+  let pops = Backbone.pops bb in
+  let got = ref 0 in
+  let pw =
+    match
+      L2vpn.create_pw l2
+        ~a:{ L2vpn.pe = pops.(0); on_deliver = ignore }
+        ~b:{ L2vpn.pe = pops.(3); on_deliver = (fun _ -> incr got) }
+    with
+    | Ok id -> id
+    | Error e -> Alcotest.fail e
+  in
+  let band = Qos_mapping.band_of_dscp Dscp.ef in
+  let slo = T.Slo.create () in
+  T.Slo.declare slo ~vpn:3 ~band (Qos_mapping.default_objective band);
+  Network.set_slo net (Some slo);
+  let fates = ref [] in
+  Network.set_fate_hook net
+    (Some
+       (fun ~time:_ ~vpn ~band ~dropped ~latency ->
+          fates := (vpn, band, dropped, latency > 0.0) :: !fates));
+  T.Control.with_enabled (fun () ->
+      L2vpn.send l2 ~pw ~from_a:true
+        (Packet.make ~vpn:3 ~dscp:Dscp.ef ~size:400 ~now:0.0
+           (Flow.make (ip "192.168.0.1") (ip "192.168.0.2")));
+      Engine.run engine);
+  Alcotest.(check int) "frame arrived" 1 !got;
+  Alcotest.(check bool) "one delivered fate, with latency" true
+    (!fates = [ (3, band, false, true) ]);
+  (match T.Slo.reports slo with
+   | [ r ] ->
+     Alcotest.(check int) "slo saw the delivery" 1 r.T.Slo.total;
+     Alcotest.(check int) "and no drop" 0 r.T.Slo.drops
+   | rs -> Alcotest.failf "%d slo reports" (List.length rs));
+  let f = Network.flow_totals net in
+  Alcotest.(check int) "booked in" 1 f.Network.injected;
+  Alcotest.(check int) "booked out" 1 f.Network.delivered;
+  Alcotest.(check int) "none live" 0 f.Network.live
 
 (* Bounded residency: a million-event run with every observability
    channel armed — spans, hop trace, SLO windows and the timeline
@@ -2144,6 +2207,8 @@ let () =
            test_l2vpn_local_switching;
          Alcotest.test_case "coexists with l3 vpn" `Quick
            test_l2vpn_coexists_with_l3vpn;
+         Alcotest.test_case "deployed before l3 vpn" `Quick
+           test_l2vpn_deployed_before_l3vpn;
          Alcotest.test_case "frame relay interworking" `Quick
            test_l2vpn_frame_relay_interworking ]);
       ("accounting",
@@ -2171,7 +2236,9 @@ let () =
          Alcotest.test_case "overlay ike-pending drop attributed" `Quick
            (wrap_telemetry test_overlay_ike_pending_attributed);
          Alcotest.test_case "l2vpn pw-unreachable drop attributed" `Quick
-           (wrap_telemetry test_l2vpn_pw_unreachable_attributed) ]);
+           (wrap_telemetry test_l2vpn_pw_unreachable_attributed);
+         Alcotest.test_case "l2vpn pw delivery observed" `Quick
+           (wrap_telemetry test_l2vpn_pw_delivery_observed) ]);
       ("scenario",
        [ Alcotest.test_case "qos protects voice" `Slow
            test_scenario_mpls_qos_protects_voice;

@@ -13,8 +13,6 @@ module Flow = Mvpn_net.Flow
 module Packet = Mvpn_net.Packet
 module Fib = Mvpn_net.Fib
 module Plane = Mvpn_mpls.Plane
-module Ldp = Mvpn_mpls.Ldp
-module Fec = Mvpn_mpls.Fec
 
 let pfx = Prefix.of_string_exn
 
@@ -102,56 +100,6 @@ let equivalence_property =
        in
        reference = cached)
 
-(* Same identity on the plain-MPLS ingress path: auto-FTN label push
-   from a cached FTN answer, LDP-installed LSP, line topology. *)
-let test_auto_ftn_equivalence () =
-  let run ~cache =
-    Packet.reset_uid_counter ();
-    let topo = Topology.create () in
-    let ids = Topology.line topo 4 ~bandwidth:1e6 ~delay:0.001 in
-    let engine = Engine.create () in
-    let net = Network.create ~route_cache:cache engine topo in
-    Array.iteri
-      (fun i id ->
-         Fib.add (Network.fib net id) (pfx "10.9.0.0/16")
-           { Fib.next_hop =
-               (if i < 3 then ids.(i + 1) else Fib.local_delivery);
-             cost = 1; source = Fib.Static })
-      ids;
-    ignore
-      (Ldp.distribute topo (Network.plane net)
-         ~fecs:[ (pfx "10.9.0.0/16", ids.(3)) ]);
-    Network.set_auto_ftn net true;
-    let events = ref [] in
-    Network.set_tracer net
-      (Some (fun e -> events := event_string e :: !events));
-    let delivered = ref [] in
-    Network.set_sink net ids.(3) (fun p ->
-        delivered := p.Packet.uid :: !delivered);
-    for i = 0 to 19 do
-      Network.inject net ids.(0)
-        (Packet.make ~now:(Engine.now engine)
-           (Flow.make
-              (Ipv4.of_octets 10 0 0 1)
-              (Ipv4.of_octets 10 9 0 (i land 3))))
-    done;
-    Engine.run engine;
-    (List.rev !events, List.rev !delivered, Network.drop_counts net)
-  in
-  let (e1, d1, c1) = run ~cache:false in
-  let (e2, d2, c2) = run ~cache:true in
-  Alcotest.(check (list string)) "traces" e1 e2;
-  Alcotest.(check (list int)) "deliveries" d1 d2;
-  Alcotest.(check int) "all delivered" 20 (List.length d1);
-  Alcotest.(check (list (pair string int))) "drops" c1 c2;
-  (* The LDP push actually happened: some hop carried a label stack. *)
-  let labelled s =
-    match String.index_opt s '[' with
-    | Some i -> i + 1 < String.length s && s.[i + 1] <> ']'
-    | None -> false
-  in
-  Alcotest.(check bool) "labelled hop seen" true (List.exists labelled e1)
-
 (* E13-style staleness: warm the caches across a link, fail it,
    reconverge — not one packet may still follow the dead next hop. *)
 let test_reconvergence_staleness () =
@@ -234,26 +182,6 @@ let test_cache_counters () =
       Alcotest.(check int) "hits" 8 (fib_hits () - hits0);
       Alcotest.(check int) "misses" 2 (fib_misses () - misses0))
 
-(* find_ftn serves from the memo until a binding moves, then re-reads. *)
-let test_find_ftn_invalidation () =
-  let nodes = 2 in
-  let plane = Plane.create ~nodes in
-  let fibs = Array.init nodes (fun _ -> Fib.create ()) in
-  let dp = Dataplane.create ~cache:true ~nodes ~plane ~fibs () in
-  let fec = Fec.Prefix_fec (pfx "10.9.0.0/16") in
-  Alcotest.(check bool) "unbound" true (Dataplane.find_ftn dp 0 fec = None);
-  Plane.install_ftn plane 0 fec { Plane.push = 42; next_hop = 1 };
-  (match Dataplane.find_ftn dp 0 fec with
-   | Some e -> Alcotest.(check int) "new binding visible" 42 e.Plane.push
-   | None -> Alcotest.fail "binding not visible after install");
-  Plane.install_ftn plane 0 fec { Plane.push = 43; next_hop = 1 };
-  (match Dataplane.find_ftn dp 0 fec with
-   | Some e -> Alcotest.(check int) "rebind visible" 43 e.Plane.push
-   | None -> Alcotest.fail "binding lost after reinstall");
-  ignore (Plane.remove_ftn plane 0 fec);
-  Alcotest.(check bool) "removal visible" true
-    (Dataplane.find_ftn dp 0 fec = None)
-
 (* Interceptor chains recompile on registration and keep the
    first-Consumed-wins prepend order. *)
 let test_interceptor_chain_order () =
@@ -290,14 +218,10 @@ let test_interceptor_chain_order () =
 let () =
   Alcotest.run "dataplane"
     [ ("equivalence",
-       [ QCheck_alcotest.to_alcotest equivalence_property;
-         Alcotest.test_case "auto-ftn path identical" `Quick
-           test_auto_ftn_equivalence ]);
+       [ QCheck_alcotest.to_alcotest equivalence_property ]);
       ("invalidation",
        [ Alcotest.test_case "reconvergence staleness" `Quick
-           test_reconvergence_staleness;
-         Alcotest.test_case "find_ftn follows bindings" `Quick
-           test_find_ftn_invalidation ]);
+           test_reconvergence_staleness ]);
       ("pipeline",
        [ Alcotest.test_case "cache counters" `Quick test_cache_counters;
          Alcotest.test_case "interceptor order" `Quick

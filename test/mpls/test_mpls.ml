@@ -188,23 +188,6 @@ let test_lfib_step_no_binding () =
   | No_binding 999 -> ()
   | _ -> Alcotest.fail "expected no binding"
 
-(* Generation counters: every ILM mutation that can change a lookup
-   answer bumps; failed uninstalls do not (route caches key on this). *)
-let test_lfib_generation () =
-  let l = Lfib.create () in
-  let g0 = Lfib.generation l in
-  Lfib.install l ~in_label:100 { Lfib.op = Lfib.Swap 200; next_hop = 7 };
-  let g1 = Lfib.generation l in
-  Alcotest.(check bool) "install bumps" true (g1 > g0);
-  Alcotest.(check bool) "uninstall miss" false (Lfib.uninstall l ~in_label:101);
-  Alcotest.(check int) "no-op uninstall does not bump" g1 (Lfib.generation l);
-  Alcotest.(check bool) "uninstall hit" true (Lfib.uninstall l ~in_label:100);
-  let g2 = Lfib.generation l in
-  Alcotest.(check bool) "uninstall bumps" true (g2 > g1);
-  Lfib.install l ~in_label:100 { Lfib.op = Lfib.Pop; next_hop = 7 };
-  Lfib.clear l;
-  Alcotest.(check bool) "clear bumps" true (Lfib.generation l > g2)
-
 (* --- Ldp -------------------------------------------------------------- *)
 
 (* Line: 0 - 1 - 2 - 3; FEC egress at 3. *)
@@ -701,6 +684,47 @@ let test_te_explicit_path_checked () =
   | Ok tn -> Alcotest.(check int) "first id still free" 1 tn.Rsvp_te.id
   | Error e -> Alcotest.failf "signal: %s" e
 
+(* Under CSPF admission an operator route is held to the same prune as
+   a computed one: 80 of 100 already sits on 0-1-3, so a further 80
+   pinned to 0-1-3 is refused before a tunnel id or a label moves, and
+   nothing is over-committed. With preemption allowed, a better setup
+   priority evicts the occupant from that very route. *)
+let test_te_explicit_path_admission () =
+  let topo, n = te_topo () in
+  let plane = Plane.create ~nodes:4 in
+  let te = Rsvp_te.create topo plane in
+  let first =
+    match
+      Rsvp_te.signal te ~explicit_path:[n.(0); n.(1); n.(3)] ~src:n.(0)
+        ~dst:n.(3) ~bandwidth:80.0
+    with
+    | Ok tn -> tn
+    | Error e -> Alcotest.failf "first: %s" e
+  in
+  let labels = Plane.total_labels_allocated plane in
+  (match
+     Rsvp_te.signal te ~explicit_path:[n.(0); n.(1); n.(3)] ~src:n.(0)
+       ~dst:n.(3) ~bandwidth:80.0
+   with
+   | Ok _ -> Alcotest.fail "an explicit route that does not fit was admitted"
+   | Error _ -> ());
+  Alcotest.(check int) "no over-commitment" 0
+    (List.length (Rsvp_te.overcommitted_links te));
+  Alcotest.(check int) "one tunnel" 1 (List.length (Rsvp_te.tunnels te));
+  Alcotest.(check int) "no label moved" labels
+    (Plane.total_labels_allocated plane);
+  match
+    Rsvp_te.signal te ~explicit_path:[n.(0); n.(1); n.(3)] ~setup_priority:0
+      ~allow_preempt:true ~src:n.(0) ~dst:n.(3) ~bandwidth:80.0
+  with
+  | Ok tn ->
+    Alcotest.(check (list int)) "on the operator route" [0; 1; 3]
+      tn.Rsvp_te.path;
+    Alcotest.(check bool) "occupant preempted" false first.Rsvp_te.up;
+    Alcotest.(check int) "still no over-commitment" 0
+      (List.length (Rsvp_te.overcommitted_links te))
+  | Error e -> Alcotest.failf "preempting explicit route: %s" e
+
 let test_te_subpool_caps_premium () =
   let topo, n = te_topo () in
   let plane = Plane.create ~nodes:4 in
@@ -867,8 +891,7 @@ let () =
          Alcotest.test_case "pop ttl=2 boundary" `Quick
            test_lfib_pop_ttl_boundary;
          Alcotest.test_case "ttl expiry" `Quick test_lfib_step_ttl;
-         Alcotest.test_case "no binding" `Quick test_lfib_step_no_binding;
-         Alcotest.test_case "generation" `Quick test_lfib_generation ]);
+         Alcotest.test_case "no binding" `Quick test_lfib_step_no_binding ]);
       ("ldp",
        [ Alcotest.test_case "end to end php" `Quick test_ldp_end_to_end_php;
          Alcotest.test_case "no php egress pops" `Quick
@@ -905,6 +928,8 @@ let () =
          Alcotest.test_case "explicit path" `Quick test_te_explicit_path;
          Alcotest.test_case "explicit path checked first" `Quick
            test_te_explicit_path_checked;
+         Alcotest.test_case "explicit path admission" `Quick
+           test_te_explicit_path_admission;
          Alcotest.test_case "ds-te subpool caps premium" `Quick
            test_te_subpool_caps_premium;
          Alcotest.test_case "ds-te subpool released" `Quick

@@ -451,6 +451,45 @@ let test_prepare_replica_order () =
   check_run "K=2" Runner.run_parallel { cfg with Runner.shards = 2 }
     ~replicas:2
 
+(* Every run closes its books at the horizon. A replica whose drop
+   table loses one booking (the packet is still retired from [live])
+   must make the run raise, naming the ledger's terms; the same run
+   without the leak completes. The dropped packet enters at a CE and
+   dies at its PE on "vrf-no-route", inside every replica. *)
+let test_runner_closes_books () =
+  let module Network = Mvpn_core.Network in
+  let module Scenario = Mvpn_core.Scenario in
+  let cfg = small_cfg ~pops:6 ~vpns:1 ~sites:2 ~seed:9 in
+  let prepare ~leak sc =
+    let net = Scenario.network sc and eng = Scenario.engine sc in
+    Network.set_drop_leak net leak;
+    Mvpn_sim.Engine.schedule eng ~delay:0.5 (fun () ->
+        let site = Scenario.site sc ~vpn:1 ~idx:0 in
+        Network.inject net site.Mvpn_core.Site.ce_node
+          (Packet.make ~vpn:1 ~now:(Mvpn_sim.Engine.now eng)
+             (Flow.make (Mvpn_core.Site.host site 1)
+                (Ipv4.of_octets 172 31 0 1))))
+  in
+  let run ~leak shards =
+    with_telemetry (fun () ->
+        (if shards = 1 then Runner.run_sequential else Runner.run_parallel)
+          { cfg with
+            Runner.shards; prepare_replica = Some (prepare ~leak) })
+  in
+  List.iter
+    (fun shards ->
+       let name = Printf.sprintf "K=%d" shards in
+       let o = run ~leak:0 shards in
+       Alcotest.(check int) (name ^ ": one drop per replica") shards
+         o.Runner.dropped;
+       match run ~leak:1 shards with
+       | _ -> Alcotest.failf "%s: a leaked drop booking went unnoticed" name
+       | exception Failure msg ->
+         Alcotest.(check bool) (name ^ ": names the ledger's terms") true
+           (String.starts_with
+              ~prefix:"packet ledger does not close: injected=" msg))
+    [ 1; 2 ]
+
 (* --- Fatelog ------------------------------------------------------------- *)
 
 type fate = float * int * int * bool * float  (* time vpn band dropped latency *)
@@ -545,4 +584,6 @@ let () =
          Alcotest.test_case "barrier-mode parity" `Quick
            test_runner_barrier_mode_parity;
          Alcotest.test_case "prepare_replica order" `Quick
-           test_prepare_replica_order ]) ]
+           test_prepare_replica_order;
+         Alcotest.test_case "closes the books" `Quick
+           test_runner_closes_books ]) ]

@@ -48,8 +48,12 @@ let table =
              pps). Steady state since is ~1.35x; gated at 1.15x so real
              regressions fail while scheduling noise (~±10%) does not. *)
           ("e16.rate.seq_pps", Ge (1.15 *. 155694.));
-          ("e16.rate.seq_calendar_pps",
-           Ge_times (1.0, "e16.rate.seq_heap_pps"));
+          (* The calendar queue must not lose to the heap: the median
+             of five interleaved heap/calendar pairs' CPU-second
+             ratios. It replaced a single wall-clock race
+             (seq_calendar_pps >= seq_heap_pps) that one run in twelve
+             failed on host noise; the bound is the same 1.0. *)
+          ("e16.ratio.heap_over_cal_cpu", Ge 1.0);
           ("e16.rate.seq_sampler_pps", Ge_times (0.95, "e16.rate.seq_pps"));
           ("sim.profile.events", Positive);
           (* Minor words per event of the K=2 run, both shard domains
