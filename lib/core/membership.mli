@@ -18,17 +18,13 @@ type t
 
 val create : ?mechanism:mechanism -> pe_count:int -> unit -> t
 
+val notify_cost : mechanism -> pe_count:int -> others:int -> int
+(** Messages one join or leave costs with [others] members of its VPN
+    left to tell: [1 + others] ([Directory]) or [pe_count] ([Flooded]).
+    The one statement of the bill policy. *)
+
 val join : t -> Site.t -> unit
 (** @raise Invalid_argument if the site id is already a member. *)
-
-val join_all : t -> Site.t list -> unit
-(** Bulk join for mass provisioning, in list order. The notification
-    bill is identical to joining one at a time ([messages] grows by
-    exactly the per-join sum — pinned by a regression test), but the
-    batch is validated up front and rejected atomically: on any
-    duplicate — against existing members or within the batch — no site
-    has joined.
-    @raise Invalid_argument on the first duplicate site id. *)
 
 val leave : t -> site_id:int -> bool
 (** [false] if the site was not a member. *)
@@ -39,7 +35,8 @@ val members : t -> vpn:int -> Site.t list
 val discover : t -> asking:Site.t -> Site.t list
 (** What a member may learn: its own VPN's other members, never anyone
     else's (the isolation property, enforced by construction and
-    verified by tests). *)
+    verified by tests). The asker is looked up by id: a non-member gets
+    [[]], a member its joined VPN's, whatever its record claims. *)
 
 val vpn_ids : t -> int list
 

@@ -1,6 +1,5 @@
 module Mpbgp = Mvpn_routing.Mpbgp
 module Membership = Mvpn_core.Membership
-module Site = Mvpn_core.Site
 module Backbone = Mvpn_core.Backbone
 module Prefix = Mvpn_net.Prefix
 
@@ -75,12 +74,13 @@ type cust = {
   c_name : string;
   c_topology : Service.topology;
   mutable c_tier : Service.tier;
+  mutable c_sites : int;  (* live sites: the members a join or leave tells *)
 }
 
 type t = {
   pe_count : int;
   pool : Service.Pool.t;
-  membership : Membership.t;
+  mutable membership_messages : int;
   bgp : Mpbgp.t;
   customers : cust Int_tbl.t;
   vrfs : vrf Int_tbl.t;  (* vrf_key -> vrf *)
@@ -109,8 +109,16 @@ let entry_route e = e lsr 1
 let entry_role e = if e land 1 = 1 then Service.Hub else Service.Spoke
 
 let pe_count t = t.pe_count
-let membership t = t.membership
 let mpbgp t = t.bgp
+let control_messages t = t.membership_messages + Mpbgp.messages_sent t.bgp
+
+(* One join or leave, billed as a [Directory] registry of the
+   customer's live sites would bill it. *)
+let bill_membership t (c : cust) =
+  t.membership_messages <-
+    t.membership_messages
+    + Membership.notify_cost Membership.Directory ~pe_count:t.pe_count
+        ~others:c.c_sites
 
 let find_customer t id =
   match Int_tbl.find_opt t.customers id with
@@ -239,8 +247,8 @@ let site_prefix t sid =
     p
 
 (* Design a site into existence: VRF (created if first on this PE),
-   route exported with the pool's RD/RTs and the pure-function label.
-   Membership joining is the caller's business (bulk vs one-by-one). *)
+   route exported with the pool's RD/RTs and the pure-function label,
+   the membership join billed. Returns the route's id. *)
 let design_site t (c : cust) (spec : Service.site_spec) ~wire =
   let gsid = Service.global_site_id ~customer:c.c_id ~sid:spec.Service.sid in
   if Int_tbl.mem t.sites gsid then
@@ -248,11 +256,6 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
       (Printf.sprintf "Compile: site %d.%d already provisioned" c.c_id
          spec.Service.sid);
   let prefix = site_prefix t spec.Service.sid in
-  let site =
-    Site.make ~id:gsid
-      ~name:(Service.site_name ~customer:c.c_id ~sid:spec.Service.sid)
-      ~vpn:c.c_id ~prefix ~ce_node:gsid ~pe_node:spec.Service.pe
-  in
   let v = ensure_vrf t c spec.Service.role spec.Service.pe ~wire in
   let id =
     Mpbgp.export t.bgp
@@ -262,7 +265,9 @@ let design_site t (c : cust) (spec : Service.site_spec) ~wire =
   in
   v.v_locals <- ins_desc gsid v.v_locals;
   Int_tbl.add t.sites gsid (site_entry ~route:id spec.Service.role);
-  site
+  bill_membership t c;
+  c.c_sites <- c.c_sites + 1;
+  id
 
 (* Tables sized from the portfolio: a customer has one or two groups
    and RTs, and a VRF on each PE it reaches (a table holds twice its
@@ -272,7 +277,7 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
   let t =
     { pe_count = p.Portfolio.pe_count;
       pool = Service.Pool.create ();
-      membership = Membership.create ~pe_count:p.Portfolio.pe_count ();
+      membership_messages = 0;
       bgp = Mpbgp.create ~mode ();
       customers = Int_tbl.create customers;
       vrfs = Int_tbl.create (2 * customers);
@@ -287,7 +292,8 @@ let create ?(mode = Mpbgp.Full_mesh) (p : Portfolio.t) =
     (fun (c : Service.customer) ->
        Int_tbl.replace t.customers c.Service.id
          { c_id = c.Service.id; c_name = c.Service.name;
-           c_topology = c.Service.topology; c_tier = c.Service.tier })
+           c_topology = c.Service.topology; c_tier = c.Service.tier;
+           c_sites = 0 })
     p.Portfolio.customers;
   t
 
@@ -367,18 +373,15 @@ let fill_lsps t =
 
 let compile ?mode (p : Portfolio.t) =
   let t = create ?mode p in
-  (* Design every site, then one membership batch and one propagation
-     round — no per-site full scans anywhere in the bulk path. *)
-  let sites = ref [] in
+  (* Design every site, then one propagation round — no per-site full
+     scans anywhere in the bulk path. *)
   Array.iter
     (fun (c : Service.customer) ->
        let cust = find_customer t c.Service.id in
        List.iter
-         (fun spec ->
-            sites := design_site t cust spec ~wire:false :: !sites)
+         (fun spec -> ignore (design_site t cust spec ~wire:false))
          c.Service.sites)
     p.Portfolio.customers;
-  Membership.join_all t.membership (List.rev !sites);
   ignore (Mpbgp.run t.bgp);
   fill_groups t;
   fill_lsps t;
@@ -391,9 +394,7 @@ let provision_site t ~customer ~sid ~pe =
     invalid_arg (Printf.sprintf "Compile.provision_site: bad PE %d" pe);
   let c = find_customer t customer in
   let role = Service.default_role c.c_topology ~sid in
-  let site = design_site t c { Service.sid; pe; role } ~wire:true in
-  let id = entry_route (Int_tbl.find t.sites site.Site.id) in
-  Membership.join t.membership site;
+  let id = design_site t c { Service.sid; pe; role } ~wire:true in
   ignore (Mpbgp.run t.bgp);
   let touched = ref 1 in
   List.iter
@@ -425,7 +426,8 @@ let decommission_site t ~customer ~sid =
   in
   let id = entry_route e and role = entry_role e in
   let egress = route_pe t id in
-  ignore (Membership.leave t.membership ~site_id:gsid);
+  c.c_sites <- c.c_sites - 1;
+  bill_membership t c;
   ignore (Mpbgp.withdraw_site t.bgp ~pe:egress ~site:gsid);
   ignore (Mpbgp.run t.bgp);
   let touched = ref 1 in
@@ -513,15 +515,14 @@ let metrics (t : t) =
        bands.(b) <- bands.(b) + 1)
     t.customers;
   { customers = Int_tbl.length t.customers;
-    sites = Membership.site_count t.membership;
+    sites = Int_tbl.length t.sites;
     vrfs = Int_tbl.length t.vrfs;
     groups = Int_tbl.length t.groups;
     routes = Mpbgp.total_routes t.bgp;
     table_entries = !table;
     shared_entries = shared_groups + !shared_locals;
     lsps = Int_tbl.length t.lsps;
-    control_messages = Membership.messages t.membership
-                       + Mpbgp.messages_sent t.bgp;
+    control_messages = control_messages t;
     rds = Service.Pool.rds_allocated t.pool;
     rts = Service.Pool.rts_allocated t.pool;
     bands }

@@ -1,11 +1,13 @@
 (** The provisioning compiler: customer intent → concrete VPN state.
 
     [compile] drives the existing control-plane modules — every site
-    joins {!Mvpn_core.Membership} (one bulk batch), every site route is
-    exported through {!Mvpn_routing.Mpbgp} with the RD/RT/label the
-    {!Service.Pool} allocators assign, QoS policy comes from the SLA
+    route is exported through {!Mvpn_routing.Mpbgp} with the RD/RT/label
+    the {!Service.Pool} allocators assign, QoS policy comes from the SLA
     tier via {!Mvpn_core.Qos_mapping}, and the PE–PE transport LSP set
-    is derived from who imports whose routes.
+    is derived from who imports whose routes. Membership joins and
+    leaves are billed ({!Mvpn_core.Membership.notify_cost}, [Directory])
+    from each customer's live-site count; no registry copy of the sites
+    is kept.
 
     State is compact by construction, which is what makes E19's memory
     numbers honest at 10k VPNs / 100k+ routes:
@@ -28,14 +30,17 @@
 type t
 
 val compile : ?mode:Mvpn_routing.Mpbgp.session_mode -> Portfolio.t -> t
-(** Bulk compile of a whole portfolio: one membership batch, one BGP
-    propagation round, group tables filled by walks of the interned
-    store in id order, and LSP refcounts summed per (ingress, egress)
-    PE pair from per-group counts. *)
+(** Bulk compile of a whole portfolio: every site designed and its
+    membership join billed in portfolio order, one BGP propagation
+    round, group tables filled by walks of the interned store in id
+    order, and LSP refcounts summed per (ingress, egress) PE pair from
+    per-group counts. *)
 
 val pe_count : t -> int
-val membership : t -> Mvpn_core.Membership.t
 val mpbgp : t -> Mvpn_routing.Mpbgp.t
+
+val control_messages : t -> int
+(** {!metrics}' [control_messages], without computing the rest. *)
 
 type metrics = {
   customers : int;
@@ -89,7 +94,7 @@ val equal : t -> t -> bool
     Used by {!Delta}; each returns the number of VRFs it touched. *)
 
 val provision_site : t -> customer:int -> sid:int -> pe:int -> int
-(** Join + export + propagate + splice into every importing group and
+(** Export + bill the join + propagate + splice into every importing group and
     the LSP refcounts — O(affected VRFs + PEs), no recompute. *)
 
 val decommission_site : t -> customer:int -> sid:int -> int

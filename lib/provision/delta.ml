@@ -1,6 +1,4 @@
 module T = Mvpn_telemetry
-module Membership = Mvpn_core.Membership
-module Mpbgp = Mvpn_routing.Mpbgp
 
 let m_ops = T.Registry.counter "provision.delta.ops"
 let m_touched = T.Registry.counter "provision.delta.touched_vrfs"
@@ -21,15 +19,11 @@ let apply t op =
   T.Counter.add m_touched touched;
   touched
 
-let control_messages t =
-  Membership.messages (Compile.membership t)
-  + Mpbgp.messages_sent (Compile.mpbgp t)
-
 let apply_all t ops =
-  let m0 = control_messages t in
+  let m0 = Compile.control_messages t in
   let touched = List.fold_left (fun acc op -> acc + apply t op) 0 ops in
   { ops = List.length ops; touched_vrfs = touched;
-    messages = control_messages t - m0 }
+    messages = Compile.control_messages t - m0 }
 
 let oracle ?mode p ops = Compile.compile ?mode (Portfolio.apply_all p ops)
 

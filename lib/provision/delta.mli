@@ -1,12 +1,13 @@
 (** The incremental provisioning engine.
 
     A running {!Compile.t} absorbs portfolio churn one op at a time: a
-    site add joins membership, exports one route, propagates one BGP
-    journal entry and splices one id into the affected shared tables; a
-    removal is the exact inverse; an SLA change flips one customer's
-    band. Nothing is recompiled — the touched-VRF count per op is the
-    honest measure of blast radius, and E19 gates single-op convergence
-    at >= 10x faster than a from-scratch compile of the same design.
+    site add bills one membership join, exports one route, propagates
+    one BGP journal entry and splices one id into the affected shared
+    tables; a removal is the exact inverse; an SLA change flips one
+    customer's band. Nothing is recompiled — the touched-VRF count per
+    op is the honest measure of blast radius, and E19 gates single-op
+    convergence at >= 10x faster than a from-scratch compile of the
+    same design.
 
     Because every resource allocation ({!Service.Pool}, labels,
     prefixes) is a pure function of stable ids, the state after any

@@ -24,11 +24,25 @@ let test_membership_isolation () =
   let s1 = mk_site ~id:1 ~vpn:1 ~prefix:"10.0.0.0/16" ~ce:10 ~pe:0 in
   let s2 = mk_site ~id:2 ~vpn:1 ~prefix:"10.1.0.0/16" ~ce:11 ~pe:1 in
   let s3 = mk_site ~id:3 ~vpn:2 ~prefix:"10.0.0.0/16" ~ce:12 ~pe:0 in
-  List.iter (Membership.join m) [s1; s2; s3];
-  let found = Membership.discover m ~asking:s1 in
-  Alcotest.(check int) "only own vpn" 1 (List.length found);
-  Alcotest.(check int) "the right site" 2 (List.hd found).Site.id;
-  Alcotest.(check (list int)) "vpn ids" [1; 2] (Membership.vpn_ids m)
+  let s4 = mk_site ~id:4 ~vpn:2 ~prefix:"10.1.0.0/16" ~ce:13 ~pe:1 in
+  List.iter (Membership.join m) [s1; s2; s3; s4];
+  let ids asking =
+    List.map (fun (s : Site.t) -> s.Site.id) (Membership.discover m ~asking)
+  in
+  Alcotest.(check (list int)) "only own vpn" [2] (ids s1);
+  Alcotest.(check (list int)) "vpn ids" [1; 2] (Membership.vpn_ids m);
+  (* The registry answers from what the asker joined as, never from
+     the record it presents. *)
+  Alcotest.(check (list int)) "relabelled record sees its own vpn" [2]
+    (ids { s1 with Site.vpn = 2 });
+  let stranger = mk_site ~id:9 ~vpn:2 ~prefix:"10.9.0.0/16" ~ce:19 ~pe:2 in
+  Alcotest.(check (list int)) "never joined sees nothing" [] (ids stranger);
+  ignore (Membership.leave m ~site_id:2);
+  Alcotest.(check (list int)) "departed sees nothing" [] (ids s2);
+  (* Joins bill 1 + 2 per VPN, the leave 1 + 1, and each of the four
+     queries one message, member or not. *)
+  Alcotest.(check int) "one message per query" ((2 * 3) + 2 + 4)
+    (Membership.messages m)
 
 let test_membership_join_leave () =
   let m = Membership.create ~pe_count:4 () in
@@ -56,64 +70,28 @@ let test_membership_mechanism_costs () =
   Alcotest.(check int) "directory" 15 directory;
   Alcotest.(check int) "flooded" 50 flooded
 
-let test_membership_join_all_message_parity () =
-  let sites pe_count =
-    List.init 8 (fun i ->
-        mk_site ~id:(i + 1) ~vpn:(1 + (i mod 3)) ~prefix:"10.0.0.0/16"
-          ~ce:(20 + i) ~pe:(i mod pe_count))
-  in
-  List.iter
-    (fun mechanism ->
-       let one = Membership.create ~mechanism ~pe_count:6 () in
-       List.iter (Membership.join one) (sites 6);
-       let bulk = Membership.create ~mechanism ~pe_count:6 () in
-       Membership.join_all bulk (sites 6);
-       Alcotest.(check int) "messages equal the per-join sum"
-         (Membership.messages one) (Membership.messages bulk);
-       Alcotest.(check int) "same members" (Membership.site_count one)
-         (Membership.site_count bulk))
-    [ Membership.Directory; Membership.Flooded ];
-  (* A bad batch — here a duplicate inside the batch itself — is
-     rejected atomically, before any join lands or any message is
-     billed. *)
-  let m = Membership.create ~pe_count:4 () in
-  let dup = mk_site ~id:7 ~vpn:1 ~prefix:"10.0.0.0/16" ~ce:1 ~pe:0 in
-  Alcotest.check_raises "duplicate within batch"
-    (Invalid_argument "Membership.join: site 7 already a member") (fun () ->
-      Membership.join_all m
-        [ mk_site ~id:6 ~vpn:1 ~prefix:"10.0.0.0/16" ~ce:0 ~pe:0; dup; dup ]);
-  Alcotest.(check int) "nothing joined" 0 (Membership.site_count m);
-  Alcotest.(check int) "nothing billed" 0 (Membership.messages m)
-
-(* Model check: random joins, batch joins (some rejected for a
-   duplicate), leaves and discoveries across several VPNs, against a
-   naive global list in join order. *)
+(* Model check: random joins, leaves and discoveries across several
+   VPNs, against a naive global list in join order. A discovery asks
+   with a record that claims any VPN, so members, departed sites and
+   sites that never joined all ask. *)
 type membership_op =
   | M_join of (int * int)  (* vpn, pe *)
-  | M_join_all of (int * int) list
-  | M_rejoin of int  (* batch of one fresh site plus this id *)
   | M_leave of int
-  | M_discover of int
+  | M_discover of (int * int)  (* site id, claimed vpn *)
 
 let membership_op_gen =
   let open QCheck.Gen in
   let vp = pair (int_range 0 3) (int_range 0 3) in
   frequency
     [ (4, map (fun x -> M_join x) vp);
-      (2, map (fun l -> M_join_all l) (list_size (int_range 0 4) vp));
-      (1, map (fun i -> M_rejoin i) (int_range 0 30));
       (3, map (fun i -> M_leave i) (int_range 0 30));
-      (2, map (fun i -> M_discover i) (int_range 0 30)) ]
+      (2, map (fun x -> M_discover x) (pair (int_range 0 30) (int_range 0 3)))
+    ]
 
 let membership_op_print = function
   | M_join (v, p) -> Printf.sprintf "join(%d,%d)" v p
-  | M_join_all l ->
-    Printf.sprintf "join_all[%s]"
-      (String.concat ";"
-         (List.map (fun (v, p) -> Printf.sprintf "%d,%d" v p) l))
-  | M_rejoin i -> Printf.sprintf "rejoin(%d)" i
   | M_leave i -> Printf.sprintf "leave(%d)" i
-  | M_discover i -> Printf.sprintf "discover(%d)" i
+  | M_discover (i, v) -> Printf.sprintf "discover(%d as vpn %d)" i v
 
 let membership_model_property =
   QCheck.Test.make ~name:"membership indexes agree with a naive model"
@@ -176,20 +154,6 @@ let membership_model_property =
                 Membership.join m s;
                 model_join s;
                 true
-              | M_join_all vps ->
-                let batch = List.map fresh vps in
-                Membership.join_all m batch;
-                List.iter model_join batch;
-                true
-              | M_rejoin id ->
-                (match find id with
-                 | None -> true
-                 | Some dup ->
-                   (* Rejected atomically: nothing joins, nothing billed. *)
-                   (try
-                      Membership.join_all m [ fresh (0, 0); dup ];
-                      false
-                    with Invalid_argument _ -> true))
               | M_leave id ->
                 let expected = find id in
                 let got = Membership.leave m ~site_id:id in
@@ -200,13 +164,16 @@ let membership_model_property =
                      List.filter (fun (x : Site.t) -> x.Site.id <> id) !model;
                    msgs := !msgs + cost (same_vpn s.Site.vpn !model);
                    got)
-              | M_discover id ->
+              | M_discover (id, vpn) ->
+                let asking =
+                  mk_site ~id ~vpn ~prefix:"10.0.0.0/16" ~ce:id ~pe:0
+                in
+                let seen = ids (Membership.discover m ~asking) in
+                incr msgs;
                 (match find id with
-                 | None -> true
+                 | None -> seen = []
                  | Some s ->
-                   let seen = Membership.discover m ~asking:s in
-                   incr msgs;
-                   ids seen
+                   seen
                    = List.filter (fun i -> i <> id)
                        (ids (same_vpn s.Site.vpn !model)))
             in
@@ -2111,8 +2078,6 @@ let () =
          Alcotest.test_case "join/leave" `Quick test_membership_join_leave;
          Alcotest.test_case "mechanism costs" `Quick
            test_membership_mechanism_costs;
-         Alcotest.test_case "join_all message parity" `Quick
-           test_membership_join_all_message_parity;
          QCheck_alcotest.to_alcotest membership_model_property ]);
       ("vrf",
        [ Alcotest.test_case "overlapping isolation" `Quick

@@ -1,6 +1,8 @@
 open Mvpn_provision
 module Mpbgp = Mvpn_routing.Mpbgp
 module Mpls_vpn = Mvpn_core.Mpls_vpn
+module Membership = Mvpn_core.Membership
+module Site = Mvpn_core.Site
 
 let gsid ~customer ~sid = Service.global_site_id ~customer ~sid
 
@@ -216,8 +218,39 @@ let test_delta_converges_under_route_reflector () =
   Alcotest.(check bool) "RR mode converges too" true
     (Delta.validate t (Delta.oracle ~mode p ops))
 
-(* Churn a small uniform portfolio and compare against the oracle;
-   triples are (customers, ops, seed). *)
+(* The referee for Compile's membership bill: a real [Directory]
+   registry (what Compile bills as) joins every portfolio site in
+   compile order, then replays each churn op's join or leave. *)
+let membership_referee (p : Portfolio.t) ops =
+  let m = Membership.create ~pe_count:p.Portfolio.pe_count () in
+  let join ~customer ~sid ~pe =
+    let id = gsid ~customer ~sid in
+    Membership.join m
+      (Site.make ~id ~name:(Service.site_name ~customer ~sid) ~vpn:customer
+         ~prefix:(Service.site_prefix ~sid) ~ce_node:id ~pe_node:pe)
+  in
+  Array.iter
+    (fun (c : Service.customer) ->
+       List.iter
+         (fun (s : Service.site_spec) ->
+            join ~customer:c.Service.id ~sid:s.Service.sid ~pe:s.Service.pe)
+         c.Service.sites)
+    p.Portfolio.customers;
+  List.iter
+    (function
+      | Portfolio.Add_site { customer; sid; pe } -> join ~customer ~sid ~pe
+      | Portfolio.Remove_site { customer; sid } ->
+        assert (Membership.leave m ~site_id:(gsid ~customer ~sid))
+      | Portfolio.Change_tier _ -> ())
+    ops;
+  Membership.messages m
+
+let membership_bill t =
+  Compile.control_messages t - Mpbgp.messages_sent (Compile.mpbgp t)
+
+(* Churn a small uniform portfolio and compare against the oracle, and
+   the membership bill against the registry referee; triples are
+   (customers, ops, seed). *)
 let converges (customers, ops, seed) =
   let p =
     Portfolio.generate ~dist:Portfolio.Uniform ~pe_count:4 ~seed ~customers ()
@@ -226,6 +259,7 @@ let converges (customers, ops, seed) =
   let ops = Portfolio.churn p ~seed:(seed + 1000) ~ops in
   ignore (Delta.apply_all t ops);
   Delta.validate t (Delta.oracle p ops)
+  && membership_bill t = membership_referee p ops
 
 (* A delta that creates a route group — a role's first VRF after its
    last site left, or the first spoke or hub ever — must bring in every

@@ -19,7 +19,6 @@ type bound =
   | Ge of float
   | Le of float
   | Eq of float
-  | Ge_times of float * string  (** >= c × another metric *)
   | Gauge_prefix  (** some gauge name starts with the row's name *)
   | Event_kind_prefix  (** some logged event's kind starts with it *)
 
@@ -54,7 +53,12 @@ let table =
              (seq_calendar_pps >= seq_heap_pps) that one run in twelve
              failed on host noise; the bound is the same 1.0. *)
           ("e16.ratio.heap_over_cal_cpu", Ge 1.0);
-          ("e16.rate.seq_sampler_pps", Ge_times (0.95, "e16.rate.seq_pps"));
+          (* Arming the timeline sampler may cost at most ~5 %: the
+             median of five interleaved rounds' calendar over
+             sampler-armed CPU-second ratios. It replaced a single
+             wall-clock race (seq_sampler_pps >= 0.95 x seq_pps) that
+             failed on host noise; the bound is the same 0.95. *)
+          ("e16.ratio.cal_over_sampler_cpu", Ge 0.95);
           ("sim.profile.events", Positive);
           (* Minor words per event of the K=2 run, both shard domains
              and every replica build included: 5.38 measured (9.18
@@ -104,20 +108,22 @@ let table =
           (* ~106 minor words per delta; a removal that copies a
              110k-site member list allocates ~1e5. *)
           ("e19.converge.words_per_delta", Le 5000.);
-          (* Minor words the 10k bulk compile allocates per route: 59.5
-             measured (133 before the int-column MP-BGP store and the
+          (* Minor words the 10k bulk compile allocates per route: 35.9
+             measured (59.5 while every site also joined a membership
+             registry, 133 before the int-column MP-BGP store and the
              int-keyed site table, 339 before the byte-coded BGP
              journal). The compile is deterministic, so the value is
              too; the 13 % margin absorbs small incidental changes, not
              a return of a record or a key tuple per route. *)
           ("e19.compile.words_per_route", Positive);
-          ("e19.compile.words_per_route", Le 67.);
+          ("e19.compile.words_per_route", Le 41.);
           (* Live bytes per route after the 10k compile, across a full
-             major GC: 467 measured (623 with a boxed record, a key
-             tuple and two hash buckets per route). Deterministic like
-             the row above, with the same 13 % margin. *)
+             major GC: 317 measured (467 with a second, registry copy of
+             every site; 623 with a boxed record, a key tuple and two
+             hash buckets per route). Deterministic like the row above,
+             with the same 13 % margin. *)
           ("e19.mem.bytes_per_route", Positive);
-          ("e19.mem.bytes_per_route", Le 530.) ] ) ]
+          ("e19.mem.bytes_per_route", Le 360.) ] ) ]
 
 let usage () =
   prerr_endline "usage: gate.exe EXPERIMENT < BENCH_telemetry.json";
@@ -182,11 +188,6 @@ let () =
     | Ge c -> cmp (fun v -> v >= c) (">= " ^ show c)
     | Le c -> cmp (fun v -> v <= c) ("<= " ^ show c)
     | Eq c -> cmp (fun v -> v = c) ("= " ^ show c)
-    | Ge_times (c, other) -> (
-      let want = Printf.sprintf ">= %s * %s" (show c) other in
-      match value other with
-      | Some o -> cmp (fun v -> v >= c *. o) (want ^ " = " ^ show (c *. o))
-      | None -> cmp (fun _ -> false) (want ^ " (missing)"))
     | Gauge_prefix ->
       if not (any name (List.map fst gauges)) then
         fail "no gauge named %s*" name
