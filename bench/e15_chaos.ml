@@ -17,8 +17,6 @@ let seed = 42
 let duration = 20.0
 let events = 16
 
-let cv = T.Registry.counter_value
-
 type outcome = {
   delivered : int;
   lost : int;
@@ -75,49 +73,38 @@ let p99 lags =
     let n = List.length sorted in
     List.nth sorted (min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
 
-(* Counters are process-global and benches share the registry, so each
-   regime reports deltas, not absolutes. *)
+(* Each regime is one run, so its outcome's registry holds its own
+   counters, and the event log holds its own entries. *)
 let run_regime ~frr =
-  let seq0 =
-    match List.rev (T.Event_log.entries (T.Registry.events ())) with
-    | last :: _ -> last.T.Event_log.seq
-    | [] -> -1
-  in
-  let d0 = cv "net.delivered" in
-  let s0 = cv "resilience.frr.switched" in
-  let f0 = cv "resilience.fallback.packets" in
-  let r0 = cv "resilience.recovery.resignal" in
   let h = ref None in
-  ignore
-    (Mvpn_par.Runner.run_sequential
-       { Mvpn_par.Runner.default_config with
-         pops = 8; vpns = 2; sites_per_vpn = 4; load = 0.5; duration; seed;
-         prepare_replica =
-           Some
-             (fun sc ->
-                h := Some (H.arm ~events ~frr ~fallback:true ~seed ~duration sc))
-       });
+  let o =
+    Mvpn_par.Runner.run_sequential
+      { Mvpn_par.Runner.default_config with
+        pops = 8; vpns = 2; sites_per_vpn = 4; load = 0.5; duration; seed;
+        prepare_replica =
+          Some
+            (fun sc ->
+               h := Some (H.arm ~events ~frr ~fallback:true ~seed ~duration sc))
+      }
+  in
+  let cv = T.Registry.snapshot_counter o.Mvpn_par.Runner.registry in
   let h = Option.get !h in
   let p = H.port_totals h in
   let net = Scenario.network (H.scenario h) in
   let net_drops =
     List.fold_left (fun acc (_, n) -> acc + n) 0 (Network.drop_counts net)
   in
-  let entries =
-    List.filter
-      (fun (e : T.Event_log.entry) -> e.T.Event_log.seq > seq0)
-      (T.Event_log.entries (T.Registry.events ()))
-  in
-  { delivered = cv "net.delivered" - d0;
+  { delivered = cv "net.delivered";
     lost = p.H.port_queue + p.H.port_link_down + p.H.port_fault + net_drops;
     link_down = p.H.port_link_down;
     queue = p.H.port_queue;
     fault = p.H.port_fault;
     net_drops;
-    frr_switched = cv "resilience.frr.switched" - s0;
-    fallback = cv "resilience.fallback.packets" - f0;
-    resignals = cv "resilience.recovery.resignal" - r0;
-    restore_p99 = p99 (restoration_lags entries) }
+    frr_switched = cv "resilience.frr.switched";
+    fallback = cv "resilience.fallback.packets";
+    resignals = cv "resilience.recovery.resignal";
+    restore_p99 =
+      p99 (restoration_lags (T.Event_log.entries (T.Registry.events ()))) }
 
 let publish tag o =
   let g name v =

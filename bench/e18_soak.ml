@@ -66,8 +66,6 @@ let traffic (o : Runner.outcome) =
     T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo )
 
 let timed tag c run =
-  let t0 = T.Registry.counter_value "audit.ticks" in
-  let v0 = T.Registry.counter_value "audit.violations" in
   let w0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
   let m0 = Gc.minor_words () in
@@ -75,9 +73,9 @@ let timed tag c run =
   let words = Gc.minor_words () -. m0 in
   let cpu = Sys.time () -. c0 in
   let wall = Unix.gettimeofday () -. w0 in
-  { tag; outcome; wall; cpu; words;
-    ticks = T.Registry.counter_value "audit.ticks" - t0;
-    bad = T.Registry.counter_value "audit.violations" - v0 }
+  let count = T.Registry.snapshot_counter outcome.Runner.registry in
+  { tag; outcome; wall; cpu; words; ticks = count "audit.ticks";
+    bad = count "audit.violations" }
 
 (* Best of two, interleaved A B A B by the caller: the runs are
    deterministic, so the smaller CPU time is the same work minus GC

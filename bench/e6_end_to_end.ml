@@ -163,13 +163,16 @@ and e6c () =
     "E6c: SLA conformance under failure (full chain, core link down \
      10s-12s)";
   let module T = Mvpn_telemetry in
-  let snap = T.Registry.snapshot () in
-  T.Registry.reset ();
-  let slo = T.Slo.create () in
-  T.Control.with_enabled (fun () ->
-      ignore
-        (run_variant ~slo ~failure:(10.0, 12.0) ~cpe_marks:true
-           ~map_dscp_to_exp:true ()));
+  let slo, _ =
+    T.Registry.scoped (fun () ->
+        let slo = T.Slo.create () in
+        T.Control.with_enabled (fun () ->
+            ignore
+              (run_variant ~slo ~failure:(10.0, 12.0) ~cpe_marks:true
+                 ~map_dscp_to_exp:true ()));
+        slo)
+  in
+  (* The event log keeps the scope's entries. *)
   let events = T.Registry.events () in
   let violations = T.Event_log.count_kind events "slo_violation" in
   let recoveries = T.Event_log.count_kind events "slo_recovered" in
@@ -194,8 +197,6 @@ and e6c () =
     "\n%d slo_violation and %d slo_recovered events across the outage\n\
      (every class suffers while the ring is cut; budgets show which\n\
      classes spent the failure affordably)." violations recoveries;
-  T.Registry.restore snap;
-  (* Publish after the restore so the gauges reach the harness JSON. *)
   T.Control.with_enabled (fun () ->
       T.Slo.publish_gauges ~prefix:"e6c.slo" slo;
       T.Gauge.set

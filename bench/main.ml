@@ -63,9 +63,11 @@ let run_one id =
     Printf.eprintf "unknown experiment %S; try --list\n" id;
     exit 1
 
-(* Counters accumulated across the experiments just run (sections that
-   bracket the registry with snapshot/restore, like E4c/E6b, are
-   transparent to the accumulation). *)
+(* Counters, gauges and histograms accumulated across the experiments
+   just run: each run and section (E4c, E6b) measures in its own
+   registry scope, whose values fold back into this total; the event
+   log holds the last scope's entries and what was recorded after
+   it. *)
 let emit_telemetry () =
   let path = "BENCH_telemetry.json" in
   let oc = open_out path in

@@ -46,16 +46,13 @@ let sojourn_quantiles () =
              Tables.ms (T.Histogram.max_value h) ])
     classes
 
-(* Run [work] against a zeroed registry with telemetry on, print both
-   tables, then put the pre-section values back — the section reads its
-   own numbers without wiping what the harness accumulated before it
-   (metrics first created inside [work] keep their section values). *)
+(* Run [work] in its own registry scope with telemetry on and print
+   both tables from what it measured alone. *)
 let section ~title work =
   Tables.heading title;
-  let snap = T.Registry.snapshot () in
-  T.Registry.reset ();
-  T.Control.with_enabled work;
-  band_verdicts ();
-  Printf.printf "\n";
-  sojourn_quantiles ();
-  T.Registry.restore snap
+  ignore
+    (T.Registry.scoped (fun () ->
+         T.Control.with_enabled work;
+         band_verdicts ();
+         Printf.printf "\n";
+         sojourn_quantiles ()))

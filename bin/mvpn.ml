@@ -136,9 +136,9 @@ let config_term =
 
 (* --- shared run path ---------------------------------------------------- *)
 
-(* Run [f] on a fresh registry with telemetry on. *)
+(* Run [f] with telemetry on. Each run owns its registry scope, so
+   this process's registry holds that run's measurements. *)
 let with_telemetry f =
-  Telemetry.Registry.reset ();
   Telemetry.Control.enable ();
   let r = f () in
   Telemetry.Control.disable ();
@@ -751,12 +751,9 @@ let soak_cmd =
         exit 1
     in
     let replicas = max 1 o.Runner.shards in
-    let audit_ticks =
-      Telemetry.Registry.counter_value "audit.ticks" / replicas
-    in
-    let audit_violations =
-      Telemetry.Registry.counter_value "audit.violations"
-    in
+    let count = Telemetry.Registry.snapshot_counter o.Runner.registry in
+    let audit_ticks = count "audit.ticks" / replicas in
+    let audit_violations = count "audit.violations" in
     (* Streamed snapshot count: the longest sim-scope series the
        timeline sampler recorded (decimating rings bound it). *)
     let snapshots =
@@ -813,8 +810,7 @@ let soak_cmd =
         (fun name ->
            let prefix = "audit.violation." in
            if String.starts_with ~prefix name && name <> prefix then
-             Printf.printf "    %-24s %d\n" name
-               (Telemetry.Registry.counter_value name))
+             Printf.printf "    %-24s %d\n" name (count name))
         (Telemetry.Registry.names ());
       Printf.printf "  snapshots         %d (interval %.3gs)\n" snapshots
         snapshot_interval;
@@ -975,7 +971,6 @@ let provision_cmd =
                  Deterministic: equal flags give identical bytes.")
   in
   let run customers dist churn pops seed rr json =
-    Telemetry.Registry.reset ();
     let mode =
       if rr then Mvpn_routing.Mpbgp.Route_reflector 0
       else Mvpn_routing.Mpbgp.Full_mesh

@@ -188,7 +188,8 @@ val drops : t -> int
        = delivered + table_drops + port_drops + exported + consumed
          + live ]}
 
-    where [port_drops] is {!port_drop_total}. [live] is maintained
+    where [port_drops] sums every link's port discards: queue
+    refusals, link-down and fault losses. [live] is maintained
     independently of the fate counters through the packet's [fated]
     flag, so a lost or double-counted fate unbalances the equation
     instead of cancelling. The books cover unicast and PE-replicated
@@ -219,10 +220,6 @@ val close_books : t -> unit
 (** The end-of-run check: the identity holds and [live >= 0] — every
     packet retired was counted in.
     @raise Failure naming every term otherwise. O(ports). *)
-
-val port_drop_total : t -> int
-(** Port discards summed over every link's port: queue refusals,
-    link-down and fault losses (the drops {!drops} excludes). *)
 
 val iter_ports : t -> (link_id:int -> Mvpn_qos.Port.t -> unit) -> unit
 (** Visit every armed port (queue-depth audits, depth telemetry). *)

@@ -61,10 +61,6 @@ let lookup t label =
 
 let size t = t.count
 
-let clear t =
-  t.table <- [||];
-  t.count <- 0
-
 let set_protection t ~next_hop ~push ~via ~usable =
   if not (Label.valid push) then
     invalid_arg (Printf.sprintf "Lfib.set_protection: invalid label %d" push);

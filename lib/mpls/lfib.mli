@@ -47,8 +47,6 @@ val lookup : t -> int -> entry option
 val size : t -> int
 (** Number of installed entries — per-LSR MPLS state (E1). *)
 
-val clear : t -> unit
-
 (** {2 Fast-reroute protection}
 
     Backup NHLFEs installed by the resilience layer

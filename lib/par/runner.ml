@@ -51,6 +51,7 @@ type outcome = {
   overflow : int;
   classes : (string * int * int) list;
   slo : Slo.t;
+  registry : Registry.snapshot;
   registry_json : Mvpn_telemetry.Json.t;
   horizon : float;
 }
@@ -164,15 +165,18 @@ let first_failure joined =
        | _ -> best)
     None joined
 
-let run_parallel (cfg : config) =
-  if cfg.shards < 1 then invalid_arg "Runner.run_parallel: shards < 1";
-  (* Long soaks recycle packet storage. Flag set before the shard
-     domains spawn (each recycles through its own domain-local pool);
-     delivered/dropped packets are not retained by any runner hook. *)
+(* Long soaks recycle packet storage. The flag is set before any
+   shard domain spawns (each recycles through its own domain-local
+   pool); delivered/dropped packets are not retained by any runner
+   hook. *)
+let with_pooling f =
   let prev_pooling = Packet.pooling () in
   Packet.set_pooling true;
-  Fun.protect ~finally:(fun () -> Packet.set_pooling prev_pooling)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Packet.set_pooling prev_pooling) f
+
+let run_parallel (cfg : config) =
+  if cfg.shards < 1 then invalid_arg "Runner.run_parallel: shards < 1";
+  with_pooling @@ fun () ->
   let horizon = horizon_of cfg in
   (* Throwaway build, telemetry off, just to cut the topology — every
      replica builds the same one, so the partition is exact. *)
@@ -242,30 +246,32 @@ let run_parallel (cfg : config) =
       let at = match !started with Some sh -> Shard.now sh | None -> 0.0 in
       Error { at; exn; bt }
   in
-  let domains = Array.init k (fun i -> Domain.spawn (run_shard i)) in
-  let joined = Array.map Domain.join domains in
-  Option.iter
-    (fun f -> Printexc.raise_with_backtrace f.exn f.bt)
-    (first_failure joined);
-  let shards, cols =
-    Array.split
-      (Array.map (function Ok r -> r | Error _ -> assert false) joined)
+  let (cols, leftover, registry_json), registry =
+    Registry.scoped (fun () ->
+        let domains = Array.init k (fun i -> Domain.spawn (run_shard i)) in
+        let joined = Array.map Domain.join domains in
+        Option.iter
+          (fun f -> Printexc.raise_with_backtrace f.exn f.bt)
+          (first_failure joined);
+        let shards, cols =
+          Array.split
+            (Array.map (function Ok r -> r | Error _ -> assert false) joined)
+        in
+        (* Merge every shard's metric cells into the scope, in shard
+           order (associative, so the order only pins float
+           rounding). *)
+        Array.iter (fun c -> Registry.absorb c.Shard.r_snapshot) cols;
+        (* Post-horizon cross-shard packets: the sequential run
+           scheduled their propagation events (and never executed
+           them); re-schedule them on the destination replica so
+           [sim.scheduled] agrees. *)
+        let leftover =
+          Array.fold_left
+            (fun acc sh -> acc + Shard.requeue_leftovers sh) 0 shards
+        in
+        (cols, leftover, Registry.to_json ~trace_events:0 ()))
   in
-  (* Merge every shard's metric cells into this domain, in shard order
-     (associative, so the order only pins float rounding). *)
-  Array.iter (fun c -> Registry.absorb c.Shard.r_snapshot) cols;
-  (* Post-horizon cross-shard packets: the sequential run scheduled
-     their propagation events (and never executed them); re-schedule
-     them on the destination replica so [sim.scheduled] agrees. *)
-  let leftover =
-    Array.fold_left (fun acc sh -> acc + Shard.requeue_leftovers sh) 0 shards
-  in
-  let registry_json = Registry.to_json ~trace_events:0 () in
-  let counter_sum name =
-    Array.fold_left
-      (fun acc c -> acc + Registry.snapshot_counter c.Shard.r_snapshot name)
-      0 cols
-  in
+  let total = Registry.snapshot_counter registry in
   (* [cols] is in shard order, so the merge orders fates by (time,
      shard, observation order). *)
   let slo =
@@ -276,10 +282,10 @@ let run_parallel (cfg : config) =
     sizes = Partition.sizes part;
     cut_links = List.length part.Partition.cut;
     lookahead = Clock.lookahead clock;
-    delivered = counter_sum "net.delivered";
-    dropped = counter_sum "net.drops";
-    events = counter_sum "sim.events";
-    scheduled = counter_sum "sim.scheduled" + leftover;
+    delivered = total "net.delivered";
+    dropped = total "net.drops";
+    events = total "sim.events";
+    scheduled = total "sim.scheduled";
     exchanged =
       Array.fold_left (fun acc c -> acc + c.Shard.r_sent) 0 cols;
     leftover;
@@ -288,60 +294,57 @@ let run_parallel (cfg : config) =
       class_sums
         (Array.to_list cols
          |> List.map (fun c -> Scenario.class_reports c.Shard.r_scenario));
-    slo; registry_json; horizon }
+    slo; registry; registry_json; horizon }
 
 let run_sequential (cfg : config) =
-  let prev_pooling = Packet.pooling () in
-  Packet.set_pooling true;
-  Fun.protect ~finally:(fun () -> Packet.set_pooling prev_pooling)
-  @@ fun () ->
+  with_pooling @@ fun () ->
   let horizon = horizon_of cfg in
-  let base = Registry.snapshot () in
-  let sc = build cfg in
-  let net = Scenario.network sc in
-  let sampler =
-    Option.map
-      (fun dt -> Sampler.start ~interval:dt ~until:horizon sc)
-      cfg.sample_interval
+  let (sc, fates, registry_json), registry =
+    Registry.scoped (fun () ->
+        let sc = build cfg in
+        let net = Scenario.network sc in
+        let sampler =
+          Option.map
+            (fun dt -> Sampler.start ~interval:dt ~until:horizon sc)
+            cfg.sample_interval
+        in
+        (* After the sampler, before the workload — the same
+           schedule-call order the shard replicas use, so events
+           landing at equal times keep the same FIFO rank at every
+           shard count. *)
+        (match cfg.prepare_replica with Some f -> f sc | None -> ());
+        if cfg.profile then
+          Mvpn_sim.Profile.enable (Engine.profiler (Scenario.engine sc));
+        let fates = Fatelog.create () in
+        Network.set_fate_hook net
+          (Some
+             (match sampler with
+              | None -> Fatelog.add fates
+              | Some sm ->
+                fun ~time ~vpn ~band ~dropped ~latency ->
+                  Sampler.observe_fate sm ~time ~vpn ~band ~dropped
+                    ~latency;
+                  Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
+        arm_workload cfg sc ~only:(fun _ _ -> true);
+        Engine.run ~until:horizon (Scenario.engine sc);
+        Network.close_books net;
+        if cfg.profile then
+          Mvpn_sim.Profile.publish (Engine.profiler (Scenario.engine sc));
+        (sc, fates, Registry.to_json ~trace_events:0 ()))
   in
-  (* After the sampler, before the workload — the same schedule-call
-     order the shard replicas use, so events landing at equal times
-     keep the same FIFO rank at every shard count. *)
-  (match cfg.prepare_replica with Some f -> f sc | None -> ());
-  if cfg.profile then
-    Mvpn_sim.Profile.enable (Engine.profiler (Scenario.engine sc));
-  let fates = Fatelog.create () in
-  Network.set_fate_hook net
-    (Some
-       (match sampler with
-        | None -> Fatelog.add fates
-        | Some sm ->
-          fun ~time ~vpn ~band ~dropped ~latency ->
-            Sampler.observe_fate sm ~time ~vpn ~band ~dropped ~latency;
-            Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
-  arm_workload cfg sc ~only:(fun _ _ -> true);
-  Engine.run ~until:horizon (Scenario.engine sc);
-  Network.close_books net;
-  if cfg.profile then
-    Mvpn_sim.Profile.publish (Engine.profiler (Scenario.engine sc));
-  let finis = Registry.snapshot () in
-  let diff name =
-    Registry.snapshot_counter finis name
-    - Registry.snapshot_counter base name
-  in
-  let registry_json = Registry.to_json ~trace_events:0 () in
-  let slo = replay_slo ~scenario:sc ~horizon (Fatelog.iter fates) in
+  let total = Registry.snapshot_counter registry in
   { shards = 1;
     sizes =
-      [| Topology.node_count (Network.topology net) |];
+      [| Topology.node_count (Network.topology (Scenario.network sc)) |];
     cut_links = 0;
     lookahead = true;
-    delivered = diff "net.delivered";
-    dropped = diff "net.drops";
-    events = diff "sim.events";
-    scheduled = diff "sim.scheduled";
+    delivered = total "net.delivered";
+    dropped = total "net.drops";
+    events = total "sim.events";
+    scheduled = total "sim.scheduled";
     exchanged = 0;
     leftover = 0;
     overflow = 0;
     classes = class_sums [ Scenario.class_reports sc ];
-    slo; registry_json; horizon }
+    slo = replay_slo ~scenario:sc ~horizon (Fatelog.iter fates);
+    registry; registry_json; horizon }

@@ -15,6 +15,12 @@
     sent / received sums and identical SLO conformance — partitioning
     changes wall-clock, not results.
 
+    A run owns its measurements: both entry points run inside one
+    {!Mvpn_telemetry.Registry.scoped}, so every total, the outcome's
+    [registry] and its [registry_json] hold this run alone, whatever
+    earlier runs left in the process. Afterwards the calling domain's
+    cells read their earlier values plus this run's.
+
     Telemetry must be enabled ({!Mvpn_telemetry.Control.enable}) around
     either entry point; totals are counted through the registry. *)
 
@@ -88,10 +94,14 @@ type outcome = {
   classes : (string * int * int) list;
       (** per service class: label, sent, received *)
   slo : Mvpn_telemetry.Slo.t;  (** replayed conformance engine *)
+  registry : Mvpn_telemetry.Registry.snapshot;
+      (** everything this run measured (shards merged), the source of
+          every total above *)
   registry_json : Mvpn_telemetry.Json.t;
-      (** merged registry snapshot, captured {e before} the SLO replay
-          so the counters object matches a sequential [mvpn stats] run
-          byte for byte *)
+      (** the same run's registry rendered inside its scope (the
+          trace tail left out), {e before} the SLO replay, so the
+          counters object matches a sequential [mvpn stats] run byte
+          for byte *)
   horizon : float;
 }
 
@@ -104,7 +114,6 @@ val run_parallel : config -> outcome
 
 val run_sequential : config -> outcome
 (** Single-domain baseline on the identical build/workload path
-    (ignores [config.shards]); totals are diffed against the registry
-    state at entry, so a dirty registry does not skew them. Closes the
-    books at the horizon as {!run_parallel} does.
+    (ignores [config.shards]). Closes the books at the horizon as
+    {!run_parallel} does.
     @raise Failure as {!run_parallel}. *)

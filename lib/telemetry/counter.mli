@@ -5,7 +5,9 @@
     domain-local storage, so domains bump private partials and never
     lose increments. [value]/[reset] act on the calling domain's
     partial; partials are combined with [Registry.snapshot] (taken in
-    the owning domain) + [Registry.absorb] (counters add). *)
+    the owning domain) + [Registry.absorb] (counters add). A run
+    counts from zero in its own [Registry.scoped], never by
+    differencing snapshots. *)
 
 type t
 

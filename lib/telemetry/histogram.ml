@@ -157,7 +157,7 @@ let reset t =
   Float.Array.set s.fl f_min infinity;
   Float.Array.set s.fl f_max neg_infinity
 
-(* Snapshots restore unconditionally, like [reset] — they are harness
+(* Snapshots absorb unconditionally, like [reset] — they are harness
    operations, not instrumentation. *)
 type snapshot = {
   s_counts : int array;
@@ -173,16 +173,6 @@ let snapshot t =
     s_sum = Float.Array.get s.fl f_sum;
     s_vmin = Float.Array.get s.fl f_min;
     s_vmax = Float.Array.get s.fl f_max }
-
-let restore t snap =
-  let s = state t in
-  let n = Stdlib.min t.buckets (Array.length snap.s_counts) in
-  Array.fill s.counts 0 t.buckets 0;
-  Array.blit snap.s_counts 0 s.counts 0 n;
-  s.total <- snap.s_total;
-  Float.Array.set s.fl f_sum snap.s_sum;
-  Float.Array.set s.fl f_min snap.s_vmin;
-  Float.Array.set s.fl f_max snap.s_vmax
 
 let absorb t snap =
   let s = state t in

@@ -55,16 +55,11 @@ val reset : t -> unit
 type snapshot
 
 val snapshot : t -> snapshot
-(** Capture counts and extrema for a later {!restore}. *)
-
-val restore : t -> snapshot -> unit
-(** Overwrite the histogram's state with the snapshot, unconditionally
-    (like {!reset}, this is a harness operation, not instrumentation).
-    A snapshot from a histogram with a different bucket count restores
-    what fits. *)
+(** Capture counts and extrema for a later {!absorb}. *)
 
 val absorb : t -> snapshot -> unit
 (** Merge the snapshot into the histogram: bucket counts and totals
     add, extrema widen. Associative and commutative, so per-domain
-    partials can be folded in any order. Unconditional, like
-    {!restore}. *)
+    partials can be folded in any order. Unconditional, like {!reset}
+    (a harness operation, not instrumentation). A snapshot from a
+    histogram with a different bucket count merges what fits. *)

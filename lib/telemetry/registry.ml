@@ -115,12 +115,10 @@ let reset () =
   Hop_trace.clear (trace ());
   Event_log.clear (events ())
 
-(* --- snapshot / restore ------------------------------------------------ *)
+(* --- snapshot / absorb / scoped ----------------------------------------- *)
 
 (* Captures metric values only — the hop trace and event log are
-   forensic rings tied to one run and are not snapshotted. Restoring
-   writes values back unconditionally (a harness operation, like
-   [reset]); metrics registered after the snapshot are left alone. *)
+   forensic rings tied to one run and are not captured. *)
 type saved =
   | Saved_counter of int
   | Saved_gauge of float
@@ -143,18 +141,6 @@ let snapshot () =
            (name, v) :: acc)
         table [])
 
-let restore snap =
-  Control.with_enabled (fun () ->
-      List.iter
-        (fun (name, v) ->
-           match (find name, v) with
-           | Some (Counter c), Saved_counter n -> Counter.set c n
-           | Some (Gauge g), Saved_gauge x -> Gauge.set g x
-           | Some (Histogram h), Saved_histogram s -> Histogram.restore h s
-           | Some (Series ts), Saved_series s -> Timeseries.restore ts s
-           | _ -> ())
-        snap)
-
 (* Merge a snapshot taken in another domain into this domain's cells:
    counters and gauges add, histograms merge bucket-wise. Associative
    and commutative, so shard partials fold in any order into one
@@ -172,6 +158,24 @@ let absorb snap =
            | Some (Series ts), Saved_series s -> Timeseries.absorb ts s
            | _ -> ())
         snap)
+
+(* A run that owns its measurements: [f] starts from zeroed cells and
+   empty rings, its snapshot is what it measured, and the pre-scope
+   values fold back on top afterwards (on an exception too), so a
+   caller that accumulates across scopes loses nothing. The rings keep
+   the scope's entries, as [reset] left them. *)
+let scoped f =
+  let outer = snapshot () in
+  reset ();
+  match f () with
+  | r ->
+    let inner = snapshot () in
+    absorb outer;
+    (r, inner)
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    absorb outer;
+    Printexc.raise_with_backtrace exn bt
 
 let snapshot_counter snap name =
   match List.assoc_opt name snap with

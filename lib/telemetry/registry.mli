@@ -6,6 +6,12 @@
     every registered metric sorted by name, as JSON or pretty text,
     together with the tail of the global {!Hop_trace} ring.
 
+    A run owns its measurements: {!scoped} runs a function on the
+    calling domain's zeroed cells and empty rings and returns what it
+    measured as a {!snapshot}, then folds the earlier values back, so
+    one run's totals never carry another's and a caller that
+    accumulates across runs still can.
+
     Domain-safety: the name→handle table is shared (mutex-guarded
     registration), metric values are per-domain cells, and the trace /
     event rings are per-domain. Every read or reset acts on the calling
@@ -66,18 +72,21 @@ val snapshot : unit -> snapshot
 (** Capture every registered metric's current value. The hop trace and
     event log are forensic rings tied to one run and are not captured. *)
 
-val restore : snapshot -> unit
-(** Write the captured values back, unconditionally (a harness
-    operation like {!reset}, regardless of {!Control}). Metrics
-    registered after the snapshot keep their current values — so
-    [snapshot]/[reset]/work/[restore] brackets let a harness run an
-    isolated section without losing metrics accumulated before it. *)
-
 val absorb : snapshot -> unit
 (** Merge the snapshot into the calling domain's cells: counters and
-    gauges add, histograms merge bucket-wise (associative and
-    commutative, so shard partials fold in any order into one
-    deterministic total). Unconditional, like {!restore}. *)
+    gauges add, histograms merge bucket-wise, series merge by sample
+    time (associative and commutative, so shard partials fold in any
+    order into one deterministic total). Unconditional, like
+    {!reset}. *)
+
+val scoped : (unit -> 'a) -> 'a * snapshot
+(** [scoped f] clears the calling domain's cells (every metric kind,
+    the hop trace and the event log, as {!reset} does), runs [f] and
+    snapshots what it measured. Then it {!absorb}s the pre-scope values
+    back, also when [f] raises: afterwards every metric reads its
+    pre-scope value plus the scope's, and the rings hold the scope's
+    entries only. Scopes nest. A metric first registered inside the
+    scope keeps the scope's value. *)
 
 val snapshot_counter : snapshot -> string -> int
 (** The counter value captured in the snapshot; 0 when absent. *)

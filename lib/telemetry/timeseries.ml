@@ -105,19 +105,19 @@ let reset t =
   s.stride <- 1;
   s.arrivals <- 0
 
-(* --- snapshot / restore / absorb --------------------------------------- *)
+(* --- snapshot / absorb -------------------------------------------------- *)
 
 type snapshot = {
-  snap_times : float array;
-  snap_values : float array;
+  snap_times : floatarray;
+  snap_values : floatarray;
   snap_stride : int;
   snap_arrivals : int;
 }
 
 let snapshot t =
   let s = state t in
-  { snap_times = Array.init s.count (Float.Array.get s.times);
-    snap_values = Array.init s.count (Float.Array.get s.values);
+  { snap_times = Float.Array.sub s.times 0 s.count;
+    snap_values = Float.Array.sub s.values 0 s.count;
     snap_stride = s.stride;
     snap_arrivals = s.arrivals }
 
@@ -127,59 +127,55 @@ let ensure_room s n =
     while !cap < n do cap := !cap * 2 done;
     let times = Float.Array.create !cap in
     let values = Float.Array.create !cap in
-    for i = 0 to s.count - 1 do
-      Float.Array.set times i (Float.Array.get s.times i);
-      Float.Array.set values i (Float.Array.get s.values i)
-    done;
+    Float.Array.blit s.times 0 times 0 s.count;
+    Float.Array.blit s.values 0 values 0 s.count;
     s.times <- times;
     s.values <- values
   end
-
-let restore t snap =
-  let s = state t in
-  let n = Array.length snap.snap_times in
-  s.count <- 0;
-  ensure_room s n;
-  for i = 0 to n - 1 do
-    Float.Array.set s.times i snap.snap_times.(i);
-    Float.Array.set s.values i snap.snap_values.(i)
-  done;
-  s.count <- n;
-  s.stride <- snap.snap_stride;
-  s.arrivals <- snap.snap_arrivals
 
 (* Union merge keyed on exact sample time, values summed on equal
    times. Associative and commutative (merge-sum of time->value maps),
    so shard partials fold in any order into one deterministic series.
    Shards sampling the same schedule carry identical time sets and the
    merge never grows past [capacity]; disjoint sets are kept whole here
-   (bounded by K * capacity) and re-decimated by the next [add]. *)
+   (bounded by K * capacity) and re-decimated by the next [add]. The
+   merge copies the buffer once and boxes no float. *)
 let absorb t snap =
   let s = state t in
-  let n2 = Array.length snap.snap_times in
+  let t2 = snap.snap_times and v2 = snap.snap_values in
+  let n2 = Float.Array.length t2 in
   if n2 > 0 then begin
     let n1 = s.count in
-    let t1 = Array.init n1 (Float.Array.get s.times) in
-    let v1 = Array.init n1 (Float.Array.get s.values) in
+    let t1 = Float.Array.sub s.times 0 n1 in
+    let v1 = Float.Array.sub s.values 0 n1 in
     ensure_room s (n1 + n2);
     let i = ref 0 and j = ref 0 and k = ref 0 in
-    let put time v =
-      Float.Array.set s.times !k time;
-      Float.Array.set s.values !k v;
-      incr k
-    in
     while !i < n1 && !j < n2 do
-      let ta = t1.(!i) and tb = snap.snap_times.(!j) in
+      let ta = Float.Array.get t1 !i and tb = Float.Array.get t2 !j in
       if ta = tb then begin
-        put ta (v1.(!i) +. snap.snap_values.(!j));
+        Float.Array.set s.times !k ta;
+        Float.Array.set s.values !k
+          (Float.Array.get v1 !i +. Float.Array.get v2 !j);
         incr i; incr j
       end
-      else if ta < tb then begin put ta v1.(!i); incr i end
-      else begin put tb snap.snap_values.(!j); incr j end
+      else if ta < tb then begin
+        Float.Array.set s.times !k ta;
+        Float.Array.set s.values !k (Float.Array.get v1 !i);
+        incr i
+      end
+      else begin
+        Float.Array.set s.times !k tb;
+        Float.Array.set s.values !k (Float.Array.get v2 !j);
+        incr j
+      end;
+      incr k
     done;
-    while !i < n1 do put t1.(!i) v1.(!i); incr i done;
-    while !j < n2 do put snap.snap_times.(!j) snap.snap_values.(!j); incr j done;
-    s.count <- !k;
+    Float.Array.blit t1 !i s.times !k (n1 - !i);
+    Float.Array.blit v1 !i s.values !k (n1 - !i);
+    k := !k + n1 - !i;
+    Float.Array.blit t2 !j s.times !k (n2 - !j);
+    Float.Array.blit v2 !j s.values !k (n2 - !j);
+    s.count <- !k + n2 - !j;
     s.stride <- Stdlib.max s.stride snap.snap_stride;
     s.arrivals <- Stdlib.max s.arrivals snap.snap_arrivals
   end

@@ -11,7 +11,7 @@
 
     Storage discipline matches {!Counter}: one shared handle, samples
     in domain-local state. {!add} is gated on {!Control.enabled};
-    snapshot/restore/absorb are harness operations and unconditional. *)
+    snapshot/absorb are harness operations and unconditional. *)
 
 type t
 
@@ -60,9 +60,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Capture the calling domain's samples. *)
-
-val restore : t -> snapshot -> unit
-(** Replace the calling domain's samples with the captured ones. *)
 
 val absorb : t -> snapshot -> unit
 (** Merge the captured samples into the calling domain's buffer: union

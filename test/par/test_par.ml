@@ -482,6 +482,10 @@ let test_runner_closes_books () =
        let o = run ~leak:0 shards in
        Alcotest.(check int) (name ^ ": one drop per replica") shards
          o.Runner.dropped;
+       (* [net.drops] is set from the drop table, so a repeat must read
+          its own table, not the difference from the last run's. *)
+       Alcotest.(check int) (name ^ ": a repeat counts its own drops") shards
+         (run ~leak:0 shards).Runner.dropped;
        match run ~leak:1 shards with
        | _ -> Alcotest.failf "%s: a leaked drop booking went unnoticed" name
        | exception Failure msg ->
@@ -489,6 +493,118 @@ let test_runner_closes_books () =
            (String.starts_with
               ~prefix:"packet ledger does not close: injected=" msg))
     [ 1; 2 ]
+
+(* A run owns its measurements: identical runs in one process, three
+   sequential with the timeline sampler armed and two at K=2, each
+   export only what that run measured. The calling domain's counters
+   still grow by exactly each run's totals (the fold a caller that
+   accumulates across runs relies on). *)
+let member key = function T.Json.Obj m -> List.assoc_opt key m | _ -> None
+
+let counters_of (o : Runner.outcome) name =
+  match Option.bind (member "counters" o.Runner.registry_json) (member name) with
+  | Some (T.Json.Int n) -> n
+  | _ -> -1
+
+(* The export's sim-scope series, by name; host-scope ones (GC churn,
+   wall time) are left out, as [mvpn timeline] leaves them out. *)
+let sim_series (o : Runner.outcome) =
+  match member "series" o.Runner.registry_json with
+  | Some (T.Json.Obj ss) ->
+    List.filter (fun (_, s) -> member "scope" s = Some (T.Json.String "sim")) ss
+  | _ -> []
+
+(* The export with its host-scope series left out. *)
+let sim_part (o : Runner.outcome) =
+  match o.Runner.registry_json with
+  | T.Json.Obj m ->
+    T.Json.to_string
+      (T.Json.Obj
+         (List.map
+            (function
+              | "series", _ -> ("series", T.Json.Obj (sim_series o))
+              | kv -> kv)
+            m))
+  | j -> T.Json.to_string j
+
+let sample_times s =
+  match member "samples" s with
+  | Some (T.Json.List xs) ->
+    List.filter_map
+      (function T.Json.List [ T.Json.Float t; _ ] -> Some t | _ -> None)
+      xs
+  | _ -> []
+
+let test_runner_owns_its_registry () =
+  let interval = Mvpn_core.Sampler.default_interval in
+  let cfg =
+    { Runner.default_config with
+      Runner.duration = 5.0; sample_interval = Some interval }
+  in
+  let names = [ "net.delivered"; "net.drops"; "sim.events"; "sim.scheduled" ] in
+  let totals (o : Runner.outcome) =
+    [ o.Runner.delivered; o.Runner.dropped; o.Runner.events;
+      o.Runner.scheduled ]
+  in
+  with_telemetry (fun () ->
+      let run name entry =
+        let before = List.map T.Registry.counter_value names in
+        let w0 = Gc.minor_words () in
+        let o = entry () in
+        let words = Gc.minor_words () -. w0 in
+        let grew =
+          List.map2 ( - ) (List.map T.Registry.counter_value names) before
+        in
+        Alcotest.(check (list int))
+          (name ^ ": registry_json counters are the run's totals")
+          (totals o) (List.map (counters_of o) names);
+        Alcotest.(check (list int))
+          (name ^ ": the caller's counters grew by the run's totals")
+          (totals o) grew;
+        List.iter
+          (fun (series, s) ->
+             let ts = sample_times s in
+             Alcotest.(check bool)
+               (Printf.sprintf "%s: %s holds one run's samples" name series)
+               true
+               (ts <> []
+               && List.length ts
+                  <= 1 + int_of_float (o.Runner.horizon /. interval)
+               && List.for_all2 ( < ) (List.rev (List.tl (List.rev ts)))
+                    (List.tl ts)))
+          (sim_series o);
+        (o, words)
+      in
+      let seq =
+        List.init 3 (fun i ->
+            run (Printf.sprintf "seq run %d" (i + 1)) (fun () ->
+                Runner.run_sequential cfg))
+      in
+      let par =
+        List.init 2 (fun i ->
+            run (Printf.sprintf "K=2 run %d" (i + 1)) (fun () ->
+                Runner.run_parallel { cfg with Runner.shards = 2 }))
+      in
+      let same what runs =
+        let first = sim_part (fst (List.hd runs)) in
+        List.iteri
+          (fun i (o, _) ->
+             Alcotest.(check string)
+               (Printf.sprintf "%s run %d: sim-scope export as run 1's" what
+                  (i + 1))
+               first (sim_part o))
+          runs
+      in
+      same "seq" seq;
+      same "K=2" par;
+      Alcotest.(check bool) "the runs exported sim series" true
+        (sim_series (fst (List.hd seq)) <> []);
+      let w2 = snd (List.nth seq 1) and w3 = snd (List.nth seq 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seq runs 2 and 3 allocate alike (%.0f, %.0f words)"
+           w2 w3)
+        true
+        (Float.abs (w3 -. w2) <= 0.01 *. w2))
 
 (* --- Fatelog ------------------------------------------------------------- *)
 
@@ -586,4 +702,6 @@ let () =
          Alcotest.test_case "prepare_replica order" `Quick
            test_prepare_replica_order;
          Alcotest.test_case "closes the books" `Quick
-           test_runner_closes_books ]) ]
+           test_runner_closes_books;
+         Alcotest.test_case "owns its registry" `Quick
+           test_runner_owns_its_registry ]) ]

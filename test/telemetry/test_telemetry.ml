@@ -275,19 +275,6 @@ let test_histogram_observe_int_gated () =
   Alcotest.(check int) "counts while enabled" 1 (Histogram.count h);
   Alcotest.(check (float 1e-12)) "value" 7.0 (Histogram.max_value h)
 
-let test_histogram_snapshot_restore () =
-  let h = Histogram.make () in
-  Control.with_enabled (fun () ->
-      Histogram.observe h 1.0;
-      Histogram.observe h 4.0);
-  let s = Histogram.snapshot h in
-  Control.with_enabled (fun () ->
-      for _ = 1 to 50 do Histogram.observe h 100.0 done);
-  Histogram.restore h s;
-  Alcotest.(check int) "count back" 2 (Histogram.count h);
-  Alcotest.(check (float 1e-12)) "sum back" 5.0 (Histogram.sum h);
-  Alcotest.(check (float 1e-12)) "max back" 4.0 (Histogram.max_value h)
-
 (* --- Event log --------------------------------------------------------- *)
 
 let test_event_log_gated_and_wraps () =
@@ -544,32 +531,95 @@ let test_slo_private_engine_uncounted () =
   Alcotest.(check bool) "a default engine counts its violation" true
     (violations () > v0 && alerts () > a0)
 
-(* --- Registry snapshot/restore ----------------------------------------- *)
+(* --- Registry scope ------------------------------------------------------ *)
 
-let test_registry_snapshot_restore () =
-  let c = Registry.counter "s.count" in
-  let g = Registry.gauge "s.gauge" in
-  let h = Registry.histogram "s.hist" in
+(* A scope starts from zeroed cells and empty rings, returns what it
+   measured, and leaves outer + scope behind for every metric kind:
+   counters and gauges add, histograms merge, series merge by time.
+   The rings keep the scope's entries only. Scopes nest, and an
+   exception still folds the outer values back. *)
+let test_registry_scoped () =
+  let c = Registry.counter "sc.count" in
+  let g = Registry.gauge "sc.gauge" in
+  let h = Registry.histogram "sc.hist" in
+  let s = Registry.series ~capacity:8 "sc.series" in
+  let log = Registry.events () and trace = Registry.trace () in
+  let notes () =
+    List.map
+      (fun (e : Event_log.entry) ->
+         match e.Event_log.event with
+         | Event_log.Note n -> n
+         | _ -> "?")
+      (Event_log.entries log)
+  in
+  let hops () =
+    List.map (fun (e : Hop_trace.event) -> e.Hop_trace.label)
+      (Hop_trace.recent trace 8)
+  in
   Control.with_enabled (fun () ->
       Counter.add c 5;
       Gauge.set g 2.5;
-      Histogram.observe h 1.0);
-  let snap = Registry.snapshot () in
-  Registry.reset ();
-  Control.with_enabled (fun () ->
-      Counter.add c 100;
-      Gauge.set g 9.9;
-      Histogram.observe h 50.0;
-      Gauge.set (Registry.gauge "s.fresh") 7.0);
-  Registry.restore snap;
-  Alcotest.(check int) "counter restored" 5 (Counter.value c);
-  Alcotest.(check (float 1e-9)) "gauge restored" 2.5 (Gauge.value g);
-  Alcotest.(check int) "histogram count restored" 1 (Histogram.count h);
-  Alcotest.(check (float 1e-9)) "histogram sum restored" 1.0
+      Histogram.observe h 1.0;
+      Timeseries.add s ~time:0.0 1.0;
+      Event_log.record log ~time:0.0 (Event_log.Note "outer");
+      Hop_trace.record trace ~uid:1 ~time:0.0 ~node:0 "outer");
+  let at_entry, snap =
+    Registry.scoped (fun () ->
+        let at_entry =
+          ( Counter.value c, Gauge.value g, Histogram.count h,
+            Timeseries.length s, Event_log.recorded log,
+            Hop_trace.recorded trace )
+        in
+        let (), nested =
+          Registry.scoped (fun () ->
+              Control.with_enabled (fun () ->
+                  Counter.add c 1000;
+                  Event_log.record log ~time:0.5 (Event_log.Note "nested")))
+        in
+        Alcotest.(check int) "nested scope measured itself" 1000
+          (Registry.snapshot_counter nested "sc.count");
+        Alcotest.(check int) "nested scope folded into the outer one" 1000
+          (Counter.value c);
+        Control.with_enabled (fun () ->
+            Counter.add c 100;
+            Gauge.set g 9.5;
+            Histogram.observe h 50.0;
+            Timeseries.add s ~time:0.0 2.0;
+            Timeseries.add s ~time:1.0 3.0;
+            Gauge.set (Registry.gauge "sc.fresh") 7.0;
+            Event_log.record log ~time:1.0 (Event_log.Note "inner");
+            Hop_trace.record trace ~uid:2 ~time:1.0 ~node:0 "inner");
+        at_entry)
+  in
+  Alcotest.(check bool) "zeroed cells and empty rings at entry" true
+    (at_entry = (0, 0.0, 0, 0, 0, 0));
+  Alcotest.(check int) "the scope's own counter" 1100
+    (Registry.snapshot_counter snap "sc.count");
+  Alcotest.(check int) "counter: outer + scope" 1105 (Counter.value c);
+  Alcotest.(check (float 1e-9)) "gauge: outer + scope" 12.0 (Gauge.value g);
+  Alcotest.(check int) "histogram count: outer + scope" 2
+    (Histogram.count h);
+  Alcotest.(check (float 1e-9)) "histogram sum: outer + scope" 51.0
     (Histogram.sum h);
-  (* Metrics born after the snapshot keep their section values. *)
-  Alcotest.(check (float 1e-9)) "post-snapshot metric kept" 7.0
-    (Gauge.value (Registry.gauge "s.fresh"))
+  Alcotest.(check (float 1e-9)) "histogram min widened" 1.0
+    (Histogram.min_value h);
+  Alcotest.(check bool) "series: merged by time" true
+    (Timeseries.samples s = [| (0.0, 3.0); (1.0, 3.0) |]);
+  Alcotest.(check (float 1e-9)) "first registered inside keeps its value"
+    7.0 (Gauge.value (Registry.gauge "sc.fresh"));
+  Alcotest.(check (list string)) "event log: the scope's entries only"
+    [ "nested"; "inner" ] (notes ());
+  Alcotest.(check (list string)) "hop trace: the scope's entries only"
+    [ "inner" ] (hops ());
+  (match
+     Registry.scoped (fun () ->
+         Control.with_enabled (fun () -> Counter.add c 1);
+         failwith "boom")
+   with
+   | _ -> Alcotest.fail "the scope swallowed an exception"
+   | exception Failure _ -> ());
+  Alcotest.(check int) "an exception still folds the outer values back"
+    1106 (Counter.value c)
 
 (* Two domains bumping one counter handle concurrently must not lose a
    single increment: each domain's bumps land in its own domain-local
@@ -688,21 +738,6 @@ let test_series_decimation () =
       prev := t);
   Alcotest.(check (float 1e-9)) "origin survives" 0.0
     (fst (Timeseries.get s 0))
-
-let test_series_snapshot_restore () =
-  let s = Timeseries.make ~capacity:8 "ts.snap" in
-  Control.with_enabled (fun () ->
-      for i = 0 to 4 do
-        Timeseries.add s ~time:(float_of_int i) 1.0
-      done);
-  let saved = Timeseries.snapshot s in
-  Control.with_enabled (fun () -> Timeseries.add s ~time:9.0 9.0);
-  Alcotest.(check int) "grew past the snapshot" 6 (Timeseries.length s);
-  Timeseries.restore s saved;
-  Alcotest.(check int) "restored" 5 (Timeseries.length s);
-  Alcotest.(check (pair (float 1e-9) (float 1e-9))) "restored tail"
-    (4.0, 1.0)
-    (Timeseries.get s (Timeseries.length s - 1))
 
 (* Satellite of the shard-merge contract: two domains record
    interleaved schedules into the same series handle (each lands in its
@@ -966,7 +1001,6 @@ let () =
          tc "one bucket" test_histogram_one_bucket;
          tc "quantile clamped" test_histogram_quantile_clamped;
          tc "observe_int gated" test_histogram_observe_int_gated;
-         tc "snapshot restore" test_histogram_snapshot_restore;
          tc "+inf in the top bucket" test_histogram_infinity_top_bucket;
          tc "nan in bucket 0" test_histogram_nan_bucket_zero;
          QCheck_alcotest.to_alcotest bucket_index_matches_frexp;
@@ -981,11 +1015,10 @@ let () =
        [ tc "get or create" test_registry_get_or_create;
          tc "reset keeps registrations" test_registry_reset_keeps_registrations;
          tc "json export" test_registry_json;
-         tc "snapshot restore" test_registry_snapshot_restore ]);
+         tc "scoped" test_registry_scoped ]);
       ("timeseries",
        [ tc "gated by control" test_series_gated;
          tc "decimation invariant" test_series_decimation;
-         tc "snapshot restore" test_series_snapshot_restore;
          tc "two-domain absorb orders" test_series_absorb_two_domains;
          tc "equal times kept" test_series_equal_times ]);
       ("event-log",

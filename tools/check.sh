@@ -35,6 +35,13 @@ done
 echo "== dune build @all"
 dune build @all
 
+# Every val a lib interface exports has a caller outside its module
+# (tests, benches, tools, examples and perfbench count), read from the
+# typed trees @check writes.
+echo "== every lib export has a caller"
+dune build @check
+./_build/default/tools/exports.exe
+
 echo "== dune runtest"
 dune runtest
 
