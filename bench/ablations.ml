@@ -351,7 +351,7 @@ let a6 () =
     let collector = Mvpn_qos.Sla.collector () in
     let sent = ref 0 in
     let deliver p =
-      Mvpn_qos.Sla.on_receive collector ~now:(Engine.now engine) p
+      Mvpn_qos.Sla.on_receive collector ~clock:(Engine.clock engine) p
     in
     let submit =
       match mode with
@@ -384,7 +384,7 @@ let a6 () =
              (Mvpn_net.Ipv4.of_octets 10 0 0 1)
              (Mvpn_net.Ipv4.of_octets 10 1 0 1))
       in
-      Mvpn_qos.Sla.on_send collector ~now ~bytes:size;
+      Mvpn_qos.Sla.on_send collector ~clock:(Engine.clock engine) ~bytes:size;
       submit p
     in
     Mvpn_core.Traffic.pareto_bursts engine rng ~start:0.0 ~stop:30.0

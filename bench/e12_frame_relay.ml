@@ -149,7 +149,7 @@ let interworking () =
               (fun p ->
                  incr delivered;
                  Mvpn_qos.Sla.on_receive collector
-                   ~now:(Mvpn_sim.Engine.now engine) p;
+                   ~clock:(Mvpn_sim.Engine.clock engine) p;
                  match Hashtbl.find_opt carried p.Mvpn_net.Packet.uid with
                  | Some f -> if f.Frame.de then incr de_preserved
                  | None -> ()) }
@@ -174,7 +174,8 @@ let interworking () =
              (Mvpn_net.Ipv4.of_octets 192 168 0 2))
       in
       Hashtbl.replace carried p.Mvpn_net.Packet.uid frame;
-      Mvpn_qos.Sla.on_send collector ~now ~bytes:p.Mvpn_net.Packet.size;
+      Mvpn_qos.Sla.on_send collector ~clock:(Mvpn_sim.Engine.clock engine)
+        ~bytes:p.Mvpn_net.Packet.size;
       L2vpn.send l2 ~pw ~from_a:true p
   in
   (* Offer 2x CIR so policing is visible. *)

@@ -35,7 +35,8 @@ let () =
         ~b:
           { L2vpn.pe = pops.(4);
             on_deliver =
-              (fun p -> Sla.on_receive collector ~now:(Engine.now engine) p) }
+              (fun p ->
+                 Sla.on_receive collector ~clock:(Engine.clock engine) p) }
     with
     | Ok id -> id
     | Error e -> failwith e
@@ -55,7 +56,7 @@ let () =
         (Flow.make (Mvpn_net.Ipv4.of_string_exn "192.168.0.1")
            (Mvpn_net.Ipv4.of_string_exn "192.168.0.2"))
     in
-    Sla.on_send collector ~now ~bytes:size;
+    Sla.on_send collector ~clock:(Engine.clock engine) ~bytes:size;
     L2vpn.send l2 ~pw ~from_a:true p
   in
   Traffic.cbr engine ~start:0.0 ~stop:30.0 ~rate_bps:512_000.0

@@ -90,6 +90,11 @@ type flow_totals = {
 
 type t = {
   engine : Engine.t;
+  (* The engine's clock cell, and a cell for the delivery latency
+     ([now - created]): per-packet time reads and hand-offs go through
+     these, so no float crosses a call boxed. *)
+  clock : floatarray;
+  lat : floatarray;
   topo : Topology.t;
   plane : Plane.t;
   policy : Qos_mapping.policy;
@@ -158,7 +163,7 @@ let trace_ring t =
 let record_hop_p t ~node (p : Packet.t) code =
   if !Telemetry.Control.enabled then
     Telemetry.Hop_trace.record_code (trace_ring t)
-      ~uid:p.Packet.uid ~time:(Engine.now t.engine) ~node code
+      ~uid:p.Packet.uid ~clock:t.clock ~node code
 
 let drop_label t reason =
   match Str_tbl.find t.drop_labels reason with
@@ -210,25 +215,25 @@ let set_fate_hook t hook = t.fate_hook <- hook
 
 (* Feed the conformance engine a terminal packet fate. Call only with
    telemetry enabled, after the terminal hop event is recorded so a
-   sampled span sees it. SLO/span keying: the tenant and its
-   inner-header class — the same (vpn, band) view {!Accounting}
-   invoices by; un-tenanted traffic books under vpn 0. *)
+   sampled span sees it; a delivery also after [t.lat] holds its
+   latency. SLO/span keying: the tenant and its inner-header class —
+   the same (vpn, band) view {!Accounting} invoices by; un-tenanted
+   traffic books under vpn 0. *)
 let observe_fate t (p : Packet.t) ~dropped =
   let vpn = match p.Packet.vpn with Some v -> v | None -> 0 in
   let band = Qos_mapping.band_of_dscp p.Packet.inner.Packet.dscp in
   (match t.fate_hook with
    | Some hook ->
-     let time = Engine.now t.engine in
-     hook ~time ~vpn ~band ~dropped
-       ~latency:(if dropped then 0.0 else time -. p.Packet.created_at)
+     hook ~time:(Float.Array.get t.clock 0) ~vpn ~band ~dropped
+       ~latency:(if dropped then 0.0 else Float.Array.get t.lat 0)
    | None -> ());
   (match t.slo with
    | Some slo ->
-     let time = Engine.now t.engine in
-     if dropped then Telemetry.Slo.observe_drop slo ~vpn ~band ~time
+     if dropped then
+       Telemetry.Slo.observe_drop_cell slo ~vpn ~band ~clock:t.clock
      else
-       Telemetry.Slo.observe_delivery slo ~vpn ~band ~time
-         ~latency:(time -. p.Packet.created_at)
+       Telemetry.Slo.observe_delivery_cell slo ~vpn ~band ~clock:t.clock
+         ~latency:t.lat
    | None -> ());
   match t.span_sampler with
   | Some s ->
@@ -450,9 +455,11 @@ let deliver_to t ~node consume packet =
       t.pending_delivered <- t.pending_delivered + 1
     else Telemetry.Counter.incr m_delivered;
     record_hop_p t ~node packet l_deliver;
-    Telemetry.Histogram.observe
+    Float.Array.set t.lat 0
+      (Float.Array.get t.clock 0 -. Float.Array.get packet.Packet.created 0);
+    Telemetry.Histogram.observe_cell
       (sojourn_for t (Packet.visible_dscp packet))
-      (Engine.now t.engine -. packet.Packet.created_at);
+      t.lat;
     observe_fate t packet ~dropped:false
   end;
   consume packet;
@@ -564,7 +571,8 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
      callbacks, so the record is built first with empty port slots and
      the hooks wired afterwards. *)
   let net =
-    { engine; topo; plane; policy; fibs; dp;
+    { engine; clock = Engine.clock engine; lat = Float.Array.make 1 0.0;
+      topo; plane; policy; fibs; dp;
       ports = Array.make (max 1 n_links) None;
       sinks = Array.make nodes (fun _ -> ());
       drop_table = Hashtbl.create 16;

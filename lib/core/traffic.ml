@@ -14,19 +14,19 @@ let k_src = Mvpn_sim.Profile.register_kind "traffic.src"
 module Flow_tbl = Hashtbl.Make (Flow)
 
 type registry = {
-  engine : Engine.t;
+  clock : floatarray;  (* the engine's clock cell *)
   flows : Sla.collector Flow_tbl.t;
   named : (string, Sla.collector) Hashtbl.t;
   mutable label_order : string list;  (* reverse creation order *)
 }
 
 let registry engine =
-  { engine; flows = Flow_tbl.create 64; named = Hashtbl.create 16;
-    label_order = [] }
+  { clock = Engine.clock engine; flows = Flow_tbl.create 64;
+    named = Hashtbl.create 16; label_order = [] }
 
 let sink r packet =
   match Flow_tbl.find r.flows packet.Packet.flow with
-  | c -> Sla.on_receive c ~now:(Engine.now r.engine) packet
+  | c -> Sla.on_receive c ~clock:r.clock packet
   | exception Not_found -> ()
 
 let register_flow r flow c = Flow_tbl.replace r.flows flow c
@@ -53,28 +53,30 @@ let sender r ~net ~src_node ~flow ~dscp ?vpn ?cbq ~collector:c () =
   register_flow r flow c;
   let seq = ref 0 in
   fun size ->
-    let now = Engine.now (Network.engine net) in
     incr seq;
-    let packet = Packet.make ?vpn ~seq:!seq ~dscp ~size ~now flow in
-    Sla.on_send c ~now ~bytes:size;
+    let packet = Packet.make_cell ?vpn ~seq:!seq ~dscp ~size r.clock flow in
+    Sla.on_send c ~clock:r.clock ~bytes:size;
     match cbq with
     | None -> Network.inject net src_node packet
     | Some cbq ->
-      (match Cbq.process cbq ~now packet with
+      (match Cbq.process cbq ~now:(Float.Array.get r.clock 0) packet with
        | Cbq.Marked _ -> Network.inject net src_node packet
        | Cbq.Dropped _ -> ())
 
-let repeat_until engine ~stop f =
-  (* f returns the delay until its next firing, or None to end. One
-     event closure serves every firing — re-arming passes the same
-     closure back to the engine instead of building a fresh one. *)
+(* A source that fires [first] seconds from now and then until [stop]:
+   [f delay] emits and writes the delay to its next firing into slot 0
+   of [delay]. One event closure and one delay cell serve every firing
+   — re-arming passes the same closure back to the engine, and the
+   delay reaches it unboxed. *)
+let repeat_until engine ~stop f first =
+  let clock = Engine.clock engine and delay = Float.Array.make 1 first in
   let rec fire () =
-    if Engine.now engine <= stop then
-      match f () with
-      | Some next -> Engine.schedule_kind engine ~kind:k_src ~delay:next fire
-      | None -> ()
+    if Float.Array.get clock 0 <= stop then begin
+      f delay;
+      Engine.schedule_cell engine ~kind:k_src delay fire
+    end
   in
-  fun delay -> Engine.schedule_kind engine ~kind:k_src ~delay fire
+  Engine.schedule_cell engine ~kind:k_src delay fire
 
 let cbr engine ~start ~stop ~rate_bps ~packet_bytes emit =
   if rate_bps <= 0.0 then invalid_arg "Traffic.cbr: rate must be positive";
@@ -94,9 +96,9 @@ let cbr engine ~start ~stop ~rate_bps ~packet_bytes emit =
 
 let poisson engine rng ~start ~stop ~rate_pps ~packet_bytes emit =
   if rate_pps <= 0.0 then invalid_arg "Traffic.poisson: rate must be positive";
-  let fire () =
+  let fire delay =
     emit packet_bytes;
-    Some (Rng.exponential rng ~rate:rate_pps)
+    Rng.exponential_cell rng ~rate:rate_pps delay
   in
   repeat_until engine ~stop fire
     (Float.max 0.0 start +. Rng.exponential rng ~rate:rate_pps)
@@ -107,14 +109,15 @@ let onoff engine rng ~start ~stop ~on_mean ~off_mean ~rate_bps ~packet_bytes
   let interval = float_of_int packet_bytes *. 8.0 /. rate_bps in
   (* State machine: during a talkspurt send CBR packets; when it ends,
      sleep the silence period and start another. *)
+  let clock = Engine.clock engine in
   let rec start_burst () =
-    if Engine.now engine <= stop then begin
+    if Float.Array.get clock 0 <= stop then begin
       let burst_len = Rng.exponential rng ~rate:(1.0 /. on_mean) in
-      let burst_end = Engine.now engine +. burst_len in
+      let burst_end = Float.Array.get clock 0 +. burst_len in
       let rec tick () =
-        if Engine.now engine <= stop then begin
+        if Float.Array.get clock 0 <= stop then begin
           emit packet_bytes;
-          if Engine.now engine +. interval <= burst_end then
+          if Float.Array.get clock 0 +. interval <= burst_end then
             Engine.schedule_kind engine ~kind:k_src ~delay:interval tick
           else
             Engine.schedule_kind engine ~kind:k_src
@@ -136,16 +139,16 @@ let pareto_bursts engine rng ~start ~stop ~burst_rate ~mean_burst_bytes
   (* Pareto mean = shape*scale/(shape-1); solve scale for the requested
      mean burst size. *)
   let scale = mean_burst_bytes *. (shape -. 1.0) /. shape in
-  let fire () =
-    let burst = int_of_float (Rng.pareto rng ~shape ~scale) in
-    let rec blast remaining =
-      if remaining > 0 then begin
-        emit (min remaining mtu);
-        blast (remaining - mtu)
-      end
-    in
-    blast burst;
-    Some (Rng.exponential rng ~rate:burst_rate)
+  let fire delay =
+    (* The burst size passes through the delay cell, which the next
+       draw then overwrites. *)
+    Rng.pareto_cell rng ~shape ~scale delay;
+    let remaining = ref (int_of_float (Float.Array.get delay 0)) in
+    while !remaining > 0 do
+      emit (min !remaining mtu);
+      remaining := !remaining - mtu
+    done;
+    Rng.exponential_cell rng ~rate:burst_rate delay
   in
   repeat_until engine ~stop fire
     (Float.max 0.0 start +. Rng.exponential rng ~rate:burst_rate)

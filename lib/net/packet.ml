@@ -40,7 +40,7 @@ type t = {
   mutable flow : Flow.t;
   mutable vpn : int option;
   mutable seq : int;
-  mutable created_at : float;
+  created : floatarray;
   mutable size : int;
   inner : header;
   mutable encrypted : bool;
@@ -83,8 +83,8 @@ let blank_header () =
 
 let null =
   let flow = Flow.make Ipv4.any Ipv4.any in
-  { uid = 0; flow; vpn = None; seq = 0; created_at = 0.; size = 0;
-    inner = blank_header (); encrypted = false;
+  { uid = 0; flow; vpn = None; seq = 0; created = Float.Array.make 1 0.;
+    size = 0; inner = blank_header (); encrypted = false;
     outer = blank_header (); has_outer = false;
     stack = Array.make max_depth 0; depth = 0; encap_bytes = 0;
     in_pool = false; fated = false }
@@ -132,9 +132,9 @@ let obtain () =
   end
   else begin
     Atomic.incr alloc_counter;
-    { uid = 0; flow = null.flow; vpn = None; seq = 0; created_at = 0.;
-      size = 0; inner = blank_header (); encrypted = false;
-      outer = blank_header (); has_outer = false;
+    { uid = 0; flow = null.flow; vpn = None; seq = 0;
+      created = Float.Array.make 1 0.; size = 0; inner = blank_header ();
+      encrypted = false; outer = blank_header (); has_outer = false;
       stack = Array.make max_depth 0; depth = 0; encap_bytes = 0;
       in_pool = false; fated = false }
   end
@@ -143,14 +143,15 @@ let set_header (h : header) ~src ~dst ~proto ~src_port ~dst_port ~dscp ~ttl =
   h.src <- src; h.dst <- dst; h.proto <- proto; h.src_port <- src_port;
   h.dst_port <- dst_port; h.dscp <- dscp; h.ttl <- ttl
 
-let make ?vpn ?(seq = 0) ?(dscp = Dscp.best_effort) ?(size = 512) ~now
-    (flow : Flow.t) =
-  let p = obtain () in
+let created_at p = Float.Array.get p.created 0
+
+(* Every field but the creation stamp, which each constructor writes
+   into the record's own cell (unboxed, and reused by the pool). *)
+let init p ~vpn ~seq ~dscp ~size (flow : Flow.t) =
   p.uid <- next_uid ();
   p.flow <- flow;
   p.vpn <- vpn;
   p.seq <- seq;
-  p.created_at <- now;
   p.size <- size;
   set_header p.inner ~src:flow.src ~dst:flow.dst ~proto:flow.proto
     ~src_port:flow.src_port ~dst_port:flow.dst_port ~dscp
@@ -161,6 +162,17 @@ let make ?vpn ?(seq = 0) ?(dscp = Dscp.best_effort) ?(size = 512) ~now
   p.encap_bytes <- 0;
   p.fated <- false;
   p
+
+let make ?vpn ?(seq = 0) ?(dscp = Dscp.best_effort) ?(size = 512) ~now flow =
+  let p = obtain () in
+  Float.Array.set p.created 0 now;
+  init p ~vpn ~seq ~dscp ~size flow
+
+let make_cell ?vpn ?(seq = 0) ?(dscp = Dscp.best_effort) ?(size = 512) clock
+    flow =
+  let p = obtain () in
+  Float.Array.set p.created 0 (Float.Array.get clock 0);
+  init p ~vpn ~seq ~dscp ~size flow
 
 let assign_header (dst : header) (src : header) =
   set_header dst ~src:src.src ~dst:src.dst ~proto:src.proto
@@ -173,7 +185,7 @@ let copy p =
   q.flow <- p.flow;
   q.vpn <- p.vpn;
   q.seq <- p.seq;
-  q.created_at <- p.created_at;
+  Float.Array.set q.created 0 (Float.Array.get p.created 0);
   q.size <- p.size;
   assign_header q.inner p.inner;
   q.encrypted <- p.encrypted;

@@ -65,7 +65,11 @@ type t = {
   mutable flow : Flow.t;  (** original flow identity (measurement only) *)
   mutable vpn : int option;  (** originating VPN id (measurement only) *)
   mutable seq : int;  (** per-flow sequence number (loss/reorder) *)
-  mutable created_at : float;  (** simulation time of creation *)
+  created : floatarray;
+      (** one slot: simulation time of creation. Read it with
+          {!created_at}; per-packet readers in other modules read the
+          slot directly, so the time never crosses a call boxed. The
+          cell belongs to the record and is reused by the pool. *)
   mutable size : int;  (** total on-wire bytes, including encapsulation *)
   inner : header;
   mutable encrypted : bool;
@@ -108,6 +112,17 @@ val make :
     [size] defaults to 512 bytes, [dscp] to best effort. Assigns a fresh
     [uid] from a global counter. When pooling is on and a retired packet
     is available, reinitialises it in place instead of allocating. *)
+
+val make_cell :
+  ?vpn:int -> ?seq:int -> ?dscp:Dscp.t -> ?size:int -> floatarray ->
+  Flow.t -> t
+(** [make_cell clock flow] is {!make} with [now] read from slot 0 of
+    [clock] (the simulation engine's clock cell), so the stamp goes
+    from cell to cell unboxed. The traffic senders build packets this
+    way. *)
+
+val created_at : t -> float
+(** Simulation time of creation. *)
 
 val copy : t -> t
 (** A replication copy: fresh uid, deep-copied headers and label stack,

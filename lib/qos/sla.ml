@@ -29,6 +29,9 @@ let transactional_spec =
     max_p99_delay = Some 0.500; max_jitter = None; max_loss = Some 0.05;
     min_throughput_bps = None }
 
+let s_first = 0
+and s_last = 1
+
 type collector = {
   delays : Stats.Samples.t;
   jitter_acc : Stats.Summary.t;
@@ -37,8 +40,10 @@ type collector = {
   mutable sent : int;
   mutable received : int;
   mutable bytes_received : int;
-  mutable first_send : float;
-  mutable last_receive : float;
+  (* [span] holds the first send time ([s_first]) and the last receive
+     time ([s_last]): as float fields of this mixed record, every
+     receive would store a fresh box. *)
+  span : floatarray;
   (* Previous delay for the jitter accumulator, in a floatarray cell
      (nan = no packet yet) so the per-packet update is an unboxed
      store, not a [Some] box. *)
@@ -51,17 +56,23 @@ type collector = {
 let collector () =
   { delays = Stats.Samples.create (); jitter_acc = Stats.Summary.create ();
     last_seq = Flow_tbl.create 8; reordered = 0;
-    sent = 0; received = 0; bytes_received = 0; first_send = infinity;
-    last_receive = neg_infinity; last_delay = Float.Array.make 1 Float.nan;
+    sent = 0; received = 0; bytes_received = 0;
+    span = Float.Array.of_list [ infinity; neg_infinity ];
+    last_delay = Float.Array.make 1 Float.nan;
     arg = Float.Array.make 1 0.0 }
 
-let on_send c ~now ~bytes =
+(* The time arrives in a clock cell (slot 0, the simulation engine's
+   clock), so the per-packet calls never box it. *)
+let on_send c ~clock ~bytes =
   ignore bytes;
+  let now = Float.Array.get clock 0 in
   c.sent <- c.sent + 1;
-  if now < c.first_send then c.first_send <- now
+  if now < Float.Array.get c.span s_first then
+    Float.Array.set c.span s_first now
 
-let on_receive c ~now packet =
-  let delay = now -. packet.Packet.created_at in
+let on_receive c ~clock packet =
+  let now = Float.Array.get clock 0 in
+  let delay = now -. Float.Array.get packet.Packet.created 0 in
   (* Per-flow sequence tracking: an arrival below the high-water mark
      was overtaken in flight. Exception-style lookup keeps the [Some]
      box out of the per-delivery path. *)
@@ -73,7 +84,8 @@ let on_receive c ~now packet =
      Flow_tbl.add c.last_seq packet.Packet.flow (ref packet.Packet.seq));
   c.received <- c.received + 1;
   c.bytes_received <- c.bytes_received + packet.Packet.size;
-  if now > c.last_receive then c.last_receive <- now;
+  if now > Float.Array.get c.span s_last then
+    Float.Array.set c.span s_last now;
   Float.Array.set c.arg 0 delay;
   Stats.Samples.add_cell c.delays c.arg;
   let prev = Float.Array.get c.last_delay 0 in
@@ -100,7 +112,9 @@ type report = {
 let report (c : collector) =
   let duration =
     if c.received = 0 || c.sent = 0 then 0.0
-    else Float.max 0.0 (c.last_receive -. c.first_send)
+    else
+      Float.max 0.0
+        (Float.Array.get c.span s_last -. Float.Array.get c.span s_first)
   in
   { sent = c.sent;
     received = c.received;

@@ -28,10 +28,15 @@ type collector
 
 val collector : unit -> collector
 
-val on_send : collector -> now:float -> bytes:int -> unit
+val on_send : collector -> clock:floatarray -> bytes:int -> unit
+(** Records a send at the time in slot 0 of [clock] (the simulation
+    engine's {!Mvpn_sim.Engine.clock}), read there so the time crosses
+    the call unboxed. *)
 
-val on_receive : collector -> now:float -> Mvpn_net.Packet.t -> unit
-(** Records delay ([now] − creation time), jitter and goodput. *)
+val on_receive : collector -> clock:floatarray -> Mvpn_net.Packet.t -> unit
+(** Records delay (the time in slot 0 of [clock] − creation time),
+    jitter and goodput. Allocation-free on a known flow, under either
+    build profile. *)
 
 type report = {
   sent : int;

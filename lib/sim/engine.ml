@@ -44,7 +44,12 @@ let q_pop_due q ~bound ~strict ~key_out =
 
 type t = {
   queue : queue;
-  mutable now : float;
+  (* The clock: slot 0 holds the current time. A float field of this
+     mixed record would box every store, one allocation per event; in
+     a one-slot cell the per-event store is unboxed, and readers on the
+     per-packet path take the cell itself ({!clock}), so the time
+     crosses their calls unboxed too. *)
+  clock : floatarray;
   mutable processed : int;
   mutable stopped : bool;
   (* Batched telemetry: inside a [run]/[run_before] window the
@@ -78,13 +83,15 @@ let create ?(backend = Calendar) () =
     | Binary_heap -> Q_heap (Heap.create ())
     | Calendar -> Q_cal (Calendar.create ())
   in
-  { queue; now = 0.0; processed = 0; stopped = false;
+  { queue; clock = Float.Array.make 1 0.0; processed = 0; stopped = false;
     in_batch = false; batch_events = 0; batch_scheduled = 0;
     flush_hooks = []; key_cell = Float.Array.create 1;
     push_cell = Float.Array.create 1; delay_cell = Float.Array.create 1;
     prof = Profile.create () }
 
-let now e = e.now
+let now e = Float.Array.get e.clock 0
+
+let clock e = e.clock
 
 let profiler e = e.prof
 
@@ -143,7 +150,7 @@ let push_delay e dcell f =
   if not (delay -. delay = 0.0) then check_finite "schedule" delay;
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   note_scheduled e;
-  Float.Array.set e.push_cell 0 (e.now +. delay);
+  Float.Array.set e.push_cell 0 (Float.Array.get e.clock 0 +. delay);
   q_push_at e.queue e.push_cell f
 
 let schedule e ~delay f =
@@ -155,7 +162,8 @@ let schedule e ~delay f =
 let[@inline] push_time e tcell f =
   let time = Float.Array.get tcell 0 in
   if not (time -. time = 0.0) then check_finite "schedule_at" time;
-  if time < e.now then invalid_arg "Engine.schedule_at: time in the past";
+  if time < Float.Array.get e.clock 0 then
+    invalid_arg "Engine.schedule_at: time in the past";
   note_scheduled e;
   q_push_at e.queue tcell f
 
@@ -195,7 +203,7 @@ let every e ~kind ~interval ?(until = infinity) f =
     invalid_arg "Engine.every: until must be >= 0";
   let stopped = ref false in
   let rec tick () =
-    if (not !stopped) && e.now <= until then begin
+    if (not !stopped) && Float.Array.get e.clock 0 <= until then begin
       f ();
       schedule_kind e ~kind ~delay:interval tick
     end
@@ -207,7 +215,7 @@ let step e =
   match q_pop e.queue with
   | None -> false
   | Some (time, f) ->
-    e.now <- time;
+    Float.Array.set e.clock 0 time;
     e.processed <- e.processed + 1;
     if e.in_batch then begin
       if !Mvpn_telemetry.Control.enabled then
@@ -234,7 +242,7 @@ let rec plain_drain e ~bound ~strict =
   if not e.stopped then begin
     let f = q_pop_due e.queue ~bound ~strict ~key_out:e.key_cell in
     if f != null_event then begin
-      e.now <- Float.Array.get e.key_cell 0;
+      Float.Array.set e.clock 0 (Float.Array.get e.key_cell 0);
       e.processed <- e.processed + 1;
       if !Mvpn_telemetry.Control.enabled then
         e.batch_events <- e.batch_events + 1;
@@ -249,7 +257,7 @@ let rec profiled_drain e ~bound ~strict =
     let t0 = Profile.now_ns () in
     let f = q_pop_due e.queue ~bound ~strict ~key_out:e.key_cell in
     if f != null_event then begin
-      e.now <- Float.Array.get e.key_cell 0;
+      Float.Array.set e.clock 0 (Float.Array.get e.key_cell 0);
       e.processed <- e.processed + 1;
       if !Mvpn_telemetry.Control.enabled then
         e.batch_events <- e.batch_events + 1;
@@ -273,8 +281,8 @@ let drain e ~bound ~strict =
 let window_body e ~bound ~strict =
   drain e ~bound ~strict;
   if (not strict) && (not e.stopped) && Float.is_finite bound
-     && bound > e.now
-  then e.now <- bound
+     && bound > Float.Array.get e.clock 0
+  then Float.Array.set e.clock 0 bound
 
 (* Run [window_body] as one batch window. Nested windows flush only at
    the outermost exit; an exception from an event still flushes, so no

@@ -22,6 +22,14 @@ val create : ?backend:backend -> unit -> t
 val now : t -> float
 (** Current simulation time, in seconds. *)
 
+val clock : t -> floatarray
+(** The engine's clock cell: slot 0 always holds {!now}. Per-packet
+    readers in other modules (hop traces, creation stamps, SLA and SLO
+    observers) take this cell and read the slot themselves, so the time
+    crosses their calls unboxed under either build profile; a float
+    returned by {!now} and passed on is boxed at every non-inlined
+    call. Callers must never write it. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule e ~delay f] runs [f] at [now e +. delay].
     @raise Invalid_argument if [delay] is negative or not finite. *)

@@ -39,6 +39,11 @@ val float : t -> float -> float
 val uniform : t -> float
 (** Uniform in [0, 1). *)
 
+val uniform_cell : t -> floatarray -> unit
+(** [uniform_cell r cell] writes the next {!uniform} draw into slot 0
+    of [cell]: the same draw, handed over unboxed, so a warmed draw
+    allocates nothing under either build profile. *)
+
 val bool : t -> float -> bool
 (** [bool r p] is [true] with probability [p]. *)
 
@@ -46,9 +51,17 @@ val exponential : t -> rate:float -> float
 (** Exponential variate with the given rate (mean [1 /. rate]).
     @raise Invalid_argument if [rate <= 0]. *)
 
+val exponential_cell : t -> rate:float -> floatarray -> unit
+(** {!exponential}, written into slot 0 of the cell (see
+    {!uniform_cell}). The traffic generators draw their inter-arrival
+    delays this way, straight into the engine's delay cell. *)
+
 val pareto : t -> shape:float -> scale:float -> float
 (** Pareto variate: heavy-tailed burst/file sizes.
     @raise Invalid_argument if [shape <= 0] or [scale <= 0]. *)
+
+val pareto_cell : t -> shape:float -> scale:float -> floatarray -> unit
+(** {!pareto}, written into slot 0 of the cell (see {!uniform_cell}). *)
 
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian variate (Box–Muller). *)

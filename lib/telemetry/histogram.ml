@@ -74,8 +74,9 @@ let state t =
    subnormal. A ratio that overflows to +inf (v = +inf, or v above
    max_float·lo) has exponent field 2047 and clamps to the top bucket
    (frexp reports exponent 0 for infinity, which would file it in
-   bucket 0). NaN fails [v >= lo] and lands in bucket 0. *)
-let bucket_index t v =
+   bucket 0). NaN fails [v >= lo] and lands in bucket 0. Inlined, so
+   a value read from a cell reaches it unboxed. *)
+let[@inline] bucket_index t v =
   if not (v >= t.lo) then 0
   else
     let e =
@@ -87,7 +88,7 @@ let bucket_index t v =
     in
     Int.min (t.buckets - 1) (Int.max 0 e)
 
-let observe_unchecked t v =
+let[@inline] observe_unchecked t v =
   let s = state t in
   let i = bucket_index t v in
   s.counts.(i) <- s.counts.(i) + 1;
@@ -97,6 +98,9 @@ let observe_unchecked t v =
   if v > Float.Array.get s.fl f_max then Float.Array.set s.fl f_max v
 
 let observe t v = if !Control.enabled then observe_unchecked t v
+
+let observe_cell t cell =
+  if !Control.enabled then observe_unchecked t (Float.Array.get cell 0)
 
 let observe_int t n = if !Control.enabled then observe_unchecked t (float_of_int n)
 

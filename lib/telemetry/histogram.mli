@@ -19,7 +19,13 @@ val make : ?lo:float -> ?buckets:int -> unit -> t
     @raise Invalid_argument if [lo <= 0] or [buckets < 1]. *)
 
 val observe : t -> float -> unit
-(** Allocation-free. *)
+(** Allocation-free for an already boxed value. *)
+
+val observe_cell : t -> floatarray -> unit
+(** [observe_cell t cell] is [observe t (Float.Array.get cell 0)], with
+    the value crossing the call unboxed: allocation-free under either
+    build profile for a value computed by the caller. The per-delivery
+    sojourn histograms are fed this way. *)
 
 val bucket_index : t -> float -> int
 (** The bucket {!observe} files a value in: [floor (log2 (v /. lo))]

@@ -55,36 +55,24 @@ let capacity t = Array.length t.uids
 
 let recorded t = t.recorded
 
-let record_code t ~uid ~time ~node code =
-  if !Control.enabled then begin
-    let p = t.pos in
-    t.uids.(p) <- uid;
-    t.times.(p) <- time;
-    t.nodes.(p) <- node;
-    t.labels.(p) <- code;
-    let p = p + 1 in
-    t.pos <- (if p = Array.length t.uids then 0 else p);
-    t.recorded <- t.recorded + 1
-  end
+(* The one store path. Inlined into both entry points, so the time
+   reaches the [times] slot unboxed. *)
+let[@inline] store t ~uid ~time ~node code =
+  let p = t.pos in
+  t.uids.(p) <- uid;
+  t.times.(p) <- time;
+  t.nodes.(p) <- node;
+  t.labels.(p) <- code;
+  let p = p + 1 in
+  t.pos <- (if p = Array.length t.uids then 0 else p);
+  t.recorded <- t.recorded + 1
+
+let record_code t ~uid ~clock ~node code =
+  if !Control.enabled then
+    store t ~uid ~time:(Float.Array.get clock 0) ~node code
 
 let record t ~uid ~time ~node label =
-  if !Control.enabled then record_code t ~uid ~time ~node (intern label)
-
-(* Oldest-first fold over live entries. *)
-let fold f t init =
-  let cap = Array.length t.uids in
-  let live = min t.recorded cap in
-  let start = (t.pos - live + cap) mod cap in
-  let acc = ref init in
-  let names = Atomic.get names in
-  for i = 0 to live - 1 do
-    let j = (start + i) mod cap in
-    acc :=
-      f !acc
-        { uid = t.uids.(j); time = t.times.(j); node = t.nodes.(j);
-          label = names.(t.labels.(j)) }
-  done;
-  !acc
+  if !Control.enabled then store t ~uid ~time ~node (intern label)
 
 let iter_codes f t =
   let cap = Array.length t.uids in
@@ -96,14 +84,30 @@ let iter_codes f t =
     if !j = cap then j := 0
   done
 
-let trace t ~uid =
-  List.rev (fold (fun acc e -> if e.uid = uid then e :: acc else acc) t [])
+(* The newest [n] live entries, oldest first, keeping only the slots
+   [keep] accepts. The walk runs newest first and tests each slot
+   before building anything, so a read allocates for what it returns,
+   not one record per live entry: [Span.offer] traces every sampled
+   fate, and every registry export reads the tail. *)
+let collect t n keep =
+  let cap = Array.length t.uids in
+  let names = Atomic.get names in
+  let acc = ref [] in
+  let j = ref t.pos in
+  for _ = 1 to min n (min t.recorded cap) do
+    j := (if !j = 0 then cap - 1 else !j - 1);
+    let j = !j in
+    if keep j then
+      acc :=
+        { uid = t.uids.(j); time = t.times.(j); node = t.nodes.(j);
+          label = names.(t.labels.(j)) }
+        :: !acc
+  done;
+  !acc
 
-let recent t n =
-  let all = List.rev (fold (fun acc e -> e :: acc) t []) in
-  let live = List.length all in
-  if live <= n then all
-  else List.filteri (fun i _ -> i >= live - n) all
+let trace t ~uid = collect t max_int (fun j -> t.uids.(j) = uid)
+
+let recent t n = collect t n (fun _ -> true)
 
 let clear t =
   Array.fill t.uids 0 (Array.length t.uids) (-1);

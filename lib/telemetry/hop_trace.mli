@@ -33,15 +33,19 @@ val intern : string -> int
     and domain-safe: the same string gets the same code in every
     domain. *)
 
-val record_code : t -> uid:int -> time:float -> node:int -> int -> unit
-(** {!record} with a label code from {!intern}: a handful of int and
-    float stores, no allocation. *)
+val record_code : t -> uid:int -> clock:floatarray -> node:int -> int -> unit
+(** {!record} with a label code from {!intern} and the time read from
+    slot 0 of [clock] (the simulation engine's clock cell): a handful
+    of int and float stores, no allocation, under either build profile.
+    A float argument would be boxed on every hop. *)
 
 val trace : t -> uid:int -> event list
-(** Chronological events still in the ring for one packet. *)
+(** Chronological events still in the ring for one packet. Entries of
+    other packets are skipped on their uid alone, so a trace of [k]
+    hops allocates O(k) words, whatever the ring's size. *)
 
 val recent : t -> int -> event list
-(** The last [n] events, oldest first. *)
+(** The last [n] events, oldest first. Only those [n] are built. *)
 
 val iter_codes : (int -> int -> unit) -> t -> unit
 (** [iter_codes f t] calls [f uid code] on every live entry, oldest

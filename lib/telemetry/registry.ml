@@ -17,9 +17,7 @@ let table : (string, metric) Hashtbl.t = Hashtbl.create 64
 
 let table_mutex = Mutex.create ()
 
-let locked f =
-  Mutex.lock table_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock table_mutex) f
+let locked f = Mutex.protect table_mutex f
 
 (* Hop trace and event log are per-domain rings: each domain records
    its own forensic tail. They are not merged across domains — exports
@@ -118,7 +116,11 @@ let reset () =
 (* --- snapshot / absorb / scoped ----------------------------------------- *)
 
 (* Captures metric values only — the hop trace and event log are
-   forensic rings tied to one run and are not captured. *)
+   forensic rings tied to one run and are not captured. A metric whose
+   absorb would change nothing (a zero counter, an empty histogram or
+   series) is left out: a run's snapshot then costs what it measured,
+   not the size of the table. Gauges are always captured, since adding
+   +0.0 to a gauge that reads -0.0 changes it. *)
 type saved =
   | Saved_counter of int
   | Saved_gauge of float
@@ -131,33 +133,39 @@ let snapshot () =
   locked (fun () ->
       Hashtbl.fold
         (fun name m acc ->
-           let v =
-             match m with
-             | Counter c -> Saved_counter (Counter.value c)
-             | Gauge g -> Saved_gauge (Gauge.value g)
-             | Histogram h -> Saved_histogram (Histogram.snapshot h)
-             | Series s -> Saved_series (Timeseries.snapshot s)
-           in
-           (name, v) :: acc)
+           match m with
+           | Counter c ->
+             let n = Counter.value c in
+             if n = 0 then acc else (name, Saved_counter n) :: acc
+           | Gauge g -> (name, Saved_gauge (Gauge.value g)) :: acc
+           | Histogram h ->
+             if Histogram.count h = 0 then acc
+             else (name, Saved_histogram (Histogram.snapshot h)) :: acc
+           | Series s ->
+             if Timeseries.length s = 0 then acc
+             else (name, Saved_series (Timeseries.snapshot s)) :: acc)
         table [])
 
 (* Merge a snapshot taken in another domain into this domain's cells:
    counters and gauges add, histograms merge bucket-wise. Associative
    and commutative, so shard partials fold in any order into one
    deterministic total. Handles are process-wide, so every name in a
-   same-process snapshot already resolves; the [None] arms only guard
-   against snapshots outliving a changed registry. *)
+   same-process snapshot already resolves; the mismatch arm only
+   guards against snapshots outliving a changed registry. One lock for
+   the whole walk, and the lookups inside it take no closure. *)
 let absorb snap =
   Control.with_enabled (fun () ->
-      List.iter
-        (fun (name, v) ->
-           match (find name, v) with
-           | Some (Counter c), Saved_counter n -> Counter.add c n
-           | Some (Gauge g), Saved_gauge x -> Gauge.set g (Gauge.value g +. x)
-           | Some (Histogram h), Saved_histogram s -> Histogram.absorb h s
-           | Some (Series ts), Saved_series s -> Timeseries.absorb ts s
-           | _ -> ())
-        snap)
+      locked (fun () ->
+          List.iter
+            (fun (name, v) ->
+               match (Hashtbl.find table name, v) with
+               | Counter c, Saved_counter n -> Counter.add c n
+               | Gauge g, Saved_gauge x -> Gauge.set g (Gauge.value g +. x)
+               | Histogram h, Saved_histogram s -> Histogram.absorb h s
+               | Series ts, Saved_series s -> Timeseries.absorb ts s
+               | _ -> ()
+               | exception Not_found -> ())
+            snap))
 
 (* A run that owns its measurements: [f] starts from zeroed cells and
    empty rings, its snapshot is what it measured, and the pre-scope
@@ -184,13 +192,29 @@ let snapshot_counter snap name =
 
 (* --- export ------------------------------------------------------------ *)
 
-let sorted_metrics pick =
-  List.filter_map (fun n -> Option.map (fun m -> (n, m)) (pick n)) (names ())
+(* Every registered metric by name, in one locked walk of the table;
+   the export sections below each filter this one list. *)
+let sorted_metrics () =
+  locked (fun () -> Hashtbl.fold (fun k m acc -> (k, m) :: acc) table [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let counters_of =
+  List.filter_map (function n, Counter c -> Some (n, c) | _ -> None)
+
+let gauges_of =
+  List.filter_map (function n, Gauge g -> Some (n, g) | _ -> None)
+
+let histograms_of =
+  List.filter_map (function n, Histogram h -> Some (n, h) | _ -> None)
+
+let series_of =
+  List.filter_map (function n, Series s -> Some (n, s) | _ -> None)
 
 let to_json ?(trace_events = 64) ?(event_entries = 256) () =
+  let all = sorted_metrics () in
   Json.(
     let section pick render =
-      Obj (List.map (fun (n, m) -> (n, render m)) (sorted_metrics pick))
+      Obj (List.map (fun (n, m) -> (n, render m)) (pick all))
     in
     let series s =
       let pair (time, v) = List [ Float time; Float v ] in
@@ -210,10 +234,10 @@ let to_json ?(trace_events = 64) ?(event_entries = 256) () =
           ("event", String e.label) ]
     in
     envelope
-      [ ("counters", section find_counter (fun c -> Int (Counter.value c)));
-        ("gauges", section find_gauge (fun g -> Float (Gauge.value g)));
+      [ ("counters", section counters_of (fun c -> Int (Counter.value c)));
+        ("gauges", section gauges_of (fun g -> Float (Gauge.value g)));
         ("histograms",
-         section find_histogram (fun h ->
+         section histograms_of (fun h ->
              Obj
                [ ("count", Int (Histogram.count h));
                  ("mean", Float (Histogram.mean h));
@@ -221,15 +245,16 @@ let to_json ?(trace_events = 64) ?(event_entries = 256) () =
                  ("p90", Float (Histogram.p90 h));
                  ("p99", Float (Histogram.p99 h));
                  ("max", Float (Histogram.max_value h)) ]));
-        ("series", section find_series series);
+        ("series", section series_of series);
         ("trace",
          List (List.map hop (Hop_trace.recent (trace ()) trace_events)));
         ("events", Event_log.json_entries ~limit:event_entries (events ())) ])
 
 let pp ?(trace_events = 0) ppf () =
-  let counters = sorted_metrics find_counter in
-  let gauges = sorted_metrics find_gauge in
-  let histograms = sorted_metrics find_histogram in
+  let all = sorted_metrics () in
+  let counters = counters_of all in
+  let gauges = gauges_of all in
+  let histograms = histograms_of all in
   let width =
     List.fold_left
       (fun acc (n, _) -> Stdlib.max acc (String.length n))
@@ -265,7 +290,7 @@ let pp ?(trace_events = 0) ppf () =
   end;
   let ser =
     List.filter (fun (_, s) -> Timeseries.length s > 0)
-      (sorted_metrics find_series)
+      (series_of all)
   in
   if ser <> [] then begin
     Format.fprintf ppf "series:@.";

@@ -34,8 +34,9 @@ let lat_lo = 1e-6
 (* floor(log2 (v / lat_lo)), clamped: the IEEE exponent field read via
    [Int64.bits_of_float] (an unboxed external) — same result as the
    [Float.frexp] formulation but without allocating its result pair on
-   every delivery. The [v < lat_lo] guard keeps the ratio normal. *)
-let lat_index v =
+   every delivery. The [v < lat_lo] guard keeps the ratio normal.
+   Inlined, so a latency read from a cell reaches it unboxed. *)
+let[@inline] lat_index v =
   if v < lat_lo then 0
   else
     let e =
@@ -298,7 +299,7 @@ let advance_obj t obj ~target_bucket =
     done
   end
 
-let bucket_of time = int_of_float (time /. bucket_width)
+let[@inline] bucket_of time = int_of_float (time /. bucket_width)
 
 let advance t ~time =
   if !Control.enabled then
@@ -306,21 +307,23 @@ let advance t ~time =
     Hashtbl.iter (fun _ obj -> advance_obj t obj ~target_bucket)
       t.objectives
 
-(* The open bucket of objective [obj] once time reaches [time]. *)
-let open_bucket t obj ~time =
-  advance_obj t obj ~target_bucket:(bucket_of time);
+(* The open bucket of objective [obj] once time reaches [bucket]
+   (a {!bucket_of} index: an int, so the call boxes nothing). *)
+let open_bucket t obj ~bucket =
+  advance_obj t obj ~target_bucket:bucket;
   obj.buckets.(obj.cur mod slow_n)
 
 (* Per-packet observers: [Hashtbl.find] with its exception, not
    [find_opt], and the update written inline rather than passed as a
    closure, so an observation inside the open bucket allocates
-   nothing. *)
-let observe_delivery t ~vpn ~band ~time ~latency =
+   nothing. Each body is inlined into its float entry point and its
+   cell entry point, so neither boxes the time or the latency. *)
+let[@inline] delivery t ~vpn ~band ~time ~latency =
   if !Control.enabled then
     match Hashtbl.find t.objectives (key ~vpn ~band) with
     | exception Not_found -> ()
     | obj ->
-      let bk = open_bucket t obj ~time in
+      let bk = open_bucket t obj ~bucket:(bucket_of time) in
       bk.total <- bk.total + 1;
       let li = lat_index latency in
       bk.lat.(li) <- bk.lat.(li) + 1;
@@ -337,18 +340,31 @@ let observe_delivery t ~vpn ~band ~time ~latency =
         obj.cum_bad <- obj.cum_bad + 1
       end
 
-let observe_drop t ~vpn ~band ~time =
+let observe_delivery t ~vpn ~band ~time ~latency =
+  delivery t ~vpn ~band ~time ~latency
+
+let observe_delivery_cell t ~vpn ~band ~clock ~latency =
+  delivery t ~vpn ~band ~time:(Float.Array.get clock 0)
+    ~latency:(Float.Array.get latency 0)
+
+let observe_drop_at t ~vpn ~band ~bucket =
   if !Control.enabled then
     match Hashtbl.find t.objectives (key ~vpn ~band) with
     | exception Not_found -> ()
     | obj ->
-      let bk = open_bucket t obj ~time in
+      let bk = open_bucket t obj ~bucket in
       bk.total <- bk.total + 1;
       bk.bad <- bk.bad + 1;
       bk.drops <- bk.drops + 1;
       obj.cum_total <- obj.cum_total + 1;
       obj.cum_bad <- obj.cum_bad + 1;
       obj.cum_drops <- obj.cum_drops + 1
+
+let observe_drop t ~vpn ~band ~time =
+  observe_drop_at t ~vpn ~band ~bucket:(bucket_of time)
+
+let observe_drop_cell t ~vpn ~band ~clock =
+  observe_drop_at t ~vpn ~band ~bucket:(bucket_of (Float.Array.get clock 0))
 
 (* --- reporting --------------------------------------------------------- *)
 

@@ -56,6 +56,18 @@ val observe_delivery :
 
 val observe_drop : t -> vpn:int -> band:int -> time:float -> unit
 
+val observe_delivery_cell :
+  t -> vpn:int -> band:int -> clock:floatarray -> latency:floatarray ->
+  unit
+(** {!observe_delivery} with the time read from slot 0 of [clock] (the
+    simulation engine's clock cell) and the latency from slot 0 of
+    [latency]: the per-delivery entry point, which crosses the call
+    with no float boxed. *)
+
+val observe_drop_cell :
+  t -> vpn:int -> band:int -> clock:floatarray -> unit
+(** {!observe_drop} with the time read from slot 0 of [clock]. *)
+
 val advance : t -> time:float -> unit
 (** Close out buckets up to [time] on every objective — call at end of
     run so the final seconds are evaluated (observations only advance

@@ -1113,6 +1113,27 @@ let test_traffic_poisson_mean () =
   Alcotest.(check bool) "within 10%" true
     (abs (!count - expected) < expected / 10)
 
+(* A warmed Poisson source fires without allocating: the next delay is
+   drawn straight into the source's delay cell and re-armed from it,
+   with the same event closure, and the stop test reads the engine's
+   clock cell. Both readings are taken inside one run window, after
+   5000 firings have settled the calendar queue's bucket width. *)
+let test_traffic_poisson_firing_allocates_nothing () =
+  let engine = Engine.create () in
+  let rng = Mvpn_sim.Rng.create 5 in
+  let count = ref 0 and words = Float.Array.make 2 0.0 in
+  Traffic.poisson engine rng ~start:0.0 ~stop:400.0 ~rate_pps:50.0
+    ~packet_bytes:512 (fun _ ->
+        incr count;
+        if !count = 5000 then Float.Array.set words 0 (Gc.minor_words ())
+        else if !count = 15_000 then
+          Float.Array.set words 1 (Gc.minor_words ()));
+  Engine.run engine;
+  Alcotest.(check bool) "fired past the second reading" true
+    (!count > 15_000);
+  Alcotest.(check (float 0.0)) "minor words over 10k firings" 0.0
+    (Float.Array.get words 1 -. Float.Array.get words 0)
+
 let test_traffic_onoff_duty_cycle () =
   let engine = Engine.create () in
   let rng = Mvpn_sim.Rng.create 9 in
@@ -1722,7 +1743,7 @@ let test_span_attributes_delivery () =
     (* Contiguous segments attribute the packet's whole life: their
        dwells must sum to the independently-measured end-to-end delay
        (sink time minus creation time) within a microsecond. *)
-    let e2e = !delivered_at -. p.Packet.created_at in
+    let e2e = !delivered_at -. Packet.created_at p in
     let dwell_sum =
       List.fold_left
         (fun a (g : T.Span.segment) -> a +. g.T.Span.dwell)
@@ -2159,6 +2180,8 @@ let () =
       ("traffic",
        [ Alcotest.test_case "cbr count" `Quick test_traffic_cbr_count;
          Alcotest.test_case "poisson mean" `Quick test_traffic_poisson_mean;
+         Alcotest.test_case "poisson firing allocates nothing" `Quick
+           test_traffic_poisson_firing_allocates_nothing;
          Alcotest.test_case "onoff duty" `Quick
            test_traffic_onoff_duty_cycle;
          Alcotest.test_case "pareto bursts" `Quick

@@ -555,17 +555,20 @@ let test_port_utilization () =
 
 (* --- Sla ----------------------------------------------------------------- *)
 
+(* A one-slot clock cell reading [t], as an engine's clock would. *)
+let clock_at t = Float.Array.make 1 t
+
 let test_sla_report () =
   let c = Sla.collector () in
-  Sla.on_send c ~now:0.0 ~bytes:1000;
-  Sla.on_send c ~now:0.1 ~bytes:1000;
-  Sla.on_send c ~now:0.2 ~bytes:1000;
+  Sla.on_send c ~clock:(clock_at 0.0) ~bytes:1000;
+  Sla.on_send c ~clock:(clock_at 0.1) ~bytes:1000;
+  Sla.on_send c ~clock:(clock_at 0.2) ~bytes:1000;
   let recv at created =
     let p =
       Packet.make ~size:1000 ~now:created
         (Flow.make (ip "10.0.0.1") (ip "10.1.0.1"))
     in
-    Sla.on_receive c ~now:at p
+    Sla.on_receive c ~clock:(clock_at at) p
   in
   recv 0.05 0.0;
   recv 0.16 0.1;
@@ -581,12 +584,12 @@ let test_sla_check_violations () =
   let c = Sla.collector () in
   for i = 0 to 99 do
     let now = float_of_int i *. 0.02 in
-    Sla.on_send c ~now ~bytes:200;
+    Sla.on_send c ~clock:(clock_at now) ~bytes:200;
     (* 300 ms delay: violates the voice spec. *)
     let p =
       Packet.make ~size:200 ~now (Flow.make (ip "10.0.0.1") (ip "10.1.0.1"))
     in
-    Sla.on_receive c ~now:(now +. 0.3) p
+    Sla.on_receive c ~clock:(clock_at (now +. 0.3)) p
   done;
   let r = Sla.report c in
   let violations = Sla.check Sla.voice_spec r in
@@ -599,8 +602,8 @@ let test_sla_reorder_detection () =
   let c = Sla.collector () in
   let flow = Flow.make (ip "10.0.0.1") (ip "10.1.0.1") in
   let recv seq =
-    Sla.on_send c ~now:0.0 ~bytes:100;
-    Sla.on_receive c ~now:0.1
+    Sla.on_send c ~clock:(clock_at 0.0) ~bytes:100;
+    Sla.on_receive c ~clock:(clock_at 0.1)
       (Packet.make ~seq ~size:100 ~now:0.0 flow)
   in
   recv 1;
@@ -612,7 +615,8 @@ let test_sla_reorder_detection () =
   Alcotest.(check int) "one reordered" 1 r.Sla.reordered;
   (* Different flows do not interfere. *)
   let other = Flow.make (ip "10.0.0.2") (ip "10.1.0.1") in
-  Sla.on_receive c ~now:0.2 (Packet.make ~seq:1 ~size:100 ~now:0.0 other);
+  Sla.on_receive c ~clock:(clock_at 0.2)
+    (Packet.make ~seq:1 ~size:100 ~now:0.0 other);
   Alcotest.(check int) "per-flow tracking" 1 (Sla.report c).Sla.reordered
 
 (* Reorder counting against a list model. Arrivals interleave over four
@@ -638,7 +642,7 @@ let sla_reorder_model =
          List.fold_left
            (fun (high, n) (f, seq, fresh) ->
               let flow = if fresh then sla_flows.(f) () else shared.(f) in
-              Sla.on_receive c ~now:1.0
+              Sla.on_receive c ~clock:(clock_at 1.0)
                 (Packet.make ~seq ~size:100 ~now:0.0 flow);
               match List.assoc_opt f high with
               | Some h when seq < h -> (high, n + 1)
@@ -1160,17 +1164,19 @@ let test_qdisc_cycle_allocates_nothing () =
   Alcotest.(check (float 0.0)) "minor words over 10k cycles" 0.0 dw
 
 (* [Sla.on_receive] on a flow it already tracks allocates nothing: the
-   delay and the jitter step reach [Stats] through the collector's
-   one-slot cell, not as boxed arguments. The receive times are
-   pre-boxed, as the engine's clock is. *)
+   receive time arrives in a clock cell, and the delay and the jitter
+   step reach [Stats] through the collector's one-slot cell, not as
+   boxed arguments. *)
 let test_sla_on_receive_allocates_nothing () =
   let c = Sla.collector () in
   let p = packet () in
   let nows = List.init 900 (fun i -> 0.01 +. (1e-4 *. float_of_int (i mod 37))) in
+  let clock = clock_at 0.0 in
   let rec feed = function
     | [] -> ()
     | now :: rest ->
-      Sla.on_receive c ~now p;
+      Float.Array.set clock 0 now;
+      Sla.on_receive c ~clock p;
       feed rest
   in
   (* Warm past 1024 samples, so the 900 measured ones fit the
@@ -1183,14 +1189,14 @@ let test_sla_on_receive_allocates_nothing () =
   Alcotest.(check (float 0.0)) "minor words over 900 receives" 0.0 dw;
   Alcotest.(check int) "received" 2000 (Sla.report c).Sla.received
 
-(* A warmed port's send -> tx -> propagate cycle allocates nothing but
-   the engine clock's box (2 words per executed event; ARCHITECTURE,
-   "Why Engine.now stays boxed"). The serialization delay reaches the
-   engine through the port's cell, unboxed. Both readings are taken
-   inside one run window, so the window's own setup cancels out, and
-   after 12k warm-up events, by which the calendar queue has settled
-   its bucket width (a re-width allocates a fresh bucket array). *)
-let test_port_cycle_allocates_only_the_clock () =
+(* A warmed port's send -> tx -> propagate cycle allocates nothing: the
+   serialization delay reaches the engine through the port's cell, and
+   the engine's clock is a cell too, so an executed event stores no
+   float box. Both readings are taken inside one run window, so the
+   window's own setup cancels out, and after 12k warm-up events, by
+   which the calendar queue has settled its bucket width (a re-width
+   allocates a fresh bucket array). *)
+let test_port_cycle_allocates_nothing () =
   let e = Engine.create () in
   let topo = Topology.create () in
   let a = Topology.add_node topo and b = Topology.add_node topo in
@@ -1223,9 +1229,40 @@ let test_port_cycle_allocates_only_the_clock () =
   Alcotest.(check int) "delivered" 6000 !delivered;
   let dev = events.(1) - events.(0) in
   Alcotest.(check int) "three events per cycle" 6000 dev;
-  Alcotest.(check (float 0.0)) "minor words beyond the clock box" 0.0
-    (Float.Array.get words 1 -. Float.Array.get words 0
-     -. (2.0 *. float_of_int dev))
+  Alcotest.(check (float 0.0)) "minor words over 6000 events" 0.0
+    (Float.Array.get words 1 -. Float.Array.get words 0)
+
+(* A packet's whole measured life on a known flow allocates nothing once
+   the pool is warm: [make] reincarnates a retired record and stamps its
+   own creation cell, the send and the receive read the time from a
+   clock cell, and [release] parks the record again. Half the packets
+   come from [make ~now] (a pre-boxed time, as a caller holding one
+   passes it), half from [make_cell] (the traffic senders' path). *)
+let test_packet_life_allocates_nothing () =
+  let c = Sla.collector () in
+  let flow = Flow.make (ip "10.0.0.1") (ip "10.1.0.1") in
+  let clock = clock_at 0.0 and t0 = 0.0 in
+  let life i =
+    let p =
+      if i land 1 = 0 then Packet.make ~now:t0 flow
+      else Packet.make_cell clock flow
+    in
+    Sla.on_send c ~clock ~bytes:p.Packet.size;
+    Float.Array.set clock 0 (Float.Array.get clock 0 +. 1e-3);
+    Sla.on_receive c ~clock p;
+    Packet.release p
+  in
+  let was = Packet.pooling () in
+  Packet.set_pooling true;
+  Fun.protect ~finally:(fun () -> Packet.set_pooling was) (fun () ->
+      (* Warm past 1024 samples, so the measured ones fit the sample
+         store without growing it. *)
+      for i = 1 to 1100 do life i done;
+      let w0 = Gc.minor_words () in
+      for i = 1 to 900 do life i done;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) "minor words over 900 lives" 0.0 dw);
+  Alcotest.(check int) "received" 2000 (Sla.report c).Sla.received
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -1291,8 +1328,8 @@ let () =
            test_port_queue_drop_counted;
          Alcotest.test_case "utilization" `Quick test_port_utilization;
          qt port_ring_model;
-         Alcotest.test_case "send/tx/propagate allocates only the clock"
-           `Quick test_port_cycle_allocates_only_the_clock ]);
+         Alcotest.test_case "send/tx/propagate allocates nothing" `Quick
+           test_port_cycle_allocates_nothing ]);
       ("shaper",
        [ Alcotest.test_case "passes conforming" `Quick
            test_shaper_passes_conforming;
@@ -1320,4 +1357,6 @@ let () =
            test_sla_empty_collector;
          qt sla_reorder_model;
          Alcotest.test_case "on_receive allocates nothing" `Quick
-           test_sla_on_receive_allocates_nothing ]) ]
+           test_sla_on_receive_allocates_nothing;
+         Alcotest.test_case "packet life allocates nothing" `Quick
+           test_packet_life_allocates_nothing ]) ]

@@ -577,8 +577,9 @@ let test_audit_loop_check_counts_per_uid () =
   T.Hop_trace.clear ring;
   let rx = T.Hop_trace.intern "rx" and tx = T.Hop_trace.intern "tx" in
   let collide = 7 + (2 * T.Hop_trace.capacity ring) in
+  let clock = Float.Array.make 1 0.0 in
   let record uid code =
-    T.Hop_trace.record_code ring ~uid ~time:0.0 ~node:0 code
+    T.Hop_trace.record_code ring ~uid ~clock ~node:0 code
   in
   for i = 1 to 4 do
     record 7 rx;

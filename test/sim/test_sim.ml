@@ -120,6 +120,53 @@ let test_rng_shuffle_permutes () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* The splitmix64 stream is pinned to the published algorithm (state
+   += golden gamma, then the mix finalizer) from [create 42]: keeping
+   the state unboxed must not move a single draw. *)
+let test_rng_stream_pinned () =
+  let r = Rng.create 42 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "bits64" want (Rng.bits64 r))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+
+(* Each cell draw is its float twin's draw, bit for bit, and advances
+   the generator the same way. *)
+let test_rng_cell_draws_match () =
+  let a = Rng.create 29 and b = Rng.create 29 in
+  let cell = Float.Array.make 1 0.0 in
+  let same what x =
+    Alcotest.(check int64) what (Int64.bits_of_float x)
+      (Int64.bits_of_float (Float.Array.get cell 0))
+  in
+  for _ = 1 to 1000 do
+    Rng.uniform_cell b cell;
+    same "uniform" (Rng.uniform a);
+    Rng.exponential_cell b ~rate:3.0 cell;
+    same "exponential" (Rng.exponential a ~rate:3.0);
+    Rng.pareto_cell b ~shape:1.5 ~scale:10.0 cell;
+    same "pareto" (Rng.pareto a ~shape:1.5 ~scale:10.0)
+  done
+
+(* Warmed draws allocate nothing: the state advances in place and the
+   cell draws hand their float over unboxed. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 31 and cell = Float.Array.make 1 0.0 in
+  let acc = ref 0 in
+  let draws n =
+    for _ = 1 to n do
+      Rng.uniform_cell r cell;
+      Rng.exponential_cell r ~rate:2.0 cell;
+      Rng.pareto_cell r ~shape:1.5 ~scale:1.0 cell;
+      acc := !acc + Rng.int r 1000
+    done
+  in
+  draws 100;
+  let w0 = Gc.minor_words () in
+  draws 10_000;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 40k draws" 0.0 dw;
+  Alcotest.(check bool) "drew" true (!acc > 0)
+
 (* --- Heap ------------------------------------------------------------- *)
 
 let test_heap_order () =
@@ -1390,7 +1437,12 @@ let () =
          Alcotest.test_case "split distinct" `Quick test_rng_split_distinct;
          Alcotest.test_case "normal moments" `Quick test_rng_normal_moments;
          Alcotest.test_case "shuffle permutes" `Quick
-           test_rng_shuffle_permutes ]);
+           test_rng_shuffle_permutes;
+         Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+         Alcotest.test_case "cell draws match" `Quick
+           test_rng_cell_draws_match;
+         Alcotest.test_case "draws allocate nothing" `Quick
+           test_rng_draws_allocate_nothing ]);
       ("heap",
        [ Alcotest.test_case "order" `Quick test_heap_order;
          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;

@@ -125,6 +125,58 @@ let test_trace_disabled () =
   Hop_trace.record t ~uid:1 ~time:0.0 ~node:0 "rx";
   Alcotest.(check int) "no-op while disabled" 0 (Hop_trace.recorded t)
 
+(* A warmed [record_code] allocates nothing: the time arrives in a
+   clock cell and lands in the ring's flat float array. *)
+let test_trace_record_code_allocates_nothing () =
+  let t = Hop_trace.create () and clock = Float.Array.make 1 0.0 in
+  let code = Hop_trace.intern "rx" in
+  let hops n =
+    for i = 1 to n do
+      Float.Array.set clock 0 (1e-6 *. float_of_int i);
+      Hop_trace.record_code t ~uid:i ~clock ~node:(i land 7) code
+    done
+  in
+  Control.with_enabled (fun () ->
+      hops 100;
+      let w0 = Gc.minor_words () in
+      hops 10_000;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) "minor words over 10k hops" 0.0 dw);
+  Alcotest.(check int) "recorded" 10_100 (Hop_trace.recorded t);
+  match Hop_trace.trace t ~uid:10_000 with
+  | [ e ] -> Alcotest.(check (float 0.0)) "time from the cell" 1e-2 e.time
+  | es -> Alcotest.failf "one hop, got %d" (List.length es)
+
+(* [trace] builds records only for the packet's own hops: a trace of k
+   hops in a full 4096-entry ring allocates O(k) words (per hop an event
+   record, its boxed time and a list cell), not a record per live
+   entry. *)
+let test_trace_allocates_per_hop () =
+  let t = Hop_trace.create () and clock = Float.Array.make 1 0.0 in
+  let code = Hop_trace.intern "rx" in
+  Control.with_enabled (fun () ->
+      for i = 1 to Hop_trace.capacity t do
+        Float.Array.set clock 0 (float_of_int i);
+        let uid = if i mod 1000 = 0 then 7 else 100 + i in
+        Hop_trace.record_code t ~uid ~clock ~node:0 code
+      done);
+  let w0 = Gc.minor_words () in
+  let hops = Hop_trace.trace t ~uid:7 in
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (list (float 0.0))) "the packet's hops, oldest first"
+    [ 1000.0; 2000.0; 3000.0; 4000.0 ]
+    (List.map (fun (e : Hop_trace.event) -> e.time) hops);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 4 hops" dw)
+    true (dw <= 64.0);
+  let w0 = Gc.minor_words () in
+  let none = Hop_trace.trace t ~uid:8 in
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "no hops" 0 (List.length none);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for a miss" dw)
+    true (dw <= 8.0)
+
 (* Shards on other domains intern drop labels concurrently: every
    domain must get the same code for the same string, and a ring filled
    through codes must read back the strings. *)
@@ -137,10 +189,10 @@ let test_trace_intern_across_domains () =
   Alcotest.(check (list int)) "same code in both domains" here there;
   Alcotest.(check int) "distinct codes" 50
     (List.length (List.sort_uniq Int.compare here));
-  let t = Hop_trace.create () in
+  let t = Hop_trace.create () and clock = Float.Array.make 1 0.0 in
   Control.with_enabled (fun () ->
       List.iteri
-        (fun uid code -> Hop_trace.record_code t ~uid ~time:0.0 ~node:0 code)
+        (fun uid code -> Hop_trace.record_code t ~uid ~clock ~node:0 code)
         here);
   Alcotest.(check (list string)) "codes decode to their labels" labels
     (List.map (fun (e : Hop_trace.event) -> e.Hop_trace.label)
@@ -621,6 +673,39 @@ let test_registry_scoped () =
   Alcotest.(check int) "an exception still folds the outer values back"
     1106 (Counter.value c)
 
+(* An empty scope costs what the table holds, not a closure per lookup:
+   with 256 metrics holding values (about a full E16 run's table) it
+   allocates under 4k minor words — the pre-scope snapshot, the fold
+   back, and an inner snapshot of only the gauges, since zero counters
+   and empty histograms are left out. *)
+let test_registry_empty_scope_is_cheap () =
+  let cs =
+    Array.init 244 (fun i ->
+        Registry.counter (Printf.sprintf "scope-cost.c%d" i))
+  in
+  let gs =
+    Array.init 8 (fun i -> Registry.gauge (Printf.sprintf "scope-cost.g%d" i))
+  in
+  let hs =
+    Array.init 4 (fun i ->
+        Registry.histogram (Printf.sprintf "scope-cost.h%d" i))
+  in
+  Control.with_enabled (fun () ->
+      Array.iteri (fun i c -> Counter.add c (i + 1)) cs;
+      Array.iteri (fun i g -> Gauge.set g (float_of_int (i + 1))) gs;
+      Array.iter (fun h -> Histogram.observe h 1e-3) hs);
+  let (), _ = Registry.scoped ignore in
+  let w0 = Gc.minor_words () in
+  let (), inner = Registry.scoped ignore in
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for an empty scope" dw)
+    true (dw < 4000.0);
+  Alcotest.(check int) "the empty scope measured nothing" 0
+    (Registry.snapshot_counter inner "scope-cost.c0");
+  Alcotest.(check int) "values folded back" 244 (Counter.value cs.(243));
+  Alcotest.(check int) "histograms folded back" 1 (Histogram.count hs.(0))
+
 (* Two domains bumping one counter handle concurrently must not lose a
    single increment: each domain's bumps land in its own domain-local
    cell, and the partials combine through snapshot (taken inside the
@@ -980,6 +1065,35 @@ let test_slo_observe_allocates_nothing () =
   | [ r ] -> Alcotest.(check int) "total" 2000 r.Slo.total
   | rs -> Alcotest.fail (Printf.sprintf "one report, got %d" (List.length rs))
 
+(* The cell entry points, which the network's delivery path uses,
+   allocate nothing on values the caller computes: the time and the
+   latency cross each call in cells, never as boxed floats. *)
+let test_cell_observers_allocate_nothing () =
+  let h = Histogram.make () in
+  let t = Slo.create ~events:(Event_log.create ()) () in
+  Slo.declare t ~vpn:3 ~band:1 (Slo.spec ~latency_p99:0.05 0.99);
+  let clock = Float.Array.make 1 0.0 and lat = Float.Array.make 1 0.0 in
+  let feed n =
+    for i = 1 to n do
+      Float.Array.set clock 0 (1e-3 *. float_of_int (i mod 500));
+      Float.Array.set lat 0 (1e-4 *. float_of_int (i mod 900));
+      Histogram.observe_cell h lat;
+      Slo.observe_delivery_cell t ~vpn:3 ~band:1 ~clock ~latency:lat;
+      Slo.observe_drop_cell t ~vpn:3 ~band:1 ~clock
+    done
+  in
+  Control.with_enabled (fun () ->
+      feed 499;
+      let w0 = Gc.minor_words () in
+      feed 499;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) "minor words over 1497 observations" 0.0
+        dw);
+  Alcotest.(check int) "histogram count" 998 (Histogram.count h);
+  match Slo.reports t with
+  | [ r ] -> Alcotest.(check int) "slo total" 1996 r.Slo.total
+  | rs -> Alcotest.failf "one report, got %d" (List.length rs)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick (wrap f) in
   Alcotest.run "telemetry"
@@ -1010,12 +1124,16 @@ let () =
        [ tc "per packet" test_trace_per_packet;
          tc "ring wraps" test_trace_ring_wraps;
          tc "disabled" test_trace_disabled;
-         tc "intern across domains" test_trace_intern_across_domains ]);
+         tc "intern across domains" test_trace_intern_across_domains;
+         tc "record_code allocates nothing"
+           test_trace_record_code_allocates_nothing;
+         tc "trace allocates per hop" test_trace_allocates_per_hop ]);
       ("registry",
        [ tc "get or create" test_registry_get_or_create;
          tc "reset keeps registrations" test_registry_reset_keeps_registrations;
          tc "json export" test_registry_json;
-         tc "scoped" test_registry_scoped ]);
+         tc "scoped" test_registry_scoped;
+         tc "empty scope is cheap" test_registry_empty_scope_is_cheap ]);
       ("timeseries",
        [ tc "gated by control" test_series_gated;
          tc "decimation invariant" test_series_decimation;
@@ -1034,6 +1152,8 @@ let () =
          tc "violation recovery alert" test_slo_violation_recovery_and_alert;
          tc "gated and json" test_slo_gated_and_json;
          tc "observe allocates nothing" test_slo_observe_allocates_nothing;
+         tc "cell observers allocate nothing"
+           test_cell_observers_allocate_nothing;
          tc "private engine uncounted" test_slo_private_engine_uncounted ]);
       ("json-bytes",
        [ tc "event log entries" test_event_log_json_bytes;
