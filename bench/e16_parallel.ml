@@ -191,13 +191,16 @@ let run () =
     (T.Registry.gauge "e16.ratio.cal_over_sampler_cpu")
     cal_over_sampler;
   (* Dispatch-cost ledger: the same run again with the engine profiler
-     on. Publishes the sim.profile.* gauges — the pop / handler / flush
-     wall-time split and per-kind dispatch counts check.sh asserts on.
-     Profiling never touches the schedule, so the full fingerprint must
-     hold. *)
+     on, which run_sequential then publishes as the sim.profile.*
+     gauges — the pop / handler / flush wall-time split and per-kind
+     dispatch counts check.sh asserts on. Profiling never touches the
+     schedule, so the full fingerprint must hold. *)
+  let profile sc =
+    Mvpn_sim.Profile.enable
+      (Mvpn_sim.Engine.profiler (Mvpn_core.Scenario.engine sc))
+  in
   let seq_prof =
-    timed "seq-prof" { (cfg 1) with Runner.profile = true }
-      Runner.run_sequential
+    seq_run "seq-prof" { (cfg 1) with Runner.prepare_replica = Some profile }
   in
   check_fingerprint ~baseline:seq seq_prof;
   report seq_prof;

@@ -164,11 +164,9 @@ let add_pair_workload t ~armed ~load ~start ~stop rng (a : Site.t)
     end
   end
 
-let add_mixed_workload ?(load = 0.9) ?(start = 0.0) ?rng_seed ?only t ~pairs
+let add_mixed_workload ?(load = 0.9) ?(start = 0.0) ?only t ~pairs
     ~duration =
-  let rng =
-    match rng_seed with Some s -> Rng.create s | None -> Rng.fork t.rng
-  in
+  let rng = Rng.fork t.rng in
   List.iter
     (fun (a, b) ->
        let armed = match only with None -> true | Some f -> f a b in
@@ -181,8 +179,10 @@ let add_mixed_workload ?(load = 0.9) ?(start = 0.0) ?rng_seed ?only t ~pairs
    day curve — trough at the edges, peak mid-run. One shared rng forked
    exactly once per segment regardless of the ownership filter, so a
    partitioned soak draws the identical stream per replica. *)
-let add_diurnal_workload ?(peak_load = 0.9) ?(floor_load = 0.3)
-    ?(segments = 8) ?only t ~pairs ~duration =
+let diurnal_floor_load = 0.3
+
+let add_diurnal_workload ?(peak_load = 0.9) ?(segments = 8) ?only t ~pairs
+    ~duration =
   if segments < 1 then
     invalid_arg "Scenario.add_diurnal_workload: segments must be >= 1";
   if not (Float.is_finite duration && duration > 0.0) then
@@ -195,8 +195,8 @@ let add_diurnal_workload ?(peak_load = 0.9) ?(floor_load = 0.3)
       2.0 *. Float.pi *. (float_of_int i +. 0.5) /. float_of_int segments
     in
     let load =
-      floor_load
-      +. (peak_load -. floor_load) *. 0.5 *. (1.0 -. Float.cos phase)
+      diurnal_floor_load
+      +. (peak_load -. diurnal_floor_load) *. 0.5 *. (1.0 -. Float.cos phase)
     in
     let start = float_of_int i *. seg in
     List.iter
@@ -258,8 +258,7 @@ let attach_slo ?slo t =
   in
   declare_objectives t slo;
   Network.set_slo t.net (Some slo);
-  Network.set_span_sampler t.net
-    (Some (Mvpn_telemetry.Span.sampler ~every:64 ()));
+  Network.set_span_sampler t.net (Some (Mvpn_telemetry.Span.sampler ()));
   slo
 
 let run t ~duration =

@@ -56,7 +56,6 @@ val service_classes : (string * Mvpn_net.Dscp.t * Mvpn_qos.Sla.spec) list
 val add_mixed_workload :
   ?load:float ->
   ?start:float ->
-  ?rng_seed:int ->
   ?only:(Site.t -> Site.t -> bool) ->
   t -> pairs:(Site.t * Site.t) list -> duration:float -> unit
 (** Per site pair: one on/off EF voice call (64 kb/s, 200-byte
@@ -72,15 +71,14 @@ val add_mixed_workload :
 
 val add_diurnal_workload :
   ?peak_load:float ->
-  ?floor_load:float ->
   ?segments:int ->
   ?only:(Site.t -> Site.t -> bool) ->
   t -> pairs:(Site.t * Site.t) list -> duration:float -> unit
 (** The soak workload: [segments] (default 8) equal windows over
     [duration], each a {!add_mixed_workload} whose load follows a
-    raised-cosine diurnal curve from [floor_load] (default 0.3) at the
-    edges to [peak_load] (default 0.9) mid-run. [only] filters exactly
-    as in {!add_mixed_workload} — every RNG draw happens regardless, so
+    raised-cosine diurnal curve from 0.3 at the edges to [peak_load]
+    (default 0.9) mid-run. [only] filters exactly as in
+    {!add_mixed_workload} — every RNG draw happens regardless, so
     partitioned soaks stay byte-identical to sequential.
     @raise Invalid_argument on [segments < 1] or a non-finite or
     non-positive [duration]. *)

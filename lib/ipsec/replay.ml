@@ -1,13 +1,13 @@
+(* RFC 2401 suggests 64; the bitmap lives in one OCaml int, which caps
+   it at 62. *)
+let window = 62
+
 type t = {
-  window : int;
   mutable top : int;  (* highest accepted sequence number *)
   mutable bitmap : int;  (* bit i set = (top - i) seen; bit 0 is top *)
 }
 
-let create ?(window = 62) () =
-  if window <= 0 || window > 62 then
-    invalid_arg "Replay.create: window must be in 1..62";
-  { window; top = 0; bitmap = 0 }
+let create () = { top = 0; bitmap = 0 }
 
 type verdict = Accepted | Duplicate | Too_old
 
@@ -21,7 +21,7 @@ let check t seq =
   end
   else begin
     let offset = t.top - seq in
-    if offset >= t.window then Too_old
+    if offset >= window then Too_old
     else if t.bitmap land (1 lsl offset) <> 0 then Duplicate
     else begin
       t.bitmap <- t.bitmap lor (1 lsl offset);

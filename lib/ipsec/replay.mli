@@ -7,10 +7,10 @@
 
 type t
 
-val create : ?window:int -> unit -> t
-(** [window] defaults to 62 (RFC suggests 64; the bitmap lives in one
-    OCaml int, which caps it at 62).
-    @raise Invalid_argument if outside 1..62. *)
+val create : unit -> t
+(** A window of the 62 sequence numbers up to the highest accepted (RFC
+    2401 suggests 64; the bitmap lives in one OCaml int, which caps it
+    at 62). *)
 
 type verdict = Accepted | Duplicate | Too_old
 

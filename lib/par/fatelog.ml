@@ -34,11 +34,6 @@ let emit fl i f =
     ~band:((meta lsr 1) land 0x1FFFFF) ~dropped:(meta land 1 = 1)
     ~latency:(Float.Array.get fl.lats i)
 
-let iter fl f =
-  for i = 0 to fl.n - 1 do
-    emit fl i f
-  done
-
 (* Each step scans the logs' heads in index order and takes the first
    with the least time, so equal times go to the lower log index. *)
 let iter_merged logs f =

@@ -17,13 +17,6 @@ val add :
 (** Append one fate; [latency] is 0 for drops. [band] must fit 21 bits
     and [vpn] 40. *)
 
-val iter :
-  t ->
-  (time:float -> vpn:int -> band:int -> dropped:bool -> latency:float ->
-   unit) ->
-  unit
-(** Every fate in log order. *)
-
 val iter_merged :
   t array ->
   (time:float -> vpn:int -> band:int -> dropped:bool -> latency:float ->
@@ -31,4 +24,5 @@ val iter_merged :
   unit
 (** Every fate of every log, ordered by (time, log index, position in
     its log) — a K-way merge of time-sorted logs in O(fates × logs), no
-    sort and no allocation per fate. *)
+    sort and no allocation per fate. A single log replays in log
+    order. *)

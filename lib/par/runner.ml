@@ -9,7 +9,9 @@ module Scenario = Mvpn_core.Scenario
 module Network = Mvpn_core.Network
 module Qos_mapping = Mvpn_core.Qos_mapping
 module Sampler = Mvpn_core.Sampler
+module Site = Mvpn_core.Site
 module Sla = Mvpn_qos.Sla
+module Profile = Mvpn_sim.Profile
 
 type config = {
   shards : int;
@@ -24,7 +26,6 @@ type config = {
   core_delay : float option;
   backend : Engine.backend;
   sample_interval : float option;
-  profile : bool;
   prepare_replica : (Scenario.t -> unit) option;
   diurnal : int option;
 }
@@ -34,7 +35,7 @@ let default_config =
     policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
     use_te = false; load = 0.9; duration = 30.0; seed = 11;
     core_delay = None; backend = Engine.Calendar;
-    sample_interval = None; profile = false; prepare_replica = None;
+    sample_interval = None; prepare_replica = None;
     diurnal = None }
 
 type outcome = {
@@ -64,47 +65,97 @@ let build cfg =
     ?core_delay:cfg.core_delay
     (Scenario.Mpls_deployment { policy = cfg.policy; use_te = cfg.use_te })
 
-let arm_workload cfg sc ~only =
-  match cfg.diurnal with
-  | None ->
-    Scenario.add_mixed_workload ~load:cfg.load ~only sc
-      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration
-  | Some segments ->
-    Scenario.add_diurnal_workload ~peak_load:cfg.load ~segments ~only sc
-      ~pairs:(Scenario.default_pairs sc) ~duration:cfg.duration
+(* The one arming order; runner.mli states why each step sits where it
+   does. *)
+let replica cfg ~canonical ~only =
+  let sc = build cfg in
+  (* Every replica's build bumps this domain's metric cells; only the
+     canonical one keeps them, so deploy-time counters appear exactly
+     once in a merged snapshot. [Registry.reset] zeroes the calling
+     domain's cells only, so concurrent builds are unaffected. *)
+  if not canonical then Registry.reset ();
+  let sampler =
+    Option.map
+      (fun dt -> Sampler.start ~interval:dt ~until:(horizon_of cfg) sc)
+      cfg.sample_interval
+  in
+  Option.iter (fun f -> f sc) cfg.prepare_replica;
+  let fates = Fatelog.create () in
+  Network.set_fate_hook (Scenario.network sc)
+    (Some
+       (match sampler with
+        | None -> Fatelog.add fates
+        | Some sm ->
+          fun ~time ~vpn ~band ~dropped ~latency ->
+            Sampler.observe_fate sm ~time ~vpn ~band ~dropped ~latency;
+            Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
+  let pairs = Scenario.default_pairs sc in
+  (match cfg.diurnal with
+   | None ->
+     Scenario.add_mixed_workload ~load:cfg.load ~only sc ~pairs
+       ~duration:cfg.duration
+   | Some segments ->
+     Scenario.add_diurnal_workload ~peak_load:cfg.load ~segments ~only sc
+       ~pairs ~duration:cfg.duration);
+  (sc, fates)
 
 (* Replay a time-sorted fate stream into a fresh conformance engine
    with the stock per-(vpn, band) objectives — the same declarations
-   [Scenario.attach_slo] makes. The stream arrives as an iteration
-   function: the sequential runner's one fate log, or the parallel
-   runner's merge of its shards' logs. A private event log keeps the
-   replay's transitions out of the global forensic ring and the global
-   slo.* counters, which count what the run itself recorded. *)
-let replay_slo ~scenario ~horizon iter_fates =
+   [Scenario.attach_slo] makes. A private event log keeps the replay's
+   transitions out of the global forensic ring and the global slo.*
+   counters, which count what the run itself recorded. *)
+let replay_slo ~scenario ~horizon fates =
   let slo = Slo.create ~events:(Event_log.create ()) () in
   Scenario.declare_objectives scenario slo;
   Control.with_enabled (fun () ->
-      iter_fates (fun ~time ~vpn ~band ~dropped ~latency ->
+      Fatelog.iter_merged fates (fun ~time ~vpn ~band ~dropped ~latency ->
           if dropped then Slo.observe_drop slo ~vpn ~band ~time
           else Slo.observe_delivery slo ~vpn ~band ~time ~latency);
       Slo.advance slo ~time:horizon);
   slo
 
-let class_sums per_replica_reports =
+let class_sums replicas =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in
-  List.iter
-    (List.iter (fun (label, (r : Sla.report)) ->
-         let s0, v0 =
-           match Hashtbl.find_opt tbl label with
-           | Some x -> x
-           | None ->
-             order := label :: !order;
-             (0, 0)
-         in
-         Hashtbl.replace tbl label (s0 + r.Sla.sent, v0 + r.Sla.received)))
-    per_replica_reports;
+  Array.iter
+    (fun (sc, _) ->
+       List.iter
+         (fun (label, (r : Sla.report)) ->
+            let s0, v0 =
+              match Hashtbl.find_opt tbl label with
+              | Some x -> x
+              | None ->
+                order := label :: !order;
+                (0, 0)
+            in
+            Hashtbl.replace tbl label (s0 + r.Sla.sent, v0 + r.Sla.received))
+         (Scenario.class_reports sc))
+    replicas;
   List.rev_map (fun l -> let s, v = Hashtbl.find tbl l in (l, s, v)) !order
+
+(* What both entry points report: every total read from the run's one
+   snapshot, the class sums over its replicas and the SLO verdict
+   replayed from their fates, merged in replica order (one log replays
+   as recorded). The partition fields read as one unpartitioned
+   replica; {!run_parallel} overrides them. *)
+let outcome ~horizon ~registry ~registry_json replicas =
+  let total = Registry.snapshot_counter registry in
+  let sc0 = fst replicas.(0) in
+  { shards = 1;
+    sizes =
+      [| Topology.node_count (Network.topology (Scenario.network sc0)) |];
+    cut_links = 0;
+    lookahead = true;
+    delivered = total "net.delivered";
+    dropped = total "net.drops";
+    events = total "sim.events";
+    scheduled = total "sim.scheduled";
+    exchanged = 0;
+    leftover = 0;
+    overflow = 0;
+    classes = class_sums replicas;
+    slo = replay_slo ~scenario:sc0 ~horizon (Array.map snd replicas);
+    registry; registry_json; horizon }
 
 (* One shard's life: conservative windows (or epoch barriers when some
    cut link has zero lookahead), then the final inclusive pass at the
@@ -189,12 +240,12 @@ let run_parallel (cfg : config) =
           ~shards:cfg.shards)
   in
   let k = part.Partition.shards in
+  let owner = part.Partition.owner in
   let ex = Exchange.create ~shards:k () in
   let inbound = Array.make k [] in
   List.iter
     (fun (l : Topology.link) ->
-       let s = part.Partition.owner.(l.Topology.src)
-       and d = part.Partition.owner.(l.Topology.dst) in
+       let s = owner.(l.Topology.src) and d = owner.(l.Topology.dst) in
        Exchange.open_channel ex ~src:s ~dst:d;
        inbound.(d) <-
          (match List.assoc_opt s inbound.(d) with
@@ -204,40 +255,28 @@ let run_parallel (cfg : config) =
           | None -> (s, l.Topology.delay) :: inbound.(d)))
     part.Partition.cut;
   let clock = Clock.create ~shards:k ~horizon ~inbound in
-  let create_shard i =
-    Shard.create ~id:i ~part ~exchange:ex
-      ~build:(fun () -> build cfg)
-      ~prepare:(fun sc ->
-          let tap =
-            Option.map
-              (fun dt ->
-                 Sampler.observe_fate
-                   (Sampler.start ~interval:dt ~until:horizon sc))
-              cfg.sample_interval
-          in
-          (* Same schedule-call order as run_sequential: sampler ticks,
-             then whatever the caller arms (chaos storms, the invariant
-             auditor) — FIFO tie-break at equal times depends on it. *)
-          (match cfg.prepare_replica with Some f -> f sc | None -> ());
-          tap)
-      ~arm:(arm_workload cfg) ()
-  in
   (* A shard's domain returns its failure instead of raising, after
      aborting the clock, so every sibling stops waiting and every
      domain can be joined. *)
   let run_shard i () =
     let started = ref None in
     match
-      let sh = create_shard i in
+      (* Sources start only for pairs whose sending CE this shard owns;
+         the workload still draws for every pair, so each armed pair's
+         substream is byte-identical to the sequential run. *)
+      let sc, fates =
+        replica cfg ~canonical:(i = 0)
+          ~only:(fun (a : Site.t) _ -> owner.(a.Site.ce_node) = i)
+      in
+      let sh = Shard.create ~id:i ~part ~exchange:ex sc in
       started := Some sh;
       drive sh clock;
-      let r = Shard.collect sh in
       (* Close the books at the horizon: every packet the replica was
          handed is delivered, dropped, handed to another shard,
          consumed or still live, and none retired without being
          counted in. O(ports), once per run. *)
-      Network.close_books (Scenario.network r.Shard.r_scenario);
-      (sh, r)
+      Network.close_books (Scenario.network sc);
+      (sh, (sc, fates), Registry.snapshot ())
     with
     | r -> Ok r
     | exception exn ->
@@ -246,21 +285,21 @@ let run_parallel (cfg : config) =
       let at = match !started with Some sh -> Shard.now sh | None -> 0.0 in
       Error { at; exn; bt }
   in
-  let (cols, leftover, registry_json), registry =
+  let (shards, replicas, leftover, registry_json), registry =
     Registry.scoped (fun () ->
         let domains = Array.init k (fun i -> Domain.spawn (run_shard i)) in
         let joined = Array.map Domain.join domains in
         Option.iter
           (fun f -> Printexc.raise_with_backtrace f.exn f.bt)
           (first_failure joined);
-        let shards, cols =
-          Array.split
-            (Array.map (function Ok r -> r | Error _ -> assert false) joined)
+        let cols =
+          Array.map (function Ok r -> r | Error _ -> assert false) joined
         in
         (* Merge every shard's metric cells into the scope, in shard
            order (associative, so the order only pins float
            rounding). *)
-        Array.iter (fun c -> Registry.absorb c.Shard.r_snapshot) cols;
+        Array.iter (fun (_, _, snap) -> Registry.absorb snap) cols;
+        let shards = Array.map (fun (sh, _, _) -> sh) cols in
         (* Post-horizon cross-shard packets: the sequential run
            scheduled their propagation events (and never executed
            them); re-schedule them on the destination replica so
@@ -269,82 +308,36 @@ let run_parallel (cfg : config) =
           Array.fold_left
             (fun acc sh -> acc + Shard.requeue_leftovers sh) 0 shards
         in
-        (cols, leftover, Registry.to_json ~trace_events:0 ()))
+        ( shards, Array.map (fun (_, r, _) -> r) cols, leftover,
+          Registry.to_json ~trace_events:0 () ))
   in
-  let total = Registry.snapshot_counter registry in
-  (* [cols] is in shard order, so the merge orders fates by (time,
+  (* [replicas] is in shard order, so the merge orders fates by (time,
      shard, observation order). *)
-  let slo =
-    replay_slo ~scenario:cols.(0).Shard.r_scenario ~horizon
-      (Fatelog.iter_merged (Array.map (fun c -> c.Shard.r_fates) cols))
-  in
-  { shards = k;
+  { (outcome ~horizon ~registry ~registry_json replicas) with
+    shards = k;
     sizes = Partition.sizes part;
     cut_links = List.length part.Partition.cut;
     lookahead = Clock.lookahead clock;
-    delivered = total "net.delivered";
-    dropped = total "net.drops";
-    events = total "sim.events";
-    scheduled = total "sim.scheduled";
-    exchanged =
-      Array.fold_left (fun acc c -> acc + c.Shard.r_sent) 0 cols;
+    exchanged = Array.fold_left (fun acc sh -> acc + Shard.sent sh) 0 shards;
     leftover;
-    overflow = Exchange.overflows ex;
-    classes =
-      class_sums
-        (Array.to_list cols
-         |> List.map (fun c -> Scenario.class_reports c.Shard.r_scenario));
-    slo; registry; registry_json; horizon }
+    overflow = Exchange.overflows ex }
 
 let run_sequential (cfg : config) =
   with_pooling @@ fun () ->
   let horizon = horizon_of cfg in
-  let (sc, fates, registry_json), registry =
+  let (r, registry_json), registry =
     Registry.scoped (fun () ->
-        let sc = build cfg in
-        let net = Scenario.network sc in
-        let sampler =
-          Option.map
-            (fun dt -> Sampler.start ~interval:dt ~until:horizon sc)
-            cfg.sample_interval
+        let ((sc, _) as r) =
+          replica cfg ~canonical:true ~only:(fun _ _ -> true)
         in
-        (* After the sampler, before the workload — the same
-           schedule-call order the shard replicas use, so events
-           landing at equal times keep the same FIFO rank at every
-           shard count. *)
-        (match cfg.prepare_replica with Some f -> f sc | None -> ());
-        if cfg.profile then
-          Mvpn_sim.Profile.enable (Engine.profiler (Scenario.engine sc));
-        let fates = Fatelog.create () in
-        Network.set_fate_hook net
-          (Some
-             (match sampler with
-              | None -> Fatelog.add fates
-              | Some sm ->
-                fun ~time ~vpn ~band ~dropped ~latency ->
-                  Sampler.observe_fate sm ~time ~vpn ~band ~dropped
-                    ~latency;
-                  Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
-        arm_workload cfg sc ~only:(fun _ _ -> true);
-        Engine.run ~until:horizon (Scenario.engine sc);
-        Network.close_books net;
-        if cfg.profile then
-          Mvpn_sim.Profile.publish (Engine.profiler (Scenario.engine sc));
-        (sc, fates, Registry.to_json ~trace_events:0 ()))
+        let eng = Scenario.engine sc in
+        Engine.run ~until:horizon eng;
+        Network.close_books (Scenario.network sc);
+        (* The dispatch ledger, when a [prepare_replica] enabled it.
+           Shard wall times do not merge, so only this entry point
+           publishes it. *)
+        if Profile.enabled (Engine.profiler eng) then
+          Profile.publish (Engine.profiler eng);
+        (r, Registry.to_json ~trace_events:0 ()))
   in
-  let total = Registry.snapshot_counter registry in
-  { shards = 1;
-    sizes =
-      [| Topology.node_count (Network.topology (Scenario.network sc)) |];
-    cut_links = 0;
-    lookahead = true;
-    delivered = total "net.delivered";
-    dropped = total "net.drops";
-    events = total "sim.events";
-    scheduled = total "sim.scheduled";
-    exchanged = 0;
-    leftover = 0;
-    overflow = 0;
-    classes = class_sums [ Scenario.class_reports sc ];
-    slo = replay_slo ~scenario:sc ~horizon (Fatelog.iter fates);
-    registry; registry_json; horizon }
+  outcome ~horizon ~registry ~registry_json [| r |]

@@ -1,7 +1,8 @@
 (** The partitioned parallel simulation runner.
 
     Spawns one domain per shard, each holding a full replica of the
-    scenario but executing only its owned nodes' events
+    scenario, armed by {!replica} exactly as the sequential run's, but
+    executing only its owned nodes' events
     (see {!Shard}), synchronized conservatively through {!Clock} and
     exchanging cut-link packets through {!Exchange}. After the domains
     join, per-shard telemetry snapshots merge associatively into the
@@ -13,7 +14,11 @@
     shard count and {!run_sequential} produce identical delivered /
     dropped / scheduled / executed-event totals, identical per-class
     sent / received sums and identical SLO conformance — partitioning
-    changes wall-clock, not results.
+    changes wall-clock, not results. Events that every replica runs —
+    the sampler's ticks and whatever [prepare_replica] schedules — are
+    the exception: they count once per replica in the scheduled and
+    executed totals, so such a run compares on its traffic (delivered,
+    dropped, classes, SLO) and its merged sim-scope series.
 
     A run owns its measurements: both entry points run inside one
     {!Mvpn_telemetry.Registry.scoped}, so every total, the outcome's
@@ -46,19 +51,17 @@ type config = {
           sim-second interval — on the sequential replica, and on every
           shard replica of a parallel run, whose sim-scope series merge
           to the sequential series byte-for-byte (default [None]) *)
-  profile : bool;
-      (** enable the engine's dispatch-cost ledger and publish
-          [sim.profile.*] gauges after the run; {!run_sequential} only
-          — shard wall times are not meaningfully mergeable (default
-          [false]) *)
   prepare_replica : (Mvpn_core.Scenario.t -> unit) option;
-      (** run on every replica — the sequential scenario, and each
-          shard's — once, after the timeline sampler is armed and
-          before the workload: where each [mvpn] traffic subcommand
-          arms what it needs (accounting sinks, a live SLO and a
-          failure schedule, {!Mvpn_resilience.Harness.arm}, the soak's
-          storm and auditor). On a sharded run it must schedule the
-          same events in the same order on every replica (e.g.
+      (** run once on every replica — the sequential scenario, and
+          each shard's — at its place in {!replica}'s order: where
+          each [mvpn] traffic subcommand arms what it needs
+          (accounting sinks, a live SLO and a failure schedule,
+          {!Mvpn_resilience.Harness.arm}, the soak's storm and
+          auditor), and where E16 enables the engine's dispatch-cost
+          ledger ({!Mvpn_sim.Profile.enable}), which {!run_sequential}
+          then publishes as [sim.profile.*] gauges. On a sharded run it
+          must schedule the same events in the same order on every
+          replica (e.g.
           {!Mvpn_resilience.Chaos.random_topology_plan}-based storms,
           never uid-dependent faults), or determinism across shard
           counts is forfeit (default [None]) *)
@@ -76,8 +79,37 @@ val default_config : config
 val build : config -> Mvpn_core.Scenario.t
 (** One replica of the config's scenario — an MPLS deployment of its
     shape, policy, TE switch, seed, core delay and backend — exactly as
-    both entry points build it, before any sampler, preparation or
+    {!replica} builds it, before any sampler, preparation or
     workload. *)
+
+val replica :
+  config ->
+  canonical:bool ->
+  only:(Mvpn_core.Site.t -> Mvpn_core.Site.t -> bool) ->
+  Mvpn_core.Scenario.t * Fatelog.t
+(** One replica armed to run, as both entry points arm every replica,
+    in this order:
+    + {!build} it;
+    + unless [canonical], zero this domain's metric cells
+      ({!Mvpn_telemetry.Registry.reset}), so that the build's counters
+      (label allocations, FIB installs) survive from one replica only
+      when shards' cells merge — the sequential run and shard 0 are
+      canonical;
+    + start the timeline sampler, when [sample_interval] is set
+      ({!Mvpn_core.Sampler.start}, until the horizon);
+    + run [prepare_replica];
+    + install the fate log as the network's fate hook, with the
+      sampler's tap ({!Mvpn_core.Sampler.observe_fate}) in front of it;
+    + arm the workload (mixed, or diurnal when [diurnal] is set) over
+      {!Mvpn_core.Scenario.default_pairs}, starting sources only for
+      the pairs [only] accepts; every pair still draws from the RNG, so
+      the armed pairs' substreams do not depend on [only].
+
+    Events scheduled at equal times run in scheduling order, so this
+    order is what keeps a sampler tick, a fault [prepare_replica]
+    schedules and the workload's first packets in the same rank at
+    every shard count. Returns the replica and the log its fates are
+    recorded into. *)
 
 type outcome = {
   shards : int;  (** effective shard count *)
@@ -101,7 +133,9 @@ type outcome = {
       (** the same run's registry rendered inside its scope (the
           trace tail left out), {e before} the SLO replay, so the
           counters object matches a sequential [mvpn stats] run byte
-          for byte *)
+          for byte. At [shards >= 2] its ["events"] list is empty:
+          each shard records events into its own domain's log, and
+          those logs are not merged *)
   horizon : float;
 }
 
@@ -113,7 +147,9 @@ val run_parallel : config -> outcome
     balance or its live count is negative. *)
 
 val run_sequential : config -> outcome
-(** Single-domain baseline on the identical build/workload path
-    (ignores [config.shards]). Closes the books at the horizon as
-    {!run_parallel} does.
+(** Single-domain baseline on one canonical {!replica} (ignores
+    [config.shards]). Closes the books at the horizon as
+    {!run_parallel} does, then publishes the engine's dispatch-cost
+    ledger ({!Mvpn_sim.Profile.publish}) if [prepare_replica] enabled
+    it.
     @raise Failure as {!run_parallel}. *)

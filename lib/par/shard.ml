@@ -1,23 +1,12 @@
 module Engine = Mvpn_sim.Engine
 module Topology = Mvpn_sim.Topology
-module Registry = Mvpn_telemetry.Registry
 module Scenario = Mvpn_core.Scenario
 module Network = Mvpn_core.Network
-module Site = Mvpn_core.Site
 module Port = Mvpn_qos.Port
 module Packet = Mvpn_net.Packet
 
-type result = {
-  r_snapshot : Registry.snapshot;
-  r_fates : Fatelog.t;
-  r_sent : int;
-  r_ingested : int;
-  r_scenario : Scenario.t;
-}
-
 type t = {
   sid : int;
-  sc : Scenario.t;
   net : Network.t;
   eng : Engine.t;
   exchange : Exchange.t;
@@ -44,9 +33,7 @@ type t = {
   mutable im_head : int;
   mutable im_len : int;
   mutable import_fire : unit -> unit;
-  fates : Fatelog.t;
   mutable sent : int;
-  mutable ingested : int;
 }
 
 let im_grow t =
@@ -109,39 +96,20 @@ let import t =
   Network.note_import t.net;
   Network.receive t.net t.im_dst.(i) ~from:t.from.(t.im_src.(i)) packet
 
-let create ~id ~part ~exchange ~build ?prepare ~arm () =
-  let sc = build () in
-  (* Every replica's build bumps this domain's metric cells; only the
-     canonical replica keeps them, so deploy-time counters appear
-     exactly once in the merged snapshot. [Registry.reset] only zeroes
-     the calling domain's cells — concurrent builds are unaffected. *)
-  if id > 0 then Registry.reset ();
-  (* After the reset, so whatever [prepare] arms (e.g. the timeline
-     sampler's tick events) is accounted in every shard's kept cells,
-     exactly as the sequential runner accounts its own. *)
-  let tap = match prepare with None -> None | Some p -> p sc in
+let create ~id ~part ~exchange sc =
   let net = Scenario.network sc in
   let eng = Scenario.engine sc in
   let t =
-    { sid = id; sc; net; eng; exchange; inbox = Exchange.inbox ();
+    { sid = id; net; eng; exchange; inbox = Exchange.inbox ();
       from =
         Array.init (Topology.node_count (Network.topology net)) Option.some;
       out_cell = Float.Array.make 2 0.0; key_cell = Float.Array.make 1 0.0;
       im_arrival = Float.Array.make 16 0.0;
       im_packet = Array.make 16 Packet.null; im_src = Array.make 16 0;
       im_dst = Array.make 16 0; im_head = 0; im_len = 0;
-      import_fire = ignore; fates = Fatelog.create (); sent = 0;
-      ingested = 0 }
+      import_fire = ignore; sent = 0 }
   in
   t.import_fire <- (fun () -> import t);
-  Network.set_fate_hook net
-    (Some
-       (match tap with
-        | None -> Fatelog.add t.fates
-        | Some f ->
-          fun ~time ~vpn ~band ~dropped ~latency ->
-            f ~time ~vpn ~band ~dropped ~latency;
-            Fatelog.add t.fates ~time ~vpn ~band ~dropped ~latency));
   (* Outbound cut ports hand finished transmissions to the exchange
      instead of scheduling the propagation event locally. The arrival
      is [now +. delay], the key the port's own propagation event would
@@ -165,10 +133,6 @@ let create ~id ~part ~exchange ~build ?prepare ~arm () =
                    ~src_node ~dst_node packet))
        end)
     part.Partition.cut;
-  (* Arm sources only for pairs whose sending CE this shard owns. The
-     workload still performs every RNG draw for filtered pairs, so each
-     armed pair's substream is byte-identical to the sequential run. *)
-  arm sc ~only:(fun (a : Site.t) _ -> owner.(a.Site.ce_node) = id);
   t
 
 let id t = t.sid
@@ -178,7 +142,6 @@ let now t = Engine.now t.eng
 let ingest t ~bound ~inclusive =
   Exchange.drain_into t.exchange ~dst:t.sid t.inbox;
   while Exchange.ready t.inbox ~bound ~inclusive do
-    t.ingested <- t.ingested + 1;
     schedule_import t
   done
 
@@ -195,9 +158,4 @@ let run_to t ~until = Engine.run ~until t.eng
 
 let peek t = Engine.peek_time t.eng
 
-let collect t =
-  { r_snapshot = Registry.snapshot ();
-    r_fates = t.fates;
-    r_sent = t.sent;
-    r_ingested = t.ingested;
-    r_scenario = t.sc }
+let sent t = t.sent

@@ -10,49 +10,19 @@
     and RNG substreams byte-identical to the sequential run's, which is
     what makes the merged counters independent of the shard count.
 
-    All functions but {!requeue_leftovers} must be called from the
-    shard's own domain (telemetry cells are domain-local); {!collect}'s
-    result is read by the runner after joining the domain. *)
-
-type result = {
-  r_snapshot : Mvpn_telemetry.Registry.snapshot;
-      (** this domain's metric cells *)
-  r_fates : Fatelog.t;  (** this replica's packet fates *)
-  r_sent : int;  (** messages pushed to other shards *)
-  r_ingested : int;  (** messages scheduled into the local heap *)
-  r_scenario : Mvpn_core.Scenario.t;
-      (** the replica, for post-join traffic reports *)
-}
+    All functions but {!sent} and {!requeue_leftovers} must be called
+    from the shard's own domain (telemetry cells are domain-local); the
+    runner calls those two after joining the domain. *)
 
 type t
 
 val create :
-  id:int ->
-  part:Partition.t ->
-  exchange:Exchange.t ->
-  build:(unit -> Mvpn_core.Scenario.t) ->
-  ?prepare:
-    (Mvpn_core.Scenario.t ->
-     (time:float -> vpn:int -> band:int -> dropped:bool ->
-      latency:float -> unit)
-     option) ->
-  arm:
-    (Mvpn_core.Scenario.t ->
-     only:(Mvpn_core.Site.t -> Mvpn_core.Site.t -> bool) ->
-     unit) ->
-  unit ->
+  id:int -> part:Partition.t -> exchange:Exchange.t -> Mvpn_core.Scenario.t ->
   t
-(** Builds the replica, zeroes this domain's metric cells for every
-    shard but 0 (so build-time counters — label allocations, FIB
-    installs — are counted exactly once across the merge), arms the
-    workload for owned source sites only, installs the cut-port
-    handoffs and the packet-fate hook. Shard 0 is the canonical replica
-    whose build telemetry survives.
-
-    [prepare] runs on the replica after the reset and before arming —
-    the hook point where the runner starts a per-replica timeline
-    sampler. Its optional return value is a fate tap, chained in front
-    of the shard's own fate recording. *)
+(** Takes a replica {!Runner.replica} has armed (owned sources only)
+    and installs its cut-port handoffs: a finished transmission onto a
+    cut link goes to the exchange instead of the local propagation
+    event. *)
 
 val id : t -> int
 
@@ -83,9 +53,8 @@ val run_to : t -> until:float -> unit
 val peek : t -> float option
 (** Next local event time, for the epoch-barrier fallback. *)
 
-val collect : t -> result
-(** Snapshot this domain's cells and hand everything to the runner.
-    Call once, after the last event has run. *)
+val sent : t -> int
+(** Packets handed to other shards so far. *)
 
 val requeue_leftovers : t -> int
 (** Schedule every message still in the inbox — cross-shard packets

@@ -84,12 +84,12 @@ let iter_codes f t =
     if !j = cap then j := 0
   done
 
-(* The newest [n] live entries, oldest first, keeping only the slots
-   [keep] accepts. The walk runs newest first and tests each slot
-   before building anything, so a read allocates for what it returns,
-   not one record per live entry: [Span.offer] traces every sampled
-   fate, and every registry export reads the tail. *)
-let collect t n keep =
+(* The newest [n] live entries, oldest first: every one when [all],
+   else only [uid]'s. The walk runs newest first and tests each slot
+   before building anything, and takes no closure, so a read allocates
+   for what it returns and nothing else: [Span.offer] traces every
+   sampled fate, and every registry export reads the tail. *)
+let collect t n ~all ~uid =
   let cap = Array.length t.uids in
   let names = Atomic.get names in
   let acc = ref [] in
@@ -97,7 +97,7 @@ let collect t n keep =
   for _ = 1 to min n (min t.recorded cap) do
     j := (if !j = 0 then cap - 1 else !j - 1);
     let j = !j in
-    if keep j then
+    if all || t.uids.(j) = uid then
       acc :=
         { uid = t.uids.(j); time = t.times.(j); node = t.nodes.(j);
           label = names.(t.labels.(j)) }
@@ -105,9 +105,9 @@ let collect t n keep =
   done;
   !acc
 
-let trace t ~uid = collect t max_int (fun j -> t.uids.(j) = uid)
+let trace t ~uid = collect t max_int ~all:false ~uid
 
-let recent t n = collect t n (fun _ -> true)
+let recent t n = collect t n ~all:true ~uid:0
 
 let clear t =
   Array.fill t.uids 0 (Array.length t.uids) (-1);

@@ -42,7 +42,8 @@ val record_code : t -> uid:int -> clock:floatarray -> node:int -> int -> unit
 val trace : t -> uid:int -> event list
 (** Chronological events still in the ring for one packet. Entries of
     other packets are skipped on their uid alone, so a trace of [k]
-    hops allocates O(k) words, whatever the ring's size. *)
+    hops allocates O(k) words, whatever the ring's size, and a miss
+    allocates nothing. *)
 
 val recent : t -> int -> event list
 (** The last [n] events, oldest first. Only those [n] are built. *)

@@ -64,40 +64,41 @@ let kind_of_pair ~from_label ~to_label =
      | "txstart" -> Transmission
      | _ -> Other)
 
-let of_trace ?(vpn = -1) ?(band = -1) (events : Hop_trace.event list) =
-  match events with
+(* The span of a non-empty trace whose first event is [first]. *)
+let build ~vpn ~band (first : Hop_trace.event) events =
+  let rec pairs acc = function
+    | (a : Hop_trace.event) :: (b :: _ as rest) ->
+      let seg =
+        { node = a.node;
+          next_node = b.node;
+          kind = kind_of_pair ~from_label:a.label ~to_label:b.label;
+          start_time = a.time;
+          dwell = b.time -. a.time;
+          from_label = a.label;
+          to_label = b.label }
+      in
+      pairs (seg :: acc) rest
+    | [ last ] -> (acc, last)
+    | [] -> (acc, first)
+  in
+  let rev_segments, last = pairs [] events in
+  let outcome =
+    if String.equal last.label "deliver" then Delivered
+    else if is_drop last.label then
+      Dropped (String.sub last.label 5 (String.length last.label - 5))
+    else In_flight
+  in
+  { uid = first.uid;
+    vpn;
+    band;
+    start_time = first.time;
+    end_time = last.time;
+    outcome;
+    segments = List.rev rev_segments }
+
+let of_trace ?(vpn = -1) ?(band = -1) = function
   | [] -> None
-  | first :: _ ->
-    let rec pairs acc = function
-      | (a : Hop_trace.event) :: (b :: _ as rest) ->
-        let seg =
-          { node = a.node;
-            next_node = b.node;
-            kind = kind_of_pair ~from_label:a.label ~to_label:b.label;
-            start_time = a.time;
-            dwell = b.time -. a.time;
-            from_label = a.label;
-            to_label = b.label }
-        in
-        pairs (seg :: acc) rest
-      | [ last ] -> (acc, last)
-      | [] -> (acc, first)
-    in
-    let rev_segments, last = pairs [] events in
-    let outcome =
-      if String.equal last.label "deliver" then Delivered
-      else if is_drop last.label then
-        Dropped (String.sub last.label 5 (String.length last.label - 5))
-      else In_flight
-    in
-    Some
-      { uid = first.uid;
-        vpn;
-        band;
-        start_time = first.time;
-        end_time = last.time;
-        outcome;
-        segments = List.rev rev_segments }
+  | first :: _ as events -> Some (build ~vpn ~band first events)
 
 let total t = t.end_time -. t.start_time
 
@@ -112,8 +113,6 @@ let dwell_of_kind t k =
    each key is reconstructed and kept; drops are always kept. Both
    retention rings are bounded, newest first. *)
 type sampler = {
-  every : int;
-  keep : int;
   counts : (int, int ref) Hashtbl.t;  (* key = vpn lsl 4 lor band *)
   mutable delivered : t list;
   mutable dropped : t list;
@@ -121,11 +120,12 @@ type sampler = {
   mutable n_kept : int;
 }
 
-let sampler ?(every = 64) ?(keep = 32) () =
-  if every < 1 then invalid_arg "Span.sampler: every must be positive";
-  if keep < 1 then invalid_arg "Span.sampler: keep must be positive";
-  { every; keep; counts = Hashtbl.create 16; delivered = []; dropped = [];
-    n_offered = 0; n_kept = 0 }
+let every = 64
+let keep = 32
+
+let sampler () =
+  { counts = Hashtbl.create 16; delivered = []; dropped = []; n_offered = 0;
+    n_kept = 0 }
 
 let truncate n l =
   let rec go i = function
@@ -144,26 +144,29 @@ let offer s trace ~uid ~vpn ~band ~dropped =
       if dropped then true
       else begin
         let k = key ~vpn ~band in
+        (* [find] and [Not_found], not [find_opt]: no option box per
+           delivered packet. *)
         let c =
-          match Hashtbl.find_opt s.counts k with
-          | Some c -> c
-          | None ->
+          match Hashtbl.find s.counts k with
+          | c -> c
+          | exception Not_found ->
             let c = ref 0 in
             Hashtbl.add s.counts k c;
             c
         in
-        let hit = !c mod s.every = 0 in
+        let hit = !c mod every = 0 in
         incr c;
         hit
       end
     in
     if keep_it then
-      match of_trace ~vpn ~band (Hop_trace.trace trace ~uid) with
-      | None -> ()
-      | Some span ->
+      match Hop_trace.trace trace ~uid with
+      | [] -> ()
+      | first :: _ as events ->
+        let span = build ~vpn ~band first events in
         s.n_kept <- s.n_kept + 1;
-        if dropped then s.dropped <- truncate s.keep (span :: s.dropped)
-        else s.delivered <- truncate s.keep (span :: s.delivered)
+        if dropped then s.dropped <- truncate keep (span :: s.dropped)
+        else s.delivered <- truncate keep (span :: s.delivered)
   end
 
 let delivered_spans s = List.rev s.delivered

@@ -56,16 +56,14 @@ val outcome_name : outcome -> string
 (** {2 Sampling}
 
     Keeping every span would re-walk the trace ring per packet; the
-    sampler reconstructs 1-in-[every] deliveries per (vpn, band) — the
-    first delivery of each key always — and every drop, retaining a
-    bounded newest-first ring of each. All entry points are no-ops
-    while {!Control} is disabled. *)
+    sampler reconstructs 1 in 64 deliveries per (vpn, band) — the
+    first delivery of each key always — and every drop, retaining the
+    newest 32 spans of each. All entry points are no-ops while
+    {!Control} is disabled. *)
 
 type sampler
 
-val sampler : ?every:int -> ?keep:int -> unit -> sampler
-(** Defaults: [every = 64], [keep = 32] spans per ring.
-    @raise Invalid_argument if either is [< 1]. *)
+val sampler : unit -> sampler
 
 val offer :
   sampler -> Hop_trace.t -> uid:int -> vpn:int -> band:int ->
@@ -73,7 +71,8 @@ val offer :
 (** Consider the packet just delivered (or dropped) for sampling; when
     chosen, its span is reconstructed from the trace ring and retained.
     Call after the terminal hop event is recorded so the span includes
-    it. *)
+    it. An offer the sampler passes over allocates nothing, nor does
+    one whose packet has no events left in the ring. *)
 
 val delivered_spans : sampler -> t list
 (** Retained delivery spans, oldest first. *)

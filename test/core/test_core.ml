@@ -1639,8 +1639,7 @@ let test_simulation_determinism () =
     let pairs =
       [ (Scenario.site sc ~vpn:1 ~idx:0, Scenario.site sc ~vpn:1 ~idx:1) ]
     in
-    Scenario.add_mixed_workload ~load:1.0 ~rng_seed:5 sc ~pairs
-      ~duration:10.0;
+    Scenario.add_mixed_workload ~load:1.0 sc ~pairs ~duration:10.0;
     Scenario.run sc ~duration:12.0;
     List.map
       (fun (label, (r : Sla.report)) ->
@@ -2064,8 +2063,8 @@ let test_diurnal_workload_modulates () =
   in
   let sampler = Sampler.start ~interval:1.0 ~until:41.0 sc in
   ignore sampler;
-  Scenario.add_diurnal_workload ~peak_load:0.9 ~floor_load:0.2 ~segments:4
-    sc ~pairs:(Scenario.default_pairs sc) ~duration:40.0;
+  Scenario.add_diurnal_workload ~peak_load:0.9 ~segments:4 sc
+    ~pairs:(Scenario.default_pairs sc) ~duration:40.0;
   Scenario.run sc ~duration:45.0;
   (* The raised cosine peaks mid-run (segments 1-2) and bottoms out at
      the edges (segments 0 and 3): total sampled link utilization in

@@ -606,6 +606,70 @@ let test_runner_owns_its_registry () =
         true
         (Float.abs (w3 -. w2) <= 0.01 *. w2))
 
+(* A fault [prepare_replica] schedules exactly on a sampler tick ties
+   with that tick. The first tick, scheduled by the sampler before
+   preparation, runs before the flap; the recovery, scheduled before
+   the second tick, runs before it. Each flap event reads how many
+   samples its replica's series hold, so every replica must break both
+   ties this way. Ticks and flaps run on every replica, so only the
+   traffic part of the fingerprint is shard-invariant (as E18 compares
+   storms); the executed events differ by exactly the second replica's
+   copies, and the merged sim-scope series equal the sequential
+   ones. *)
+let test_flap_on_sampler_tick () =
+  let module Scenario = Mvpn_core.Scenario in
+  let interval = 0.5 in
+  let lock = Mutex.create () in
+  let seen = ref [] in
+  let flap sc =
+    match Scenario.first_pair_core_link sc with
+    | None -> Alcotest.fail "the first site pair shares a PE"
+    | Some (u, v) ->
+      let topo = Mvpn_core.Network.topology (Scenario.network sc) in
+      let set up () =
+        let samples =
+          match T.Registry.find_series "ts.band.0.depth_pkts" with
+          | Some s -> T.Timeseries.length s
+          | None -> 0
+        in
+        Mutex.protect lock (fun () -> seen := (up, samples) :: !seen);
+        Topology.set_duplex_state topo u v up
+      in
+      let eng = Scenario.engine sc in
+      Mvpn_sim.Engine.schedule_at eng ~time:interval (set false);
+      Mvpn_sim.Engine.schedule_at eng ~time:(2.0 *. interval) (set true)
+  in
+  let cfg =
+    { (small_cfg ~pops:6 ~vpns:2 ~sites:2 ~seed:3) with
+      Runner.sample_interval = Some interval; prepare_replica = Some flap }
+  in
+  let traffic (o : Runner.outcome) =
+    ( o.Runner.delivered, o.Runner.dropped, o.Runner.classes,
+      T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo )
+  in
+  with_telemetry (fun () ->
+      let seq = Runner.run_sequential cfg in
+      let par = Runner.run_parallel { cfg with Runner.shards = 2 } in
+      Alcotest.(check int) "two shards ran" 2 par.Runner.shards;
+      Alcotest.(check (list (pair bool int)))
+        "each replica's flap after the first tick, its recovery before \
+         the second"
+        [ (false, 1); (false, 1); (false, 1); (true, 1); (true, 1);
+          (true, 1) ]
+        (List.sort compare !seen);
+      Alcotest.(check bool) "the flap dropped packets" true
+        (seq.Runner.dropped > 0);
+      Alcotest.(check bool) "same traffic fingerprint" true
+        (traffic seq = traffic par);
+      Alcotest.(check int) "events differ by one replica's ticks and flap"
+        (int_of_float (seq.Runner.horizon /. interval) + 2)
+        (par.Runner.events - seq.Runner.events);
+      Alcotest.(check bool) "the run exported sim series" true
+        (sim_series seq <> []);
+      Alcotest.(check string) "same sim-scope series"
+        (T.Json.to_string (T.Json.Obj (sim_series seq)))
+        (T.Json.to_string (T.Json.Obj (sim_series par))))
+
 (* --- Fatelog ------------------------------------------------------------- *)
 
 type fate = float * int * int * bool * float  (* time vpn band dropped latency *)
@@ -703,5 +767,7 @@ let () =
            test_prepare_replica_order;
          Alcotest.test_case "closes the books" `Quick
            test_runner_closes_books;
+         Alcotest.test_case "flap on a sampler tick" `Quick
+           test_flap_on_sampler_tick;
          Alcotest.test_case "owns its registry" `Quick
            test_runner_owns_its_registry ]) ]

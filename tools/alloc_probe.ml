@@ -1,10 +1,11 @@
 (* Allocation and phase-time probe for the E16 sequential workload.
 
    Runs the same scenario as bench/e16_parallel.ml's sequential rows
-   and prints, for each phase (scenario build, workload arming, engine
-   run, per-class SLA reports, registry JSON), the wall time, the
-   process CPU time and the minor-heap words allocated — plus words
-   per event for the engine phase and for the post-run verdict
+   and prints, for each phase (the runner's replica — build, fate log
+   and workload arming — then the engine run, per-class SLA reports
+   and registry JSON), the wall time, the process CPU time and the
+   minor-heap words allocated — plus words per event for the engine
+   phase and for the post-run verdict
    ([Scenario.class_reports]) separately, so a regression in either
    shows apart from the other. Use it to find where the run loop still
    allocates before reaching for a profiler. *)
@@ -12,7 +13,6 @@
 module Engine = Mvpn_sim.Engine
 module Runner = Mvpn_par.Runner
 module Scenario = Mvpn_core.Scenario
-module Network = Mvpn_core.Network
 module Packet = Mvpn_net.Packet
 module Registry = Mvpn_telemetry.Registry
 
@@ -49,19 +49,9 @@ let () =
   let prev = Packet.pooling () in
   Packet.set_pooling true;
   let horizon = cfg.Runner.duration +. 5.0 in
-  let sc, _, _ =
-    phase "build" (fun () ->
-        Scenario.build ~backend:cfg.Runner.backend ~pops:cfg.Runner.pops
-          ~vpns:cfg.Runner.vpns ~sites_per_vpn:cfg.Runner.sites_per_vpn
-          ~seed:cfg.Runner.seed
-          (Scenario.Mpls_deployment
-             { policy = cfg.Runner.policy; use_te = cfg.Runner.use_te }))
-  in
-  let (), _, _ =
-    phase "arm" (fun () ->
-        Scenario.add_mixed_workload ~load:cfg.Runner.load
-          ~only:(fun _ _ -> true) sc
-          ~pairs:(Scenario.default_pairs sc) ~duration:cfg.Runner.duration)
+  let (sc, _), _, _ =
+    phase "replica" (fun () ->
+        Runner.replica cfg ~canonical:true ~only:(fun _ _ -> true))
   in
   (* MVPN_PROBE_SAMPLE=1 turns on a poor-man's statistical profiler:
      an ITIMER_PROF tick captures the OCaml callstack and the top
@@ -107,8 +97,6 @@ let () =
       (float_of_int o.Runner.delivered /. full_dt)
   end;
   Packet.set_pooling prev;
-  let net = Scenario.network sc in
-  ignore (Network.topology net);
   Printf.printf "\nevents              %d\n" events;
   Printf.printf "engine words/event  %.2f\n" (run_dw /. float_of_int events);
   Printf.printf "report words/event  %.2f\n"
