@@ -82,9 +82,8 @@ let run_regime ~frr =
       { Mvpn_par.Runner.default_config with
         pops = 8; vpns = 2; sites_per_vpn = 4; load = 0.5; duration; seed;
         prepare_replica =
-          Some
-            (fun sc ->
-               h := Some (H.arm ~events ~frr ~fallback:true ~seed ~duration sc))
+          (fun sc ->
+             h := Some (H.arm ~events ~frr ~fallback:true ~seed ~duration sc))
       }
   in
   let cv = T.Registry.snapshot_counter o.Mvpn_par.Runner.registry in

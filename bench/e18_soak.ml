@@ -47,7 +47,7 @@ let prepare ~audit ~chaos =
 
 let cfg ~k ~audit ~chaos =
   { (base_cfg k) with
-    Runner.prepare_replica = Some (prepare ~audit ~chaos) }
+    Runner.prepare_replica = prepare ~audit ~chaos }
 
 type sample = {
   tag : string;
@@ -74,8 +74,10 @@ let timed tag c run =
   let cpu = Sys.time () -. c0 in
   let wall = Unix.gettimeofday () -. w0 in
   let count = T.Registry.snapshot_counter outcome.Runner.registry in
-  { tag; outcome; wall; cpu; words; ticks = count "audit.ticks";
-    bad = count "audit.violations" }
+  (* No row reads the replicas; kept, they would hold every earlier
+     run's scenarios live while the later runs are timed. *)
+  { tag; outcome = { outcome with Runner.replicas = [||] }; wall; cpu; words;
+    ticks = count "audit.ticks"; bad = count "audit.violations" }
 
 (* Best of two, interleaved A B A B by the caller: the runs are
    deterministic, so the smaller CPU time is the same work minus GC

@@ -8,9 +8,12 @@
      par, timeline, soak             the same run, sequential or sharded
      fail                            a scripted core-link failover
 
-   Every subcommand that runs traffic goes through Mvpn_par.Runner: its
-   flags make one Runner.config, and whatever it arms before the
-   workload is the config's prepare_replica. *)
+   Every subcommand that runs traffic reads its flags into one
+   Mvpn_par.Runner.config, with whatever it arms before the workload as
+   the config's prepare_replica, makes one Runner call and prints from
+   the outcome: the replica it ran, the merged SLO replay and the
+   registry the run measured. The runner turns telemetry on for the
+   run and closes the books and any live SLO at the horizon. *)
 
 open Cmdliner
 open Mvpn_core
@@ -133,38 +136,6 @@ let config_term =
     { cfg with policy; duration; use_te }
   in
   Term.(const make $ shape_term $ policy_arg $ duration_arg $ te_arg)
-
-(* --- shared run path ---------------------------------------------------- *)
-
-(* Run [f] with telemetry on. Each run owns its registry scope, so
-   this process's registry holds that run's measurements. *)
-let with_telemetry f =
-  Telemetry.Control.enable ();
-  let r = f () in
-  Telemetry.Control.disable ();
-  r
-
-(* One shard runs the sequential replica; more run partitioned. *)
-let run_config (cfg : Runner.config) =
-  if cfg.shards <= 1 then Runner.run_sequential cfg
-  else Runner.run_parallel cfg
-
-(* A sequential run that also hands back its replica, for the reports
-   that read the scenario. An SLO engine attached to the replica has
-   its windows closed at the horizon. *)
-let run_replica (cfg : Runner.config) =
-  let replica = ref None in
-  let prepare sc =
-    replica := Some sc;
-    Option.iter (fun f -> f sc) cfg.prepare_replica
-  in
-  ignore (Runner.run_sequential { cfg with prepare_replica = Some prepare });
-  let sc = Option.get !replica in
-  Option.iter
-    (fun slo ->
-       Telemetry.Slo.advance slo ~time:(Engine.now (Scenario.engine sc)))
-    (Network.slo (Scenario.network sc));
-  sc
 
 (* The merged replay's SLO table, as [par] and [soak] print it, then
    the verdict. *)
@@ -298,7 +269,8 @@ let run_cmd =
              (Accounting.sink acct (Traffic.sink (Scenario.registry sc))))
         (Scenario.sites sc)
     in
-    let sc = run_replica { cfg with prepare_replica = Some prepare } in
+    let o = Runner.run_sequential { cfg with prepare_replica = prepare } in
+    let sc = o.Runner.replicas.(0) in
     print_reports sc;
     Printf.printf "\nmax core utilization: %.1f%%   core loss: %.2f%%\n"
       (Scenario.max_core_utilization sc *. 100.0)
@@ -319,11 +291,11 @@ let run_cmd =
 
 let stats_cmd =
   let run cfg json trace_events event_entries =
-    let sc = with_telemetry (fun () -> run_replica cfg) in
+    let o = Runner.run_sequential cfg in
     if json then
       print_json (Telemetry.Registry.to_json ~trace_events ~event_entries ())
     else begin
-      print_reports sc;
+      print_reports o.Runner.replicas.(0);
       Printf.printf "\n";
       Telemetry.Registry.pp ~trace_events Format.std_formatter ();
       Format.pp_print_flush Format.std_formatter ()
@@ -387,12 +359,12 @@ let slo_cmd =
                 ~duration:cfg.duration sc))
         chaos_seed;
       ignore (Scenario.attach_slo sc);
+      Network.set_span_sampler (Scenario.network sc)
+        (Some (Telemetry.Span.sampler ()));
       schedule_failure sc
     in
-    let sc =
-      with_telemetry (fun () ->
-          run_replica { cfg with prepare_replica = Some prepare })
-    in
+    let o = Runner.run_sequential { cfg with prepare_replica = prepare } in
+    let sc = o.Runner.replicas.(0) in
     let net = Scenario.network sc in
     let now = Engine.now (Scenario.engine sc) in
     let slo = Option.get (Network.slo net) in
@@ -479,9 +451,7 @@ let chaos_cmd =
           (Harness.arm ~events ~frr:(not no_frr) ~fallback:(not no_fallback)
              ~seed:cfg.seed ~duration:cfg.duration sc)
     in
-    ignore
-      (with_telemetry (fun () ->
-           Runner.run_sequential { cfg with prepare_replica = Some prepare }));
+    ignore (Runner.run_sequential { cfg with prepare_replica = prepare });
     let h = Option.get !h in
     if json then print_json (Harness.summary_json h)
     else begin
@@ -526,8 +496,7 @@ let par_cmd =
   let run (cfg : Runner.config) shards core_delay seq json =
     let cfg = { cfg with shards; core_delay } in
     let o =
-      with_telemetry (fun () ->
-          if seq then Runner.run_sequential cfg else Runner.run_parallel cfg)
+      (if seq then Runner.run_sequential else Runner.run_parallel) cfg
     in
     let open Runner in
     if json then
@@ -614,8 +583,7 @@ let par_cmd =
 let timeline_cmd =
   let run (cfg : Runner.config) shards interval json csv =
     let o =
-      with_telemetry (fun () ->
-          run_config { cfg with shards; sample_interval = Some interval })
+      Runner.run_parallel { cfg with shards; sample_interval = Some interval }
     in
     let all =
       List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
@@ -730,22 +698,19 @@ let soak_cmd =
        --fail-fast the auditor raises its first violation out of the
        run: report it and exit 1, the same status a counted violation
        gets. *)
-    let storm, o =
-      try
-        with_telemetry (fun () ->
-            let storm =
-              Option.map
-                (fun cseed ->
-                   ( cseed,
-                     Harness.soak_storm ~seed:cseed ~duration (fun () ->
-                         Runner.build cfg) ))
-                chaos
-            in
-            let prepare =
-              Harness.soak_replica ?storm ~audit:(audit_interval, fail_fast)
-                ~duration
-            in
-            (storm, run_config { cfg with prepare_replica = Some prepare }))
+    let storm =
+      Option.map
+        (fun cseed ->
+           ( cseed,
+             Harness.soak_storm ~seed:cseed ~duration (fun () ->
+                 Runner.build cfg) ))
+        chaos
+    in
+    let prepare_replica =
+      Harness.soak_replica ?storm ~audit:(audit_interval, fail_fast) ~duration
+    in
+    let o =
+      try Runner.run_parallel { cfg with prepare_replica }
       with Mvpn_resilience.Audit.Violation (invariant, detail) ->
         Printf.eprintf "soak: invariant %s violated: %s\n" invariant detail;
         exit 1

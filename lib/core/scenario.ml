@@ -258,16 +258,19 @@ let attach_slo ?slo t =
   in
   declare_objectives t slo;
   Network.set_slo t.net (Some slo);
-  Network.set_span_sampler t.net (Some (Mvpn_telemetry.Span.sampler ()));
   slo
 
-let run t ~duration =
-  Engine.run ~until:duration t.engine;
+let finish t =
+  Network.close_books t.net;
   (* Close out the conformance windows at the horizon so the final
      seconds are evaluated even if no packet lands after them. *)
   match Network.slo t.net with
   | Some slo -> Mvpn_telemetry.Slo.advance slo ~time:(Engine.now t.engine)
   | None -> ()
+
+let run t ~duration =
+  Engine.run ~until:duration t.engine;
+  finish t
 
 let first_pair_core_link t =
   if Array.length t.sites < 2 then None

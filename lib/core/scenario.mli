@@ -102,12 +102,18 @@ val declare_objectives : t -> Mvpn_telemetry.Slo.t -> unit
 
 val attach_slo : ?slo:Mvpn_telemetry.Slo.t -> t -> Mvpn_telemetry.Slo.t
 (** Attach SLA conformance tracking to the scenario's network:
-    {!declare_objectives} on [slo] (default: a fresh engine), plus a
-    1-in-64 span sampler. Returns the engine for reporting. *)
+    {!declare_objectives} on [slo] (default: a fresh engine). Returns
+    the engine for reporting; a caller that reads spans arms its own
+    sampler. *)
+
+val finish : t -> unit
+(** Close a run at the engine's current time: {!Network.close_books},
+    then close out the attached SLO's conformance windows, so the final
+    seconds are evaluated even if no packet lands after them.
+    @raise Failure as {!Network.close_books}. *)
 
 val run : t -> duration:float -> unit
-(** Drive the engine to [duration] seconds, then close out any attached
-    SLO's conformance windows at the horizon. *)
+(** Drive the engine to [duration] seconds, then {!finish}. *)
 
 val first_pair_core_link : t -> (int * int) option
 (** The first core link, as a (from, to) node pair, on the IGP shortest

@@ -26,7 +26,7 @@ type config = {
   core_delay : float option;
   backend : Engine.backend;
   sample_interval : float option;
-  prepare_replica : (Scenario.t -> unit) option;
+  prepare_replica : Scenario.t -> unit;
   diurnal : int option;
 }
 
@@ -35,7 +35,7 @@ let default_config =
     policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
     use_te = false; load = 0.9; duration = 30.0; seed = 11;
     core_delay = None; backend = Engine.Calendar;
-    sample_interval = None; prepare_replica = None;
+    sample_interval = None; prepare_replica = ignore;
     diurnal = None }
 
 type outcome = {
@@ -54,6 +54,7 @@ type outcome = {
   slo : Slo.t;
   registry : Registry.snapshot;
   registry_json : Mvpn_telemetry.Json.t;
+  replicas : Scenario.t array;
   horizon : float;
 }
 
@@ -79,7 +80,7 @@ let replica cfg ~canonical ~only =
       (fun dt -> Sampler.start ~interval:dt ~until:(horizon_of cfg) sc)
       cfg.sample_interval
   in
-  Option.iter (fun f -> f sc) cfg.prepare_replica;
+  cfg.prepare_replica sc;
   let fates = Fatelog.create () in
   Network.set_fate_hook (Scenario.network sc)
     (Some
@@ -107,11 +108,10 @@ let replica cfg ~canonical ~only =
 let replay_slo ~scenario ~horizon fates =
   let slo = Slo.create ~events:(Event_log.create ()) () in
   Scenario.declare_objectives scenario slo;
-  Control.with_enabled (fun () ->
-      Fatelog.iter_merged fates (fun ~time ~vpn ~band ~dropped ~latency ->
-          if dropped then Slo.observe_drop slo ~vpn ~band ~time
-          else Slo.observe_delivery slo ~vpn ~band ~time ~latency);
-      Slo.advance slo ~time:horizon);
+  Fatelog.iter_merged fates (fun ~time ~vpn ~band ~dropped ~latency ->
+      if dropped then Slo.observe_drop slo ~vpn ~band ~time
+      else Slo.observe_delivery slo ~vpn ~band ~time ~latency);
+  Slo.advance slo ~time:horizon;
   slo
 
 let class_sums replicas =
@@ -155,7 +155,7 @@ let outcome ~horizon ~registry ~registry_json replicas =
     overflow = 0;
     classes = class_sums replicas;
     slo = replay_slo ~scenario:sc0 ~horizon (Array.map snd replicas);
-    registry; registry_json; horizon }
+    registry; registry_json; replicas = Array.map fst replicas; horizon }
 
 (* One shard's life: conservative windows (or epoch barriers when some
    cut link has zero lookahead), then the final inclusive pass at the
@@ -216,29 +216,36 @@ let first_failure joined =
        | _ -> best)
     None joined
 
-(* Long soaks recycle packet storage. The flag is set before any
-   shard domain spawns (each recycles through its own domain-local
-   pool); delivered/dropped packets are not retained by any runner
-   hook. *)
-let with_pooling f =
+(* Both entry points run with telemetry on (every total is counted
+   through the registry) and packet storage recycled (long soaks; each
+   domain recycles through its own pool), both set before any shard
+   domain spawns and restored afterwards. No runner hook retains a
+   delivered or dropped packet. *)
+let owned_run f =
+  Control.with_enabled @@ fun () ->
   let prev_pooling = Packet.pooling () in
   Packet.set_pooling true;
   Fun.protect ~finally:(fun () -> Packet.set_pooling prev_pooling) f
 
-let run_parallel (cfg : config) =
-  if cfg.shards < 1 then invalid_arg "Runner.run_parallel: shards < 1";
-  with_pooling @@ fun () ->
+let sequential cfg =
   let horizon = horizon_of cfg in
-  (* Throwaway build, telemetry off, just to cut the topology — every
-     replica builds the same one, so the partition is exact. *)
-  let part =
-    Control.with_disabled (fun () ->
-        let sc = build cfg in
-        Partition.compute
-          ~hint:(Scenario.region_hint sc)
-          (Network.topology (Scenario.network sc))
-          ~shards:cfg.shards)
+  let (r, registry_json), registry =
+    Registry.scoped (fun () ->
+        let ((sc, _) as r) =
+          replica cfg ~canonical:true ~only:(fun _ _ -> true)
+        in
+        Scenario.run sc ~duration:horizon;
+        (* The dispatch ledger, when a [prepare_replica] enabled it.
+           Shard wall times do not merge, so only this path publishes
+           it. *)
+        let prof = Engine.profiler (Scenario.engine sc) in
+        if Profile.enabled prof then Profile.publish prof;
+        (r, Registry.to_json ~trace_events:0 ()))
   in
+  outcome ~horizon ~registry ~registry_json [| r |]
+
+let sharded (cfg : config) part =
+  let horizon = horizon_of cfg in
   let k = part.Partition.shards in
   let owner = part.Partition.owner in
   let ex = Exchange.create ~shards:k () in
@@ -271,11 +278,8 @@ let run_parallel (cfg : config) =
       let sh = Shard.create ~id:i ~part ~exchange:ex sc in
       started := Some sh;
       drive sh clock;
-      (* Close the books at the horizon: every packet the replica was
-         handed is delivered, dropped, handed to another shard,
-         consumed or still live, and none retired without being
-         counted in. O(ports), once per run. *)
-      Network.close_books (Scenario.network sc);
+      (* The shard's close-out, as {!sequential}'s [Scenario.run]. *)
+      Scenario.finish sc;
       (sh, (sc, fates), Registry.snapshot ())
     with
     | r -> Ok r
@@ -322,22 +326,21 @@ let run_parallel (cfg : config) =
     leftover;
     overflow = Exchange.overflows ex }
 
-let run_sequential (cfg : config) =
-  with_pooling @@ fun () ->
-  let horizon = horizon_of cfg in
-  let (r, registry_json), registry =
-    Registry.scoped (fun () ->
-        let ((sc, _) as r) =
-          replica cfg ~canonical:true ~only:(fun _ _ -> true)
-        in
-        let eng = Scenario.engine sc in
-        Engine.run ~until:horizon eng;
-        Network.close_books (Scenario.network sc);
-        (* The dispatch ledger, when a [prepare_replica] enabled it.
-           Shard wall times do not merge, so only this entry point
-           publishes it. *)
-        if Profile.enabled (Engine.profiler eng) then
-          Profile.publish (Engine.profiler eng);
-        (r, Registry.to_json ~trace_events:0 ()))
-  in
-  outcome ~horizon ~registry ~registry_json [| r |]
+let run_sequential cfg = owned_run (fun () -> sequential cfg)
+
+let run_parallel (cfg : config) =
+  if cfg.shards < 1 then invalid_arg "Runner.run_parallel: shards < 1";
+  owned_run @@ fun () ->
+  if cfg.shards = 1 then sequential cfg
+  else
+    (* Throwaway build, telemetry off, just to cut the topology — every
+       replica builds the same one, so the partition is exact. *)
+    let part =
+      Control.with_disabled (fun () ->
+          let sc = build cfg in
+          Partition.compute
+            ~hint:(Scenario.region_hint sc)
+            (Network.topology (Scenario.network sc))
+            ~shards:cfg.shards)
+    in
+    if part.Partition.shards = 1 then sequential cfg else sharded cfg part

@@ -26,8 +26,11 @@
     earlier runs left in the process. Afterwards the calling domain's
     cells read their earlier values plus this run's.
 
-    Telemetry must be enabled ({!Mvpn_telemetry.Control.enable}) around
-    either entry point; totals are counted through the registry. *)
+    Either entry point owns the whole run: it turns telemetry on for
+    its scope (totals are counted through the registry), restoring the
+    caller's setting afterwards; closes every replica at the horizon
+    ({!Mvpn_core.Scenario.finish}); and hands the replicas back in its
+    outcome. *)
 
 type config = {
   shards : int;  (** requested; clamped to the region count *)
@@ -51,20 +54,20 @@ type config = {
           sim-second interval — on the sequential replica, and on every
           shard replica of a parallel run, whose sim-scope series merge
           to the sequential series byte-for-byte (default [None]) *)
-  prepare_replica : (Mvpn_core.Scenario.t -> unit) option;
+  prepare_replica : Mvpn_core.Scenario.t -> unit;
       (** run once on every replica — the sequential scenario, and
           each shard's — at its place in {!replica}'s order: where
           each [mvpn] traffic subcommand arms what it needs
-          (accounting sinks, a live SLO and a failure schedule,
-          {!Mvpn_resilience.Harness.arm}, the soak's storm and
-          auditor), and where E16 enables the engine's dispatch-cost
-          ledger ({!Mvpn_sim.Profile.enable}), which {!run_sequential}
-          then publishes as [sim.profile.*] gauges. On a sharded run it
-          must schedule the same events in the same order on every
-          replica (e.g.
+          (accounting sinks, a live SLO, a span sampler and a failure
+          schedule, {!Mvpn_resilience.Harness.arm}, the soak's storm
+          and auditor), and where E16 enables the engine's
+          dispatch-cost ledger ({!Mvpn_sim.Profile.enable}), which the
+          sequential path then publishes as [sim.profile.*] gauges. On
+          a sharded run it must schedule the same events in the same
+          order on every replica (e.g.
           {!Mvpn_resilience.Chaos.random_topology_plan}-based storms,
           never uid-dependent faults), or determinism across shard
-          counts is forfeit (default [None]) *)
+          counts is forfeit (default [ignore]) *)
   diurnal : int option;
       (** [Some segments] replaces the flat mixed workload with
           {!Mvpn_core.Scenario.add_diurnal_workload}: a raised-cosine
@@ -136,20 +139,26 @@ type outcome = {
           for byte. At [shards >= 2] its ["events"] list is empty:
           each shard records events into its own domain's log, and
           those logs are not merged *)
+  replicas : Mvpn_core.Scenario.t array;
+      (** the run's replicas, closed at the horizon, in shard order;
+          one for a sequential run, which the reports that read a
+          scenario (class SLAs, a live SLO, spans) read. Keeping an
+          outcome keeps its replicas live *)
   horizon : float;
 }
 
 val run_parallel : config -> outcome
-(** Each shard closes its replica's books at the horizon
-    ({!Mvpn_core.Network.close_books}).
+(** Each shard closes its replica at the horizon
+    ({!Mvpn_core.Scenario.finish}). When the effective shard count is 1
+    — [config.shards = 1], or the partition clamps it to 1 — this is
+    {!run_sequential}, event log included.
     @raise Invalid_argument if [config.shards < 1].
     @raise Failure naming every ledger term if a shard's books do not
     balance or its live count is negative. *)
 
 val run_sequential : config -> outcome
 (** Single-domain baseline on one canonical {!replica} (ignores
-    [config.shards]). Closes the books at the horizon as
-    {!run_parallel} does, then publishes the engine's dispatch-cost
-    ledger ({!Mvpn_sim.Profile.publish}) if [prepare_replica] enabled
-    it.
+    [config.shards]), run with {!Mvpn_core.Scenario.run} to the
+    horizon. Then it publishes the engine's dispatch-cost ledger
+    ({!Mvpn_sim.Profile.publish}) if [prepare_replica] enabled it.
     @raise Failure as {!run_parallel}. *)

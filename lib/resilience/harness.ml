@@ -103,9 +103,6 @@ let soak_replica ?storm ?audit ~duration sc =
     (Scenario.attach_slo
        ~slo:(Telemetry.Slo.create ~events:(Telemetry.Event_log.create ()) ())
        sc);
-  (* The span sampler attach_slo arms re-walks the trace ring per
-     sampled delivery, and nothing in a soak reads the spans. *)
-  Network.set_span_sampler (Scenario.network sc) None;
   Option.iter
     (fun (interval, fail_fast) ->
        ignore

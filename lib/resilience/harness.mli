@@ -47,10 +47,9 @@ val soak_replica :
 (** Prepare one soak replica, in this order: [storm = (seed, plan)]
     {!arm}s FRR, IP fallback and recovery over [plan]; a live
     {!Mvpn_core.Scenario.attach_slo} engine with a private event log
-    feeds the auditor's budget check; the span sampler is dropped;
-    [audit = (interval, fail_fast)] starts {!Audit} until
-    [duration + 5]. Every replica schedules the same events in the
-    same order, so the soak is shard-invariant. *)
+    feeds the auditor's budget check; [audit = (interval, fail_fast)]
+    starts {!Audit} until [duration + 5]. Every replica schedules the
+    same events in the same order, so the soak is shard-invariant. *)
 
 val scenario : t -> Mvpn_core.Scenario.t
 val plan : t -> Chaos.plan

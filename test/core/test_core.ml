@@ -1967,6 +1967,7 @@ let test_bounded_residency () =
            use_te = false })
   in
   ignore (Scenario.attach_slo sc);
+  Network.set_span_sampler (Scenario.network sc) (Some (T.Span.sampler ()));
   let _sampler = Sampler.start ~interval:1.0 ~until:45.0 sc in
   Scenario.add_mixed_workload ~load:0.9 sc ~pairs:(Scenario.default_pairs sc)
     ~duration:40.0;

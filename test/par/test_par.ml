@@ -355,10 +355,6 @@ let totals (o : Runner.outcome) =
     o.Runner.scheduled, o.Runner.classes, T.Slo.in_budget o.Runner.slo,
     T.Slo.violation_count o.Runner.slo )
 
-let with_telemetry f =
-  T.Control.enable ();
-  Fun.protect ~finally:T.Control.disable f
-
 let small_cfg ~pops ~vpns ~sites ~seed =
   { Runner.default_config with
     Runner.pops; vpns; sites_per_vpn = sites; load = 0.7; duration = 2.0;
@@ -371,31 +367,26 @@ let runner_matches_sequential =
       quad (int_range 4 8) (int_range 1 2) (int_range 2 3) (int_range 1 1000))
     (fun (pops, vpns, sites, seed) ->
       let cfg = small_cfg ~pops ~vpns ~sites ~seed in
-      with_telemetry (fun () ->
-          let base = totals (Runner.run_sequential cfg) in
-          List.for_all
-            (fun k ->
-              totals (Runner.run_parallel { cfg with Runner.shards = k })
-              = base)
-            [ 1; 2; 4 ]))
+      let base = totals (Runner.run_sequential cfg) in
+      List.for_all
+        (fun k ->
+          totals (Runner.run_parallel { cfg with Runner.shards = k }) = base)
+        [ 1; 2; 4 ])
 
 let test_runner_k8_deterministic () =
   let cfg =
     { (small_cfg ~pops:10 ~vpns:2 ~sites:3 ~seed:77) with Runner.shards = 8 }
   in
-  with_telemetry (fun () ->
-      let a = Runner.run_parallel cfg in
-      let b = Runner.run_parallel cfg in
-      Alcotest.(check bool) "same totals" true (totals a = totals b);
-      Alcotest.(check int) "same exchanges" a.Runner.exchanged
-        b.Runner.exchanged;
-      Alcotest.(check int) "same leftovers" a.Runner.leftover
-        b.Runner.leftover;
-      Alcotest.(check bool) "same partition" true
-        (a.Runner.sizes = b.Runner.sizes
-        && a.Runner.cut_links = b.Runner.cut_links);
-      Alcotest.(check bool) "matches sequential" true
-        (totals (Runner.run_sequential cfg) = totals a))
+  let a = Runner.run_parallel cfg in
+  let b = Runner.run_parallel cfg in
+  Alcotest.(check bool) "same totals" true (totals a = totals b);
+  Alcotest.(check int) "same exchanges" a.Runner.exchanged b.Runner.exchanged;
+  Alcotest.(check int) "same leftovers" a.Runner.leftover b.Runner.leftover;
+  Alcotest.(check bool) "same partition" true
+    (a.Runner.sizes = b.Runner.sizes
+    && a.Runner.cut_links = b.Runner.cut_links);
+  Alcotest.(check bool) "matches sequential" true
+    (totals (Runner.run_sequential cfg) = totals a)
 
 let test_runner_barrier_mode_parity () =
   (* Zero core propagation delay kills every cut link's lookahead; the
@@ -405,12 +396,10 @@ let test_runner_barrier_mode_parity () =
     { (small_cfg ~pops:8 ~vpns:2 ~sites:2 ~seed:5) with
       Runner.shards = 4; core_delay = Some 0.0 }
   in
-  with_telemetry (fun () ->
-      let par = Runner.run_parallel cfg in
-      Alcotest.(check bool) "barrier fallback engaged" false
-        par.Runner.lookahead;
-      Alcotest.(check bool) "totals still match" true
-        (totals (Runner.run_sequential cfg) = totals par))
+  let par = Runner.run_parallel cfg in
+  Alcotest.(check bool) "barrier fallback engaged" false par.Runner.lookahead;
+  Alcotest.(check bool) "totals still match" true
+    (totals (Runner.run_sequential cfg) = totals par)
 
 (* The prepare_replica contract both entry points keep: one call per
    replica, on the replica that then runs, after the timeline sampler
@@ -422,8 +411,7 @@ let test_prepare_replica_order () =
   in
   (* What a bare build leaves scheduled; the sampler adds one tick. *)
   let built =
-    T.Control.with_disabled (fun () ->
-        Mvpn_sim.Engine.pending (Mvpn_core.Scenario.engine (Runner.build cfg)))
+    Mvpn_sim.Engine.pending (Mvpn_core.Scenario.engine (Runner.build cfg))
   in
   let check_run name run cfg ~replicas =
     let lock = Mutex.create () in
@@ -433,18 +421,20 @@ let test_prepare_replica_order () =
       let armed = Mvpn_core.Scenario.class_reports sc <> [] in
       Mutex.protect lock (fun () -> seen := (sc, pending, armed) :: !seen)
     in
-    ignore
-      (with_telemetry (fun () ->
-           run { cfg with Runner.prepare_replica = Some prepare }));
+    let o = run { cfg with Runner.prepare_replica = prepare } in
     Alcotest.(check int) (name ^ ": one call per replica") replicas
       (List.length !seen);
+    Alcotest.(check int) (name ^ ": every replica handed back") replicas
+      (Array.length o.Runner.replicas);
     List.iter
       (fun (sc, pending, armed) ->
          Alcotest.(check int) (name ^ ": after the sampler's first tick")
            (built + 1) pending;
          Alcotest.(check bool) (name ^ ": before the workload") false armed;
          Alcotest.(check bool) (name ^ ": on the replica that ran") true
-           (Mvpn_sim.Engine.processed (Mvpn_core.Scenario.engine sc) > 0))
+           (Mvpn_sim.Engine.processed (Mvpn_core.Scenario.engine sc) > 0);
+         Alcotest.(check bool) (name ^ ": in the outcome") true
+           (Array.exists (( == ) sc) o.Runner.replicas))
       !seen
   in
   check_run "sequential" Runner.run_sequential cfg ~replicas:1;
@@ -471,10 +461,8 @@ let test_runner_closes_books () =
                 (Ipv4.of_octets 172 31 0 1))))
   in
   let run ~leak shards =
-    with_telemetry (fun () ->
-        (if shards = 1 then Runner.run_sequential else Runner.run_parallel)
-          { cfg with
-            Runner.shards; prepare_replica = Some (prepare ~leak) })
+    Runner.run_parallel
+      { cfg with Runner.shards; prepare_replica = prepare ~leak }
   in
   List.iter
     (fun shards ->
@@ -546,65 +534,64 @@ let test_runner_owns_its_registry () =
     [ o.Runner.delivered; o.Runner.dropped; o.Runner.events;
       o.Runner.scheduled ]
   in
-  with_telemetry (fun () ->
-      let run name entry =
-        let before = List.map T.Registry.counter_value names in
-        let w0 = Gc.minor_words () in
-        let o = entry () in
-        let words = Gc.minor_words () -. w0 in
-        let grew =
-          List.map2 ( - ) (List.map T.Registry.counter_value names) before
-        in
-        Alcotest.(check (list int))
-          (name ^ ": registry_json counters are the run's totals")
-          (totals o) (List.map (counters_of o) names);
-        Alcotest.(check (list int))
-          (name ^ ": the caller's counters grew by the run's totals")
-          (totals o) grew;
-        List.iter
-          (fun (series, s) ->
-             let ts = sample_times s in
-             Alcotest.(check bool)
-               (Printf.sprintf "%s: %s holds one run's samples" name series)
-               true
-               (ts <> []
-               && List.length ts
-                  <= 1 + int_of_float (o.Runner.horizon /. interval)
-               && List.for_all2 ( < ) (List.rev (List.tl (List.rev ts)))
-                    (List.tl ts)))
-          (sim_series o);
-        (o, words)
-      in
-      let seq =
-        List.init 3 (fun i ->
-            run (Printf.sprintf "seq run %d" (i + 1)) (fun () ->
-                Runner.run_sequential cfg))
-      in
-      let par =
-        List.init 2 (fun i ->
-            run (Printf.sprintf "K=2 run %d" (i + 1)) (fun () ->
-                Runner.run_parallel { cfg with Runner.shards = 2 }))
-      in
-      let same what runs =
-        let first = sim_part (fst (List.hd runs)) in
-        List.iteri
-          (fun i (o, _) ->
-             Alcotest.(check string)
-               (Printf.sprintf "%s run %d: sim-scope export as run 1's" what
-                  (i + 1))
-               first (sim_part o))
-          runs
-      in
-      same "seq" seq;
-      same "K=2" par;
-      Alcotest.(check bool) "the runs exported sim series" true
-        (sim_series (fst (List.hd seq)) <> []);
-      let w2 = snd (List.nth seq 1) and w3 = snd (List.nth seq 2) in
-      Alcotest.(check bool)
-        (Printf.sprintf "seq runs 2 and 3 allocate alike (%.0f, %.0f words)"
-           w2 w3)
-        true
-        (Float.abs (w3 -. w2) <= 0.01 *. w2))
+  let run name entry =
+    let before = List.map T.Registry.counter_value names in
+    let w0 = Gc.minor_words () in
+    let o = entry () in
+    let words = Gc.minor_words () -. w0 in
+    let grew =
+      List.map2 ( - ) (List.map T.Registry.counter_value names) before
+    in
+    Alcotest.(check (list int))
+      (name ^ ": registry_json counters are the run's totals")
+      (totals o) (List.map (counters_of o) names);
+    Alcotest.(check (list int))
+      (name ^ ": the caller's counters grew by the run's totals")
+      (totals o) grew;
+    List.iter
+      (fun (series, s) ->
+         let ts = sample_times s in
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: %s holds one run's samples" name series)
+           true
+           (ts <> []
+           && List.length ts
+              <= 1 + int_of_float (o.Runner.horizon /. interval)
+           && List.for_all2 ( < ) (List.rev (List.tl (List.rev ts)))
+                (List.tl ts)))
+      (sim_series o);
+    (o, words)
+  in
+  let seq =
+    List.init 3 (fun i ->
+        run (Printf.sprintf "seq run %d" (i + 1)) (fun () ->
+            Runner.run_sequential cfg))
+  in
+  let par =
+    List.init 2 (fun i ->
+        run (Printf.sprintf "K=2 run %d" (i + 1)) (fun () ->
+            Runner.run_parallel { cfg with Runner.shards = 2 }))
+  in
+  let same what runs =
+    let first = sim_part (fst (List.hd runs)) in
+    List.iteri
+      (fun i (o, _) ->
+         Alcotest.(check string)
+           (Printf.sprintf "%s run %d: sim-scope export as run 1's" what
+              (i + 1))
+           first (sim_part o))
+      runs
+  in
+  same "seq" seq;
+  same "K=2" par;
+  Alcotest.(check bool) "the runs exported sim series" true
+    (sim_series (fst (List.hd seq)) <> []);
+  let w2 = snd (List.nth seq 1) and w3 = snd (List.nth seq 2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "seq runs 2 and 3 allocate alike (%.0f, %.0f words)"
+       w2 w3)
+    true
+    (Float.abs (w3 -. w2) <= 0.01 *. w2)
 
 (* A fault [prepare_replica] schedules exactly on a sampler tick ties
    with that tick. The first tick, scheduled by the sampler before
@@ -641,34 +628,77 @@ let test_flap_on_sampler_tick () =
   in
   let cfg =
     { (small_cfg ~pops:6 ~vpns:2 ~sites:2 ~seed:3) with
-      Runner.sample_interval = Some interval; prepare_replica = Some flap }
+      Runner.sample_interval = Some interval; prepare_replica = flap }
   in
   let traffic (o : Runner.outcome) =
     ( o.Runner.delivered, o.Runner.dropped, o.Runner.classes,
       T.Slo.in_budget o.Runner.slo, T.Slo.violation_count o.Runner.slo )
   in
-  with_telemetry (fun () ->
-      let seq = Runner.run_sequential cfg in
-      let par = Runner.run_parallel { cfg with Runner.shards = 2 } in
-      Alcotest.(check int) "two shards ran" 2 par.Runner.shards;
-      Alcotest.(check (list (pair bool int)))
-        "each replica's flap after the first tick, its recovery before \
-         the second"
-        [ (false, 1); (false, 1); (false, 1); (true, 1); (true, 1);
-          (true, 1) ]
-        (List.sort compare !seen);
-      Alcotest.(check bool) "the flap dropped packets" true
-        (seq.Runner.dropped > 0);
-      Alcotest.(check bool) "same traffic fingerprint" true
-        (traffic seq = traffic par);
-      Alcotest.(check int) "events differ by one replica's ticks and flap"
-        (int_of_float (seq.Runner.horizon /. interval) + 2)
-        (par.Runner.events - seq.Runner.events);
-      Alcotest.(check bool) "the run exported sim series" true
-        (sim_series seq <> []);
-      Alcotest.(check string) "same sim-scope series"
-        (T.Json.to_string (T.Json.Obj (sim_series seq)))
-        (T.Json.to_string (T.Json.Obj (sim_series par))))
+  let seq = Runner.run_sequential cfg in
+  let par = Runner.run_parallel { cfg with Runner.shards = 2 } in
+  Alcotest.(check int) "two shards ran" 2 par.Runner.shards;
+  Alcotest.(check (list (pair bool int)))
+    "each replica's flap after the first tick, its recovery before \
+     the second"
+    [ (false, 1); (false, 1); (false, 1); (true, 1); (true, 1);
+      (true, 1) ]
+    (List.sort compare !seen);
+  Alcotest.(check bool) "the flap dropped packets" true
+    (seq.Runner.dropped > 0);
+  Alcotest.(check bool) "same traffic fingerprint" true
+    (traffic seq = traffic par);
+  Alcotest.(check int) "events differ by one replica's ticks and flap"
+    (int_of_float (seq.Runner.horizon /. interval) + 2)
+    (par.Runner.events - seq.Runner.events);
+  Alcotest.(check bool) "the run exported sim series" true
+    (sim_series seq <> []);
+  Alcotest.(check string) "same sim-scope series"
+    (T.Json.to_string (T.Json.Obj (sim_series seq)))
+    (T.Json.to_string (T.Json.Obj (sim_series par)))
+
+(* One shard is the sequential run: the same export byte for byte,
+   the event log included, which a K=1 run through the shard machinery
+   lost (each shard records into its own domain's log). *)
+let test_runner_k1_is_sequential () =
+  let cfg = { Runner.default_config with Runner.duration = 2.0 } in
+  let seq = Runner.run_sequential cfg in
+  let k1 = Runner.run_parallel { cfg with Runner.shards = 1 } in
+  Alcotest.(check bool) "the run logged events" true
+    (match member "events" seq.Runner.registry_json with
+     | Some (T.Json.List (_ :: _)) -> true
+     | _ -> false);
+  Alcotest.(check string) "registry_json as the sequential run's"
+    (T.Json.to_string seq.Runner.registry_json)
+    (T.Json.to_string k1.Runner.registry_json);
+  Alcotest.(check int) "one replica" 1 (Array.length k1.Runner.replicas)
+
+(* A run owns the telemetry switch: with the caller's switch off it
+   counts exactly what it counts with the switch on, and either way
+   hands the caller's setting back. *)
+let test_runner_owns_telemetry () =
+  let cfg = small_cfg ~pops:6 ~vpns:2 ~sites:2 ~seed:5 in
+  let view o = (totals o, T.Json.to_string o.Runner.registry_json) in
+  List.iter
+    (fun (name, entry) ->
+       let off = view (entry cfg) in
+       Alcotest.(check bool) (name ^ ": the switch is left off") false
+         (T.Control.is_enabled ());
+       let on =
+         T.Control.with_enabled (fun () ->
+             let o = entry cfg in
+             Alcotest.(check bool) (name ^ ": the switch is left on") true
+               (T.Control.is_enabled ());
+             view o)
+       in
+       Alcotest.(check bool) (name ^ ": the run delivered") true
+         (let delivered, _, _, _, _, _, _ = fst on in
+          delivered > 0);
+       Alcotest.(check bool) (name ^ ": same totals, switch off or on") true
+         (fst off = fst on);
+       Alcotest.(check string) (name ^ ": same registry_json") (snd on)
+         (snd off))
+    [ ("sequential", Runner.run_sequential);
+      ("K=2", fun cfg -> Runner.run_parallel { cfg with Runner.shards = 2 }) ]
 
 (* --- Fatelog ------------------------------------------------------------- *)
 
@@ -770,4 +800,8 @@ let () =
          Alcotest.test_case "flap on a sampler tick" `Quick
            test_flap_on_sampler_tick;
          Alcotest.test_case "owns its registry" `Quick
-           test_runner_owns_its_registry ]) ]
+           test_runner_owns_its_registry;
+         Alcotest.test_case "K=1 is the sequential run" `Quick
+           test_runner_k1_is_sequential;
+         Alcotest.test_case "owns the telemetry switch" `Quick
+           test_runner_owns_telemetry ]) ]

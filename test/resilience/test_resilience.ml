@@ -488,7 +488,9 @@ let audit_scenario () =
    is still retired from the live count, so the conservation equation
    genuinely unbalances — and the auditor must say so. The control run
    takes the identical path with the leak disarmed and must stay
-   silent. *)
+   silent. The engine runs bare, without [Scenario.run]'s close-out:
+   the intercepted packet is dropped without ever being injected, which
+   the strict close at the horizon rejects even in the control run. *)
 let test_audit_catches_drop_leak () =
   let run ~leak =
     T.Registry.reset ();
@@ -507,7 +509,7 @@ let test_audit_catches_drop_leak () =
         in
         Network.drop_packet ~node:site.Site.ce_node ~packet:p net
           "test-intercept");
-    Scenario.run sc ~duration:6.0;
+    Engine.run ~until:6.0 eng;
     Audit.stop a;
     (Audit.violations a, Audit.recent_violations a)
   in
@@ -681,7 +683,7 @@ let test_soak_fail_fast_raises () =
   let cfg =
     { Runner.default_config with
       Runner.shards = 1; pops = 6; vpns = 1; sites_per_vpn = 2; load = 0.4;
-      duration; prepare_replica = Some prepare }
+      duration; prepare_replica = prepare }
   in
   (* Through the sharded runner too: the failing shard aborts the
      clock, so its sibling stops waiting for a publication that never
@@ -736,4 +738,4 @@ let () =
          Alcotest.test_case "pooled overlay run audits clean" `Quick
            (with_telemetry test_audit_pooled_overlay);
          Alcotest.test_case "soak fail-fast raises the violation" `Quick
-           (with_telemetry test_soak_fail_fast_raises) ]) ]
+           test_soak_fail_fast_raises ]) ]

@@ -86,6 +86,9 @@ same "$tl_a" "$tl_k4" "timeline differs between --shards 1 and --shards 4"
 par_a=$($mvpn par --shards 4 --duration 2 --json)
 par_b=$($mvpn par --shards 4 --duration 2 --json)
 same "$par_a" "$par_b" "par --shards 4 differs between two runs"
+par_k1=$($mvpn par --shards 1 --duration 2 --json)
+par_seq=$($mvpn par --seq --duration 2 --json)
+same "$par_k1" "$par_seq" "par --shards 1 differs from par --seq"
 soak_a=$($mvpn soak --hours 0.002 --chaos 7 --json)
 soak_b=$($mvpn soak --hours 0.002 --chaos 7 --json)
 soak_k4=$($mvpn soak --hours 0.002 --chaos 7 --shards 4 --json)
