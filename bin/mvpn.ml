@@ -715,7 +715,7 @@ let soak_cmd =
         Printf.eprintf "soak: invariant %s violated: %s\n" invariant detail;
         exit 1
     in
-    let replicas = max 1 o.Runner.shards in
+    let replicas = Array.length o.Runner.replicas in
     let count = Telemetry.Registry.snapshot_counter o.Runner.registry in
     let audit_ticks = count "audit.ticks" / replicas in
     let audit_violations = count "audit.violations" in
