@@ -145,6 +145,7 @@ type t = {
   mutable tracer : (trace_event -> unit) option;
   mutable slo : Telemetry.Slo.t option;
   mutable span_sampler : Telemetry.Span.sampler option;
+  mutable fate_log : Telemetry.Fatelog.t option;
   mutable fate_hook :
     (time:float -> vpn:int -> band:int -> dropped:bool -> latency:float ->
      unit)
@@ -211,17 +212,25 @@ let set_slo t slo = t.slo <- slo
 let slo t = t.slo
 let set_span_sampler t sampler = t.span_sampler <- sampler
 let span_sampler t = t.span_sampler
+let set_fate_log t log = t.fate_log <- log
 let set_fate_hook t hook = t.fate_hook <- hook
 
-(* Feed the conformance engine a terminal packet fate. Call only with
-   telemetry enabled, after the terminal hop event is recorded so a
-   sampled span sees it; a delivery also after [t.lat] holds its
-   latency. SLO/span keying: the tenant and its inner-header class —
-   the same (vpn, band) view {!Accounting} invoices by; un-tenanted
-   traffic books under vpn 0. *)
+(* Hand a terminal packet fate to the fate log, the fate hook, the
+   conformance engine and the span sampler. Call only with telemetry
+   enabled, after the terminal hop event is recorded so a sampled span
+   sees it; a delivery also after [t.lat] holds its latency. The log
+   and the engine read the time and the latency from the cells, so
+   neither boxes a float. SLO/span keying: the tenant and its
+   inner-header class — the same (vpn, band) view {!Accounting}
+   invoices by; un-tenanted traffic books under vpn 0. *)
 let observe_fate t (p : Packet.t) ~dropped =
   let vpn = match p.Packet.vpn with Some v -> v | None -> 0 in
   let band = Qos_mapping.band_of_dscp p.Packet.inner.Packet.dscp in
+  (match t.fate_log with
+   | Some log ->
+     Telemetry.Fatelog.record log ~vpn ~band ~dropped ~clock:t.clock
+       ~latency:t.lat
+   | None -> ());
   (match t.fate_hook with
    | Some hook ->
      hook ~time:(Float.Array.get t.clock 0) ~vpn ~band ~dropped
@@ -315,10 +324,12 @@ let discard t ~node (p : Packet.t) reason =
 let drop_packet ~node ~packet t reason =
   if t.drop_leak > 0 then t.drop_leak <- t.drop_leak - 1
   else begin
+    (* [find] and its exception, not [find_opt]: a known reason's drop
+       allocates no option. *)
     let e =
-      match Hashtbl.find_opt t.drop_table reason with
-      | Some e -> e
-      | None ->
+      match Hashtbl.find t.drop_table reason with
+      | e -> e
+      | exception Not_found ->
         let e =
           { n = 0; metric = Telemetry.Registry.counter ("net.drop." ^ reason) }
         in
@@ -597,6 +608,7 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
       tracer = None;
       slo = None;
       span_sampler = None;
+      fate_log = None;
       fate_hook = None }
   in
   Engine.on_flush engine (fun () -> flush_pending net);

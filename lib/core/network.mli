@@ -63,7 +63,8 @@ val deliver_to :
   t -> node:int -> (Mvpn_net.Packet.t -> unit) -> Mvpn_net.Packet.t -> unit
 (** [deliver_to t ~node consume p] ends [p]'s journey at [node] the way
     every local delivery does — traced, booked as delivered, offered
-    to the SLO engine, the fate hook and the span sampler, then
+    to the fate log, the fate hook, the SLO engine and the span
+    sampler, then
     released — but hands it to [consume] instead of the node's sink.
     For services that terminate packets themselves (a pseudowire's
     attachment circuit). [consume] must not retain [p]. *)
@@ -146,18 +147,29 @@ val set_span_sampler : t -> Mvpn_telemetry.Span.sampler option -> unit
 
 val span_sampler : t -> Mvpn_telemetry.Span.sampler option
 
+val set_fate_log : t -> Mvpn_telemetry.Fatelog.t option -> unit
+(** Append every terminal packet fate to the log — the same stream an
+    attached {!Mvpn_telemetry.Slo} sees, as plain columns: deliveries
+    carry their end-to-end latency, drops carry 0. The time and the
+    latency are copied from the network's clock and latency cells, so
+    an append calls no closure and boxes no float. Each replica of a
+    parallel run keeps its own log, and the runner replays their
+    time-sorted merge into one SLO engine, so conformance totals are
+    identical for every shard count. Records only while
+    {!Mvpn_telemetry.Control} is enabled. *)
+
 val set_fate_hook :
   t ->
   (time:float -> vpn:int -> band:int -> dropped:bool -> latency:float ->
    unit)
     option ->
   unit
-(** Observe every terminal packet fate — the same stream an attached
-    {!Mvpn_telemetry.Slo} sees, as plain data: deliveries carry their
-    end-to-end latency, drops carry [latency = 0]. The parallel runner
-    collects fates per shard and replays the time-sorted merge into one
-    SLO engine, so conformance totals are identical for every shard
-    count. Fires only while {!Mvpn_telemetry.Control} is enabled. *)
+(** Call the hook on every terminal packet fate, with the values
+    {!set_fate_log} records. Each call boxes its two floats, so the
+    runner installs a hook only for the optional timeline sampler's
+    tap ({!Sampler.observe_fate}); the fate log is the allocation-free
+    way to collect fates. Fires only while {!Mvpn_telemetry.Control}
+    is enabled. *)
 
 val refresh_igp :
   ?members:(int -> bool) -> t -> Mvpn_routing.Ospf.t -> unit

@@ -17,6 +17,8 @@ type deployment =
       copy_tos : bool;
     }
 
+type layout = { backbone : Backbone.t; sites : Site.t array }
+
 type t = {
   engine : Engine.t;
   backbone : Backbone.t;
@@ -51,9 +53,8 @@ let site t ~vpn ~idx =
 
 let site_id ~vpn ~idx = (vpn * 1000) + idx
 
-let build ?backend ?(pops = 12) ?(core_bandwidth = 45e6) ?core_delay
-    ?(access_bandwidth = 2e6) ?(vpns = 2) ?(sites_per_vpn = 4) ?(seed = 11)
-    ?wred deployment =
+let layout ?(pops = 12) ?(core_bandwidth = 45e6) ?core_delay
+    ?(access_bandwidth = 2e6) ?(vpns = 2) ?(sites_per_vpn = 4) () =
   let bb = Backbone.build ~pops ~core_bandwidth ?core_delay () in
   let site_list = ref [] in
   for v = 1 to vpns do
@@ -69,7 +70,16 @@ let build ?backend ?(pops = 12) ?(core_bandwidth = 45e6) ?core_delay
       site_list := s :: !site_list
     done
   done;
-  let all_sites = List.rev !site_list in
+  ({ backbone = bb; sites = Array.of_list (List.rev !site_list) } : layout)
+
+let build ?backend ?pops ?core_bandwidth ?core_delay
+    ?(access_bandwidth = 2e6) ?vpns ?sites_per_vpn ?(seed = 11)
+    ?wred deployment =
+  let ({ backbone = bb; sites } : layout) =
+    layout ?pops ?core_bandwidth ?core_delay ~access_bandwidth ?vpns
+      ?sites_per_vpn ()
+  in
+  let all_sites = Array.to_list sites in
   let engine = Engine.create ?backend () in
   let policy =
     match deployment with
@@ -104,8 +114,8 @@ let build ?backend ?(pops = 12) ?(core_bandwidth = 45e6) ?core_delay
     all_sites;
   (* Overlay CEs intercept before the sink; re-install the interceptors
      (deploy already did) and keep the sink for decapsulated traffic. *)
-  { engine; backbone = bb; net; registry; sites = Array.of_list all_sites;
-    access_bandwidth; mpls = mpls_t; overlay = overlay_t; core_link_ids;
+  { engine; backbone = bb; net; registry; sites; access_bandwidth;
+    mpls = mpls_t; overlay = overlay_t; core_link_ids;
     rng = Rng.create (seed * 131) }
 
 let service_classes =
@@ -223,15 +233,15 @@ let default_pairs t =
 (* Node → POP region, for partitioning: a POP node maps to its own
    index, a CE to its PE's POP, so a region (POP plus homed sites) is
    never split across shards and every cut is a core link. *)
-let region_hint t =
-  let topo = Backbone.topology t.backbone in
+let region_hint (l : layout) =
+  let topo = Backbone.topology l.backbone in
   let n = Topology.node_count topo in
-  let hint = Array.init n (fun v -> Backbone.pop_of_node t.backbone v) in
+  let hint = Array.init n (fun v -> Backbone.pop_of_node l.backbone v) in
   Array.iter
     (fun (s : Site.t) ->
        if s.Site.ce_node < n then
-         hint.(s.Site.ce_node) <- Backbone.pop_of_node t.backbone s.Site.pe_node)
-    t.sites;
+         hint.(s.Site.ce_node) <- Backbone.pop_of_node l.backbone s.Site.pe_node)
+    l.sites;
   fun v -> if v >= 0 && v < n then hint.(v) else None
 
 let declare_objectives t slo =

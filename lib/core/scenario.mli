@@ -17,6 +17,24 @@ type deployment =
 
 type t
 
+(** The part of a scenario that fixes its topology: the POP backbone
+    and the sites attached to it. *)
+type layout = { backbone : Backbone.t; sites : Site.t array }
+
+val layout :
+  ?pops:int ->
+  ?core_bandwidth:float ->
+  ?core_delay:float ->
+  ?access_bandwidth:float ->
+  ?vpns:int ->
+  ?sites_per_vpn:int ->
+  unit -> layout
+(** The backbone and site attachment {!build} starts from, with the
+    same defaults, and nothing else: no engine, network or deployment.
+    Its topology is the one {!build} gives the same arguments (no
+    deployment adds a node or a link), so it is what the parallel
+    runner cuts into shards. *)
+
 val build :
   ?backend:Mvpn_sim.Engine.backend ->
   ?pops:int ->
@@ -34,7 +52,8 @@ val build :
     POPs with an offset per VPN. [core_delay] overrides the POP–POP
     propagation delay (the parallel runner's lookahead; 0 forces its
     epoch-barrier fallback). [backend] selects the engine's event
-    queue (default {!Mvpn_sim.Engine.Calendar}). *)
+    queue (default {!Mvpn_sim.Engine.Calendar}). The backbone and
+    sites are {!layout}'s. *)
 
 val engine : t -> Mvpn_sim.Engine.t
 val network : t -> Network.t
@@ -89,7 +108,7 @@ val default_pairs : t -> (Site.t * Site.t) list
     sends nothing), last pair first. Exposed so the sequential and
     partitioned entry points drive byte-identical workloads. *)
 
-val region_hint : t -> int -> int option
+val region_hint : layout -> int -> int option
 (** Node → POP region for {!Mvpn_par.Partition}: a POP node maps to its
     own index, a CE to its PE's POP, so a region (POP plus homed sites)
     is never split across shards and every cut is a core link. [None]

@@ -5,7 +5,9 @@ module Registry = Mvpn_telemetry.Registry
 module Control = Mvpn_telemetry.Control
 module Slo = Mvpn_telemetry.Slo
 module Event_log = Mvpn_telemetry.Event_log
+module Fatelog = Mvpn_telemetry.Fatelog
 module Scenario = Mvpn_core.Scenario
+module Backbone = Mvpn_core.Backbone
 module Network = Mvpn_core.Network
 module Qos_mapping = Mvpn_core.Qos_mapping
 module Sampler = Mvpn_core.Sampler
@@ -82,14 +84,11 @@ let replica cfg ~canonical ~only =
   in
   cfg.prepare_replica sc;
   let fates = Fatelog.create () in
-  Network.set_fate_hook (Scenario.network sc)
-    (Some
-       (match sampler with
-        | None -> Fatelog.add fates
-        | Some sm ->
-          fun ~time ~vpn ~band ~dropped ~latency ->
-            Sampler.observe_fate sm ~time ~vpn ~band ~dropped ~latency;
-            Fatelog.add fates ~time ~vpn ~band ~dropped ~latency));
+  let net = Scenario.network sc in
+  Network.set_fate_log net (Some fates);
+  Option.iter
+    (fun sm -> Network.set_fate_hook net (Some (Sampler.observe_fate sm)))
+    sampler;
   let pairs = Scenario.default_pairs sc in
   (match cfg.diurnal with
    | None ->
@@ -100,17 +99,15 @@ let replica cfg ~canonical ~only =
        ~pairs ~duration:cfg.duration);
   (sc, fates)
 
-(* Replay a time-sorted fate stream into a fresh conformance engine
-   with the stock per-(vpn, band) objectives — the same declarations
-   [Scenario.attach_slo] makes. A private event log keeps the replay's
-   transitions out of the global forensic ring and the global slo.*
-   counters, which count what the run itself recorded. *)
+(* Replay the replicas' merged fate logs into a fresh conformance
+   engine with the stock per-(vpn, band) objectives — the same
+   declarations [Scenario.attach_slo] makes. A private event log keeps
+   the replay's transitions out of the global forensic ring and the
+   global slo.* counters, which count what the run itself recorded. *)
 let replay_slo ~scenario ~horizon fates =
   let slo = Slo.create ~events:(Event_log.create ()) () in
   Scenario.declare_objectives scenario slo;
-  Fatelog.iter_merged fates (fun ~time ~vpn ~band ~dropped ~latency ->
-      if dropped then Slo.observe_drop slo ~vpn ~band ~time
-      else Slo.observe_delivery slo ~vpn ~band ~time ~latency);
+  Fatelog.replay fates slo;
   Slo.advance slo ~time:horizon;
   slo
 
@@ -333,14 +330,15 @@ let run_parallel (cfg : config) =
   owned_run @@ fun () ->
   if cfg.shards = 1 then sequential cfg
   else
-    (* Throwaway build, telemetry off, just to cut the topology — every
-       replica builds the same one, so the partition is exact. *)
+    (* Every replica builds the same topology as this layout, so the
+       partition is exact without deploying anything. *)
     let part =
-      Control.with_disabled (fun () ->
-          let sc = build cfg in
-          Partition.compute
-            ~hint:(Scenario.region_hint sc)
-            (Network.topology (Scenario.network sc))
-            ~shards:cfg.shards)
+      let lay =
+        Scenario.layout ~pops:cfg.pops ~vpns:cfg.vpns
+          ~sites_per_vpn:cfg.sites_per_vpn ?core_delay:cfg.core_delay ()
+      in
+      Partition.compute ~hint:(Scenario.region_hint lay)
+        (Backbone.topology lay.Scenario.backbone)
+        ~shards:cfg.shards
     in
     if part.Partition.shards = 1 then sequential cfg else sharded cfg part

@@ -89,7 +89,7 @@ val replica :
   config ->
   canonical:bool ->
   only:(Mvpn_core.Site.t -> Mvpn_core.Site.t -> bool) ->
-  Mvpn_core.Scenario.t * Fatelog.t
+  Mvpn_core.Scenario.t * Mvpn_telemetry.Fatelog.t
 (** One replica armed to run, as both entry points arm every replica,
     in this order:
     + {!build} it;
@@ -101,8 +101,11 @@ val replica :
     + start the timeline sampler, when [sample_interval] is set
       ({!Mvpn_core.Sampler.start}, until the horizon);
     + run [prepare_replica];
-    + install the fate log as the network's fate hook, with the
-      sampler's tap ({!Mvpn_core.Sampler.observe_fate}) in front of it;
+    + install a fresh fate log on the network
+      ({!Mvpn_core.Network.set_fate_log}), which appends every fate
+      from the network's cells, boxing nothing; when the sampler runs,
+      install its tap ({!Mvpn_core.Sampler.observe_fate}) as the fate
+      hook;
     + arm the workload (mixed, or diurnal when [diurnal] is set) over
       {!Mvpn_core.Scenario.default_pairs}, starting sources only for
       the pairs [only] accepts; every pair still draws from the RNG, so

@@ -2092,6 +2092,46 @@ let test_diurnal_workload_modulates () =
     true
     (core > edges *. 1.5)
 
+(* A delivered or dropped fate reaches the fate log through the
+   network's terminal paths without allocating: the log reads the time
+   and the latency from the network's cells, a known drop reason is
+   found without an option, and pooled packets are reincarnated. *)
+let test_network_fate_append_allocates_nothing () =
+  let engine = Engine.create () in
+  let topo = Topology.create () in
+  ignore (Topology.ring topo 3 ~bandwidth:1e9 ~delay:1e-3);
+  let net = Network.create engine topo in
+  let log = T.Fatelog.create () in
+  Network.set_fate_log net (Some log);
+  let flow = Flow.make (ip "10.0.0.1") (ip "10.1.0.1") in
+  let dscp = Some Dscp.ef and t0 = 0.0 in
+  let consume = ignore in
+  let life i =
+    let p = Packet.make ~vpn:3 ?dscp ~size:400 ~now:t0 flow in
+    Network.note_inject net;
+    if i land 1 = 0 then Network.deliver_to net ~node:1 consume p
+    else Network.drop_packet ~node:1 ~packet:p net "test-drop"
+  in
+  let was = Packet.pooling () in
+  Packet.set_pooling true;
+  Fun.protect ~finally:(fun () -> Packet.set_pooling was) (fun () ->
+      T.Control.with_enabled (fun () ->
+          (* Warm past the log's first 1024 slots, so the measured
+             fates fit without growing it. *)
+          for i = 1 to 1100 do life i done;
+          let w0 = Gc.minor_words () in
+          for i = 1 to 900 do life i done;
+          let dw = Gc.minor_words () -. w0 in
+          Alcotest.(check (float 0.0)) "minor words over 900 fates" 0.0 dw));
+  Alcotest.(check int) "every fate logged" 2000 (T.Fatelog.length log);
+  let band = Qos_mapping.band_of_dscp Dscp.ef in
+  Alcotest.(check bool) "a drop, then a delivery" true
+    (match (T.Fatelog.fate log 1998, T.Fatelog.fate log 1999) with
+     | (_, 3, b1, true, 0.0), (_, 3, b2, false, _) -> b1 = band && b2 = band
+     | _ -> false);
+  Alcotest.(check int) "ledger balanced" 0
+    (Network.flow_totals net).Network.live
+
 let () =
   Alcotest.run "core"
     [ ("membership",
@@ -2122,7 +2162,9 @@ let () =
          Alcotest.test_case "label forwarding" `Quick
            test_network_label_forwarding;
          Alcotest.test_case "refresh_igp matches clear and refill" `Quick
-           test_network_refresh_igp_matches_clear_and_refill ]);
+           test_network_refresh_igp_matches_clear_and_refill;
+         Alcotest.test_case "fate append allocates nothing" `Quick
+           test_network_fate_append_allocates_nothing ]);
       ("backbone",
        [ Alcotest.test_case "shape" `Quick test_backbone_shape ]);
       ("mpls-vpn",

@@ -724,28 +724,37 @@ let fate_streams_gen =
   in
   list_size (int_range 1 5) stream
 
+(* The merge the runner's replay uses ({!T.Fatelog.replay} walks
+   [iter_merged]) visits each fate once, in the (time, shard, seq)
+   sort's order, and the log hands back the values recorded. Drops
+   are recorded over a latency cell holding garbage, which the log
+   must ignore. *)
 let fatelog_merge_equals_sort =
   QCheck.Test.make ~name:"fate merge equals the (time, shard, seq) sort"
     ~count:300
     (QCheck.make fate_streams_gen)
     (fun streams ->
+       let clock = Float.Array.make 1 0.0 and lat = Float.Array.make 1 0.0 in
        let logs =
          Array.of_list
            (List.map
               (fun stream ->
-                 let fl = Fatelog.create () in
+                 let fl = T.Fatelog.create () in
                  List.iter
                    (fun (time, vpn, band, dropped, latency) ->
-                      Fatelog.add fl ~time ~vpn ~band ~dropped ~latency)
+                      Float.Array.set clock 0 time;
+                      Float.Array.set lat 0 (if dropped then 1.0 else latency);
+                      T.Fatelog.record fl ~vpn ~band ~dropped ~clock
+                        ~latency:lat)
                    stream;
                  fl)
               streams)
        in
        let merged = ref [] in
-       Fatelog.iter_merged logs (fun ~time ~vpn ~band ~dropped ~latency ->
-           merged := (time, vpn, band, dropped, latency) :: !merged);
+       T.Fatelog.iter_merged logs (fun shard seq ->
+           merged := (shard, seq, T.Fatelog.fate logs.(shard) seq) :: !merged);
        (* The sort the runner did before the merge. *)
-       let sorted : fate list =
+       let sorted : (int * int * fate) list =
          List.concat
            (List.mapi
               (fun shard stream ->
@@ -755,9 +764,62 @@ let fatelog_merge_equals_sort =
                 match Float.compare ta tb with
                 | 0 -> compare (sa, qa) (sb, qb)
                 | c -> c)
-         |> List.map (fun (_, _, f) -> f)
        in
        List.rev !merged = sorted)
+
+(* The partition [Runner.run_parallel] cuts from [Scenario.layout]
+   alone is the one a fully built and deployed scenario gives: the
+   same owners, cut links and sizes. *)
+let test_partition_from_layout () =
+  let module Scenario = Mvpn_core.Scenario in
+  let module Backbone = Mvpn_core.Backbone in
+  let cut (p : Partition.t) =
+    List.map (fun (l : Topology.link) -> l.Topology.id) p.Partition.cut
+  in
+  List.iter
+    (fun (pops, vpns, sites, core_delay) ->
+       let lay =
+         Scenario.layout ~pops ~vpns ~sites_per_vpn:sites ?core_delay ()
+       in
+       let sc =
+         T.Control.with_disabled (fun () ->
+             Scenario.build ~pops ~vpns ~sites_per_vpn:sites ?core_delay
+               (Scenario.Mpls_deployment
+                  { policy =
+                      Mvpn_core.Qos_mapping.Diffserv
+                        Mvpn_core.Qos_mapping.default_diffserv_sched;
+                    use_te = false }))
+       in
+       let built =
+         { Scenario.backbone = Scenario.backbone sc; sites = Scenario.sites sc }
+       in
+       List.iter
+         (fun shards ->
+            let name =
+              Printf.sprintf "pops %d, %d vpns x %d sites, core delay %s, K=%d"
+                pops vpns sites
+                (match core_delay with
+                 | Some d -> string_of_float d
+                 | None -> "default")
+                shards
+            in
+            let a =
+              Partition.compute ~hint:(Scenario.region_hint lay)
+                (Backbone.topology lay.Scenario.backbone) ~shards
+            and b =
+              Partition.compute ~hint:(Scenario.region_hint built)
+                (Mvpn_core.Network.topology (Scenario.network sc)) ~shards
+            in
+            Alcotest.(check int) (name ^ ": shards") b.Partition.shards
+              a.Partition.shards;
+            Alcotest.(check (array int)) (name ^ ": owners") b.Partition.owner
+              a.Partition.owner;
+            Alcotest.(check (list int)) (name ^ ": cut") (cut b) (cut a);
+            Alcotest.(check (array int)) (name ^ ": sizes")
+              (Partition.sizes b) (Partition.sizes a))
+         [ 2; 4; 8 ])
+    [ (6, 2, 3, None); (12, 2, 4, None); (12, 4, 8, Some 0.004);
+      (16, 4, 8, None); (16, 2, 3, Some 0.0) ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -769,6 +831,8 @@ let () =
            test_partition_isolated_nodes;
          Alcotest.test_case "cut is exactly the cross links" `Quick
            test_partition_cut_is_exact;
+         Alcotest.test_case "layout cuts as the built scenario" `Quick
+           test_partition_from_layout;
          qt partition_covers ]);
       ("exchange",
        [ Alcotest.test_case "channels" `Quick test_exchange_channels;

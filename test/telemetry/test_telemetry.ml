@@ -1114,6 +1114,90 @@ let test_cell_observers_allocate_nothing () =
   | [ r ] -> Alcotest.(check int) "slo total" 1996 r.Slo.total
   | rs -> Alcotest.failf "one report, got %d" (List.length rs)
 
+(* Closing windows allocates nothing: each statistic of a close is an
+   int loop or lands in a cell, and a transition, whose event is the
+   one thing a close allocates, is booked only when a state flips.
+   Steady traffic inside every bound flips nothing, so 70 closes of
+   two objectives that carry latency, loss and availability bounds
+   (past the 60-bucket ring) read no words. Times and latencies are
+   pre-boxed, as a caller's own floats would be. *)
+let test_slo_window_close_allocates_nothing () =
+  let t = Slo.create ~events:(Event_log.create ()) () in
+  let spec =
+    Slo.spec ~latency_p99:0.05 ~loss_ratio:0.5 ~availability:0.5 0.9
+  in
+  Slo.declare t ~vpn:1 ~band:0 spec;
+  Slo.declare t ~vpn:2 ~band:3 spec;
+  let secs = List.init 141 float_of_int in
+  let latency = 0.01 in
+  let rec run = function
+    | time :: (next :: _ as rest) ->
+      for _ = 1 to 10 do
+        Slo.observe_delivery t ~vpn:1 ~band:0 ~time ~latency;
+        Slo.observe_delivery t ~vpn:2 ~band:3 ~time ~latency
+      done;
+      Slo.observe_drop t ~vpn:1 ~band:0 ~time;
+      Slo.observe_drop t ~vpn:2 ~band:3 ~time;
+      Slo.advance t ~time:next;
+      run rest
+    | _ -> ()
+  in
+  let first = List.filteri (fun i _ -> i <= 70) secs
+  and rest = List.filteri (fun i _ -> i >= 70) secs in
+  Control.with_enabled (fun () ->
+      run first;
+      let w0 = Gc.minor_words () in
+      run rest;
+      let dw = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0)) "minor words over 70 window closes" 0.0
+        dw);
+  List.iter
+    (fun (r : Slo.report) ->
+       Alcotest.(check int) "every packet seen" (140 * 11) r.Slo.total;
+       Alcotest.(check (list string)) "no violation" [] r.Slo.violations;
+       Alcotest.(check (float 1e-9)) "loss of the last fast window"
+         (1.0 /. 11.0) r.Slo.loss_ratio;
+       Alcotest.(check (float 0.0)) "availability" 1.0 r.Slo.availability)
+    (Slo.reports t);
+  Alcotest.(check int) "no event logged" 0 (Slo.violation_count t)
+
+(* The fate replay allocates per replay, not per fate: eight times the
+   fates over the same seconds read the same words. *)
+let test_fatelog_replay_words_flat () =
+  let words n =
+    let clock = Float.Array.make 1 0.0 and lat = Float.Array.make 1 0.0 in
+    let logs =
+      Array.init 2 (fun shard ->
+          let fl = Fatelog.create () in
+          for i = 0 to n - 1 do
+            Float.Array.set clock 0 (20.0 *. float_of_int i /. float_of_int n);
+            Float.Array.set lat 0 (1e-3 *. float_of_int (1 + ((i + shard) mod 7)));
+            Fatelog.record fl ~vpn:1 ~band:shard ~dropped:(i mod 50 = 0)
+              ~clock ~latency:lat
+          done;
+          fl)
+    in
+    let slo = Slo.create ~events:(Event_log.create ()) () in
+    for band = 0 to 1 do
+      Slo.declare slo ~vpn:1 ~band
+        (Slo.spec ~latency_p99:0.05 ~loss_ratio:0.5 ~availability:0.5 0.9)
+    done;
+    Control.with_enabled (fun () ->
+        let w0 = Gc.minor_words () in
+        Fatelog.replay logs slo;
+        let dw = Gc.minor_words () -. w0 in
+        let total =
+          List.fold_left (fun acc (r : Slo.report) -> acc + r.Slo.total) 0
+            (Slo.reports slo)
+        in
+        Alcotest.(check int) "every fate replayed" (2 * n) total;
+        dw)
+  in
+  let small = words 2_000 and large = words 16_000 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "replay words at 4k and 32k fates (%.0f)" small)
+    small large
+
 let () =
   let tc name f = Alcotest.test_case name `Quick (wrap f) in
   Alcotest.run "telemetry"
@@ -1175,6 +1259,9 @@ let () =
          tc "observe allocates nothing" test_slo_observe_allocates_nothing;
          tc "cell observers allocate nothing"
            test_cell_observers_allocate_nothing;
+         tc "window close allocates nothing"
+           test_slo_window_close_allocates_nothing;
+         tc "fate replay words flat" test_fatelog_replay_words_flat;
          tc "private engine uncounted" test_slo_private_engine_uncounted ]);
       ("json-bytes",
        [ tc "event log entries" test_event_log_json_bytes;

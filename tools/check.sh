@@ -52,6 +52,18 @@ for e in E0 E6 E15 E16 E18 E19; do
   ./_build/default/tools/gate.exe "$e" < BENCH_telemetry.json
 done
 
+# The engine phase of the E16 sequential run: the fate log and the
+# SLO windows allocate nothing per event, so what is left is the
+# workload's own garbage (0.23 measured; 0.65 while the runner's fate
+# hook boxed two floats per fate).
+echo "== alloc_probe: engine words per event <= 0.25"
+words=$(./_build/default/tools/alloc_probe.exe \
+  | awk '/^engine words\/event/ { print $3 }')
+awk -v w="$words" 'BEGIN { exit !(w != "" && w + 0 <= 0.25) }' || {
+  echo "alloc_probe: engine words per event ${words:-missing}, want <= 0.25" >&2
+  exit 1
+}
+
 echo "== json_lint rejects non-finite numbers and unversioned dumps"
 for bad in '{"x":inf}' '{"x":-inf}' '{"x":nan}' '{"x":Infinity}'; do
   if printf '%s' "$bad" | "$json_lint" 2>/dev/null; then
