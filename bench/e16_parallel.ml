@@ -30,6 +30,7 @@ type sample = {
   minor_w : float;
       (* minor-heap words allocated across the run by every domain it
          ran on (see [minor_words]) *)
+  packets : int;  (* packet records the run allocated, every domain *)
 }
 
 let fingerprint (o : Runner.outcome) =
@@ -50,14 +51,16 @@ let timed tag c run =
   let t0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
   let w0 = minor_words () in
+  let p0 = Mvpn_net.Packet.allocated () in
   let outcome = run c in
+  let packets = Mvpn_net.Packet.allocated () - p0 in
   let minor_w = minor_words () -. w0 in
   let wall = Unix.gettimeofday () -. t0 and cpu = Sys.time () -. c0 in
   (* The rounds keep every sample; a replica kept with it would hold
      a whole scenario live while the later rounds are timed, and no row
      reads one. *)
   { tag; outcome = { outcome with Runner.replicas = [||] }; wall; cpu;
-    minor_w }
+    minor_w; packets }
 
 let timed_par k =
   timed (Printf.sprintf "K=%d" k) (cfg k) Runner.run_parallel
@@ -210,6 +213,14 @@ let run () =
   report seq_prof;
   T.Gauge.set (T.Registry.gauge "e16.rate.seq_profiled_pps")
     (rate seq_prof);
+  (* Packet records a K=1 run allocates from an empty pool, the
+     reference for K=2's: run on a fresh domain, since this one's pool
+     kept the records of the runs above. *)
+  let k1 = Domain.join (Domain.spawn (fun () -> timed_par 1)) in
+  check_fingerprint ~baseline:seq k1;
+  T.Gauge.set (T.Registry.gauge "e16.pool.k1_packets")
+    (float_of_int k1.packets);
+  let seq_cpu = median (List.map (fun r -> r.cal.cpu) all) in
   List.iter
     (fun k ->
        let s = timed_par k in
@@ -224,10 +235,26 @@ let run () =
        (* The same words-per-event figure across both shard domains:
           what the cut-link data path (exchange, import ring, window
           loop) adds over the sequential run. check.sh gates it. *)
-       if k = 2 then
+       if k = 2 then begin
          T.Gauge.set
            (T.Registry.gauge "e16.gc.k2_minor_words_per_event")
-           (words_per_event s))
+           (words_per_event s);
+         (* Each shard domain starts with an empty pool; records sent
+            home keep the exporter from allocating for every packet
+            it hands across the cut. check.sh gates the ratio. *)
+         T.Gauge.set (T.Registry.gauge "e16.pool.k2_packets")
+           (float_of_int s.packets);
+         T.Gauge.set
+           (T.Registry.gauge "e16.ratio.k2_over_k1_packets")
+           (float_of_int s.packets /. float_of_int (max 1 k1.packets));
+         (* ROADMAP item 12's target, same process: K=2 wall time
+            against the median sequential calendar run's CPU time.
+            Below 1 means the split pays. A wall-clock figure, so
+            check.sh only asks that it be present. *)
+         T.Gauge.set
+           (T.Registry.gauge "e16.ratio.k2_wall_over_seq_cpu")
+           (s.wall /. Float.max 1e-9 seq_cpu)
+       end)
     [ 2; 4; 8 ];
   Tables.note
     "\nCPU seconds, median of %d interleaved rounds: seq-heap / seq-cal \

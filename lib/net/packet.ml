@@ -57,18 +57,19 @@ let default_ttl = 64
 
 let max_depth = 8
 
-(* Atomic so packet construction is safe from any domain. Uids stay
-   unique process-wide but their allocation order across domains is not
-   deterministic — nothing semantic may depend on uid values beyond
-   uniqueness (per-packet fault verdicts key on uid, which is why
-   seeded chaos runs are single-domain). Pool reuse mints a fresh uid
-   on every incarnation, so the uid sequence a run observes is the same
-   with pooling on or off. *)
+(* The next free uid block's base. Each domain mints uids from a
+   private block of [uid_block] (see [mint]), so domains building
+   packets at once do not contend on one atomic. Uids stay unique
+   process-wide but which domain gets which block is not deterministic
+   — nothing semantic may depend on uid values beyond uniqueness
+   (per-packet fault verdicts key on uid, which is why seeded chaos
+   runs are single-domain). One domain takes consecutive blocks, so
+   its uids run 1, 2, 3, ... as with one shared counter. Pool reuse
+   mints a fresh uid on every incarnation, so the uid sequence a run
+   observes is the same with pooling on or off. *)
 let uid_counter = Atomic.make 0
 
-let reset_uid_counter () = Atomic.set uid_counter 0
-
-let next_uid () = 1 + Atomic.fetch_and_add uid_counter 1
+let uid_block = 4096
 
 (* Fresh record allocations (pool reuse excluded), process-wide. The
    invariant auditor uses [allocated - live - pool_size] as a leak
@@ -92,8 +93,15 @@ let null =
 (* One free list per domain (no locking, no cross-domain races): a
    packet released on a domain is reincarnated by that same domain's
    next [make]. The global flag is plain (not atomic) — the runners set
-   it once before spawning domains and never mid-run. *)
-type pool = { mutable slots : t array; mutable len : int }
+   it once before spawning domains and never mid-run. The domain's uid
+   block, [uid_next] up to [uid_end], rides in the same record, so
+   minting costs no second lookup. *)
+type pool = {
+  mutable slots : t array;
+  mutable len : int;
+  mutable uid_next : int;
+  mutable uid_end : int;
+}
 
 let pooling_flag = ref false
 
@@ -101,43 +109,81 @@ let set_pooling on = pooling_flag := on
 let pooling () = !pooling_flag
 
 let pool_key : pool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { slots = [||]; len = 0 })
+  Domain.DLS.new_key (fun () ->
+      { slots = [||]; len = 0; uid_next = 0; uid_end = 0 })
 
 let pool_size () = (Domain.DLS.get pool_key).len
+
+let reset_uid_counter () =
+  Atomic.set uid_counter 0;
+  let pool = Domain.DLS.get pool_key in
+  pool.uid_next <- 0;
+  pool.uid_end <- 0
+
+let mint pool =
+  if pool.uid_next = pool.uid_end then begin
+    let base = Atomic.fetch_and_add uid_counter uid_block in
+    pool.uid_next <- base + 1;
+    pool.uid_end <- base + 1 + uid_block
+  end;
+  let u = pool.uid_next in
+  pool.uid_next <- u + 1;
+  u
+
+let push_pool pool p =
+  let cap = Array.length pool.slots in
+  if pool.len = cap then begin
+    let slots = Array.make (max 64 (2 * cap)) null in
+    Array.blit pool.slots 0 slots 0 cap;
+    pool.slots <- slots
+  end;
+  pool.slots.(pool.len) <- p;
+  pool.len <- pool.len + 1
 
 let release p =
   if !pooling_flag && not p.in_pool && p != null then begin
     p.in_pool <- true;
-    let pool = Domain.DLS.get pool_key in
-    let cap = Array.length pool.slots in
-    if pool.len = cap then begin
-      let slots = Array.make (max 64 (2 * cap)) null in
-      Array.blit pool.slots 0 slots 0 cap;
-      pool.slots <- slots
-    end;
-    pool.slots.(pool.len) <- p;
-    pool.len <- pool.len + 1
+    push_pool (Domain.DLS.get pool_key) p
   end
 
-(* A retired packet if one is available, else a fresh allocation. The
-   caller must reinitialise every mutable field. *)
-let obtain () =
+let reclaim () =
   let pool = Domain.DLS.get pool_key in
-  if !pooling_flag && pool.len > 0 then begin
+  if pool.len = 0 then null
+  else begin
     pool.len <- pool.len - 1;
     let p = pool.slots.(pool.len) in
     pool.slots.(pool.len) <- null;
-    p.in_pool <- false;
     p
   end
-  else begin
-    Atomic.incr alloc_counter;
-    { uid = 0; flow = null.flow; vpn = None; seq = 0;
-      created = Float.Array.make 1 0.; size = 0; inner = blank_header ();
-      encrypted = false; outer = blank_header (); has_outer = false;
-      stack = Array.make max_depth 0; depth = 0; encap_bytes = 0;
-      in_pool = false; fated = false }
-  end
+
+let adopt p =
+  if p.in_pool && p != null then push_pool (Domain.DLS.get pool_key) p
+  else invalid_arg "Packet.adopt: not a retired packet"
+
+(* A retired packet if one is available, else a fresh allocation, with
+   a fresh uid either way. The caller must reinitialise every other
+   mutable field. *)
+let obtain () =
+  let pool = Domain.DLS.get pool_key in
+  let p =
+    if !pooling_flag && pool.len > 0 then begin
+      pool.len <- pool.len - 1;
+      let p = pool.slots.(pool.len) in
+      pool.slots.(pool.len) <- null;
+      p.in_pool <- false;
+      p
+    end
+    else begin
+      Atomic.incr alloc_counter;
+      { uid = 0; flow = null.flow; vpn = None; seq = 0;
+        created = Float.Array.make 1 0.; size = 0; inner = blank_header ();
+        encrypted = false; outer = blank_header (); has_outer = false;
+        stack = Array.make max_depth 0; depth = 0; encap_bytes = 0;
+        in_pool = false; fated = false }
+    end
+  in
+  p.uid <- mint pool;
+  p
 
 let set_header (h : header) ~src ~dst ~proto ~src_port ~dst_port ~dscp ~ttl =
   h.src <- src; h.dst <- dst; h.proto <- proto; h.src_port <- src_port;
@@ -148,7 +194,6 @@ let created_at p = Float.Array.get p.created 0
 (* Every field but the creation stamp, which each constructor writes
    into the record's own cell (unboxed, and reused by the pool). *)
 let init p ~vpn ~seq ~dscp ~size (flow : Flow.t) =
-  p.uid <- next_uid ();
   p.flow <- flow;
   p.vpn <- vpn;
   p.seq <- seq;
@@ -181,7 +226,6 @@ let assign_header (dst : header) (src : header) =
 
 let copy p =
   let q = obtain () in
-  q.uid <- next_uid ();
   q.flow <- p.flow;
   q.vpn <- p.vpn;
   q.seq <- p.seq;

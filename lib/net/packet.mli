@@ -110,7 +110,7 @@ val make :
   Flow.t -> t
 (** [make ~now flow] builds a fresh unencapsulated packet for [flow].
     [size] defaults to 512 bytes, [dscp] to best effort. Assigns a fresh
-    [uid] from a global counter. When pooling is on and a retired packet
+    [uid] from the calling domain's block of a global counter. When pooling is on and a retired packet
     is available, reinitialises it in place instead of allocating. *)
 
 val make_cell :
@@ -149,6 +149,19 @@ val release : t -> unit
 
 val pool_size : unit -> int
 (** Retired packets available in the calling domain's pool (tests). *)
+
+val reclaim : unit -> t
+(** Take one retired packet out of the calling domain's pool, still
+    retired, or {!null} when the pool is empty: the sending half of a
+    transfer to another domain's pool. *)
+
+val adopt : t -> unit
+(** Put a retired packet that {!reclaim} took on another domain into
+    the calling domain's pool. A packet a sharded run carried across a
+    cut retires on the importing domain; the runner sends records back
+    this way, so the exporting domain reuses them instead of
+    allocating.
+    @raise Invalid_argument if [p] is not retired. *)
 
 val allocated : unit -> int
 (** Fresh packet-record allocations so far, process-wide (pool reuse is
@@ -237,4 +250,5 @@ val decapsulate : t -> unit
 val pp : Format.formatter -> t -> unit
 
 val reset_uid_counter : unit -> unit
-(** Reset the global uid counter (test isolation only). *)
+(** Reset the global uid counter and drop the calling domain's uid
+    block, so its next packet gets uid 1 (test isolation only). *)

@@ -14,6 +14,10 @@ type channel = {
   mutable c_packet : Packet.t array;
   mutable len : int;
   mutable next_seq : int;
+  (* Retired records going back to the source's pool, the
+     [home_len] first of [home] (see [send_home]). *)
+  mutable home : Packet.t array;
+  mutable home_len : int;
 }
 
 type t = {
@@ -50,7 +54,8 @@ let open_channel t ~src ~dst =
           c_src_node = Array.make init_cap 0;
           c_dst_node = Array.make init_cap 0;
           c_packet = Array.make init_cap Packet.null;
-          len = 0; next_seq = 0 }
+          len = 0; next_seq = 0; home = Array.make init_cap Packet.null;
+          home_len = 0 }
 
 let channels t =
   let acc = ref [] in
@@ -104,6 +109,44 @@ let send t ~src ~dst cell ~src_node ~dst_node packet =
     if over then Atomic.incr t.overflow
 
 let overflows t = Atomic.get t.overflow
+
+let send_home t ~src ~dst n =
+  match t.chans.(index t ~src ~dst) with
+  | None -> 0
+  | Some ch ->
+    Mutex.lock ch.mutex;
+    let k = ref 0 and more = ref true in
+    while !more && !k < n do
+      let p = Packet.reclaim () in
+      if p == Packet.null then more := false
+      else begin
+        let len = ch.home_len in
+        if len = Array.length ch.home then
+          ch.home <- grown ch.home ~len ~n:(2 * len) ~fill:Packet.null;
+        ch.home.(len) <- p;
+        ch.home_len <- len + 1;
+        incr k
+      end
+    done;
+    Mutex.unlock ch.mutex;
+    !k
+
+let take_home t ~src =
+  for dst = 0 to t.shards - 1 do
+    if dst <> src then
+      match t.chans.((src * t.shards) + dst) with
+      (* Read without the lock: a stale 0 only leaves the records for
+         the next call. *)
+      | Some ch when ch.home_len > 0 ->
+        Mutex.lock ch.mutex;
+        for i = 0 to ch.home_len - 1 do
+          Packet.adopt ch.home.(i);
+          ch.home.(i) <- Packet.null
+        done;
+        ch.home_len <- 0;
+        Mutex.unlock ch.mutex
+      | Some _ | None -> ()
+  done
 
 (* The inbox: message fields in int-indexed slots, [heap.(0 .. size-1)]
    the live slots in heap order, [free.(0 .. nfree-1)] the recycled
@@ -221,8 +264,9 @@ let drain_into t ~dst ib =
 let ready ib ~bound ~inclusive =
   ib.size > 0
   &&
-  let a = Float.Array.get ib.arrival ib.heap.(0) in
-  if inclusive then a <= bound else a < bound
+  let a = Float.Array.get ib.arrival ib.heap.(0)
+  and b = Float.Array.get bound 0 in
+  if inclusive then a <= b else a < b
 
 let pop ib ~key_out =
   if ib.size = 0 then invalid_arg "Exchange.pop: empty inbox";

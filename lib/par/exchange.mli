@@ -51,6 +51,26 @@ val send :
 val overflows : t -> int
 (** Total pushes that found a channel over capacity. *)
 
+(** {2 Packets go home}
+
+    Packet pools are per domain ({!Mvpn_net.Packet.release}). A record
+    carried from [src] to [dst] retires into [dst]'s pool while [src]
+    allocates fresh ones for its next exports, so without a way back
+    the exporter keeps allocating and the importer's pool keeps
+    growing. Each channel therefore also carries retired records the
+    other way. *)
+
+val send_home : t -> src:int -> dst:int -> int -> int
+(** [send_home t ~src ~dst n] moves up to [n] retired records from the
+    calling domain's pool (shard [dst]'s) onto the channel
+    [src -> dst], bound back for [src], and returns how many it moved
+    (fewer when the pool runs dry; 0 with no such channel). Called
+    from [dst]'s domain. *)
+
+val take_home : t -> src:int -> unit
+(** Adopt every record sent home to [src] into the calling domain's
+    pool (shard [src]'s). Called from [src]'s domain. *)
+
 (** {2 The destination's inbox} *)
 
 type inbox
@@ -69,9 +89,10 @@ val drain_into : t -> dst:int -> inbox -> unit
 
 val length : inbox -> int
 
-val ready : inbox -> bound:float -> inclusive:bool -> bool
-(** The least message arrives before [bound] (at or before, when
-    [inclusive]). [false] on an empty inbox. *)
+val ready : inbox -> bound:floatarray -> inclusive:bool -> bool
+(** The least message arrives before [bound.{0}] (at or before, when
+    [inclusive]). [false] on an empty inbox. The bound comes in a cell,
+    like every float on the window path, so the call boxes nothing. *)
 
 val pop : inbox -> key_out:floatarray -> int
 (** Remove the least message, write its arrival into [key_out.{0}] and

@@ -161,22 +161,22 @@ let outcome ~horizon ~registry ~registry_json replicas =
 let drive sh clock =
   let id = Shard.id sh in
   let horizon = Clock.horizon clock in
+  let at_horizon = Float.Array.make 1 horizon in
   if Clock.lookahead clock then begin
-    let rec loop completed =
-      if completed < horizon then begin
-        let b = Clock.next_bound clock ~shard:id ~completed in
-        Shard.ingest sh ~bound:b ~inclusive:false;
-        Shard.run_before sh ~before:b;
-        Clock.publish clock ~shard:id b;
-        loop b
-      end
-    in
-    loop 0.0
+    (* The window bound lives in one cell from the clock to the engine
+       and back, so a window allocates nothing. *)
+    let bound = Float.Array.make 1 0.0 in
+    while Float.Array.get bound 0 < horizon do
+      Clock.next_bound clock ~shard:id bound;
+      Shard.ingest sh ~bound ~inclusive:false;
+      Shard.run_before sh ~before:bound;
+      Clock.publish clock ~shard:id bound
+    done
   end
   else begin
     let rec rounds () =
       Clock.barrier clock;
-      Shard.ingest sh ~bound:horizon ~inclusive:true;
+      Shard.ingest sh ~bound:at_horizon ~inclusive:true;
       let nxt = Option.value ~default:infinity (Shard.peek sh) in
       let m = Clock.min_next clock ~shard:id nxt in
       if m <= horizon then begin
@@ -187,12 +187,12 @@ let drive sh clock =
     rounds ()
   end;
   Clock.barrier clock;
-  Shard.ingest sh ~bound:horizon ~inclusive:true;
+  Shard.ingest sh ~bound:at_horizon ~inclusive:true;
   Shard.run_to sh ~until:horizon;
   Clock.barrier clock;
   (* Everyone has finished the horizon pass: drain what those last
      events sent (all of it arrives strictly past the horizon). *)
-  Shard.ingest sh ~bound:neg_infinity ~inclusive:false
+  Shard.ingest sh ~bound:(Float.Array.make 1 neg_infinity) ~inclusive:false
 
 (* A shard's failure: the sim time it stopped at, the exception and
    its backtrace. *)

@@ -10,6 +10,18 @@
     are re-scheduled for bookkeeping parity, and the time-sorted merge
     of every shard's packet fates replays into one SLO engine.
 
+    The window rule, when every cut link has a positive delay: a shard
+    that has completed (published) [c] waits until {!Clock.next_bound}
+    exceeds [c], then ingests and runs every event before that bound,
+    which is at most [c] plus its least inbound delay and at most any
+    inbound neighbour's publication plus that link's delay, and
+    publishes it. The first cap keeps the shards in lockstep, each one
+    delay ahead of what it completed, so neighbours run their windows
+    at the same time instead of taking turns. A zero-delay cut link
+    falls back to epoch barriers. The window bound travels in one cell
+    from the clock through the shard and engine and back, so a window
+    allocates nothing.
+
     The headline invariant: for a given config, {!run_parallel} at any
     shard count and {!run_sequential} produce identical delivered /
     dropped / scheduled / executed-event totals, identical per-class

@@ -34,6 +34,9 @@ type t = {
   mutable im_len : int;
   mutable import_fire : unit -> unit;
   mutable sent : int;
+  (* [owed.(j)]: packets imported from shard [j] whose records have
+     not yet gone back to [j]'s pool. *)
+  owed : int array;
 }
 
 let im_grow t =
@@ -64,6 +67,8 @@ let im_grow t =
    shifts entries. *)
 let schedule_import t =
   let s = Exchange.pop t.inbox ~key_out:t.key_cell in
+  let src = Exchange.src_shard t.inbox s in
+  t.owed.(src) <- t.owed.(src) + 1;
   if t.im_len = Array.length t.im_packet then im_grow t;
   let mask = Array.length t.im_packet - 1 in
   let a = Float.Array.get t.key_cell 0 in
@@ -107,7 +112,8 @@ let create ~id ~part ~exchange sc =
       im_arrival = Float.Array.make 16 0.0;
       im_packet = Array.make 16 Packet.null; im_src = Array.make 16 0;
       im_dst = Array.make 16 0; im_head = 0; im_len = 0;
-      import_fire = ignore; sent = 0 }
+      import_fire = ignore; sent = 0;
+      owed = Array.make part.Partition.shards 0 }
   in
   t.import_fire <- (fun () -> import t);
   (* Outbound cut ports hand finished transmissions to the exchange
@@ -139,7 +145,17 @@ let id t = t.sid
 
 let now t = Engine.now t.eng
 
+(* At each window edge the shard first settles its pool with its
+   neighbours: it adopts the records they sent home, and sends home as
+   many retired records as it has imported from each, so every
+   domain's pool gets back what it exported. *)
 let ingest t ~bound ~inclusive =
+  Exchange.take_home t.exchange ~src:t.sid;
+  for j = 0 to Array.length t.owed - 1 do
+    let n = t.owed.(j) in
+    if n > 0 && Packet.pool_size () > 0 then
+      t.owed.(j) <- n - Exchange.send_home t.exchange ~src:j ~dst:t.sid n
+  done;
   Exchange.drain_into t.exchange ~dst:t.sid t.inbox;
   while Exchange.ready t.inbox ~bound ~inclusive do
     schedule_import t

@@ -29,10 +29,10 @@ val id : t -> int
 val now : t -> float
 (** The replica engine's clock: the sim time a failed run stopped at. *)
 
-val ingest : t -> bound:float -> inclusive:bool -> unit
+val ingest : t -> bound:floatarray -> inclusive:bool -> unit
 (** Drain inbound exchange channels into the shard's inbox (the
     struct-of-arrays heap of {!Exchange.inbox}), then schedule every
-    message with arrival below [bound] (at or below, when [inclusive])
+    message with arrival below [bound.{0}] (at or below, when [inclusive])
     as a receive event on the local engine, keyed on its exact
     arrival ({!Mvpn_sim.Engine.schedule_at_cell}). Equal-arrival
     messages always fall into the same window (a window bound beyond
@@ -41,10 +41,17 @@ val ingest : t -> bound:float -> inclusive:bool -> unit
     so event insertion order, and therefore FIFO tie-breaks, are
     independent of cross-domain timing. The events share one import
     handler fed by a ring, so a steady-state ingest allocates
-    nothing. *)
+    nothing.
 
-val run_before : t -> before:float -> unit
-(** Execute local events strictly below the window bound. *)
+    Before draining, it settles the packet pools with its neighbours
+    (the window edge): it adopts the retired records they sent home
+    ({!Exchange.take_home}) and sends home as many retired records as
+    it has imported from each ({!Exchange.send_home}). *)
+
+val run_before : t -> before:floatarray -> unit
+(** Execute local events strictly below the window bound [before.{0}].
+    The bound crosses {!ingest} and this call in the runner's cell, so
+    a window boxes no float. *)
 
 val run_to : t -> until:float -> unit
 (** Execute local events up to and including [until] (the final,

@@ -12,7 +12,10 @@ type tree = {
    (key, seq), so equal keys pop in push order; keys cross into and out
    of it through one floatarray cell, so no pop or push boxes a float.
    It grows to its live size, and the run allocates the tree, the
-   settled flags and the frontier's storage, nothing per pop. *)
+   settled flags and the frontier's storage, nothing per pop. Every pop
+   is due: the bound is [unbounded]'s +infinity. *)
+let unbounded = Float.Array.make 1 infinity
+
 let dijkstra_csr ~off ~nbr ~weight ~src =
   let n = Array.length off - 1 in
   if src < 0 || src >= n then
@@ -27,7 +30,7 @@ let dijkstra_csr ~off ~nbr ~weight ~src =
   Heap.push_at frontier cell src;
   while Heap.size frontier > 0 do
     let v =
-      Heap.pop_due frontier ~bound:infinity ~strict:false ~default:(-1)
+      Heap.pop_due frontier ~bound:unbounded ~strict:false ~default:(-1)
         ~key_out:cell
     in
     if (not settled.(v)) && Float.Array.get cell 0 <= dist.(v) then begin

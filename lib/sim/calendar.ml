@@ -333,13 +333,15 @@ let pop q =
   end
 
 (* Allocation-free pop for the engine's run loop (see {!Heap.pop_due}):
-   sentinel return instead of an option, key through a floatarray cell. *)
+   sentinel return instead of an option, bound and key through
+   floatarray cells. *)
 let pop_due q ~bound ~strict ~default ~key_out =
   let s = find_min q in
   if s = nil then default
   else begin
-    let ckey = Float.Array.unsafe_get q.keys s in
-    if if strict then ckey < bound else ckey <= bound then begin
+    let ckey = Float.Array.unsafe_get q.keys s
+    and b = Float.Array.get bound 0 in
+    if if strict then ckey < b else ckey <= b then begin
       Float.Array.set key_out 0 ckey;
       let value = q.vals.(s) in
       remove_min q s;

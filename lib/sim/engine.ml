@@ -71,6 +71,10 @@ type t = {
   (* In-parameter cell through which the boxed-delay entry points hand
      their delay to [schedule_cell]. *)
   delay_cell : floatarray;
+  (* The bound of an outermost {!run} window. Window bounds reach
+     [pop_due] through a cell, so a window (a {!run_before} with its
+     caller's cell) boxes no float. *)
+  until_cell : floatarray;
   (* Dispatch-cost ledger (see profile.ml). Disabled by default; the
      run loops pick a profiled or plain drain once per window, so the
      per-event path is untouched until [Profile.enable]. *)
@@ -87,7 +91,7 @@ let create ?(backend = Calendar) () =
     in_batch = false; batch_events = 0; batch_scheduled = 0;
     flush_hooks = []; key_cell = Float.Array.create 1;
     push_cell = Float.Array.create 1; delay_cell = Float.Array.create 1;
-    prof = Profile.create () }
+    until_cell = Float.Array.create 1; prof = Profile.create () }
 
 let now e = Float.Array.get e.clock 0
 
@@ -280,9 +284,10 @@ let drain e ~bound ~strict =
    advance to its horizon. *)
 let window_body e ~bound ~strict =
   drain e ~bound ~strict;
-  if (not strict) && (not e.stopped) && Float.is_finite bound
-     && bound > Float.Array.get e.clock 0
-  then Float.Array.set e.clock 0 bound
+  let b = Float.Array.get bound 0 in
+  if (not strict) && (not e.stopped) && Float.is_finite b
+     && b > Float.Array.get e.clock 0
+  then Float.Array.set e.clock 0 b
 
 (* Run [window_body] as one batch window. Nested windows flush only at
    the outermost exit; an exception from an event still flushes, so no
@@ -303,8 +308,11 @@ let window e ~bound ~strict =
   end
 
 let run ?until e =
-  window e ~bound:(match until with Some t -> t | None -> infinity)
-    ~strict:false
+  (* A run nested in an event gets a cell of its own: the enclosing
+     window's drain still reads [until_cell]. *)
+  let bound = if e.in_batch then Float.Array.create 1 else e.until_cell in
+  Float.Array.set bound 0 (match until with Some t -> t | None -> infinity);
+  window e ~bound ~strict:false
 
 let peek_time e = Option.map fst (q_peek e.queue)
 
@@ -312,7 +320,8 @@ let peek_time e = Option.map fst (q_peek e.queue)
    time strictly below [before], but do not advance [now] to the bound
    itself — the window bound is a synchronization artifact, not a
    simulated instant, and a later window (or the final inclusive [run])
-   owns the events at the bound. *)
+   owns the events at the bound. The bound is the caller's cell, read
+   once per pop, so a window allocates nothing. *)
 let run_before e ~before = window e ~bound:before ~strict:true
 
 let pending e = q_size e.queue

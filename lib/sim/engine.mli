@@ -101,12 +101,13 @@ val step : t -> bool
 val peek_time : t -> float option
 (** Timestamp of the next pending event, without running it. *)
 
-val run_before : t -> before:float -> unit
-(** Process every pending event with time strictly below [before],
-    leaving events at or after [before] queued and [now] at the last
+val run_before : t -> before:floatarray -> unit
+(** Process every pending event with time strictly below [before.{0}],
+    leaving events at or after it queued and [now] at the last
     processed event. The conservative parallel runner uses this to
     advance a shard through a safe window without claiming the window
-    bound itself. *)
+    bound itself. The bound comes through the caller's cell, so the
+    window boxes no float; the cell must not change during the call. *)
 
 val pending : t -> int
 (** Number of scheduled events not yet run. *)

@@ -123,12 +123,13 @@ let peek h =
 
 (* Allocation-free pop for hot loops: a sentinel compare ([default],
    returned physically when nothing is due) instead of an option, and
-   the key through a floatarray cell, so it crosses the call unboxed. *)
+   the bound and the key through floatarray cells, so both cross the
+   call unboxed. *)
 let pop_due h ~bound ~strict ~default ~key_out =
   if h.size = 0 then default
   else begin
-    let key = Float.Array.unsafe_get h.keys 0 in
-    if if strict then key < bound else key <= bound then begin
+    let key = Float.Array.unsafe_get h.keys 0 and b = Float.Array.get bound 0 in
+    if if strict then key < b else key <= b then begin
       Float.Array.set key_out 0 key;
       let value = h.vals.(0) in
       remove_root h;

@@ -30,10 +30,11 @@ val pop : 'a t -> (float * 'a) option
     priorities, the earliest pushed. *)
 
 val pop_due :
-  'a t -> bound:float -> strict:bool -> default:'a -> key_out:floatarray -> 'a
+  'a t -> bound:floatarray -> strict:bool -> default:'a ->
+  key_out:floatarray -> 'a
 (** Allocation-free pop for hot loops. Removes and returns the
-    minimum-priority element if it is due — key [<= bound], or
-    [< bound] when [strict] — writing its key into [key_out.{0}];
+    minimum-priority element if it is due — key [<= bound.{0}], or
+    [< bound.{0}] when [strict] — writing its key into [key_out.{0}];
     otherwise returns [default] (compare physically) and touches
     nothing. Never allocates, unlike the option/tuple of
     [peek]+[pop]. *)

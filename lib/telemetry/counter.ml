@@ -5,42 +5,17 @@
    harness combines partials with [Registry.snapshot] (taken inside the
    domain) + [Registry.absorb] (counters add).
 
-   [Domain.DLS.get] per bump is measurable in instrumented hot loops
-   (LFIB step, qdisc, per-hop counters), so the handle memoizes the
-   last resolved cell. A cell is one record carrying its owner's
-   domain id beside the count, built by the DLS initializer in the
-   domain that owns it. The memo is a single mutable field holding a
-   cell: a racing reader sees one cell whole, and uses it only when
-   the stored domain id is its own — a hit always yields the caller's
-   private cell, so the DLS partial-count guarantee is untouched. A
-   miss re-points the memo at the caller's existing cell, so a handle
-   that two domains take turns with allocates nothing. *)
+   Every access resolves the cell with [Domain.DLS.get], an index into
+   the domain's own key table, and writes nothing to the shared handle:
+   two domains bumping the same counter touch no common cache line. *)
 
-type cell = { did : int; mutable n : int }
+type cell = { mutable n : int }
 
-type t = {
-  key : cell Domain.DLS.key;
-  mutable last : cell;
-}
+type t = { key : cell Domain.DLS.key }
 
-(* No real domain has id -1, so the first access always misses. *)
-let empty_cell = { did = -1; n = 0 }
+let make () = { key = Domain.DLS.new_key (fun () -> { n = 0 }) }
 
-let make () =
-  { key =
-      Domain.DLS.new_key (fun () ->
-          { did = (Domain.self () :> int); n = 0 });
-    last = empty_cell }
-
-let cell t =
-  let did = (Domain.self () :> int) in
-  let l = t.last in
-  if l.did = did then l
-  else begin
-    let c = Domain.DLS.get t.key in
-    t.last <- c;
-    c
-  end
+let[@inline] cell t = Domain.DLS.get t.key
 
 let incr t =
   if !Control.enabled then begin

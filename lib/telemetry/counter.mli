@@ -3,7 +3,10 @@
 
     Domain-safe: the handle is shared, but the count lives in
     domain-local storage, so domains bump private partials and never
-    lose increments. [value]/[reset] act on the calling domain's
+    lose increments. The handle is immutable: every access resolves the
+    calling domain's cell with [Domain.DLS.get] and writes only that
+    cell, so domains bumping one counter at once share no written
+    cache line. [value]/[reset] act on the calling domain's
     partial; partials are combined with [Registry.snapshot] (taken in
     the owning domain) + [Registry.absorb] (counters add). A run
     counts from zero in its own [Registry.scoped], never by

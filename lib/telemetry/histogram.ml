@@ -12,10 +12,8 @@
 
 (* [fl] packs the float accumulators ([0] sum, [1] min, [2] max) in a
    flat array so a hot observe is three unboxed stores, not three
-   fresh boxes. [did] is the owning domain's id, so a state doubles as
-   the handle's memo entry. *)
+   fresh boxes. *)
 type state = {
-  did : int;
   counts : int array;
   mutable total : int;
   fl : floatarray;
@@ -31,19 +29,13 @@ let fresh_fl () =
   Float.Array.set a f_max neg_infinity;
   a
 
-(* [last] is the last resolved state — the same single-mutable-field
-   memo as {!Counter.cell}, for the same reason: [Domain.DLS.get] per
-   observation is measurable in the per-hop instrumentation. A miss
-   re-points it at the caller's existing state, allocating nothing. *)
+(* The handle is immutable: an observation resolves its domain's state
+   with [Domain.DLS.get] and writes nothing shared, as {!Counter}. *)
 type t = {
   lo : float;  (* lower bound of bucket 0; values below land in it *)
   buckets : int;
   cells : state Domain.DLS.key;
-  mutable last : state;
 }
-
-(* No real domain has id -1, so the first access always misses. *)
-let empty_state = { did = -1; counts = [||]; total = 0; fl = fresh_fl () }
 
 let default_buckets = 96
 
@@ -53,19 +45,9 @@ let make ?(lo = 1e-9) ?(buckets = default_buckets) () =
   { lo; buckets;
     cells =
       Domain.DLS.new_key (fun () ->
-          { did = (Domain.self () :> int); counts = Array.make buckets 0;
-            total = 0; fl = fresh_fl () });
-    last = empty_state }
+          { counts = Array.make buckets 0; total = 0; fl = fresh_fl () }) }
 
-let state t =
-  let did = (Domain.self () :> int) in
-  let l = t.last in
-  if l.did = did then l
-  else begin
-    let st = Domain.DLS.get t.cells in
-    t.last <- st;
-    st
-  end
+let[@inline] state t = Domain.DLS.get t.cells
 
 (* floor(log2 (v / lo)), clamped: the IEEE exponent field of the
    ratio, read through [Int64.bits_of_float] (an unboxed external) like

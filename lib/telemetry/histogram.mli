@@ -6,8 +6,10 @@
     relative error, clamped to the exact observed min/max. Recording is
     a no-op while {!Control} is disabled.
 
-    Domain-safe like {!Counter}: bucket geometry is shared, mutable
-    state is domain-local; merge per-domain partials with
+    Domain-safe like {!Counter}: bucket geometry is shared and
+    immutable, mutable state is domain-local and resolved with
+    [Domain.DLS.get] on every access, so an observation writes nothing
+    another domain reads; merge per-domain partials with
     {!snapshot} + {!absorb}. *)
 
 type t

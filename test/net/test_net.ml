@@ -306,6 +306,48 @@ let test_packet_pool_recycle () =
   Alcotest.(check bool) "outer disarmed" false (Packet.has_outer q);
   Alcotest.(check int) "pool drained" (parked - 1) (Packet.pool_size ())
 
+(* Each domain mints uids from blocks of its own: one domain's uids run
+   1, 2, 3, ... past a block boundary as with one shared counter, and
+   two domains minting at once never collide. *)
+let test_packet_uid_blocks () =
+  Packet.reset_uid_counter ();
+  let uids n = List.init n (fun _ -> (fresh_packet ()).Packet.uid) in
+  Alcotest.(check (list int)) "one domain counts from 1" (List.init 5000 succ)
+    (uids 5000);
+  let other = Domain.spawn (fun () -> uids 5000) in
+  let mine = uids 5000 in
+  let all = List.sort_uniq compare (mine @ Domain.join other) in
+  Alcotest.(check int) "two domains never collide" 10_000 (List.length all);
+  Packet.reset_uid_counter ()
+
+(* Retired records move between domains' pools: a record reclaimed on
+   one domain and adopted on another is what that domain's next packet
+   reuses. *)
+let test_packet_reclaim_adopt () =
+  Packet.set_pooling true;
+  Fun.protect ~finally:(fun () -> Packet.set_pooling false) @@ fun () ->
+  let p = fresh_packet () in
+  Packet.release p;
+  let before = Packet.pool_size () in
+  let moved = Domain.join (Domain.spawn Packet.reclaim) in
+  Alcotest.(check bool) "a fresh domain's pool is empty" true
+    (moved == Packet.null);
+  let q = Packet.reclaim () in
+  Alcotest.(check bool) "reclaimed" true (q == p);
+  Alcotest.(check int) "pool shrank" (before - 1) (Packet.pool_size ());
+  let reused =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Packet.adopt q;
+           let n = Packet.pool_size () in
+           (n, fresh_packet ())))
+  in
+  Alcotest.(check int) "adopted" 1 (fst reused);
+  Alcotest.(check bool) "reused on the adopting domain" true (snd reused == p);
+  Alcotest.check_raises "a live packet is not adopted"
+    (Invalid_argument "Packet.adopt: not a retired packet") (fun () ->
+      Packet.adopt (fresh_packet ()))
+
 let test_packet_pool_off_noop () =
   Alcotest.(check bool) "pooling off by default" false (Packet.pooling ());
   let p = fresh_packet () in
@@ -796,6 +838,9 @@ let () =
          Alcotest.test_case "pool recycle" `Quick test_packet_pool_recycle;
          Alcotest.test_case "pool off no-op" `Quick
            test_packet_pool_off_noop;
+         Alcotest.test_case "uid blocks" `Quick test_packet_uid_blocks;
+         Alcotest.test_case "reclaim and adopt" `Quick
+           test_packet_reclaim_adopt;
          qt packet_matches_model ]);
       ("radix",
        [ Alcotest.test_case "basic lpm" `Quick test_radix_basic;

@@ -151,9 +151,9 @@ let test_exchange_drain_order () =
   Exchange.drain_into ex ~dst:2 ib;
   Alcotest.(check int) "drained all" 4 (Exchange.length ib);
   Alcotest.(check bool) "ready below the least arrival" false
-    (Exchange.ready ib ~bound:1.0 ~inclusive:false);
+    (Exchange.ready ib ~bound:(Float.Array.make 1 1.0) ~inclusive:false);
   Alcotest.(check bool) "ready at it, inclusive" true
-    (Exchange.ready ib ~bound:1.0 ~inclusive:true);
+    (Exchange.ready ib ~bound:(Float.Array.make 1 1.0) ~inclusive:true);
   Alcotest.(check (list (triple int int (float 0.0))))
     "pops by arrival; seq is the send order within each channel"
     [ (0, 1, 1.0); (1, 1, 2.0); (0, 0, 3.0); (1, 0, 5.0) ]
@@ -236,7 +236,7 @@ let inbox_pops_in_msg_order =
                  seqs.(src) <- seqs.(src) + 1)
               batch;
             Exchange.drain_into ex ~dst:3 ib;
-            let bound = float_of_int (k + 1) in
+            let bound = Float.Array.make 1 (float_of_int (k + 1)) in
             while Exchange.ready ib ~bound ~inclusive:false do
               let s = Exchange.pop ib ~key_out:key in
               popped :=
@@ -283,11 +283,19 @@ let test_exchange_round_trip_allocates_nothing () =
 
 (* --- Clock -------------------------------------------------------------- *)
 
+(* The clock takes and hands back times in one-slot cells. *)
+let next_bound c ~shard =
+  let out = Float.Array.make 1 nan in
+  Clock.next_bound c ~shard out;
+  Float.Array.get out 0
+
+let publish c ~shard v = Clock.publish c ~shard (Float.Array.make 1 v)
+
 let test_clock_single_shard () =
   let c = Clock.create ~shards:1 ~horizon:10.0 ~inbound:[| [] |] in
   Alcotest.(check bool) "lookahead" true (Clock.lookahead c);
   Alcotest.(check (float 0.0)) "no inbound -> horizon" 10.0
-    (Clock.next_bound c ~shard:0 ~completed:0.0)
+    (next_bound c ~shard:0)
 
 let test_clock_zero_delay_disables_lookahead () =
   let c =
@@ -302,24 +310,113 @@ let test_clock_lookahead_windows () =
   in
   (* shard 1's first window: neighbor published nothing (0.0), so the
      bound is 0 + 0.5. *)
-  Alcotest.(check (float 1e-9)) "first window" 0.5
-    (Clock.next_bound c ~shard:1 ~completed:0.0);
+  Alcotest.(check (float 1e-9)) "first window" 0.5 (next_bound c ~shard:1);
   (* next_bound blocks until the neighbor publishes past the completed
-     point; publish from another domain and watch it wake. *)
-  let waiter =
-    Domain.spawn (fun () -> Clock.next_bound c ~shard:1 ~completed:0.5)
-  in
-  Clock.publish c ~shard:0 2.0;
-  Alcotest.(check (float 1e-9)) "window follows publication" 2.5
+     point; publish from another domain and watch it wake. The window
+     runs one delay past what shard 1 completed (0.5), not to the
+     neighbour's publication plus the delay (2.5). *)
+  publish c ~shard:1 0.5;
+  let waiter = Domain.spawn (fun () -> next_bound c ~shard:1) in
+  publish c ~shard:0 2.0;
+  Alcotest.(check (float 1e-9)) "window follows publication" 1.0
     (Domain.join waiter);
   (* publications are monotone: an older value cannot move the bound
-     backwards. *)
-  Clock.publish c ~shard:0 1.0;
-  Alcotest.(check (float 1e-9)) "monotone" 2.5
-    (Clock.next_bound c ~shard:1 ~completed:0.5);
-  Clock.publish c ~shard:0 100.0;
+     backwards. Completed at 1.2, the cap is 1.7; the neighbour's
+     publication, 2.0 + 0.5, does not bind, where a lowered 1.0 would
+     give 1.5. *)
+  publish c ~shard:1 1.2;
+  publish c ~shard:0 1.0;
+  Alcotest.(check (float 1e-9)) "monotone" 1.7 (next_bound c ~shard:1);
+  publish c ~shard:0 100.0;
+  publish c ~shard:1 9.7;
   Alcotest.(check (float 1e-9)) "clamped to horizon" 10.0
-    (Clock.next_bound c ~shard:1 ~completed:2.5)
+    (next_bound c ~shard:1)
+
+(* However far the neighbour is ahead, a window spans at most the
+   shard's least inbound delay: here 0.5 of the two links in. *)
+let test_clock_cap () =
+  let c =
+    Clock.create ~shards:3 ~horizon:1000.0
+      ~inbound:[| []; []; [ (0, 0.5); (1, 2.0) ] |]
+  in
+  publish c ~shard:0 500.0;
+  publish c ~shard:1 500.0;
+  Alcotest.(check (float 1e-9)) "first window capped" 0.5
+    (next_bound c ~shard:2);
+  publish c ~shard:2 3.0;
+  Alcotest.(check (float 1e-9)) "capped past completed" 3.5
+    (next_bound c ~shard:2);
+  publish c ~shard:0 1000.0;
+  publish c ~shard:1 1000.0;
+  publish c ~shard:2 999.75;
+  Alcotest.(check (float 1e-9)) "cap clamped to the horizon" 1000.0
+    (next_bound c ~shard:2);
+  (* The least publication bounds when it is nearer than the cap. *)
+  let c =
+    Clock.create ~shards:2 ~horizon:1000.0 ~inbound:[| []; [ (0, 0.5) ] |]
+  in
+  publish c ~shard:0 4.2;
+  publish c ~shard:1 4.0;
+  Alcotest.(check (float 1e-9)) "neighbour nearer than the cap" 4.5
+    (next_bound c ~shard:1)
+
+(* Driven in one domain, the shard with the least publication never
+   waits, and every bound it gets lies above its publication and at or
+   below the horizon: the run always advances, and ends with every
+   shard at the horizon. *)
+let clock_bound_above_completed =
+  QCheck.Test.make ~name:"the bound is always > completed" ~count:100
+    QCheck.(pair (int_range 2 4) (list_of_size (Gen.return 12) (int_range 1 9)))
+    (fun (k, ds) ->
+       let ds = Array.of_list ds in
+       let horizon = 40.0 in
+       (* A ring both ways, delays drawn in quarter units. *)
+       let inbound =
+         Array.init k (fun i ->
+             [ ((i + k - 1) mod k, 0.25 *. float_of_int ds.(2 * i));
+               ((i + 1) mod k, 0.25 *. float_of_int ds.((2 * i) + 1)) ]
+             |> List.sort_uniq (fun (a, _) (b, _) -> compare a b))
+       in
+       let c = Clock.create ~shards:k ~horizon ~inbound in
+       let done_ = Array.make k 0.0 in
+       let ok = ref true and steps = ref 0 in
+       while Array.exists (fun d -> d < horizon) done_ && !ok do
+         let i = ref 0 in
+         Array.iteri (fun j d -> if d < done_.(!i) then i := j) done_;
+         let b = next_bound c ~shard:!i in
+         if not (b > done_.(!i) && b <= horizon) then ok := false;
+         done_.(!i) <- b;
+         publish c ~shard:!i b;
+         incr steps;
+         if !steps > 100_000 then ok := false
+       done;
+       !ok)
+
+(* The window loop's clock calls allocate nothing while no shard has
+   to wait: the bound crosses both calls in the caller's cell and the
+   publications are unboxed atomics. Two shards taking turns in one
+   domain never wait. *)
+let test_clock_window_allocates_nothing () =
+  let c =
+    Clock.create ~shards:2 ~horizon:1e12
+      ~inbound:[| [ (1, 0.5) ]; [ (0, 0.5) ] |]
+  in
+  let b0 = Float.Array.make 1 0.0 and b1 = Float.Array.make 1 0.0 in
+  let windows n =
+    for _ = 1 to n do
+      Clock.next_bound c ~shard:0 b0;
+      Clock.publish c ~shard:0 b0;
+      Clock.next_bound c ~shard:1 b1;
+      Clock.publish c ~shard:1 b1
+    done
+  in
+  windows 100;
+  let w0 = Gc.minor_words () in
+  windows 1000;
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 2000 windows" 0.0 dw;
+  Alcotest.(check (float 1e-9)) "lockstep: one delay per window" 550.0
+    (Float.Array.get b1 0)
 
 let test_clock_barrier_and_min_next () =
   let c =
@@ -848,6 +945,11 @@ let () =
            test_clock_zero_delay_disables_lookahead;
          Alcotest.test_case "lookahead windows" `Quick
            test_clock_lookahead_windows;
+         Alcotest.test_case "a neighbour far ahead still caps the window"
+           `Quick test_clock_cap;
+         qt clock_bound_above_completed;
+         Alcotest.test_case "window allocates nothing" `Quick
+           test_clock_window_allocates_nothing;
          Alcotest.test_case "barrier and min_next" `Quick
            test_clock_barrier_and_min_next ]);
       ("fatelog", [ qt fatelog_merge_equals_sort ]);

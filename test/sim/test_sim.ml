@@ -228,7 +228,8 @@ module type Queue = sig
   val push_at : 'a t -> floatarray -> 'a -> unit
   val pop : 'a t -> (float * 'a) option
   val pop_due :
-    'a t -> bound:float -> strict:bool -> default:'a -> key_out:floatarray -> 'a
+    'a t -> bound:floatarray -> strict:bool -> default:'a ->
+    key_out:floatarray -> 'a
   val size : 'a t -> int
 end
 
@@ -275,7 +276,10 @@ module Scheduler_contract (Q : Queue) = struct
     (* Payload ids are non-negative, so -1 is the not-due sentinel. *)
     let check_pop_due d strict =
       let bound = !last +. d and before = Q.size q in
-      let v = Q.pop_due q ~bound ~strict ~default:(-1) ~key_out:cell in
+      let v =
+        Q.pop_due q ~bound:(Float.Array.make 1 bound) ~strict ~default:(-1)
+          ~key_out:cell
+      in
       match ref_min model with
       | Some ((rk, ri) as r) when (if strict then rk < bound else rk <= bound)
         ->
@@ -1152,9 +1156,10 @@ module Storage_checks (Q : Queue) = struct
   let pop_due_releases_payload () =
     let q : int ref Q.t = Q.create () in
     let default = ref (-1) and key_out = Float.Array.make 1 0.0 in
+    let bound = Float.Array.make 1 infinity in
     pop_releases_payload ~push:(Q.push q)
       ~pop:(fun () ->
-          let v = Q.pop_due q ~bound:infinity ~strict:false ~default ~key_out in
+          let v = Q.pop_due q ~bound ~strict:false ~default ~key_out in
           if v == default then None else Some v)
       ~size:(fun () -> Q.size q) ()
 
@@ -1162,6 +1167,7 @@ module Storage_checks (Q : Queue) = struct
     let q : (unit -> unit) Q.t = Q.create () in
     let ev () = () in
     let kcell = Float.Array.make 1 0.0 and key_out = Float.Array.make 1 0.0 in
+    let bound = Float.Array.make 1 infinity in
     let cycles n =
       for i = 1 to n do
         (* ~50 live events at a steady population, engine-like keys. *)
@@ -1170,7 +1176,7 @@ module Storage_checks (Q : Queue) = struct
         Q.push_at q kcell ev;
         if Q.size q > 50 then begin
           let (_ : unit -> unit) =
-            Q.pop_due q ~bound:infinity ~strict:false ~default:ignore ~key_out
+            Q.pop_due q ~bound ~strict:false ~default:ignore ~key_out
           in
           ()
         end
@@ -1223,12 +1229,12 @@ let test_engine_run_before () =
   List.iter
     (fun t -> Engine.schedule_at e ~time:t (fun () -> fired := t :: !fired))
     [ 1.0; 2.0; 3.0 ];
-  Engine.run_before e ~before:2.0;
+  Engine.run_before e ~before:(Float.Array.make 1 2.0);
   Alcotest.(check (list (float 0.0))) "strictly before" [ 1.0 ]
     (List.rev !fired);
   Alcotest.(check (option (float 0.0))) "bound event still queued"
     (Some 2.0) (Engine.peek_time e);
-  Engine.run_before e ~before:10.0;
+  Engine.run_before e ~before:(Float.Array.make 1 10.0);
   Alcotest.(check (list (float 0.0))) "rest drained" [ 1.0; 2.0; 3.0 ]
     (List.rev !fired);
   Alcotest.(check (option (float 0.0))) "empty" None (Engine.peek_time e)

@@ -755,8 +755,8 @@ let test_counter_two_domains () =
 
 (* A Counter and a Histogram shared by two domains that take turns, as
    a cut link's two shards do: after each domain's first touch (which
-   builds its cells), a switch re-points each handle's memo at the
-   caller's existing cell and allocates nothing. An atomic hands the
+   builds its cells), a switch finds the caller's existing cell in its
+   domain-local storage and allocates nothing. An atomic hands the
    turn over, so every bump follows the other domain's. *)
 let test_domain_switch_allocates_nothing () =
   let c = Counter.make () and h = Histogram.make () in

@@ -37,7 +37,11 @@ let table =
       present
         [ "e16.rate.seq_heap_pps"; "e16.rate.k2_pps"; "e16.rate.k4_pps";
           "e16.rate.k8_pps"; "e16.speedup.k2"; "e16.speedup.k4";
-          "e16.speedup.k8"; "sim.profile.pop_s"; "sim.profile.handler_s";
+          "e16.speedup.k8"; "e16.pool.k1_packets"; "e16.pool.k2_packets";
+          (* Wall clock over CPU (ROADMAP item 12's target is < 1): a
+             wall-clock figure on a shared host, so present only. *)
+          "e16.ratio.k2_wall_over_seq_cpu";
+          "sim.profile.pop_s"; "sim.profile.handler_s";
           "sim.profile.flush_s"; "sim.profile.kind.port.tx";
           "sim.profile.kind.port.propagate"; "sim.profile.kind.traffic.src" ]
       @ [ (* Minor words per event of the sequential calendar run:
@@ -67,18 +71,27 @@ let table =
           ("e16.ratio.cal_over_sampler_cpu", Ge 0.95);
           ("sim.profile.events", Positive);
           (* Minor words per event of the K=2 run, both shard domains
-             and every replica build included: 1.27 measured (2.71
-             with a boxing fate hook, tuple-threading SLO window closes
-             and a throwaway deploy to cut the topology, 5.19 with a
-             boxed engine clock, 9.18 when each cut-link
-             crossing built a message record, a list cell and an
-             import closure). The allocation is
-             deterministic but for the window count, which timing
-             moves slightly; the 13 % margin absorbs small incidental
-             changes, not a return of per-packet garbage on the
-             exchange path. *)
+             and every replica build included: 1.02 measured (1.27
+             while the exporting shard allocated a fresh packet record
+             for most packets it sent across the cut and each window
+             boxed its bound, 2.71 with a boxing fate hook,
+             tuple-threading SLO window closes and a throwaway deploy
+             to cut the topology, 5.19 with a boxed engine clock, 9.18
+             when each cut-link crossing built a message record, a
+             list cell and an import closure). The allocation is
+             deterministic but for the window count and the timing of
+             records sent home, which timing moves slightly; the 13 %
+             margin absorbs small incidental changes, not a return of
+             per-packet garbage on the exchange path. *)
           ("e16.gc.k2_minor_words_per_event", Positive);
-          ("e16.gc.k2_minor_words_per_event", Le 1.44);
+          ("e16.gc.k2_minor_words_per_event", Le 1.15);
+          (* Packet records the K=2 run allocates over what a K=1 run
+             allocates from an empty pool: 1.20 measured (524 against
+             436), against ~14 before shards sent retired records
+             home (6,095 against 436). How many records are in flight
+             home at a window edge varies with timing; the bound
+             fails a return of per-export allocation, not that. *)
+          ("e16.ratio.k2_over_k1_packets", Le 1.5);
           (* The same through the heap backend: 0.64 measured (1.75
              with a boxing fate hook and tuple-threading window closes,
              4.26 with a boxed engine clock, 10.3 when every entry was a
