@@ -585,6 +585,8 @@ let reconverge t =
    | None -> ());
   rounds
 
+let pe_next_hop t ~src ~dst = Hashtbl.find_opt t.pe_next_hop (pe_key src dst)
+
 type state_metrics = {
   sites : int;
   vpns : int;

@@ -90,6 +90,11 @@ val reconverge : t -> int
     re-signal broken TE tunnels, refresh PE next-hop caches. Returns
     OSPF flooding rounds. *)
 
+val pe_next_hop : t -> src:int -> dst:int -> int option
+(** The first hop from PE [src] toward PE [dst] over the up links of
+    the routing domain, as of the last {!deploy} or {!reconverge};
+    [None] when [dst] is unreachable or equals [src]. *)
+
 (** Provisioning-state metrics (experiment E1). *)
 type state_metrics = {
   sites : int;

@@ -697,6 +697,276 @@ let test_soak_fail_fast_raises () =
     [ ("sequential", Runner.run_sequential);
       ("K=2", fun cfg -> Runner.run_parallel { cfg with Runner.shards = 2 }) ]
 
+(* --- repair bursts: equality oracle -------------------------------------- *)
+
+module Fib = Mvpn_net.Fib
+module Lfib = Mvpn_mpls.Lfib
+module Label = Mvpn_mpls.Label
+module Fec = Mvpn_mpls.Fec
+module Ospf = Mvpn_routing.Ospf
+module Spf = Mvpn_routing.Spf
+
+let count_down topo =
+  List.length
+    (List.filter
+       (fun (l : Topology.link) ->
+          (not l.Topology.up) && l.Topology.src < l.Topology.dst)
+       (Topology.links topo))
+
+(* Arm FRR and backoff recovery on [sc] the way [Harness.arm] does, with
+   [after_burst] called at the end of every repair burst (reconverge,
+   then rearm), and run [plan] to quiescence with no traffic. *)
+let run_bursts ~seed ~plan ~after_burst sc =
+  let net = Scenario.network sc in
+  let vpn = Option.get (Scenario.mpls sc) in
+  let core = Scenario.core_links sc in
+  let frr =
+    Frr.arm ~links:(core @ List.map (fun (a, b) -> (b, a)) core) net
+  in
+  let recovery =
+    Recovery.arm ~seed net ~repair:(fun () ->
+        ignore (Mpls_vpn.reconverge vpn);
+        Frr.rearm frr;
+        after_burst vpn frr;
+        (0, count_down (Network.topology net)))
+  in
+  Chaos.schedule net plan;
+  List.iter
+    (function
+      | Chaos.Session_drop { at; _ } ->
+        Engine.schedule_at (Network.engine net) ~time:at (fun () ->
+            Recovery.request recovery)
+      | _ -> ())
+    plan;
+  Engine.run (Scenario.engine sc)
+
+let loopbacks bb =
+  Array.to_list
+    (Array.mapi (fun pop node -> (Backbone.loopback bb ~pop, node))
+       (Backbone.pops bb))
+
+(* Everything a burst writes, in a canonical text: per node the FIB
+   routes and generation, labels allocated, ILM entries, loopback FTN
+   entries and FRR protections; the PE next hops; the OSPF and LDP
+   message counts and the FRR coverage. *)
+let dump_control_plane buf sc vpn frr =
+  let net = Scenario.network sc and bb = Scenario.backbone sc in
+  let topo = Network.topology net and plane = Network.plane net in
+  let fecs = loopbacks bb in
+  let src_tag = function
+    | Fib.Static -> "static" | Fib.Connected -> "connected"
+    | Fib.Igp -> "igp" | Fib.Bgp -> "bgp"
+  in
+  for v = 0 to Topology.node_count topo - 1 do
+    let fib = Network.fib net v in
+    Printf.bprintf buf "node %d fib-gen %d\n" v (Fib.generation fib);
+    Fib.iter
+      (fun p (r : Fib.route) ->
+         Printf.bprintf buf " route %s %d %d %s\n" (Prefix.to_string p)
+           r.Fib.next_hop r.Fib.cost (src_tag r.Fib.source))
+      fib;
+    let allocated = Label.Allocator.allocated (Plane.allocator plane v) in
+    Printf.bprintf buf " labels %d\n" allocated;
+    let lfib = Plane.lfib plane v in
+    for l = 0 to Label.first_unreserved + allocated - 1 do
+      match Lfib.lookup lfib l with
+      | Some { Lfib.op; next_hop } ->
+        Printf.bprintf buf " ilm %d %s %d\n" l
+          (match op with
+           | Lfib.Swap o -> Printf.sprintf "swap %d" o
+           | Lfib.Pop -> "pop"
+           | Lfib.Pop_and_ip -> "pop-ip")
+          next_hop
+      | None -> ()
+    done;
+    List.iter
+      (fun (p, _) ->
+         match Plane.find_ftn plane v (Fec.Prefix_fec p) with
+         | Some e ->
+           Printf.bprintf buf " ftn %s push %d via %d\n" (Prefix.to_string p)
+             e.Plane.push e.Plane.next_hop
+         | None -> ())
+      fecs;
+    List.iter
+      (fun (nbr, _) ->
+         match Lfib.protection lfib ~next_hop:nbr with
+         | Some pr ->
+           Printf.bprintf buf " protect %d push %d via %d usable %b\n" nbr
+             pr.Lfib.push pr.Lfib.via (pr.Lfib.usable ())
+         | None -> ())
+      (Topology.neighbors topo v)
+  done;
+  List.iter
+    (fun (_, src) ->
+       List.iter
+         (fun (_, dst) ->
+            match Mpls_vpn.pe_next_hop vpn ~src ~dst with
+            | Some nh -> Printf.bprintf buf "pe %d %d via %d\n" src dst nh
+            | None -> ())
+         fecs)
+    fecs;
+  let s = Frr.stats frr in
+  Printf.bprintf buf "ospf %d control %d frr %d/%d\n"
+    (Ospf.messages_sent (Mpls_vpn.ospf vpn))
+    (Mpls_vpn.metrics vpn).Mpls_vpn.control_messages s.Frr.protected_links
+    s.Frr.unprotected_links
+
+(* The seeded storm whose dumps are folded into one digest: an 8-POP
+   backbone, 2 VPNs of 3 sites, 16 topology faults (flaps, node
+   outages, session drops) over 20 s. *)
+let burst_digest () =
+  let sc =
+    Scenario.build ~pops:8 ~vpns:2 ~sites_per_vpn:3 ~seed:5
+      (Scenario.Mpls_deployment
+         { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
+           use_te = false })
+  in
+  let plan =
+    Chaos.random_topology_plan ~events:16
+      ~nodes:(Array.to_list (Backbone.pops (Scenario.backbone sc)))
+      ~rng:(Rng.create 17) ~links:(Scenario.core_links sc) ~duration:20.0 ()
+  in
+  let digest = ref (Digest.string "") and bursts = ref 0 in
+  let buf = Buffer.create 65536 in
+  run_bursts ~seed:9 ~plan sc ~after_burst:(fun vpn frr ->
+      Buffer.clear buf;
+      Buffer.add_string buf !digest;
+      dump_control_plane buf sc vpn frr;
+      digest := Digest.string (Buffer.contents buf);
+      incr bursts);
+  (!bursts, Digest.to_hex !digest)
+
+(* Pinned from the control plane as it stood before the allocation-free
+   repair path: any rewrite of OSPF, SPF, LDP, FRR or the FIB refresh
+   must leave every burst's state byte-identical. *)
+let test_burst_digest_pinned () =
+  let bursts, digest = burst_digest () in
+  Alcotest.(check (pair int string)) "bursts and folded digest"
+    (17, "8e6d799fb0737e676b8c9e04201bb85e") (bursts, digest)
+
+(* After every burst of a random flap sequence, each repaired table
+   must equal a fresh SPF over the live topology: every node's FIB
+   route to each POP loopback (first hop and cost; local at the owner),
+   every LDP binding toward each loopback (the egress-rooted tree's
+   parent, PHP next to the egress, none when cut off) with the label it
+   pushes installed downstream, and every PE next hop. OSPF must report
+   converged whenever the topology is connected. Flaps may revert
+   before the backoff fires, so some bursts see an unchanged
+   topology. *)
+let check_against_live sc vpn =
+  let net = Scenario.network sc and bb = Scenario.backbone sc in
+  let topo = Network.topology net and plane = Network.plane net in
+  let n = Topology.node_count topo in
+  let fecs = loopbacks bb in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let connected =
+    Array.for_all Float.is_finite (Spf.dijkstra topo ~src:0).Spf.dist
+  in
+  if connected && not (Ospf.converged (Mpls_vpn.ospf vpn)) then
+    fail "OSPF databases differ on a connected topology";
+  for src = 0 to n - 1 do
+    let tree = Spf.dijkstra topo ~src in
+    List.iter
+      (fun (p, owner) ->
+         let want =
+           if owner = src then
+             Some (Fib.local_delivery, 0, Fib.Connected)
+           else if Float.is_finite tree.Spf.dist.(owner) then
+             Some
+               ( tree.Spf.first_hop.(owner),
+                 int_of_float tree.Spf.dist.(owner), Fib.Igp )
+           else None
+         in
+         let got =
+           Option.map
+             (fun (r : Fib.route) -> (r.Fib.next_hop, r.Fib.cost, r.Fib.source))
+             (Fib.find (Network.fib net src) p)
+         in
+         if got <> want then
+           fail "node %d: FIB route to %s differs from live SPF" src
+             (Prefix.to_string p))
+      fecs
+  done;
+  List.iter
+    (fun (p, egress) ->
+       let tree = Spf.dijkstra topo ~src:egress in
+       for r = 0 to n - 1 do
+         if r <> egress then begin
+           let ftn = Plane.find_ftn plane r (Fec.Prefix_fec p) in
+           let reach = Float.is_finite tree.Spf.dist.(r) in
+           let nh = tree.Spf.parent.(r) in
+           match ftn with
+           | None ->
+             if reach && nh <> egress then
+               fail "node %d: no LDP binding toward %s" r (Prefix.to_string p)
+           | Some e ->
+             if (not reach) || e.Plane.next_hop <> nh || nh = egress then
+               fail "node %d: LDP next hop toward %s is %d, live SPF says %d"
+                 r (Prefix.to_string p) e.Plane.next_hop nh;
+             let want_op =
+               if tree.Spf.parent.(nh) = egress then Lfib.Pop
+               else
+                 match Plane.find_ftn plane nh (Fec.Prefix_fec p) with
+                 | Some down -> Lfib.Swap down.Plane.push
+                 | None -> fail "node %d: downstream %d unbound" r nh
+             in
+             (match Lfib.lookup (Plane.lfib plane nh) e.Plane.push with
+              | Some { Lfib.op; next_hop }
+                when op = want_op && next_hop = tree.Spf.parent.(nh) -> ()
+              | Some _ | None ->
+                fail "node %d: label %d at %d does not continue the LSP" r
+                  e.Plane.push nh)
+         end
+       done)
+    fecs;
+  List.iter
+    (fun (_, src) ->
+       let tree = Spf.dijkstra topo ~src in
+       List.iter
+         (fun (_, dst) ->
+            let want =
+              if dst <> src && tree.Spf.first_hop.(dst) >= 0 then
+                Some tree.Spf.first_hop.(dst)
+              else None
+            in
+            if Mpls_vpn.pe_next_hop vpn ~src ~dst <> want then
+              fail "PE next hop %d -> %d differs from live SPF" src dst)
+         fecs)
+    fecs
+
+let flap_gen =
+  let open QCheck.Gen in
+  list_size (int_range 1 8)
+    (triple (int_range 0 63) (float_bound_exclusive 8.0)
+       (oneof [ float_range 0.01 0.1; float_range 0.1 3.0 ]))
+
+let repair_matches_live_property =
+  QCheck.Test.make ~count:25
+    ~name:"repair: bursts match a live SPF after any flap sequence"
+    (QCheck.make
+       ~print:
+         QCheck.Print.(list (triple int float float))
+       flap_gen)
+    (fun flaps ->
+       let sc =
+         Scenario.build ~pops:6 ~vpns:1 ~sites_per_vpn:2 ~seed:3
+           (Scenario.Mpls_deployment
+              { policy = Qos_mapping.Best_effort; use_te = false })
+       in
+       let core = Array.of_list (Scenario.core_links sc) in
+       let plan =
+         List.map
+           (fun (i, at, hold) ->
+              let a, b = core.(i mod Array.length core) in
+              Chaos.Link_flap { a; b; at; hold })
+           (List.sort (fun (_, x, _) (_, y, _) -> Float.compare x y) flaps)
+       in
+       let bursts = ref 0 in
+       run_bursts ~seed:5 ~plan sc ~after_burst:(fun vpn _ ->
+           incr bursts;
+           check_against_live sc vpn);
+       !bursts > 0)
+
 let qt t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -738,4 +1008,8 @@ let () =
          Alcotest.test_case "pooled overlay run audits clean" `Quick
            (with_telemetry test_audit_pooled_overlay);
          Alcotest.test_case "soak fail-fast raises the violation" `Quick
-           test_soak_fail_fast_raises ]) ]
+           test_soak_fail_fast_raises ]);
+      ("repair",
+       [ Alcotest.test_case "burst digest matches the pinned value" `Quick
+           test_burst_digest_pinned;
+         qt repair_matches_live_property ]) ]
