@@ -38,9 +38,9 @@ let slot_of addr = (addr * 0x9E3779B1) lsr 16 land (cache_slots - 1)
 let no_key = -1
 
 type compiled = {
-  c_fib_gen : int;
-  c_icept_gen : int;
-  dispatch : from:int option -> Packet.t -> bool;  (* true = consumed *)
+  mutable c_fib_gen : int;
+  mutable c_icept_gen : int;
+  mutable dispatch : from:int option -> Packet.t -> bool;  (* true = consumed *)
   fib_keys : int array;  (* Ipv4.to_int of the cached dst; no_key = empty *)
   fib_vals : (Prefix.t * Fib.route) option array;
 }
@@ -91,15 +91,29 @@ let compile t node =
     Telemetry.Event_log.record
       (Telemetry.Registry.events ())
       (Telemetry.Event_log.Recompile { node });
-  let c =
-    { c_fib_gen = Fib.generation t.fibs.(node);
-      c_icept_gen = t.icept_gens.(node);
-      dispatch = compile_dispatch t.interceptors.(node);
-      fib_keys = (if t.cache then Array.make cache_slots no_key else [||]);
-      fib_vals = (if t.cache then Array.make cache_slots None else [||]) }
-  in
-  t.compiled.(node) <- Some c;
-  c
+  match t.compiled.(node) with
+  | Some c ->
+    (* Recompile in place: the cache arrays are emptied, not
+       reallocated, and the dispatcher is rebuilt only when the chain
+       moved. *)
+    c.c_fib_gen <- Fib.generation t.fibs.(node);
+    if c.c_icept_gen <> t.icept_gens.(node) then begin
+      c.c_icept_gen <- t.icept_gens.(node);
+      c.dispatch <- compile_dispatch t.interceptors.(node)
+    end;
+    Array.fill c.fib_keys 0 (Array.length c.fib_keys) no_key;
+    Array.fill c.fib_vals 0 (Array.length c.fib_vals) None;
+    c
+  | None ->
+    let c =
+      { c_fib_gen = Fib.generation t.fibs.(node);
+        c_icept_gen = t.icept_gens.(node);
+        dispatch = compile_dispatch t.interceptors.(node);
+        fib_keys = (if t.cache then Array.make cache_slots no_key else [||]);
+        fib_vals = (if t.cache then Array.make cache_slots None else [||]) }
+    in
+    t.compiled.(node) <- Some c;
+    c
 
 (* The per-packet staleness check: one int comparison per input the
    compiled state is built from — the FIB (route cache) and the

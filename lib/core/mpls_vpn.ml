@@ -57,6 +57,10 @@ type t = {
   external_labels : (int * int, unit) Hashtbl.t;
   map_dscp_to_exp : bool;
   domain : int -> bool;
+  domain_usable : Topology.link -> bool;  (* up, both ends in [domain] *)
+  (* Scratch and tree of the PE next-hop SPFs, reused run after run. *)
+  spf_ws : Spf.workspace;
+  mutable spf_tree : Spf.tree;
   (* Graceful degradation: when no labelled transport reaches the
      egress PE, tunnel the VPN label inside plain IP toward the egress
      loopback instead of dropping. Off by default; the resilience
@@ -96,23 +100,27 @@ let rt_of_vpn vpn = { Mpbgp.rt_asn = provider_asn; rt_value = vpn }
 
 (* --- control-plane helpers -------------------------------------------- *)
 
-let domain_link t (l : Topology.link) =
-  l.Topology.up && t.domain l.Topology.src && t.domain l.Topology.dst
-
+(* One SPF per PE over the domain's up links. The table is updated in
+   place: a pair still reachable overwrites its binding, a pair cut off
+   loses it — the same contents as clearing and refilling. *)
 let refresh_pe_next_hops t =
-  Hashtbl.reset t.pe_next_hop;
   let topo = Network.topology t.net in
-  let pops = Backbone.pops t.backbone in
-  Array.iter
-    (fun src ->
-       let tree = Spf.dijkstra ~usable:(domain_link t) topo ~src in
-       Array.iter
-         (fun dst ->
-            if dst <> src && tree.Spf.first_hop.(dst) >= 0 then
-              Hashtbl.replace t.pe_next_hop (pe_key src dst)
-                tree.Spf.first_hop.(dst))
-         pops)
-    pops
+  let n = Topology.node_count topo in
+  if Array.length t.spf_tree.Spf.dist <> n then
+    t.spf_tree <- Spf.make_tree ~nodes:n;
+  let tree = t.spf_tree and pops = Backbone.pops t.backbone in
+  for i = 0 to Array.length pops - 1 do
+    let src = pops.(i) in
+    Spf.dijkstra_into t.spf_ws ~usable:t.domain_usable topo ~src ~into:tree;
+    for j = 0 to Array.length pops - 1 do
+      let dst = pops.(j) in
+      if dst <> src then begin
+        let nh = tree.Spf.first_hop.(dst) in
+        if nh >= 0 then Hashtbl.replace t.pe_next_hop (pe_key src dst) nh
+        else Hashtbl.remove t.pe_next_hop (pe_key src dst)
+      end
+    done
+  done
 
 let ensure_vrf t (site : Site.t) =
   let key = (site.Site.pe_node, site.Site.vpn) in
@@ -484,6 +492,8 @@ let deploy ?(mechanism = Membership.Directory) ?(session_mode = Mpbgp.Full_mesh)
       site_state = Hashtbl.create 16; pe_tunnels = Hashtbl.create 16;
       pe_next_hop = Hashtbl.create 64;
       external_labels = Hashtbl.create 16; map_dscp_to_exp; domain;
+      domain_usable = usable; spf_ws = Spf.workspace ();
+      spf_tree = Spf.make_tree ~nodes:(Topology.node_count topo);
       ip_fallback = false; fallback_active = Int_tbl.create 8;
       transport_memo = Int_tbl.create 64; tunnels_gen = 0;
       touches = 0 }

@@ -32,6 +32,14 @@ let install_ftn t node fec entry =
   Hashtbl.replace s.ftn fec entry;
   s.ftn_gen <- s.ftn_gen + 1
 
+let refresh_ftn t node fec ~push ~next_hop =
+  let s = get t node in
+  match Hashtbl.find s.ftn fec with
+  | e when e.push = push && e.next_hop = next_hop -> ()
+  | _ | (exception Not_found) ->
+    Hashtbl.replace s.ftn fec { push; next_hop };
+    s.ftn_gen <- s.ftn_gen + 1
+
 let remove_ftn t node fec =
   let s = get t node in
   if Hashtbl.mem s.ftn fec then begin

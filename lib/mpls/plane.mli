@@ -22,6 +22,11 @@ val lfib : t -> int -> Lfib.t
 val install_ftn : t -> int -> Fec.t -> ftn_entry -> unit
 (** Bind a FEC at an ingress node (replaces an existing binding). *)
 
+val refresh_ftn : t -> int -> Fec.t -> push:int -> next_hop:int -> unit
+(** {!install_ftn} [{ push; next_hop }], unless the node already binds
+    the FEC to exactly that entry: then nothing changes, neither the
+    entry (no allocation) nor the generation. *)
+
 val remove_ftn : t -> int -> Fec.t -> bool
 
 val find_ftn : t -> int -> Fec.t -> ftn_entry option
@@ -33,8 +38,9 @@ val clear_ftn : t -> int -> unit
 
 val ftn_generation : t -> int -> int
 (** Monotonic mutation counter of the node's FTN map, bumped by
-    {!install_ftn} and successful {!remove_ftn} — including every
-    binding {!Ldp.distribute}/{!Ldp.refresh} or RSVP-TE (re)installs.
+    {!install_ftn}, a {!refresh_ftn} that changed the entry and a
+    successful {!remove_ftn} — so by every binding
+    {!Ldp.distribute}/{!Ldp.refresh} moves or RSVP-TE (re)installs.
     FEC → FTN caches compare it to detect that an ingress binding moved
     (e.g. after a failure re-splice).
     @raise Invalid_argument on a bad node. *)

@@ -52,50 +52,57 @@ let common_prefix p q =
   in
   Prefix.make (Prefix.network p) (first_diff 0)
 
-let add t p v =
-  let rec go node =
-    if Prefix.equal node.prefix p then begin
-      if node.value = None then t.count <- t.count + 1;
+(* [add] and [find] walk with top-level recursive functions taking
+   every input as an argument, so neither allocates a closure per
+   call. *)
+let rec add_go t p v node =
+  if Prefix.equal node.prefix p then begin
+    match node.value with
+    | None ->
+      t.count <- t.count + 1;
       node.value <- Some v
-    end else
-      (* node.prefix strictly subsumes p here. *)
-      let dir = Prefix.bit p (Prefix.length node.prefix) in
-      match child node dir with
-      | None ->
-        set_child node dir (Some (leaf p v));
+    (* Re-adding the bound value keeps its block: no fresh [Some]. *)
+    | Some old -> if old != v then node.value <- Some v
+  end else
+    (* node.prefix strictly subsumes p here. *)
+    let dir = Prefix.bit p (Prefix.length node.prefix) in
+    match child node dir with
+    | None ->
+      set_child node dir (Some (leaf p v));
+      t.count <- t.count + 1
+    | Some c ->
+      if Prefix.subsumes c.prefix p then add_go t p v c
+      else if Prefix.subsumes p c.prefix then begin
+        let mid = leaf p v in
+        set_child mid (Prefix.bit c.prefix (Prefix.length p)) (Some c);
+        set_child node dir (Some mid);
         t.count <- t.count + 1
-      | Some c ->
-        if Prefix.subsumes c.prefix p then go c
-        else if Prefix.subsumes p c.prefix then begin
-          let mid = leaf p v in
-          set_child mid (Prefix.bit c.prefix (Prefix.length p)) (Some c);
-          set_child node dir (Some mid);
-          t.count <- t.count + 1
-        end else begin
-          let g = common_prefix p c.prefix in
-          let glue =
-            { prefix = g; value = None; left = None; right = None }
-          in
-          set_child glue (Prefix.bit p (Prefix.length g)) (Some (leaf p v));
-          set_child glue (Prefix.bit c.prefix (Prefix.length g)) (Some c);
-          set_child node dir (Some glue);
-          t.count <- t.count + 1
-        end
-  in
-  go t.root;
+      end else begin
+        let g = common_prefix p c.prefix in
+        let glue =
+          { prefix = g; value = None; left = None; right = None }
+        in
+        set_child glue (Prefix.bit p (Prefix.length g)) (Some (leaf p v));
+        set_child glue (Prefix.bit c.prefix (Prefix.length g)) (Some c);
+        set_child node dir (Some glue);
+        t.count <- t.count + 1
+      end
+
+let add t p v =
+  add_go t p v t.root;
   t.gen <- t.gen + 1
 
+let rec find_go p node =
+  if Prefix.equal node.prefix p then node.value
+  else if Prefix.length node.prefix >= 32 then None
+  else
+    let dir = Prefix.bit p (Prefix.length node.prefix) in
+    match child node dir with
+    | Some c when Prefix.subsumes c.prefix p -> find_go p c
+    | Some _ | None -> None
+
 let find t p =
-  let rec go node =
-    if Prefix.equal node.prefix p then node.value
-    else if Prefix.length node.prefix >= 32 then None
-    else
-      let dir = Prefix.bit p (Prefix.length node.prefix) in
-      match child node dir with
-      | Some c when Prefix.subsumes c.prefix p -> go c
-      | Some _ | None -> None
-  in
-  if Prefix.subsumes t.root.prefix p then go t.root else None
+  if Prefix.subsumes t.root.prefix p then find_go p t.root else None
 
 (* Splice out a node that no longer justifies its existence. *)
 let compact node =
@@ -182,19 +189,23 @@ let lookup t a =
 
 let lookup_value t a = (best_node t a).value
 
-let fold f t init =
-  let rec go node acc =
-    let acc =
-      match node.value with
-      | Some v -> f node.prefix v acc
-      | None -> acc
-    in
-    let acc = match node.left with Some c -> go c acc | None -> acc in
-    match node.right with Some c -> go c acc | None -> acc
+let rec fold_go f node acc =
+  let acc =
+    match node.value with
+    | Some v -> f node.prefix v acc
+    | None -> acc
   in
-  go t.root init
+  let acc = match node.left with Some c -> fold_go f c acc | None -> acc in
+  match node.right with Some c -> fold_go f c acc | None -> acc
 
-let iter f t = fold (fun p v () -> f p v) t ()
+let fold f t init = fold_go f t.root init
+
+let rec iter_go f node =
+  (match node.value with Some v -> f node.prefix v | None -> ());
+  (match node.left with Some c -> iter_go f c | None -> ());
+  match node.right with Some c -> iter_go f c | None -> ()
+
+let iter f t = iter_go f t.root
 
 let to_list t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 

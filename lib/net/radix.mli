@@ -27,7 +27,9 @@ val generation : 'a t -> int
     generations instead of invalidating eagerly. *)
 
 val add : 'a t -> Prefix.t -> 'a -> unit
-(** [add t p v] binds [p] to [v], replacing any previous binding of [p]. *)
+(** [add t p v] binds [p] to [v], replacing any previous binding of
+    [p]. Re-adding the value [p] is bound to (physically) allocates
+    nothing but still bumps the {!generation}. *)
 
 val find : 'a t -> Prefix.t -> 'a option
 (** Exact-match lookup. *)

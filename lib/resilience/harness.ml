@@ -24,11 +24,13 @@ let plan t = t.plan
 let frr t = t.frr
 
 let down_duplex net =
-  List.length
-    (List.filter
-       (fun (l : Topology.link) ->
-          (not l.Topology.up) && l.Topology.src < l.Topology.dst)
-       (Topology.links (Network.topology net)))
+  let topo = Network.topology net in
+  let down = ref 0 in
+  for id = 0 to Topology.link_count topo - 1 do
+    let l = Topology.link topo id in
+    if (not l.Topology.up) && l.Topology.src < l.Topology.dst then incr down
+  done;
+  !down
 
 (* Arm the full resilience stack plus a seeded fault plan on an
    existing scenario. The repair burst is the real one: reconverge the

@@ -52,24 +52,26 @@ let damped t a b =
 
 let now t = Engine.now (Network.engine t.net)
 
-(* One duplex link per down pair: count each (a, b) with a < b once. *)
-let down_links t =
-  List.filter_map
-    (fun (l : Topology.link) ->
-       if (not l.Topology.up) && l.Topology.src < l.Topology.dst then
-         Some (l.Topology.src, l.Topology.dst)
-       else None)
-    (Topology.links (Network.topology t.net))
+(* Down duplex links — each (a, b) with a < b once — counting only the
+   undamped ones when [undamped]. *)
+let count_down t ~undamped =
+  let topo = Network.topology t.net in
+  let n = ref 0 in
+  for id = 0 to Topology.link_count topo - 1 do
+    let l = Topology.link topo id in
+    if (not l.Topology.up) && l.Topology.src < l.Topology.dst
+    && not (undamped && damped t l.Topology.src l.Topology.dst)
+    then incr n
+  done;
+  !n
 
 (* Fire one repair burst. While every down link is damped the burst is
    suppressed — re-signalling cannot succeed and would only thrash;
    the release path re-arms repair when a damped link holds up. *)
 let rec fire t =
   t.pending <- false;
-  let down = down_links t in
-  let undamped = List.filter (fun (a, b) -> not (damped t a b)) down in
-  if down <> [] && undamped = [] then
-    Telemetry.Counter.incr m_suppressed
+  if count_down t ~undamped:false > 0 && count_down t ~undamped:true = 0
+  then Telemetry.Counter.incr m_suppressed
   else begin
     t.attempt <- t.attempt + 1;
     Telemetry.Counter.incr m_resignal;
@@ -80,8 +82,7 @@ let rec fire t =
         (Telemetry.Event_log.Resignal
            { attempt = t.attempt; restored; still_down });
     if still_down = 0 then t.attempt <- 0
-    else if List.exists (fun (a, b) -> not (damped t a b)) (down_links t)
-    then schedule_repair t
+    else if count_down t ~undamped:true > 0 then schedule_repair t
   end
 
 (* Exponential backoff with deterministic jitter: coalesced — while a

@@ -5,24 +5,36 @@ module Fib = Mvpn_net.Fib
 type lsa = {
   originator : int;
   seq : int;
-  adjacencies : (int * int) list;  (* neighbor, cost; up links only *)
-  prefixes : Prefix.t list;
+  adjacencies : (int * int) list;  (* neighbor, cost; up links only, by neighbor *)
+  prefixes : Prefix.t list;  (* sorted *)
 }
+
+(* An empty LSDB slot: its sequence number is older than any LSA's. *)
+let no_lsa = { originator = -1; seq = -1; adjacencies = []; prefixes = [] }
+
+(* A tree buffer not yet allocated (and the FIB's tree before the
+   first build). *)
+let no_tree = Spf.make_tree ~nodes:0
 
 type router = {
   id : int;
-  lsdb : (int, lsa) Hashtbl.t;
+  lsdb : lsa array;  (* by originator; [no_lsa] where none arrived *)
+  mutable lsdb_count : int;
   mutable lsdb_gen : int;  (* bumped by every LSDB write *)
   mutable prefix_gen : int;  (* bumped when a write changed some prefixes *)
-  (* SPF over the LSDB as of [spf_gen] (-1: never run). *)
+  (* SPF over the LSDB as of [spf_gen] (-1: never run), in one of two
+     buffers: a run writes the buffer the FIB was not built from, so
+     [fib_tree] survives for {!same_routes} to compare against. *)
   mutable spf : Spf.tree;
+  mutable spare : Spf.tree;
   mutable spf_gen : int;
-  (* The FIB and what it was built from: it is rebuilt only when the
-     SPF distances/first hops or the LSDB prefixes moved since. *)
-  mutable fib : Fib.t;
+  (* The FIB, updated in place, and what it was built from: it is
+     touched only when the SPF distances/first hops or the LSDB
+     prefixes moved since. *)
+  fib : Fib.t;
   mutable fib_tree : Spf.tree;
   mutable fib_prefix_gen : int;
-  mutable attached : Prefix.t list;
+  mutable attached : Prefix.t list;  (* sorted, no duplicates *)
   mutable own_seq : int;
 }
 
@@ -31,108 +43,188 @@ type t = {
   routers : router array;
   members : int -> bool;
   mutable messages : int;
+  (* A flooding round's offers, (peer, LSA), staged so the round is
+     order-independent; the arrays only grow. *)
+  mutable staged_peer : int array;
+  mutable staged_lsa : lsa array;
+  mutable staged_n : int;
+  (* The compressed sparse rows {!run_spf} rebuilds per router, and the
+     relax loop's scratch. *)
+  off : int array;
+  mutable nbr : int array;
+  mutable weight : floatarray;
+  ws : Spf.workspace;
 }
-
-let no_tree =
-  { Spf.src = -1; dist = [||]; first_hop = [||]; parent = [||] }
 
 let create ?(members = fun _ -> true) topo =
   let n = Topology.node_count topo in
   { topo;
     routers =
       Array.init n (fun id ->
-          { id; lsdb = Hashtbl.create 16; lsdb_gen = 0; prefix_gen = 0;
-            spf = no_tree; spf_gen = -1; fib = Fib.create ();
-            fib_tree = no_tree; fib_prefix_gen = -1; attached = [];
-            own_seq = 0 });
+          { id; lsdb = Array.make n no_lsa; lsdb_count = 0; lsdb_gen = 0;
+            prefix_gen = 0; spf = no_tree; spare = no_tree; spf_gen = -1;
+            fib = Fib.create (); fib_tree = no_tree; fib_prefix_gen = -1;
+            attached = []; own_seq = 0 });
     members;
-    messages = 0 }
+    messages = 0;
+    staged_peer = [||]; staged_lsa = [||]; staged_n = 0;
+    off = Array.make (n + 1) 0; nbr = [||]; weight = Float.Array.create 0;
+    ws = Spf.workspace () }
 
 let check_router t v =
   if v < 0 || v >= Array.length t.routers then
     invalid_arg (Printf.sprintf "Ospf: unknown router %d" v)
 
+let rec insert_sorted p = function
+  | [] -> [p]
+  | q :: rest as l ->
+    if Prefix.compare p q < 0 then p :: l else q :: insert_sorted p rest
+
+(* A prefix has one owner: the FIB build visits origins in id order,
+   so two owners would make the route depend on that order. *)
 let attach_prefix t node prefix =
   check_router t node;
+  Array.iter
+    (fun r ->
+       if r.id <> node && List.exists (Prefix.equal prefix) r.attached then
+         invalid_arg
+           (Printf.sprintf "Ospf.attach_prefix: %s is already attached at \
+                            router %d"
+              (Prefix.to_string prefix) r.id))
+    t.routers;
   let r = t.routers.(node) in
   if not (List.exists (Prefix.equal prefix) r.attached) then
-    r.attached <- prefix :: r.attached
+    r.attached <- insert_sorted prefix r.attached
 
-let current_lsa t r =
-  let adjacencies =
-    List.sort compare
-      (List.filter_map
-         (fun (nbr, l) ->
-            if t.members nbr then Some (nbr, l.Topology.cost) else None)
-         (Topology.up_neighbors t.topo r.id))
-  in
-  { originator = r.id; seq = r.own_seq; adjacencies;
-    prefixes = List.sort Prefix.compare r.attached }
+(* Does the stored adjacency list equal the live one — out-links
+   [k .. stop - 1] of the sorted adjacency that are up and lead to a
+   member? Walks both without building the live list. *)
+let rec adjacency_matches t (a : Topology.adjacency) k stop lst =
+  if k = stop then (match lst with [] -> true | _ :: _ -> false)
+  else begin
+    let l = Topology.link t.topo a.Topology.link_ids.(k) in
+    let nbr = a.Topology.nbr.(k) in
+    if not (l.Topology.up && t.members nbr) then
+      adjacency_matches t a (k + 1) stop lst
+    else
+      match lst with
+      | (u, cost) :: rest when u = nbr && cost = l.Topology.cost ->
+        adjacency_matches t a (k + 1) stop rest
+      | _ -> false
+  end
 
-let lsa_content_equal a b =
-  a.originator = b.originator
-  && a.adjacencies = b.adjacencies
-  && List.equal Prefix.equal a.prefixes b.prefixes
+let current_adjacencies t r =
+  let a = Topology.adjacency t.topo in
+  let acc = ref [] in
+  for k = a.Topology.off.(r.id + 1) - 1 downto a.Topology.off.(r.id) do
+    let l = Topology.link t.topo a.Topology.link_ids.(k) in
+    let nbr = a.Topology.nbr.(k) in
+    if l.Topology.up && t.members nbr then acc := (nbr, l.Topology.cost) :: !acc
+  done;
+  !acc
 
-let lsdb_write r origin lsa =
-  (match Hashtbl.find r.lsdb origin with
-   | old when List.equal Prefix.equal old.prefixes lsa.prefixes -> ()
-   | _ | (exception Not_found) -> r.prefix_gen <- r.prefix_gen + 1);
-  Hashtbl.replace r.lsdb origin lsa;
+let lsdb_write r lsa =
+  let old = r.lsdb.(lsa.originator) in
+  if old == no_lsa then begin
+    r.lsdb_count <- r.lsdb_count + 1;
+    r.prefix_gen <- r.prefix_gen + 1
+  end
+  else if not (List.equal Prefix.equal old.prefixes lsa.prefixes) then
+    r.prefix_gen <- r.prefix_gen + 1;
+  r.lsdb.(lsa.originator) <- lsa;
   r.lsdb_gen <- r.lsdb_gen + 1
 
 (* Re-originate: bump the sequence number only when content changed, so
-   steady-state converge calls cost zero flooding rounds. *)
+   steady-state converge calls cost zero flooding rounds. The live
+   adjacency is compared with the stored LSA before a new one is
+   built. *)
 let originate t r =
-  let fresh = current_lsa t r in
-  match Hashtbl.find_opt r.lsdb r.id with
-  | Some old when lsa_content_equal old fresh -> ()
-  | Some _ | None ->
+  let old = r.lsdb.(r.id) in
+  let a = Topology.adjacency t.topo in
+  if old == no_lsa
+  || not
+       (adjacency_matches t a a.Topology.off.(r.id) a.Topology.off.(r.id + 1)
+          old.adjacencies)
+  || not (List.equal Prefix.equal old.prefixes r.attached)
+  then begin
     r.own_seq <- r.own_seq + 1;
-    lsdb_write r r.id { fresh with seq = r.own_seq }
+    lsdb_write r
+      { originator = r.id; seq = r.own_seq;
+        adjacencies = current_adjacencies t r; prefixes = r.attached }
+  end
+
+let stage t peer lsa =
+  let cap = Array.length t.staged_peer in
+  if t.staged_n = cap then begin
+    let ncap = max 64 (2 * cap) in
+    let peers = Array.make ncap 0 and lsas = Array.make ncap no_lsa in
+    Array.blit t.staged_peer 0 peers 0 cap;
+    Array.blit t.staged_lsa 0 lsas 0 cap;
+    t.staged_peer <- peers;
+    t.staged_lsa <- lsas
+  end;
+  t.staged_peer.(t.staged_n) <- peer;
+  t.staged_lsa.(t.staged_n) <- lsa;
+  t.staged_n <- t.staged_n + 1
 
 (* One synchronous flooding round: every router offers its database to
    each up neighbor; the neighbor accepts LSAs that are new or newer.
    Changes are staged so the round is order-independent. *)
 let flood_round t =
-  let staged = ref [] in
-  Array.iter
-    (fun r ->
-       if not (t.members r.id) then ()
-       else
-       List.iter
-         (fun (nbr, _) ->
-            if not (t.members nbr) then ()
-            else
-            let peer = t.routers.(nbr) in
-            Hashtbl.iter
-              (fun origin lsa ->
-                 let newer =
-                   match Hashtbl.find_opt peer.lsdb origin with
-                   | None -> true
-                   | Some have -> lsa.seq > have.seq
-                 in
-                 if newer then staged := (peer, origin, lsa) :: !staged)
-              r.lsdb)
-         (Topology.up_neighbors t.topo r.id))
-    t.routers;
+  let n = Array.length t.routers in
+  let a = Topology.adjacency t.topo in
+  t.staged_n <- 0;
+  for v = 0 to n - 1 do
+    if t.members v then begin
+      let r = t.routers.(v) in
+      for k = a.Topology.off.(v) to a.Topology.off.(v + 1) - 1 do
+        let nbr = a.Topology.nbr.(k) in
+        if (Topology.link t.topo a.Topology.link_ids.(k)).Topology.up
+        && t.members nbr
+        then begin
+          let have = t.routers.(nbr).lsdb in
+          for origin = 0 to n - 1 do
+            let lsa = r.lsdb.(origin) in
+            if lsa.seq > have.(origin).seq then stage t nbr lsa
+          done
+        end
+      done
+    end
+  done;
   (* Several neighbors may offer the same LSA in one round; count each
      transmission (that is the wire traffic) but apply once. *)
-  t.messages <- t.messages + List.length !staged;
+  t.messages <- t.messages + t.staged_n;
   let changed = ref false in
-  List.iter
-    (fun (peer, origin, lsa) ->
-       match Hashtbl.find_opt peer.lsdb origin with
-       | Some have when have.seq >= lsa.seq -> ()
-       | Some _ | None ->
-         lsdb_write peer origin lsa;
-         changed := true)
-    !staged;
+  for i = 0 to t.staged_n - 1 do
+    let peer = t.routers.(t.staged_peer.(i)) and lsa = t.staged_lsa.(i) in
+    if lsa.seq > peer.lsdb.(lsa.originator).seq then begin
+      lsdb_write peer lsa;
+      changed := true
+    end
+  done;
+  Array.fill t.staged_lsa 0 t.staged_n no_lsa;
   !changed
 
 let rec lists_adjacency v = function
   | [] -> false
   | (b, _) :: rest -> b = v || lists_adjacency v rest
+
+(* Append LSA [v]'s two-way adjacencies to the rows from position [k];
+   returns the next free position. *)
+let rec fill_row t r v k = function
+  | [] -> k
+  | (u, cost) :: rest ->
+    let k =
+      if u < Array.length t.routers
+      && lists_adjacency v r.lsdb.(u).adjacencies
+      then begin
+        t.nbr.(k) <- u;
+        Float.Array.set t.weight k (float_of_int cost);
+        k + 1
+      end
+      else k
+    in
+    fill_row t r v k rest
 
 (* SPF over the router's own database, not the live topology: a router
    can only route on what flooding has told it. The LSDB becomes
@@ -140,41 +232,38 @@ let rec lists_adjacency v = function
    only if the neighbor's LSA lists it back (the two-way check real
    link-state SPF makes). LSAs keep adjacencies sorted by neighbor id,
    the order the relax loop expects. *)
-let run_spf t r =
+let run_spf t r ~into =
   let n = Array.length t.routers in
-  let total =
-    Hashtbl.fold (fun _ lsa acc -> acc + List.length lsa.adjacencies)
-      r.lsdb 0
-  in
-  let off = Array.make (n + 1) 0 in
-  let nbr = Array.make total 0 in
-  let weight = Float.Array.make total Float.nan in
+  let total = ref 0 in
+  for v = 0 to n - 1 do
+    total := !total + List.length r.lsdb.(v).adjacencies
+  done;
+  if Array.length t.nbr < !total then begin
+    let cap = max !total (2 * Array.length t.nbr) in
+    t.nbr <- Array.make cap 0;
+    t.weight <- Float.Array.make cap Float.nan
+  end;
   let k = ref 0 in
   for v = 0 to n - 1 do
-    off.(v) <- !k;
-    match Hashtbl.find r.lsdb v with
-    | exception Not_found -> ()
-    | lsa ->
-      List.iter
-        (fun (u, cost) ->
-           let two_way =
-             match Hashtbl.find r.lsdb u with
-             | back -> lists_adjacency v back.adjacencies
-             | exception Not_found -> false
-           in
-           if two_way && u < n then begin
-             nbr.(!k) <- u;
-             Float.Array.set weight !k (float_of_int cost);
-             incr k
-           end)
-        lsa.adjacencies
+    t.off.(v) <- !k;
+    k := fill_row t r v !k r.lsdb.(v).adjacencies
   done;
-  off.(n) <- !k;
-  Spf.dijkstra_csr ~off ~nbr ~weight ~src:r.id
+  t.off.(n) <- !k;
+  Spf.dijkstra_csr t.ws ~off:t.off ~nbr:t.nbr ~weight:t.weight ~src:r.id
+    ~into
 
 let spf t r =
   if r.spf_gen <> r.lsdb_gen then begin
-    r.spf <- run_spf t r;
+    if r.spf == r.fib_tree then begin
+      let into =
+        if r.spare == no_tree then
+          Spf.make_tree ~nodes:(Array.length t.routers)
+        else r.spare
+      in
+      r.spare <- r.spf;
+      r.spf <- into
+    end;
+    run_spf t r ~into:r.spf;
     r.spf_gen <- r.lsdb_gen
   end;
   r.spf
@@ -183,40 +272,82 @@ let spf t r =
 let same_routes (a : Spf.tree) (b : Spf.tree) =
   a == b || (a.Spf.dist = b.Spf.dist && a.Spf.first_hop = b.Spf.first_hop)
 
+let local_route =
+  { Fib.next_hop = Fib.local_delivery; cost = 0; source = Fib.Connected }
+
+(* Bring [fib]'s route for each prefix of [origin]'s LSA up to date:
+   kept when equal (the same route block), replaced when it moved,
+   removed when the origin is unreachable. Returns [live] plus the
+   routes the FIB now holds for these prefixes. *)
+let rec sync_prefixes fib ~self ~origin (tree : Spf.tree) live = function
+  | [] -> live
+  | p :: rest ->
+    let live =
+      if origin = self then begin
+        (match Fib.find fib p with
+         | Some r when r == local_route -> ()
+         | Some _ | None -> Fib.add fib p local_route);
+        live + 1
+      end
+      else if Float.is_finite tree.Spf.dist.(origin) then begin
+        let next_hop = tree.Spf.first_hop.(origin)
+        and cost = int_of_float tree.Spf.dist.(origin) in
+        (match Fib.find fib p with
+         | Some r
+           when r.Fib.next_hop = next_hop && r.Fib.cost = cost
+                && r.Fib.source = Fib.Igp -> ()
+         | Some _ | None -> Fib.add fib p { Fib.next_hop; cost; source = Fib.Igp });
+        live + 1
+      end
+      else begin
+        ignore (Fib.remove fib p);
+        live
+      end
+    in
+    sync_prefixes fib ~self ~origin tree live rest
+
+(* The FIB holds only LSA prefixes: LSDB slots are never emptied and an
+   origin's prefix list only grows (attachments are never withdrawn),
+   so visiting every prefix of every LSA reaches every route the table
+   holds. *)
 let refresh_fib t r =
   let tree = spf t r in
   if r.fib_prefix_gen <> r.prefix_gen || not (same_routes r.fib_tree tree)
   then begin
-    let dist = tree.Spf.dist and first_hop = tree.Spf.first_hop in
-    let fib = Fib.create () in
-    Hashtbl.iter
-      (fun origin lsa ->
-         List.iter
-           (fun p ->
-              if origin = r.id then
-                Fib.add fib p
-                  { Fib.next_hop = Fib.local_delivery; cost = 0;
-                    source = Fib.Connected }
-              else if Float.is_finite dist.(origin) then
-                Fib.add fib p
-                  { Fib.next_hop = first_hop.(origin);
-                    cost = int_of_float dist.(origin); source = Fib.Igp })
-           lsa.prefixes)
-      r.lsdb;
-    r.fib <- fib;
+    let live = ref 0 in
+    for origin = 0 to Array.length r.lsdb - 1 do
+      live :=
+        sync_prefixes r.fib ~self:r.id ~origin tree !live
+          r.lsdb.(origin).prefixes
+    done;
+    assert (Fib.size r.fib = !live);
     r.fib_tree <- tree;
     r.fib_prefix_gen <- r.prefix_gen
   end
 
 let converge t =
-  Array.iter (fun r -> if t.members r.id then originate t r) t.routers;
-  let rounds = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    if flood_round t then incr rounds else continue_ := false
+  let n = Array.length t.routers in
+  for v = 0 to n - 1 do
+    if t.members v then originate t t.routers.(v)
   done;
-  Array.iter (fun r -> if t.members r.id then refresh_fib t r) t.routers;
+  let rounds = ref 0 in
+  while flood_round t do
+    incr rounds
+  done;
+  for v = 0 to n - 1 do
+    if t.members v then refresh_fib t t.routers.(v)
+  done;
   !rounds
+
+let same_database reference r =
+  r.lsdb_count = reference.lsdb_count
+  && (let ok = ref true in
+      Array.iteri
+        (fun origin lsa ->
+           if lsa != no_lsa && reference.lsdb.(origin).seq <> lsa.seq then
+             ok := false)
+        r.lsdb;
+      !ok)
 
 let converged t =
   let member_routers =
@@ -225,18 +356,7 @@ let converged t =
   in
   match member_routers with
   | [] -> true
-  | reference :: rest ->
-    List.for_all
-      (fun r ->
-         Hashtbl.length r.lsdb = Hashtbl.length reference.lsdb
-         && Hashtbl.fold
-              (fun k lsa acc ->
-                 acc
-                 && match Hashtbl.find_opt reference.lsdb k with
-                 | Some ref_lsa -> ref_lsa.seq = lsa.seq
-                 | None -> false)
-              r.lsdb true)
-      rest
+  | reference :: rest -> List.for_all (same_database reference) rest
 
 let messages_sent t = t.messages
 

@@ -21,7 +21,9 @@ val create : ?members:(int -> bool) -> Mvpn_sim.Topology.t -> t
 val attach_prefix : t -> int -> Mvpn_net.Prefix.t -> unit
 (** Declare that router [node] originates reachability for a prefix
     (a customer subnet behind it, a loopback, ...). Takes effect at the
-    next {!converge}. *)
+    next {!converge}. A prefix has one owner, so no FIB depends on the
+    order routers are visited in.
+    @raise Invalid_argument when another router already attached it. *)
 
 val converge : t -> int
 (** Re-originate every router's LSA and flood to fixpoint. Returns the
@@ -38,9 +40,11 @@ val fib : t -> int -> Mvpn_net.Fib.t
 (** The forwarding table SPF built for a router at the last
     {!converge}. Routes carry source {!Mvpn_net.Fib.Igp}; a prefix
     attached to the router itself maps to
-    {!Mvpn_net.Fib.local_delivery}. A converge that moves neither the
-    router's SPF distances and first hops nor any LSA's prefixes keeps
-    the same table (physically), so callers may compare with [==]. *)
+    {!Mvpn_net.Fib.local_delivery}. The table is one object, updated
+    in place: a converge that moves neither the router's SPF distances
+    and first hops nor any LSA's prefixes leaves it untouched, and a
+    route that did not move keeps its value (physically), so callers
+    may compare routes with [==]. *)
 
 val next_hop_to_router : t -> src:int -> dst:int -> int option
 (** Next hop from [src] toward router [dst] per [src]'s database. Runs

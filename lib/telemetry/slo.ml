@@ -106,8 +106,23 @@ let slow_n = 60
 let burn_threshold = 2.0
 let min_samples = 5
 
+(* The per-fate lookup index: int keys, an OCaml hash and [Int.equal],
+   so a lookup makes no C call (the generic table's [caml_hash] and
+   [compare_val]). The hash folds high bits down, so keys that differ
+   only in the vpn spread over the buckets. *)
+module Key_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+
+    let hash k =
+      let h = k * 0x9E3779B1 in
+      (h lxor (h lsr 16)) land max_int
+  end)
+
 type t = {
   objectives : (int, objective) Hashtbl.t;  (* key = vpn lsl 4 lor band *)
+  index : objective Key_tbl.t;  (* the same objectives, for the observers *)
   (* The objectives in [Hashtbl.iter] order, the order {!advance}
      closes them in; rebuilt after a declaration. *)
   mutable ordered : objective array;
@@ -133,7 +148,8 @@ let create ?events () =
     | Some events -> (events, false)
     | None -> (Registry.events (), true)
   in
-  { objectives = Hashtbl.create 16; ordered = [||]; ordered_stale = false;
+  { objectives = Hashtbl.create 16; index = Key_tbl.create 16;
+    ordered = [||]; ordered_stale = false;
     merged = Array.make lat_buckets 0; vmax = Float.Array.make 1 0.0;
     events; global }
 
@@ -144,12 +160,15 @@ let declare t ~vpn ~band spec =
   if not (Hashtbl.mem t.objectives k) then begin
     let stats = Float.Array.make 5 0.0 in
     Float.Array.set stats s_avail 1.0;
-    Hashtbl.add t.objectives k
+    let obj =
       { vpn; band; spec;
         buckets = Array.init slow_n (fun _ -> new_bucket ());
         cur = 0; cum_total = 0; cum_bad = 0; cum_drops = 0;
         viol_latency = false; viol_loss = false; viol_avail = false;
-        alerting = false; stats };
+        alerting = false; stats }
+    in
+    Hashtbl.add t.objectives k obj;
+    Key_tbl.add t.index k obj;
     t.ordered_stale <- true
   end
 
@@ -375,14 +394,14 @@ let open_bucket t obj ~bucket =
   advance_obj t obj ~target_bucket:bucket;
   obj.buckets.(obj.cur mod slow_n)
 
-(* Per-packet observers: [Hashtbl.find] with its exception, not
+(* Per-packet observers: [Key_tbl.find] with its exception, not
    [find_opt], and the update written inline rather than passed as a
    closure, so an observation inside the open bucket allocates
    nothing. Each body is inlined into its float entry point and its
    cell entry point, so neither boxes the time or the latency. *)
 let[@inline] delivery t ~vpn ~band ~time ~latency =
   if !Control.enabled then
-    match Hashtbl.find t.objectives (key ~vpn ~band) with
+    match Key_tbl.find t.index (key ~vpn ~band) with
     | exception Not_found -> ()
     | obj ->
       let bk = open_bucket t obj ~bucket:(bucket_of time) in
@@ -411,7 +430,7 @@ let observe_delivery_cell t ~vpn ~band ~clock ~latency =
 
 let observe_drop_at t ~vpn ~band ~bucket =
   if !Control.enabled then
-    match Hashtbl.find t.objectives (key ~vpn ~band) with
+    match Key_tbl.find t.index (key ~vpn ~band) with
     | exception Not_found -> ()
     | obj ->
       let bk = open_bucket t obj ~bucket in

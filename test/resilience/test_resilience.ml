@@ -844,6 +844,53 @@ let test_burst_digest_pinned () =
   Alcotest.(check (pair int string)) "bursts and folded digest"
     (17, "8e6d799fb0737e676b8c9e04201bb85e") (bursts, digest)
 
+(* A repair burst over an unchanged topology — the backoff retry that
+   finds nothing new — recomputes everything in buffers it already
+   owns. OSPF (origination, a flooding round, the FIB check) allocates
+   nothing; the rest of the burst allocates the fresh FRR state (an ILM
+   entry per bypass hop, a protection record per link) and a few
+   closures, not trees, lists or tables: 2,858 words on this backbone
+   (the perfbench soak's: 16 POPs, 4 VPNs × 8 sites, 48 protected
+   links), where the list-and-table burst allocated ~75k. *)
+let burst_word_bound = 4096.0
+
+let test_noop_burst_allocation () =
+  let sc =
+    Scenario.build ~pops:16 ~vpns:4 ~sites_per_vpn:8 ~seed:11
+      (Scenario.Mpls_deployment
+         { policy = Qos_mapping.Diffserv Qos_mapping.default_diffserv_sched;
+           use_te = false })
+  in
+  let net = Scenario.network sc and vpn = Option.get (Scenario.mpls sc) in
+  let core = Scenario.core_links sc in
+  let frr =
+    Frr.arm ~links:(core @ List.map (fun (a, b) -> (b, a)) core) net
+  in
+  let burst () =
+    ignore (Mpls_vpn.reconverge vpn);
+    Frr.rearm frr
+  in
+  (* Grow every buffer: one burst on a changed topology, one after. *)
+  let a, b = List.hd core in
+  Topology.set_duplex_state (Network.topology net) a b false;
+  burst ();
+  Topology.set_duplex_state (Network.topology net) a b true;
+  burst ();
+  burst ();
+  let ospf = Mpls_vpn.ospf vpn in
+  let w0 = Gc.minor_words () in
+  let rounds = Ospf.converge ospf in
+  let ospf_words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "nothing to flood" 0 rounds;
+  Alcotest.(check (float 0.0)) "minor words of an unchanged OSPF converge"
+    0.0 ospf_words;
+  let w0 = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. w0 in
+  if words > burst_word_bound then
+    Alcotest.failf "a burst on an unchanged topology allocated %.0f words \
+                    > %.0f" words burst_word_bound
+
 (* After every burst of a random flap sequence, each repaired table
    must equal a fresh SPF over the live topology: every node's FIB
    route to each POP loopback (first hop and cost; local at the owner),
@@ -1012,4 +1059,6 @@ let () =
       ("repair",
        [ Alcotest.test_case "burst digest matches the pinned value" `Quick
            test_burst_digest_pinned;
+         Alcotest.test_case "unchanged-topology burst allocates little"
+           `Quick test_noop_burst_allocation;
          qt repair_matches_live_property ]) ]
