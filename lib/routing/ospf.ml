@@ -5,7 +5,8 @@ module Fib = Mvpn_net.Fib
 type lsa = {
   originator : int;
   seq : int;
-  adjacencies : (int * int) list;  (* neighbor, cost; up links only, by neighbor *)
+  (* Neighbor, cost: up links to members only, by neighbor id. *)
+  adjacencies : (int * int) list;
   prefixes : Prefix.t list;  (* sorted *)
 }
 
@@ -42,6 +43,7 @@ type t = {
   topo : Topology.t;
   routers : router array;
   members : int -> bool;
+  owners : (Prefix.t, int) Hashtbl.t;  (* attached prefix -> its router *)
   mutable messages : int;
   (* A flooding round's offers, (peer, LSA), staged so the round is
      order-independent; the arrays only grow. *)
@@ -66,6 +68,7 @@ let create ?(members = fun _ -> true) topo =
             fib = Fib.create (); fib_tree = no_tree; fib_prefix_gen = -1;
             attached = []; own_seq = 0 });
     members;
+    owners = Hashtbl.create 16;
     messages = 0;
     staged_peer = [||]; staged_lsa = [||]; staged_n = 0;
     off = Array.make (n + 1) 0; nbr = [||]; weight = Float.Array.create 0;
@@ -84,16 +87,16 @@ let rec insert_sorted p = function
    so two owners would make the route depend on that order. *)
 let attach_prefix t node prefix =
   check_router t node;
-  Array.iter
-    (fun r ->
-       if r.id <> node && List.exists (Prefix.equal prefix) r.attached then
-         invalid_arg
-           (Printf.sprintf "Ospf.attach_prefix: %s is already attached at \
-                            router %d"
-              (Prefix.to_string prefix) r.id))
-    t.routers;
-  let r = t.routers.(node) in
-  if not (List.exists (Prefix.equal prefix) r.attached) then
+  match Hashtbl.find_opt t.owners prefix with
+  | Some owner when owner <> node ->
+    invalid_arg
+      (Printf.sprintf "Ospf.attach_prefix: %s is already attached at \
+                       router %d"
+         (Prefix.to_string prefix) owner)
+  | Some _ -> ()
+  | None ->
+    Hashtbl.add t.owners prefix node;
+    let r = t.routers.(node) in
     r.attached <- insert_sorted prefix r.attached
 
 (* Does the stored adjacency list equal the live one — out-links
@@ -296,7 +299,8 @@ let rec sync_prefixes fib ~self ~origin (tree : Spf.tree) live = function
          | Some r
            when r.Fib.next_hop = next_hop && r.Fib.cost = cost
                 && r.Fib.source = Fib.Igp -> ()
-         | Some _ | None -> Fib.add fib p { Fib.next_hop; cost; source = Fib.Igp });
+         | Some _ | None ->
+           Fib.add fib p { Fib.next_hop; cost; source = Fib.Igp });
         live + 1
       end
       else begin

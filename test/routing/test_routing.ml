@@ -497,6 +497,9 @@ let test_ospf_queries_keep_fib () =
   Ospf.attach_prefix o n.(3) (pfx "10.3.0.0/16");
   ignore (Ospf.converge o);
   let before = Array.map (fun v -> Ospf.fib o v) n in
+  (* The table is updated in place, so its generation is what shows a
+     write. *)
+  let gens = Array.map (fun v -> Fib.generation (Ospf.fib o v)) n in
   Array.iter
     (fun src ->
        Array.iter
@@ -510,15 +513,31 @@ let test_ospf_queries_keep_fib () =
        Alcotest.(check bool)
          (Printf.sprintf "fib of %d untouched" v)
          true
-         (Ospf.fib o v == before.(i)))
+         (Ospf.fib o v == before.(i)
+          && Fib.generation (Ospf.fib o v) = gens.(i)))
     n;
   (* A converge that moves no route keeps every table too. *)
   ignore (Ospf.converge o);
   Array.iteri
     (fun i v ->
        Alcotest.(check bool) "steady converge reuses the fib" true
-         (Ospf.fib o v == before.(i)))
+         (Ospf.fib o v == before.(i)
+          && Fib.generation (Ospf.fib o v) = gens.(i)))
     n
+
+(* A prefix has one owner; re-attaching it where it already is is a
+   no-op. *)
+let test_ospf_prefix_one_owner () =
+  let t, n = diamond () in
+  let o = Ospf.create t in
+  Ospf.attach_prefix o n.(3) (pfx "10.3.0.0/16");
+  Ospf.attach_prefix o n.(3) (pfx "10.3.0.0/16");
+  Alcotest.check_raises "second owner"
+    (Invalid_argument
+       "Ospf.attach_prefix: 10.3.0.0/16 is already attached at router 3")
+    (fun () -> Ospf.attach_prefix o n.(2) (pfx "10.3.0.0/16"));
+  ignore (Ospf.converge o);
+  Alcotest.(check int) "one route per prefix" 1 (Fib.size (Ospf.fib o n.(0)))
 
 (* The E16 backbone's shape: 16 POPs on a chorded ring, 32 CE sites
    hanging off them. *)
@@ -1427,7 +1446,9 @@ let () =
          qt ospf_spf_matches_reference;
          qt ospf_incremental_matches_fresh;
          Alcotest.test_case "queries keep the fib" `Quick
-           test_ospf_queries_keep_fib ]);
+           test_ospf_queries_keep_fib;
+         Alcotest.test_case "a prefix has one owner" `Quick
+           test_ospf_prefix_one_owner ]);
       ("bgp",
        [ Alcotest.test_case "ebgp propagation" `Quick
            test_bgp_ebgp_propagation;
