@@ -29,9 +29,11 @@ val distribute :
 
 val refresh : t -> unit
 (** Recompute next hops against the current topology (after a failure
-    and IGP reconvergence), keeping existing label bindings, and
-    reinstall entries. Routers that lost reachability to a FEC's egress
-    have their entries removed. *)
+    and IGP reconvergence), keeping existing label bindings, and bring
+    the entries up to date: one that did not move is kept as it is
+    (no allocation, no FTN generation bump), one that moved is
+    replaced. Routers that lost reachability to a FEC's egress have
+    their entries removed. *)
 
 val local_binding : t -> router:int -> Mvpn_net.Prefix.t -> int option
 (** The label [router] allocated for a FEC; [implicit_null] at the

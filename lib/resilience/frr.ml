@@ -25,9 +25,9 @@ type t = {
   mutable installed_label : int array;
   mutable installed_n : int;
   (* Link [i]'s current bypass, as link ids in the first
-     [bypass_len.(i)] slots of [bypass.(i)], and the [usable] check its
-     PLR's protection record carries, built once per link and reading
-     those slots live. *)
+     [bypass_len.(i)] slots of [bypass.(i)] (grown to the longest
+     bypass seen), and the [usable] check its PLR's protection record
+     carries, built once per link and reading those slots live. *)
   bypass : int array array;
   bypass_len : int array;
   live : (unit -> bool) array;
@@ -101,6 +101,7 @@ let protect_one t i =
       Lfib.install (Plane.lfib plane hops.(k)) ~in_label:labels.(k) entry;
       record_installed t hops.(k) labels.(k)
     done;
+    if Array.length t.bypass.(i) < n then t.bypass.(i) <- Array.make n 0;
     let ids = t.bypass.(i) in
     for k = 0 to n - 1 do
       let x = if k = 0 then a else hops.(k - 1) in
@@ -132,7 +133,7 @@ let arm ?links net =
   let links = Array.of_list links in
   let topo = Network.topology net in
   let nodes = Topology.node_count topo in
-  let bypass = Array.init (Array.length links) (fun _ -> Array.make nodes 0) in
+  let bypass = Array.make (Array.length links) [||] in
   let bypass_len = Array.make (Array.length links) 0 in
   let excluded = { ex_a = -1; ex_b = -1 } in
   let t =
@@ -140,14 +141,12 @@ let arm ?links net =
       installed_node = [||]; installed_label = [||]; installed_n = 0;
       bypass; bypass_len;
       live =
-        Array.mapi
-          (fun i ids () ->
-             let up = ref true in
-             for k = 0 to bypass_len.(i) - 1 do
-               if not (Topology.link topo ids.(k)).Topology.up then up := false
-             done;
-             !up)
-          bypass;
+        Array.init (Array.length links) (fun i () ->
+            let ids = bypass.(i) and up = ref true in
+            for k = 0 to bypass_len.(i) - 1 do
+              if not (Topology.link topo ids.(k)).Topology.up then up := false
+            done;
+            !up);
       excluded;
       avoid =
         (fun (l : Topology.link) ->
