@@ -109,7 +109,7 @@ let table =
              two interleaved runs each; the true ratio sits near 0.98. *)
           ("e18.overhead.audit", Ge 0.95);
           (* Minor words per event of the seq-chaos run, storm repairs
-             and audit ticks included: 0.66 measured (2.50 while every
+             and audit ticks included: 0.65 measured (2.50 while every
              repair burst rebuilt the control plane from fresh lists,
              tables and SPF trees, 3.99 with a boxing fate hook and
              tuple-threading SLO window closes, 6.60 with a boxed
