@@ -660,35 +660,31 @@ let create ?(policy = Qos_mapping.Best_effort) ?wred
 (* Per node: the same table as [Fib.clear_source fib Igp] followed by
    adding every route of the router's OSPF table, without tearing down
    and regrowing the trie. Only IGP routes the new table no longer
-   carries are removed (a list is built only when there are some); the
-   rest are overwritten in place, and a route the OSPF table kept
-   (physically) is re-added without a fresh box. The FIB's generation
-   moves exactly when the clear-and-refill would have moved it (a
-   removal, or a non-empty OSPF table), so the dataplane recompiles the
-   same nodes. *)
+   carries are removed (listed first, so the walk does not mutate the
+   trie it reads; nothing is consed when none is stale); the rest are
+   overwritten in place, and a route the OSPF table kept (physically)
+   is re-added without a fresh box. The FIB's generation moves exactly
+   when the clear-and-refill would have moved it (a removal, or a
+   non-empty OSPF table), so the dataplane recompiles the same nodes. *)
 let refresh_igp ?(members = fun _ -> true) t ospf =
   (* One set of closures for the whole walk, reading the node at hand
      through [fib] and [source]: nothing is allocated per node. *)
   let fib = ref (Fib.create ()) and source = ref (Fib.create ()) in
-  let stale = ref 0 and victims = ref [] in
-  let is_stale p (r : Fib.route) =
-    r.Fib.source = Fib.Igp
-    && match Fib.find !source p with None -> true | Some _ -> false
+  let victims = ref [] in
+  let collect p (r : Fib.route) =
+    if r.Fib.source = Fib.Igp
+       && (match Fib.find !source p with None -> true | Some _ -> false)
+    then victims := p :: !victims
   in
-  let count p r = if is_stale p r then incr stale in
-  let collect p r = if is_stale p r then victims := p :: !victims in
+  let remove p = ignore (Fib.remove !fib p) in
   let add p r = Fib.add !fib p r in
   for node = 0 to Array.length t.fibs - 1 do
     if members node then begin
       fib := t.fibs.(node);
       source := Ospf.fib ospf node;
-      stale := 0;
-      Fib.iter count !fib;
-      if !stale > 0 then begin
-        victims := [];
-        Fib.iter collect !fib;
-        List.iter (fun p -> ignore (Fib.remove !fib p)) !victims
-      end;
+      victims := [];
+      Fib.iter collect !fib;
+      List.iter remove !victims;
       Fib.iter add !source
     end
   done

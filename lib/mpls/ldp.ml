@@ -94,7 +94,7 @@ let install t fs =
         if not (ilm_has lfib ~in_label ~out ~next_hop:nh) then
           Lfib.install lfib ~in_label
             { Lfib.op = Lfib.Swap out; next_hop = nh };
-        Plane.refresh_ftn t.plane r fs.fec ~push:out ~next_hop:nh
+        Plane.install_ftn t.plane r fs.fec ~push:out ~next_hop:nh
       end;
       advertisements := !advertisements + Topology.up_degree t.topo r
     end

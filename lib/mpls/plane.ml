@@ -4,10 +4,10 @@ type node_state = {
   allocator : Label.Allocator.t;
   lfib : Lfib.t;
   ftn : (Fec.t, ftn_entry) Hashtbl.t;
-  (* Monotonic FTN mutation counter: bumped by install_ftn and
-     successful remove_ftn (so LDP refresh, which reinstalls bindings,
-     bumps it many times). FEC → FTN caches compare it to detect
-     staleness. *)
+  (* Monotonic FTN mutation counter: bumped by an install_ftn that
+     changes the binding and by a successful remove_ftn, so an LDP
+     refresh that leaves a binding as it was does not move it. FEC → FTN
+     caches compare it to detect staleness. *)
   mutable ftn_gen : int;
 }
 
@@ -27,12 +27,7 @@ let allocator t node = (get t node).allocator
 
 let lfib t node = (get t node).lfib
 
-let install_ftn t node fec entry =
-  let s = get t node in
-  Hashtbl.replace s.ftn fec entry;
-  s.ftn_gen <- s.ftn_gen + 1
-
-let refresh_ftn t node fec ~push ~next_hop =
+let install_ftn t node fec ~push ~next_hop =
   let s = get t node in
   match Hashtbl.find s.ftn fec with
   | e when e.push = push && e.next_hop = next_hop -> ()

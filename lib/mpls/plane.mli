@@ -19,13 +19,11 @@ val allocator : t -> int -> Label.Allocator.t
 
 val lfib : t -> int -> Lfib.t
 
-val install_ftn : t -> int -> Fec.t -> ftn_entry -> unit
-(** Bind a FEC at an ingress node (replaces an existing binding). *)
-
-val refresh_ftn : t -> int -> Fec.t -> push:int -> next_hop:int -> unit
-(** {!install_ftn} [{ push; next_hop }], unless the node already binds
-    the FEC to exactly that entry: then nothing changes, neither the
-    entry (no allocation) nor the generation. *)
+val install_ftn : t -> int -> Fec.t -> push:int -> next_hop:int -> unit
+(** Bind a FEC at an ingress node to [{ push; next_hop }], replacing an
+    existing binding. When the node already binds the FEC to exactly
+    that entry nothing changes, neither the entry (no allocation) nor
+    the generation. *)
 
 val remove_ftn : t -> int -> Fec.t -> bool
 
@@ -38,8 +36,8 @@ val clear_ftn : t -> int -> unit
 
 val ftn_generation : t -> int -> int
 (** Monotonic mutation counter of the node's FTN map, bumped by
-    {!install_ftn}, a {!refresh_ftn} that changed the entry and a
-    successful {!remove_ftn} — so by every binding
+    an {!install_ftn} that changed the binding and a successful
+    {!remove_ftn} — so by every binding
     {!Ldp.distribute}/{!Ldp.refresh} moves or RSVP-TE (re)installs.
     FEC → FTN caches compare it to detect that an ingress binding moved
     (e.g. after a failure re-splice).

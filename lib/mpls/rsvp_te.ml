@@ -86,10 +86,10 @@ let install_labels t tn =
           FTN entry with explicit null so the data path still has a
           steering entry for the tunnel. *)
        Plane.install_ftn t.plane ingress (ingress_fec tn)
-         { Plane.push = Label.explicit_null; next_hop = hops.(0) }
+         ~push:Label.explicit_null ~next_hop:hops.(0)
      else
        Plane.install_ftn t.plane ingress (ingress_fec tn)
-         { Plane.push = labels.(0); next_hop = hops.(0) });
+         ~push:labels.(0) ~next_hop:hops.(0));
     (* Transit and egress LFIB entries. *)
     for i = 0 to nhops - 1 do
       let router = hops.(i) in

@@ -33,13 +33,14 @@ type t = {
   live : (unit -> bool) array;
   (* The bypass SPF: its excluded link, the [usable] filter reading it,
      the relax loop's scratch, the tree and the path's hops and
-     labels, all reused link after link. *)
+     labels, all reused link after link (the last three re-sized when
+     the topology gained nodes since they were made). *)
   excluded : excluded;
   avoid : Topology.link -> bool;
   ws : Spf.workspace;
-  tree : Spf.tree;
-  hops : int array;
-  labels : int array;
+  mutable tree : Spf.tree;
+  mutable hops : int array;
+  mutable labels : int array;
   mutable stats : stats;
 }
 
@@ -73,6 +74,12 @@ let protect_one t i =
   let plane = Network.plane t.net in
   t.excluded.ex_a <- a;
   t.excluded.ex_b <- b;
+  let nodes = Topology.node_count topo in
+  if Array.length t.hops <> nodes then begin
+    t.tree <- Spf.make_tree ~nodes;
+    t.hops <- Array.make nodes 0;
+    t.labels <- Array.make nodes 0
+  end;
   let tree = t.tree in
   Spf.dijkstra_into t.ws ~usable:t.avoid topo ~src:a ~into:tree;
   if b = a || not (Float.is_finite tree.Spf.dist.(b)) then false

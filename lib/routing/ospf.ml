@@ -20,7 +20,6 @@ let no_tree = Spf.make_tree ~nodes:0
 type router = {
   id : int;
   lsdb : lsa array;  (* by originator; [no_lsa] where none arrived *)
-  mutable lsdb_count : int;
   mutable lsdb_gen : int;  (* bumped by every LSDB write *)
   mutable prefix_gen : int;  (* bumped when a write changed some prefixes *)
   (* SPF over the LSDB as of [spf_gen] (-1: never run), in one of two
@@ -63,7 +62,7 @@ let create ?(members = fun _ -> true) topo =
   { topo;
     routers =
       Array.init n (fun id ->
-          { id; lsdb = Array.make n no_lsa; lsdb_count = 0; lsdb_gen = 0;
+          { id; lsdb = Array.make n no_lsa; lsdb_gen = 0;
             prefix_gen = 0; spf = no_tree; spare = no_tree; spf_gen = -1;
             fib = Fib.create (); fib_tree = no_tree; fib_prefix_gen = -1;
             attached = []; own_seq = 0 });
@@ -128,12 +127,9 @@ let current_adjacencies t r =
 
 let lsdb_write r lsa =
   let old = r.lsdb.(lsa.originator) in
-  if old == no_lsa then begin
-    r.lsdb_count <- r.lsdb_count + 1;
-    r.prefix_gen <- r.prefix_gen + 1
-  end
-  else if not (List.equal Prefix.equal old.prefixes lsa.prefixes) then
-    r.prefix_gen <- r.prefix_gen + 1;
+  if old == no_lsa
+  || not (List.equal Prefix.equal old.prefixes lsa.prefixes)
+  then r.prefix_gen <- r.prefix_gen + 1;
   r.lsdb.(lsa.originator) <- lsa;
   r.lsdb_gen <- r.lsdb_gen + 1
 
@@ -343,15 +339,10 @@ let converge t =
   done;
   !rounds
 
+(* Slot by slot: an empty slot's [no_lsa.seq] differs from any LSA's,
+   so an LSA one side holds and the other lacks is a difference too. *)
 let same_database reference r =
-  r.lsdb_count = reference.lsdb_count
-  && (let ok = ref true in
-      Array.iteri
-        (fun origin lsa ->
-           if lsa != no_lsa && reference.lsdb.(origin).seq <> lsa.seq then
-             ok := false)
-        r.lsdb;
-      !ok)
+  Array.for_all2 (fun a b -> a.seq = b.seq) reference.lsdb r.lsdb
 
 let converged t =
   let member_routers =

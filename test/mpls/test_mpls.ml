@@ -279,7 +279,7 @@ let test_ldp_refresh_after_failure () =
 
 (* An LDP re-splice must be visible to FTN caches: refresh goes through
    {!Plane.install_ftn}/{!Plane.remove_ftn}, so the ingress node's FTN
-   generation moves whenever its binding does. *)
+   generation moves whenever its binding does, and only then. *)
 let test_plane_ftn_generation_tracks_refresh () =
   let topo = Topology.create () in
   let n = Array.init 4 (fun _ -> Topology.add_node topo) in
@@ -296,14 +296,21 @@ let test_plane_ftn_generation_tracks_refresh () =
   Alcotest.(check bool) "distribute bumps ingress" true (g1 > g0);
   Topology.set_duplex_state topo n.(0) n.(1) false;
   Ldp.refresh ldp;
-  Alcotest.(check bool) "refresh bumps ingress" true
-    (Plane.ftn_generation plane n.(0) > g1);
+  let g1' = Plane.ftn_generation plane n.(0) in
+  Alcotest.(check bool) "refresh bumps ingress" true (g1' > g1);
+  Ldp.refresh ldp;
+  Alcotest.(check int) "unchanged refresh leaves ingress" g1'
+    (Plane.ftn_generation plane n.(0));
   (* Direct FTN surgery counts too. *)
   let g2 = Plane.ftn_generation plane n.(1) in
-  Plane.install_ftn plane n.(1) (Fec.Prefix_fec dest)
-    { Plane.push = 77; next_hop = n.(3) };
+  Plane.install_ftn plane n.(1) (Fec.Prefix_fec dest) ~push:77
+    ~next_hop:n.(3);
   let g3 = Plane.ftn_generation plane n.(1) in
   Alcotest.(check bool) "install_ftn bumps" true (g3 > g2);
+  Plane.install_ftn plane n.(1) (Fec.Prefix_fec dest) ~push:77
+    ~next_hop:n.(3);
+  Alcotest.(check int) "equal install_ftn does not bump" g3
+    (Plane.ftn_generation plane n.(1));
   Alcotest.(check bool) "remove hit" true
     (Plane.remove_ftn plane n.(1) (Fec.Prefix_fec dest));
   let g4 = Plane.ftn_generation plane n.(1) in

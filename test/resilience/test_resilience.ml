@@ -137,6 +137,22 @@ let test_frr_switchover () =
     (T.Event_log.count_kind (T.Registry.events ()) "frr_switchover");
   check_accounting r
 
+(* A node added after arming (a site attached to a POP) does not stop a
+   rearm: the bypass buffers follow the topology's size, and the core
+   links keep their protection. *)
+let test_frr_rearm_after_node_added () =
+  let r = build_rig () in
+  let f = Frr.arm ~links:(core_directed r.bb) r.net in
+  let before = Frr.stats f in
+  ignore
+    (Backbone.attach_site r.bb ~id:3 ~name:"c" ~vpn:1
+       ~prefix:(Prefix.of_string_exn "10.2.0.0/16") ~pop:4);
+  Frr.rearm f;
+  let after = Frr.stats f in
+  Alcotest.(check int) "protected links kept" before.Frr.protected_links
+    after.Frr.protected_links;
+  Alcotest.(check int) "no link lost its bypass" 0 after.Frr.unprotected_links
+
 (* --- fallback: session loss degrades to IP, restoration logged --------- *)
 
 let test_fallback_and_restore () =
@@ -1020,7 +1036,9 @@ let () =
   Alcotest.run "resilience"
     [ ("frr",
        [ Alcotest.test_case "same-tick switchover" `Quick
-           (with_telemetry test_frr_switchover) ]);
+           (with_telemetry test_frr_switchover);
+         Alcotest.test_case "rearm after a node is added" `Quick
+           (with_telemetry test_frr_rearm_after_node_added) ]);
       ("fallback",
        [ Alcotest.test_case "session loss degrades and restores" `Quick
            (with_telemetry test_fallback_and_restore);
